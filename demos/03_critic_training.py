@@ -19,11 +19,12 @@ import numpy as np
 from cgru import rng as rngmod
 from cgru.config import RunConfig, apply_overrides
 from cgru.critic import (ablation_compare, build_critic, build_critic_buffer,
-                         critic_forward, critic_train)
-from cgru.diffusion import Context, mode_centers, sample_trajectories
+                         critic_train)
+from cgru.diffusion import mode_centers, sample_trajectories
 from cgru.pipeline import (_load_base_model, _load_classifier, _load_critic,
                            _reward_spec, _schedule, run_classifier,
                            run_critic, run_pretrain)
+from cgru.policy_grad import state_values
 from cgru.rewards import RewardSpec, assign_rewards
 
 OUT = "demo_runs/03_critic"
@@ -52,15 +53,20 @@ clf = _load_classifier(cfg)
 sched = _schedule(cfg)
 K = cfg.data.n_classes
 target = cfg.reward.target_class
-ctx = Context(target, K)
+
+
+def value(critic, latents, t):
+    """V(x_t, target, t) for one trajectory's latents (x_T first)."""
+    return state_values(critic, latents[sched.T - t], target, t)[0]
+
 
 print("\n== pipeline critic on a forget-class rollout ==")
-traj = sample_trajectories(model, [ctx], sched, cfg.seed, rngmod.PHASE_DIAG,
-                           first_index=4242)[0]
-assign_rewards([traj], _reward_spec(cfg), clf)
-vals = " ".join(f"{critic_forward(critic, traj.x(t), ctx, t):+.2f}"
+traj = sample_trajectories(model, [target], sched, cfg.seed,
+                           rngmod.PHASE_DIAG, first_index=4242)
+assign_rewards(traj, _reward_spec(cfg), clf)
+vals = " ".join(f"{value(critic, traj.latents[0], t):+.2f}"
                 for t in (50, 30, 10, 1))
-print(f"V at t=50,30,10,1: {vals}; realized reward {traj.reward:.2f}")
+print(f"V at t=50,30,10,1: {vals}; realized reward {traj.rewards[0]:.2f}")
 print("flat and near zero is the right answer: the base sampler puts "
       "every forget-class rollout on the forget mode, so there is "
       "nothing for intermediate states to disambiguate")
@@ -68,26 +74,25 @@ print("flat and near zero is the right answer: the base sampler puts "
 print("\n== credit assignment when outcomes vary ==")
 spec = RewardSpec("mode_distance", center=tuple(mode_centers(K, 4.0)[target]),
                   scale=cfg.reward.scale)
-ctxs = [ctx] * 256
-buffer = build_critic_buffer(model, ctxs, spec, None, sched, cfg.seed,
-                             phase=rngmod.PHASE_DIAG, first_index=900_000)
+buffer = build_critic_buffer(model, np.full(256, target), spec, None, sched,
+                             cfg.seed, phase=rngmod.PHASE_DIAG,
+                             first_index=900_000)
 demo_critic = build_critic(2, K, sched.T, hidden=cfg.critic.hidden,
                            t_embed_dim=cfg.critic.t_embed_dim)
 critic_train(demo_critic, buffer, epochs=6, batch_size=256,
              rng=rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, 901_000),
              lr=cfg.critic.lr)
 
-probes = sample_trajectories(model, [ctx] * 64, sched, cfg.seed,
+probes = sample_trajectories(model, np.full(64, target), sched, cfg.seed,
                              rngmod.PHASE_DIAG, first_index=902_000)
 assign_rewards(probes, spec)
-probes.sort(key=lambda tr: tr.reward)
-picks = [probes[0], probes[32], probes[-1]]
+picks = probes[np.argsort(probes.rewards, kind="stable")[[0, 32, -1]]]
 print(f"{'t':>4} " + " ".join(f"{'traj ' + str(i):>8}" for i in "abc"))
 for t in (40, 20, 5, 1):
-    row = " ".join(f"{critic_forward(demo_critic, tr.x(t), ctx, t):>8.2f}"
-                   for tr in picks)
+    row = " ".join(f"{value(demo_critic, lat, t):>8.2f}"
+                   for lat in picks.latents)
     print(f"{t:>4} {row}")
-print("rlzd " + " ".join(f"{tr.reward:>8.2f}" for tr in picks))
+print("rlzd " + " ".join(f"{r:>8.2f}" for r in picks.rewards))
 print("early states carry only partial information about where the chain "
       "will land, so predictions sharpen toward each rollout's own "
       "outcome as t falls")

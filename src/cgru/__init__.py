@@ -2,34 +2,5 @@
 
 __version__ = "0.1.0"
 
-from .checkpoint import load_network, load_tensors, save_network, save_tensors
-from .critic import (Critic, CriticSample, ablation_compare, build_critic,
-                     build_critic_buffer, critic_forward, critic_train,
-                     critic_values, film_modulate)
-from .diffusion import (Context, EpsModel, NoiseSchedule, Trajectory,
-                        build_eps_net, ddpm_train_step, gaussian_logprob,
-                        make_schedule, mode_centers, one_hot, q_sample,
-                        reverse_mean, sample_dataset, sample_trajectories,
-                        sample_trajectory, schedule_from_betas)
-from .errors import (CgruError, CheckpointError, ConfigError, LockError,
-                     MissingArtifact, PhaseFailure, ScheduleError, ShapeMismatch)
-from .metrics import (EvalReport, FeatureStats, feature_stats, frechet_distance,
-                      matrix_sqrt_psd, retain_accuracy, unlearning_accuracy)
-from .nets import (Act, AdamState, Dense, Film, Network, adam_init, adam_step,
-                   backward, forward, init_network, sinusoidal_embed)
-from .policy_grad import (EstimatorConfig, GradientEstimate,
-                          baseline_term_estimate, cgru_gradient,
-                          compute_advantages, compute_advantages_batch,
-                          ddpo_gradient, gradient_variance, importance_weight,
-                          optimal_baseline_probe, policy_update_epoch)
-from .rewards import (RewardSpec, assign_rewards, build_classifier_net,
-                      classifier_accuracy, classifier_predict,
-                      classifier_probs, classifier_reward,
-                      mode_distance_reward, penultimate_features,
-                      reward_values, train_classifier)
-from .config import (RunConfig, apply_overrides, config_hash, load_config,
-                     parse_config, render_config, save_config, validate)
-from .pipeline import (RunManifest, run_classifier, run_critic, run_eval,
-                       run_full, run_pretrain, run_report, run_unlearn)
-from .toy import (ToyPolicy, build_toy, sample_toy_trajectories,
-                  toy_analytic_gradient, toy_mean_reward, toy_rewards)
+from . import (checkpoint, config, critic, diffusion, errors, metrics, nets,
+               pipeline, policy_grad, rewards, toy)

@@ -16,14 +16,15 @@ from . import pipeline
 from . import rng as rngmod
 from .config import RunConfig, apply_overrides, load_config, validate
 from .critic import ablation_compare, build_critic_buffer
-from .diffusion import Context, mode_centers, sample_trajectories
+from .diffusion import mode_centers, sample_trajectories
 from .errors import CgruError, ConfigError
 from .pipeline import (_load_base_model, _load_classifier, _load_critic,
-                       _locked, _mixture_contexts, _path, _reward_spec,
+                       _locked, _mixture_class_ids, _path, _reward_spec,
                        _schedule, _write_csv)
 from .policy_grad import (baseline_term_estimate, cgru_gradient,
-                          ddpo_gradient, gradient_variance,
-                          optimal_baseline_probe, per_sample_scores)
+                          compute_advantages, ddpo_gradient,
+                          gradient_variance, optimal_baseline_probe,
+                          per_sample_scores)
 from .rewards import RewardSpec, assign_rewards
 from .toy import (build_toy, sample_toy_trajectories, toy_analytic_gradient,
                   toy_mean_reward)
@@ -49,9 +50,9 @@ def diag_unbiasedness(cfg: RunConfig) -> dict:
     """
     policy, toy_sched = build_toy(0.5)
     n_toy = 20_000
-    trajs = sample_toy_trajectories(policy, toy_sched, n_toy, cfg.seed)
-    scores = per_sample_scores(trajs, policy, toy_sched)
-    r = np.array([tr.reward for tr in trajs])
+    toy = sample_toy_trajectories(policy, toy_sched, n_toy, cfg.seed)
+    scores = per_sample_scores(toy, policy, toy_sched)
+    r = toy.rewards
     truth = toy_analytic_gradient()
     toy_checks = {}
     for name, baseline in (("terminal_reward", 0.0),
@@ -71,16 +72,16 @@ def diag_unbiasedness(cfg: RunConfig) -> dict:
     critic = _load_critic(cfg)
     sched = _schedule(cfg)
     spec = _reward_spec(cfg)
-    K = cfg.data.n_classes
     sizes = (100, 1000, 10_000)
-    ctxs = [Context(cfg.reward.target_class, K)] * sizes[-1]
-    all_trajs = sample_trajectories(model, ctxs, sched, cfg.seed,
-                                    rngmod.PHASE_DIAG,
-                                    first_index=_IDX_UNBIAS_SWEEP)
-    assign_rewards(all_trajs, spec, clf)
+    rollouts = sample_trajectories(
+        model, np.full(sizes[-1], cfg.reward.target_class), sched, cfg.seed,
+        rngmod.PHASE_DIAG, first_index=_IDX_UNBIAS_SWEEP)
+    assign_rewards(rollouts, spec, clf)
+    # advantages are filled once for the whole batch; the prefixes reuse them
+    compute_advantages(rollouts, critic)
     rows = []
     for n in sizes:
-        prefix = all_trajs[:n]
+        prefix = rollouts[:n]
         b_norm = float(np.linalg.norm(
             baseline_term_estimate(prefix, model, critic, sched)))
         g_norm = float(np.linalg.norm(
@@ -118,14 +119,15 @@ def diag_variance(cfg: RunConfig, n_batches: int = 20,
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_CTX)
     ests = {"cgru": [], "ddpo": []}
     for b in range(n_batches):
-        ctxs = _mixture_contexts(cfg, cfg.policy.n_traj, ctx_rng)
-        trajs = sample_trajectories(model, ctxs, sched, cfg.seed,
-                                    rngmod.PHASE_DIAG,
-                                    first_index=_IDX_VARIANCE + b * 1000)
-        assign_rewards(trajs, spec, clf)
-        ests["cgru"].append(cgru_gradient(trajs, model, critic,
+        class_ids = _mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
+        rollouts = sample_trajectories(model, class_ids, sched, cfg.seed,
+                                       rngmod.PHASE_DIAG,
+                                       first_index=_IDX_VARIANCE + b * 1000)
+        assign_rewards(rollouts, spec, clf)
+        ests["cgru"].append(cgru_gradient(rollouts, model, critic,
                                           cfg.estimator, sched))
-        ests["ddpo"].append(ddpo_gradient(trajs, model, sched, cfg.estimator))
+        ests["ddpo"].append(ddpo_gradient(rollouts, model, sched,
+                                          cfg.estimator))
     var = {m: gradient_variance(e) for m, e in ests.items()}
 
     boot_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_BOOT)
@@ -165,11 +167,11 @@ def diag_ablation(cfg: RunConfig, n_seeds: int = 5,
     spec = RewardSpec("mode_distance",
                       center=tuple(mode_centers(K, cfg.data.radius)[target]),
                       scale=cfg.reward.scale)
-    ctxs = [Context(target, K)] * buffer_traj
+    class_ids = np.full(buffer_traj, target)
     rows = []
     for s in range(n_seeds):
-        buffer = build_critic_buffer(model, ctxs, spec, None, sched, cfg.seed,
-                                     phase=rngmod.PHASE_DIAG,
+        buffer = build_critic_buffer(model, class_ids, spec, None, sched,
+                                     cfg.seed, phase=rngmod.PHASE_DIAG,
                                      first_index=_IDX_ABLATION + s * 1000)
         aware, blind = ablation_compare(buffer, seed=s, T=cfg.diffusion.T,
                                         n_classes=K,
@@ -200,10 +202,10 @@ def diag_baseline_optimum(cfg: RunConfig, n_traj: int = 10_000) -> dict:
     """
     bias = 0.5
     policy, sched = build_toy(bias)
-    trajs = sample_toy_trajectories(policy, sched, n_traj, cfg.seed,
-                                    first_index=_IDX_BASELINE)
+    rollouts = sample_toy_trajectories(policy, sched, n_traj, cfg.seed,
+                                       first_index=_IDX_BASELINE)
     er = toy_mean_reward(bias)
-    pairs = optimal_baseline_probe(policy, sched, trajs,
+    pairs = optimal_baseline_probe(policy, sched, rollouts,
                                    [er - 1.0, er, er + 1.0])
     path = _path(cfg, "diag_baseline_optimum.csv")
     _write_csv(path, ["baseline", "variance"], pairs)
@@ -317,7 +319,9 @@ def _dispatch(args, cfg: RunConfig) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = _dispatch(args, _resolve_config(args))
+        # keep numpy warnings, shard threads' too, from burying Divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = _dispatch(args, _resolve_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .diffusion import NoiseSchedule, sample_trajectories
-from .errors import ShapeMismatch
+from .diffusion import NoiseSchedule, one_hot, sample_trajectories
 from .nets import (Act, Dense, Film, Network, adam_init, adam_step, backward,
                    forward, init_network, sinusoidal_embed)
 from .rewards import RewardSpec, assign_rewards
@@ -20,24 +19,20 @@ from .rewards import RewardSpec, assign_rewards
 Array = np.ndarray
 
 
-def film_modulate(features, scale, shift) -> Array:
-    """Elementwise scale * features + shift; shapes must agree exactly."""
-    features = np.asarray(features, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
-    shift = np.asarray(shift, dtype=np.float64)
-    if scale.shape != features.shape or shift.shape != features.shape:
-        raise ShapeMismatch(
-            f"film shapes differ: x {features.shape}, scale {scale.shape}, "
-            f"shift {shift.shape}")
-    return scale * features + shift
-
-
 @dataclass
-class CriticSample:
-    x_t: Array
-    class_id: int
-    t: int
-    r_final: float
+class CriticBuffer:
+    """Critic training rows: state x_t of class c at step t, labeled with
+    its trajectory's terminal reward r."""
+    x: Array            # (n, d)
+    class_ids: Array    # (n,) int
+    ts: Array           # (n,) int
+    r: Array            # (n,)
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def __getitem__(self, idx) -> "CriticBuffer":
+        return CriticBuffer(**{k: v[idx] for k, v in vars(self).items()})
 
 
 class Critic:
@@ -87,63 +82,47 @@ def critic_values(critic: Critic, x: Array, onehot: Array, ts) -> Array:
     return out[:, 0]
 
 
-def critic_forward(critic: Critic, x_t, ctx_or_class, t: int) -> float:
-    """Scalar value of one state. Accepts a Context or a raw class id."""
-    class_id = getattr(ctx_or_class, "class_id", ctx_or_class)
-    if not 0 <= t <= critic.T:
-        raise ValueError(f"timestep {t} outside [0, {critic.T}]")
-    onehot = np.zeros((1, critic.n_classes))
-    onehot[0, class_id] = 1.0
-    return float(critic_values(critic, np.atleast_2d(x_t), onehot, t)[0])
-
-
-def build_critic_buffer(model, ctxs: list, spec: RewardSpec, clf,
+def build_critic_buffer(model, class_ids, spec: RewardSpec, clf,
                         sched: NoiseSchedule, seed: int,
                         phase: int = rngmod.PHASE_CRITIC_BUFFER,
-                        first_index: int = 0) -> list:
-    """Roll out one trajectory per context and flatten to critic samples.
+                        first_index: int = 0) -> CriticBuffer:
+    """Roll out one trajectory per class id and flatten to critic rows.
 
-    Every state x_t with t in [1, T] becomes one sample labeled with the
+    Every state x_t with t in [1, T] becomes one row labeled with the
     trajectory's terminal reward; x_0 itself is excluded because no value
-    estimate is ever queried there. The returned list is shuffled.
+    estimate is ever queried there. Row k of the unshuffled flattening is
+    (trajectory k // T, t = k % T + 1); the returned rows are shuffled.
     first_index offsets the per-trajectory noise streams so repeated buffer
     builds (e.g. mid-run critic refreshes) draw fresh randomness.
     """
-    trajs = sample_trajectories(model, ctxs, sched, seed, phase,
-                                first_index=first_index)
-    assign_rewards(trajs, spec, clf)
-    samples = []
-    for tr in trajs:
-        for t in range(1, sched.T + 1):
-            samples.append(CriticSample(x_t=tr.x(t), class_id=tr.ctx.class_id,
-                                        t=t, r_final=tr.reward))
-    shuffle = rngmod.stream(seed, phase, first_index + len(trajs))
-    return [samples[i] for i in shuffle.permutation(len(samples))]
+    rollouts = sample_trajectories(model, class_ids, sched, seed, phase,
+                                   first_index=first_index)
+    assign_rewards(rollouts, spec, clf)
+    n, T = len(rollouts), sched.T
+    shuffle = rngmod.stream(seed, phase, first_index + n)
+    traj, step = np.divmod(shuffle.permutation(n * T), T)
+    ts = step + 1
+    return CriticBuffer(x=rollouts.latents[traj, T - ts],
+                        class_ids=rollouts.class_ids[traj], ts=ts,
+                        r=rollouts.rewards[traj])
 
 
-def _buffer_arrays(critic: Critic, buffer: list):
-    X = np.stack([s.x_t for s in buffer]).astype(np.float64)
-    onehot = np.zeros((len(buffer), critic.n_classes))
-    onehot[np.arange(len(buffer)), [s.class_id for s in buffer]] = 1.0
-    ts = np.array([s.t for s in buffer], dtype=np.int64)
-    r = np.array([s.r_final for s in buffer], dtype=np.float64)
-    return X, onehot, ts, r
-
-
-def critic_train(critic: Critic, buffer: list, epochs: int, batch_size: int,
-                 rng: np.random.Generator, lr: float = 3e-4) -> list:
+def critic_train(critic: Critic, buffer: CriticBuffer, epochs: int,
+                 batch_size: int, rng: np.random.Generator,
+                 lr: float = 3e-4) -> list:
     """Minimize mean squared error against terminal rewards.
 
     The buffer is reshuffled every epoch from `rng`. Returns the mean
     training loss of each epoch.
     """
-    if not buffer:
+    if len(buffer) == 0:
         raise ValueError("empty critic buffer")
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
-    X, onehot, ts, r = _buffer_arrays(critic, buffer)
-    inputs = critic.inputs(X, onehot)
-    cond = critic.cond(ts, len(buffer))
+    r = buffer.r
+    inputs = critic.inputs(buffer.x,
+                           one_hot(buffer.class_ids, critic.n_classes))
+    cond = critic.cond(buffer.ts, len(buffer))
     opt = adam_init(critic.net, lr=lr)
     history = []
     n = len(buffer)
@@ -162,13 +141,13 @@ def critic_train(critic: Critic, buffer: list, epochs: int, batch_size: int,
     return history
 
 
-def critic_mse(critic: Critic, buffer: list) -> float:
-    X, onehot, ts, r = _buffer_arrays(critic, buffer)
-    pred = critic_values(critic, X, onehot, ts)
-    return float(((pred - r) ** 2).mean())
+def critic_mse(critic: Critic, buffer: CriticBuffer) -> float:
+    onehot = one_hot(buffer.class_ids, critic.n_classes)
+    pred = critic_values(critic, buffer.x, onehot, buffer.ts)
+    return float(((pred - buffer.r) ** 2).mean())
 
 
-def ablation_compare(buffer: list, seed: int, T: int, n_classes: int,
+def ablation_compare(buffer: CriticBuffer, seed: int, T: int, n_classes: int,
                      hidden: int = 64, t_embed_dim: int = 32, epochs: int = 4,
                      batch_size: int = 256, lr: float = 3e-3,
                      holdout_frac: float = 0.2) -> tuple:
@@ -178,14 +157,12 @@ def ablation_compare(buffer: list, seed: int, T: int, n_classes: int,
     only difference is whether the film conditioning carries t. Returns
     (mse_timestep_aware, mse_timestep_blind) on the held-out split.
     """
-    ts_seen = {s.t for s in buffer}
-    if len(ts_seen) < 2:
+    if len(np.unique(buffer.ts)) < 2:
         raise ValueError("ablation needs a buffer spanning several timesteps")
-    d = len(buffer[0].x_t)
+    d = buffer.x.shape[1]
     n_hold = max(1, int(len(buffer) * holdout_frac))
     order = rngmod.stream(seed, rngmod.PHASE_DIAG, 0).permutation(len(buffer))
-    hold = [buffer[i] for i in order[:n_hold]]
-    train = [buffer[i] for i in order[n_hold:]]
+    hold, train = buffer[order[:n_hold]], buffer[order[n_hold:]]
     results = []
     for aware in (True, False):
         critic = build_critic(d, n_classes, T, hidden, t_embed_dim,

@@ -9,7 +9,7 @@ are stored x_T first and x_0 last.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,23 +111,7 @@ def gaussian_logprob(x, mu, sigma: float, d: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# contexts and trajectories
-
-@dataclass(frozen=True)
-class Context:
-    class_id: int
-    n_classes: int
-
-    def __post_init__(self):
-        if not 0 <= self.class_id < self.n_classes:
-            raise ValueError(
-                f"class_id {self.class_id} outside [0, {self.n_classes})")
-
-    def encode(self) -> Array:
-        v = np.zeros(self.n_classes)
-        v[self.class_id] = 1.0
-        return v
-
+# class ids and rollout batches
 
 def one_hot(class_ids, n_classes: int) -> Array:
     ids = np.asarray(class_ids, dtype=np.int64)
@@ -139,27 +123,33 @@ def one_hot(class_ids, n_classes: int) -> Array:
 
 
 @dataclass
-class Trajectory:
-    """One reverse rollout. latents[i] is x_{T-i}; logp index k is step t=k+1."""
-    ctx: Context
-    latents: Array                      # (T+1, d)
-    logp_old: Array                     # (T,)
-    reward: float | None = None
-    advantages: Array | None = None     # (T,), index k is step t=k+1
-    seed: tuple | None = None           # (seed, phase, index) of the noise stream
+class Rollouts:
+    """A batch of n reverse rollouts over T steps, one row per trajectory.
+
+    latents[:, i] is x_{T-i}, so latents[:, 0] is x_T and latents[:, -1]
+    is x_0; column k of logp and advantages belongs to step t = k+1.
+    """
+    class_ids: Array                    # (n,) int
+    latents: Array                      # (n, T+1, d)
+    logp: Array                         # (n, T) behavior log-probs
+    rewards: Array | None = None        # (n,)
+    advantages: Array | None = None     # (n, T)
+
+    def __len__(self) -> int:
+        return len(self.class_ids)
+
+    def __getitem__(self, idx) -> "Rollouts":
+        """Sub-batch by slice or index array; assigned fields come along."""
+        return Rollouts(**{k: None if v is None else v[idx]
+                           for k, v in vars(self).items()})
 
     @property
     def T(self) -> int:
-        return len(self.latents) - 1
+        return self.latents.shape[1] - 1
 
     @property
     def x0(self) -> Array:
-        return self.latents[-1]
-
-    def x(self, t: int) -> Array:
-        if not 0 <= t <= self.T:
-            raise ValueError(f"timestep {t} outside [0, {self.T}]")
-        return self.latents[self.T - t]
+        return self.latents[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -259,33 +249,21 @@ def _rollout(model, sched: NoiseSchedule, onehot: Array, noise: Array,
     return latents, logps
 
 
-def sample_trajectory(model, ctx: Context, sched: NoiseSchedule,
-                      rng: np.random.Generator, seed_tag=None) -> Trajectory:
-    """Draw one full reverse rollout starting from x_T ~ N(0, I).
-
-    All noise for the rollout is drawn from `rng` up front: row 0 is x_T,
-    row k is the innovation for step t = T - k + 1.
-    """
-    T = sched.T
-    noise = rng.standard_normal((T + 1, model.d))
-    onehot = ctx.encode()[None, :]
-    latents, logps = _rollout(model, sched, onehot, noise[None, :, :], T, None)
-    step_logp = np.array([logps[0, T - t] for t in range(1, T + 1)])
-    return Trajectory(ctx=ctx, latents=latents[0], logp_old=step_logp, seed=seed_tag)
-
-
-def sample_trajectories(model, ctxs: list, sched: NoiseSchedule, seed: int,
-                        phase: int, first_index: int = 0) -> list:
+def sample_trajectories(model, class_ids, sched: NoiseSchedule, seed: int,
+                        phase: int, first_index: int = 0) -> Rollouts:
     """Batch rollouts with one counter-based stream per trajectory.
 
     Each trajectory's noise comes from stream(seed, phase, first_index+i),
     so the result is independent of batching and of the worker count.
+    Row 0 of a stream's draw is x_T; row k is the innovation for step
+    t = T - k + 1.
     """
-    n = len(ctxs)
-    if n == 0:
-        return []
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    onehot = one_hot(class_ids, model.n_classes)
+    n = len(class_ids)
     T, d = sched.T, model.d
-    onehot = np.stack([c.encode() for c in ctxs])
+    if n == 0:
+        return Rollouts(class_ids, np.empty((0, T + 1, d)), np.empty((0, T)))
 
     def shard(lo, hi):
         noise = np.stack([
@@ -296,22 +274,19 @@ def sample_trajectories(model, ctxs: list, sched: NoiseSchedule, seed: int,
     parts = rngmod.run_sharded(shard, n)
     latents = np.concatenate([p[0] for p in parts])
     logps = np.concatenate([p[1] for p in parts])
-    out = []
-    for i, ctx in enumerate(ctxs):
-        step_logp = logps[i, ::-1].copy()    # index k holds step t=k+1
-        out.append(Trajectory(ctx=ctx, latents=latents[i], logp_old=step_logp,
-                              seed=(seed, phase, first_index + i)))
-    return out
+    # _rollout records steps T..1; store them as t = 1..T
+    return Rollouts(class_ids, latents, np.ascontiguousarray(logps[:, ::-1]))
 
 
-def rollout_from(model, ctx: Context, sched: NoiseSchedule, x_t: Array,
+def rollout_from(model, class_id: int, sched: NoiseSchedule, x_t: Array,
                  t_start: int, seed: int, phase: int, n: int,
                  first_index: int = 0) -> Array:
     """Continue denoising n independent copies of state (x_t, c, t) to x_0."""
     if not 1 <= t_start <= sched.T:
         raise ScheduleError(f"t_start {t_start} outside [1, {sched.T}]")
     d = model.d
-    onehot = np.broadcast_to(ctx.encode(), (n, ctx.n_classes))
+    onehot = np.broadcast_to(one_hot([class_id], model.n_classes),
+                             (n, model.n_classes))
 
     def shard(lo, hi):
         noise = np.stack([
@@ -384,12 +359,3 @@ def dump_dataset_csv(path, X: Array, y) -> None:
         for (a, b), c in zip(X, y):
             fh.write(f"{float(a)!r},{float(b)!r},{int(c)}\n")
 
-
-def dump_trajectory_csv(path, traj: Trajectory) -> None:
-    T = traj.T
-    with open(path, "w") as fh:
-        fh.write("t,x0,x1,logp\n")
-        for i, point in enumerate(traj.latents):
-            t = T - i
-            lp = "" if t == T else repr(float(traj.logp_old[t]))
-            fh.write(f"{t},{float(point[0])!r},{float(point[1])!r},{lp}\n")

@@ -31,3 +31,7 @@ class PhaseFailure(CgruError, RuntimeError):
 
 class LockError(CgruError, RuntimeError):
     """Another run already holds the output directory lock."""
+
+
+class Divergence(CgruError, FloatingPointError):
+    """A network produced non-finite values: the run has diverged."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import Divergence, ShapeMismatch
 
 Array = np.ndarray
 
@@ -197,7 +197,7 @@ def forward(net: Network, x, cond=None) -> Array:
         raise ShapeMismatch("network has no film blocks but cond was given")
     out, _ = _run(net, xb, cond, keep=False)
     if not np.isfinite(out).all():
-        raise FloatingPointError("non-finite values in network output")
+        raise Divergence("non-finite values in network output")
     return out[0] if squeeze else out
 
 

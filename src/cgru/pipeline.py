@@ -25,9 +25,9 @@ from . import rng as rngmod
 from .checkpoint import load_network, save_network
 from .config import RunConfig, config_hash, validate
 from .critic import Critic, build_critic, build_critic_buffer, critic_train
-from .diffusion import (Context, build_eps_net, ddpm_train_step,
-                        dump_dataset_csv, make_schedule, mode_centers,
-                        sample_dataset, sample_trajectories)
+from .diffusion import (build_eps_net, ddpm_train_step, dump_dataset_csv,
+                        make_schedule, mode_centers, sample_dataset,
+                        sample_trajectories)
 from .errors import MissingArtifact, PhaseFailure
 from .metrics import (EvalReport, feature_stats, frechet_distance,
                       retain_accuracy, unlearning_accuracy)
@@ -166,29 +166,30 @@ def _load_critic(cfg: RunConfig) -> Critic:
     return critic
 
 
-def _mixture_contexts(cfg: RunConfig, n: int, rng: np.random.Generator) -> list:
-    """Draw n contexts: forget class with prob forget_fraction, else uniform
-    over the remaining classes."""
+def _mixture_class_ids(cfg: RunConfig, n: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Draw n class ids: the forget class with prob forget_fraction, else
+    uniform over the remaining classes."""
     K = cfg.data.n_classes
     target = cfg.reward.target_class
-    out = []
-    for _ in range(n):
+    out = np.empty(n, dtype=np.int64)
+    for i in range(n):
         if rng.random() < cfg.reward.forget_fraction:
-            out.append(Context(target, K))
+            out[i] = target
         else:
             off = int(rng.integers(0, K - 1))
-            out.append(Context(off if off < target else off + 1, K))
+            out[i] = off if off < target else off + 1
     return out
 
 
-def _eval_contexts(cfg: RunConfig, n_forget: int, n_retain_each: int) -> list:
+def _eval_class_ids(cfg: RunConfig, n_forget: int,
+                    n_retain_each: int) -> np.ndarray:
+    """n_forget forget-class ids, then n_retain_each of each retained class."""
     K = cfg.data.n_classes
     target = cfg.reward.target_class
-    ctxs = [Context(target, K)] * n_forget
-    for k in range(K):
-        if k != target:
-            ctxs.extend([Context(k, K)] * n_retain_each)
-    return ctxs
+    retain = [k for k in range(K) if k != target]
+    return np.concatenate([np.full(n_forget, target, dtype=np.int64),
+                           np.repeat(retain, n_retain_each)])
 
 
 def _eval_model(cfg: RunConfig, model, clf, sched, n_forget: int,
@@ -202,10 +203,9 @@ def _eval_model(cfg: RunConfig, model, clf, sched, n_forget: int,
     """
     K = cfg.data.n_classes
     target = cfg.reward.target_class
-    ctxs = _eval_contexts(cfg, n_forget, n_retain_each)
-    trajs = sample_trajectories(model, ctxs, sched, cfg.seed,
-                                rngmod.PHASE_EVAL, first_index=first_index)
-    x0 = np.array([tr.x0 for tr in trajs])
+    class_ids = _eval_class_ids(cfg, n_forget, n_retain_each)
+    x0 = sample_trajectories(model, class_ids, sched, cfg.seed,
+                             rngmod.PHASE_EVAL, first_index=first_index).x0
     predict = lambda s: classifier_predict(clf, s)
 
     forget_samples = x0[:n_forget]
@@ -241,12 +241,9 @@ def _conditional_accuracy(cfg: RunConfig, model, clf, sched, n_per_class: int,
                           first_index: int) -> dict:
     """Per-class accuracy of the classifier on conditional samples."""
     K = cfg.data.n_classes
-    ctxs = []
-    for k in range(K):
-        ctxs.extend([Context(k, K)] * n_per_class)
-    trajs = sample_trajectories(model, ctxs, sched, cfg.seed,
-                                rngmod.PHASE_EVAL, first_index=first_index)
-    x0 = np.array([tr.x0 for tr in trajs])
+    x0 = sample_trajectories(model, np.repeat(np.arange(K), n_per_class),
+                             sched, cfg.seed, rngmod.PHASE_EVAL,
+                             first_index=first_index).x0
     pred = classifier_predict(clf, x0)
     return {k: float((pred[k * n_per_class:(k + 1) * n_per_class] == k).mean())
             for k in range(K)}
@@ -334,8 +331,8 @@ def _critic_phase(cfg: RunConfig) -> dict:
     sched = _schedule(cfg)
     spec = _reward_spec(cfg)
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_CRITIC_BUFFER, 10**6)
-    ctxs = _mixture_contexts(cfg, cfg.critic.n_traj, ctx_rng)
-    buffer = build_critic_buffer(model, ctxs, spec, clf, sched, cfg.seed)
+    class_ids = _mixture_class_ids(cfg, cfg.critic.n_traj, ctx_rng)
+    buffer = build_critic_buffer(model, class_ids, spec, clf, sched, cfg.seed)
     critic = _build_critic(cfg)
     losses = critic_train(critic, buffer, epochs=cfg.critic.epochs,
                           batch_size=cfg.critic.batch_size,
@@ -358,17 +355,19 @@ def _policy_lr(cfg: RunConfig, it: int) -> float:
     return cfg.policy.lr * (1.0 + (cfg.policy.lr_end_frac - 1.0) * frac)
 
 
-def _diag_gradients(trajs, model, critic, cfg, sched, method):
-    """Full-batch gradient norm plus subgroup variance, both on-policy."""
+def _diag_gradients(rollouts, model, critic, cfg, sched, method):
+    """Full-batch gradient norm plus subgroup variance, both on-policy. For
+    cgru the full-batch estimate fills the advantages the slices reuse."""
     def estimate(subset):
         if method == "cgru":
             return cgru_gradient(subset, model, critic, cfg.estimator, sched)
         return ddpo_gradient(subset, model, sched, cfg.estimator)
 
-    full = estimate(trajs)
-    n = len(trajs)
+    full = estimate(rollouts)
+    n = len(rollouts)
     group = max(1, n // 4)
-    estimates = [estimate(trajs[i:i + group]) for i in range(0, n - group + 1, group)]
+    estimates = [estimate(rollouts[i:i + group])
+                 for i in range(0, n - group + 1, group)]
     var = gradient_variance(estimates) if len(estimates) >= 2 else float("nan")
     return float(np.linalg.norm(full.grad)), var
 
@@ -398,26 +397,27 @@ def _unlearn_phase(cfg: RunConfig, method: str) -> dict:
         opt.lr = _policy_lr(cfg, it)
         if (method == "cgru" and cfg.policy.refresh_every > 0 and it > 0
                 and it % cfg.policy.refresh_every == 0):
-            rctx = _mixture_contexts(cfg, cfg.policy.refresh_traj, refresh_rng)
+            refresh_ids = _mixture_class_ids(cfg, cfg.policy.refresh_traj,
+                                             refresh_rng)
             buf = build_critic_buffer(
-                model, rctx, spec, clf, sched, cfg.seed,
+                model, refresh_ids, spec, clf, sched, cfg.seed,
                 first_index=(it + 1) * _REFRESH_TRAJ_STRIDE)
             critic_train(critic, buf, epochs=cfg.policy.refresh_epochs,
                          batch_size=cfg.critic.batch_size, rng=refresh_rng,
                          lr=cfg.critic.lr)
 
-        ctxs = _mixture_contexts(cfg, cfg.policy.n_traj, ctx_rng)
-        trajs = sample_trajectories(model, ctxs, sched, cfg.seed,
-                                    rngmod.PHASE_POLICY,
-                                    first_index=(it + 1) * _POLICY_TRAJ_STRIDE)
-        assign_rewards(trajs, spec, clf)
-        mean_reward = float(np.mean([tr.reward for tr in trajs]))
-        grad_norm, grad_var = _diag_gradients(trajs, model, critic, cfg,
+        class_ids = _mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
+        rollouts = sample_trajectories(
+            model, class_ids, sched, cfg.seed, rngmod.PHASE_POLICY,
+            first_index=(it + 1) * _POLICY_TRAJ_STRIDE)
+        assign_rewards(rollouts, spec, clf)
+        mean_reward = float(np.mean(rollouts.rewards))
+        grad_norm, grad_var = _diag_gradients(rollouts, model, critic, cfg,
                                               sched, method)
 
         clip_count = 0
         for _ in range(cfg.policy.inner_epochs):
-            stats = policy_update_epoch(model, trajs, critic, cfg.estimator,
+            stats = policy_update_epoch(model, rollouts, critic, cfg.estimator,
                                         sched, opt, order_rng,
                                         grad_accum=cfg.policy.grad_accum)
             clip_count += stats["clip_count"]

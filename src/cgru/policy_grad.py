@@ -9,13 +9,12 @@ the variance, which baseline_term_estimate and gradient_variance measure
 directly.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .critic import Critic, critic_values
-from .diffusion import (NoiseSchedule, Trajectory, gaussian_logprob,
+from .diffusion import (NoiseSchedule, Rollouts, gaussian_logprob, one_hot,
                         reverse_mean, score_coef)
 from .nets import accumulate, adam_step, flatten, zero_grads
 
@@ -50,22 +49,6 @@ class GradientEstimate:
         return float(np.linalg.norm(self.grad))
 
 
-def importance_weight(logp_new: float, logp_old: float, cfg: EstimatorConfig):
-    """Clamped likelihood ratio exp(logp_new - logp_old).
-
-    Returns (weight, clipped). The clamp keeps the weight inside
-    [clip_low, clip_high] and can never flip its sign since ratios are
-    positive by construction.
-    """
-    w = math.exp(logp_new - logp_old)
-    lo, hi = cfg.clip_low, cfg.clip_high
-    if w < lo:
-        return lo, True
-    if w > hi:
-        return hi, True
-    return w, False
-
-
 def _importance_weights(logp_new: Array, logp_old: Array, cfg: EstimatorConfig):
     w = np.exp(logp_new - logp_old)
     clipped = (w < cfg.clip_low) | (w > cfg.clip_high)
@@ -86,57 +69,33 @@ def state_values(critic, x: Array, class_ids, ts) -> Array:
     ids = np.broadcast_to(np.asarray(class_ids, dtype=np.int64), (n,))
     tarr = np.broadcast_to(np.asarray(ts, dtype=np.int64), (n,))
     if isinstance(critic, Critic):
-        onehot = np.zeros((n, critic.n_classes))
-        onehot[np.arange(n), ids] = 1.0
-        return critic_values(critic, x, onehot, tarr)
+        return critic_values(critic, x, one_hot(ids, critic.n_classes), tarr)
     return np.array([float(critic(x[i], int(ids[i]), int(tarr[i])))
                      for i in range(n)])
 
 
-def compute_advantages(traj: Trajectory, critic) -> Trajectory:
-    """Fill traj.advantages with r - V(x_t, c, t) for t = 1..T, in place."""
-    if traj.reward is None:
-        raise ValueError("trajectory has no reward assigned")
-    T = traj.T
-    states = traj.latents[:T]                   # x_T .. x_1
+def compute_advantages(rollouts: Rollouts, critic) -> Rollouts:
+    """Fill rollouts.advantages with r - V(x_t, c, t) for t = 1..T, in
+    place. The critic sees one trajectory's T states per call."""
+    if rollouts.rewards is None:
+        raise ValueError("rollouts have no rewards assigned")
+    T = rollouts.T
     ts = np.arange(T, 0, -1)
-    vals = state_values(critic, states, traj.ctx.class_id, ts)
-    adv = np.empty(T)
-    adv[ts - 1] = traj.reward - vals            # index k holds step t=k+1
-    traj.advantages = adv
-    return traj
+    adv = np.empty((len(rollouts), T))
+    for i in range(len(rollouts)):
+        vals = state_values(critic, rollouts.latents[i, :T],
+                            rollouts.class_ids[i], ts)
+        adv[i, ts - 1] = rollouts.rewards[i] - vals
+    rollouts.advantages = adv
+    return rollouts
 
 
-def compute_advantages_batch(trajs: list, critic) -> list:
-    """Vectorized compute_advantages over a whole buffer of trajectories."""
-    if not trajs:
-        return trajs
-    T = trajs[0].T
-    states = np.concatenate([tr.latents[:T] for tr in trajs])
-    ids = np.repeat([tr.ctx.class_id for tr in trajs], T)
-    ts = np.tile(np.arange(T, 0, -1), len(trajs))
-    vals = state_values(critic, states, ids, ts).reshape(len(trajs), T)
-    for i, tr in enumerate(trajs):
-        if tr.reward is None:
-            raise ValueError("trajectory has no reward assigned")
-        adv = np.empty(T)
-        adv[ts[:T] - 1] = tr.reward - vals[i]
-        tr.advantages = adv
-    return trajs
-
-
-def _stack(trajs: list):
-    T = trajs[0].T
-    for tr in trajs:
-        if tr.T != T:
-            raise ValueError("trajectories have mixed horizons")
-    lat = np.stack([tr.latents for tr in trajs])
-    onehot = np.stack([tr.ctx.encode() for tr in trajs])
-    return lat, onehot, T
-
-
-def _advantage_matrix(trajs: list, cfg: EstimatorConfig) -> Array:
-    adv = np.stack([tr.advantages for tr in trajs])
+def _advantages(rollouts: Rollouts, critic, cfg: EstimatorConfig) -> Array:
+    """The (n, T) advantage matrix, computed from `critic` if the batch has
+    none yet and normalized when cfg asks for it."""
+    if rollouts.advantages is None:
+        compute_advantages(rollouts, critic)
+    adv = rollouts.advantages
     if cfg.normalize_advantages:
         std = adv.std()
         adv = (adv - adv.mean()) / (std if std > 0 else 1.0)
@@ -177,41 +136,38 @@ def clip_to_norm(vec: Array, max_norm: float) -> Array:
     return vec
 
 
-def ddpo_gradient(trajs: list, model, sched: NoiseSchedule,
+def ddpo_gradient(rollouts: Rollouts, model, sched: NoiseSchedule,
                   cfg: EstimatorConfig) -> GradientEstimate:
     """On-policy terminal-reward estimator: mean_n sum_t grad log p * r_n."""
-    if any(tr.reward is None for tr in trajs):
-        raise ValueError("trajectory has no reward assigned")
-    lat, onehot, T = _stack(trajs)
-    r = np.array([tr.reward for tr in trajs], dtype=np.float64)
-    n = len(trajs)
+    if rollouts.rewards is None:
+        raise ValueError("rollouts have no rewards assigned")
+    r = rollouts.rewards
+    n, T = len(rollouts), rollouts.T
+    onehot = one_hot(rollouts.class_ids, model.n_classes)
 
     def weight_at(t, xt, logp_new):
         return r / n, 0, 0.0
 
-    grads, _, _ = _accumulate_steps(model, sched, lat, onehot,
+    grads, _, _ = _accumulate_steps(model, sched, rollouts.latents, onehot,
                                     range(T, 0, -1), weight_at)
     flat = clip_to_norm(flatten(model.net, grads), cfg.grad_max_norm)
     return GradientEstimate(grad=flat, estimator="ddpo", n_traj=n)
 
 
-def cgru_gradient(trajs: list, model, critic, cfg: EstimatorConfig,
+def cgru_gradient(rollouts: Rollouts, model, critic, cfg: EstimatorConfig,
                   sched: NoiseSchedule, order=None) -> GradientEstimate:
     """Importance-weighted advantage estimator.
 
-    Uses advantages stored on the trajectories (computing them from
-    `critic` if absent), weights each step by the clamped likelihood
-    ratio against the stored behavior log-probs, and averages over
-    trajectories while summing over steps. `order` fixes the timestep
-    visitation sequence; the default is T..1.
+    Uses the advantages stored on the batch (computing them from `critic`
+    if absent), weights each step by the clamped likelihood ratio against
+    the stored behavior log-probs, and averages over trajectories while
+    summing over steps. `order` fixes the timestep visitation sequence;
+    the default is T..1.
     """
-    for tr in trajs:
-        if tr.advantages is None:
-            compute_advantages(tr, critic)
-    lat, onehot, T = _stack(trajs)
-    adv = _advantage_matrix(trajs, cfg)
-    logp_old = np.stack([tr.logp_old for tr in trajs])
-    n = len(trajs)
+    adv = _advantages(rollouts, critic, cfg)
+    logp_old = rollouts.logp
+    n, T = len(rollouts), rollouts.T
+    onehot = one_hot(rollouts.class_ids, model.n_classes)
     if order is None:
         order = range(T, 0, -1)
 
@@ -219,14 +175,14 @@ def cgru_gradient(trajs: list, model, critic, cfg: EstimatorConfig,
         w, nclip = _importance_weights(logp_new, logp_old[:, t - 1], cfg)
         return w * adv[:, t - 1] / n, nclip, 0.0
 
-    grads, clip_count, _ = _accumulate_steps(model, sched, lat, onehot,
-                                             order, weight_at)
+    grads, clip_count, _ = _accumulate_steps(model, sched, rollouts.latents,
+                                             onehot, order, weight_at)
     flat = clip_to_norm(flatten(model.net, grads), cfg.grad_max_norm)
     return GradientEstimate(grad=flat, estimator="cgru", n_traj=n,
                             clip_count=clip_count)
 
 
-def baseline_term_estimate(trajs: list, model, critic,
+def baseline_term_estimate(rollouts: Rollouts, model, critic,
                            sched: NoiseSchedule) -> Array:
     """Monte-Carlo estimate of B = E[sum_t grad log p * V(x_t, c, t)].
 
@@ -235,14 +191,14 @@ def baseline_term_estimate(trajs: list, model, critic,
     shrink like 1/sqrt(n_traj). No clipping or importance weighting is
     applied.
     """
-    lat, onehot, T = _stack(trajs)
-    ids = np.array([tr.ctx.class_id for tr in trajs])
-    n = len(trajs)
+    ids = rollouts.class_ids
+    n, T = len(rollouts), rollouts.T
+    onehot = one_hot(ids, model.n_classes)
 
     def weight_at(t, xt, logp_new):
         return state_values(critic, xt, ids, t) / n, 0, 0.0
 
-    grads, _, _ = _accumulate_steps(model, sched, lat, onehot,
+    grads, _, _ = _accumulate_steps(model, sched, rollouts.latents, onehot,
                                     range(T, 0, -1), weight_at)
     return flatten(model.net, grads)
 
@@ -257,15 +213,17 @@ def gradient_variance(estimates: list) -> float:
     return float(mat.var(axis=0, ddof=1).mean())
 
 
-def per_sample_scores(trajs: list, model, sched: NoiseSchedule) -> Array:
+def per_sample_scores(rollouts: Rollouts, model,
+                      sched: NoiseSchedule) -> Array:
     """Unweighted per-trajectory score vectors sum_t grad log p, stacked.
 
     One backward pass per trajectory, so this is meant for small probe
     models rather than the full denoiser.
     """
-    lat, onehot, T = _stack(trajs)
+    lat, T = rollouts.latents, rollouts.T
+    onehot = one_hot(rollouts.class_ids, model.n_classes)
     rows = []
-    for i in range(len(trajs)):
+    for i in range(len(rollouts)):
         def weight_at(t, xt, logp_new):
             return np.ones(1), 0, 0.0
         grads, _, _ = _accumulate_steps(model, sched, lat[i:i + 1],
@@ -275,7 +233,7 @@ def per_sample_scores(trajs: list, model, sched: NoiseSchedule) -> Array:
     return np.stack(rows)
 
 
-def optimal_baseline_probe(model, sched: NoiseSchedule, trajs: list,
+def optimal_baseline_probe(model, sched: NoiseSchedule, rollouts: Rollouts,
                            baselines) -> list:
     """Per-trajectory gradient variance under each constant baseline.
 
@@ -283,10 +241,10 @@ def optimal_baseline_probe(model, sched: NoiseSchedule, trajs: list,
     gradients s_i * (r_i - b) whose coordinate-mean variance is returned
     as (baseline, variance) pairs, in the order given.
     """
-    if any(tr.reward is None for tr in trajs):
-        raise ValueError("trajectory has no reward assigned")
-    S = per_sample_scores(trajs, model, sched)
-    r = np.array([tr.reward for tr in trajs], dtype=np.float64)
+    if rollouts.rewards is None:
+        raise ValueError("rollouts have no rewards assigned")
+    S = per_sample_scores(rollouts, model, sched)
+    r = rollouts.rewards
     out = []
     for b in baselines:
         G = S * (r - float(b))[:, None]
@@ -294,9 +252,9 @@ def optimal_baseline_probe(model, sched: NoiseSchedule, trajs: list,
     return out
 
 
-def policy_update_epoch(model, trajs: list, critic, cfg: EstimatorConfig,
-                        sched: NoiseSchedule, opt, rng: np.random.Generator,
-                        grad_accum: int = 1) -> dict:
+def policy_update_epoch(model, rollouts: Rollouts, critic,
+                        cfg: EstimatorConfig, sched: NoiseSchedule, opt,
+                        rng: np.random.Generator, grad_accum: int = 1) -> dict:
     """One epoch of critic-guided updates over a trajectory buffer.
 
     Timesteps are visited in an order shuffled from `rng`; each visit
@@ -309,13 +267,10 @@ def policy_update_epoch(model, trajs: list, critic, cfg: EstimatorConfig,
     advantages, i.e. the terminal-reward baseline method on an identical
     update budget.
     """
-    for tr in trajs:
-        if tr.advantages is None:
-            compute_advantages(tr, critic)
-    lat, onehot, T = _stack(trajs)
-    adv = _advantage_matrix(trajs, cfg)
-    logp_old = np.stack([tr.logp_old for tr in trajs])
-    n = len(trajs)
+    adv = _advantages(rollouts, critic, cfg)
+    lat, logp_old = rollouts.latents, rollouts.logp
+    n, T = len(rollouts), rollouts.T
+    onehot = one_hot(rollouts.class_ids, model.n_classes)
     if grad_accum < 1:
         raise ValueError(f"grad_accum must be >= 1, got {grad_accum}")
 

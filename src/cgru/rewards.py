@@ -128,12 +128,7 @@ def reward_values(spec: RewardSpec, x0s: Array, clf: Network | None = None) -> A
     return np.asarray(mode_distance_reward(x0s, np.asarray(spec.center), spec.scale))
 
 
-def assign_rewards(trajs: list, spec: RewardSpec, clf: Network | None = None) -> list:
-    """Fill traj.reward from each trajectory's terminal sample, in place."""
-    if not trajs:
-        return trajs
-    x0s = np.stack([tr.x0 for tr in trajs])
-    rs = reward_values(spec, x0s, clf)
-    for tr, r in zip(trajs, rs):
-        tr.reward = float(r)
-    return trajs
+def assign_rewards(rollouts, spec: RewardSpec, clf: Network | None = None):
+    """Fill rollouts.rewards from each terminal sample, in place."""
+    rollouts.rewards = reward_values(spec, rollouts.x0, clf)
+    return rollouts

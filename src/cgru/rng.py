@@ -5,6 +5,7 @@ derived from (seed, phase, index) via the Philox counter-based generator,
 so results never depend on how work is sharded across workers.
 """
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -83,5 +84,6 @@ def run_sharded(fn, n: int, workers: int | None = None) -> list:
     if len(spans) <= 1 or workers <= 1:
         return [fn(lo, hi) for lo, hi in spans]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in spans]
+        futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
+                   for lo, hi in spans]
         return [f.result() for f in futures]

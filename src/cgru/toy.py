@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import rng as rngmod
-from .diffusion import Context, NoiseSchedule, sample_trajectories, schedule_from_betas
+from .diffusion import NoiseSchedule, Rollouts, sample_trajectories, schedule_from_betas
 from .nets import Dense, Network
 
 Array = np.ndarray
@@ -55,11 +55,10 @@ def build_toy(bias: float = 0.5):
     return ToyPolicy(net), sched
 
 
-def toy_rewards(trajs: list) -> list:
+def toy_rewards(rollouts: Rollouts) -> Rollouts:
     """Assign the linear reward r(x_0) = x_0 in place."""
-    for tr in trajs:
-        tr.reward = float(tr.x0[0])
-    return trajs
+    rollouts.rewards = rollouts.x0[:, 0].copy()
+    return rollouts
 
 
 def toy_analytic_gradient() -> Array:
@@ -72,8 +71,8 @@ def toy_mean_reward(bias: float) -> float:
 
 
 def sample_toy_trajectories(policy: ToyPolicy, sched: NoiseSchedule, n: int,
-                            seed: int, first_index: int = 0) -> list:
-    ctxs = [Context(0, 1)] * n
-    trajs = sample_trajectories(policy, ctxs, sched, seed, rngmod.PHASE_DIAG,
-                                first_index=first_index)
-    return toy_rewards(trajs)
+                            seed: int, first_index: int = 0) -> Rollouts:
+    rollouts = sample_trajectories(policy, np.zeros(n, dtype=np.int64), sched,
+                                   seed, rngmod.PHASE_DIAG,
+                                   first_index=first_index)
+    return toy_rewards(rollouts)

@@ -20,12 +20,11 @@ from cgru import rng as rngmod
 from cgru.cli import (diag_ablation, diag_baseline_optimum, diag_unbiasedness,
                       diag_variance)
 from cgru.config import RunConfig, apply_overrides
-from cgru.critic import critic_forward
 from cgru.diffusion import mode_centers, rollout_from, sample_trajectories
 from cgru.metrics import FeatureStats, feature_stats, frechet_distance
 from cgru.nets import backward, forward
 from cgru.policy_grad import (EstimatorConfig, cgru_gradient, ddpo_gradient,
-                              per_sample_scores)
+                              per_sample_scores, state_values)
 from cgru.rewards import (RewardSpec, assign_rewards, build_classifier_net,
                           reward_values)
 from cgru.toy import (build_toy, sample_toy_trajectories,
@@ -123,7 +122,7 @@ def test_02_estimators_are_unbiased(full_run):
     policy, toy_sched = build_toy(0.5)
     trajs = sample_toy_trajectories(policy, toy_sched, 10_000, cfg.seed)
     scores = per_sample_scores(trajs, policy, toy_sched)
-    r = np.array([tr.reward for tr in trajs])
+    r = trajs.rewards
     truth = toy_analytic_gradient()
     worst_se = 0.0
     for b in (0.0, 0.5, 1.0):
@@ -153,8 +152,8 @@ def test_03_zero_critic_reduces_to_terminal_reward():
     model = pipeline._build_model(cfg)
     sched = pipeline._schedule(cfg)
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DEGEN)
-    ctxs = pipeline._mixture_contexts(cfg, 16, ctx_rng)
-    trajs = sample_trajectories(model, ctxs, sched, cfg.seed,
+    class_ids = pipeline._mixture_class_ids(cfg, 16, ctx_rng)
+    trajs = sample_trajectories(model, class_ids, sched, cfg.seed,
                                 rngmod.PHASE_DIAG, first_index=_IDX_DEGEN)
     center = mode_centers(cfg.data.n_classes, cfg.data.radius)[0]
     assign_rewards(trajs, RewardSpec("mode_distance", center=tuple(center),
@@ -203,15 +202,15 @@ def test_06_critic_tracks_monte_carlo_values(full_run):
     sched = pipeline._schedule(cfg)
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_PROBE)
     n_probes = 50
-    ctxs = pipeline._mixture_contexts(cfg, n_probes, ctx_rng)
-    probes = sample_trajectories(model, ctxs, sched, cfg.seed,
+    class_ids = pipeline._mixture_class_ids(cfg, n_probes, ctx_rng)
+    probes = sample_trajectories(model, class_ids, sched, cfg.seed,
                                  rngmod.PHASE_DIAG, first_index=_IDX_PROBE)
     errs = []
-    for i, tr in enumerate(probes):
+    for i, c in enumerate(class_ids):
         t = i % sched.T + 1          # each timestep probed exactly once
-        x_t = tr.x(t)
-        v = critic_forward(critic, x_t, tr.ctx, t)
-        x0s = rollout_from(model, tr.ctx, sched, x_t, t, cfg.seed,
+        x_t = probes.latents[i, sched.T - t]
+        (v,) = state_values(critic, x_t, c, t)
+        x0s = rollout_from(model, c, sched, x_t, t, cfg.seed,
                            rngmod.PHASE_DIAG, n=1000,
                            first_index=_IDX_PROBE_MC + i * 1000)
         mc = float(reward_values(spec, x0s, clf).mean())

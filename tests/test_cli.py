@@ -1,6 +1,8 @@
 """Command line interface: exit codes, artifact messages, diag outputs."""
 
 import os
+import shutil
+import warnings
 
 import pytest
 
@@ -60,6 +62,26 @@ def test_unlearn_without_critic_exits_one(tmp_path, capsys):
     capsys.readouterr()
     assert main(_args(out, "unlearn", "--method", "cgru")) == 1
     assert "critic.ckpt" in capsys.readouterr().err
+
+
+# with 600 trajectories the sampler runs three shards on two threads
+@pytest.mark.parametrize("threads,n_traj", [("1", 8), ("2", 600)])
+def test_diverging_run_exits_one(tiny_run, tmp_path, capsys, monkeypatch,
+                                 threads, n_traj):
+    cfg, _ = tiny_run
+    out = tmp_path / "diverge"
+    shutil.copytree(cfg.out_dir, out)
+    monkeypatch.setenv("CGRU_THREADS", threads)
+    # outside pytest a warning would print to stderr ahead of the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(_args(out, "unlearn", "--set", "policy.lr=1e300",
+                          "--set", f"policy.n_traj={n_traj}")) == 1
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "non-finite" in err
+    assert "Traceback" not in err
 
 
 def test_bad_override_exits_two(tmp_path, capsys):

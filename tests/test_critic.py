@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from cgru import rng as rngmod
-from cgru.critic import (Critic, CriticSample, ablation_compare, build_critic,
-                         build_critic_buffer, critic_forward, critic_mse,
-                         critic_train, critic_values, film_modulate)
-from cgru.diffusion import Context, build_eps_net, make_schedule, one_hot
-from cgru.errors import ShapeMismatch
-from cgru.rewards import RewardSpec
+from cgru.critic import (CriticBuffer, ablation_compare, build_critic,
+                         build_critic_buffer, critic_mse, critic_train,
+                         critic_values)
+from cgru.diffusion import (build_eps_net, make_schedule, one_hot,
+                            sample_trajectories)
+from cgru.policy_grad import state_values
+from cgru.rewards import RewardSpec, assign_rewards
 
 
 def small_critic(T=10, K=4, aware=True, idx=1):
@@ -22,23 +23,15 @@ def small_critic(T=10, K=4, aware=True, idx=1):
 def synthetic_buffer(fn, n=600, T=10, K=4, seed=5):
     """Buffer whose targets come from a known function of (x, class, t)."""
     rng = rngmod.stream(seed, rngmod.PHASE_DIAG, 30)
-    buf = []
+    rows = []
     for _ in range(n):
         x = rng.standard_normal(2)
         k = int(rng.integers(0, K))
         t = int(rng.integers(1, T + 1))
-        buf.append(CriticSample(x_t=x, class_id=k, t=t, r_final=fn(x, k, t)))
-    return buf
-
-
-def test_film_modulate_oracle():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    scale = np.array([[2.0, 0.5], [1.0, 1.0]])
-    shift = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.array_equal(film_modulate(x, scale, shift),
-                          [[2.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(ShapeMismatch):
-        film_modulate(x, scale[:1], shift)
+        rows.append((x, k, t, fn(x, k, t)))
+    xs, ks, ts, rs = zip(*rows)
+    return CriticBuffer(x=np.stack(xs), class_ids=np.array(ks),
+                        ts=np.array(ts), r=np.array(rs, dtype=np.float64))
 
 
 def test_blind_critic_ignores_timestep():
@@ -52,44 +45,70 @@ def test_blind_critic_ignores_timestep():
     assert len({round(v, 12) for v in aware_vals.values()}) == 3
 
 
-def test_critic_forward_matches_batched_values():
+def test_state_values_matches_batched_critic_values():
     critic = small_critic()
     x = rngmod.stream(2, rngmod.PHASE_DIAG, 31).standard_normal((3, 2))
     onehot = one_hot([0, 1, 3], 4)
     batch = critic_values(critic, x, onehot, 4)
     for i, k in enumerate((0, 1, 3)):
-        assert np.isclose(critic_forward(critic, x[i], k, 4), batch[i])
-    assert np.isclose(critic_forward(critic, x[0], Context(0, 4), 4), batch[0])
+        (one,) = state_values(critic, x[i], k, 4)
+        assert np.isclose(one, batch[i])
     with pytest.raises(ValueError):
-        critic_forward(critic, x[0], 0, 11)
+        state_values(critic, x[0], 0, 11)
 
 
-def test_build_critic_buffer_covers_every_timestep():
+def buffer_setup():
     model = build_eps_net(2, 4, hidden=16, t_embed_dim=8,
                           rng=rngmod.stream(0, rngmod.PHASE_INIT), T=10)
     sched = make_schedule(10, 1e-4, 0.02)
-    ctxs = [Context(0, 4), Context(0, 4), Context(2, 4)]
     spec = RewardSpec("mode_distance", center=(0.0, 0.0), scale=10.0)
-    buf = build_critic_buffer(model, ctxs, spec, None, sched, seed=7)
-    assert len(buf) == len(ctxs) * 10
+    return model, sched, spec
+
+
+def test_build_critic_buffer_covers_every_timestep():
+    model, sched, spec = buffer_setup()
+    class_ids = [0, 0, 2]
+    buf = build_critic_buffer(model, class_ids, spec, None, sched, seed=7)
+    assert len(buf) == len(class_ids) * 10
     # the buffer is shuffled, but grouping by the (continuous, hence
     # unique per trajectory) terminal reward recovers each rollout: every
     # timestep appears once per trajectory with a single class id
-    by_reward = {}
-    for s in buf:
-        by_reward.setdefault(s.r_final, []).append(s)
-    assert len(by_reward) == len(ctxs)
-    for group in by_reward.values():
-        assert sorted(s.t for s in group) == list(range(1, 11))
-        assert len({s.class_id for s in group}) == 1
-    assert sorted(s.class_id for s in buf if s.t == 1) == [0, 0, 2]
+    rewards = np.unique(buf.r)
+    assert len(rewards) == len(class_ids)
+    for r in rewards:
+        group = buf.r == r
+        assert sorted(buf.ts[group]) == list(range(1, 11))
+        assert len(np.unique(buf.class_ids[group])) == 1
+    assert sorted(buf.class_ids[buf.ts == 1]) == [0, 0, 2]
     # identical build is identically ordered, fresh first_index reshuffles
-    again = build_critic_buffer(model, ctxs, spec, None, sched, seed=7)
-    assert all(a.t == b.t and np.array_equal(a.x_t, b.x_t)
-               for a, b in zip(buf, again))
-    moved = build_critic_buffer(model, ctxs, spec, None, sched, seed=7,
+    again = build_critic_buffer(model, class_ids, spec, None, sched, seed=7)
+    assert np.array_equal(buf.ts, again.ts)
+    assert np.array_equal(buf.x, again.x)
+    moved = build_critic_buffer(model, class_ids, spec, None, sched, seed=7,
                                 first_index=50)
-    assert any(not np.array_equal(a.x_t, b.x_t) for a, b in zip(buf, moved))
+    assert not np.array_equal(buf.x, moved.x)
+
+
+def test_build_critic_buffer_row_order():
+    # row k holds x_t of trajectory i at step t, where (i, t - 1) is the
+    # divmod by T of the k-th entry of the shuffle stream's permutation,
+    # which sits just past the rollouts' own noise streams
+    model, sched, spec = buffer_setup()
+    class_ids = np.array([1, 3, 0, 2])
+    n, T = len(class_ids), sched.T
+    buf = build_critic_buffer(model, class_ids, spec, None, sched, seed=7,
+                              first_index=20)
+    rollouts = sample_trajectories(model, class_ids, sched, 7,
+                                   rngmod.PHASE_CRITIC_BUFFER, first_index=20)
+    assign_rewards(rollouts, spec)
+    shuffle = rngmod.stream(7, rngmod.PHASE_CRITIC_BUFFER, 20 + n)
+    perm = shuffle.permutation(n * T)
+    for k, flat in enumerate(perm):
+        i, t = int(flat) // T, int(flat) % T + 1
+        assert np.array_equal(buf.x[k], rollouts.latents[i, T - t]), k
+        assert buf.ts[k] == t
+        assert buf.class_ids[k] == class_ids[i]
+        assert buf.r[k] == rollouts.rewards[i]
 
 
 def test_critic_train_fits_known_function():
@@ -133,6 +152,6 @@ def test_ablation_timestep_signal_separates_models():
 
 def test_ablation_needs_timestep_spread():
     buf = synthetic_buffer(lambda x, k, t: 1.0, n=50)
-    single_t = [s for s in buf if s.t == buf[0].t] or buf[:1]
+    single_t = buf[buf.ts == buf.ts[0]]
     with pytest.raises(ValueError):
         ablation_compare(single_t, seed=0, T=10, n_classes=4)

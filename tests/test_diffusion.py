@@ -7,8 +7,7 @@ import pytest
 import scipy.stats
 
 from cgru import rng as rngmod
-from cgru.diffusion import (Context, Trajectory, build_eps_net,
-                            ddpm_train_step, dump_dataset_csv,
+from cgru.diffusion import (build_eps_net, ddpm_train_step, dump_dataset_csv,
                             gaussian_logprob, make_schedule, mode_centers,
                             one_hot, q_sample, reverse_mean, rollout_from,
                             sample_dataset, sample_trajectories,
@@ -151,7 +150,9 @@ def test_one_hot():
     v = one_hot([0, 2], 4)
     assert np.array_equal(v, [[1, 0, 0, 0], [0, 0, 1, 0]])
     with pytest.raises(ValueError):
-        Context(4, 4)
+        one_hot([4], 4)
+    with pytest.raises(ValueError):
+        one_hot([-1], 4)
 
 
 def test_trajectory_logp_matches_manual_recomputation():
@@ -159,40 +160,52 @@ def test_trajectory_logp_matches_manual_recomputation():
     # recorded transition under the recorded previous latent
     model = tiny_model()
     sched = make_schedule(10, 1e-4, 0.02)
-    trajs = sample_trajectories(model, [Context(1, 4), Context(3, 4)], sched,
-                                seed=9, phase=rngmod.PHASE_DIAG, first_index=40)
-    for tr in trajs:
-        onehot = tr.ctx.encode()[None, :]
+    rollouts = sample_trajectories(model, [1, 3], sched, seed=9,
+                                   phase=rngmod.PHASE_DIAG, first_index=40)
+    for i in range(len(rollouts)):
+        onehot = one_hot(rollouts.class_ids[i:i + 1], 4)
         for t in range(1, sched.T + 1):
-            x_t = tr.latents[sched.T - t][None, :]
-            x_prev = tr.latents[sched.T - t + 1][None, :]
+            x_t = rollouts.latents[i, sched.T - t][None, :]
+            x_prev = rollouts.latents[i, sched.T - t + 1][None, :]
             mu = reverse_mean(model, x_t, t, onehot, sched)
             lp = gaussian_logprob(x_prev[0], mu[0], sched.sigma(t))
-            assert math.isclose(lp, tr.logp_old[t - 1], rel_tol=1e-10), t
+            assert math.isclose(lp, rollouts.logp[i, t - 1], rel_tol=1e-10), t
 
 
 def test_trajectory_shapes_and_x0():
     model = tiny_model()
     sched = make_schedule(10, 1e-4, 0.02)
-    (tr,) = sample_trajectories(model, [Context(0, 4)], sched, 1,
-                                rngmod.PHASE_DIAG)
-    assert tr.latents.shape == (11, 2)
-    assert tr.logp_old.shape == (10,)
-    assert tr.T == 10
-    assert np.array_equal(tr.x0, tr.latents[-1])
+    rollouts = sample_trajectories(model, [0, 2, 0], sched, 1,
+                                   rngmod.PHASE_DIAG)
+    assert len(rollouts) == 3
+    assert rollouts.latents.shape == (3, 11, 2)
+    assert rollouts.logp.shape == (3, 10)
+    assert rollouts.T == 10
+    assert rollouts.rewards is None and rollouts.advantages is None
+    assert np.array_equal(rollouts.x0, rollouts.latents[:, -1])
+    # a slice is a sub-batch carrying whatever has been assigned
+    rollouts.rewards = np.array([1.0, 2.0, 3.0])
+    tail = rollouts[1:]
+    assert len(tail) == 2 and tail.T == 10
+    assert np.array_equal(tail.class_ids, [2, 0])
+    assert np.array_equal(tail.latents, rollouts.latents[1:])
+    assert np.array_equal(tail.rewards, [2.0, 3.0])
+    assert tail.advantages is None
+    with pytest.raises(ValueError):
+        sample_trajectories(model, [4], sched, 1, rngmod.PHASE_DIAG)
 
 
 def test_rollout_from_is_deterministic_and_respects_start():
     model = tiny_model()
     sched = make_schedule(10, 1e-4, 0.02)
     x_t = np.array([0.7, -0.2])
-    a = rollout_from(model, Context(2, 4), sched, x_t, t_start=6, seed=3,
+    a = rollout_from(model, 2, sched, x_t, t_start=6, seed=3,
                      phase=rngmod.PHASE_DIAG, n=5, first_index=60)
-    b = rollout_from(model, Context(2, 4), sched, x_t, t_start=6, seed=3,
+    b = rollout_from(model, 2, sched, x_t, t_start=6, seed=3,
                      phase=rngmod.PHASE_DIAG, n=5, first_index=60)
     assert np.array_equal(a, b)
     assert a.shape == (5, 2)
-    c = rollout_from(model, Context(2, 4), sched, x_t, t_start=6, seed=3,
+    c = rollout_from(model, 2, sched, x_t, t_start=6, seed=3,
                      phase=rngmod.PHASE_DIAG, n=5, first_index=65)
     assert not np.array_equal(a, c)
 

@@ -99,6 +99,19 @@ def test_backward_input_gradient():
         assert abs(num - gx[idx]) <= 1e-6 * max(1.0, abs(num))
 
 
+def test_film_block_oracle():
+    # with cb = 0 and one-hot cond rows, row i of cw is (scale_i, shift_i)
+    net = Network([Film(2, 2)])
+    net.params["0.cw"] = np.array([[2.0, 0.5, 0.0, 1.0],
+                                   [1.0, 1.0, -1.0, 0.0]])
+    net.params["0.cb"] = np.zeros(4)
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(forward(net, x, np.eye(2)),
+                          [[2.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(ShapeMismatch):
+        forward(net, x, np.eye(2)[:1])
+
+
 def test_film_requires_cond_and_rejects_spurious_cond():
     plain = small_net()
     filmy = small_net(film=True)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from cgru import rng as rngmod
-from cgru.diffusion import Context, build_eps_net, make_schedule, sample_trajectories
+from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
 from cgru.nets import adam_init, flatten
 from cgru.policy_grad import (EstimatorConfig, GradientEstimate,
-                              baseline_term_estimate, cgru_gradient,
-                              clip_to_norm, compute_advantages, ddpo_gradient,
-                              gradient_variance, importance_weight,
+                              _importance_weights, baseline_term_estimate,
+                              cgru_gradient, clip_to_norm, compute_advantages,
+                              ddpo_gradient, gradient_variance,
                               optimal_baseline_probe, per_sample_scores,
                               policy_update_epoch, state_values)
 from cgru.rewards import RewardSpec, assign_rewards
@@ -26,26 +26,22 @@ def desk_setup(T=8, K=4, n=6, seed=13):
     model = build_eps_net(2, K, hidden=16, t_embed_dim=8,
                           rng=rngmod.stream(seed, rngmod.PHASE_INIT), T=T)
     sched = make_schedule(T, 1e-4, 0.02)
-    ctxs = [Context(i % K, K) for i in range(n)]
-    trajs = sample_trajectories(model, ctxs, sched, seed, rngmod.PHASE_DIAG,
-                                first_index=500)
+    rollouts = sample_trajectories(model, np.arange(n) % K, sched, seed,
+                                   rngmod.PHASE_DIAG, first_index=500)
     spec = RewardSpec("mode_distance", center=(0.0, 0.0), scale=10.0)
-    assign_rewards(trajs, spec)
-    return model, sched, trajs
+    assign_rewards(rollouts, spec)
+    return model, sched, rollouts
 
 
-def test_importance_weight_values_and_clamp():
+def test_importance_weights_values_and_clamp():
     cfg = EstimatorConfig()
-    w, clipped = importance_weight(-1.0, -1.0, cfg)
-    assert w == 1.0 and not clipped
-    w, clipped = importance_weight(-1.1, -1.0, cfg)
-    assert math.isclose(w, math.exp(-0.1), rel_tol=1e-12)
-    assert math.isclose(w, 0.9048374180359595, rel_tol=1e-12)
-    assert not clipped
-    w, clipped = importance_weight(-2.0, -1.0, cfg)
-    assert w == 0.8 and clipped
-    w, clipped = importance_weight(0.0, -1.0, cfg)
-    assert w == 1.2 and clipped
+    w, n_clipped = _importance_weights(np.array([-1.0, -1.1, -2.0, 0.0]),
+                                       np.full(4, -1.0), cfg)
+    assert w[0] == 1.0
+    assert math.isclose(w[1], math.exp(-0.1), rel_tol=1e-12)
+    assert math.isclose(w[1], 0.9048374180359595, rel_tol=1e-12)
+    assert w[2] == 0.8 and w[3] == 1.2
+    assert n_clipped == 2
 
 
 def test_estimator_config_validation():
@@ -70,7 +66,7 @@ def test_terminal_reward_estimator_unbiased_on_probe():
     n = 4000
     trajs = sample_toy_trajectories(policy, sched, n, seed=21)
     scores = per_sample_scores(trajs, policy, sched)
-    r = np.array([tr.reward for tr in trajs])
+    r = trajs.rewards
     per_traj = scores * r[:, None]
     mean = per_traj.mean(axis=0)
     se = per_traj.std(axis=0, ddof=1) / math.sqrt(n)
@@ -88,8 +84,7 @@ def test_advantage_estimator_unbiased_on_probe():
     baseline = toy_mean_reward(0.5)
     est = cgru_gradient(trajs, policy, lambda x, c, t: baseline, RAW, sched)
     scores = per_sample_scores(trajs, policy, sched)
-    r = np.array([tr.reward for tr in trajs])
-    per_traj = scores * (r - baseline)[:, None]
+    per_traj = scores * (trajs.rewards - baseline)[:, None]
     se = per_traj.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(est.grad - toy_analytic_gradient()) <= 3 * se)
 
@@ -106,9 +101,7 @@ def test_degeneracy_zero_critic_reduces_to_terminal_reward():
 
 def test_zero_rewards_give_zero_gradient():
     model, sched, trajs = desk_setup()
-    for tr in trajs:
-        tr.reward = 0.0
-        tr.advantages = None
+    trajs.rewards = np.zeros(len(trajs))
     est = ddpo_gradient(trajs, model, sched, RAW)
     assert np.linalg.norm(est.grad) < 1e-12
 
@@ -122,10 +115,14 @@ def test_state_values_accepts_critic_callable_and_none():
 
 def test_compute_advantages_is_reward_minus_value():
     model, sched, trajs = desk_setup()
-    tr = trajs[0]
-    compute_advantages(tr, lambda x, c, t: 0.25 * t)
-    want = np.array([tr.reward - 0.25 * t for t in range(1, sched.T + 1)])
-    assert np.allclose(tr.advantages, want, rtol=1e-12)
+    compute_advantages(trajs, lambda x, c, t: 0.25 * t + c)
+    for i in range(len(trajs)):
+        want = [trajs.rewards[i] - 0.25 * t - trajs.class_ids[i]
+                for t in range(1, sched.T + 1)]
+        assert np.allclose(trajs.advantages[i], want, rtol=1e-12)
+    trajs.rewards = None
+    with pytest.raises(ValueError):
+        compute_advantages(trajs, None)
 
 
 def test_baseline_term_mean_shrinks_with_sample_size():
@@ -198,7 +195,6 @@ def test_policy_update_epoch_flags_stale_buffer():
 def test_per_sample_scores_match_batched_estimator():
     model, sched, trajs = desk_setup(n=5)
     scores = per_sample_scores(trajs, model, sched)
-    r = np.array([tr.reward for tr in trajs])
-    manual = (scores * r[:, None]).mean(axis=0)
+    manual = (scores * trajs.rewards[:, None]).mean(axis=0)
     est = ddpo_gradient(trajs, model, sched, RAW)
     assert np.allclose(est.grad, manual, rtol=1e-10)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cgru import rng as rngmod
-from cgru.diffusion import Context, make_schedule, mode_centers, sample_dataset, sample_trajectories, build_eps_net
+from cgru.diffusion import make_schedule, mode_centers, sample_dataset, sample_trajectories, build_eps_net
 from cgru.errors import ShapeMismatch
 from cgru.nets import Act, Dense, Network, forward_upto
 from cgru.rewards import (RewardSpec, assign_rewards, build_classifier_net,
@@ -74,13 +74,13 @@ def test_assign_rewards_fills_trajectories():
     model = build_eps_net(2, 4, hidden=16, t_embed_dim=8,
                           rng=rngmod.stream(0, rngmod.PHASE_INIT), T=8)
     sched = make_schedule(8, 1e-4, 0.02)
-    trajs = sample_trajectories(model, [Context(0, 4), Context(2, 4)], sched,
-                                3, rngmod.PHASE_DIAG)
+    rollouts = sample_trajectories(model, [0, 2], sched, 3, rngmod.PHASE_DIAG)
     spec = RewardSpec("mode_distance", center=(0.0, 0.0), scale=2.0)
-    assign_rewards(trajs, spec)
-    for tr in trajs:
-        want = 2.0 * math.exp(-float(tr.x0 @ tr.x0))
-        assert math.isclose(tr.reward, want, rel_tol=1e-12)
+    assign_rewards(rollouts, spec)
+    assert rollouts.rewards.shape == (2,)
+    for x0, r in zip(rollouts.x0, rollouts.rewards):
+        want = 2.0 * math.exp(-float(x0 @ x0))
+        assert math.isclose(r, want, rel_tol=1e-12)
 
 
 def test_train_classifier_separates_modes():

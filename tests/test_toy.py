@@ -29,7 +29,7 @@ def test_schedule_is_single_step():
 def test_terminal_marginal_matches_closed_form(bias):
     policy, sched = build_toy(bias)
     trajs = sample_toy_trajectories(policy, sched, 40_000, seed=5)
-    x0 = np.array([tr.x0[0] for tr in trajs])
+    x0 = trajs.x0[:, 0]
     # mean -bias, variance 1/2; allow 5 standard errors
     se_mean = math.sqrt(0.5 / x0.size)
     assert abs(x0.mean() - (-bias)) < 5 * se_mean
@@ -40,11 +40,10 @@ def test_terminal_marginal_matches_closed_form(bias):
 def test_rewards_are_terminal_coordinate():
     policy, sched = build_toy(0.5)
     trajs = sample_toy_trajectories(policy, sched, 8, seed=3)
-    for tr in trajs:
-        assert tr.reward == float(tr.x0[0])
+    assert np.array_equal(trajs.rewards, trajs.x0[:, 0])
     # toy_rewards is idempotent
     again = toy_rewards(trajs)
-    assert all(tr.reward == float(tr.x0[0]) for tr in again)
+    assert np.array_equal(again.rewards, trajs.x0[:, 0])
 
 
 def test_mean_reward_closed_form():
@@ -52,7 +51,7 @@ def test_mean_reward_closed_form():
     assert toy_mean_reward(-2.0) == 2.0
     policy, sched = build_toy(1.0)
     trajs = sample_toy_trajectories(policy, sched, 40_000, seed=7)
-    r = np.array([tr.reward for tr in trajs])
+    r = trajs.rewards
     assert abs(r.mean() - toy_mean_reward(1.0)) < 5 * math.sqrt(0.5 / r.size)
 
 
