@@ -62,7 +62,10 @@ def load_tensors(path) -> dict:
     tensors = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name is not utf-8") from None
         (rank,) = struct.unpack("<Q", take(8))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank)) if rank else ()
         size = int(np.prod(dims)) if dims else 1

@@ -131,11 +131,12 @@ def critic_train(critic: Critic, buffer: CriticBuffer, epochs: int,
         total = 0.0
         for lo in range(0, n, batch_size):
             idx = perm[lo:lo + batch_size]
-            pred = forward(critic.net, inputs[idx], cond[idx])[:, 0]
+            tape = []
+            pred = forward(critic.net, inputs[idx], cond[idx], tape)[:, 0]
             err = pred - r[idx]
             total += float(err @ err)
             out_grad = (2.0 * err / len(idx))[:, None]
-            grads, _ = backward(critic.net, inputs[idx], cond[idx], out_grad)
+            grads = backward(critic.net, out_grad, tape)
             adam_step(opt, critic.net.params, grads)
         history.append(total / n)
     return history

@@ -92,8 +92,9 @@ def q_sample(x0, t, eps, sched: NoiseSchedule) -> Array:
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 
 
-def gaussian_logprob(x, mu, sigma: float, d: int | None = None):
-    """Log density of N(mu, sigma^2 I) evaluated at x, row-wise for batches."""
+def gaussian_logprob(x, mu, sigma: float):
+    """Log density of N(mu, sigma^2 I) evaluated at x, row-wise for batches;
+    the dimension of the Gaussian is the length of x's rows."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
@@ -102,11 +103,9 @@ def gaussian_logprob(x, mu, sigma: float, d: int | None = None):
         raise ShapeMismatch(f"x shape {x.shape} != mu shape {mu.shape}")
     diff = x - mu
     if x.ndim == 1:
-        dd = d if d is not None else x.shape[0]
-        return -0.5 * dd * math.log(2.0 * math.pi * sigma * sigma) \
+        return -0.5 * x.shape[0] * math.log(2.0 * math.pi * sigma * sigma) \
             - float(diff @ diff) / (2.0 * sigma * sigma)
-    dd = d if d is not None else x.shape[1]
-    return -0.5 * dd * math.log(2.0 * math.pi * sigma * sigma) \
+    return -0.5 * x.shape[1] * math.log(2.0 * math.pi * sigma * sigma) \
         - (diff * diff).sum(axis=1) / (2.0 * sigma * sigma)
 
 
@@ -183,12 +182,8 @@ class EpsModel:
             raise ShapeMismatch(f"onehot shape {onehot.shape} != ({n}, {self.n_classes})")
         return np.concatenate([x, emb, onehot], axis=1)
 
-    def eps(self, x: Array, t, onehot: Array) -> Array:
-        return forward(self.net, self.inputs(x, t, onehot))
-
-    def eps_backward(self, x: Array, t, onehot: Array, out_grad: Array) -> dict:
-        grads, _ = backward(self.net, self.inputs(x, t, onehot), None, out_grad)
-        return grads
+    def eps(self, x: Array, t, onehot: Array, tape: list | None = None) -> Array:
+        return forward(self.net, self.inputs(x, t, onehot), tape=tape)
 
 
 def build_eps_net(d: int, n_classes: int, hidden: int = 128,
@@ -206,12 +201,14 @@ def build_eps_net(d: int, n_classes: int, hidden: int = 128,
 
 
 def reverse_mean(model, x_t: Array, t: int, onehot: Array,
-                 sched: NoiseSchedule) -> Array:
-    """Posterior mean mu_theta(x_t, c, t) of the reverse Gaussian kernel."""
+                 sched: NoiseSchedule, tape: list | None = None) -> Array:
+    """Posterior mean mu_theta(x_t, c, t) of the reverse Gaussian kernel.
+
+    `tape` records the eps network's forward walk for nets.backward."""
     one_minus = 1.0 - sched.alpha_bar(t)
     if one_minus <= 1e-300:
         raise ScheduleError(f"degenerate schedule at t={t}: alpha_bar is 1")
-    eps = model.eps(x_t, t, onehot)
+    eps = model.eps(x_t, t, onehot, tape)
     coef = sched.beta(t) / math.sqrt(one_minus)
     return (x_t - coef * eps) / math.sqrt(sched.alpha(t))
 
@@ -331,10 +328,11 @@ def ddpm_loss_and_grads(model, x0: Array, class_ids, ts, eps: Array,
     onehot = one_hot(class_ids, model.n_classes)
     xt = q_sample(x0, ts, eps, sched)
     inputs = model.inputs(xt, ts, onehot)
-    pred = forward(model.net, inputs)
+    tape = []
+    pred = forward(model.net, inputs, tape=tape)
     resid = pred - eps
     loss = float((resid * resid).sum(axis=1).mean())
-    grads, _ = backward(model.net, inputs, None, 2.0 * resid / n)
+    grads = backward(model.net, 2.0 * resid / n, tape)
     return loss, grads
 
 

@@ -1,10 +1,11 @@
 """Minimal float64 feed-forward networks with exact hand-written gradients.
 
-Everything here operates on batches: inputs are (n, d) arrays and the
-backward pass returns the gradient of <out_grad, forward(x)> summed over
-rows, for every parameter and for the input itself. Architectures are
-small lists of layer descriptors; parameters live in a flat dict keyed
-"{layer_index}.{w|b|cw|cb}".
+Everything here operates on batches: inputs are (n, d) arrays. forward
+records each layer's cache on a tape (a list) when given one; backward
+walks that tape in reverse, without rerunning the network, for the
+gradient of <out_grad, forward(x)> summed over rows, for every parameter
+(not the input). Architectures are small lists of layer descriptors;
+parameters live in a flat dict keyed "{layer_index}.{w|b|cw|cb}".
 """
 
 import math
@@ -139,30 +140,26 @@ def _softmax(z: Array) -> Array:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _run(net: Network, x: Array, cond, keep: bool):
-    """Shared forward walk; optionally keeps per-layer caches for backward."""
-    caches = [] if keep else None
+def _run(net: Network, x: Array, cond, tape: list | None = None):
+    """Shared forward walk; appends each layer's cache to `tape` if given."""
+    record = (lambda entry: None) if tape is None else tape.append
     for i, layer in enumerate(net.arch):
         if isinstance(layer, Dense):
             if x.shape[1] != layer.n_in:
                 raise ShapeMismatch(
                     f"layer {i}: dense expects {layer.n_in} features, got {x.shape[1]}")
-            if keep:
-                caches.append(("dense", i, x))
+            record(("dense", i, x))
             x = x @ net.params[f"{i}.w"] + net.params[f"{i}.b"]
         elif isinstance(layer, Act):
             if layer.kind == "tanh":
                 x = np.tanh(x)
-                if keep:
-                    caches.append(("tanh", i, x))
+                record(("tanh", i, x))
             elif layer.kind == "relu":
-                if keep:
-                    caches.append(("relu", i, x))
+                record(("relu", i, x))
                 x = np.maximum(x, 0.0)
             else:
                 x = _softmax(x)
-                if keep:
-                    caches.append(("softmax", i, x))
+                record(("softmax", i, x))
         else:  # Film
             if cond is None:
                 raise ShapeMismatch(f"layer {i}: film block needs a cond input")
@@ -175,18 +172,21 @@ def _run(net: Network, x: Array, cond, keep: bool):
                     f"layer {i}: film expects {layer.features} features, got {x.shape[1]}")
             g = cond @ net.params[f"{i}.cw"] + net.params[f"{i}.cb"]
             scale, shift = g[:, :layer.features], g[:, layer.features:]
-            if keep:
-                caches.append(("film", i, (x, scale)))
+            record(("film", i, (x, scale, cond)))
             x = scale * x + shift
-    return x, caches
+    return x
 
 
-def forward(net: Network, x, cond=None) -> Array:
+def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
     """Apply the network to a batch (or single vector) of inputs.
 
     cond must be given exactly when the architecture contains film
-    blocks; it is the per-row conditioning matrix (n, cond_dim).
+    blocks; it is the per-row conditioning matrix (n, cond_dim). Pass an
+    empty list as `tape` to record the walk for `backward`; without one
+    no per-layer cache outlives the call.
     """
+    if tape:
+        raise ValueError("tape already holds a forward walk")
     squeeze = np.asarray(x).ndim == 1
     xb = _as_batch(x)
     if net.has_film:
@@ -195,34 +195,36 @@ def forward(net: Network, x, cond=None) -> Array:
         cond = _as_batch(cond)
     elif cond is not None:
         raise ShapeMismatch("network has no film blocks but cond was given")
-    out, _ = _run(net, xb, cond, keep=False)
+    out = _run(net, xb, cond, tape)
     if not np.isfinite(out).all():
         raise Divergence("non-finite values in network output")
     return out[0] if squeeze else out
 
 
-def backward(net: Network, x, cond, out_grad):
+def backward(net: Network, out_grad, tape: list) -> dict:
     """Exact gradients of <out_grad, forward(x)> summed over batch rows.
 
-    Returns (param_grads, input_grad) where param_grads has one array per
-    entry of net.params. cond is treated as data, not a parameter, but
-    the film conditioning weights do receive gradients.
+    `tape` is the list a forward call on the same network filled; the
+    walk is not run again. Returns one gradient array per entry of
+    net.params. cond is treated as data, not a parameter, but the film
+    conditioning weights do receive gradients.
     """
-    xb = _as_batch(x)
+    if not tape:
+        raise ValueError("backward needs the tape of a forward call")
     g = _as_batch(out_grad)
-    if net.has_film:
-        cond = _as_batch(cond)
-    if g.shape[0] != xb.shape[0]:
-        raise ShapeMismatch(f"out_grad rows {g.shape[0]} != input rows {xb.shape[0]}")
-    out, caches = _run(net, xb, cond, keep=True)
-    if g.shape[1] != out.shape[1]:
-        raise ShapeMismatch(f"out_grad width {g.shape[1]} != output width {out.shape[1]}")
+    if g.shape[1] != net.n_out:
+        raise ShapeMismatch(f"out_grad width {g.shape[1]} != output width {net.n_out}")
+    kind, _, cache = tape[0]
+    rows = (cache[0] if kind == "film" else cache).shape[0]
+    if g.shape[0] != rows:
+        raise ShapeMismatch(f"out_grad rows {g.shape[0]} != input rows {rows}")
     grads = {}
-    for kind, i, cache in reversed(caches):
+    for kind, i, cache in reversed(tape):
         if kind == "dense":
             grads[f"{i}.w"] = cache.T @ g
             grads[f"{i}.b"] = g.sum(axis=0)
-            g = g @ net.params[f"{i}.w"].T
+            if i:  # no layer reads the gradient of the network input
+                g = g @ net.params[f"{i}.w"].T
         elif kind == "tanh":
             g = g * (1.0 - cache * cache)
         elif kind == "relu":
@@ -231,12 +233,12 @@ def backward(net: Network, x, cond, out_grad):
             s = cache
             g = s * (g - (g * s).sum(axis=1, keepdims=True))
         else:  # film
-            feat, scale = cache
+            feat, scale, cond = cache
             dg = np.concatenate([g * feat, g], axis=1)
             grads[f"{i}.cw"] = cond.T @ dg
             grads[f"{i}.cb"] = dg.sum(axis=0)
             g = g * scale
-    return grads, g
+    return grads
 
 
 def forward_upto(net: Network, x, n_layers: int, cond=None) -> Array:
@@ -247,8 +249,7 @@ def forward_upto(net: Network, x, n_layers: int, cond=None) -> Array:
     xb = _as_batch(x)
     if cond is not None:
         cond = _as_batch(cond)
-    out, _ = _run(sub, xb, cond, keep=False)
-    return out
+    return _run(sub, xb, cond)
 
 
 def sinusoidal_embed(t, dim: int, t_max: int) -> Array:

@@ -16,7 +16,7 @@ import numpy as np
 from .critic import Critic, critic_values
 from .diffusion import (NoiseSchedule, Rollouts, gaussian_logprob, one_hot,
                         reverse_mean, score_coef)
-from .nets import accumulate, adam_step, flatten, zero_grads
+from .nets import accumulate, adam_step, backward, flatten, zero_grads
 
 Array = np.ndarray
 
@@ -117,7 +117,8 @@ def _accumulate_steps(model, sched: NoiseSchedule, lat: Array, onehot: Array,
     for t in ts_seq:
         xt = lat[:, T - t]
         xprev = lat[:, T - t + 1]
-        mu = reverse_mean(model, xt, t, onehot, sched)
+        tape = []
+        mu = reverse_mean(model, xt, t, onehot, sched, tape)
         sig = sched.sigma(t)
         logp_new = gaussian_logprob(xprev, mu, sig)
         weights, nclip, sur = weight_at(t, xt, logp_new)
@@ -125,7 +126,7 @@ def _accumulate_steps(model, sched: NoiseSchedule, lat: Array, onehot: Array,
         surrogate += sur
         out_grad = (score_coef(sched, t) / (sig * sig)) \
             * (xprev - mu) * weights[:, None]
-        accumulate(grads, model.eps_backward(xt, t, onehot, out_grad))
+        accumulate(grads, backward(model.net, out_grad, tape))
     return grads, clip_count, surrogate
 
 
@@ -155,28 +156,25 @@ def ddpo_gradient(rollouts: Rollouts, model, sched: NoiseSchedule,
 
 
 def cgru_gradient(rollouts: Rollouts, model, critic, cfg: EstimatorConfig,
-                  sched: NoiseSchedule, order=None) -> GradientEstimate:
+                  sched: NoiseSchedule) -> GradientEstimate:
     """Importance-weighted advantage estimator.
 
     Uses the advantages stored on the batch (computing them from `critic`
     if absent), weights each step by the clamped likelihood ratio against
     the stored behavior log-probs, and averages over trajectories while
-    summing over steps. `order` fixes the timestep visitation sequence;
-    the default is T..1.
+    summing over steps, visiting timesteps T..1.
     """
     adv = _advantages(rollouts, critic, cfg)
     logp_old = rollouts.logp
     n, T = len(rollouts), rollouts.T
     onehot = one_hot(rollouts.class_ids, model.n_classes)
-    if order is None:
-        order = range(T, 0, -1)
 
     def weight_at(t, xt, logp_new):
         w, nclip = _importance_weights(logp_new, logp_old[:, t - 1], cfg)
         return w * adv[:, t - 1] / n, nclip, 0.0
 
     grads, clip_count, _ = _accumulate_steps(model, sched, rollouts.latents,
-                                             onehot, order, weight_at)
+                                             onehot, range(T, 0, -1), weight_at)
     flat = clip_to_norm(flatten(model.net, grads), cfg.grad_max_norm)
     return GradientEstimate(grad=flat, estimator="cgru", n_traj=n,
                             clip_count=clip_count)
@@ -191,12 +189,15 @@ def baseline_term_estimate(rollouts: Rollouts, model, critic,
     shrink like 1/sqrt(n_traj). No clipping or importance weighting is
     applied.
     """
-    ids = rollouts.class_ids
+    ids, lat = rollouts.class_ids, rollouts.latents
     n, T = len(rollouts), rollouts.T
     onehot = one_hot(ids, model.n_classes)
+    # critic values first: a critic forward beside a live eps tape raises peak memory
+    values = np.stack([state_values(critic, lat[:, T - t], ids, t)
+                       for t in range(1, T + 1)], axis=1)
 
     def weight_at(t, xt, logp_new):
-        return state_values(critic, xt, ids, t) / n, 0, 0.0
+        return values[:, t - 1] / n, 0, 0.0
 
     grads, _, _ = _accumulate_steps(model, sched, rollouts.latents, onehot,
                                     range(T, 0, -1), weight_at)
@@ -267,12 +268,12 @@ def policy_update_epoch(model, rollouts: Rollouts, critic,
     advantages, i.e. the terminal-reward baseline method on an identical
     update budget.
     """
+    if grad_accum < 1:
+        raise ValueError(f"grad_accum must be >= 1, got {grad_accum}")
     adv = _advantages(rollouts, critic, cfg)
     lat, logp_old = rollouts.latents, rollouts.logp
     n, T = len(rollouts), rollouts.T
     onehot = one_hot(rollouts.class_ids, model.n_classes)
-    if grad_accum < 1:
-        raise ValueError(f"grad_accum must be >= 1, got {grad_accum}")
 
     order = [int(t) for t in rng.permutation(np.arange(1, T + 1))]
     clip_count = 0

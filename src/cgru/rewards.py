@@ -64,12 +64,13 @@ def train_classifier(X: Array, y, n_classes: int, rng: np.random.Generator,
     n = len(X)
     for _ in range(steps):
         idx = rng.integers(0, n, size=min(batch, n))
-        probs = forward(net, X[idx])
+        tape = []
+        probs = forward(net, X[idx], tape=tape)
         p_true = probs[np.arange(len(idx)), y[idx]]
         loss = float(-np.log(np.maximum(p_true, 1e-300)).mean())
         out_grad = np.zeros_like(probs)
         out_grad[np.arange(len(idx)), y[idx]] = -1.0 / (p_true * len(idx))
-        grads, _ = backward(net, X[idx], None, out_grad)
+        grads = backward(net, out_grad, tape)
         adam_step(opt, net.params, grads)
         history.append(loss)
     return net, history

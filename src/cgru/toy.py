@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .diffusion import NoiseSchedule, Rollouts, sample_trajectories, schedule_from_betas
-from .nets import Dense, Network
+from .nets import Dense, Network, forward
 
 Array = np.ndarray
 
@@ -36,14 +36,8 @@ class ToyPolicy:
         self.d = 1
         self.n_classes = 1
 
-    def eps(self, x, t, onehot):
-        from .nets import forward
-        return forward(self.net, x)
-
-    def eps_backward(self, x, t, onehot, out_grad):
-        from .nets import backward
-        grads, _ = backward(self.net, x, None, out_grad)
-        return grads
+    def eps(self, x, t, onehot, tape=None):
+        return forward(self.net, x, tape=tape)
 
 
 def build_toy(bias: float = 0.5):

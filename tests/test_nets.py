@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from cgru import nets
 from cgru import rng as rngmod
 from cgru.checkpoint import load_network, load_tensors, save_network, save_tensors
+from cgru.critic import CriticBuffer, build_critic, critic_train
+from cgru.diffusion import (build_eps_net, ddpm_loss_and_grads, make_schedule,
+                            one_hot)
 from cgru.errors import CheckpointError, ShapeMismatch
 from cgru.nets import (Act, AdamState, Dense, Film, Network, adam_init,
                        adam_step, backward, flatten, forward, forward_upto,
                        init_network, sinusoidal_embed)
+from cgru.policy_grad import _accumulate_steps
 
 
 def small_net(rng=None, film=False):
@@ -48,9 +53,11 @@ def test_activations_match_numpy():
 
 def _fd_param_check(net, x, cond, rtol=1e-6):
     """Central finite differences over every parameter coordinate."""
+    tape = []
     v = rngmod.stream(3, rngmod.PHASE_DIAG, 77).standard_normal(
-        forward(net, x, cond).shape)
-    grads, _ = backward(net, x, cond, v)
+        forward(net, x, cond, tape).shape)
+    grads = backward(net, v, tape)
+    assert set(grads) == set(net.params)
     h = 1e-6
     for name, g in grads.items():
         p = net.params[name]
@@ -81,22 +88,58 @@ def test_backward_matches_finite_difference_film():
     _fd_param_check(net, x, cond)
 
 
-def test_backward_input_gradient():
+def test_backward_consumes_one_tape():
     net = small_net()
-    rng = rngmod.stream(3, rngmod.PHASE_DIAG, 3)
-    x = rng.standard_normal((2, 3))
-    v = rng.standard_normal((2, 2))
-    _, gx = backward(net, x, None, v)
-    h = 1e-6
-    for idx in np.ndindex(*x.shape):
-        orig = x[idx]
-        x[idx] = orig + h
-        up = float((forward(net, x) * v).sum())
-        x[idx] = orig - h
-        dn = float((forward(net, x) * v).sum())
-        x[idx] = orig
-        num = (up - dn) / (2 * h)
-        assert abs(num - gx[idx]) <= 1e-6 * max(1.0, abs(num))
+    x = rngmod.stream(3, rngmod.PHASE_DIAG, 3).standard_normal((2, 3))
+    with pytest.raises(ValueError, match="tape"):
+        backward(net, np.ones((2, 2)), [])
+    tape = []
+    forward(net, x, tape=tape)
+    with pytest.raises(ValueError, match="tape"):
+        forward(net, x, tape=tape)
+    with pytest.raises(ShapeMismatch):
+        backward(net, np.ones((3, 2)), tape)
+    with pytest.raises(ShapeMismatch):
+        backward(net, np.ones((2, 3)), tape)
+
+
+def test_one_forward_walk_per_gradient_step(monkeypatch):
+    walks = []
+    run = nets._run
+
+    def counting_run(net, *args, **kwargs):
+        walks.append(net)
+        return run(net, *args, **kwargs)
+
+    def one_walk_of(net):
+        ok = len(walks) == 1 and walks[0] is net
+        walks.clear()
+        return ok
+
+    monkeypatch.setattr(nets, "_run", counting_run)
+    K, T = 4, 6
+    model = build_eps_net(2, K, hidden=8, t_embed_dim=4,
+                          rng=rngmod.stream(1, rngmod.PHASE_INIT), T=T)
+    sched = make_schedule(T, 1e-4, 0.02)
+    rng = rngmod.stream(1, rngmod.PHASE_DIAG, 5)
+    x = rng.standard_normal((5, 2))
+    ids = np.arange(5) % K
+
+    ddpm_loss_and_grads(model, x, ids, np.arange(1, 6), rng.standard_normal((5, 2)),
+                        sched)
+    assert one_walk_of(model.net)
+
+    critic = build_critic(2, K, T, hidden=8, t_embed_dim=4,
+                          rng=rngmod.stream(1, rngmod.PHASE_INIT, 1))
+    buffer = CriticBuffer(x=x, class_ids=ids, ts=np.arange(1, 6), r=np.ones(5))
+    critic_train(critic, buffer, epochs=1, batch_size=5, rng=rng)
+    assert one_walk_of(critic.net)
+
+    lat = rng.standard_normal((5, T + 1, 2))
+    grads, _, _ = _accumulate_steps(model, sched, lat, one_hot(ids, K), [3],
+                                    lambda t, xt, logp: (np.ones(5), 0, 0.0))
+    assert one_walk_of(model.net)
+    assert set(grads) == set(model.net.params)
 
 
 def test_film_block_oracle():
@@ -211,6 +254,12 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad_magic.write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(CheckpointError, match="magic"):
         load_tensors(bad_magic)
+
+    # the first tensor name starts after magic, version, count and its length
+    bad_name = tmp_path / "name.ckpt"
+    bad_name.write_bytes(blob[:16] + b"\xff" + blob[17:])
+    with pytest.raises(CheckpointError, match=f"{bad_name}.*utf-8"):
+        load_tensors(bad_name)
 
 
 def test_checkpoint_rejects_wrong_architecture(tmp_path):

@@ -180,6 +180,17 @@ def test_policy_update_epoch_moves_params_deterministically():
     assert np.array_equal(after, flatten(model2.net, model2.net.params))
 
 
+def test_policy_update_epoch_rejects_before_filling_advantages():
+    model, sched, trajs = desk_setup()
+    opt = adam_init(model.net, lr=1e-3)
+    with pytest.raises(ValueError, match="grad_accum"):
+        policy_update_epoch(model, trajs, lambda x, c, t: 0.0,
+                            EstimatorConfig(), sched, opt,
+                            rngmod.stream(0, rngmod.PHASE_POLICY, 2),
+                            grad_accum=0)
+    assert trajs.advantages is None
+
+
 def test_policy_update_epoch_flags_stale_buffer():
     model, sched, trajs = desk_setup()
     opt = adam_init(model.net, lr=5e-2)     # big steps push ratios to clamp
