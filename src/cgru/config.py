@@ -33,9 +33,6 @@ class DiffusionConfig:
     T: int = 50
     beta_start: float = 1e-4
     beta_end: float = 0.02
-    # terminal-reward MDP: any other value would silently change nothing,
-    # so we validate it instead of threading it through the estimators
-    discount: float = 1.0
 
 
 @dataclass
@@ -150,8 +147,6 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("policy.iterations must be >= 0")
     if not 0 < cfg.diffusion.beta_start <= cfg.diffusion.beta_end < 1:
         raise ConfigError("need 0 < diffusion.beta_start <= beta_end < 1")
-    if cfg.diffusion.discount != 1.0:
-        raise ConfigError("diffusion.discount is fixed to 1 (terminal reward)")
     if not 0 <= cfg.reward.target_class < cfg.data.n_classes:
         raise ConfigError(
             f"reward.target_class {cfg.reward.target_class} out of range "
@@ -180,10 +175,6 @@ def validate(cfg: RunConfig) -> RunConfig:
     if not 0.0 < cfg.classifier.target_acc <= 1.0:
         raise ConfigError("classifier.target_acc must lie in (0, 1]")
     return cfg
-
-
-def _section_types() -> dict:
-    return {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _walk(cfg: RunConfig):

@@ -13,7 +13,7 @@ import numpy as np
 from . import rng as rngmod
 from .diffusion import NoiseSchedule, one_hot, sample_trajectories
 from .nets import (Act, Dense, Film, Network, adam_init, adam_step, backward,
-                   forward, init_network, sinusoidal_embed)
+                   embed_lookup, forward, init_network, sinusoidal_embed)
 from .rewards import RewardSpec, assign_rewards
 
 Array = np.ndarray
@@ -47,14 +47,12 @@ class Critic:
         # When False the conditioning is frozen at the t=0 embedding, giving
         # an identically sized value net that cannot see the timestep.
         self.timestep_aware = timestep_aware
+        self.t_table = sinusoidal_embed(np.arange(T + 1), t_embed_dim, T)
 
     def cond(self, ts, n: int) -> Array:
         if not self.timestep_aware:
             ts = np.zeros(n, dtype=np.int64)
-        emb = sinusoidal_embed(ts, self.t_embed_dim, self.T)
-        if emb.ndim == 1:
-            emb = np.broadcast_to(emb, (n, self.t_embed_dim))
-        return emb
+        return np.broadcast_to(embed_lookup(self.t_table, ts), (n, self.t_embed_dim))
 
     def inputs(self, x: Array, onehot: Array) -> Array:
         return np.concatenate([x, onehot], axis=1)

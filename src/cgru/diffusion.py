@@ -15,7 +15,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ScheduleError, ShapeMismatch
-from .nets import Act, Dense, Network, backward, forward, init_network, sinusoidal_embed
+from .nets import (Act, Dense, Network, backward, embed_lookup, forward,
+                   init_network, sinusoidal_embed)
 
 Array = np.ndarray
 
@@ -171,13 +172,12 @@ class EpsModel:
             raise ShapeMismatch(
                 f"net input {net.n_in} too small for embed {t_embed_dim} + "
                 f"classes {n_classes}")
+        self.t_table = sinusoidal_embed(np.arange(T + 1), t_embed_dim, T)
 
     def inputs(self, x: Array, t, onehot: Array) -> Array:
         x = np.asarray(x, dtype=np.float64)
         n = x.shape[0]
-        emb = sinusoidal_embed(t, self.t_embed_dim, self.T)
-        if emb.ndim == 1:
-            emb = np.broadcast_to(emb, (n, self.t_embed_dim))
+        emb = np.broadcast_to(embed_lookup(self.t_table, t), (n, self.t_embed_dim))
         if onehot.shape != (n, self.n_classes):
             raise ShapeMismatch(f"onehot shape {onehot.shape} != ({n}, {self.n_classes})")
         return np.concatenate([x, emb, onehot], axis=1)

@@ -71,13 +71,6 @@ class Network:
                 return layer.features
         raise ValueError("network has no dense layer")
 
-    @property
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
-    def copy(self) -> "Network":
-        return Network(list(self.arch), {k: v.copy() for k, v in self.params.items()})
-
 
 def _check_arch(arch: list) -> None:
     if not arch:
@@ -241,15 +234,12 @@ def backward(net: Network, out_grad, tape: list) -> dict:
     return grads
 
 
-def forward_upto(net: Network, x, n_layers: int, cond=None) -> Array:
+def forward_upto(net: Network, x, n_layers: int) -> Array:
     """Run only the first n_layers of the network (feature extraction)."""
     if not 0 < n_layers <= len(net.arch):
         raise ValueError(f"n_layers out of range: {n_layers}")
     sub = Network(net.arch[:n_layers], net.params)
-    xb = _as_batch(x)
-    if cond is not None:
-        cond = _as_batch(cond)
-    return _run(sub, xb, cond)
+    return _run(sub, _as_batch(x), None)
 
 
 def sinusoidal_embed(t, dim: int, t_max: int) -> Array:
@@ -268,6 +258,15 @@ def sinusoidal_embed(t, dim: int, t_max: int) -> Array:
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
     ang = ts[..., None] * freqs
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+
+
+def embed_lookup(table: Array, t) -> Array:
+    """Rows of table = sinusoidal_embed(np.arange(t_max + 1), dim, t_max)
+    for timestep t (a scalar or an array); t must lie in [0, t_max]."""
+    ts = np.asarray(t)
+    if np.any(ts < 0) or np.any(ts >= len(table)):
+        raise ValueError(f"timestep out of [0, {len(table) - 1}]")
+    return table[ts]
 
 
 @dataclass

@@ -1,12 +1,14 @@
 """Score-function policy gradients over denoising trajectories.
 
-Two estimators share one accumulation core: the terminal-reward estimator
-weights every step's score by the trajectory reward, and the critic-guided
-estimator weights step t by the importance ratio times the advantage
-r - V(x_t, c, t). Subtracting the state-value baseline leaves the
-expectation unchanged (the baseline term has mean zero) while shrinking
-the variance, which baseline_term_estimate and gradient_variance measure
-directly.
+Every estimator is one weighted score sum, _score_gradient: the score of
+reverse step t in row i is weighted by coef[i, t-1], times the clamped
+likelihood ratio against the stored behavior log-probs when those are
+given, and averaged over rows. The terminal-reward estimator weights
+every step by the trajectory reward; the critic-guided estimator weights
+step t by the ratio times the advantage r - V(x_t, c, t). Subtracting the
+state-value baseline leaves the expectation unchanged (the baseline term
+has mean zero) while shrinking the variance, which baseline_term_estimate
+and gradient_variance measure directly.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,6 @@ class EstimatorConfig:
     clip_low: float = 0.8
     clip_high: float = 1.2
     grad_max_norm: float = 1.0
-    normalize_advantages: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.clip_low <= 1.0 <= self.clip_high:
@@ -40,13 +41,8 @@ class EstimatorConfig:
 @dataclass
 class GradientEstimate:
     grad: Array
-    estimator: str
     n_traj: int
     clip_count: int = 0
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.grad))
 
 
 def _importance_weights(logp_new: Array, logp_old: Array, cfg: EstimatorConfig):
@@ -90,44 +86,44 @@ def compute_advantages(rollouts: Rollouts, critic) -> Rollouts:
     return rollouts
 
 
-def _advantages(rollouts: Rollouts, critic, cfg: EstimatorConfig) -> Array:
+def _advantages(rollouts: Rollouts, critic) -> Array:
     """The (n, T) advantage matrix, computed from `critic` if the batch has
-    none yet and normalized when cfg asks for it."""
+    none yet."""
     if rollouts.advantages is None:
         compute_advantages(rollouts, critic)
-    adv = rollouts.advantages
-    if cfg.normalize_advantages:
-        std = adv.std()
-        adv = (adv - adv.mean()) / (std if std > 0 else 1.0)
-    return adv
+    return rollouts.advantages
 
 
-def _accumulate_steps(model, sched: NoiseSchedule, lat: Array, onehot: Array,
-                      ts_seq, weight_at):
-    """Sum weighted score gradients over the given timestep visits.
+def _score_gradient(model, sched: NoiseSchedule, lat: Array, onehot: Array,
+                    steps, coef: Array, logp_old: Array | None = None,
+                    cfg: EstimatorConfig | None = None):
+    """Flat sum over `steps` of the row-mean weighted score of step t.
 
-    weight_at(t, x_t, logp_new) must return (weights (n,), n_clipped,
-    surrogate_term). The per-step score of the Gaussian kernel flows
+    Row i at step t is weighted by coef[i, t-1] / n; given the behavior
+    log-probs logp_old (n, T), the weight is first multiplied by the
+    likelihood ratio clamped to cfg's range. Returns (gradient, number of
+    clamped ratios). The per-step score of the Gaussian kernel flows
     through mu only, since sigma_t is fixed by the schedule.
     """
-    T = lat.shape[1] - 1
+    n, T = lat.shape[0], lat.shape[1] - 1
     grads = zero_grads(model.net)
     clip_count = 0
-    surrogate = 0.0
-    for t in ts_seq:
+    for t in steps:
         xt = lat[:, T - t]
         xprev = lat[:, T - t + 1]
         tape = []
         mu = reverse_mean(model, xt, t, onehot, sched, tape)
         sig = sched.sigma(t)
-        logp_new = gaussian_logprob(xprev, mu, sig)
-        weights, nclip, sur = weight_at(t, xt, logp_new)
-        clip_count += nclip
-        surrogate += sur
+        weights = coef[:, t - 1]
+        if logp_old is not None:
+            w, nclip = _importance_weights(gaussian_logprob(xprev, mu, sig),
+                                           logp_old[:, t - 1], cfg)
+            clip_count += nclip
+            weights = w * weights
         out_grad = (score_coef(sched, t) / (sig * sig)) \
-            * (xprev - mu) * weights[:, None]
+            * (xprev - mu) * (weights / n)[:, None]
         accumulate(grads, backward(model.net, out_grad, tape))
-    return grads, clip_count, surrogate
+    return flatten(model.net, grads), clip_count
 
 
 def clip_to_norm(vec: Array, max_norm: float) -> Array:
@@ -142,17 +138,13 @@ def ddpo_gradient(rollouts: Rollouts, model, sched: NoiseSchedule,
     """On-policy terminal-reward estimator: mean_n sum_t grad log p * r_n."""
     if rollouts.rewards is None:
         raise ValueError("rollouts have no rewards assigned")
-    r = rollouts.rewards
     n, T = len(rollouts), rollouts.T
-    onehot = one_hot(rollouts.class_ids, model.n_classes)
-
-    def weight_at(t, xt, logp_new):
-        return r / n, 0, 0.0
-
-    grads, _, _ = _accumulate_steps(model, sched, rollouts.latents, onehot,
-                                    range(T, 0, -1), weight_at)
-    flat = clip_to_norm(flatten(model.net, grads), cfg.grad_max_norm)
-    return GradientEstimate(grad=flat, estimator="ddpo", n_traj=n)
+    coef = np.broadcast_to(rollouts.rewards[:, None], (n, T))
+    grad, _ = _score_gradient(model, sched, rollouts.latents,
+                              one_hot(rollouts.class_ids, model.n_classes),
+                              range(T, 0, -1), coef)
+    return GradientEstimate(grad=clip_to_norm(grad, cfg.grad_max_norm),
+                            n_traj=n)
 
 
 def cgru_gradient(rollouts: Rollouts, model, critic, cfg: EstimatorConfig,
@@ -164,20 +156,13 @@ def cgru_gradient(rollouts: Rollouts, model, critic, cfg: EstimatorConfig,
     the stored behavior log-probs, and averages over trajectories while
     summing over steps, visiting timesteps T..1.
     """
-    adv = _advantages(rollouts, critic, cfg)
-    logp_old = rollouts.logp
-    n, T = len(rollouts), rollouts.T
-    onehot = one_hot(rollouts.class_ids, model.n_classes)
-
-    def weight_at(t, xt, logp_new):
-        w, nclip = _importance_weights(logp_new, logp_old[:, t - 1], cfg)
-        return w * adv[:, t - 1] / n, nclip, 0.0
-
-    grads, clip_count, _ = _accumulate_steps(model, sched, rollouts.latents,
-                                             onehot, range(T, 0, -1), weight_at)
-    flat = clip_to_norm(flatten(model.net, grads), cfg.grad_max_norm)
-    return GradientEstimate(grad=flat, estimator="cgru", n_traj=n,
-                            clip_count=clip_count)
+    adv = _advantages(rollouts, critic)
+    grad, clip_count = _score_gradient(
+        model, sched, rollouts.latents,
+        one_hot(rollouts.class_ids, model.n_classes),
+        range(rollouts.T, 0, -1), adv, rollouts.logp, cfg)
+    return GradientEstimate(grad=clip_to_norm(grad, cfg.grad_max_norm),
+                            n_traj=len(rollouts), clip_count=clip_count)
 
 
 def baseline_term_estimate(rollouts: Rollouts, model, critic,
@@ -189,19 +174,13 @@ def baseline_term_estimate(rollouts: Rollouts, model, critic,
     shrink like 1/sqrt(n_traj). No clipping or importance weighting is
     applied.
     """
-    ids, lat = rollouts.class_ids, rollouts.latents
-    n, T = len(rollouts), rollouts.T
-    onehot = one_hot(ids, model.n_classes)
+    ids, lat, T = rollouts.class_ids, rollouts.latents, rollouts.T
     # critic values first: a critic forward beside a live eps tape raises peak memory
     values = np.stack([state_values(critic, lat[:, T - t], ids, t)
                        for t in range(1, T + 1)], axis=1)
-
-    def weight_at(t, xt, logp_new):
-        return values[:, t - 1] / n, 0, 0.0
-
-    grads, _, _ = _accumulate_steps(model, sched, rollouts.latents, onehot,
-                                    range(T, 0, -1), weight_at)
-    return flatten(model.net, grads)
+    grad, _ = _score_gradient(model, sched, lat, one_hot(ids, model.n_classes),
+                              range(T, 0, -1), values)
+    return grad
 
 
 def gradient_variance(estimates: list) -> float:
@@ -223,15 +202,11 @@ def per_sample_scores(rollouts: Rollouts, model,
     """
     lat, T = rollouts.latents, rollouts.T
     onehot = one_hot(rollouts.class_ids, model.n_classes)
-    rows = []
-    for i in range(len(rollouts)):
-        def weight_at(t, xt, logp_new):
-            return np.ones(1), 0, 0.0
-        grads, _, _ = _accumulate_steps(model, sched, lat[i:i + 1],
-                                        onehot[i:i + 1], range(T, 0, -1),
-                                        weight_at)
-        rows.append(flatten(model.net, grads))
-    return np.stack(rows)
+    ones = np.ones((1, T))
+    return np.stack([
+        _score_gradient(model, sched, lat[i:i + 1], onehot[i:i + 1],
+                        range(T, 0, -1), ones)[0]
+        for i in range(len(rollouts))])
 
 
 def optimal_baseline_probe(model, sched: NoiseSchedule, rollouts: Rollouts,
@@ -270,44 +245,29 @@ def policy_update_epoch(model, rollouts: Rollouts, critic,
     """
     if grad_accum < 1:
         raise ValueError(f"grad_accum must be >= 1, got {grad_accum}")
-    adv = _advantages(rollouts, critic, cfg)
-    lat, logp_old = rollouts.latents, rollouts.logp
+    adv = _advantages(rollouts, critic)
     n, T = len(rollouts), rollouts.T
     onehot = one_hot(rollouts.class_ids, model.n_classes)
 
-    order = [int(t) for t in rng.permutation(np.arange(1, T + 1))]
+    order = rng.permutation(np.arange(1, T + 1)).tolist()
     clip_count = 0
-    weight_count = 0
-    surrogate_total = 0.0
     grad_norms = []
-    updates = 0
     for lo in range(0, T, grad_accum):
-        group = order[lo:lo + grad_accum]
-
-        def weight_at(t, xt, logp_new):
-            w, nclip = _importance_weights(logp_new, logp_old[:, t - 1], cfg)
-            sur = float(-(w * logp_new * adv[:, t - 1]).mean())
-            return w * adv[:, t - 1] / n, nclip, sur
-
-        grads, nclip, sur = _accumulate_steps(model, sched, lat, onehot,
-                                              group, weight_at)
+        grad, nclip = _score_gradient(model, sched, rollouts.latents, onehot,
+                                      order[lo:lo + grad_accum], adv,
+                                      rollouts.logp, cfg)
         clip_count += nclip
-        weight_count += n * len(group)
-        surrogate_total += sur
-        flat = clip_to_norm(flatten(model.net, grads), cfg.grad_max_norm)
+        flat = clip_to_norm(grad, cfg.grad_max_norm)
         grad_norms.append(float(np.linalg.norm(flat)))
         # ascent on expected reward, so Adam minimizes the negation
-        neg = _unflatten(model.net, -flat)
-        adam_step(opt, model.net.params, neg)
-        updates += 1
+        adam_step(opt, model.net.params, _unflatten(model.net, -flat))
+    weight_count = n * T
     return {
-        "mean_loss": surrogate_total / T,
         "clip_count": clip_count,
         "clip_fraction": clip_count / max(1, weight_count),
         "stale_buffer": clip_count > 0.5 * weight_count,
-        "updates": updates,
+        "updates": len(grad_norms),
         "grad_norm_mean": float(np.mean(grad_norms)),
-        "order": order,
     }
 
 

@@ -92,9 +92,10 @@ def test_bad_override_exits_two(tmp_path, capsys):
 
 
 def test_invalid_config_value_exits_two(tmp_path, capsys):
-    assert main(["full", "--set", "diffusion.n_steps=0",
+    # parses, then fails validation
+    assert main(["full", "--set", "diffusion.T=0",
                  "--out", str(tmp_path)]) == 2
-    assert "n_steps" in capsys.readouterr().err
+    assert "diffusion.T" in capsys.readouterr().err
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -75,7 +75,6 @@ def test_validate_catches_bad_ranges():
         ["diffusion.T=0"],
         ["diffusion.beta_start=0.0"],
         ["diffusion.beta_end=1.5"],
-        ["diffusion.discount=0.9"],
         ["reward.target_class=8"],
         ["reward.forget_fraction=1.5"],
         ["reward.kind=mode_distance", "reward.scale=-1"],
@@ -103,8 +102,8 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_load_config_validates(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("diffusion.discount = 0.5\n")
-    with pytest.raises(ConfigError):
+    path.write_text("diffusion.T = 0\n")
+    with pytest.raises(ConfigError, match="diffusion.T"):
         load_config(path)
 
 

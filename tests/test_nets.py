@@ -11,9 +11,9 @@ from cgru.diffusion import (build_eps_net, ddpm_loss_and_grads, make_schedule,
                             one_hot)
 from cgru.errors import CheckpointError, ShapeMismatch
 from cgru.nets import (Act, AdamState, Dense, Film, Network, adam_init,
-                       adam_step, backward, flatten, forward, forward_upto,
-                       init_network, sinusoidal_embed)
-from cgru.policy_grad import _accumulate_steps
+                       adam_step, backward, embed_lookup, flatten, forward,
+                       forward_upto, init_network, sinusoidal_embed)
+from cgru.policy_grad import _score_gradient
 
 
 def small_net(rng=None, film=False):
@@ -136,10 +136,10 @@ def test_one_forward_walk_per_gradient_step(monkeypatch):
     assert one_walk_of(critic.net)
 
     lat = rng.standard_normal((5, T + 1, 2))
-    grads, _, _ = _accumulate_steps(model, sched, lat, one_hot(ids, K), [3],
-                                    lambda t, xt, logp: (np.ones(5), 0, 0.0))
+    grad, _ = _score_gradient(model, sched, lat, one_hot(ids, K), [3],
+                              np.ones((5, T)))
     assert one_walk_of(model.net)
-    assert set(grads) == set(model.net.params)
+    assert grad.shape == (sum(p.size for p in model.net.params.values()),)
 
 
 def test_film_block_oracle():
@@ -207,6 +207,22 @@ def test_sinusoidal_embed_properties():
     assert dists.min() > 1e-6
     with pytest.raises(ValueError):
         sinusoidal_embed(0, 15, 50)     # odd dim
+
+
+def test_embedding_table_rows_match_sinusoidal_embed():
+    for dim, T in ((8, 1), (16, 12), (32, 50)):
+        table = sinusoidal_embed(np.arange(T + 1), dim, T)
+        for t in range(T + 1):
+            assert np.array_equal(embed_lookup(table, t), sinusoidal_embed(t, dim, T))
+        ts = np.array([T, 0, T // 2, T])
+        assert np.array_equal(embed_lookup(table, ts), sinusoidal_embed(ts, dim, T))
+        # out of range raises, rather than wrapping a negative t
+        for bad in (-1, T + 1, [0, -1]):
+            with pytest.raises(ValueError, match="timestep"):
+                embed_lookup(table, bad)
+    model = build_eps_net(2, 3, hidden=8, t_embed_dim=8, T=6)
+    with pytest.raises(ValueError, match="timestep"):
+        model.inputs(np.zeros((1, 2)), -1, np.eye(3)[:1])
 
 
 def test_init_network_is_stream_deterministic():

@@ -8,10 +8,11 @@ import pytest
 
 from cgru import rng as rngmod
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
-from cgru.nets import adam_init, flatten
+from cgru.nets import adam_init, adam_step, flatten
 from cgru.policy_grad import (EstimatorConfig, GradientEstimate,
-                              _importance_weights, baseline_term_estimate,
-                              cgru_gradient, clip_to_norm, compute_advantages,
+                              _importance_weights, _unflatten,
+                              baseline_term_estimate, cgru_gradient,
+                              clip_to_norm, compute_advantages,
                               ddpo_gradient, gradient_variance,
                               optimal_baseline_probe, per_sample_scores,
                               policy_update_epoch, state_values)
@@ -148,8 +149,8 @@ def test_optimal_baseline_probe_orders_variance():
 
 
 def test_gradient_variance_oracle():
-    a = GradientEstimate(grad=np.array([1.0, 3.0]), estimator="x", n_traj=1)
-    b = GradientEstimate(grad=np.array([3.0, 7.0]), estimator="x", n_traj=1)
+    a = GradientEstimate(grad=np.array([1.0, 3.0]), n_traj=1)
+    b = GradientEstimate(grad=np.array([3.0, 7.0]), n_traj=1)
     # per-coordinate unbiased variances are 2 and 8; their mean is 5
     assert math.isclose(gradient_variance([a, b]), 5.0, rel_tol=1e-12)
     with pytest.raises(ValueError):
@@ -178,6 +179,32 @@ def test_policy_update_epoch_moves_params_deterministically():
                         rngmod.stream(0, rngmod.PHASE_POLICY, 2),
                         grad_accum=2)
     assert np.array_equal(after, flatten(model2.net, model2.net.params))
+
+
+def test_single_update_epoch_is_an_adam_step_on_cgru_gradient():
+    # with grad_accum >= T one epoch is one update on the cgru estimate
+    model, sched, trajs = desk_setup()
+    noise = rngmod.stream(5, rngmod.PHASE_DIAG, 0)
+    trajs.logp = trajs.logp + 0.2 * noise.standard_normal(trajs.logp.shape)
+    critic = lambda x, c, t: 0.1 * t + c
+    cfg = EstimatorConfig(clip_low=0.9, clip_high=1.1, grad_max_norm=1e18)
+    est = cgru_gradient(trajs[:], model, critic, cfg, sched)
+    assert est.clip_count > 0
+    want = {k: v.copy() for k, v in model.net.params.items()}
+    adam_step(adam_init(model.net, lr=1e-3), want,
+              _unflatten(model.net, -est.grad))
+
+    stats = policy_update_epoch(model, trajs, critic, cfg, sched,
+                                adam_init(model.net, lr=1e-3),
+                                rngmod.stream(0, rngmod.PHASE_POLICY, 4),
+                                grad_accum=sched.T)
+    assert stats["updates"] == 1
+    # the epoch sums steps in shuffled order, cgru_gradient in T..1 order
+    assert math.isclose(stats["grad_norm_mean"], np.linalg.norm(est.grad),
+                        rel_tol=1e-12)
+    assert stats["clip_count"] == est.clip_count
+    assert np.allclose(flatten(model.net, model.net.params),
+                       flatten(model.net, want), rtol=1e-12, atol=0)
 
 
 def test_policy_update_epoch_rejects_before_filling_advantages():
