@@ -14,8 +14,9 @@ import numpy as np
 from cgru import rng as rngmod
 from cgru.config import RunConfig, apply_overrides
 from cgru.diffusion import mode_centers, sample_dataset
+from cgru.nets import forward
 from cgru.pipeline import _load_classifier, _reward_spec, run_classifier
-from cgru.rewards import (RewardSpec, classifier_probs, reward_values)
+from cgru.rewards import RewardSpec, reward_values
 
 OUT = "demo_runs/02_reward"
 
@@ -36,7 +37,7 @@ print(f"\nforget class is {target}; reward = "
       f"{spec.scale} * (1 - p(class {target} | x0))")
 print(f"{'center of':>10} {'p(target)':>10} {'reward':>8}")
 for k in range(K):
-    p = classifier_probs(clf, centers[k][None])[0, target]
+    p = forward(clf, centers[k][None])[0, target]
     r = reward_values(spec, centers[k][None], clf)[0]
     tag = "  <- forget mode" if k == target else ""
     print(f"{'class ' + str(k):>10} {p:>10.3f} {r:>8.2f}{tag}")

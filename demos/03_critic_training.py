@@ -19,12 +19,11 @@ import numpy as np
 from cgru import rng as rngmod
 from cgru.config import RunConfig, apply_overrides
 from cgru.critic import (ablation_compare, build_critic, build_critic_buffer,
-                         critic_train)
-from cgru.diffusion import mode_centers, sample_trajectories
+                         critic_train, critic_values)
+from cgru.diffusion import mode_centers, one_hot, sample_trajectories
 from cgru.pipeline import (_load_base_model, _load_classifier, _load_critic,
                            _reward_spec, _schedule, run_classifier,
                            run_critic, run_pretrain)
-from cgru.policy_grad import state_values
 from cgru.rewards import RewardSpec, assign_rewards
 
 OUT = "demo_runs/03_critic"
@@ -57,7 +56,8 @@ target = cfg.reward.target_class
 
 def value(critic, latents, t):
     """V(x_t, target, t) for one trajectory's latents (x_T first)."""
-    return state_values(critic, latents[sched.T - t], target, t)[0]
+    return critic_values(critic, latents[None, sched.T - t],
+                         one_hot([target], K), t)[0]
 
 
 print("\n== pipeline critic on a forget-class rollout ==")

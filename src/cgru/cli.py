@@ -15,16 +15,15 @@ import numpy as np
 from . import pipeline
 from . import rng as rngmod
 from .config import RunConfig, apply_overrides, load_config, validate
-from .critic import ablation_compare, build_critic_buffer
+from .critic import ablation_compare, build_critic_buffer, value_matrix
 from .diffusion import mode_centers, sample_trajectories
 from .errors import CgruError, ConfigError
 from .pipeline import (_load_base_model, _load_classifier, _load_critic,
                        _locked, _mixture_class_ids, _path, _reward_spec,
                        _schedule, _write_csv)
 from .policy_grad import (baseline_term_estimate, cgru_gradient,
-                          compute_advantages, ddpo_gradient,
-                          gradient_variance, optimal_baseline_probe,
-                          per_sample_scores)
+                          ddpo_gradient, gradient_variance,
+                          optimal_baseline_probe, per_sample_scores)
 from .rewards import RewardSpec, assign_rewards
 from .toy import (build_toy, sample_toy_trajectories, toy_analytic_gradient,
                   toy_mean_reward)
@@ -77,15 +76,15 @@ def diag_unbiasedness(cfg: RunConfig) -> dict:
         model, np.full(sizes[-1], cfg.reward.target_class), sched, cfg.seed,
         rngmod.PHASE_DIAG, first_index=_IDX_UNBIAS_SWEEP)
     assign_rewards(rollouts, spec, clf)
-    # advantages are filled once for the whole batch; the prefixes reuse them
-    compute_advantages(rollouts, critic)
+    # the critic runs once over the whole batch; the prefixes slice its values
+    values = value_matrix(critic, rollouts)
     rows = []
     for n in sizes:
         prefix = rollouts[:n]
         b_norm = float(np.linalg.norm(
-            baseline_term_estimate(prefix, model, critic, sched)))
-        g_norm = float(np.linalg.norm(
-            cgru_gradient(prefix, model, critic, cfg.estimator, sched).grad))
+            baseline_term_estimate(prefix, model, values[:n], sched)))
+        g_norm = float(np.linalg.norm(cgru_gradient(
+            prefix, model, values[:n], cfg.estimator, sched).grad))
         rows.append((n, b_norm, g_norm, b_norm / g_norm))
 
     path = _path(cfg, "diag_unbiasedness.csv")
@@ -124,7 +123,8 @@ def diag_variance(cfg: RunConfig, n_batches: int = 20,
                                        rngmod.PHASE_DIAG,
                                        first_index=_IDX_VARIANCE + b * 1000)
         assign_rewards(rollouts, spec, clf)
-        ests["cgru"].append(cgru_gradient(rollouts, model, critic,
+        ests["cgru"].append(cgru_gradient(rollouts, model,
+                                          value_matrix(critic, rollouts),
                                           cfg.estimator, sched))
         ests["ddpo"].append(ddpo_gradient(rollouts, model, sched,
                                           cfg.estimator))

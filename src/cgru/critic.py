@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .diffusion import NoiseSchedule, one_hot, sample_trajectories
+from .diffusion import NoiseSchedule, Rollouts, one_hot, sample_trajectories
 from .nets import (Act, Dense, Film, Network, adam_init, adam_step, backward,
                    embed_lookup, forward, init_network, sinusoidal_embed)
 from .rewards import RewardSpec, assign_rewards
@@ -73,11 +73,24 @@ def build_critic(d: int, n_classes: int, T: int, hidden: int = 64,
 
 
 def critic_values(critic: Critic, x: Array, onehot: Array, ts) -> Array:
-    """Batched V(x_t, c, t); ts may be a scalar or one step per row."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
-    out = forward(critic.net, critic.inputs(x, onehot), critic.cond(ts, n))
+    """Batched V(x_t, c, t) for states x (n, d); ts may be a scalar or one
+    step per row."""
+    out = forward(critic.net, critic.inputs(x, onehot), critic.cond(ts, len(x)))
     return out[:, 0]
+
+
+def value_matrix(critic: Critic, rollouts: Rollouts) -> Array:
+    """The (n, T) state-value baseline: column t-1 holds V(x_t, c, t).
+
+    The critic sees one trajectory's T states per call."""
+    T = rollouts.T
+    ts = np.arange(T, 0, -1)
+    values = np.empty((len(rollouts), T))
+    for i, c in enumerate(rollouts.class_ids):
+        onehot = one_hot(np.full(T, c), critic.n_classes)
+        values[i, ts - 1] = critic_values(critic, rollouts.latents[i, :T],
+                                          onehot, ts)
+    return values
 
 
 def build_critic_buffer(model, class_ids, spec: RewardSpec, clf,

@@ -93,19 +93,15 @@ def q_sample(x0, t, eps, sched: NoiseSchedule) -> Array:
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 
 
-def gaussian_logprob(x, mu, sigma: float):
-    """Log density of N(mu, sigma^2 I) evaluated at x, row-wise for batches;
-    the dimension of the Gaussian is the length of x's rows."""
+def gaussian_logprob(x: Array, mu: Array, sigma: float) -> Array:
+    """Log density of N(mu, sigma^2 I) at each row of x (n, d); the
+    dimension of the Gaussian is d."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    x = np.asarray(x, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    if x.shape != mu.shape:
-        raise ShapeMismatch(f"x shape {x.shape} != mu shape {mu.shape}")
+    if x.shape != mu.shape or x.ndim != 2:
+        raise ShapeMismatch(f"need two (n, d) batches, got x {x.shape} "
+                            f"and mu {mu.shape}")
     diff = x - mu
-    if x.ndim == 1:
-        return -0.5 * x.shape[0] * math.log(2.0 * math.pi * sigma * sigma) \
-            - float(diff @ diff) / (2.0 * sigma * sigma)
     return -0.5 * x.shape[1] * math.log(2.0 * math.pi * sigma * sigma) \
         - (diff * diff).sum(axis=1) / (2.0 * sigma * sigma)
 
@@ -127,13 +123,14 @@ class Rollouts:
     """A batch of n reverse rollouts over T steps, one row per trajectory.
 
     latents[:, i] is x_{T-i}, so latents[:, 0] is x_T and latents[:, -1]
-    is x_0; column k of logp and advantages belongs to step t = k+1.
+    is x_0; column k of logp belongs to step t = k+1. Rewards are assigned
+    after sampling. The value baseline is not stored here: the estimators
+    take it as an (n, T) matrix laid out like logp (critic.value_matrix).
     """
     class_ids: Array                    # (n,) int
     latents: Array                      # (n, T+1, d)
     logp: Array                         # (n, T) behavior log-probs
     rewards: Array | None = None        # (n,)
-    advantages: Array | None = None     # (n, T)
 
     def __len__(self) -> int:
         return len(self.class_ids)

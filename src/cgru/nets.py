@@ -17,7 +17,7 @@ from .errors import Divergence, ShapeMismatch
 
 Array = np.ndarray
 
-_ACT_KINDS = ("tanh", "relu", "softmax")
+_ACT_KINDS = ("tanh", "softmax")
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,8 @@ def init_network(arch: list, rng: np.random.Generator) -> Network:
 
 def _as_batch(x) -> Array:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.ndim != 2:
-        raise ShapeMismatch(f"expected 1-D or 2-D input, got shape {x.shape}")
+        raise ShapeMismatch(f"expected a 2-D (n, d) batch, got shape {x.shape}")
     return x
 
 
@@ -147,9 +145,6 @@ def _run(net: Network, x: Array, cond, tape: list | None = None):
             if layer.kind == "tanh":
                 x = np.tanh(x)
                 record(("tanh", i, x))
-            elif layer.kind == "relu":
-                record(("relu", i, x))
-                x = np.maximum(x, 0.0)
             else:
                 x = _softmax(x)
                 record(("softmax", i, x))
@@ -171,7 +166,7 @@ def _run(net: Network, x: Array, cond, tape: list | None = None):
 
 
 def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
-    """Apply the network to a batch (or single vector) of inputs.
+    """Apply the network to a batch of inputs x (n, d).
 
     cond must be given exactly when the architecture contains film
     blocks; it is the per-row conditioning matrix (n, cond_dim). Pass an
@@ -180,18 +175,17 @@ def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
     """
     if tape:
         raise ValueError("tape already holds a forward walk")
-    squeeze = np.asarray(x).ndim == 1
-    xb = _as_batch(x)
+    x = _as_batch(x)
     if net.has_film:
         if cond is None:
             raise ShapeMismatch("network has film blocks but no cond was given")
         cond = _as_batch(cond)
     elif cond is not None:
         raise ShapeMismatch("network has no film blocks but cond was given")
-    out = _run(net, xb, cond, tape)
+    out = _run(net, x, cond, tape)
     if not np.isfinite(out).all():
         raise Divergence("non-finite values in network output")
-    return out[0] if squeeze else out
+    return out
 
 
 def backward(net: Network, out_grad, tape: list) -> dict:
@@ -220,8 +214,6 @@ def backward(net: Network, out_grad, tape: list) -> dict:
                 g = g @ net.params[f"{i}.w"].T
         elif kind == "tanh":
             g = g * (1.0 - cache * cache)
-        elif kind == "relu":
-            g = g * (cache > 0.0)
         elif kind == "softmax":
             s = cache
             g = s * (g - (g * s).sum(axis=1, keepdims=True))

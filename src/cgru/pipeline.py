@@ -24,7 +24,8 @@ import numpy as np
 from . import rng as rngmod
 from .checkpoint import load_network, save_network
 from .config import RunConfig, config_hash, validate
-from .critic import Critic, build_critic, build_critic_buffer, critic_train
+from .critic import (Critic, build_critic, build_critic_buffer, critic_train,
+                     value_matrix)
 from .diffusion import (build_eps_net, ddpm_train_step, dump_dataset_csv,
                         make_schedule, mode_centers, sample_dataset,
                         sample_trajectories)
@@ -51,8 +52,11 @@ class RunManifest:
     phases: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
 
-    def record_phase(self, name: str, status: str, seconds: float) -> None:
+    def record_phase(self, name: str, status: str, seconds: float,
+                     error: str | None = None) -> None:
         self.phases[name] = {"status": status, "seconds": round(seconds, 3)}
+        if error is not None:
+            self.phases[name]["error"] = error
 
     def record_artifacts(self, paths: dict) -> None:
         for name, path in paths.items():
@@ -355,18 +359,19 @@ def _policy_lr(cfg: RunConfig, it: int) -> float:
     return cfg.policy.lr * (1.0 + (cfg.policy.lr_end_frac - 1.0) * frac)
 
 
-def _diag_gradients(rollouts, model, critic, cfg, sched, method):
-    """Full-batch gradient norm plus subgroup variance, both on-policy. For
-    cgru the full-batch estimate fills the advantages the slices reuse."""
-    def estimate(subset):
+def _diag_gradients(rollouts, model, values, cfg, sched, method):
+    """Full-batch gradient norm plus subgroup variance, both on-policy; cgru
+    weights by the batch's (n, T) value matrix, sliced with the rows."""
+    def estimate(rows):
         if method == "cgru":
-            return cgru_gradient(subset, model, critic, cfg.estimator, sched)
-        return ddpo_gradient(subset, model, sched, cfg.estimator)
+            return cgru_gradient(rollouts[rows], model, values[rows],
+                                 cfg.estimator, sched)
+        return ddpo_gradient(rollouts[rows], model, sched, cfg.estimator)
 
-    full = estimate(rollouts)
+    full = estimate(slice(None))
     n = len(rollouts)
     group = max(1, n // 4)
-    estimates = [estimate(rollouts[i:i + group])
+    estimates = [estimate(slice(i, i + group))
                  for i in range(0, n - group + 1, group)]
     var = gradient_variance(estimates) if len(estimates) >= 2 else float("nan")
     return float(np.linalg.norm(full.grad)), var
@@ -412,12 +417,13 @@ def _unlearn_phase(cfg: RunConfig, method: str) -> dict:
             first_index=(it + 1) * _POLICY_TRAJ_STRIDE)
         assign_rewards(rollouts, spec, clf)
         mean_reward = float(np.mean(rollouts.rewards))
-        grad_norm, grad_var = _diag_gradients(rollouts, model, critic, cfg,
+        values = value_matrix(critic, rollouts) if method == "cgru" else None
+        grad_norm, grad_var = _diag_gradients(rollouts, model, values, cfg,
                                               sched, method)
 
         clip_count = 0
         for _ in range(cfg.policy.inner_epochs):
-            stats = policy_update_epoch(model, rollouts, critic, cfg.estimator,
+            stats = policy_update_epoch(model, rollouts, values, cfg.estimator,
                                         sched, opt, order_rng,
                                         grad_accum=cfg.policy.grad_accum)
             clip_count += stats["clip_count"]
@@ -592,7 +598,8 @@ _FULL_PHASES = (
 
 
 def run_full(cfg: RunConfig) -> RunManifest:
-    """All phases in order; the manifest records artifacts and timings."""
+    """All phases in order; the manifest records artifacts and timings, and
+    a failing phase's error as "<ExceptionType>: <message>"."""
     validate(cfg)
     manifest = RunManifest(config_hash=config_hash(cfg))
     with _locked(cfg.out_dir):
@@ -600,9 +607,10 @@ def run_full(cfg: RunConfig) -> RunManifest:
             start = time.perf_counter()
             try:
                 result = phase(cfg)
-            except Exception:
+            except Exception as exc:
                 manifest.record_phase(name, "failed",
-                                      time.perf_counter() - start)
+                                      time.perf_counter() - start,
+                                      f"{type(exc).__name__}: {exc}")
                 _write_manifest(cfg, manifest)
                 raise
             manifest.record_phase(name, "ok", time.perf_counter() - start)

@@ -5,19 +5,22 @@ reverse step t in row i is weighted by coef[i, t-1], times the clamped
 likelihood ratio against the stored behavior log-probs when those are
 given, and averaged over rows. The terminal-reward estimator weights
 every step by the trajectory reward; the critic-guided estimator weights
-step t by the ratio times the advantage r - V(x_t, c, t). Subtracting the
-state-value baseline leaves the expectation unchanged (the baseline term
-has mean zero) while shrinking the variance, which baseline_term_estimate
-and gradient_variance measure directly.
+step t by the ratio times the advantage r - V(x_t, c, t). The baseline V
+is plain data: an (n, T) matrix whose column t-1 holds V(x_t, c, t), which
+the caller computes once per batch (critic.value_matrix) and passes in;
+None means no baseline. Subtracting the state-value baseline leaves the
+expectation unchanged (the baseline term has mean zero) while shrinking
+the variance, which baseline_term_estimate and gradient_variance measure
+directly.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .critic import Critic, critic_values
 from .diffusion import (NoiseSchedule, Rollouts, gaussian_logprob, one_hot,
                         reverse_mean, score_coef)
+from .errors import ShapeMismatch
 from .nets import accumulate, adam_step, backward, flatten, zero_grads
 
 Array = np.ndarray
@@ -41,7 +44,6 @@ class EstimatorConfig:
 @dataclass
 class GradientEstimate:
     grad: Array
-    n_traj: int
     clip_count: int = 0
 
 
@@ -51,47 +53,16 @@ def _importance_weights(logp_new: Array, logp_old: Array, cfg: EstimatorConfig):
     return np.clip(w, cfg.clip_low, cfg.clip_high), int(clipped.sum())
 
 
-def state_values(critic, x: Array, class_ids, ts) -> Array:
-    """Critic values for a batch of states.
-
-    Accepts a Critic, a callable (x, class_id, t) -> float, or None.
-    None means no baseline at all (values identically zero), which turns
-    the advantage r - V into the raw terminal reward.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
-    if critic is None:
-        return np.zeros(n)
-    ids = np.broadcast_to(np.asarray(class_ids, dtype=np.int64), (n,))
-    tarr = np.broadcast_to(np.asarray(ts, dtype=np.int64), (n,))
-    if isinstance(critic, Critic):
-        return critic_values(critic, x, one_hot(ids, critic.n_classes), tarr)
-    return np.array([float(critic(x[i], int(ids[i]), int(tarr[i])))
-                     for i in range(n)])
-
-
-def compute_advantages(rollouts: Rollouts, critic) -> Rollouts:
-    """Fill rollouts.advantages with r - V(x_t, c, t) for t = 1..T, in
-    place. The critic sees one trajectory's T states per call."""
+def _reward_minus_values(rollouts: Rollouts, values: Array | None) -> Array:
+    """The (n, T) advantage matrix r - V; values None means V = 0."""
     if rollouts.rewards is None:
         raise ValueError("rollouts have no rewards assigned")
-    T = rollouts.T
-    ts = np.arange(T, 0, -1)
-    adv = np.empty((len(rollouts), T))
-    for i in range(len(rollouts)):
-        vals = state_values(critic, rollouts.latents[i, :T],
-                            rollouts.class_ids[i], ts)
-        adv[i, ts - 1] = rollouts.rewards[i] - vals
-    rollouts.advantages = adv
-    return rollouts
-
-
-def _advantages(rollouts: Rollouts, critic) -> Array:
-    """The (n, T) advantage matrix, computed from `critic` if the batch has
-    none yet."""
-    if rollouts.advantages is None:
-        compute_advantages(rollouts, critic)
-    return rollouts.advantages
+    shape = (len(rollouts), rollouts.T)
+    if values is None:
+        return np.broadcast_to(rollouts.rewards[:, None], shape)
+    if values.shape != shape:
+        raise ShapeMismatch(f"values shape {values.shape} != {shape}")
+    return rollouts.rewards[:, None] - values
 
 
 def _score_gradient(model, sched: NoiseSchedule, lat: Array, onehot: Array,
@@ -106,6 +77,8 @@ def _score_gradient(model, sched: NoiseSchedule, lat: Array, onehot: Array,
     through mu only, since sigma_t is fixed by the schedule.
     """
     n, T = lat.shape[0], lat.shape[1] - 1
+    if coef.shape != (n, T):
+        raise ShapeMismatch(f"coef shape {coef.shape} != {(n, T)}")
     grads = zero_grads(model.net)
     clip_count = 0
     for t in steps:
@@ -136,50 +109,44 @@ def clip_to_norm(vec: Array, max_norm: float) -> Array:
 def ddpo_gradient(rollouts: Rollouts, model, sched: NoiseSchedule,
                   cfg: EstimatorConfig) -> GradientEstimate:
     """On-policy terminal-reward estimator: mean_n sum_t grad log p * r_n."""
-    if rollouts.rewards is None:
-        raise ValueError("rollouts have no rewards assigned")
-    n, T = len(rollouts), rollouts.T
-    coef = np.broadcast_to(rollouts.rewards[:, None], (n, T))
     grad, _ = _score_gradient(model, sched, rollouts.latents,
                               one_hot(rollouts.class_ids, model.n_classes),
-                              range(T, 0, -1), coef)
-    return GradientEstimate(grad=clip_to_norm(grad, cfg.grad_max_norm),
-                            n_traj=n)
+                              range(rollouts.T, 0, -1),
+                              _reward_minus_values(rollouts, None))
+    return GradientEstimate(grad=clip_to_norm(grad, cfg.grad_max_norm))
 
 
-def cgru_gradient(rollouts: Rollouts, model, critic, cfg: EstimatorConfig,
+def cgru_gradient(rollouts: Rollouts, model, values: Array | None,
+                  cfg: EstimatorConfig,
                   sched: NoiseSchedule) -> GradientEstimate:
     """Importance-weighted advantage estimator.
 
-    Uses the advantages stored on the batch (computing them from `critic`
-    if absent), weights each step by the clamped likelihood ratio against
-    the stored behavior log-probs, and averages over trajectories while
-    summing over steps, visiting timesteps T..1.
+    Weights step t of row i by the advantage r_i - values[i, t-1] times
+    the clamped likelihood ratio against the stored behavior log-probs,
+    and averages over trajectories while summing over steps, visiting
+    timesteps T..1.
     """
-    adv = _advantages(rollouts, critic)
     grad, clip_count = _score_gradient(
         model, sched, rollouts.latents,
         one_hot(rollouts.class_ids, model.n_classes),
-        range(rollouts.T, 0, -1), adv, rollouts.logp, cfg)
+        range(rollouts.T, 0, -1), _reward_minus_values(rollouts, values),
+        rollouts.logp, cfg)
     return GradientEstimate(grad=clip_to_norm(grad, cfg.grad_max_norm),
-                            n_traj=len(rollouts), clip_count=clip_count)
+                            clip_count=clip_count)
 
 
-def baseline_term_estimate(rollouts: Rollouts, model, critic,
+def baseline_term_estimate(rollouts: Rollouts, model, values: Array,
                            sched: NoiseSchedule) -> Array:
     """Monte-Carlo estimate of B = E[sum_t grad log p * V(x_t, c, t)].
 
-    This is the term the advantage subtracts from the terminal-reward
-    estimator; its expectation is exactly zero, so the estimate should
-    shrink like 1/sqrt(n_traj). No clipping or importance weighting is
-    applied.
+    values is the (n, T) baseline matrix. This is the term the advantage
+    subtracts from the terminal-reward estimator; its expectation is
+    exactly zero, so the estimate should shrink like 1/sqrt(n_traj). No
+    clipping or importance weighting is applied.
     """
-    ids, lat, T = rollouts.class_ids, rollouts.latents, rollouts.T
-    # critic values first: a critic forward beside a live eps tape raises peak memory
-    values = np.stack([state_values(critic, lat[:, T - t], ids, t)
-                       for t in range(1, T + 1)], axis=1)
-    grad, _ = _score_gradient(model, sched, lat, one_hot(ids, model.n_classes),
-                              range(T, 0, -1), values)
+    grad, _ = _score_gradient(model, sched, rollouts.latents,
+                              one_hot(rollouts.class_ids, model.n_classes),
+                              range(rollouts.T, 0, -1), values)
     return grad
 
 
@@ -228,7 +195,7 @@ def optimal_baseline_probe(model, sched: NoiseSchedule, rollouts: Rollouts,
     return out
 
 
-def policy_update_epoch(model, rollouts: Rollouts, critic,
+def policy_update_epoch(model, rollouts: Rollouts, values: Array | None,
                         cfg: EstimatorConfig, sched: NoiseSchedule, opt,
                         rng: np.random.Generator, grad_accum: int = 1) -> dict:
     """One epoch of critic-guided updates over a trajectory buffer.
@@ -239,13 +206,13 @@ def policy_update_epoch(model, rollouts: Rollouts, critic,
     gradient every `grad_accum` visits. With grad_accum >= T one epoch
     is a single update identical to applying cgru_gradient directly.
 
-    critic=None runs the same loop with raw terminal rewards in place of
-    advantages, i.e. the terminal-reward baseline method on an identical
-    update budget.
+    values is the (n, T) baseline matrix; values=None runs the same loop
+    with raw terminal rewards in place of advantages, i.e. the
+    terminal-reward baseline method on an identical update budget.
     """
     if grad_accum < 1:
         raise ValueError(f"grad_accum must be >= 1, got {grad_accum}")
-    adv = _advantages(rollouts, critic)
+    adv = _reward_minus_values(rollouts, values)
     n, T = len(rollouts), rollouts.T
     onehot = one_hot(rollouts.class_ids, model.n_classes)
 

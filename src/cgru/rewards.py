@@ -76,14 +76,8 @@ def train_classifier(X: Array, y, n_classes: int, rng: np.random.Generator,
     return net, history
 
 
-def classifier_probs(net: Network, X) -> Array:
-    probs = forward(net, X)
-    return probs
-
-
 def classifier_predict(net: Network, X) -> Array:
-    probs = np.atleast_2d(classifier_probs(net, X))
-    return probs.argmax(axis=1)
+    return forward(net, X).argmax(axis=1)
 
 
 def classifier_accuracy(net: Network, X, y) -> float:
@@ -96,37 +90,32 @@ def penultimate_features(net: Network, X) -> Array:
     return forward_upto(net, X, last_dense)
 
 
-def classifier_reward(net: Network, x0, target_class: int,
-                      scale: float = 10.0):
-    """scale * (1 - p(target | x0)); batched when x0 is a matrix."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    single = x0.ndim == 1
-    probs = np.atleast_2d(classifier_probs(net, x0))
+def classifier_reward(net: Network, x0: Array, target_class: int,
+                      scale: float = 10.0) -> Array:
+    """scale * (1 - p(target | x0)) for each row of x0 (n, d)."""
+    probs = forward(net, x0)
     if not 0 <= target_class < probs.shape[1]:
         raise ValueError(f"target class {target_class} outside [0, {probs.shape[1]})")
-    r = scale * (1.0 - probs[:, target_class])
-    return float(r[0]) if single else r
+    return scale * (1.0 - probs[:, target_class])
 
 
-def mode_distance_reward(x0, center, scale: float = 10.0):
-    """scale * exp(-||x0 - center||^2), a dense alternative reward."""
-    x0 = np.asarray(x0, dtype=np.float64)
+def mode_distance_reward(x0: Array, center, scale: float = 10.0) -> Array:
+    """scale * exp(-||x0 - center||^2) for each row of x0 (n, d), a dense
+    alternative reward."""
     center = np.asarray(center, dtype=np.float64)
-    single = x0.ndim == 1
-    pts = np.atleast_2d(x0)
-    if center.shape != (pts.shape[1],):
-        raise ShapeMismatch(f"center shape {center.shape} != point dim {pts.shape[1]}")
-    d2 = ((pts - center) ** 2).sum(axis=1)
-    r = scale * np.exp(-d2)
-    return float(r[0]) if single else r
+    if x0.ndim != 2 or center.shape != (x0.shape[1],):
+        raise ShapeMismatch(f"center shape {center.shape} does not match "
+                            f"points of shape {x0.shape}")
+    d2 = ((x0 - center) ** 2).sum(axis=1)
+    return scale * np.exp(-d2)
 
 
 def reward_values(spec: RewardSpec, x0s: Array, clf: Network | None = None) -> Array:
     if spec.kind == "classifier_complement":
         if clf is None:
             raise ValueError("classifier_complement reward needs a classifier")
-        return np.asarray(classifier_reward(clf, x0s, spec.target_class, spec.scale))
-    return np.asarray(mode_distance_reward(x0s, np.asarray(spec.center), spec.scale))
+        return classifier_reward(clf, x0s, spec.target_class, spec.scale)
+    return mode_distance_reward(x0s, spec.center, spec.scale)
 
 
 def assign_rewards(rollouts, spec: RewardSpec, clf: Network | None = None):

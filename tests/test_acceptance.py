@@ -20,11 +20,13 @@ from cgru import rng as rngmod
 from cgru.cli import (diag_ablation, diag_baseline_optimum, diag_unbiasedness,
                       diag_variance)
 from cgru.config import RunConfig, apply_overrides
-from cgru.diffusion import mode_centers, rollout_from, sample_trajectories
+from cgru.critic import critic_values
+from cgru.diffusion import (mode_centers, one_hot, rollout_from,
+                            sample_trajectories)
 from cgru.metrics import FeatureStats, feature_stats, frechet_distance
 from cgru.nets import backward, forward
 from cgru.policy_grad import (EstimatorConfig, cgru_gradient, ddpo_gradient,
-                              per_sample_scores, state_values)
+                              per_sample_scores)
 from cgru.rewards import (RewardSpec, assign_rewards, build_classifier_net,
                           reward_values)
 from cgru.toy import (build_toy, sample_toy_trajectories,
@@ -164,7 +166,8 @@ def test_03_zero_critic_reduces_to_terminal_reward():
     center = mode_centers(cfg.data.n_classes, cfg.data.radius)[0]
     assign_rewards(trajs, RewardSpec("mode_distance", center=tuple(center),
                                      scale=cfg.reward.scale))
-    g_c = cgru_gradient(trajs, model, lambda x, c, t: 0.0, RAW, sched).grad
+    g_c = cgru_gradient(trajs, model, np.zeros((16, sched.T)), RAW,
+                        sched).grad
     g_d = ddpo_gradient(trajs, model, sched, RAW).grad
     rel = float(np.linalg.norm(g_c - g_d) / np.linalg.norm(g_d))
     print(f"AC3 zero-critic degeneracy: relative gap {rel:.2e} (< 1e-12)")
@@ -215,7 +218,8 @@ def test_06_critic_tracks_monte_carlo_values(full_run):
     for i, c in enumerate(class_ids):
         t = i % sched.T + 1          # each timestep probed exactly once
         x_t = probes.latents[i, sched.T - t]
-        (v,) = state_values(critic, x_t, c, t)
+        (v,) = critic_values(critic, x_t[None], one_hot([c], critic.n_classes),
+                             t)
         x0s = rollout_from(model, c, sched, x_t, t, cfg.seed,
                            rngmod.PHASE_DIAG, n=1000,
                            first_index=_IDX_PROBE_MC + i * 1000)

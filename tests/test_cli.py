@@ -7,7 +7,8 @@ import warnings
 import pytest
 
 from cgru.cli import build_parser, main
-from cgru.config import save_config
+from cgru.config import RunConfig, save_config
+from cgru.critic import Critic
 
 from conftest import TINY_OVERRIDES, tiny_config
 
@@ -137,12 +138,23 @@ def test_diag_variance(diag_dir, capsys):
     assert sorted(ln.split(",")[0] for ln in lines[1:]) == ["cgru", "ddpo"]
 
 
-def test_diag_unbiasedness(diag_dir, capsys):
+def test_diag_unbiasedness(diag_dir, capsys, monkeypatch):
+    # every critic forward asks Critic.cond for its row count once
+    rows = []
+    cond = Critic.cond
+
+    def counting_cond(self, ts, n):
+        rows.append(n)
+        return cond(self, ts, n)
+
+    monkeypatch.setattr(Critic, "cond", counting_cond)
     assert main(_args(diag_dir, "diag", "unbiasedness")) == 0
     capsys.readouterr()
     lines = open(diag_dir / "diag_unbiasedness.csv").read().splitlines()
     assert lines[0] == "N,B_norm,grad_norm,ratio"
     assert [int(ln.split(",")[0]) for ln in lines[1:]] == [100, 1000, 10000]
+    # one critic pass over the 10,000 rollouts' states, shared by the prefixes
+    assert sum(rows) == 10_000 * RunConfig().diffusion.T
 
 
 def test_diag_ablation(diag_dir, capsys):

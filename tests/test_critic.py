@@ -7,10 +7,9 @@ import pytest
 from cgru import rng as rngmod
 from cgru.critic import (CriticBuffer, ablation_compare, build_critic,
                          build_critic_buffer, critic_mse, critic_train,
-                         critic_values)
+                         critic_values, value_matrix)
 from cgru.diffusion import (build_eps_net, make_schedule, one_hot,
                             sample_trajectories)
-from cgru.policy_grad import state_values
 from cgru.rewards import RewardSpec, assign_rewards
 
 
@@ -45,16 +44,22 @@ def test_blind_critic_ignores_timestep():
     assert len({round(v, 12) for v in aware_vals.values()}) == 3
 
 
-def test_state_values_matches_batched_critic_values():
+def test_value_matrix_matches_single_state_critic_values():
     critic = small_critic()
-    x = rngmod.stream(2, rngmod.PHASE_DIAG, 31).standard_normal((3, 2))
-    onehot = one_hot([0, 1, 3], 4)
-    batch = critic_values(critic, x, onehot, 4)
+    model = build_eps_net(2, 4, hidden=16, t_embed_dim=8,
+                          rng=rngmod.stream(0, rngmod.PHASE_INIT), T=10)
+    sched = make_schedule(10, 1e-4, 0.02)
+    rollouts = sample_trajectories(model, [0, 1, 3], sched, 2,
+                                   rngmod.PHASE_DIAG, first_index=31)
+    values = value_matrix(critic, rollouts)
+    assert values.shape == (3, 10)
     for i, k in enumerate((0, 1, 3)):
-        (one,) = state_values(critic, x[i], k, 4)
-        assert np.isclose(one, batch[i])
+        for t in range(1, 11):
+            x_t = rollouts.latents[i, 10 - t][None, :]
+            (one,) = critic_values(critic, x_t, one_hot([k], 4), t)
+            assert np.isclose(values[i, t - 1], one, rtol=1e-12, atol=0), (i, t)
     with pytest.raises(ValueError):
-        state_values(critic, x[0], 0, 11)
+        critic_values(critic, rollouts.latents[0, :1], one_hot([0], 4), 11)
 
 
 def buffer_setup():

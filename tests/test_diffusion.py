@@ -99,17 +99,18 @@ def test_q_sample_validates():
 
 def test_gaussian_logprob_pinned_and_scipy():
     # standard normal at the origin: -0.5 log(2 pi) per dimension
-    lp = gaussian_logprob(np.zeros(1), np.zeros(1), 1.0)
+    (lp,) = gaussian_logprob(np.zeros((1, 1)), np.zeros((1, 1)), 1.0)
     assert math.isclose(lp, -0.9189385332046727, rel_tol=1e-12)
-    assert math.isclose(gaussian_logprob(np.zeros(3), np.zeros(3), 1.0),
-                        3 * -0.9189385332046727, rel_tol=1e-12)
+    (lp,) = gaussian_logprob(np.zeros((1, 3)), np.zeros((1, 3)), 1.0)
+    assert math.isclose(lp, 3 * -0.9189385332046727, rel_tol=1e-12)
 
     rng = rngmod.stream(2, rngmod.PHASE_DIAG, 9)
     x = rng.standard_normal(4)
     mu = rng.standard_normal(4)
     sigma = 0.37
     want = scipy.stats.norm.logpdf(x, loc=mu, scale=sigma).sum()
-    assert math.isclose(gaussian_logprob(x, mu, sigma), want, rel_tol=1e-12)
+    (lp,) = gaussian_logprob(x[None], mu[None], sigma)
+    assert math.isclose(lp, want, rel_tol=1e-12)
 
     batch = rng.standard_normal((5, 4))
     mus = rng.standard_normal((5, 4))
@@ -118,7 +119,9 @@ def test_gaussian_logprob_pinned_and_scipy():
     assert np.allclose(got, want, rtol=1e-12)
 
     with pytest.raises(ValueError):
-        gaussian_logprob(np.zeros(2), np.zeros(2), 0.0)
+        gaussian_logprob(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
+    with pytest.raises(ShapeMismatch):
+        gaussian_logprob(np.zeros(2), np.zeros(2), 1.0)
 
 
 def test_mode_centers_geometry():
@@ -168,7 +171,7 @@ def test_trajectory_logp_matches_manual_recomputation():
             x_t = rollouts.latents[i, sched.T - t][None, :]
             x_prev = rollouts.latents[i, sched.T - t + 1][None, :]
             mu = reverse_mean(model, x_t, t, onehot, sched)
-            lp = gaussian_logprob(x_prev[0], mu[0], sched.sigma(t))
+            (lp,) = gaussian_logprob(x_prev, mu, sched.sigma(t))
             assert math.isclose(lp, rollouts.logp[i, t - 1], rel_tol=1e-10), t
 
 
@@ -181,7 +184,7 @@ def test_trajectory_shapes_and_x0():
     assert rollouts.latents.shape == (3, 11, 2)
     assert rollouts.logp.shape == (3, 10)
     assert rollouts.T == 10
-    assert rollouts.rewards is None and rollouts.advantages is None
+    assert rollouts.rewards is None
     assert np.array_equal(rollouts.x0, rollouts.latents[:, -1])
     # a slice is a sub-batch carrying whatever has been assigned
     rollouts.rewards = np.array([1.0, 2.0, 3.0])
@@ -190,7 +193,6 @@ def test_trajectory_shapes_and_x0():
     assert np.array_equal(tail.class_ids, [2, 0])
     assert np.array_equal(tail.latents, rollouts.latents[1:])
     assert np.array_equal(tail.rewards, [2.0, 3.0])
-    assert tail.advantages is None
     with pytest.raises(ValueError):
         sample_trajectories(model, [4], sched, 1, rngmod.PHASE_DIAG)
 

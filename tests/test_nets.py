@@ -50,6 +50,9 @@ def test_activations_match_numpy():
     assert np.allclose(out, z / z.sum())
     assert np.allclose(out.sum(axis=1), 1.0)
 
+    with pytest.raises(ValueError, match="relu"):
+        Act("relu")
+
 
 def _fd_param_check(net, x, cond, rtol=1e-6):
     """Central finite differences over every parameter coordinate."""

@@ -105,6 +105,18 @@ def test_unmet_gates_raise_phase_failure(tmp_path):
         pipeline.run_pretrain(cfg2)
 
 
+def test_failed_phase_error_is_in_the_manifest(tmp_path):
+    cfg = tiny_config(tmp_path / "fails",
+                      extra=["classifier.steps=5", "classifier.target_acc=0.99"])
+    with pytest.raises(PhaseFailure):
+        pipeline.run_full(cfg)
+    phases = json.load(open(os.path.join(cfg.out_dir, "manifest.json")))["phases"]
+    assert list(phases) == ["classifier"]
+    assert phases["classifier"]["status"] == "failed"
+    assert phases["classifier"]["error"].startswith("PhaseFailure: ")
+    assert "accuracy" in phases["classifier"]["error"]
+
+
 def test_corrupt_checkpoint_is_reported_with_filename(tiny_run, tmp_path):
     cfg, _ = tiny_run
     out = tmp_path / "corrupt"

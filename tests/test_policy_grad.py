@@ -8,14 +8,14 @@ import pytest
 
 from cgru import rng as rngmod
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
+from cgru.errors import ShapeMismatch
 from cgru.nets import adam_init, adam_step, flatten
 from cgru.policy_grad import (EstimatorConfig, GradientEstimate,
                               _importance_weights, _unflatten,
                               baseline_term_estimate, cgru_gradient,
-                              clip_to_norm, compute_advantages,
-                              ddpo_gradient, gradient_variance,
-                              optimal_baseline_probe, per_sample_scores,
-                              policy_update_epoch, state_values)
+                              clip_to_norm, ddpo_gradient,
+                              gradient_variance, optimal_baseline_probe,
+                              per_sample_scores, policy_update_epoch)
 from cgru.rewards import RewardSpec, assign_rewards
 from cgru.toy import (build_toy, sample_toy_trajectories,
                       toy_analytic_gradient, toy_mean_reward)
@@ -75,7 +75,6 @@ def test_terminal_reward_estimator_unbiased_on_probe():
     # the batched estimator agrees with the per-trajectory mean
     est = ddpo_gradient(trajs, policy, sched, RAW)
     assert np.allclose(est.grad, mean, rtol=1e-10)
-    assert est.n_traj == n
 
 
 def test_advantage_estimator_unbiased_on_probe():
@@ -83,7 +82,7 @@ def test_advantage_estimator_unbiased_on_probe():
     n = 4000
     trajs = sample_toy_trajectories(policy, sched, n, seed=22)
     baseline = toy_mean_reward(0.5)
-    est = cgru_gradient(trajs, policy, lambda x, c, t: baseline, RAW, sched)
+    est = cgru_gradient(trajs, policy, np.full((n, 1), baseline), RAW, sched)
     scores = per_sample_scores(trajs, policy, sched)
     per_traj = scores * (trajs.rewards - baseline)[:, None]
     se = per_traj.std(axis=0, ddof=1) / math.sqrt(n)
@@ -94,7 +93,8 @@ def test_degeneracy_zero_critic_reduces_to_terminal_reward():
     # identical on-policy trajectories, critic fixed at zero: the
     # advantage estimator IS the terminal-reward estimator
     model, sched, trajs = desk_setup()
-    a = cgru_gradient(trajs, model, lambda x, c, t: 0.0, RAW, sched)
+    a = cgru_gradient(trajs, model, np.zeros((len(trajs), sched.T)), RAW,
+                      sched)
     b = ddpo_gradient(trajs, model, sched, RAW)
     denom = max(np.linalg.norm(b.grad), 1e-300)
     assert np.linalg.norm(a.grad - b.grad) / denom < 1e-12
@@ -107,31 +107,33 @@ def test_zero_rewards_give_zero_gradient():
     assert np.linalg.norm(est.grad) < 1e-12
 
 
-def test_state_values_accepts_critic_callable_and_none():
-    x = np.zeros((3, 2))
-    vals = state_values(lambda xx, c, t: 7.0, x, [0, 1, 2], 4)
-    assert np.allclose(vals, 7.0)
-    assert np.allclose(state_values(None, x, [0, 1, 2], 4), 0.0)
-
-
-def test_compute_advantages_is_reward_minus_value():
+def test_advantage_estimator_is_terminal_reward_minus_baseline_term():
+    # on-policy the ratios are 1, so weighting by r - V splits into the
+    # terminal-reward estimate minus the baseline term of V
     model, sched, trajs = desk_setup()
-    compute_advantages(trajs, lambda x, c, t: 0.25 * t + c)
-    for i in range(len(trajs)):
-        want = [trajs.rewards[i] - 0.25 * t - trajs.class_ids[i]
-                for t in range(1, sched.T + 1)]
-        assert np.allclose(trajs.advantages[i], want, rtol=1e-12)
+    values = 0.25 * np.arange(1, sched.T + 1) + trajs.class_ids[:, None]
+    got = cgru_gradient(trajs, model, values, RAW, sched).grad
+    want = ddpo_gradient(trajs, model, sched, RAW).grad \
+        - baseline_term_estimate(trajs, model, values, sched)
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
+    # no baseline is the zero matrix
+    none = cgru_gradient(trajs, model, None, RAW, sched).grad
+    zero = cgru_gradient(trajs, model, np.zeros_like(values), RAW, sched).grad
+    assert np.array_equal(none, zero)
+    with pytest.raises(ShapeMismatch):
+        cgru_gradient(trajs, model, values[:, :1], RAW, sched)
     trajs.rewards = None
     with pytest.raises(ValueError):
-        compute_advantages(trajs, None)
+        cgru_gradient(trajs, model, values, RAW, sched)
 
 
 def test_baseline_term_mean_shrinks_with_sample_size():
     policy, sched = build_toy(0.5)
     trajs = sample_toy_trajectories(policy, sched, 8000, seed=23)
-    critic = lambda x, c, t: toy_mean_reward(0.5)
-    small = np.linalg.norm(baseline_term_estimate(trajs[:200], policy, critic, sched))
-    large = np.linalg.norm(baseline_term_estimate(trajs, policy, critic, sched))
+    values = np.full((len(trajs), sched.T), toy_mean_reward(0.5))
+    small = np.linalg.norm(baseline_term_estimate(trajs[:200], policy,
+                                                  values[:200], sched))
+    large = np.linalg.norm(baseline_term_estimate(trajs, policy, values, sched))
     assert large < small
     # zero-expectation term: at n=8000 the norm should be well under the
     # per-sample scale (|baseline| * typical score magnitude ~ 1)
@@ -149,8 +151,8 @@ def test_optimal_baseline_probe_orders_variance():
 
 
 def test_gradient_variance_oracle():
-    a = GradientEstimate(grad=np.array([1.0, 3.0]), n_traj=1)
-    b = GradientEstimate(grad=np.array([3.0, 7.0]), n_traj=1)
+    a = GradientEstimate(grad=np.array([1.0, 3.0]))
+    b = GradientEstimate(grad=np.array([3.0, 7.0]))
     # per-coordinate unbiased variances are 2 and 8; their mean is 5
     assert math.isclose(gradient_variance([a, b]), 5.0, rel_tol=1e-12)
     with pytest.raises(ValueError):
@@ -161,7 +163,7 @@ def test_policy_update_epoch_moves_params_deterministically():
     model, sched, trajs = desk_setup()
     opt = adam_init(model.net, lr=1e-3)
     before = flatten(model.net, model.net.params).copy()
-    stats = policy_update_epoch(model, trajs, lambda x, c, t: 0.0,
+    stats = policy_update_epoch(model, trajs, np.zeros((len(trajs), sched.T)),
                                 EstimatorConfig(), sched, opt,
                                 rngmod.stream(0, rngmod.PHASE_POLICY, 2),
                                 grad_accum=2)
@@ -174,7 +176,7 @@ def test_policy_update_epoch_moves_params_deterministically():
     # identical inputs and rng stream reproduce identical parameters
     model2, sched2, trajs2 = desk_setup()
     opt2 = adam_init(model2.net, lr=1e-3)
-    policy_update_epoch(model2, trajs2, lambda x, c, t: 0.0,
+    policy_update_epoch(model2, trajs2, np.zeros((len(trajs2), sched2.T)),
                         EstimatorConfig(), sched2, opt2,
                         rngmod.stream(0, rngmod.PHASE_POLICY, 2),
                         grad_accum=2)
@@ -186,15 +188,15 @@ def test_single_update_epoch_is_an_adam_step_on_cgru_gradient():
     model, sched, trajs = desk_setup()
     noise = rngmod.stream(5, rngmod.PHASE_DIAG, 0)
     trajs.logp = trajs.logp + 0.2 * noise.standard_normal(trajs.logp.shape)
-    critic = lambda x, c, t: 0.1 * t + c
+    values = 0.1 * np.arange(1, sched.T + 1) + trajs.class_ids[:, None]
     cfg = EstimatorConfig(clip_low=0.9, clip_high=1.1, grad_max_norm=1e18)
-    est = cgru_gradient(trajs[:], model, critic, cfg, sched)
+    est = cgru_gradient(trajs, model, values, cfg, sched)
     assert est.clip_count > 0
     want = {k: v.copy() for k, v in model.net.params.items()}
     adam_step(adam_init(model.net, lr=1e-3), want,
               _unflatten(model.net, -est.grad))
 
-    stats = policy_update_epoch(model, trajs, critic, cfg, sched,
+    stats = policy_update_epoch(model, trajs, values, cfg, sched,
                                 adam_init(model.net, lr=1e-3),
                                 rngmod.stream(0, rngmod.PHASE_POLICY, 4),
                                 grad_accum=sched.T)
@@ -211,11 +213,10 @@ def test_policy_update_epoch_rejects_before_filling_advantages():
     model, sched, trajs = desk_setup()
     opt = adam_init(model.net, lr=1e-3)
     with pytest.raises(ValueError, match="grad_accum"):
-        policy_update_epoch(model, trajs, lambda x, c, t: 0.0,
+        policy_update_epoch(model, trajs, None,
                             EstimatorConfig(), sched, opt,
                             rngmod.stream(0, rngmod.PHASE_POLICY, 2),
                             grad_accum=0)
-    assert trajs.advantages is None
 
 
 def test_policy_update_epoch_flags_stale_buffer():
@@ -224,7 +225,7 @@ def test_policy_update_epoch_flags_stale_buffer():
     rng = rngmod.stream(0, rngmod.PHASE_POLICY, 3)
     stats = None
     for _ in range(4):
-        stats = policy_update_epoch(model, trajs, lambda x, c, t: 0.0,
+        stats = policy_update_epoch(model, trajs, None,
                                     EstimatorConfig(), sched, opt, rng)
     assert stats["clip_count"] > 0
     assert stats["stale_buffer"]

@@ -8,10 +8,10 @@ import pytest
 from cgru import rng as rngmod
 from cgru.diffusion import make_schedule, mode_centers, sample_dataset, sample_trajectories, build_eps_net
 from cgru.errors import ShapeMismatch
-from cgru.nets import Act, Dense, Network, forward_upto
+from cgru.nets import Act, Dense, Network, forward, forward_upto
 from cgru.rewards import (RewardSpec, assign_rewards, build_classifier_net,
                           classifier_accuracy, classifier_predict,
-                          classifier_probs, classifier_reward,
+                          classifier_reward,
                           mode_distance_reward, penultimate_features,
                           reward_values, train_classifier)
 
@@ -27,7 +27,8 @@ def uniform_classifier(K=8):
 def test_classifier_reward_uniform_probabilities_pinned():
     net = uniform_classifier(8)
     # p(target) = 1/8 exactly, so reward = 10 * (1 - 1/8) = 8.75
-    r = classifier_reward(net, np.array([0.3, -2.0]), target_class=0, scale=10.0)
+    (r,) = classifier_reward(net, np.array([[0.3, -2.0]]), target_class=0,
+                             scale=10.0)
     assert math.isclose(r, 8.75, rel_tol=1e-12)
     batch = classifier_reward(net, np.zeros((4, 2)), target_class=5, scale=4.0)
     assert np.allclose(batch, 4.0 * (1 - 0.125))
@@ -36,7 +37,7 @@ def test_classifier_reward_uniform_probabilities_pinned():
 def test_classifier_reward_matches_probs():
     net = build_classifier_net(2, 8, 16, rng=rngmod.stream(0, rngmod.PHASE_INIT, 2))
     X = rngmod.stream(1, rngmod.PHASE_DIAG, 5).standard_normal((6, 2))
-    probs = classifier_probs(net, X)
+    probs = forward(net, X)
     r = classifier_reward(net, X, target_class=3, scale=10.0)
     assert np.allclose(r, 10.0 * (1.0 - probs[:, 3]), rtol=1e-12)
     with pytest.raises(ValueError):
@@ -45,15 +46,16 @@ def test_classifier_reward_matches_probs():
 
 def test_mode_distance_reward_pinned():
     center = np.array([4.0, 0.0])
-    assert math.isclose(mode_distance_reward(center, center, 10.0), 10.0)
+    (r,) = mode_distance_reward(center[None], center, 10.0)
+    assert math.isclose(r, 10.0)
     # one unit away: 10 * exp(-1)
-    r = mode_distance_reward(np.array([5.0, 0.0]), center, 10.0)
+    (r,) = mode_distance_reward(np.array([[5.0, 0.0]]), center, 10.0)
     assert math.isclose(r, 10.0 * math.exp(-1.0), rel_tol=1e-12)
     assert math.isclose(r, 3.6787944117144233, rel_tol=1e-12)
     batch = mode_distance_reward(np.array([[4.0, 1.0], [4.0, 2.0]]), center, 1.0)
     assert np.allclose(batch, [math.exp(-1.0), math.exp(-4.0)])
     with pytest.raises(ShapeMismatch):
-        mode_distance_reward(np.zeros(3), center)
+        mode_distance_reward(np.zeros((1, 3)), center)
 
 
 def test_reward_spec_validation():

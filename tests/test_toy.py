@@ -65,7 +65,8 @@ def test_estimators_recover_analytic_gradient(bias):
     trajs = sample_toy_trajectories(policy, sched, 20_000, seed=11)
     est_d = ddpo_gradient(trajs, policy, sched, RAW)
     est_c = cgru_gradient(trajs, policy,
-                          lambda x, c, t: toy_mean_reward(bias), RAW, sched)
+                          np.full((len(trajs), 1), toy_mean_reward(bias)),
+                          RAW, sched)
     truth = toy_analytic_gradient()
     # loose 3-sigma band from the empirical per-trajectory score spread
     for est in (est_d, est_c):
