@@ -21,9 +21,9 @@ from .errors import CgruError, ConfigError
 from .pipeline import (_load_base_model, _load_classifier, _load_critic,
                        _locked, _mixture_class_ids, _path, _reward_spec,
                        _schedule, _write_csv)
-from .policy_grad import (baseline_term_estimate, cgru_gradient,
-                          ddpo_gradient, gradient_variance,
-                          optimal_baseline_probe, per_sample_scores)
+from .policy_grad import (GradientEstimate, clip_to_norm, gradient_variance,
+                          group_estimates, optimal_baseline_probe,
+                          per_sample_scores)
 from .rewards import RewardSpec, assign_rewards
 from .toy import (build_toy, sample_toy_trajectories, toy_analytic_gradient,
                   toy_mean_reward)
@@ -76,15 +76,18 @@ def diag_unbiasedness(cfg: RunConfig) -> dict:
         model, np.full(sizes[-1], cfg.reward.target_class), sched, cfg.seed,
         rngmod.PHASE_DIAG, first_index=_IDX_UNBIAS_SWEEP)
     assign_rewards(rollouts, spec, clf)
-    # the critic runs once over the whole batch; the prefixes slice its values
+    # one critic pass and one walk over the whole batch, grouped at the
+    # prefix sizes; a prefix's estimate is its cumulative group sum over N
     values = value_matrix(critic, rollouts)
+    means, _ = group_estimates(rollouts, model, values, cfg.estimator, sched,
+                               ["baseline", "cgru"], cuts=sizes[:-1])
+    counts = np.diff((0,) + sizes)
+    prefix_sums = np.cumsum(means * counts[:, None], axis=1)
     rows = []
-    for n in sizes:
-        prefix = rollouts[:n]
-        b_norm = float(np.linalg.norm(
-            baseline_term_estimate(prefix, model, values[:n], sched)))
-        g_norm = float(np.linalg.norm(cgru_gradient(
-            prefix, model, values[:n], cfg.estimator, sched).grad))
+    for j, n in enumerate(sizes):
+        b_norm = float(np.linalg.norm(prefix_sums[0, j] / n))
+        g_norm = float(np.linalg.norm(clip_to_norm(
+            prefix_sums[1, j] / n, cfg.estimator.grad_max_norm)))
         rows.append((n, b_norm, g_norm, b_norm / g_norm))
 
     path = _path(cfg, "diag_unbiasedness.csv")
@@ -123,11 +126,15 @@ def diag_variance(cfg: RunConfig, n_batches: int = 20,
                                        rngmod.PHASE_DIAG,
                                        first_index=_IDX_VARIANCE + b * 1000)
         assign_rewards(rollouts, spec, clf)
-        ests["cgru"].append(cgru_gradient(rollouts, model,
-                                          value_matrix(critic, rollouts),
-                                          cfg.estimator, sched))
-        ests["ddpo"].append(ddpo_gradient(rollouts, model, sched,
-                                          cfg.estimator))
+        # both estimators from one walk over the batch
+        means, (clip_count, _) = group_estimates(
+            rollouts, model, value_matrix(critic, rollouts), cfg.estimator,
+            sched, ["cgru", "ddpo"])
+        max_norm = cfg.estimator.grad_max_norm
+        ests["cgru"].append(GradientEstimate(
+            clip_to_norm(means[0, 0], max_norm), clip_count))
+        ests["ddpo"].append(GradientEstimate(
+            clip_to_norm(means[1, 0], max_norm)))
     var = {m: gradient_variance(e) for m, e in ests.items()}
 
     boot_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_BOOT)

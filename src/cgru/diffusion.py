@@ -248,7 +248,8 @@ def sample_trajectories(model, class_ids, sched: NoiseSchedule, seed: int,
     """Batch rollouts with one counter-based stream per trajectory.
 
     Each trajectory's noise comes from stream(seed, phase, first_index+i),
-    so the result is independent of batching and of the worker count.
+    drawn through one re-keyed generator per shard (rng.streams), so the
+    result is independent of batching and of the worker count.
     Row 0 of a stream's draw is x_T; row k is the innovation for step
     t = T - k + 1.
     """
@@ -261,8 +262,8 @@ def sample_trajectories(model, class_ids, sched: NoiseSchedule, seed: int,
 
     def shard(lo, hi):
         noise = np.stack([
-            rngmod.stream(seed, phase, first_index + i).standard_normal((T + 1, d))
-            for i in range(lo, hi)])
+            gen.standard_normal((T + 1, d)) for gen in rngmod.streams(
+                seed, phase, range(first_index + lo, first_index + hi))])
         return _rollout(model, sched, onehot[lo:hi], noise, T, None)
 
     parts = rngmod.run_sharded(shard, n)
@@ -284,8 +285,8 @@ def rollout_from(model, class_id: int, sched: NoiseSchedule, x_t: Array,
 
     def shard(lo, hi):
         noise = np.stack([
-            rngmod.stream(seed, phase, first_index + i).standard_normal((t_start + 1, d))
-            for i in range(lo, hi)])
+            gen.standard_normal((t_start + 1, d)) for gen in rngmod.streams(
+                seed, phase, range(first_index + lo, first_index + hi))])
         start = np.broadcast_to(np.asarray(x_t, dtype=np.float64), (hi - lo, d))
         latents, _ = _rollout(model, sched, onehot[lo:hi], noise, t_start, start)
         return latents[:, -1]

@@ -4,8 +4,13 @@ Everything here operates on batches: inputs are (n, d) arrays. forward
 records each layer's cache on a tape (a list) when given one; backward
 walks that tape in reverse, without rerunning the network, for the
 gradient of <out_grad, forward(x)> summed over rows, for every parameter
-(not the input). Architectures are small lists of layer descriptors;
-parameters live in a flat dict keyed "{layer_index}.{w|b|cw|cb}".
+(not the input). Given per-parameter (G, ...) buffers and row bounds,
+backward instead adds each contiguous row group's sum into its own slot,
+in place: policy_grad's score walk uses this to get every coefficient
+term and row group from one forward pass per step, with rows chunked
+into rng.SHARD-wide shards by the caller. Architectures are small lists
+of layer descriptors; parameters live in a flat dict keyed
+"{layer_index}.{w|b|cw|cb}".
 """
 
 import math
@@ -188,13 +193,19 @@ def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
     return out
 
 
-def backward(net: Network, out_grad, tape: list) -> dict:
+def backward(net: Network, out_grad, tape: list, into: dict | None = None,
+             bounds=None) -> dict:
     """Exact gradients of <out_grad, forward(x)> summed over batch rows.
 
     `tape` is the list a forward call on the same network filled; the
     walk is not run again. Returns one gradient array per entry of
     net.params. cond is treated as data, not a parameter, but the film
     conditioning weights do receive gradients.
+
+    Grouped form: given `into`, a dict of (G, *param.shape) buffers, and
+    `bounds`, G + 1 increasing row boundaries from 0 to the row count, the
+    sum over rows bounds[k]:bounds[k+1] is added in place to into[name][k]
+    and `into` is returned, with one product per group and weight.
     """
     if not tape:
         raise ValueError("backward needs the tape of a forward call")
@@ -205,11 +216,18 @@ def backward(net: Network, out_grad, tape: list) -> dict:
     rows = (cache[0] if kind == "film" else cache).shape[0]
     if g.shape[0] != rows:
         raise ShapeMismatch(f"out_grad rows {g.shape[0]} != input rows {rows}")
-    grads = {}
+    if into is None:
+        grads = {}
+
+        def add(name, x, dy):       # x None: a bias, summed over rows
+            grads[name] = dy.sum(axis=0) if x is None else x.T @ dy
+    else:
+        grads = into
+        add = _group_adder(into, bounds, rows)
     for kind, i, cache in reversed(tape):
         if kind == "dense":
-            grads[f"{i}.w"] = cache.T @ g
-            grads[f"{i}.b"] = g.sum(axis=0)
+            add(f"{i}.w", cache, g)
+            add(f"{i}.b", None, g)
             if i:  # no layer reads the gradient of the network input
                 g = g @ net.params[f"{i}.w"].T
         elif kind == "tanh":
@@ -220,10 +238,26 @@ def backward(net: Network, out_grad, tape: list) -> dict:
         else:  # film
             feat, scale, cond = cache
             dg = np.concatenate([g * feat, g], axis=1)
-            grads[f"{i}.cw"] = cond.T @ dg
-            grads[f"{i}.cb"] = dg.sum(axis=0)
+            add(f"{i}.cw", cond, dg)
+            add(f"{i}.cb", None, dg)
             g = g * scale
     return grads
+
+
+def _group_adder(into: dict, bounds, rows: int):
+    """add(name, x, dy): the per-group sums of x.T @ dy (of dy for x None)
+    over the row groups that `bounds` cuts, added into into[name]."""
+    bounds = [int(b) for b in bounds]
+    if bounds[0] != 0 or bounds[-1] != rows \
+            or any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError(f"bounds must rise strictly from 0 to {rows}")
+    segments = list(enumerate(zip(bounds[:-1], bounds[1:])))
+
+    def add(name, x, dy):
+        buf = into[name]
+        for k, (a, b) in segments:
+            buf[k] += dy[a:b].sum(axis=0) if x is None else x[a:b].T @ dy[a:b]
+    return add
 
 
 def forward_upto(net: Network, x, n_layers: int) -> Array:
@@ -302,12 +336,3 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> None:
 def flatten(net: Network, tensors: dict) -> Array:
     """Concatenate tensors into one vector in canonical parameter order."""
     return np.concatenate([np.ravel(tensors[name]) for name in net.params])
-
-
-def zero_grads(net: Network) -> dict:
-    return {name: np.zeros_like(p) for name, p in net.params.items()}
-
-
-def accumulate(total: dict, part: dict) -> None:
-    for name, g in part.items():
-        total[name] += g

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
+import platform
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -33,8 +36,8 @@ from .errors import MissingArtifact, PhaseFailure
 from .metrics import (EvalReport, feature_stats, frechet_distance,
                       retain_accuracy, unlearning_accuracy)
 from .nets import adam_init
-from .policy_grad import (cgru_gradient, ddpo_gradient, gradient_variance,
-                          policy_update_epoch)
+from .policy_grad import (GradientEstimate, clip_to_norm, gradient_variance,
+                          group_estimates, policy_update_epoch)
 from .rewards import (RewardSpec, assign_rewards, build_classifier_net,
                       classifier_accuracy, classifier_predict,
                       penultimate_features, train_classifier)
@@ -53,10 +56,14 @@ class RunManifest:
     artifacts: dict = field(default_factory=dict)
 
     def record_phase(self, name: str, status: str, seconds: float,
-                     error: str | None = None) -> None:
+                     error: str | None = None, info: dict | None = None) -> None:
         self.phases[name] = {"status": status, "seconds": round(seconds, 3)}
         if error is not None:
             self.phases[name]["error"] = error
+        if info is not None:
+            # the summary is the CLI's text rendering of the same values
+            self.phases[name]["info"] = {k: v for k, v in info.items()
+                                         if k != "summary"}
 
     def record_artifacts(self, paths: dict) -> None:
         for name, path in paths.items():
@@ -71,23 +78,73 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:     # alive, owned by another user
+        pass
+    return True
+
+
+def _stale_owner(lock_path: str) -> int | None:
+    """The pid a lock names if it was taken on this host by a process
+    that is gone; None for a live, foreign or unreadable lock."""
+    try:
+        with open(lock_path, encoding="utf-8") as fh:
+            pid, host = fh.read().split()
+        pid = int(pid)
+    except (OSError, ValueError):
+        return None
+    if pid <= 0 or host != platform.node() or _pid_alive(pid):
+        return None
+    return pid
+
+
 @contextmanager
 def _locked(out_dir: str):
-    from .errors import LockError
+    """Hold out_dir's lock file, which names this process's pid and host.
+
+    A lock left by a process that no longer runs on this host is reclaimed
+    with a warning on stderr; any other existing lock raises LockError.
+    The check, the reclaim and the new lock's creation run under an
+    exclusive flock on out_dir, so two runs that find the same stale lock
+    cannot both take it (a new lock not yet written reads as live).
+    """
     os.makedirs(out_dir, exist_ok=True)
     lock_path = os.path.join(out_dir, ".lock")
+    dir_fd = os.open(out_dir, os.O_RDONLY)
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise LockError(
-            f"lock file exists: {lock_path}; another run may be using this "
-            "directory (delete the file if it is stale)")
+        fcntl.flock(dir_fd, fcntl.LOCK_EX)
+        fd = _take_lock(lock_path)
+    finally:
+        os.close(dir_fd)        # releases the flock
     try:
-        os.write(fd, f"{os.getpid()}\n".encode())
+        os.write(fd, f"{os.getpid()} {platform.node()}\n".encode())
         os.close(fd)
         yield
     finally:
         os.unlink(lock_path)
+
+
+def _take_lock(lock_path: str) -> int:
+    """Create lock_path, reclaiming a stale one; its open fd."""
+    from .errors import LockError
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    try:
+        fd = os.open(lock_path, flags)
+    except FileExistsError:
+        pid = _stale_owner(lock_path)
+        if pid is None:
+            raise LockError(
+                f"lock file exists: {lock_path}; another run may be using "
+                "this directory (delete the file if it is stale)")
+        sys.stderr.write(f"warning: reclaiming stale lock {lock_path} of "
+                         f"pid {pid}, which is no longer running\n")
+        os.unlink(lock_path)
+        fd = os.open(lock_path, flags)
+    return fd
 
 
 def _fmt(v) -> str:
@@ -360,21 +417,23 @@ def _policy_lr(cfg: RunConfig, it: int) -> float:
 
 
 def _diag_gradients(rollouts, model, values, cfg, sched, method):
-    """Full-batch gradient norm plus subgroup variance, both on-policy; cgru
-    weights by the batch's (n, T) value matrix, sliced with the rows."""
-    def estimate(rows):
-        if method == "cgru":
-            return cgru_gradient(rollouts[rows], model, values[rows],
-                                 cfg.estimator, sched)
-        return ddpo_gradient(rollouts[rows], model, sched, cfg.estimator)
-
-    full = estimate(slice(None))
+    """Full-batch gradient norm plus sub-batch variance, both on-policy,
+    from one walk grouped into four equal sub-batches. Remainder rows
+    count toward the full batch only; cgru weights by the batch's (n, T)
+    value matrix."""
     n = len(rollouts)
-    group = max(1, n // 4)
-    estimates = [estimate(slice(i, i + group))
-                 for i in range(0, n - group + 1, group)]
+    size = max(1, n // 4)
+    n_sub = n // size
+    cuts = [k * size for k in range(1, n_sub + 1) if k * size < n]
+    means, _ = group_estimates(rollouts, model, values, cfg.estimator, sched,
+                               [method], cuts)
+    sizes = np.diff([0, *cuts, n])
+    full = clip_to_norm((means[0] * sizes[:, None]).sum(axis=0) / n,
+                        cfg.estimator.grad_max_norm)
+    estimates = [GradientEstimate(clip_to_norm(g, cfg.estimator.grad_max_norm))
+                 for g in means[0, :n_sub]]
     var = gradient_variance(estimates) if len(estimates) >= 2 else float("nan")
-    return float(np.linalg.norm(full.grad)), var
+    return float(np.linalg.norm(full)), var
 
 
 def _unlearn_phase(cfg: RunConfig, method: str) -> dict:
@@ -598,7 +657,8 @@ _FULL_PHASES = (
 
 
 def run_full(cfg: RunConfig) -> RunManifest:
-    """All phases in order; the manifest records artifacts and timings, and
+    """All phases in order; the manifest records artifacts, timings, each
+    finished phase's info (gates, steps, buffer sizes, final metrics) and
     a failing phase's error as "<ExceptionType>: <message>"."""
     validate(cfg)
     manifest = RunManifest(config_hash=config_hash(cfg))
@@ -613,7 +673,8 @@ def run_full(cfg: RunConfig) -> RunManifest:
                                       f"{type(exc).__name__}: {exc}")
                 _write_manifest(cfg, manifest)
                 raise
-            manifest.record_phase(name, "ok", time.perf_counter() - start)
+            manifest.record_phase(name, "ok", time.perf_counter() - start,
+                                  info=result["info"])
             manifest.record_artifacts(result["paths"])
         _write_manifest(cfg, manifest)
     return manifest

@@ -12,16 +12,29 @@ None means no baseline. Subtracting the state-value baseline leaves the
 expectation unchanged (the baseline term has mean zero) while shrinking
 the variance, which baseline_term_estimate and gradient_variance measure
 directly.
+
+One walk serves several estimates. It takes a sequence of terms, each a
+coefficient matrix with or without behavior log-probs, and a grouping of
+the rows into contiguous blocks cut at sorted row indices. Per step it
+runs the denoiser forward once and back once per term, and it returns
+every term's mean over every group. Rows are walked in fixed rng.SHARD
+chunks through rng.run_sharded, and the shard results are reduced in
+shard order, so the output does not depend on the worker count.
+group_estimates names the terms by estimator. cgru_gradient, ddpo_gradient
+and baseline_term_estimate are thin one-group wrappers over it, and
+per_sample_scores is one walk with a group per trajectory.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as rngmod
 from .diffusion import (NoiseSchedule, Rollouts, gaussian_logprob, one_hot,
                         reverse_mean, score_coef)
 from .errors import ShapeMismatch
-from .nets import accumulate, adam_step, backward, flatten, zero_grads
+from .nets import adam_step, backward
 
 Array = np.ndarray
 
@@ -66,37 +79,108 @@ def _reward_minus_values(rollouts: Rollouts, values: Array | None) -> Array:
 
 
 def _score_gradient(model, sched: NoiseSchedule, lat: Array, onehot: Array,
-                    steps, coef: Array, logp_old: Array | None = None,
-                    cfg: EstimatorConfig | None = None):
-    """Flat sum over `steps` of the row-mean weighted score of step t.
+                    steps, terms, cuts=(), cfg: EstimatorConfig | None = None):
+    """Per-term, per-group sums over `steps` of the group-mean weighted score.
 
-    Row i at step t is weighted by coef[i, t-1] / n; given the behavior
-    log-probs logp_old (n, T), the weight is first multiplied by the
-    likelihood ratio clamped to cfg's range. Returns (gradient, number of
-    clamped ratios). The per-step score of the Gaussian kernel flows
-    through mu only, since sigma_t is fixed by the schedule.
+    terms is a sequence of (coef, logp_old): row i at step t is weighted by
+    coef[i, t-1] / (its group's size); when the behavior log-probs
+    logp_old (n, T) are given, the weight is first multiplied by the
+    likelihood ratio clamped to cfg's range. cuts are the sorted interior
+    row indices where a new group starts; none means one group. Returns
+    (gradients (len(terms), G, P) in flat parameter order, each term's
+    number of clamped ratios). The per-step score of the Gaussian kernel
+    flows through mu only, since sigma_t is fixed by the schedule.
+
+    With one group and at most rng.SHARD rows the arithmetic is that of a
+    single batched walk: weights / n inside the output gradient, then
+    0 + g_1 + g_2 + ... over steps.
     """
     n, T = lat.shape[0], lat.shape[1] - 1
-    if coef.shape != (n, T):
-        raise ShapeMismatch(f"coef shape {coef.shape} != {(n, T)}")
-    grads = zero_grads(model.net)
-    clip_count = 0
-    for t in steps:
-        xt = lat[:, T - t]
-        xprev = lat[:, T - t + 1]
-        tape = []
-        mu = reverse_mean(model, xt, t, onehot, sched, tape)
-        sig = sched.sigma(t)
-        weights = coef[:, t - 1]
-        if logp_old is not None:
-            w, nclip = _importance_weights(gaussian_logprob(xprev, mu, sig),
-                                           logp_old[:, t - 1], cfg)
-            clip_count += nclip
-            weights = w * weights
-        out_grad = (score_coef(sched, t) / (sig * sig)) \
-            * (xprev - mu) * (weights / n)[:, None]
-        accumulate(grads, backward(model.net, out_grad, tape))
-    return flatten(model.net, grads), clip_count
+    for coef, _ in terms:
+        if coef.shape != (n, T):
+            raise ShapeMismatch(f"coef shape {coef.shape} != {(n, T)}")
+    bounds = [0, *(int(c) for c in cuts), n]
+    if len(bounds) > 2 and any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError(f"cuts must rise strictly inside (0, {n}): {cuts}")
+    params = model.net.params
+    n_par = sum(p.size for p in params.values())
+
+    def shard(lo, hi):
+        g0 = bisect.bisect_right(bounds, lo) - 1
+        g1 = bisect.bisect_left(bounds, hi)
+        local = [min(max(b, lo), hi) - lo for b in bounds[g0:g1 + 1]]
+        # each row is divided by its group's size, so a group sums to its mean
+        sizes = np.diff(bounds[g0:g1 + 1])
+        size = float(sizes[0]) if len(sizes) == 1 \
+            else np.repeat(sizes, np.diff(local)).astype(np.float64)
+        flat = np.zeros((len(terms), g1 - g0, n_par))
+        # per-parameter (G, *shape) views into each term's flat rows
+        bufs = []
+        for k in range(len(terms)):
+            views, off = {}, 0
+            for name, p in params.items():
+                views[name] = flat[k, :, off:off + p.size].reshape(
+                    (g1 - g0,) + p.shape)
+                off += p.size
+            bufs.append(views)
+        clips = [0] * len(terms)
+        for t in steps:
+            xt = lat[lo:hi, T - t]
+            xprev = lat[lo:hi, T - t + 1]
+            tape = []
+            mu = reverse_mean(model, xt, t, onehot[lo:hi], sched, tape)
+            sig = sched.sigma(t)
+            score = (score_coef(sched, t) / (sig * sig)) * (xprev - mu)
+            logp_new = None
+            for k, (coef, logp_old) in enumerate(terms):
+                weights = coef[lo:hi, t - 1]
+                if logp_old is not None:
+                    if logp_new is None:
+                        logp_new = gaussian_logprob(xprev, mu, sig)
+                    w, nclip = _importance_weights(
+                        logp_new, logp_old[lo:hi, t - 1], cfg)
+                    clips[k] += nclip
+                    weights = w * weights
+                backward(model.net, score * (weights / size)[:, None], tape,
+                         bufs[k], local)
+        return g0, flat, clips
+
+    parts = rngmod.run_sharded(shard, n)
+    if len(parts) == 1:
+        return parts[0][1], parts[0][2]
+    total = np.zeros((len(terms), len(bounds) - 1, n_par))
+    clip_counts = [0] * len(terms)
+    for g0, flat, clips in parts:
+        total[:, g0:g0 + flat.shape[1]] += flat
+        clip_counts = [a + b for a, b in zip(clip_counts, clips)]
+    return total, clip_counts
+
+
+# the coefficient term of each estimator, from the batch and its (n, T)
+# baseline matrix; only cgru weights by the clamped likelihood ratio
+_TERMS = {
+    "cgru": lambda r, v: (_reward_minus_values(r, v), r.logp),
+    "ddpo": lambda r, v: (_reward_minus_values(r, None), None),
+    "baseline": lambda r, v: (v, None),
+}
+
+
+def group_estimates(rollouts: Rollouts, model, values: Array | None,
+                    cfg: EstimatorConfig, sched: NoiseSchedule, kinds,
+                    cuts=()):
+    """Unclipped estimates of each kind, one per row group, from one walk.
+
+    kinds name estimators: "cgru" (ratio times r - V), "ddpo" (r) and
+    "baseline" (V, the term the advantage subtracts). cuts split the rows
+    into contiguous groups as in _score_gradient. Returns (estimates
+    (len(kinds), G, P), each kind's number of clamped ratios); entry
+    [k, g] is the mean of kind k over the rows of group g.
+    """
+    return _score_gradient(model, sched, rollouts.latents,
+                           one_hot(rollouts.class_ids, model.n_classes),
+                           range(rollouts.T, 0, -1),
+                           [_TERMS[kind](rollouts, values) for kind in kinds],
+                           cuts, cfg)
 
 
 def clip_to_norm(vec: Array, max_norm: float) -> Array:
@@ -109,11 +193,8 @@ def clip_to_norm(vec: Array, max_norm: float) -> Array:
 def ddpo_gradient(rollouts: Rollouts, model, sched: NoiseSchedule,
                   cfg: EstimatorConfig) -> GradientEstimate:
     """On-policy terminal-reward estimator: mean_n sum_t grad log p * r_n."""
-    grad, _ = _score_gradient(model, sched, rollouts.latents,
-                              one_hot(rollouts.class_ids, model.n_classes),
-                              range(rollouts.T, 0, -1),
-                              _reward_minus_values(rollouts, None))
-    return GradientEstimate(grad=clip_to_norm(grad, cfg.grad_max_norm))
+    est, _ = group_estimates(rollouts, model, None, cfg, sched, ["ddpo"])
+    return GradientEstimate(grad=clip_to_norm(est[0, 0], cfg.grad_max_norm))
 
 
 def cgru_gradient(rollouts: Rollouts, model, values: Array | None,
@@ -126,12 +207,9 @@ def cgru_gradient(rollouts: Rollouts, model, values: Array | None,
     and averages over trajectories while summing over steps, visiting
     timesteps T..1.
     """
-    grad, clip_count = _score_gradient(
-        model, sched, rollouts.latents,
-        one_hot(rollouts.class_ids, model.n_classes),
-        range(rollouts.T, 0, -1), _reward_minus_values(rollouts, values),
-        rollouts.logp, cfg)
-    return GradientEstimate(grad=clip_to_norm(grad, cfg.grad_max_norm),
+    est, (clip_count,) = group_estimates(rollouts, model, values, cfg, sched,
+                                         ["cgru"])
+    return GradientEstimate(grad=clip_to_norm(est[0, 0], cfg.grad_max_norm),
                             clip_count=clip_count)
 
 
@@ -144,10 +222,9 @@ def baseline_term_estimate(rollouts: Rollouts, model, values: Array,
     exactly zero, so the estimate should shrink like 1/sqrt(n_traj). No
     clipping or importance weighting is applied.
     """
-    grad, _ = _score_gradient(model, sched, rollouts.latents,
-                              one_hot(rollouts.class_ids, model.n_classes),
-                              range(rollouts.T, 0, -1), values)
-    return grad
+    est, _ = group_estimates(rollouts, model, values, None, sched,
+                             ["baseline"])
+    return est[0, 0]
 
 
 def gradient_variance(estimates: list) -> float:
@@ -162,18 +239,14 @@ def gradient_variance(estimates: list) -> float:
 
 def per_sample_scores(rollouts: Rollouts, model,
                       sched: NoiseSchedule) -> Array:
-    """Unweighted per-trajectory score vectors sum_t grad log p, stacked.
-
-    One backward pass per trajectory, so this is meant for small probe
-    models rather than the full denoiser.
-    """
-    lat, T = rollouts.latents, rollouts.T
-    onehot = one_hot(rollouts.class_ids, model.n_classes)
-    ones = np.ones((1, T))
-    return np.stack([
-        _score_gradient(model, sched, lat[i:i + 1], onehot[i:i + 1],
-                        range(T, 0, -1), ones)[0]
-        for i in range(len(rollouts))])
+    """Unweighted per-trajectory score vectors sum_t grad log p, stacked:
+    one batched walk with one row group per trajectory."""
+    n, T = len(rollouts), rollouts.T
+    est, _ = _score_gradient(model, sched, rollouts.latents,
+                             one_hot(rollouts.class_ids, model.n_classes),
+                             range(T, 0, -1), [(np.ones((n, T)), None)],
+                             range(1, n))
+    return est[0]
 
 
 def optimal_baseline_probe(model, sched: NoiseSchedule, rollouts: Rollouts,
@@ -220,11 +293,11 @@ def policy_update_epoch(model, rollouts: Rollouts, values: Array | None,
     clip_count = 0
     grad_norms = []
     for lo in range(0, T, grad_accum):
-        grad, nclip = _score_gradient(model, sched, rollouts.latents, onehot,
-                                      order[lo:lo + grad_accum], adv,
-                                      rollouts.logp, cfg)
+        grad, (nclip,) = _score_gradient(model, sched, rollouts.latents,
+                                         onehot, order[lo:lo + grad_accum],
+                                         [(adv, rollouts.logp)], cfg=cfg)
         clip_count += nclip
-        flat = clip_to_norm(grad, cfg.grad_max_norm)
+        flat = clip_to_norm(grad[0, 0], cfg.grad_max_norm)
         grad_norms.append(float(np.linalg.norm(flat)))
         # ascent on expected reward, so Adam minimizes the negation
         adam_step(opt, model.net.params, _unflatten(model.net, -flat))

@@ -29,6 +29,15 @@ _MASK64 = (1 << 64) - 1
 _MASK56 = (1 << 56) - 1
 
 
+def _key(seed: int, phase: int, index: int) -> np.ndarray:
+    if phase < 0 or phase > 0xFF:
+        raise ValueError(f"phase must fit in one byte, got {phase}")
+    if index < 0 or index > _MASK56:
+        raise ValueError(f"stream index out of range: {index}")
+    return np.array([seed & _MASK64, ((phase << 56) | index) & _MASK64],
+                    dtype=np.uint64)
+
+
 def stream(seed: int, phase: int, index: int = 0) -> np.random.Generator:
     """Return the generator for (seed, phase, index).
 
@@ -36,13 +45,29 @@ def stream(seed: int, phase: int, index: int = 0) -> np.random.Generator:
     give statistically independent streams and the same triple always
     reproduces the same draws.
     """
-    if phase < 0 or phase > 0xFF:
-        raise ValueError(f"phase must fit in one byte, got {phase}")
-    if index < 0 or index > _MASK56:
-        raise ValueError(f"stream index out of range: {index}")
-    key = np.array([seed & _MASK64, ((phase << 56) | index) & _MASK64],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, phase, index)))
+
+
+_FRESH = np.zeros(4, dtype=np.uint64)
+
+
+def streams(seed: int, phase: int, indices):
+    """Yield stream(seed, phase, i) for each i in turn, from one generator.
+
+    One Philox is re-keyed in place for every index, with its counter,
+    buffer and cached 32-bit half reset, so each yielded generator draws
+    exactly what a fresh stream would, without building a new one. The
+    same object is yielded every time: finish with it before advancing.
+    """
+    bitgen = np.random.Philox(key=_key(seed, phase, 0))
+    gen = np.random.Generator(bitgen)
+    for index in indices:
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": _FRESH,
+                                  "key": _key(seed, phase, index)},
+                        "buffer": _FRESH, "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
+        yield gen
 
 
 def n_workers() -> int:

@@ -148,13 +148,21 @@ def test_diag_unbiasedness(diag_dir, capsys, monkeypatch):
         return cond(self, ts, n)
 
     monkeypatch.setattr(Critic, "cond", counting_cond)
+    monkeypatch.setenv("CGRU_THREADS", "1")
     assert main(_args(diag_dir, "diag", "unbiasedness")) == 0
     capsys.readouterr()
-    lines = open(diag_dir / "diag_unbiasedness.csv").read().splitlines()
+    path = diag_dir / "diag_unbiasedness.csv"
+    lines = open(path).read().splitlines()
     assert lines[0] == "N,B_norm,grad_norm,ratio"
     assert [int(ln.split(",")[0]) for ln in lines[1:]] == [100, 1000, 10000]
     # one critic pass over the 10,000 rollouts' states, shared by the prefixes
     assert sum(rows) == 10_000 * RunConfig().diffusion.T
+    # the sharded walk reduces in shard order: two workers, the same bytes
+    single = path.read_bytes()
+    monkeypatch.setenv("CGRU_THREADS", "2")
+    assert main(_args(diag_dir, "diag", "unbiasedness")) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == single
 
 
 def test_diag_ablation(diag_dir, capsys):

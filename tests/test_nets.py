@@ -140,9 +140,33 @@ def test_one_forward_walk_per_gradient_step(monkeypatch):
 
     lat = rng.standard_normal((5, T + 1, 2))
     grad, _ = _score_gradient(model, sched, lat, one_hot(ids, K), [3],
-                              np.ones((5, T)))
+                              [(np.ones((5, T)), None)])
     assert one_walk_of(model.net)
-    assert grad.shape == (sum(p.size for p in model.net.params.values()),)
+    assert grad.shape == (1, 1, sum(p.size for p in model.net.params.values()))
+
+
+@pytest.mark.parametrize("bounds", [[0, 7], [0, 2, 4, 6], [0, 1, 5, 7]])
+def test_grouped_backward_sums_each_row_group(bounds):
+    net = small_net(film=True)
+    rows = bounds[-1]
+    rng = rngmod.stream(3, rngmod.PHASE_DIAG, 9)
+    x = rng.standard_normal((rows, 3))
+    cond = rng.standard_normal((rows, 4))
+    out_grad = rng.standard_normal((rows, 2))
+    tape = []
+    forward(net, x, cond, tape)
+    G = len(bounds) - 1
+    into = {name: np.ones((G,) + p.shape) for name, p in net.params.items()}
+    assert backward(net, out_grad, tape, into, bounds) is into
+    for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        seg = []
+        forward(net, x[a:b], cond[a:b], seg)
+        want = backward(net, out_grad[a:b], seg)
+        for name in net.params:
+            assert np.allclose(into[name][k] - 1.0, want[name],
+                               rtol=1e-12, atol=1e-14), (name, k)
+    with pytest.raises(ValueError, match="bounds"):
+        backward(net, out_grad, tape, into, [0, 3, 3, rows])
 
 
 def test_film_block_oracle():

@@ -3,12 +3,20 @@
 import hashlib
 import json
 import os
+import platform
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from cgru import pipeline
-from cgru.config import apply_overrides, config_hash
+from cgru import nets, pipeline
+from cgru import rng as rngmod
+from cgru.config import RunConfig, apply_overrides, config_hash
+from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
+from cgru.policy_grad import cgru_gradient, ddpo_gradient, gradient_variance
+from cgru.rewards import RewardSpec, assign_rewards
 from cgru.errors import CheckpointError, LockError, MissingArtifact, PhaseFailure
 
 from conftest import tiny_config
@@ -74,6 +82,150 @@ def test_lock_blocks_concurrent_use(tiny_run):
         os.unlink(lock)
     # released lock lets the phase run again
     assert pipeline.run_eval(cfg, "base")["info"]["report"].ua >= 0.0
+
+
+def test_full_run_manifest_keeps_phase_info(tiny_run):
+    cfg, _ = tiny_run
+    phases = json.load(open(os.path.join(cfg.out_dir, "manifest.json")))["phases"]
+    info = {name: rec["info"] for name, rec in phases.items()}
+    assert info["classifier"]["holdout_accuracy"] >= cfg.classifier.target_acc
+    assert 0 < info["pretrain"]["steps"] <= cfg.pretrain.max_steps
+    assert set(info["pretrain"]["per_class_acc"]) == {
+        str(k) for k in range(cfg.data.n_classes)}
+    assert info["critic"]["buffer_size"] == cfg.critic.n_traj * cfg.diffusion.T
+    assert info["critic"]["final_loss"] > 0.0
+    for method in ("cgru", "ddpo"):
+        arm = info[f"unlearn_{method}"]
+        assert arm["iterations"] == cfg.policy.iterations
+        assert 0 <= arm["stale_iterations"] <= cfg.policy.iterations
+        for key in ("final_ua", "final_ira", "final_fd"):
+            assert isinstance(arm[key], float), key
+        report = info[f"eval_{method}"]["report"]
+        assert set(report) == {"ua", "ira", "fd", "per_class_acc"}
+        assert "summary" not in info[f"eval_{method}"]
+
+
+def _reaped_pid():
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def test_stale_lock_of_a_gone_process_is_reclaimed(tiny_run, capsys):
+    cfg, _ = tiny_run
+    lock = os.path.join(cfg.out_dir, ".lock")
+    pid = _reaped_pid()
+    with open(lock, "w") as fh:
+        fh.write(f"{pid} {platform.node()}\n")
+    assert pipeline.run_eval(cfg, "base")["info"]["report"].ua >= 0.0
+    err = capsys.readouterr().err
+    assert "stale lock" in err and str(pid) in err
+    assert not os.path.exists(lock)
+
+
+@pytest.mark.parametrize("content", [
+    "{live} {host}\n",                  # the owner still runs
+    "{gone} another-host.invalid\n",    # a pid on another host proves nothing
+    "{host}\n",                         # no pid
+])
+def test_lock_that_is_not_provably_stale_blocks(tiny_run, content):
+    cfg, _ = tiny_run
+    lock = os.path.join(cfg.out_dir, ".lock")
+    with open(lock, "w") as fh:
+        fh.write(content.format(live=os.getpid(), gone=_reaped_pid(),
+                                host=platform.node()))
+    try:
+        with pytest.raises(LockError, match=".lock"):
+            pipeline.run_eval(cfg, "base")
+    finally:
+        os.unlink(lock)
+
+
+def test_two_reclaimers_of_one_stale_lock_admit_one(tmp_path, monkeypatch):
+    # the first reclaimer starts a rival while it inspects the stale lock;
+    # the rival must wait for it, then find a live owner and stay out
+    out_dir = str(tmp_path / "race")
+    os.makedirs(out_dir)
+    lock = os.path.join(out_dir, ".lock")
+    with open(lock, "w") as fh:
+        fh.write(f"{_reaped_pid()} {platform.node()}\n")
+    outcomes = []
+
+    def claim():
+        try:
+            with pipeline._locked(out_dir):
+                outcomes.append("in")
+        except LockError:
+            outcomes.append("blocked")
+
+    rival = threading.Thread(target=claim)
+    real = pipeline._stale_owner
+    looks = []
+
+    def stale_owner(path):
+        looks.append(path)
+        if len(looks) == 1:
+            rival.start()
+            rival.join(0.5)     # unguarded, the rival reclaims the lock here
+        return real(path)
+
+    monkeypatch.setattr(pipeline, "_stale_owner", stale_owner)
+    with pipeline._locked(out_dir):
+        rival.join(30)
+        assert open(lock).read() == f"{os.getpid()} {platform.node()}\n"
+    assert outcomes == ["blocked"]
+    assert not os.path.exists(lock)
+
+
+def test_lock_names_its_owner(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(pipeline, "_eval_phase",
+                        lambda cfg, method: seen.append(
+                            open(os.path.join(cfg.out_dir, ".lock")).read()))
+    pipeline.run_eval(tiny_config(tmp_path / "owner"), "base")
+    assert seen == [f"{os.getpid()} {platform.node()}\n"]
+
+
+@pytest.mark.parametrize("method", ["cgru", "ddpo"])
+def test_diag_gradients_walk_once_per_step(monkeypatch, method):
+    # 18 rows: four sub-batches of four, and two remainder rows that count
+    # toward the full batch only
+    K, T, n = 4, 6, 18
+    model = build_eps_net(2, K, hidden=16, t_embed_dim=8,
+                          rng=rngmod.stream(2, rngmod.PHASE_INIT), T=T)
+    sched = make_schedule(T, 1e-4, 0.02)
+    rollouts = sample_trajectories(model, np.arange(n) % K, sched, 2,
+                                   rngmod.PHASE_DIAG, first_index=40)
+    assign_rewards(rollouts, RewardSpec("mode_distance", center=(0.0, 0.0),
+                                        scale=10.0))
+    values = 0.3 * np.arange(1, T + 1) + rollouts.class_ids[:, None] \
+        if method == "cgru" else None
+    cfg = RunConfig()
+
+    walks = []
+    run = nets._run
+
+    def counting_run(net, *args, **kwargs):
+        walks.append(net)
+        return run(net, *args, **kwargs)
+
+    monkeypatch.setattr(nets, "_run", counting_run)
+    norm, var = pipeline._diag_gradients(rollouts, model, values, cfg, sched,
+                                         method)
+    assert len(walks) == T and all(w is model.net for w in walks)
+    monkeypatch.setattr(nets, "_run", run)
+
+    def estimate(rows):
+        if method == "cgru":
+            return cgru_gradient(rollouts[rows], model, values[rows],
+                                 cfg.estimator, sched)
+        return ddpo_gradient(rollouts[rows], model, sched, cfg.estimator)
+
+    want_norm = np.linalg.norm(estimate(slice(None)).grad)
+    want_var = gradient_variance([estimate(slice(i, i + 4))
+                                  for i in range(0, 16, 4)])
+    assert norm == pytest.approx(want_norm, rel=1e-12)
+    assert var == pytest.approx(want_var, rel=1e-12)
 
 
 def test_missing_artifacts_are_named(tmp_path):

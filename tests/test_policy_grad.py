@@ -14,7 +14,8 @@ from cgru.policy_grad import (EstimatorConfig, GradientEstimate,
                               _importance_weights, _unflatten,
                               baseline_term_estimate, cgru_gradient,
                               clip_to_norm, ddpo_gradient,
-                              gradient_variance, optimal_baseline_probe,
+                              gradient_variance, group_estimates,
+                              optimal_baseline_probe,
                               per_sample_scores, policy_update_epoch)
 from cgru.rewards import RewardSpec, assign_rewards
 from cgru.toy import (build_toy, sample_toy_trajectories,
@@ -237,3 +238,67 @@ def test_per_sample_scores_match_batched_estimator():
     manual = (scores * trajs.rewards[:, None]).mean(axis=0)
     est = ddpo_gradient(trajs, model, sched, RAW)
     assert np.allclose(est.grad, manual, rtol=1e-10)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+@pytest.mark.parametrize("n,cuts", [
+    (16, [4, 8, 12]),         # equal groups: one batched product per weight
+    (1200, [100, 1000]),      # the prefix cuts of diag unbiasedness
+    (600, [100, 300]),        # groups that cross the 256-row shard bounds
+])
+def test_grouped_walk_equals_separate_sub_batch_walks(n, cuts):
+    model, sched, trajs = desk_setup(n=n)
+    values = 0.1 * np.arange(1, sched.T + 1) + trajs.class_ids[:, None]
+    noise = rngmod.stream(6, rngmod.PHASE_DIAG, 0)
+    trajs.logp = trajs.logp + 0.05 * noise.standard_normal(trajs.logp.shape)
+    cfg = EstimatorConfig(clip_low=0.95, clip_high=1.05)
+    kinds = ["baseline", "cgru", "ddpo"]
+    means, clips = group_estimates(trajs, model, values, cfg, sched, kinds,
+                                   cuts)
+    bounds = [0, *cuts, n]
+    assert means.shape[:2] == (3, len(bounds) - 1)
+    want_clips = [0, 0, 0]
+    for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        solo, solo_clips = group_estimates(trajs[a:b], model, values[a:b],
+                                           cfg, sched, kinds)
+        for k in range(3):
+            assert _rel(means[k, g], solo[k, 0]) < 1e-12, (k, g)
+        want_clips = [x + y for x, y in zip(want_clips, solo_clips)]
+    assert clips == want_clips and clips[1] > 0
+    # the one-group walk of the thin wrappers is the size-weighted sum
+    sizes = np.diff(bounds)[:, None]
+    assert _rel(baseline_term_estimate(trajs, model, values, sched),
+                (means[0] * sizes).sum(axis=0) / n) < 1e-12
+    assert _rel(ddpo_gradient(trajs, model, sched, RAW).grad,
+                (means[2] * sizes).sum(axis=0) / n) < 1e-12
+
+
+def test_grouped_walk_does_not_depend_on_worker_count(monkeypatch):
+    model, sched, trajs = desk_setup(n=600)
+    values = 0.1 * np.arange(1, sched.T + 1) + trajs.class_ids[:, None]
+    out = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CGRU_THREADS", threads)
+        out.append(group_estimates(trajs, model, values, EstimatorConfig(),
+                                   sched, ["baseline", "cgru"], [100, 300]))
+    assert np.array_equal(out[0][0], out[1][0])
+    assert out[0][1] == out[1][1]
+
+
+def test_group_cuts_must_rise_inside_the_batch():
+    model, sched, trajs = desk_setup(n=6)
+    for cuts in ([0, 3], [3, 6], [4, 2], [3, 3]):
+        with pytest.raises(ValueError, match="cuts"):
+            group_estimates(trajs, model, None, RAW, sched, ["ddpo"], cuts)
+
+
+def test_per_sample_scores_equal_the_per_row_loop():
+    model, sched, trajs = desk_setup(n=7)
+    scores = per_sample_scores(trajs, model, sched)
+    ones = np.ones((1, sched.T))
+    for i in range(len(trajs)):
+        row = baseline_term_estimate(trajs[i:i + 1], model, ones, sched)
+        assert _rel(scores[i], row) < 1e-12
