@@ -12,10 +12,13 @@ Layout, all little-endian:
         u64[]  dims
         f64[]  row-major payload
 
-Writing the same tensors twice produces byte-identical files.
+Writing the same tensors twice produces byte-identical files. Output files
+go through `replacing`, so a failed write leaves the previous file as it was.
 """
 
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,6 +26,20 @@ from .errors import CheckpointError
 
 MAGIC = b"CGRU"
 VERSION = 1
+
+
+@contextmanager
+def replacing(path, mode: str = "w", **open_kwargs):
+    """Open `<path>.tmp` for writing and os.replace it onto path once the
+    block succeeds; on an exception the .tmp file is removed instead."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def save_tensors(path, tensors: dict) -> None:
@@ -37,7 +54,7 @@ def save_tensors(path, tensors: dict) -> None:
         blob += struct.pack("<Q", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}Q", *arr.shape)
         blob += arr.tobytes(order="C")
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(bytes(blob))
 
 
@@ -81,16 +98,15 @@ def save_network(path, net) -> None:
 
 
 def load_network(path, net) -> None:
-    """Load params into an already-constructed network of the same shape."""
+    """Copy a checkpoint's tensors into the views of a same-shaped network."""
     tensors = load_tensors(path)
     if set(tensors) != set(net.params):
         missing = sorted(set(net.params) - set(tensors))
         extra = sorted(set(tensors) - set(net.params))
         raise CheckpointError(
             f"{path}: param names do not match (missing {missing}, extra {extra})")
-    for name, arr in tensors.items():
-        if arr.shape != net.params[name].shape:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {arr.shape}, "
-                f"expected {net.params[name].shape}")
-        net.params[name] = arr
+    for name, view in net.params.items():
+        if tensors[name].shape != view.shape:
+            raise CheckpointError(f"{path}: tensor {name} has shape "
+                                  f"{tensors[name].shape}, expected {view.shape}")
+        view[...] = tensors[name]

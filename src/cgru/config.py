@@ -15,6 +15,7 @@ import hashlib
 import typing
 from dataclasses import dataclass, field
 
+from .checkpoint import replacing
 from .errors import ConfigError
 from .policy_grad import EstimatorConfig
 
@@ -293,7 +294,7 @@ def load_config(path: str, overrides=()) -> RunConfig:
 
 
 def save_config(path: str, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, encoding="utf-8") as fh:
         fh.write(render_config(cfg))
 
 

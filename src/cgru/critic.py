@@ -147,8 +147,8 @@ def critic_train(critic: Critic, buffer: CriticBuffer, epochs: int,
             err = pred - r[idx]
             total += float(err @ err)
             out_grad = (2.0 * err / len(idx))[:, None]
-            grads = backward(critic.net, out_grad, tape)
-            adam_step(opt, critic.net.params, grads)
+            adam_step(opt, critic.net.theta,
+                      backward(critic.net, out_grad, tape)[0])
         history.append(total / n)
     return history
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .checkpoint import replacing
 from .errors import ScheduleError, ShapeMismatch
-from .nets import (Act, Dense, Network, backward, embed_lookup, forward,
-                   init_network, sinusoidal_embed)
+from .nets import (Act, Dense, Network, adam_step, backward, embed_lookup,
+                   forward, init_network, sinusoidal_embed)
 
 Array = np.ndarray
 
@@ -321,7 +322,8 @@ def sample_dataset(n: int, rng: np.random.Generator, n_classes: int = 8,
 
 def ddpm_loss_and_grads(model, x0: Array, class_ids, ts, eps: Array,
                         sched: NoiseSchedule):
-    """Denoising loss mean ||eps - eps_hat||^2 and its parameter gradients."""
+    """Denoising loss mean ||eps - eps_hat||^2 and its gradient, a vector
+    in the layout of model.net.theta."""
     n = len(x0)
     onehot = one_hot(class_ids, model.n_classes)
     xt = q_sample(x0, ts, eps, sched)
@@ -330,19 +332,17 @@ def ddpm_loss_and_grads(model, x0: Array, class_ids, ts, eps: Array,
     pred = forward(model.net, inputs, tape=tape)
     resid = pred - eps
     loss = float((resid * resid).sum(axis=1).mean())
-    grads = backward(model.net, 2.0 * resid / n, tape)
-    return loss, grads
+    return loss, backward(model.net, 2.0 * resid / n, tape)[0]
 
 
 def ddpm_train_step(model, x0: Array, class_ids, sched: NoiseSchedule,
                     rng: np.random.Generator, opt) -> float:
     """One minimization step of the denoising objective on a batch."""
-    from .nets import adam_step
     n = len(x0)
     ts = rng.integers(1, sched.T + 1, size=n)
     eps = rng.standard_normal((n, model.d))
-    loss, grads = ddpm_loss_and_grads(model, x0, class_ids, ts, eps, sched)
-    adam_step(opt, model.net.params, grads)
+    loss, grad = ddpm_loss_and_grads(model, x0, class_ids, ts, eps, sched)
+    adam_step(opt, model.net.theta, grad)
     return loss
 
 
@@ -350,7 +350,7 @@ def ddpm_train_step(model, x0: Array, class_ids, sched: NoiseSchedule,
 # debug dumps
 
 def dump_dataset_csv(path, X: Array, y) -> None:
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write("x0,x1,class\n")
         for (a, b), c in zip(X, y):
             fh.write(f"{float(a)!r},{float(b)!r},{int(c)}\n")

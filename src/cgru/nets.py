@@ -4,17 +4,19 @@ Everything here operates on batches: inputs are (n, d) arrays. forward
 records each layer's cache on a tape (a list) when given one; backward
 walks that tape in reverse, without rerunning the network, for the
 gradient of <out_grad, forward(x)> summed over rows, for every parameter
-(not the input). Given per-parameter (G, ...) buffers and row bounds,
-backward instead adds each contiguous row group's sum into its own slot,
-in place: policy_grad's score walk uses this to get every coefficient
+(not the input), as rows of a (G, P) array, one per contiguous row
+group: policy_grad's score walk uses the groups to get every coefficient
 term and row group from one forward pass per step, with rows chunked
 into rng.SHARD-wide shards by the caller. Architectures are small lists
-of layer descriptors; parameters live in a flat dict keyed
-"{layer_index}.{w|b|cw|cb}".
+of layer descriptors. A network's P parameters live in one float64
+vector, theta; net.params is a read-only mapping from
+"{layer_index}.{w|b|cw|cb}" to shaped views of it, in layer order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,14 +53,31 @@ class Film:
     cond_dim: int
 
 
-@dataclass
-class Network:
-    arch: list
-    params: dict[str, Array] = field(default_factory=dict)
+def _layout(arch: list):
+    """(name, shape) of each parameter tensor, in theta's order."""
+    for i, layer in enumerate(arch):
+        if isinstance(layer, Dense):
+            yield f"{i}.w", (layer.n_in, layer.n_out)
+            yield f"{i}.b", (layer.n_out,)
+        elif isinstance(layer, Film):
+            yield f"{i}.cw", (layer.cond_dim, 2 * layer.features)
+            yield f"{i}.cb", (2 * layer.features,)
 
-    @property
-    def has_film(self) -> bool:
-        return any(isinstance(l, Film) for l in self.arch)
+
+class Network:
+    """An architecture and its parameters, zero until written through theta
+    or in place through a view; rebinding a name in params raises TypeError."""
+
+    def __init__(self, arch: list):
+        self.arch = list(arch)
+        shapes = dict(_layout(self.arch))
+        ends = [0, *accumulate(math.prod(shape) for shape in shapes.values())]
+        # each name's columns: its slice of theta and of a gradient row
+        self._cols = {name: slice(a, b) for name, a, b in zip(shapes, ends, ends[1:])}
+        self.theta = np.zeros(ends[-1])
+        self.params = MappingProxyType({
+            name: self.theta[self._cols[name]].reshape(shape)
+            for name, shape in shapes.items()})
 
     @property
     def n_in(self) -> int:
@@ -108,18 +127,16 @@ def init_network(arch: list, rng: np.random.Generator) -> Network:
     half of the bias is 1 so an untrained block passes features through.
     """
     _check_arch(arch)
-    net = Network(list(arch))
+    net = Network(arch)
     for i, layer in enumerate(arch):
         if isinstance(layer, Dense):
             s = math.sqrt(6.0 / (layer.n_in + layer.n_out))
-            net.params[f"{i}.w"] = rng.uniform(-s, s, (layer.n_in, layer.n_out))
-            net.params[f"{i}.b"] = np.zeros(layer.n_out)
+            net.params[f"{i}.w"][...] = rng.uniform(-s, s, (layer.n_in, layer.n_out))
         elif isinstance(layer, Film):
             s = math.sqrt(6.0 / (layer.cond_dim + 2 * layer.features))
-            net.params[f"{i}.cw"] = rng.uniform(-s, s, (layer.cond_dim, 2 * layer.features))
-            cb = np.zeros(2 * layer.features)
-            cb[:layer.features] = 1.0
-            net.params[f"{i}.cb"] = cb
+            net.params[f"{i}.cw"][...] = rng.uniform(
+                -s, s, (layer.cond_dim, 2 * layer.features))
+            net.params[f"{i}.cb"][:layer.features] = 1.0
     return net
 
 
@@ -136,10 +153,12 @@ def _softmax(z: Array) -> Array:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _run(net: Network, x: Array, cond, tape: list | None = None):
-    """Shared forward walk; appends each layer's cache to `tape` if given."""
+def _run(net: Network, x: Array, cond, tape: list | None = None,
+         n_layers: int | None = None):
+    """Shared forward walk through the first n_layers (None: all); appends
+    each layer's cache to `tape` if given."""
     record = (lambda entry: None) if tape is None else tape.append
-    for i, layer in enumerate(net.arch):
+    for i, layer in enumerate(net.arch[:n_layers]):
         if isinstance(layer, Dense):
             if x.shape[1] != layer.n_in:
                 raise ShapeMismatch(
@@ -181,7 +200,7 @@ def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
     if tape:
         raise ValueError("tape already holds a forward walk")
     x = _as_batch(x)
-    if net.has_film:
+    if any(isinstance(layer, Film) for layer in net.arch):
         if cond is None:
             raise ShapeMismatch("network has film blocks but no cond was given")
         cond = _as_batch(cond)
@@ -193,19 +212,16 @@ def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
     return out
 
 
-def backward(net: Network, out_grad, tape: list, into: dict | None = None,
-             bounds=None) -> dict:
-    """Exact gradients of <out_grad, forward(x)> summed over batch rows.
+def backward(net: Network, out_grad, tape: list, bounds=None,
+             out: Array | None = None) -> Array:
+    """Exact gradients of <out_grad, forward(x)> summed over row groups.
 
     `tape` is the list a forward call on the same network filled; the
-    walk is not run again. Returns one gradient array per entry of
-    net.params. cond is treated as data, not a parameter, but the film
-    conditioning weights do receive gradients.
-
-    Grouped form: given `into`, a dict of (G, *param.shape) buffers, and
-    `bounds`, G + 1 increasing row boundaries from 0 to the row count, the
-    sum over rows bounds[k]:bounds[k+1] is added in place to into[name][k]
-    and `into` is returned, with one product per group and weight.
+    walk is not run again. cond is treated as data, not a parameter, but
+    the film conditioning weights do receive gradients. bounds are G + 1
+    rising row boundaries from 0 to the row count (None: one group). The
+    sum over rows bounds[k]:bounds[k+1] is added into row k of `out`, a
+    (G, P) array in theta's layout (None: zeros), which is returned.
     """
     if not tape:
         raise ValueError("backward needs the tape of a forward call")
@@ -216,14 +232,23 @@ def backward(net: Network, out_grad, tape: list, into: dict | None = None,
     rows = (cache[0] if kind == "film" else cache).shape[0]
     if g.shape[0] != rows:
         raise ShapeMismatch(f"out_grad rows {g.shape[0]} != input rows {rows}")
-    if into is None:
-        grads = {}
+    bounds = [0, rows] if bounds is None else [int(b) for b in bounds]
+    if bounds[0] != 0 or bounds[-1] != rows \
+            or any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError(f"bounds must rise strictly from 0 to {rows}")
+    segments = list(enumerate(zip(bounds[:-1], bounds[1:])))
+    if out is None:
+        out = np.zeros((len(segments), net.theta.size))
+    elif out.shape != (len(segments), net.theta.size):
+        raise ShapeMismatch(
+            f"out shape {out.shape} != {(len(segments), net.theta.size)}")
 
-        def add(name, x, dy):       # x None: a bias, summed over rows
-            grads[name] = dy.sum(axis=0) if x is None else x.T @ dy
-    else:
-        grads = into
-        add = _group_adder(into, bounds, rows)
+    def add(name, x, dy):           # x None: a bias, summed over rows
+        cols = net._cols[name]
+        for k, (a, b) in segments:
+            out[k, cols] += dy[a:b].sum(axis=0) if x is None \
+                else (x[a:b].T @ dy[a:b]).ravel()
+
     for kind, i, cache in reversed(tape):
         if kind == "dense":
             add(f"{i}.w", cache, g)
@@ -241,31 +266,14 @@ def backward(net: Network, out_grad, tape: list, into: dict | None = None,
             add(f"{i}.cw", cond, dg)
             add(f"{i}.cb", None, dg)
             g = g * scale
-    return grads
-
-
-def _group_adder(into: dict, bounds, rows: int):
-    """add(name, x, dy): the per-group sums of x.T @ dy (of dy for x None)
-    over the row groups that `bounds` cuts, added into into[name]."""
-    bounds = [int(b) for b in bounds]
-    if bounds[0] != 0 or bounds[-1] != rows \
-            or any(a >= b for a, b in zip(bounds, bounds[1:])):
-        raise ValueError(f"bounds must rise strictly from 0 to {rows}")
-    segments = list(enumerate(zip(bounds[:-1], bounds[1:])))
-
-    def add(name, x, dy):
-        buf = into[name]
-        for k, (a, b) in segments:
-            buf[k] += dy[a:b].sum(axis=0) if x is None else x[a:b].T @ dy[a:b]
-    return add
+    return out
 
 
 def forward_upto(net: Network, x, n_layers: int) -> Array:
     """Run only the first n_layers of the network (feature extraction)."""
     if not 0 < n_layers <= len(net.arch):
         raise ValueError(f"n_layers out of range: {n_layers}")
-    sub = Network(net.arch[:n_layers], net.params)
-    return _run(sub, _as_batch(x), None)
+    return _run(net, _as_batch(x), None, n_layers=n_layers)
 
 
 def sinusoidal_embed(t, dim: int, t_max: int) -> Array:
@@ -297,42 +305,30 @@ def embed_lookup(table: Array, t) -> Array:
 
 @dataclass
 class AdamState:
+    m: Array
+    v: Array
     lr: float = 3e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
 
 def adam_init(net: Network, lr: float = 3e-4, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    for name, p in net.params.items():
-        state.m[name] = np.zeros_like(p)
-        state.v[name] = np.zeros_like(p)
-    return state
+    return AdamState(np.zeros_like(net.theta), np.zeros_like(net.theta),
+                     lr, beta1, beta2, eps)
 
 
-def adam_step(state: AdamState, params: dict, grads: dict) -> None:
-    """One Adam update, in place, on every param that has a gradient."""
+def adam_step(state: AdamState, theta: Array, grad: Array) -> None:
+    """One Adam update of theta, in place, from a gradient in its layout."""
+    if grad.shape != theta.shape:
+        raise ShapeMismatch(f"grad shape {grad.shape} != theta shape {theta.shape}")
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    for name, g in grads.items():
-        p = params[name]
-        if g.shape != p.shape:
-            raise ShapeMismatch(f"grad shape {g.shape} != param shape {p.shape} for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-
-
-def flatten(net: Network, tensors: dict) -> Array:
-    """Concatenate tensors into one vector in canonical parameter order."""
-    return np.concatenate([np.ravel(tensors[name]) for name in net.params])
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * (grad * grad)
+    theta -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)

@@ -25,14 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .checkpoint import load_network, save_network
+from .checkpoint import load_network, replacing, save_network
 from .config import RunConfig, config_hash, validate
 from .critic import (Critic, build_critic, build_critic_buffer, critic_train,
                      value_matrix)
 from .diffusion import (build_eps_net, ddpm_train_step, dump_dataset_csv,
                         make_schedule, mode_centers, sample_dataset,
                         sample_trajectories)
-from .errors import MissingArtifact, PhaseFailure
+from .errors import Divergence, LockError, MissingArtifact, PhaseFailure
 from .metrics import (EvalReport, feature_stats, frechet_distance,
                       retain_accuracy, unlearning_accuracy)
 from .nets import adam_init
@@ -130,7 +130,6 @@ def _locked(out_dir: str):
 
 def _take_lock(lock_path: str) -> int:
     """Create lock_path, reclaiming a stale one; its open fd."""
-    from .errors import LockError
     flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
         fd = os.open(lock_path, flags)
@@ -155,7 +154,7 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -455,47 +454,47 @@ def _unlearn_phase(cfg: RunConfig, method: str) -> dict:
 
     diag_rows = []
     eval_rows = []
-    stale_iterations = 0
-    report = None
+    epoch_stats = []    # every policy_update_epoch's, for the phase info
     for it in range(cfg.policy.iterations):
-        opt.lr = _policy_lr(cfg, it)
-        if (method == "cgru" and cfg.policy.refresh_every > 0 and it > 0
-                and it % cfg.policy.refresh_every == 0):
-            refresh_ids = _mixture_class_ids(cfg, cfg.policy.refresh_traj,
-                                             refresh_rng)
-            buf = build_critic_buffer(
-                model, refresh_ids, spec, clf, sched, cfg.seed,
-                first_index=(it + 1) * _REFRESH_TRAJ_STRIDE)
-            critic_train(critic, buf, epochs=cfg.policy.refresh_epochs,
-                         batch_size=cfg.critic.batch_size, rng=refresh_rng,
-                         lr=cfg.critic.lr)
+        try:
+            opt.lr = _policy_lr(cfg, it)
+            if (method == "cgru" and cfg.policy.refresh_every > 0 and it > 0
+                    and it % cfg.policy.refresh_every == 0):
+                refresh_ids = _mixture_class_ids(cfg, cfg.policy.refresh_traj,
+                                                 refresh_rng)
+                buf = build_critic_buffer(
+                    model, refresh_ids, spec, clf, sched, cfg.seed,
+                    first_index=(it + 1) * _REFRESH_TRAJ_STRIDE)
+                critic_train(critic, buf, epochs=cfg.policy.refresh_epochs,
+                             batch_size=cfg.critic.batch_size, rng=refresh_rng,
+                             lr=cfg.critic.lr)
 
-        class_ids = _mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
-        rollouts = sample_trajectories(
-            model, class_ids, sched, cfg.seed, rngmod.PHASE_POLICY,
-            first_index=(it + 1) * _POLICY_TRAJ_STRIDE)
-        assign_rewards(rollouts, spec, clf)
-        mean_reward = float(np.mean(rollouts.rewards))
-        values = value_matrix(critic, rollouts) if method == "cgru" else None
-        grad_norm, grad_var = _diag_gradients(rollouts, model, values, cfg,
-                                              sched, method)
+            class_ids = _mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
+            rollouts = sample_trajectories(
+                model, class_ids, sched, cfg.seed, rngmod.PHASE_POLICY,
+                first_index=(it + 1) * _POLICY_TRAJ_STRIDE)
+            assign_rewards(rollouts, spec, clf)
+            mean_reward = float(np.mean(rollouts.rewards))
+            values = value_matrix(critic, rollouts) if method == "cgru" else None
+            grad_norm, grad_var = _diag_gradients(rollouts, model, values, cfg,
+                                                  sched, method)
 
-        clip_count = 0
-        for _ in range(cfg.policy.inner_epochs):
-            stats = policy_update_epoch(model, rollouts, values, cfg.estimator,
-                                        sched, opt, order_rng,
-                                        grad_accum=cfg.policy.grad_accum)
-            clip_count += stats["clip_count"]
-            if stats["stale_buffer"]:
-                stale_iterations += 1
+            epochs = [policy_update_epoch(model, rollouts, values,
+                                          cfg.estimator, sched, opt, order_rng,
+                                          grad_accum=cfg.policy.grad_accum)
+                      for _ in range(cfg.policy.inner_epochs)]
+            epoch_stats += epochs
 
-        report = _eval_model(cfg, model, clf, sched, cfg.policy.eval_forget,
-                             cfg.policy.eval_per_class, first_index=0,
-                             retain_reference=retain_ref)
-        diag_rows.append((it + 1, method, cfg.policy.n_traj, grad_norm,
-                          grad_var, clip_count, mean_reward))
-        eval_rows.append((run_id, method, it + 1, report.ua, report.ira,
-                          report.fd))
+            report = _eval_model(cfg, model, clf, sched, cfg.policy.eval_forget,
+                                 cfg.policy.eval_per_class, first_index=0,
+                                 retain_reference=retain_ref)
+            diag_rows.append((it + 1, method, cfg.policy.n_traj, grad_norm,
+                              grad_var, sum(e["clip_count"] for e in epochs),
+                              mean_reward))
+            eval_rows.append((run_id, method, it + 1, report.ua, report.ira,
+                              report.fd))
+        except Divergence as exc:
+            raise Divergence(f"unlearn {method}, iteration {it + 1}: {exc}") from exc
 
     paths = {
         f"eps_unlearned_{method}": _path(cfg, f"eps_unlearned_{method}.ckpt"),
@@ -509,10 +508,13 @@ def _unlearn_phase(cfg: RunConfig, method: str) -> dict:
     _write_csv(paths[f"eval_history_{method}"],
                ["run_id", "method", "epoch", "ua", "ira", "fd"], eval_rows)
     info = {"iterations": cfg.policy.iterations,
-            "stale_iterations": stale_iterations}
+            "stale_iterations": sum(e["stale_buffer"] for e in epoch_stats),
+            "updates": sum(e["updates"] for e in epoch_stats)}
     if eval_rows:
         info.update(final_ua=report.ua, final_ira=report.ira,
                     final_fd=report.fd, final_mean_reward=diag_rows[-1][-1])
+        for key in ("clip_fraction", "grad_norm_mean"):     # run means
+            info[key] = float(np.mean([e[key] for e in epoch_stats]))
     return {"paths": paths, "info": info}
 
 
@@ -681,6 +683,6 @@ def run_full(cfg: RunConfig) -> RunManifest:
 
 
 def _write_manifest(cfg: RunConfig, manifest: RunManifest) -> None:
-    with open(_path(cfg, "manifest.json"), "w", encoding="utf-8") as fh:
+    with replacing(_path(cfg, "manifest.json"), encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")

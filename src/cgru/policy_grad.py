@@ -87,7 +87,7 @@ def _score_gradient(model, sched: NoiseSchedule, lat: Array, onehot: Array,
     logp_old (n, T) are given, the weight is first multiplied by the
     likelihood ratio clamped to cfg's range. cuts are the sorted interior
     row indices where a new group starts; none means one group. Returns
-    (gradients (len(terms), G, P) in flat parameter order, each term's
+    (gradients (len(terms), G, P) in theta's layout, each term's
     number of clamped ratios). The per-step score of the Gaussian kernel
     flows through mu only, since sigma_t is fixed by the schedule.
 
@@ -102,8 +102,6 @@ def _score_gradient(model, sched: NoiseSchedule, lat: Array, onehot: Array,
     bounds = [0, *(int(c) for c in cuts), n]
     if len(bounds) > 2 and any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"cuts must rise strictly inside (0, {n}): {cuts}")
-    params = model.net.params
-    n_par = sum(p.size for p in params.values())
 
     def shard(lo, hi):
         g0 = bisect.bisect_right(bounds, lo) - 1
@@ -113,16 +111,7 @@ def _score_gradient(model, sched: NoiseSchedule, lat: Array, onehot: Array,
         sizes = np.diff(bounds[g0:g1 + 1])
         size = float(sizes[0]) if len(sizes) == 1 \
             else np.repeat(sizes, np.diff(local)).astype(np.float64)
-        flat = np.zeros((len(terms), g1 - g0, n_par))
-        # per-parameter (G, *shape) views into each term's flat rows
-        bufs = []
-        for k in range(len(terms)):
-            views, off = {}, 0
-            for name, p in params.items():
-                views[name] = flat[k, :, off:off + p.size].reshape(
-                    (g1 - g0,) + p.shape)
-                off += p.size
-            bufs.append(views)
+        flat = np.zeros((len(terms), g1 - g0, model.net.theta.size))
         clips = [0] * len(terms)
         for t in steps:
             xt = lat[lo:hi, T - t]
@@ -142,13 +131,13 @@ def _score_gradient(model, sched: NoiseSchedule, lat: Array, onehot: Array,
                     clips[k] += nclip
                     weights = w * weights
                 backward(model.net, score * (weights / size)[:, None], tape,
-                         bufs[k], local)
+                         local, flat[k])
         return g0, flat, clips
 
     parts = rngmod.run_sharded(shard, n)
     if len(parts) == 1:
         return parts[0][1], parts[0][2]
-    total = np.zeros((len(terms), len(bounds) - 1, n_par))
+    total = np.zeros((len(terms), len(bounds) - 1, model.net.theta.size))
     clip_counts = [0] * len(terms)
     for g0, flat, clips in parts:
         total[:, g0:g0 + flat.shape[1]] += flat
@@ -300,7 +289,7 @@ def policy_update_epoch(model, rollouts: Rollouts, values: Array | None,
         flat = clip_to_norm(grad[0, 0], cfg.grad_max_norm)
         grad_norms.append(float(np.linalg.norm(flat)))
         # ascent on expected reward, so Adam minimizes the negation
-        adam_step(opt, model.net.params, _unflatten(model.net, -flat))
+        adam_step(opt, model.net.theta, -flat)
     weight_count = n * T
     return {
         "clip_count": clip_count,
@@ -309,12 +298,3 @@ def policy_update_epoch(model, rollouts: Rollouts, values: Array | None,
         "updates": len(grad_norms),
         "grad_norm_mean": float(np.mean(grad_norms)),
     }
-
-
-def _unflatten(net, vec: Array) -> dict:
-    out = {}
-    off = 0
-    for name, p in net.params.items():
-        out[name] = vec[off:off + p.size].reshape(p.shape)
-        off += p.size
-    return out

@@ -70,8 +70,7 @@ def train_classifier(X: Array, y, n_classes: int, rng: np.random.Generator,
         loss = float(-np.log(np.maximum(p_true, 1e-300)).mean())
         out_grad = np.zeros_like(probs)
         out_grad[np.arange(len(idx)), y[idx]] = -1.0 / (p_true * len(idx))
-        grads = backward(net, out_grad, tape)
-        adam_step(opt, net.params, grads)
+        adam_step(opt, net.theta, backward(net, out_grad, tape)[0])
         history.append(loss)
     return net, history
 

@@ -43,8 +43,8 @@ class ToyPolicy:
 def build_toy(bias: float = 0.5):
     """Return (policy, schedule) for the one-step probe; mean of x_0 is -bias."""
     net = Network([Dense(1, 1)])
-    net.params["0.w"] = np.array([[math.sqrt(2.0)]])
-    net.params["0.b"] = np.array([float(bias)])
+    net.params["0.w"][...] = math.sqrt(2.0)
+    net.params["0.b"][...] = float(bias)
     sched = schedule_from_betas([TOY_BETA])
     return ToyPolicy(net), sched
 
@@ -56,7 +56,7 @@ def toy_rewards(rollouts: Rollouts) -> Rollouts:
 
 
 def toy_analytic_gradient() -> Array:
-    """d J / d (w, b) for J = E[r(x_0)], in flattened parameter order."""
+    """d J / d (w, b) for J = E[r(x_0)], in theta's order."""
     return np.array([0.0, -1.0])
 
 

@@ -24,7 +24,7 @@ from cgru.critic import critic_values
 from cgru.diffusion import (mode_centers, one_hot, rollout_from,
                             sample_trajectories)
 from cgru.metrics import FeatureStats, feature_stats, frechet_distance
-from cgru.nets import backward, forward
+from cgru.nets import Network, backward, forward
 from cgru.policy_grad import (EstimatorConfig, cgru_gradient, ddpo_gradient,
                               per_sample_scores)
 from cgru.rewards import (RewardSpec, assign_rewards, build_classifier_net,
@@ -51,27 +51,33 @@ def full_run(tmp_path_factory):
     return cfg, manifest
 
 
-def _central_diff(fn, params, name, idx, h):
-    orig = params[name].flat[idx]
-    params[name].flat[idx] = orig + h
+def _central_diff(fn, theta, j, h):
+    orig = theta[j]
+    theta[j] = orig + h
     hi = fn()
-    params[name].flat[idx] = orig - h
+    theta[j] = orig - h
     lo = fn()
-    params[name].flat[idx] = orig
+    theta[j] = orig
     return (hi - lo) / (2.0 * h)
 
 
 def _probe_net(net, loss_fn, grads, rng, n_probes=20):
-    """Max relative FD error over sampled parameter coordinates."""
-    coords = [(name, i) for name, g in grads.items()
-              for i in range(g.size) if abs(g.flat[i]) > 1e-4]
+    """Max relative FD error over sampled coordinates of theta; grads is
+    backward's (1, P) result. Candidates are listed layer by layer from the
+    output back, w before b, so the seeded draw picks the same probes as
+    when gradients came back per name in backward's order."""
+    index = Network(net.arch)           # theta positions, viewed by name
+    index.theta[:] = np.arange(net.theta.size)
+    names = sorted(index.params, key=lambda name: -int(name.split(".")[0]))
+    order = np.concatenate([index.params[n].ravel() for n in names]).astype(int)
+    coords = order[np.abs(grads[0, order]) > 1e-4]
     picks = rng.choice(len(coords), size=n_probes, replace=False)
     worst = 0.0
     for k in picks:
-        name, idx = coords[int(k)]
-        h = 1e-5 * max(1.0, abs(float(net.params[name].flat[idx])))
-        fd = _central_diff(loss_fn, net.params, name, idx, h)
-        ana = grads[name].flat[idx]
+        j = coords[int(k)]
+        h = 1e-5 * max(1.0, abs(float(net.theta[j])))
+        fd = _central_diff(loss_fn, net.theta, j, h)
+        ana = grads[0, j]
         rel = abs(ana - fd) / max(abs(ana), abs(fd))
         worst = max(worst, rel)
     return worst

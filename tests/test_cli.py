@@ -80,8 +80,8 @@ def test_diverging_run_exits_one(tiny_run, tmp_path, capsys, monkeypatch,
                           "--set", f"policy.n_traj={n_traj}")) == 1
     assert not caught
     err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "non-finite" in err
+    # the policy step at lr=1e300 breaks the first iteration's next walk
+    assert err.startswith("error: unlearn cgru, iteration 1: non-finite")
     assert "Traceback" not in err
 
 

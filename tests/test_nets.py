@@ -11,7 +11,7 @@ from cgru.diffusion import (build_eps_net, ddpm_loss_and_grads, make_schedule,
                             one_hot)
 from cgru.errors import CheckpointError, ShapeMismatch
 from cgru.nets import (Act, AdamState, Dense, Film, Network, adam_init,
-                       adam_step, backward, embed_lookup, flatten, forward,
+                       adam_step, backward, embed_lookup, forward,
                        forward_upto, init_network, sinusoidal_embed)
 from cgru.policy_grad import _score_gradient
 
@@ -28,8 +28,8 @@ def small_net(rng=None, film=False):
 
 def test_dense_forward_is_affine_map():
     net = Network([Dense(2, 3)])
-    net.params["0.w"] = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    net.params["0.b"] = np.array([0.5, -0.5, 0.25])
+    net.params["0.w"][...] = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    net.params["0.b"][...] = np.array([0.5, -0.5, 0.25])
     x = np.array([[1.0, -1.0], [2.0, 0.5]])
     expect = x @ net.params["0.w"] + net.params["0.b"]
     assert np.allclose(forward(net, x), expect, atol=0, rtol=0)
@@ -37,14 +37,14 @@ def test_dense_forward_is_affine_map():
 
 def test_activations_match_numpy():
     net = Network([Dense(2, 2), Act("tanh")])
-    net.params["0.w"] = np.eye(2)
-    net.params["0.b"] = np.zeros(2)
+    net.params["0.w"][...] = np.eye(2)
+    net.params["0.b"][...] = np.zeros(2)
     x = np.array([[0.3, -1.7]])
     assert np.allclose(forward(net, x), np.tanh(x))
 
     smax = Network([Dense(2, 2), Act("softmax")])
-    smax.params["0.w"] = np.eye(2)
-    smax.params["0.b"] = np.zeros(2)
+    smax.params["0.w"][...] = np.eye(2)
+    smax.params["0.b"][...] = np.zeros(2)
     out = forward(smax, np.array([[1.0, 3.0]]))
     z = np.exp([1.0, 3.0])
     assert np.allclose(out, z / z.sum())
@@ -60,21 +60,19 @@ def _fd_param_check(net, x, cond, rtol=1e-6):
     v = rngmod.stream(3, rngmod.PHASE_DIAG, 77).standard_normal(
         forward(net, x, cond, tape).shape)
     grads = backward(net, v, tape)
-    assert set(grads) == set(net.params)
+    assert grads.shape == (1, net.theta.size)
     h = 1e-6
-    for name, g in grads.items():
-        p = net.params[name]
-        for idx in np.ndindex(*p.shape):
-            orig = p[idx]
-            p[idx] = orig + h
-            up = float((forward(net, x, cond) * v).sum())
-            p[idx] = orig - h
-            dn = float((forward(net, x, cond) * v).sum())
-            p[idx] = orig
-            num = (up - dn) / (2 * h)
-            ana = g[idx]
-            assert abs(num - ana) <= rtol * max(1.0, abs(num), abs(ana)), \
-                f"{name}{idx}: analytic {ana} vs numeric {num}"
+    theta = net.theta
+    for j, ana in enumerate(grads[0]):
+        orig = theta[j]
+        theta[j] = orig + h
+        up = float((forward(net, x, cond) * v).sum())
+        theta[j] = orig - h
+        dn = float((forward(net, x, cond) * v).sum())
+        theta[j] = orig
+        num = (up - dn) / (2 * h)
+        assert abs(num - ana) <= rtol * max(1.0, abs(num), abs(ana)), \
+            f"theta[{j}]: analytic {ana} vs numeric {num}"
 
 
 def test_backward_matches_finite_difference_plain():
@@ -142,7 +140,7 @@ def test_one_forward_walk_per_gradient_step(monkeypatch):
     grad, _ = _score_gradient(model, sched, lat, one_hot(ids, K), [3],
                               [(np.ones((5, T)), None)])
     assert one_walk_of(model.net)
-    assert grad.shape == (1, 1, sum(p.size for p in model.net.params.values()))
+    assert grad.shape == (1, 1, model.net.theta.size)
 
 
 @pytest.mark.parametrize("bounds", [[0, 7], [0, 2, 4, 6], [0, 1, 5, 7]])
@@ -156,25 +154,28 @@ def test_grouped_backward_sums_each_row_group(bounds):
     tape = []
     forward(net, x, cond, tape)
     G = len(bounds) - 1
-    into = {name: np.ones((G,) + p.shape) for name, p in net.params.items()}
-    assert backward(net, out_grad, tape, into, bounds) is into
+    out = np.ones((G, net.theta.size))
+    assert backward(net, out_grad, tape, bounds, out) is out
     for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         seg = []
         forward(net, x[a:b], cond[a:b], seg)
         want = backward(net, out_grad[a:b], seg)
-        for name in net.params:
-            assert np.allclose(into[name][k] - 1.0, want[name],
-                               rtol=1e-12, atol=1e-14), (name, k)
+        assert np.allclose(out[k] - 1.0, want[0], rtol=1e-12, atol=1e-14), k
+    if G == 1:      # no bounds is the one-group call, bit for bit
+        assert np.array_equal(backward(net, out_grad, tape),
+                              backward(net, out_grad, tape, bounds))
     with pytest.raises(ValueError, match="bounds"):
-        backward(net, out_grad, tape, into, [0, 3, 3, rows])
+        backward(net, out_grad, tape, [0, 3, 3, rows], out)
+    with pytest.raises(ShapeMismatch):
+        backward(net, out_grad, tape, bounds, np.zeros((G + 1, net.theta.size)))
 
 
 def test_film_block_oracle():
     # with cb = 0 and one-hot cond rows, row i of cw is (scale_i, shift_i)
     net = Network([Film(2, 2)])
-    net.params["0.cw"] = np.array([[2.0, 0.5, 0.0, 1.0],
-                                   [1.0, 1.0, -1.0, 0.0]])
-    net.params["0.cb"] = np.zeros(4)
+    net.params["0.cw"][...] = np.array([[2.0, 0.5, 0.0, 1.0],
+                                        [1.0, 1.0, -1.0, 0.0]])
+    net.params["0.cb"][...] = np.zeros(4)
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(forward(net, x, np.eye(2)),
                           [[2.0, 2.0], [2.0, 4.0]])
@@ -205,11 +206,11 @@ def test_adam_first_step_closed_form():
     # After one step m-hat = g and v-hat = g^2, so the update is exactly
     # lr * g / (|g| + eps) regardless of beta settings.
     net = Network([Dense(1, 1)])
-    net.params["0.w"] = np.array([[2.0]])
-    net.params["0.b"] = np.array([1.0])
+    net.params["0.w"][...] = np.array([[2.0]])
+    net.params["0.b"][...] = np.array([1.0])
     opt = adam_init(net, lr=0.1)
-    g = {"0.w": np.array([[3.0]]), "0.b": np.array([-0.5])}
-    adam_step(opt, net.params, g)
+    g = np.array([3.0, -0.5])       # theta's layout: 0.w, then 0.b
+    adam_step(opt, net.theta, g)
     assert np.isclose(net.params["0.w"][0, 0], 2.0 - 0.1 * 3.0 / (3.0 + opt.eps))
     assert np.isclose(net.params["0.b"][0], 1.0 + 0.1 * 0.5 / (0.5 + opt.eps))
     assert opt.step == 1
@@ -217,11 +218,11 @@ def test_adam_first_step_closed_form():
 
 def test_adam_rejects_shape_mismatch():
     net = Network([Dense(2, 2)])
-    net.params["0.w"] = np.zeros((2, 2))
-    net.params["0.b"] = np.zeros(2)
+    net.params["0.w"][...] = np.zeros((2, 2))
+    net.params["0.b"][...] = np.zeros(2)
     opt = adam_init(net)
     with pytest.raises(ShapeMismatch):
-        adam_step(opt, net.params, {"0.w": np.zeros((3, 2))})
+        adam_step(opt, net.theta, np.zeros(7))
 
 
 def test_sinusoidal_embed_properties():
@@ -261,14 +262,25 @@ def test_init_network_is_stream_deterministic():
     assert any(not np.array_equal(a.params[n], c.params[n]) for n in a.params)
 
 
-def test_flatten_orders_canonically():
-    net = small_net()
-    flat = flatten(net, net.params)
+def test_theta_orders_canonically():
+    net = small_net(film=True)
+    assert list(net.params) == ["0.w", "0.b", "1.cw", "1.cb", "3.w", "3.b"]
     sizes = sum(p.size for p in net.params.values())
-    assert flat.shape == (sizes,)
-    # leading block is 0.w in row-major order
-    assert np.array_equal(flat[: net.params["0.w"].size],
-                          net.params["0.w"].ravel())
+    assert net.theta.shape == (sizes,) and net.theta.flags.c_contiguous
+    # each name is a row-major view of the next block of theta
+    off = 0
+    for p in net.params.values():
+        assert np.shares_memory(p, net.theta)
+        assert np.array_equal(net.theta[off:off + p.size], p.ravel())
+        off += p.size
+
+
+def test_params_cannot_be_rebound():
+    net = small_net()
+    with pytest.raises(TypeError):
+        net.params["0.w"] = np.zeros((3, 5))
+    net.params["0.w"][0, 0] = 7.0       # in-place writes reach theta
+    assert net.theta[0] == 7.0
 
 
 def test_checkpoint_roundtrip_bytes(tmp_path):
@@ -282,6 +294,14 @@ def test_checkpoint_roundtrip_bytes(tmp_path):
     load_network(p1, other)
     for name in net.params:
         assert np.array_equal(net.params[name], other.params[name])
+        assert np.shares_memory(other.params[name], other.theta)
+
+    # the loaded views still alias theta: a step on theta moves forward
+    rng = rngmod.stream(3, rngmod.PHASE_DIAG, 12)
+    x, cond = rng.standard_normal((2, 3)), rng.standard_normal((2, 4))
+    before = forward(other, x, cond)
+    adam_step(adam_init(other, lr=0.1), other.theta, np.ones(other.theta.size))
+    assert not np.array_equal(forward(other, x, cond), before)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

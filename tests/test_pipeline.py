@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -13,8 +14,10 @@ import pytest
 
 from cgru import nets, pipeline
 from cgru import rng as rngmod
+from cgru.checkpoint import save_tensors
 from cgru.config import RunConfig, apply_overrides, config_hash
-from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
+from cgru.diffusion import (build_eps_net, dump_dataset_csv, make_schedule,
+                            sample_trajectories)
 from cgru.policy_grad import cgru_gradient, ddpo_gradient, gradient_variance
 from cgru.rewards import RewardSpec, assign_rewards
 from cgru.errors import CheckpointError, LockError, MissingArtifact, PhaseFailure
@@ -98,11 +101,47 @@ def test_full_run_manifest_keeps_phase_info(tiny_run):
         arm = info[f"unlearn_{method}"]
         assert arm["iterations"] == cfg.policy.iterations
         assert 0 <= arm["stale_iterations"] <= cfg.policy.iterations
+        # update stats: total Adam steps, run means of the per-epoch figures
+        assert arm["updates"] == (cfg.policy.iterations * cfg.policy.inner_epochs
+                                  * math.ceil(cfg.diffusion.T / cfg.policy.grad_accum))
+        assert 0.0 <= arm["clip_fraction"] <= 1.0
+        assert 0.0 < arm["grad_norm_mean"] <= cfg.estimator.grad_max_norm * (1 + 1e-12)
         for key in ("final_ua", "final_ira", "final_fd"):
             assert isinstance(arm[key], float), key
         report = info[f"eval_{method}"]["report"]
         assert set(report) == {"ua", "ira", "fd", "per_class_acc"}
         assert "summary" not in info[f"eval_{method}"]
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("unprintable value")
+
+
+def test_failed_writes_leave_the_previous_file(tiny_cfg):
+    """Each output writer fails partway: the old bytes stay, no .tmp is left."""
+    out = tiny_cfg.out_dir
+    os.makedirs(out)
+    manifest = pipeline.RunManifest(config_hash="h", phases={
+        "classifier": {"status": "ok", "info": {"bad": object()}}})
+    writes = {
+        "rows.csv": lambda p: pipeline._write_csv(
+            p, ["step", "loss"], [(1, 0.5), (2, _Unprintable())]),
+        "dataset.csv": lambda p: dump_dataset_csv(
+            p, np.zeros((2, 2)), [0, "not a class"]),
+        "net.ckpt": lambda p: save_tensors(
+            p, {"w": np.ones(3), "b": "not a tensor"}),
+        "manifest.json": lambda p: pipeline._write_manifest(tiny_cfg, manifest),
+    }
+    for name, write in writes.items():
+        path = os.path.join(out, name)
+        with open(path, "wb") as fh:
+            fh.write(b"previous bytes\n")
+        with pytest.raises((RuntimeError, TypeError, ValueError)):
+            write(path)
+        with open(path, "rb") as fh:
+            assert fh.read() == b"previous bytes\n", name
+        assert not [f for f in os.listdir(out) if f.endswith(".tmp")], name
 
 
 def _reaped_pid():

@@ -9,9 +9,9 @@ import pytest
 from cgru import rng as rngmod
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
 from cgru.errors import ShapeMismatch
-from cgru.nets import adam_init, adam_step, flatten
+from cgru.nets import adam_init, adam_step
 from cgru.policy_grad import (EstimatorConfig, GradientEstimate,
-                              _importance_weights, _unflatten,
+                              _importance_weights,
                               baseline_term_estimate, cgru_gradient,
                               clip_to_norm, ddpo_gradient,
                               gradient_variance, group_estimates,
@@ -163,12 +163,12 @@ def test_gradient_variance_oracle():
 def test_policy_update_epoch_moves_params_deterministically():
     model, sched, trajs = desk_setup()
     opt = adam_init(model.net, lr=1e-3)
-    before = flatten(model.net, model.net.params).copy()
+    before = model.net.theta.copy()
     stats = policy_update_epoch(model, trajs, np.zeros((len(trajs), sched.T)),
                                 EstimatorConfig(), sched, opt,
                                 rngmod.stream(0, rngmod.PHASE_POLICY, 2),
                                 grad_accum=2)
-    after = flatten(model.net, model.net.params)
+    after = model.net.theta
     assert not np.allclose(before, after)
     assert stats["updates"] == math.ceil(sched.T / 2)
     assert stats["clip_count"] >= 0
@@ -181,7 +181,7 @@ def test_policy_update_epoch_moves_params_deterministically():
                         EstimatorConfig(), sched2, opt2,
                         rngmod.stream(0, rngmod.PHASE_POLICY, 2),
                         grad_accum=2)
-    assert np.array_equal(after, flatten(model2.net, model2.net.params))
+    assert np.array_equal(after, model2.net.theta)
 
 
 def test_single_update_epoch_is_an_adam_step_on_cgru_gradient():
@@ -193,9 +193,8 @@ def test_single_update_epoch_is_an_adam_step_on_cgru_gradient():
     cfg = EstimatorConfig(clip_low=0.9, clip_high=1.1, grad_max_norm=1e18)
     est = cgru_gradient(trajs, model, values, cfg, sched)
     assert est.clip_count > 0
-    want = {k: v.copy() for k, v in model.net.params.items()}
-    adam_step(adam_init(model.net, lr=1e-3), want,
-              _unflatten(model.net, -est.grad))
+    want = model.net.theta.copy()
+    adam_step(adam_init(model.net, lr=1e-3), want, -est.grad)
 
     stats = policy_update_epoch(model, trajs, values, cfg, sched,
                                 adam_init(model.net, lr=1e-3),
@@ -206,8 +205,7 @@ def test_single_update_epoch_is_an_adam_step_on_cgru_gradient():
     assert math.isclose(stats["grad_norm_mean"], np.linalg.norm(est.grad),
                         rel_tol=1e-12)
     assert stats["clip_count"] == est.clip_count
-    assert np.allclose(flatten(model.net, model.net.params),
-                       flatten(model.net, want), rtol=1e-12, atol=0)
+    assert np.allclose(model.net.theta, want, rtol=1e-12, atol=0)
 
 
 def test_policy_update_epoch_rejects_before_filling_advantages():

@@ -19,8 +19,8 @@ from cgru.rewards import (RewardSpec, assign_rewards, build_classifier_net,
 def uniform_classifier(K=8):
     """Zero-weight softmax net: every class gets probability 1/K."""
     net = Network([Dense(2, K), Act("softmax")])
-    net.params["0.w"] = np.zeros((2, K))
-    net.params["0.b"] = np.zeros(K)
+    net.params["0.w"][...] = np.zeros((2, K))
+    net.params["0.b"][...] = np.zeros(K)
     return net
 
 

@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from cgru.nets import flatten
 from cgru.policy_grad import EstimatorConfig, cgru_gradient, ddpo_gradient
 from cgru.toy import (TOY_BETA, build_toy, sample_toy_trajectories,
                       toy_analytic_gradient, toy_mean_reward, toy_rewards)
@@ -73,7 +72,6 @@ def test_estimators_recover_analytic_gradient(bias):
         assert np.allclose(est.grad, truth, atol=0.15), (bias, est.grad)
 
 
-def test_parameters_flatten_in_weight_bias_order():
+def test_theta_is_weight_then_bias():
     policy, _ = build_toy(0.25)
-    flat = flatten(policy.net, policy.net.params)
-    assert flat == pytest.approx([math.sqrt(2.0), 0.25])
+    assert policy.net.theta == pytest.approx([math.sqrt(2.0), 0.25])
