@@ -14,8 +14,7 @@ import numpy as np
 from cgru import rng as rngmod
 from cgru.config import RunConfig, apply_overrides
 from cgru.diffusion import mode_centers, sample_trajectories
-from cgru.pipeline import (_load_base_model, _load_classifier, _schedule,
-                           run_classifier, run_pretrain)
+from cgru.pipeline import load, run_classifier, run_pretrain, schedule
 from cgru.rewards import classifier_predict
 
 OUT = "demo_runs/01_diffusion"
@@ -31,7 +30,7 @@ cfg = apply_overrides(RunConfig(), [
 ])
 
 print("== schedule ==")
-sched = _schedule(cfg)
+sched = schedule(cfg)
 print(f"T={sched.T}, beta range [{sched.betas[0]:.4f}, {sched.betas[-1]:.4f}]")
 print(f"alpha_bar at T: {sched.alpha_bar(sched.T):.3f} "
       "(the forward chain keeps a visible fraction of the signal, so "
@@ -42,8 +41,8 @@ res = run_classifier(cfg)
 print(f"classifier holdout accuracy: {res['info']['holdout_accuracy']:.3f}")
 res = run_pretrain(cfg)
 print(f"denoiser reached the accuracy gate after {res['info']['steps']} steps")
-clf = _load_classifier(cfg)
-model = _load_base_model(cfg)
+clf = load(cfg, "classifier")
+model = load(cfg, "eps_base")
 
 print("\n== per-class sampling ==")
 centers = mode_centers(cfg.data.n_classes, cfg.data.radius)

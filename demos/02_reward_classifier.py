@@ -15,7 +15,7 @@ from cgru import rng as rngmod
 from cgru.config import RunConfig, apply_overrides
 from cgru.diffusion import mode_centers, sample_dataset
 from cgru.nets import forward
-from cgru.pipeline import _load_classifier, _reward_spec, run_classifier
+from cgru.pipeline import load, reward_spec, run_classifier
 from cgru.rewards import RewardSpec, reward_values
 
 OUT = "demo_runs/02_reward"
@@ -27,8 +27,8 @@ cfg = apply_overrides(RunConfig(), [
 ])
 
 run_classifier(cfg)
-clf = _load_classifier(cfg)
-spec = _reward_spec(cfg)
+clf = load(cfg, "classifier")
+spec = reward_spec(cfg)
 K = cfg.data.n_classes
 target = cfg.reward.target_class
 centers = mode_centers(K, cfg.data.radius)

@@ -21,9 +21,8 @@ from cgru.config import RunConfig, apply_overrides
 from cgru.critic import (ablation_compare, build_critic, build_critic_buffer,
                          critic_train, critic_values)
 from cgru.diffusion import mode_centers, one_hot, sample_trajectories
-from cgru.pipeline import (_load_base_model, _load_classifier, _load_critic,
-                           _reward_spec, _schedule, run_classifier,
-                           run_critic, run_pretrain)
+from cgru.pipeline import (load, reward_spec, run_classifier, run_critic,
+                           run_pretrain, schedule)
 from cgru.rewards import RewardSpec, assign_rewards
 
 OUT = "demo_runs/03_critic"
@@ -46,10 +45,10 @@ res = run_critic(cfg)
 print(f"pipeline critic: buffer of {res['info']['buffer_size']} states, "
       f"final loss {res['info']['final_loss']:.4f}")
 
-model = _load_base_model(cfg)
-critic = _load_critic(cfg)
-clf = _load_classifier(cfg)
-sched = _schedule(cfg)
+model = load(cfg, "eps_base")
+critic = load(cfg, "critic")
+clf = load(cfg, "classifier")
+sched = schedule(cfg)
 K = cfg.data.n_classes
 target = cfg.reward.target_class
 
@@ -63,7 +62,7 @@ def value(critic, latents, t):
 print("\n== pipeline critic on a forget-class rollout ==")
 traj = sample_trajectories(model, [target], sched, cfg.seed,
                            rngmod.PHASE_DIAG, first_index=4242)
-assign_rewards(traj, _reward_spec(cfg), clf)
+assign_rewards(traj, reward_spec(cfg), clf)
 vals = " ".join(f"{value(critic, traj.latents[0], t):+.2f}"
                 for t in (50, 30, 10, 1))
 print(f"V at t=50,30,10,1: {vals}; realized reward {traj.rewards[0]:.2f}")

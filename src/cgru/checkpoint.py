@@ -3,7 +3,10 @@
 Layout, all little-endian:
 
     magic  b"CGRU"
-    u32    format version (currently 1)
+    u32    format version (currently 2)
+    u32    provenance length in bytes
+    bytes  utf-8 provenance: the sorted "key = value" config lines the
+           tensors were produced under, joined by newlines
     u32    tensor count
     per tensor:
         u32    name length in bytes
@@ -12,8 +15,10 @@ Layout, all little-endian:
         u64[]  dims
         f64[]  row-major payload
 
-Writing the same tensors twice produces byte-identical files. Output files
-go through `replacing`, so a failed write leaves the previous file as it was.
+Writing the same tensors and provenance twice produces byte-identical
+files. Output files go through `replacing`, so a failed write leaves the
+previous file as it was. There is no reader for version 1, which had no
+provenance: such a file is refused and must be written again.
 """
 
 import os
@@ -25,7 +30,7 @@ import numpy as np
 from .errors import CheckpointError
 
 MAGIC = b"CGRU"
-VERSION = 1
+VERSION = 2
 
 
 @contextmanager
@@ -42,10 +47,13 @@ def replacing(path, mode: str = "w", **open_kwargs):
             os.unlink(tmp)
 
 
-def save_tensors(path, tensors: dict) -> None:
+def save_tensors(path, tensors: dict, provenance=()) -> None:
+    head = "\n".join(provenance).encode("utf-8")
     blob = bytearray()
     blob += MAGIC
-    blob += struct.pack("<II", VERSION, len(tensors))
+    blob += struct.pack("<II", VERSION, len(head))
+    blob += head
+    blob += struct.pack("<I", len(tensors))
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
         enc = name.encode("utf-8")
@@ -58,7 +66,8 @@ def save_tensors(path, tensors: dict) -> None:
         fh.write(bytes(blob))
 
 
-def load_tensors(path) -> dict:
+def load_tensors(path) -> tuple:
+    """(provenance lines, tensors by name) of a checkpoint file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -73,16 +82,24 @@ def load_tensors(path) -> dict:
         off += n
         return out
 
-    version, count = struct.unpack("<II", take(8))
+    def text(n, what):
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: {what} is not utf-8") from None
+
+    (version,) = struct.unpack("<I", take(4))
     if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
+        raise CheckpointError(
+            f"{path}: unsupported format version {version} (expected "
+            f"{VERSION}); rerun the phase that writes it")
+    (head_len,) = struct.unpack("<I", take(4))
+    head = text(head_len, "provenance")
+    (count,) = struct.unpack("<I", take(4))
     tensors = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: tensor name is not utf-8") from None
+        name = text(name_len, "tensor name")
         (rank,) = struct.unpack("<Q", take(8))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank)) if rank else ()
         size = int(np.prod(dims)) if dims else 1
@@ -90,16 +107,28 @@ def load_tensors(path) -> dict:
         tensors[name] = data.astype(np.float64)
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
-    return tensors
+    return (head.split("\n") if head else []), tensors
 
 
-def save_network(path, net) -> None:
-    save_tensors(path, net.params)
+def save_network(path, net, provenance=()) -> None:
+    save_tensors(path, net.params, provenance)
 
 
-def load_network(path, net) -> None:
-    """Copy a checkpoint's tensors into the views of a same-shaped network."""
-    tensors = load_tensors(path)
+def load_network(path, net, provenance=()) -> None:
+    """Copy a checkpoint's tensors into the views of a same-shaped network.
+
+    The file must have been written under exactly `provenance`; otherwise
+    CheckpointError names the file and each "key (stored -> expected)".
+    """
+    stored, tensors = load_tensors(path)
+    if stored != list(provenance):
+        old, new = (dict(line.partition(" = ")[::2] for line in lines)
+                    for lines in (stored, provenance))
+        changed = ", ".join(f"{k} ({old.get(k, '-')} -> {new.get(k, '-')})"
+                            for k in sorted(old.keys() | new.keys())
+                            if old.get(k) != new.get(k))
+        raise CheckpointError(
+            f"{path} was written under another config: {changed}")
     if set(tensors) != set(net.params):
         missing = sorted(set(net.params) - set(tensors))
         extra = sorted(set(tensors) - set(net.params))

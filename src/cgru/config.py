@@ -5,7 +5,8 @@ flat text file of dotted keys ("policy.iterations = 50"), which is also the
 syntax the CLI's --set overrides use. config_hash() gives a content hash
 that is stable under reordering of lines in the file and ignores the output
 directory, so two runs of the same experiment in different places share a
-run id.
+run id. config_lines() renders chosen sections the same way; checkpoints
+store those lines as their provenance.
 """
 
 from __future__ import annotations
@@ -298,12 +299,19 @@ def save_config(path: str, cfg: RunConfig) -> None:
         fh.write(render_config(cfg))
 
 
+def config_lines(cfg: RunConfig, sections) -> list:
+    """Sorted "key = value" lines of the leaf fields under `sections`, top-
+    level field names such as "seed" or "diffusion"."""
+    return sorted(f"{k} = {_render_value(v)}" for k, v in _walk(cfg)
+                  if k.split(".")[0] in sections)
+
+
 def config_hash(cfg: RunConfig) -> str:
     """sha256 over the sorted leaf assignments, excluding out_dir.
 
     Sorting makes the hash independent of file layout; excluding out_dir
     makes it a hash of the experiment rather than of where it ran.
     """
-    lines = sorted(f"{k} = {_render_value(v)}" for k, v in _walk(cfg)
-                   if k != "out_dir")
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    sections = [f.name for f in dataclasses.fields(cfg) if f.name != "out_dir"]
+    return hashlib.sha256("\n".join(config_lines(cfg, sections))
+                          .encode("utf-8")).hexdigest()

@@ -1,0 +1,217 @@
+"""Estimator and critic diagnostics, one function per `cgru diag` check.
+
+All but baseline-optimum read the run's networks through `pipeline.load`.
+Each writes one CSV into the run directory and holds its lock meanwhile.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import rng as rngmod
+from .config import RunConfig, apply_overrides
+from .critic import ablation_compare, build_critic_buffer, value_matrix
+from .diffusion import sample_trajectories
+from .pipeline import (load, locked_run, mixture_class_ids, out_path,
+                       reward_spec, schedule, write_csv)
+from .policy_grad import (GradientEstimate, clip_to_norm, gradient_variance,
+                          group_estimates, optimal_baseline_probe,
+                          per_sample_scores)
+from .rewards import assign_rewards
+from .toy import (build_toy, sample_toy_trajectories, toy_analytic_gradient,
+                  toy_mean_reward)
+
+# stream-index blocks inside PHASE_DIAG, so diagnostics never share noise
+# draws with each other or with training phases
+_IDX_UNBIAS_SWEEP = 1_000_000
+_IDX_VARIANCE = 2_000_000
+_IDX_ABLATION = 3_000_000
+_IDX_BASELINE = 100_000
+_IDX_DIAG_CTX = 999_999
+_IDX_DIAG_BOOT = 999_998
+
+
+@locked_run
+def diag_unbiasedness(cfg: RunConfig) -> dict:
+    """Mean-of-estimator checks on the one-step probe plus the baseline-term
+    norm sweep on the trained model.
+
+    The probe has a closed-form gradient, so both estimators' batch means
+    must land within 3 standard errors of it. On the trained model the
+    advantage's baseline term has expectation zero; its norm relative to
+    the gradient estimate should shrink as trajectories accumulate.
+    """
+    policy, toy_sched = build_toy(0.5)
+    n_toy = 20_000
+    toy = sample_toy_trajectories(policy, toy_sched, n_toy, cfg.seed)
+    scores = per_sample_scores(toy, policy, toy_sched)
+    r = toy.rewards
+    truth = toy_analytic_gradient()
+    toy_checks = {}
+    for name, baseline in (("terminal_reward", 0.0),
+                           ("advantage", toy_mean_reward(0.5))):
+        per_traj = scores * (r - baseline)[:, None]
+        mean = per_traj.mean(axis=0)
+        se = per_traj.std(axis=0, ddof=1) / np.sqrt(n_toy)
+        dev = np.abs(mean - truth)
+        toy_checks[name] = {
+            "estimate": mean.tolist(),
+            "max_dev_in_se": float((dev / se).max()),
+            "within_3se": bool((dev <= 3.0 * se).all()),
+        }
+
+    clf, model, critic = (load(cfg, name)
+                          for name in ("classifier", "eps_base", "critic"))
+    sched, spec = schedule(cfg), reward_spec(cfg)
+    sizes = (100, 1000, 10_000)
+    rollouts = sample_trajectories(
+        model, np.full(sizes[-1], cfg.reward.target_class), sched, cfg.seed,
+        rngmod.PHASE_DIAG, first_index=_IDX_UNBIAS_SWEEP)
+    assign_rewards(rollouts, spec, clf)
+    # one critic pass and one walk over the whole batch, grouped at the
+    # prefix sizes; a prefix's estimate is its cumulative group sum over N
+    values = value_matrix(critic, rollouts)
+    means, _ = group_estimates(rollouts, model, values, cfg.estimator, sched,
+                               ["baseline", "cgru"], cuts=sizes[:-1])
+    counts = np.diff((0,) + sizes)
+    prefix_sums = np.cumsum(means * counts[:, None], axis=1)
+    rows = []
+    for j, n in enumerate(sizes):
+        b_norm = float(np.linalg.norm(prefix_sums[0, j] / n))
+        g_norm = float(np.linalg.norm(clip_to_norm(
+            prefix_sums[1, j] / n, cfg.estimator.grad_max_norm)))
+        rows.append((n, b_norm, g_norm, b_norm / g_norm))
+
+    path = write_csv(out_path(cfg, "diag_unbiasedness.csv"),
+                     ["N", "B_norm", "grad_norm", "ratio"], rows)
+    lines = ["== unbiasedness =="]
+    for name, chk in toy_checks.items():
+        lines.append(f"  probe {name}: estimate "
+                     f"({chk['estimate'][0]:+.4f}, {chk['estimate'][1]:+.4f}) "
+                     f"vs truth (+0.0000, -1.0000), "
+                     f"max deviation {chk['max_dev_in_se']:.2f} SE")
+    for n, b, g, ratio in rows:
+        lines.append(f"  N={n:<6d} |B|={b:.6f} |g|={g:.6f} ratio={ratio:.4f}")
+    return {"paths": {"diag_unbiasedness": path},
+            "info": {"toy": toy_checks, "sweep": rows,
+                     "summary": "\n".join(lines)}}
+
+
+@locked_run
+def diag_variance(cfg: RunConfig, n_batches: int = 20,
+                  n_bootstrap: int = 20) -> dict:
+    """Paired per-component variance of the two estimators.
+
+    Each batch of trajectories is scored by both estimators, so the
+    comparison is on identical data; bootstrap resampling over batches
+    counts how often the advantage estimator's variance is lower.
+    """
+    clf, model, critic = (load(cfg, name)
+                          for name in ("classifier", "eps_base", "critic"))
+    sched, spec = schedule(cfg), reward_spec(cfg)
+    ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_CTX)
+    ests = {"cgru": [], "ddpo": []}
+    for b in range(n_batches):
+        class_ids = mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
+        rollouts = sample_trajectories(model, class_ids, sched, cfg.seed,
+                                       rngmod.PHASE_DIAG,
+                                       first_index=_IDX_VARIANCE + b * 1000)
+        assign_rewards(rollouts, spec, clf)
+        # both estimators from one walk over the batch
+        means, (clip_count, _) = group_estimates(
+            rollouts, model, value_matrix(critic, rollouts), cfg.estimator,
+            sched, ["cgru", "ddpo"])
+        max_norm = cfg.estimator.grad_max_norm
+        ests["cgru"].append(GradientEstimate(
+            clip_to_norm(means[0, 0], max_norm), clip_count))
+        ests["ddpo"].append(GradientEstimate(
+            clip_to_norm(means[1, 0], max_norm)))
+    var = {m: gradient_variance(e) for m, e in ests.items()}
+
+    boot_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_BOOT)
+    wins = 0
+    for _ in range(n_bootstrap):
+        idx = boot_rng.integers(0, n_batches, n_batches)
+        vc = gradient_variance([ests["cgru"][i] for i in idx])
+        vd = gradient_variance([ests["ddpo"][i] for i in idx])
+        wins += int(vc < vd)
+
+    path = write_csv(out_path(cfg, "diag_variance.csv"),
+                     ["estimator", "n_batches", "batch_size", "variance"],
+                     [(m, n_batches, cfg.policy.n_traj, var[m])
+                      for m in ("cgru", "ddpo")])
+    ratio = var["ddpo"] / var["cgru"]
+    summary = ("== gradient variance ==\n"
+               f"  cgru {var['cgru']:.3e}  ddpo {var['ddpo']:.3e}  "
+               f"ratio ddpo/cgru {ratio:.2f}\n"
+               f"  bootstrap wins {wins}/{n_bootstrap}")
+    return {"paths": {"diag_variance": path},
+            "info": {"variance": var, "ratio": ratio, "wins": wins,
+                     "n_bootstrap": n_bootstrap, "summary": summary}}
+
+
+@locked_run
+def diag_ablation(cfg: RunConfig, n_seeds: int = 5,
+                  buffer_traj: int = 256) -> dict:
+    """Timestep-aware vs timestep-blind critic fits on matched buffers.
+
+    Uses the distance-to-mode reward on forget-class rollouts: its value
+    depends on where a trajectory actually lands, so the target genuinely
+    varies with t and timestep conditioning has signal to pick up.
+    """
+    model, sched = load(cfg, "eps_base"), schedule(cfg)
+    K = cfg.data.n_classes
+    target = cfg.reward.target_class
+    spec = reward_spec(apply_overrides(cfg, ["reward.kind=mode_distance"]))
+    class_ids = np.full(buffer_traj, target)
+    rows = []
+    for s in range(n_seeds):
+        buffer = build_critic_buffer(model, class_ids, spec, None, sched,
+                                     cfg.seed, phase=rngmod.PHASE_DIAG,
+                                     first_index=_IDX_ABLATION + s * 1000)
+        aware, blind = ablation_compare(buffer, seed=s, T=cfg.diffusion.T,
+                                        n_classes=K,
+                                        hidden=cfg.critic.hidden,
+                                        t_embed_dim=cfg.critic.t_embed_dim)
+        rows.append(("timestep_aware", aware, s))
+        rows.append(("timestep_blind", blind, s))
+
+    path = write_csv(out_path(cfg, "diag_ablation.csv"),
+                     ["model_kind", "held_out_mse", "seed"], rows)
+    aware_wins = sum(rows[2 * i][1] < rows[2 * i + 1][1]
+                     for i in range(n_seeds))
+    lines = ["== critic timestep ablation =="]
+    for i in range(n_seeds):
+        lines.append(f"  seed {i}: aware {rows[2*i][1]:.4f}  "
+                     f"blind {rows[2*i+1][1]:.4f}")
+    lines.append(f"  aware wins {aware_wins}/{n_seeds}")
+    return {"paths": {"diag_ablation": path},
+            "info": {"rows": rows, "aware_wins": aware_wins,
+                     "n_seeds": n_seeds, "summary": "\n".join(lines)}}
+
+
+@locked_run
+def diag_baseline_optimum(cfg: RunConfig, n_traj: int = 10_000) -> dict:
+    """Estimator variance on the probe at baselines around E[r].
+
+    The variance-minimizing constant baseline for the one-step probe is
+    the mean reward itself, so the middle row should come out lowest.
+    """
+    bias = 0.5
+    policy, sched = build_toy(bias)
+    rollouts = sample_toy_trajectories(policy, sched, n_traj, cfg.seed,
+                                       first_index=_IDX_BASELINE)
+    er = toy_mean_reward(bias)
+    pairs = optimal_baseline_probe(policy, sched, rollouts,
+                                   [er - 1.0, er, er + 1.0])
+    path = write_csv(out_path(cfg, "diag_baseline_optimum.csv"),
+                     ["baseline", "variance"], pairs)
+    best = min(pairs, key=lambda p: p[1])[0]
+    lines = ["== baseline optimum =="]
+    for b, v in pairs:
+        marker = "  <- E[r]" if b == er else ""
+        lines.append(f"  baseline {b:+.2f}: variance {v:.6f}{marker}")
+    lines.append(f"  lowest at {best:+.2f} (mean reward {er:+.2f})")
+    return {"paths": {"diag_baseline_optimum": path},
+            "info": {"pairs": pairs, "best": best, "mean_reward": er,
+                     "summary": "\n".join(lines)}}

@@ -6,6 +6,9 @@ checkpoint artifacts plus the config, re-derives its random streams from
 the master seed, and writes its outputs under cfg.out_dir, so reruns with
 an identical config are byte-identical. A lock file serializes runs that
 share an output directory.
+
+Networks are read and written only through `load` and `_save`, which
+record and check the config sections each network depends on.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .checkpoint import load_network, replacing, save_network
-from .config import RunConfig, config_hash, validate
+from .config import RunConfig, config_hash, config_lines, validate
 from .critic import (Critic, build_critic, build_critic_buffer, critic_train,
                      value_matrix)
 from .diffusion import (build_eps_net, ddpm_train_step, dump_dataset_csv,
@@ -88,18 +92,15 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _stale_owner(lock_path: str) -> int | None:
-    """The pid a lock names if it was taken on this host by a process
-    that is gone; None for a live, foreign or unreadable lock."""
+def _lock_owner(lock_path: str) -> tuple | None:
+    """The (pid, host) a lock file names; None if it cannot be read."""
     try:
         with open(lock_path, encoding="utf-8") as fh:
             pid, host = fh.read().split()
         pid = int(pid)
     except (OSError, ValueError):
         return None
-    if pid <= 0 or host != platform.node() or _pid_alive(pid):
-        return None
-    return pid
+    return (pid, host) if pid > 0 else None
 
 
 @contextmanager
@@ -129,18 +130,20 @@ def _locked(out_dir: str):
 
 
 def _take_lock(lock_path: str) -> int:
-    """Create lock_path, reclaiming a stale one; its open fd."""
+    """Create lock_path, reclaiming one whose owner ran on this host and is
+    gone (a live, foreign or unreadable owner raises LockError); its fd."""
     flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
         fd = os.open(lock_path, flags)
     except FileExistsError:
-        pid = _stale_owner(lock_path)
-        if pid is None:
-            raise LockError(
-                f"lock file exists: {lock_path}; another run may be using "
-                "this directory (delete the file if it is stale)")
+        owner = _lock_owner(lock_path)
+        if owner is None or owner[1] != platform.node() or _pid_alive(owner[0]):
+            who = ("an unreadable owner" if owner is None
+                   else "pid {} on host {}".format(*owner))
+            raise LockError(f"lock file exists: {lock_path}, held by {who}; "
+                            "another run may be using this directory")
         sys.stderr.write(f"warning: reclaiming stale lock {lock_path} of "
-                         f"pid {pid}, which is no longer running\n")
+                         f"pid {owner[0]}, which is no longer running\n")
         os.unlink(lock_path)
         fd = os.open(lock_path, flags)
     return fd
@@ -153,14 +156,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
+def write_csv(path: str, header: list, rows: list) -> str:
     with replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
 
 
-def _path(cfg: RunConfig, name: str) -> str:
+def out_path(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
@@ -177,12 +181,12 @@ def _dataset(cfg: RunConfig):
                           radius=cfg.data.radius, stddev=cfg.data.stddev)
 
 
-def _schedule(cfg: RunConfig):
+def schedule(cfg: RunConfig):
     return make_schedule(cfg.diffusion.T, cfg.diffusion.beta_start,
                          cfg.diffusion.beta_end)
 
 
-def _reward_spec(cfg: RunConfig) -> RewardSpec:
+def reward_spec(cfg: RunConfig) -> RewardSpec:
     if cfg.reward.kind == "mode_distance":
         center = mode_centers(cfg.data.n_classes,
                               cfg.data.radius)[cfg.reward.target_class]
@@ -193,11 +197,9 @@ def _reward_spec(cfg: RunConfig) -> RewardSpec:
                       scale=cfg.reward.scale)
 
 
-def _load_classifier(cfg: RunConfig):
-    net = build_classifier_net(2, cfg.data.n_classes, cfg.classifier.hidden,
-                               rng=rngmod.stream(cfg.seed, rngmod.PHASE_INIT, 2))
-    load_network(_require(_path(cfg, "classifier.ckpt")), net)
-    return net
+def _build_classifier(cfg: RunConfig):
+    return build_classifier_net(2, cfg.data.n_classes, cfg.classifier.hidden,
+                                rng=rngmod.stream(cfg.seed, rngmod.PHASE_INIT, 2))
 
 
 def _build_model(cfg: RunConfig):
@@ -207,12 +209,6 @@ def _build_model(cfg: RunConfig):
                          T=cfg.diffusion.T)
 
 
-def _load_base_model(cfg: RunConfig):
-    model = _build_model(cfg)
-    load_network(_require(_path(cfg, "eps_base.ckpt")), model.net)
-    return model
-
-
 def _build_critic(cfg: RunConfig) -> Critic:
     return build_critic(2, cfg.data.n_classes, cfg.diffusion.T,
                         hidden=cfg.critic.hidden,
@@ -220,13 +216,44 @@ def _build_critic(cfg: RunConfig) -> Critic:
                         rng=rngmod.stream(cfg.seed, rngmod.PHASE_INIT, 1))
 
 
-def _load_critic(cfg: RunConfig) -> Critic:
-    critic = _build_critic(cfg)
-    load_network(_require(_path(cfg, "critic.ckpt")), critic.net)
-    return critic
+_CLASSIFIER = ("seed", "data", "classifier")
+_BASE = _CLASSIFIER + ("diffusion", "eps_net", "pretrain")
+_CRITIC = _BASE + ("reward", "critic")
+
+# network: (builder, config sections whose values determine it); each is
+# stored as <name>.ckpt in the run directory
+_NETWORKS = {
+    "classifier": (_build_classifier, _CLASSIFIER),
+    "eps_base": (_build_model, _BASE),
+    "critic": (_build_critic, _CRITIC),
+    "eps_unlearned_ddpo": (_build_model, _BASE + ("reward", "policy",
+                                                  "estimator")),
+    "eps_unlearned_cgru": (_build_model, _CRITIC + ("policy", "estimator")),
+}
 
 
-def _mixture_class_ids(cfg: RunConfig, n: int,
+def load(cfg: RunConfig, name: str):
+    """Network `name` of the run directory, as its builder returns it.
+
+    Raises MissingArtifact if the checkpoint is absent and CheckpointError
+    if it was written under other values of the sections `name` depends on.
+    """
+    build, sections = _NETWORKS[name]
+    path = _require(out_path(cfg, f"{name}.ckpt"))
+    model = build(cfg)
+    # an EpsModel or Critic wraps its Network; the classifier is one
+    load_network(path, getattr(model, "net", model),
+                 config_lines(cfg, sections))
+    return model
+
+
+def _save(cfg: RunConfig, name: str, net) -> str:
+    path = out_path(cfg, f"{name}.ckpt")
+    save_network(path, net, config_lines(cfg, _NETWORKS[name][1]))
+    return path
+
+
+def mixture_class_ids(cfg: RunConfig, n: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw n class ids: the forget class with prob forget_fraction, else
     uniform over the remaining classes."""
@@ -327,22 +354,21 @@ def _classifier_phase(cfg: RunConfig) -> dict:
             f"classifier holdout accuracy {acc:.4f} is below the "
             f"{cfg.classifier.target_acc} gate")
     paths = {
-        "dataset": _path(cfg, "dataset.csv"),
-        "classifier": _path(cfg, "classifier.ckpt"),
-        "classifier_loss": _path(cfg, "classifier_loss.csv"),
+        "dataset": out_path(cfg, "dataset.csv"),
+        "classifier": _save(cfg, "classifier", net),
+        "classifier_loss": write_csv(
+            out_path(cfg, "classifier_loss.csv"), ["step", "loss"],
+            [(i + 1, float(l)) for i, l in enumerate(history)]),
     }
     dump_dataset_csv(paths["dataset"], X, y)
-    save_network(paths["classifier"], net)
-    _write_csv(paths["classifier_loss"], ["step", "loss"],
-               [(i + 1, float(l)) for i, l in enumerate(history)])
     return {"paths": paths, "info": {"holdout_accuracy": acc}}
 
 
 def _pretrain_phase(cfg: RunConfig) -> dict:
-    clf = _load_classifier(cfg)
+    clf = load(cfg, "classifier")
     X, y = _dataset(cfg)
     split = cfg.data.n_samples - cfg.data.holdout
-    sched = _schedule(cfg)
+    sched = schedule(cfg)
     model = _build_model(cfg)
     opt = adam_init(model.net, lr=cfg.pretrain.lr)
     rng = rngmod.stream(cfg.seed, rngmod.PHASE_PRETRAIN)
@@ -372,39 +398,36 @@ def _pretrain_phase(cfg: RunConfig) -> dict:
             f"below the {cfg.pretrain.target_acc} per-class gate ({detail})")
 
     paths = {
-        "eps_base": _path(cfg, "eps_base.ckpt"),
-        "pretrain_loss": _path(cfg, "pretrain_loss.csv"),
-        "pretrain_acc": _path(cfg, "pretrain_acc.csv"),
+        "eps_base": _save(cfg, "eps_base", model.net),
+        "pretrain_loss": write_csv(out_path(cfg, "pretrain_loss.csv"),
+                                   ["step", "loss"], loss_rows),
+        "pretrain_acc": write_csv(
+            out_path(cfg, "pretrain_acc.csv"),
+            ["step"] + [f"class_{k}" for k in range(cfg.data.n_classes)],
+            acc_rows),
     }
-    save_network(paths["eps_base"], model.net)
-    _write_csv(paths["pretrain_loss"], ["step", "loss"], loss_rows)
-    _write_csv(paths["pretrain_acc"],
-               ["step"] + [f"class_{k}" for k in range(cfg.data.n_classes)],
-               acc_rows)
     return {"paths": paths,
             "info": {"steps": steps_run, "per_class_acc": accs}}
 
 
 def _critic_phase(cfg: RunConfig) -> dict:
-    clf = _load_classifier(cfg)
-    model = _load_base_model(cfg)
-    sched = _schedule(cfg)
-    spec = _reward_spec(cfg)
+    clf, model = load(cfg, "classifier"), load(cfg, "eps_base")
+    sched = schedule(cfg)
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_CRITIC_BUFFER, 10**6)
-    class_ids = _mixture_class_ids(cfg, cfg.critic.n_traj, ctx_rng)
-    buffer = build_critic_buffer(model, class_ids, spec, clf, sched, cfg.seed)
+    class_ids = mixture_class_ids(cfg, cfg.critic.n_traj, ctx_rng)
+    buffer = build_critic_buffer(model, class_ids, reward_spec(cfg), clf,
+                                 sched, cfg.seed)
     critic = _build_critic(cfg)
     losses = critic_train(critic, buffer, epochs=cfg.critic.epochs,
                           batch_size=cfg.critic.batch_size,
                           rng=rngmod.stream(cfg.seed, rngmod.PHASE_CRITIC_TRAIN),
                           lr=cfg.critic.lr)
     paths = {
-        "critic": _path(cfg, "critic.ckpt"),
-        "critic_loss": _path(cfg, "critic_loss.csv"),
+        "critic": _save(cfg, "critic", critic.net),
+        "critic_loss": write_csv(
+            out_path(cfg, "critic_loss.csv"), ["epoch", "loss"],
+            [(i + 1, float(l)) for i, l in enumerate(losses)]),
     }
-    save_network(paths["critic"], critic.net)
-    _write_csv(paths["critic_loss"], ["epoch", "loss"],
-               [(i + 1, float(l)) for i, l in enumerate(losses)])
     return {"paths": paths,
             "info": {"buffer_size": len(buffer), "final_loss": losses[-1]}}
 
@@ -435,14 +458,12 @@ def _diag_gradients(rollouts, model, values, cfg, sched, method):
     return float(np.linalg.norm(full)), var
 
 
-def _unlearn_phase(cfg: RunConfig, method: str) -> dict:
+def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     if method not in ("cgru", "ddpo"):
         raise ValueError(f"unknown method {method!r}")
-    clf = _load_classifier(cfg)
-    model = _load_base_model(cfg)
-    sched = _schedule(cfg)
-    spec = _reward_spec(cfg)
-    critic = _load_critic(cfg) if method == "cgru" else None
+    clf, model = load(cfg, "classifier"), load(cfg, "eps_base")
+    critic = load(cfg, "critic") if method == "cgru" else None
+    sched, spec = schedule(cfg), reward_spec(cfg)
 
     X, y = _dataset(cfg)
     retain_ref = _retain_reference(cfg, X, y)
@@ -460,8 +481,8 @@ def _unlearn_phase(cfg: RunConfig, method: str) -> dict:
             opt.lr = _policy_lr(cfg, it)
             if (method == "cgru" and cfg.policy.refresh_every > 0 and it > 0
                     and it % cfg.policy.refresh_every == 0):
-                refresh_ids = _mixture_class_ids(cfg, cfg.policy.refresh_traj,
-                                                 refresh_rng)
+                refresh_ids = mixture_class_ids(cfg, cfg.policy.refresh_traj,
+                                                refresh_rng)
                 buf = build_critic_buffer(
                     model, refresh_ids, spec, clf, sched, cfg.seed,
                     first_index=(it + 1) * _REFRESH_TRAJ_STRIDE)
@@ -469,7 +490,7 @@ def _unlearn_phase(cfg: RunConfig, method: str) -> dict:
                              batch_size=cfg.critic.batch_size, rng=refresh_rng,
                              lr=cfg.critic.lr)
 
-            class_ids = _mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
+            class_ids = mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
             rollouts = sample_trajectories(
                 model, class_ids, sched, cfg.seed, rngmod.PHASE_POLICY,
                 first_index=(it + 1) * _POLICY_TRAJ_STRIDE)
@@ -497,16 +518,16 @@ def _unlearn_phase(cfg: RunConfig, method: str) -> dict:
             raise Divergence(f"unlearn {method}, iteration {it + 1}: {exc}") from exc
 
     paths = {
-        f"eps_unlearned_{method}": _path(cfg, f"eps_unlearned_{method}.ckpt"),
-        f"policy_diag_{method}": _path(cfg, f"policy_diag_{method}.csv"),
-        f"eval_history_{method}": _path(cfg, f"eval_history_{method}.csv"),
+        f"eps_unlearned_{method}": _save(cfg, f"eps_unlearned_{method}",
+                                         model.net),
+        f"policy_diag_{method}": write_csv(
+            out_path(cfg, f"policy_diag_{method}.csv"),
+            ["iteration", "estimator", "n_traj", "grad_norm",
+             "grad_variance", "clip_count", "mean_reward"], diag_rows),
+        f"eval_history_{method}": write_csv(
+            out_path(cfg, f"eval_history_{method}.csv"),
+            ["run_id", "method", "epoch", "ua", "ira", "fd"], eval_rows),
     }
-    save_network(paths[f"eps_unlearned_{method}"], model.net)
-    _write_csv(paths[f"policy_diag_{method}"],
-               ["iteration", "estimator", "n_traj", "grad_norm",
-                "grad_variance", "clip_count", "mean_reward"], diag_rows)
-    _write_csv(paths[f"eval_history_{method}"],
-               ["run_id", "method", "epoch", "ua", "ira", "fd"], eval_rows)
     info = {"iterations": cfg.policy.iterations,
             "stale_iterations": sum(e["stale_buffer"] for e in epoch_stats),
             "updates": sum(e["updates"] for e in epoch_stats)}
@@ -518,29 +539,23 @@ def _unlearn_phase(cfg: RunConfig, method: str) -> dict:
     return {"paths": paths, "info": info}
 
 
-def _eval_phase(cfg: RunConfig, method: str) -> dict:
+def _eval_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     if method not in ("cgru", "ddpo", "base"):
         raise ValueError(f"unknown method {method!r}")
-    clf = _load_classifier(cfg)
-    sched = _schedule(cfg)
-    model = _build_model(cfg)
-    if method == "base":
-        ckpt = _path(cfg, "eps_base.ckpt")
-        epoch = 0
-    else:
-        ckpt = _path(cfg, f"eps_unlearned_{method}.ckpt")
-        epoch = cfg.policy.iterations
-    load_network(_require(ckpt), model.net)
+    clf = load(cfg, "classifier")
+    base = method == "base"
+    model = load(cfg, "eps_base" if base else f"eps_unlearned_{method}")
+    epoch = 0 if base else cfg.policy.iterations
 
     X, y = _dataset(cfg)
-    report = _eval_model(cfg, model, clf, sched, cfg.eval.forget_samples,
-                         cfg.eval.retain_per_class,
+    report = _eval_model(cfg, model, clf, schedule(cfg),
+                         cfg.eval.forget_samples, cfg.eval.retain_per_class,
                          first_index=_EVAL_FINAL_INDEX,
                          retain_reference=_retain_reference(cfg, X, y))
     run_id = config_hash(cfg)[:12]
-    path = _path(cfg, f"eval_{method}.csv")
-    _write_csv(path, ["run_id", "method", "epoch", "ua", "ira", "fd"],
-               [(run_id, method, epoch, report.ua, report.ira, report.fd)])
+    path = out_path(cfg, f"eval_{method}.csv")
+    write_csv(path, ["run_id", "method", "epoch", "ua", "ira", "fd"],
+              [(run_id, method, epoch, report.ua, report.ira, report.fd)])
     return {"paths": {f"eval_{method}": path},
             "info": {"report": report, "summary": format_eval_report(
                 method, report)}}
@@ -573,8 +588,8 @@ def _report_phase(cfg: RunConfig) -> dict:
     final_rows = []
     curve_rows = []
     for method in ("cgru", "ddpo"):
-        hist_path = _path(cfg, f"eval_history_{method}.csv")
-        diag_path = _path(cfg, f"policy_diag_{method}.csv")
+        hist_path = out_path(cfg, f"eval_history_{method}.csv")
+        diag_path = out_path(cfg, f"policy_diag_{method}.csv")
         hist = _read_csv_rows(hist_path)
         diag = _read_csv_rows(diag_path)
         if not hist or not diag:
@@ -593,15 +608,14 @@ def _report_phase(cfg: RunConfig) -> dict:
                            last_d["mean_reward"]))
 
     paths = {
-        "report": _path(cfg, "report.csv"),
-        "report_curves": _path(cfg, "report_curves.csv"),
+        "report": write_csv(out_path(cfg, "report.csv"),
+                            ["run_id", "method", "iterations", "ua", "ira",
+                             "fd", "mean_reward"], final_rows),
+        "report_curves": write_csv(
+            out_path(cfg, "report_curves.csv"),
+            ["method", "iteration", "mean_reward", "grad_norm",
+             "grad_variance", "ua", "ira", "fd"], curve_rows),
     }
-    _write_csv(paths["report"],
-               ["run_id", "method", "iterations", "ua", "ira", "fd",
-                "mean_reward"], final_rows)
-    _write_csv(paths["report_curves"],
-               ["method", "iteration", "mean_reward", "grad_norm",
-                "grad_variance", "ua", "ira", "fd"], curve_rows)
 
     lines = ["== final metrics ==",
              f"{'method':8s} {'ua':>8s} {'ira':>8s} {'fd':>12s} {'reward':>8s}"]
@@ -611,40 +625,22 @@ def _report_phase(cfg: RunConfig) -> dict:
     return {"paths": paths, "info": {"summary": "\n".join(lines)}}
 
 
-def run_classifier(cfg: RunConfig) -> dict:
-    validate(cfg)
-    with _locked(cfg.out_dir):
-        return _classifier_phase(cfg)
+def locked_run(fn):
+    """`fn(cfg, ...)` run on a validated cfg, holding cfg.out_dir's lock."""
+    @functools.wraps(fn)
+    def run(cfg: RunConfig, *args, **kwargs):
+        validate(cfg)
+        with _locked(cfg.out_dir):
+            return fn(cfg, *args, **kwargs)
+    return run
 
 
-def run_pretrain(cfg: RunConfig) -> dict:
-    validate(cfg)
-    with _locked(cfg.out_dir):
-        return _pretrain_phase(cfg)
-
-
-def run_critic(cfg: RunConfig) -> dict:
-    validate(cfg)
-    with _locked(cfg.out_dir):
-        return _critic_phase(cfg)
-
-
-def run_unlearn(cfg: RunConfig, method: str = "cgru") -> dict:
-    validate(cfg)
-    with _locked(cfg.out_dir):
-        return _unlearn_phase(cfg, method)
-
-
-def run_eval(cfg: RunConfig, method: str = "cgru") -> dict:
-    validate(cfg)
-    with _locked(cfg.out_dir):
-        return _eval_phase(cfg, method)
-
-
-def run_report(cfg: RunConfig) -> dict:
-    validate(cfg)
-    with _locked(cfg.out_dir):
-        return _report_phase(cfg)
+run_classifier = locked_run(_classifier_phase)
+run_pretrain = locked_run(_pretrain_phase)
+run_critic = locked_run(_critic_phase)
+run_unlearn = locked_run(_unlearn_phase)
+run_eval = locked_run(_eval_phase)
+run_report = locked_run(_report_phase)
 
 
 _FULL_PHASES = (
@@ -658,31 +654,29 @@ _FULL_PHASES = (
 )
 
 
+@locked_run
 def run_full(cfg: RunConfig) -> RunManifest:
     """All phases in order; the manifest records artifacts, timings, each
     finished phase's info (gates, steps, buffer sizes, final metrics) and
     a failing phase's error as "<ExceptionType>: <message>"."""
-    validate(cfg)
     manifest = RunManifest(config_hash=config_hash(cfg))
-    with _locked(cfg.out_dir):
-        for name, phase in _FULL_PHASES:
-            start = time.perf_counter()
-            try:
-                result = phase(cfg)
-            except Exception as exc:
-                manifest.record_phase(name, "failed",
-                                      time.perf_counter() - start,
-                                      f"{type(exc).__name__}: {exc}")
-                _write_manifest(cfg, manifest)
-                raise
-            manifest.record_phase(name, "ok", time.perf_counter() - start,
-                                  info=result["info"])
-            manifest.record_artifacts(result["paths"])
-        _write_manifest(cfg, manifest)
+    for name, phase in _FULL_PHASES:
+        start = time.perf_counter()
+        try:
+            result = phase(cfg)
+        except Exception as exc:
+            manifest.record_phase(name, "failed", time.perf_counter() - start,
+                                  f"{type(exc).__name__}: {exc}")
+            _write_manifest(cfg, manifest)
+            raise
+        manifest.record_phase(name, "ok", time.perf_counter() - start,
+                              info=result["info"])
+        manifest.record_artifacts(result["paths"])
+    _write_manifest(cfg, manifest)
     return manifest
 
 
 def _write_manifest(cfg: RunConfig, manifest: RunManifest) -> None:
-    with replacing(_path(cfg, "manifest.json"), encoding="utf-8") as fh:
+    with replacing(out_path(cfg, "manifest.json"), encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")

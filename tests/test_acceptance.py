@@ -17,8 +17,8 @@ import scipy.linalg
 
 from cgru import pipeline
 from cgru import rng as rngmod
-from cgru.cli import (diag_ablation, diag_baseline_optimum, diag_unbiasedness,
-                      diag_variance)
+from cgru.diag import (diag_ablation, diag_baseline_optimum,
+                       diag_unbiasedness, diag_variance)
 from cgru.config import RunConfig, apply_overrides
 from cgru.critic import critic_values
 from cgru.diffusion import (mode_centers, one_hot, rollout_from,
@@ -164,9 +164,9 @@ def test_02_estimators_are_unbiased(full_run):
 def test_03_zero_critic_reduces_to_terminal_reward():
     cfg = RunConfig()
     model = pipeline._build_model(cfg)
-    sched = pipeline._schedule(cfg)
+    sched = pipeline.schedule(cfg)
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DEGEN)
-    class_ids = pipeline._mixture_class_ids(cfg, 16, ctx_rng)
+    class_ids = pipeline.mixture_class_ids(cfg, 16, ctx_rng)
     trajs = sample_trajectories(model, class_ids, sched, cfg.seed,
                                 rngmod.PHASE_DIAG, first_index=_IDX_DEGEN)
     center = mode_centers(cfg.data.n_classes, cfg.data.radius)[0]
@@ -210,14 +210,14 @@ def test_05_variance_minimized_at_mean_reward(tmp_path):
 def test_06_critic_tracks_monte_carlo_values(full_run):
     start = time.monotonic()
     cfg, _ = full_run
-    model = pipeline._load_base_model(cfg)
-    critic = pipeline._load_critic(cfg)
-    clf = pipeline._load_classifier(cfg)
-    spec = pipeline._reward_spec(cfg)
-    sched = pipeline._schedule(cfg)
+    model = pipeline.load(cfg, "eps_base")
+    critic = pipeline.load(cfg, "critic")
+    clf = pipeline.load(cfg, "classifier")
+    spec = pipeline.reward_spec(cfg)
+    sched = pipeline.schedule(cfg)
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_PROBE)
     n_probes = 50
-    class_ids = pipeline._mixture_class_ids(cfg, n_probes, ctx_rng)
+    class_ids = pipeline.mixture_class_ids(cfg, n_probes, ctx_rng)
     probes = sample_trajectories(model, class_ids, sched, cfg.seed,
                                  rngmod.PHASE_DIAG, first_index=_IDX_PROBE)
     errs = []

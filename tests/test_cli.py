@@ -1,6 +1,8 @@
 """Command line interface: exit codes, artifact messages, diag outputs."""
 
+import hashlib
 import os
+import platform
 import shutil
 import warnings
 
@@ -83,6 +85,46 @@ def test_diverging_run_exits_one(tiny_run, tmp_path, capsys, monkeypatch,
     # the policy step at lr=1e300 breaks the first iteration's next walk
     assert err.startswith("error: unlearn cgru, iteration 1: non-finite")
     assert "Traceback" not in err
+
+
+def _digests(out_dir):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out_dir))}
+
+
+@pytest.mark.parametrize("cmd", [["unlearn"], ["eval", "--method", "base"],
+                                 ["diag", "variance"]])
+def test_checkpoints_of_another_config_are_refused(tiny_run, tmp_path, capsys,
+                                                   cmd):
+    cfg, _ = tiny_run
+    out = tmp_path / "copied"
+    shutil.copytree(cfg.out_dir, out)
+    before = _digests(out)
+    assert main(_args(out, *cmd, "--set", "seed=7",
+                      "--set", "diffusion.T=20")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'classifier.ckpt'} was written "
+                          "under another config: ")
+    assert "seed (0 -> 7)" in err and "Traceback" not in err
+    assert _digests(out) == before
+    # out_dir is in no section, so the copied run loads under its own config
+    if cmd[0] == "eval":
+        assert main(_args(out, *cmd)) == 0
+
+
+def test_unlearned_checkpoint_of_another_policy_is_refused(tiny_run, tmp_path,
+                                                          capsys):
+    cfg, _ = tiny_run
+    out = tmp_path / "copied"
+    shutil.copytree(cfg.out_dir, out)
+    before = _digests(out)
+    assert main(_args(out, "eval", "--method", "cgru",
+                      "--set", "policy.lr=1e-4")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'eps_unlearned_cgru.ckpt'} was "
+                          "written under another config: policy.lr (3e-05 "
+                          "-> 0.0001)")
+    assert _digests(out) == before
 
 
 def test_bad_override_exits_two(tmp_path, capsys):
@@ -177,9 +219,18 @@ def test_diag_ablation(diag_dir, capsys):
 
 def test_lock_reported_as_failure(diag_dir, capsys):
     lock = diag_dir / ".lock"
-    open(lock, "w").close()
-    try:
-        assert main(_args(diag_dir, "eval", "--method", "base")) == 1
-        assert "lock" in capsys.readouterr().err
-    finally:
-        os.unlink(lock)
+    pid = os.getpid()
+    for owner, named in [
+            ("", "held by an unreadable owner"),
+            (f"{pid} {platform.node()}\n",
+             f"held by pid {pid} on host {platform.node()}"),
+            ("12345 another-host.invalid\n",
+             "held by pid 12345 on host another-host.invalid")]:
+        lock.write_text(owner)
+        try:
+            assert main(_args(diag_dir, "eval", "--method", "base")) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: lock file exists: {lock}, {named}; ")
+            assert "delete" not in err
+        finally:
+            os.unlink(lock)

@@ -318,11 +318,28 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointError, match="magic"):
         load_tensors(bad_magic)
 
-    # the first tensor name starts after magic, version, count and its length
+    # the first tensor name starts after magic, version, the (empty)
+    # provenance's length, count and its own length
     bad_name = tmp_path / "name.ckpt"
-    bad_name.write_bytes(blob[:16] + b"\xff" + blob[17:])
+    bad_name.write_bytes(blob[:20] + b"\xff" + blob[21:])
     with pytest.raises(CheckpointError, match=f"{bad_name}.*utf-8"):
         load_tensors(bad_name)
+
+
+def test_checkpoint_refuses_other_provenance(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_network(path, small_net(), ["a.x = 1", "a.y = 2", "seed = 0"])
+    net = small_net(rngmod.stream(99, rngmod.PHASE_INIT, 5))
+    before = net.theta.copy()
+    with pytest.raises(CheckpointError) as exc:
+        load_network(path, net, ["a.x = 1", "b.z = 3", "seed = 7"])
+    assert str(exc.value) == (f"{path} was written under another config: "
+                              "a.y (2 -> -), b.z (- -> 3), seed (0 -> 7)")
+    assert np.array_equal(net.theta, before)
+    with pytest.raises(CheckpointError, match="seed"):
+        load_network(path, net)
+    load_network(path, net, ["a.x = 1", "a.y = 2", "seed = 0"])
+    assert np.array_equal(net.theta, small_net().theta)
 
 
 def test_checkpoint_rejects_wrong_architecture(tmp_path):
@@ -342,8 +359,9 @@ def test_save_tensors_roundtrip_values(tmp_path):
         "mat": np.arange(6, dtype=np.float64).reshape(2, 3),
     }
     path = tmp_path / "t.ckpt"
-    save_tensors(path, tensors)
-    out = load_tensors(path)
+    save_tensors(path, tensors, ["a.x = 1", "seed = 0"])
+    lines, out = load_tensors(path)
+    assert lines == ["a.x = 1", "seed = 0"]
     assert set(out) == set(tensors)
     for k in tensors:
         assert np.array_equal(out[k], tensors[k])

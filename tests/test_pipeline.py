@@ -5,6 +5,8 @@ import json
 import math
 import os
 import platform
+import re
+import struct
 import subprocess
 import sys
 import threading
@@ -14,7 +16,7 @@ import pytest
 
 from cgru import nets, pipeline
 from cgru import rng as rngmod
-from cgru.checkpoint import save_tensors
+from cgru.checkpoint import load_tensors, save_tensors
 from cgru.config import RunConfig, apply_overrides, config_hash
 from cgru.diffusion import (build_eps_net, dump_dataset_csv, make_schedule,
                             sample_trajectories)
@@ -66,8 +68,11 @@ def test_zero_iterations_is_identity(tiny_run, tmp_path):
     zcfg = apply_overrides(tiny_config(out), ["policy.iterations=0"])
     result = pipeline.run_unlearn(zcfg, "cgru")
     assert result["info"]["iterations"] == 0
-    assert (out / "eps_unlearned_cgru.ckpt").read_bytes() == \
-        (out / "eps_base.ckpt").read_bytes()
+    # the tensors match bit for bit; the provenance headers differ
+    _, base = load_tensors(out / "eps_base.ckpt")
+    _, unlearned = load_tensors(out / "eps_unlearned_cgru.ckpt")
+    assert base.keys() == unlearned.keys()
+    assert all(np.array_equal(base[k], unlearned[k]) for k in base)
     # CSVs exist with headers only
     diag = (out / "policy_diag_cgru.csv").read_text().strip().splitlines()
     assert diag == ["iteration,estimator,n_traj,grad_norm,grad_variance,"
@@ -125,7 +130,7 @@ def test_failed_writes_leave_the_previous_file(tiny_cfg):
     manifest = pipeline.RunManifest(config_hash="h", phases={
         "classifier": {"status": "ok", "info": {"bad": object()}}})
     writes = {
-        "rows.csv": lambda p: pipeline._write_csv(
+        "rows.csv": lambda p: pipeline.write_csv(
             p, ["step", "loss"], [(1, 0.5), (2, _Unprintable())]),
         "dataset.csv": lambda p: dump_dataset_csv(
             p, np.zeros((2, 2)), [0, "not a class"]),
@@ -198,17 +203,17 @@ def test_two_reclaimers_of_one_stale_lock_admit_one(tmp_path, monkeypatch):
             outcomes.append("blocked")
 
     rival = threading.Thread(target=claim)
-    real = pipeline._stale_owner
+    real = pipeline._lock_owner
     looks = []
 
-    def stale_owner(path):
+    def lock_owner(path):
         looks.append(path)
         if len(looks) == 1:
             rival.start()
             rival.join(0.5)     # unguarded, the rival reclaims the lock here
         return real(path)
 
-    monkeypatch.setattr(pipeline, "_stale_owner", stale_owner)
+    monkeypatch.setattr(pipeline, "_lock_owner", lock_owner)
     with pipeline._locked(out_dir):
         rival.join(30)
         assert open(lock).read() == f"{os.getpid()} {platform.node()}\n"
@@ -216,13 +221,12 @@ def test_two_reclaimers_of_one_stale_lock_admit_one(tmp_path, monkeypatch):
     assert not os.path.exists(lock)
 
 
-def test_lock_names_its_owner(tmp_path, monkeypatch):
-    seen = []
-    monkeypatch.setattr(pipeline, "_eval_phase",
-                        lambda cfg, method: seen.append(
-                            open(os.path.join(cfg.out_dir, ".lock")).read()))
-    pipeline.run_eval(tiny_config(tmp_path / "owner"), "base")
-    assert seen == [f"{os.getpid()} {platform.node()}\n"]
+def test_lock_names_its_owner(tmp_path):
+    # every run_* entry point and diagnostic is a locked_run
+    read_lock = pipeline.locked_run(
+        lambda cfg: open(os.path.join(cfg.out_dir, ".lock")).read())
+    seen = read_lock(tiny_config(tmp_path / "owner"))
+    assert seen == f"{os.getpid()} {platform.node()}\n"
 
 
 @pytest.mark.parametrize("method", ["cgru", "ddpo"])
@@ -319,6 +323,21 @@ def test_corrupt_checkpoint_is_reported_with_filename(tiny_run, tmp_path):
     ccfg = tiny_config(out)
     with pytest.raises(CheckpointError, match="eps_base.ckpt"):
         pipeline.run_unlearn(ccfg, "cgru")
+
+
+def test_version_1_checkpoint_is_refused(tiny_run, tmp_path):
+    cfg, _ = tiny_run
+    out = tmp_path / "v1"
+    out.mkdir()
+    # the version 1 layout: no provenance between the version and the count
+    blob = open(os.path.join(cfg.out_dir, "classifier.ckpt"), "rb").read()
+    (head_len,) = struct.unpack("<I", blob[8:12])
+    (out / "classifier.ckpt").write_bytes(
+        b"CGRU" + struct.pack("<I", 1) + blob[12 + head_len:])
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{out / 'classifier.ckpt'}: unsupported format version 1")) as exc:
+        pipeline.run_pretrain(tiny_config(out))
+    assert "rerun the phase that writes it" in str(exc.value)
 
 
 def test_eval_csv_schema_and_run_id(tiny_run):
