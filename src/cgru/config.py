@@ -105,7 +105,6 @@ class PolicyConfig:
 class EvalConfig:
     forget_samples: int = 200
     retain_per_class: int = 100
-    use_penultimate_features: bool = False
 
 
 @dataclass
@@ -149,6 +148,15 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("policy.iterations must be >= 0")
     if not 0 < cfg.diffusion.beta_start <= cfg.diffusion.beta_end < 1:
         raise ConfigError("need 0 < diffusion.beta_start <= beta_end < 1")
+    if cfg.data.n_classes < 2:
+        raise ConfigError("data.n_classes must be >= 2: one class is "
+                          "forgotten and at least one retained")
+    # the Frechet distance fits a covariance to the retained samples
+    for key in ("eval.retain_per_class", "policy.eval_per_class"):
+        n_retained = (cfg.data.n_classes - 1) * flat[key]
+        if n_retained < 2:
+            raise ConfigError(f"{key} = {flat[key]} leaves {n_retained} "
+                              "retained eval sample; need at least 2")
     if not 0 <= cfg.reward.target_class < cfg.data.n_classes:
         raise ConfigError(
             f"reward.target_class {cfg.reward.target_class} out of range "
@@ -191,8 +199,6 @@ def _walk(cfg: RunConfig):
 
 
 def _render_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -201,12 +207,6 @@ def _render_value(v) -> str:
 def _parse_value(text: str, typ: type, key: str):
     text = text.strip()
     try:
-        if typ is bool:
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
         if typ is int:
             return int(text)
         if typ is float:

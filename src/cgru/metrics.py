@@ -1,13 +1,13 @@
-"""Evaluation metrics: unlearning accuracy, retain accuracy, Frechet distance.
+"""Evaluation metrics: Gaussian feature statistics and the Frechet distance.
 
-Classifier-based metrics take a `predict` callable mapping a batch of
-points to integer labels, so they work with any decision rule. The
-Frechet distance between Gaussian fits is
+The Frechet distance between Gaussian fits is
 
     ||mu_r - mu_g||^2 + Tr(S_r + S_g - 2 (S_r S_g)^{1/2})
 
 computed through a symmetric eigendecomposition square root with a small
-diagonal regularizer added before taking the root.
+diagonal regularizer added before taking the root. EvalReport holds one
+eval's scores; the pipeline counts the classifier-based ones (UA, IRA,
+per-class accuracy) from a single vector of predicted labels.
 """
 
 from dataclasses import dataclass, field
@@ -17,29 +17,6 @@ import numpy as np
 from .errors import ShapeMismatch
 
 Array = np.ndarray
-
-
-def unlearning_accuracy(samples: Array, predict, target_class: int) -> float:
-    """Fraction of samples the classifier does NOT assign to the target."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    if len(samples) == 0:
-        raise ValueError("no samples given")
-    labels = np.asarray(predict(samples))
-    return float((labels != target_class).mean())
-
-
-def retain_accuracy(samples_by_class: dict, predict) -> float:
-    """Mean over retained classes of the per-class correct rate."""
-    if not samples_by_class:
-        raise ValueError("no retain classes given")
-    accs = []
-    for cls, pts in samples_by_class.items():
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if len(pts) == 0:
-            raise ValueError(f"class {cls} has no samples")
-        labels = np.asarray(predict(pts))
-        accs.append(float((labels == cls).mean()))
-    return float(np.mean(accs))
 
 
 @dataclass

@@ -153,12 +153,10 @@ def _softmax(z: Array) -> Array:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _run(net: Network, x: Array, cond, tape: list | None = None,
-         n_layers: int | None = None):
-    """Shared forward walk through the first n_layers (None: all); appends
-    each layer's cache to `tape` if given."""
+def _run(net: Network, x: Array, cond, tape: list | None = None):
+    """Forward walk; appends each layer's cache to `tape` if given."""
     record = (lambda entry: None) if tape is None else tape.append
-    for i, layer in enumerate(net.arch[:n_layers]):
+    for i, layer in enumerate(net.arch):
         if isinstance(layer, Dense):
             if x.shape[1] != layer.n_in:
                 raise ShapeMismatch(
@@ -267,13 +265,6 @@ def backward(net: Network, out_grad, tape: list, bounds=None,
             add(f"{i}.cb", None, dg)
             g = g * scale
     return out
-
-
-def forward_upto(net: Network, x, n_layers: int) -> Array:
-    """Run only the first n_layers of the network (feature extraction)."""
-    if not 0 < n_layers <= len(net.arch):
-        raise ValueError(f"n_layers out of range: {n_layers}")
-    return _run(net, _as_batch(x), None, n_layers=n_layers)
 
 
 def sinusoidal_embed(t, dim: int, t_max: int) -> Array:

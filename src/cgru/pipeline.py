@@ -37,14 +37,13 @@ from .diffusion import (build_eps_net, ddpm_train_step, dump_dataset_csv,
                         make_schedule, mode_centers, sample_dataset,
                         sample_trajectories)
 from .errors import Divergence, LockError, MissingArtifact, PhaseFailure
-from .metrics import (EvalReport, feature_stats, frechet_distance,
-                      retain_accuracy, unlearning_accuracy)
+from .metrics import EvalReport, feature_stats, frechet_distance
 from .nets import adam_init
 from .policy_grad import (GradientEstimate, clip_to_norm, gradient_variance,
                           group_estimates, policy_update_epoch)
 from .rewards import (RewardSpec, assign_rewards, build_classifier_net,
                       classifier_accuracy, classifier_predict,
-                      penultimate_features, train_classifier)
+                      train_classifier)
 
 # eval rollouts draw from fixed stream indexes so the same noise is reused
 # at every logging point; training streams stay clear of these ranges
@@ -269,71 +268,46 @@ def mixture_class_ids(cfg: RunConfig, n: int,
     return out
 
 
-def _eval_class_ids(cfg: RunConfig, n_forget: int,
-                    n_retain_each: int) -> np.ndarray:
-    """n_forget forget-class ids, then n_retain_each of each retained class."""
-    K = cfg.data.n_classes
-    target = cfg.reward.target_class
-    retain = [k for k in range(K) if k != target]
-    return np.concatenate([np.full(n_forget, target, dtype=np.int64),
-                           np.repeat(retain, n_retain_each)])
+def _classify_samples(cfg: RunConfig, model, clf, sched, class_ids,
+                      first_index: int) -> tuple:
+    """Sample one trajectory per class id from the eval streams; returns
+    the terminal samples and the classifier's label for each."""
+    x0 = sample_trajectories(model, class_ids, sched, cfg.seed,
+                             rngmod.PHASE_EVAL, first_index=first_index).x0
+    return x0, classifier_predict(clf, x0)
+
+
+def _per_class_accuracy(class_ids: np.ndarray, labels: np.ndarray) -> dict:
+    """For each class present, the fraction of its samples labeled as it."""
+    return {int(k): float((labels[class_ids == k] == k).mean())
+            for k in np.unique(class_ids)}
 
 
 def _eval_model(cfg: RunConfig, model, clf, sched, n_forget: int,
                 n_retain_each: int, first_index: int,
                 retain_reference: np.ndarray) -> EvalReport:
-    """Generate the eval protocol's samples and score them.
+    """Score n_forget forget-class samples and n_retain_each of each
+    retained class, all classified in one call.
 
     retain_reference holds real data points from the retained classes; the
-    Frechet distance compares generated retain-context samples against it,
-    in raw coordinates or classifier features per cfg.eval.
+    Frechet distance compares the generated retain samples against it.
     """
-    K = cfg.data.n_classes
     target = cfg.reward.target_class
-    class_ids = _eval_class_ids(cfg, n_forget, n_retain_each)
-    x0 = sample_trajectories(model, class_ids, sched, cfg.seed,
-                             rngmod.PHASE_EVAL, first_index=first_index).x0
-    predict = lambda s: classifier_predict(clf, s)
-
-    forget_samples = x0[:n_forget]
-    ua = unlearning_accuracy(forget_samples, predict, target)
-
-    by_class = {}
-    per_class = {}
-    off = n_forget
-    for k in range(K):
-        if k == target:
-            continue
-        block = x0[off:off + n_retain_each]
-        by_class[k] = block
-        per_class[k] = float((classifier_predict(clf, block) == k).mean())
-        off += n_retain_each
-    ira = retain_accuracy(by_class, predict)
-
-    gen_retain = x0[n_forget:]
-    if cfg.eval.use_penultimate_features:
-        real_feats = penultimate_features(clf, retain_reference)
-        gen_feats = penultimate_features(clf, gen_retain)
-    else:
-        real_feats, gen_feats = retain_reference, gen_retain
-    fd = frechet_distance(feature_stats(real_feats), feature_stats(gen_feats))
-    return EvalReport(ua=ua, ira=ira, fd=fd, per_class_acc=per_class)
+    retain = [k for k in range(cfg.data.n_classes) if k != target]
+    class_ids = np.concatenate([np.full(n_forget, target, dtype=np.int64),
+                                np.repeat(retain, n_retain_each)])
+    x0, labels = _classify_samples(cfg, model, clf, sched, class_ids,
+                                   first_index)
+    per_class = _per_class_accuracy(class_ids[n_forget:], labels[n_forget:])
+    fd = frechet_distance(feature_stats(retain_reference),
+                          feature_stats(x0[n_forget:]))
+    return EvalReport(ua=float((labels[:n_forget] != target).mean()),
+                      ira=float(np.mean(list(per_class.values()))), fd=fd,
+                      per_class_acc=per_class)
 
 
 def _retain_reference(cfg: RunConfig, X: np.ndarray, y: np.ndarray):
     return X[y != cfg.reward.target_class]
-
-
-def _conditional_accuracy(cfg: RunConfig, model, clf, sched, n_per_class: int,
-                          first_index: int) -> dict:
-    """Per-class accuracy of the classifier on conditional samples."""
-    K = cfg.data.n_classes
-    x0 = sample_trajectories(model, np.repeat(np.arange(K), n_per_class),
-                             sched, cfg.seed, rngmod.PHASE_EVAL,
-                             first_index=first_index).x0
-    pred = classifier_predict(clf, x0)
-    return {k: float((pred[k * n_per_class:(k + 1) * n_per_class] == k).mean())
-            for k in range(K)}
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +358,11 @@ def _pretrain_phase(cfg: RunConfig) -> dict:
         loss_rows.append((step, float(loss)))
         steps_run = step
         if step % cfg.pretrain.eval_every == 0 or step == cfg.pretrain.max_steps:
-            accs = _conditional_accuracy(cfg, model, clf, sched,
-                                         cfg.pretrain.eval_per_class,
-                                         first_index=step * 10_000)
+            class_ids = np.repeat(np.arange(cfg.data.n_classes),
+                                  cfg.pretrain.eval_per_class)
+            _, labels = _classify_samples(cfg, model, clf, sched, class_ids,
+                                          first_index=step * 10_000)
+            accs = _per_class_accuracy(class_ids, labels)
             acc_rows.append((step, *[accs[k] for k in sorted(accs)]))
             if min(accs.values()) >= cfg.pretrain.target_acc:
                 met_gate = True
@@ -584,7 +560,9 @@ def _report_phase(cfg: RunConfig) -> dict:
     report.csv holds one final-metrics row per method; report_curves.csv
     holds the merged per-iteration curves for external plotting. Metric
     values pass through as the source strings, so reruns are byte-stable.
+    A history whose run_id is not this config's raises PhaseFailure.
     """
+    run_id = config_hash(cfg)[:12]
     final_rows = []
     curve_rows = []
     for method in ("cgru", "ddpo"):
@@ -595,6 +573,11 @@ def _report_phase(cfg: RunConfig) -> dict:
         if not hist or not diag:
             raise PhaseFailure(f"no logged iterations in {hist_path}; "
                                "the unlearn phase has not produced metrics")
+        other = sorted({h["run_id"] for h in hist} - {run_id})
+        if other:
+            raise PhaseFailure(f"{hist_path} holds run_id {', '.join(other)}, "
+                               f"not this config's {run_id}; rerun unlearn "
+                               f"--method {method} under this config")
         by_iter = {row["iteration"]: row for row in diag}
         for h in hist:
             d = by_iter.get(h["epoch"], {})
@@ -603,7 +586,7 @@ def _report_phase(cfg: RunConfig) -> dict:
                                d.get("grad_variance", ""), h["ua"], h["ira"],
                                h["fd"]))
         last_h, last_d = hist[-1], diag[-1]
-        final_rows.append((last_h["run_id"], method, last_h["epoch"],
+        final_rows.append((run_id, method, last_h["epoch"],
                            last_h["ua"], last_h["ira"], last_h["fd"],
                            last_d["mean_reward"]))
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import rng as rngmod
 from .diffusion import (NoiseSchedule, Rollouts, gaussian_logprob, one_hot,
                         reverse_mean, score_coef)
-from .errors import ShapeMismatch
+from .errors import ConfigError, ShapeMismatch
 from .nets import adam_step, backward
 
 Array = np.ndarray
@@ -47,11 +47,11 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if not 0.0 < self.clip_low <= 1.0 <= self.clip_high:
-            raise ValueError(
+            raise ConfigError(
                 f"need 0 < clip_low <= 1 <= clip_high, got "
                 f"({self.clip_low}, {self.clip_high})")
         if not self.grad_max_norm > 0.0:
-            raise ValueError(f"grad_max_norm must be positive, got {self.grad_max_norm}")
+            raise ConfigError(f"grad_max_norm must be positive, got {self.grad_max_norm}")
 
 
 @dataclass

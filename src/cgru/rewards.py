@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .nets import (Act, Dense, Network, adam_init, adam_step, backward,
-                   forward, forward_upto, init_network)
+                   forward, init_network)
 
 Array = np.ndarray
 
@@ -81,12 +81,6 @@ def classifier_predict(net: Network, X) -> Array:
 
 def classifier_accuracy(net: Network, X, y) -> float:
     return float((classifier_predict(net, X) == np.asarray(y)).mean())
-
-
-def penultimate_features(net: Network, X) -> Array:
-    """Activations feeding the final dense layer, as an eval feature space."""
-    last_dense = max(i for i, l in enumerate(net.arch) if isinstance(l, Dense))
-    return forward_upto(net, X, last_dense)
 
 
 def classifier_reward(net: Network, x0: Array, target_class: int,

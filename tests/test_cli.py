@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from cgru.cli import build_parser, main
-from cgru.config import RunConfig, save_config
+from cgru.config import RunConfig, apply_overrides, config_hash, save_config
 from cgru.critic import Critic
 
 from conftest import TINY_OVERRIDES, tiny_config
@@ -127,6 +127,21 @@ def test_unlearned_checkpoint_of_another_policy_is_refused(tiny_run, tmp_path,
     assert _digests(out) == before
 
 
+def test_report_refuses_histories_of_another_config(tiny_run, tmp_path,
+                                                    capsys):
+    cfg, _ = tiny_run
+    out = tmp_path / "copied"
+    shutil.copytree(cfg.out_dir, out)
+    before = _digests(out)
+    assert main(_args(out, "report", "--set", "seed=7")) == 1
+    err = capsys.readouterr().err
+    seed7 = config_hash(apply_overrides(cfg, ["seed=7"]))[:12]
+    assert err.startswith(f"error: {out / 'eval_history_cgru.csv'} holds "
+                          f"run_id {config_hash(cfg)[:12]}, not this "
+                          f"config's {seed7}")
+    assert _digests(out) == before
+
+
 def test_bad_override_exits_two(tmp_path, capsys):
     assert main(["full", "--set", "policy.lr=banana", "--out", str(tmp_path)]) == 2
     assert "policy.lr" in capsys.readouterr().err
@@ -135,10 +150,27 @@ def test_bad_override_exits_two(tmp_path, capsys):
 
 
 def test_invalid_config_value_exits_two(tmp_path, capsys):
-    # parses, then fails validation
-    assert main(["full", "--set", "diffusion.T=0",
-                 "--out", str(tmp_path)]) == 2
-    assert "diffusion.T" in capsys.readouterr().err
+    cases = [
+        # each parses, then fails validation
+        ("full", ["diffusion.T=0"], "diffusion.T"),
+        ("classifier", ["data.n_classes=1"], "data.n_classes"),
+        # one retained class with one eval sample: no covariance to fit
+        ("classifier", ["data.n_classes=2", "eval.retain_per_class=1"],
+         "eval.retain_per_class"),
+        ("classifier", ["data.n_classes=2", "policy.eval_per_class=1"],
+         "policy.eval_per_class"),
+        # each fails as the override builds the estimator section
+        ("unlearn", ["estimator.clip_low=2"], "clip_low"),
+        ("unlearn", ["estimator.grad_max_norm=0"], "grad_max_norm"),
+    ]
+    for cmd, sets, key in cases:
+        args = [cmd, "--out", str(tmp_path)]
+        for kv in sets:
+            args += ["--set", kv]
+        assert main(args) == 2, sets
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, sets
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -19,8 +19,7 @@ def test_defaults_are_valid():
 
 def test_render_parse_roundtrip():
     cfg = apply_overrides(RunConfig(), ["policy.lr=0.0003", "seed=9",
-                                        "reward.kind=mode_distance",
-                                        "eval.use_penultimate_features=true"])
+                                        "reward.kind=mode_distance"])
     text = render_config(cfg)
     back = parse_config(text)
     assert back == cfg
@@ -38,14 +37,12 @@ def test_override_type_conversions():
     cfg = apply_overrides(RunConfig(), [
         "policy.iterations=7",
         "policy.lr=2.5e-4",
-        "eval.use_penultimate_features=true",
         "reward.kind=mode_distance",
         "out_dir=/somewhere/else",
     ])
     assert cfg.policy.iterations == 7
     assert isinstance(cfg.policy.iterations, int)
     assert cfg.policy.lr == 2.5e-4
-    assert cfg.eval.use_penultimate_features is True
     assert cfg.reward.kind == "mode_distance"
     assert cfg.out_dir == "/somewhere/else"
     # original untouched (dataclass replace semantics)
@@ -64,8 +61,6 @@ def test_override_rejects_bad_value_naming_key():
         apply_overrides(RunConfig(), ["policy.iterations=banana"])
     with pytest.raises(ConfigError, match="policy.lr"):
         apply_overrides(RunConfig(), ["policy.lr=fast"])
-    with pytest.raises(ConfigError, match="use_penultimate_features"):
-        apply_overrides(RunConfig(), ["eval.use_penultimate_features=probably"])
     with pytest.raises(ConfigError, match="="):
         apply_overrides(RunConfig(), ["policy.iterations"])
 
@@ -115,3 +110,11 @@ def test_config_hash_ignores_out_dir_only():
     assert int(config_hash(base), 16) >= 0
     for override in ("seed=1", "policy.lr=1e-5", "reward.target_class=3"):
         assert config_hash(apply_overrides(base, [override])) != config_hash(base)
+
+
+def test_default_config_hash_is_pinned():
+    # the run_id column of every eval CSV is this hash's prefix, and AC10
+    # compares those files byte for byte: a key or default change must
+    # update this pin and declare the run_id move
+    assert config_hash(RunConfig()) == (
+        "4f79b145d3f2acc11b51b34833b0c71df6599c26e21e7eb4977e13ec7d87ec4b")

@@ -1,4 +1,4 @@
-"""Accuracy metrics and the Gaussian Frechet distance."""
+"""Gaussian feature statistics and the Frechet distance."""
 
 import math
 
@@ -9,8 +9,7 @@ import scipy.linalg
 from cgru import rng as rngmod
 from cgru.errors import ShapeMismatch
 from cgru.metrics import (FeatureStats, feature_stats, frechet_distance,
-                          matrix_sqrt_psd, retain_accuracy,
-                          unlearning_accuracy)
+                          matrix_sqrt_psd)
 
 
 def fd_oracle(m1, c1, m2, c2):
@@ -25,28 +24,6 @@ def fd_oracle(m1, c1, m2, c2):
 def random_spd(rng, d=2):
     a = rng.standard_normal((d, d))
     return a @ a.T + 0.3 * np.eye(d)
-
-
-def test_unlearning_accuracy_counts_escapes():
-    samples = np.zeros((5, 2))
-    labels = np.array([0, 0, 1, 2, 3])
-    ua = unlearning_accuracy(samples, lambda s: labels, target_class=0)
-    assert math.isclose(ua, 3 / 5)
-    with pytest.raises(ValueError):
-        unlearning_accuracy(np.zeros((0, 2)), lambda s: labels, 0)
-
-
-def test_retain_accuracy_averages_over_classes():
-    by_class = {1: np.zeros((2, 2)), 2: np.zeros((4, 2))}
-
-    def predict(pts):
-        # class 1 block gets both right; class 2 block gets 1 of 4 right
-        return np.array([1, 1]) if len(pts) == 2 else np.array([2, 0, 0, 0])
-
-    ira = retain_accuracy(by_class, predict)
-    assert math.isclose(ira, (1.0 + 0.25) / 2)
-    with pytest.raises(ValueError):
-        retain_accuracy({}, predict)
 
 
 def test_feature_stats_match_numpy_conventions():

@@ -12,7 +12,7 @@ from cgru.diffusion import (build_eps_net, ddpm_loss_and_grads, make_schedule,
 from cgru.errors import CheckpointError, ShapeMismatch
 from cgru.nets import (Act, AdamState, Dense, Film, Network, adam_init,
                        adam_step, backward, embed_lookup, forward,
-                       forward_upto, init_network, sinusoidal_embed)
+                       init_network, sinusoidal_embed)
 from cgru.policy_grad import _score_gradient
 
 
@@ -191,15 +191,6 @@ def test_film_requires_cond_and_rejects_spurious_cond():
         forward(filmy, x)
     with pytest.raises(ShapeMismatch):
         forward(plain, x, np.zeros((1, 4)))
-
-
-def test_forward_upto_extracts_prefix():
-    net = small_net()
-    x = rngmod.stream(3, rngmod.PHASE_DIAG, 4).standard_normal((3, 3))
-    hidden = forward_upto(net, x, 2)
-    # first two layers by hand: tanh(x W + b)
-    manual = np.tanh(x @ net.params["0.w"] + net.params["0.b"])
-    assert np.allclose(hidden, manual)
 
 
 def test_adam_first_step_closed_form():

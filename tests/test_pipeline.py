@@ -23,6 +23,7 @@ from cgru.diffusion import (build_eps_net, dump_dataset_csv, make_schedule,
 from cgru.policy_grad import cgru_gradient, ddpo_gradient, gradient_variance
 from cgru.rewards import RewardSpec, assign_rewards
 from cgru.errors import CheckpointError, LockError, MissingArtifact, PhaseFailure
+from cgru.metrics import feature_stats, frechet_distance
 
 from conftest import tiny_config
 
@@ -404,6 +405,35 @@ def test_eval_base_scores_pretrained_model(tiny_run):
     lines = open(result["paths"]["eval_base"]).read().splitlines()
     assert lines[1].split(",")[1] == "base"
     assert lines[1].split(",")[2] == "0"
+
+
+def test_eval_scores_one_label_vector(monkeypatch):
+    cfg = apply_overrides(RunConfig(), [
+        "data.n_classes=4", "reward.target_class=1", "diffusion.T=5",
+        "eps_net.hidden=8", "eps_net.t_embed_dim=4"])
+    # 4 forget-class samples, then 2 of each retained class 0, 2, 3
+    labels = np.array([1, 3, 1, 1, 0, 0, 2, 0, 3, 1])
+    seen = []
+
+    def stub_predict(clf, x0):
+        seen.append(x0)
+        return labels
+
+    monkeypatch.setattr(pipeline, "classifier_predict", stub_predict)
+    reference = rngmod.stream(0, rngmod.PHASE_DIAG, 90).standard_normal((20, 2))
+    report = pipeline._eval_model(cfg, pipeline._build_model(cfg), None,
+                                  pipeline.schedule(cfg), 4, 2, first_index=0,
+                                  retain_reference=reference)
+    assert [len(x0) for x0 in seen] == [10]
+    assert report.ua == 1 / 4
+    assert report.per_class_acc == {0: 1.0, 2: 0.5, 3: 0.5}
+    assert math.isclose(report.ira, (1.0 + 0.5 + 0.5) / 3)
+    assert report.fd == frechet_distance(feature_stats(reference),
+                                         feature_stats(seen[0][4:]))
+    # the pretrain gate's form: every class present
+    assert pipeline._per_class_accuracy(
+        np.repeat(np.arange(4), 2), np.array([0, 1, 1, 1, 2, 2, 0, 3])) == {
+            0: 0.5, 1: 1.0, 2: 1.0, 3: 0.5}
 
 
 def test_unknown_method_rejected(tiny_run):

@@ -8,11 +8,11 @@ import pytest
 from cgru import rng as rngmod
 from cgru.diffusion import make_schedule, mode_centers, sample_dataset, sample_trajectories, build_eps_net
 from cgru.errors import ShapeMismatch
-from cgru.nets import Act, Dense, Network, forward, forward_upto
+from cgru.nets import Act, Dense, Network, forward
 from cgru.rewards import (RewardSpec, assign_rewards, build_classifier_net,
                           classifier_accuracy, classifier_predict,
                           classifier_reward,
-                          mode_distance_reward, penultimate_features,
+                          mode_distance_reward,
                           reward_values, train_classifier)
 
 
@@ -98,13 +98,3 @@ def test_train_classifier_separates_modes():
     preds = classifier_predict(net, X[1200:])
     assert preds.shape == (400,)
     assert np.array_equal(np.unique(preds), np.unique(np.concatenate([preds, y[1200:]])))
-
-
-def test_penultimate_features_match_prefix_forward():
-    net = build_classifier_net(2, 8, 16, rng=rngmod.stream(0, rngmod.PHASE_INIT, 2))
-    X = rngmod.stream(1, rngmod.PHASE_DIAG, 6).standard_normal((5, 2))
-    feats = penultimate_features(net, X)
-    assert feats.shape == (5, 16)
-    # features are the activations feeding the final linear+softmax head
-    manual = forward_upto(net, X, len(net.arch) - 2)
-    assert np.allclose(feats, manual)
