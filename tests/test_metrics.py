@@ -1,4 +1,4 @@
-"""Gaussian feature statistics and the Frechet distance."""
+"""Accuracy scores of the eval path and the Gaussian Frechet distance."""
 
 import math
 
@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cgru import pipeline
 from cgru import rng as rngmod
-from cgru.errors import ShapeMismatch
+from cgru.config import RunConfig, apply_overrides, validate
+from cgru.errors import ConfigError, ShapeMismatch
 from cgru.metrics import (FeatureStats, feature_stats, frechet_distance,
                           matrix_sqrt_psd)
 
@@ -24,6 +26,49 @@ def fd_oracle(m1, c1, m2, c2):
 def random_spd(rng, d=2):
     a = rng.standard_normal((d, d))
     return a @ a.T + 0.3 * np.eye(d)
+
+
+def score_labels(monkeypatch, overrides, labels, n_forget, n_retain_each):
+    """Run the eval path with a classifier that returns the given labels,
+    forget-class rows first and then n_retain_each of each retained class."""
+    cfg = apply_overrides(RunConfig(), [
+        "diffusion.T=3", "eps_net.hidden=4", "eps_net.t_embed_dim=2",
+        *overrides])
+    monkeypatch.setattr(pipeline, "classifier_predict",
+                        lambda clf, x0: np.asarray(labels))
+    reference = rngmod.stream(0, rngmod.PHASE_DIAG, 91).standard_normal((8, 2))
+    return pipeline._eval_model(cfg, pipeline._build_model(cfg), None,
+                                pipeline.schedule(cfg), n_forget,
+                                n_retain_each, first_index=0,
+                                retain_reference=reference)
+
+
+def test_unlearning_accuracy_counts_escapes(monkeypatch):
+    # five forget-class (0) samples, then one of each retained class 1-3
+    labels = [0, 0, 1, 2, 3, 1, 2, 3]
+    report = score_labels(monkeypatch, ["data.n_classes=4",
+                                        "reward.target_class=0"],
+                          labels, n_forget=5, n_retain_each=1)
+    assert math.isclose(report.ua, 3 / 5)
+    with pytest.raises(ConfigError, match="eval.forget_samples"):
+        validate(apply_overrides(RunConfig(), ["eval.forget_samples=0"]))
+
+
+def test_retain_accuracy_averages_over_classes(monkeypatch):
+    # forget class 0; class 1 gets both right, class 2 gets 1 of 2 right
+    labels = [0, 1, 1, 2, 0]
+    report = score_labels(monkeypatch, ["data.n_classes=3",
+                                        "reward.target_class=0"],
+                          labels, n_forget=1, n_retain_each=2)
+    assert report.per_class_acc == {1: 1.0, 2: 0.5}
+    assert math.isclose(report.ira, (1.0 + 0.5) / 2)
+    # unequal class sizes: each class's rate is over its own samples
+    accs = pipeline._per_class_accuracy(np.array([1, 1, 2, 2, 2, 2]),
+                                        np.array([1, 1, 2, 0, 0, 0]))
+    assert accs == {1: 1.0, 2: 0.25}
+    with pytest.raises(ConfigError, match="data.n_classes"):
+        validate(apply_overrides(RunConfig(), ["data.n_classes=1",
+                                               "reward.target_class=0"]))
 
 
 def test_feature_stats_match_numpy_conventions():
