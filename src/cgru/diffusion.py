@@ -110,11 +110,16 @@ def gaussian_logprob(x: Array, mu: Array, sigma: float) -> Array:
 # ---------------------------------------------------------------------------
 # class ids and rollout batches
 
-def one_hot(class_ids, n_classes: int) -> Array:
+def one_hot(class_ids, n_classes: int, out: Array | None = None) -> Array:
+    """(n, n_classes) indicator rows of class_ids, set in `out` if given
+    (an all-zero (n, n_classes) array or view) or in a new array."""
     ids = np.asarray(class_ids, dtype=np.int64)
     if np.any(ids < 0) or np.any(ids >= n_classes):
         raise ValueError(f"class id outside [0, {n_classes})")
-    out = np.zeros((len(ids), n_classes))
+    if out is None:
+        out = np.zeros((len(ids), n_classes))
+    elif out.shape != (len(ids), n_classes):
+        raise ShapeMismatch(f"out shape {out.shape} != ({len(ids)}, {n_classes})")
     out[np.arange(len(ids)), ids] = 1.0
     return out
 
@@ -126,7 +131,8 @@ class Rollouts:
     latents[:, i] is x_{T-i}, so latents[:, 0] is x_T and latents[:, -1]
     is x_0; column k of logp belongs to step t = k+1. Rewards are assigned
     after sampling. The value baseline is not stored here: the estimators
-    take it as an (n, T) matrix laid out like logp (critic.value_matrix).
+    take it as an (n, T) matrix laid out like logp, from the stacked critic
+    pass of critic.value_matrix.
     """
     class_ids: Array                    # (n,) int
     latents: Array                      # (n, T+1, d)
@@ -220,28 +226,33 @@ def score_coef(sched: NoiseSchedule, t: int) -> float:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _rollout(model, sched: NoiseSchedule, onehot: Array, noise: Array,
-             t_start: int, x_start: Array | None):
-    """Shared reverse-chain walk. noise is (n, steps+1, d) per-trajectory draws.
+def _draw(latents: Array, seed: int, phase: int, first_index: int) -> None:
+    """Fill latents[i] with the standard normals of stream(seed, phase,
+    first_index + i), drawn through one re-keyed generator (rng.streams)."""
+    gens = rngmod.streams(seed, phase,
+                          range(first_index, first_index + len(latents)))
+    for row, gen in zip(latents, gens):
+        gen.standard_normal(out=row)
 
-    Returns (latents (n, steps+1, d), logps (n, steps)) with latents[:, 0]
-    equal to x_{t_start} and latents[:, -1] equal to x_0.
+
+def _rollout(model, sched: NoiseSchedule, onehot: Array, latents: Array,
+             logp: Array | None = None) -> None:
+    """Shared reverse-chain walk, in place over latents (n, steps+1, d).
+
+    On entry latents[:, 0] holds x_{steps} and latents[:, k] (k >= 1) the
+    standard-normal innovation of step t = steps - k + 1; on return
+    latents[:, k] is x_{steps-k}, so latents[:, -1] is x_0. logp (n, steps),
+    if given, receives log p(x_{t-1} | x_t, c) in column t - 1.
     """
-    n = onehot.shape[0]
-    d = noise.shape[2]
-    if x_start is None:
-        x = noise[:, 0, :].copy()
-    else:
-        x = np.array(x_start, dtype=np.float64, copy=True)
-    latents = np.empty((n, t_start + 1, d))
-    logps = np.empty((n, t_start))
-    latents[:, 0] = x
-    for k, t in enumerate(range(t_start, 0, -1)):
+    steps = latents.shape[1] - 1
+    x = latents[:, 0]
+    for k, t in enumerate(range(steps, 0, -1)):
         mu = reverse_mean(model, x, t, onehot, sched)
-        x = mu + sched.sigma(t) * noise[:, k + 1, :]
-        latents[:, k + 1] = x
-        logps[:, k] = gaussian_logprob(x, mu, sched.sigma(t))
-    return latents, logps
+        x = latents[:, k + 1]
+        x *= sched.sigma(t)
+        x += mu
+        if logp is not None:
+            logp[:, t - 1] = gaussian_logprob(x, mu, sched.sigma(t))
 
 
 def sample_trajectories(model, class_ids, sched: NoiseSchedule, seed: int,
@@ -249,29 +260,24 @@ def sample_trajectories(model, class_ids, sched: NoiseSchedule, seed: int,
     """Batch rollouts with one counter-based stream per trajectory.
 
     Each trajectory's noise comes from stream(seed, phase, first_index+i),
-    drawn through one re-keyed generator per shard (rng.streams), so the
-    result is independent of batching and of the worker count.
+    so the result is independent of batching and of the worker count.
     Row 0 of a stream's draw is x_T; row k is the innovation for step
-    t = T - k + 1.
+    t = T - k + 1. Each shard draws and walks its own slice of the
+    returned arrays.
     """
     class_ids = np.asarray(class_ids, dtype=np.int64)
     onehot = one_hot(class_ids, model.n_classes)
     n = len(class_ids)
     T, d = sched.T, model.d
-    if n == 0:
-        return Rollouts(class_ids, np.empty((0, T + 1, d)), np.empty((0, T)))
+    latents = np.empty((n, T + 1, d))
+    logp = np.empty((n, T))
 
     def shard(lo, hi):
-        noise = np.stack([
-            gen.standard_normal((T + 1, d)) for gen in rngmod.streams(
-                seed, phase, range(first_index + lo, first_index + hi))])
-        return _rollout(model, sched, onehot[lo:hi], noise, T, None)
+        _draw(latents[lo:hi], seed, phase, first_index + lo)
+        _rollout(model, sched, onehot[lo:hi], latents[lo:hi], logp[lo:hi])
 
-    parts = rngmod.run_sharded(shard, n)
-    latents = np.concatenate([p[0] for p in parts])
-    logps = np.concatenate([p[1] for p in parts])
-    # _rollout records steps T..1; store them as t = 1..T
-    return Rollouts(class_ids, latents, np.ascontiguousarray(logps[:, ::-1]))
+    rngmod.run_sharded(shard, n)
+    return Rollouts(class_ids, latents, logp)
 
 
 def rollout_from(model, class_id: int, sched: NoiseSchedule, x_t: Array,
@@ -280,20 +286,17 @@ def rollout_from(model, class_id: int, sched: NoiseSchedule, x_t: Array,
     """Continue denoising n independent copies of state (x_t, c, t) to x_0."""
     if not 1 <= t_start <= sched.T:
         raise ScheduleError(f"t_start {t_start} outside [1, {sched.T}]")
-    d = model.d
     onehot = np.broadcast_to(one_hot([class_id], model.n_classes),
                              (n, model.n_classes))
 
     def shard(lo, hi):
-        noise = np.stack([
-            gen.standard_normal((t_start + 1, d)) for gen in rngmod.streams(
-                seed, phase, range(first_index + lo, first_index + hi))])
-        start = np.broadcast_to(np.asarray(x_t, dtype=np.float64), (hi - lo, d))
-        latents, _ = _rollout(model, sched, onehot[lo:hi], noise, t_start, start)
+        latents = np.empty((hi - lo, t_start + 1, model.d))
+        _draw(latents, seed, phase, first_index + lo)
+        latents[:, 0] = x_t
+        _rollout(model, sched, onehot[lo:hi], latents)
         return latents[:, -1]
 
-    parts = rngmod.run_sharded(shard, n)
-    return np.concatenate(parts)
+    return np.concatenate(rngmod.run_sharded(shard, n))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +324,10 @@ def sample_dataset(n: int, rng: np.random.Generator, n_classes: int = 8,
 # denoiser training
 
 def ddpm_loss_and_grads(model, x0: Array, class_ids, ts, eps: Array,
-                        sched: NoiseSchedule):
+                        sched: NoiseSchedule, out: Array | None = None):
     """Denoising loss mean ||eps - eps_hat||^2 and its gradient, a vector
-    in the layout of model.net.theta."""
+    in the layout of model.net.theta: row 0 of `out`, a (1, P) buffer
+    overwritten here (None: a new one)."""
     n = len(x0)
     onehot = one_hot(class_ids, model.n_classes)
     xt = q_sample(x0, ts, eps, sched)
@@ -332,16 +336,21 @@ def ddpm_loss_and_grads(model, x0: Array, class_ids, ts, eps: Array,
     pred = forward(model.net, inputs, tape=tape)
     resid = pred - eps
     loss = float((resid * resid).sum(axis=1).mean())
-    return loss, backward(model.net, 2.0 * resid / n, tape)[0]
+    if out is not None:
+        out.fill(0.0)
+    return loss, backward(model.net, 2.0 * resid / n, tape, out=out)[0]
 
 
 def ddpm_train_step(model, x0: Array, class_ids, sched: NoiseSchedule,
-                    rng: np.random.Generator, opt) -> float:
-    """One minimization step of the denoising objective on a batch."""
+                    rng: np.random.Generator, opt,
+                    out: Array | None = None) -> float:
+    """One minimization step of the denoising objective on a batch; `out`
+    is the (1, P) gradient buffer a training loop reuses across steps."""
     n = len(x0)
     ts = rng.integers(1, sched.T + 1, size=n)
     eps = rng.standard_normal((n, model.d))
-    loss, grad = ddpm_loss_and_grads(model, x0, class_ids, ts, eps, sched)
+    loss, grad = ddpm_loss_and_grads(model, x0, class_ids, ts, eps, sched,
+                                     out)
     adam_step(opt, model.net.theta, grad)
     return loss
 

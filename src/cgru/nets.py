@@ -1,16 +1,18 @@
 """Minimal float64 feed-forward networks with exact hand-written gradients.
 
-Everything here operates on batches: inputs are (n, d) arrays. forward
-records each layer's cache on a tape (a list) when given one; backward
-walks that tape in reverse, without rerunning the network, for the
-gradient of <out_grad, forward(x)> summed over rows, for every parameter
-(not the input), as rows of a (G, P) array, one per contiguous row
-group: policy_grad's score walk uses the groups to get every coefficient
-term and row group from one forward pass per step, with rows chunked
-into rng.SHARD-wide shards by the caller. Architectures are small lists
-of layer descriptors. A network's P parameters live in one float64
-vector, theta; net.params is a read-only mapping from
-"{layer_index}.{w|b|cw|cb}" to shaped views of it, in layer order.
+Everything here operates on batches: inputs are (n, d) arrays, and
+forward also takes an (m, n, d) stack of batches that share one cond,
+with the bits of m separate calls. forward records each layer's cache on
+a tape (a list) when given one; backward walks that tape in reverse,
+without rerunning the network, for the gradient of <out_grad, forward(x)>
+summed over rows, for every parameter (not the input), as rows of a
+(G, P) array, one per contiguous row group: policy_grad's score walk
+uses the groups to get every coefficient term and row group from one
+forward pass per step, with rows chunked into rng.SHARD-wide shards by
+the caller. Architectures are small lists of layer descriptors. A
+network's P parameters live in one float64 vector, theta; net.params is
+a read-only mapping from "{layer_index}.{w|b|cw|cb}" to shaped views of
+it, in layer order.
 """
 
 import math
@@ -148,9 +150,9 @@ def _as_batch(x) -> Array:
 
 
 def _softmax(z: Array) -> Array:
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _run(net: Network, x: Array, cond, tape: list | None = None):
@@ -158,9 +160,9 @@ def _run(net: Network, x: Array, cond, tape: list | None = None):
     record = (lambda entry: None) if tape is None else tape.append
     for i, layer in enumerate(net.arch):
         if isinstance(layer, Dense):
-            if x.shape[1] != layer.n_in:
+            if x.shape[-1] != layer.n_in:
                 raise ShapeMismatch(
-                    f"layer {i}: dense expects {layer.n_in} features, got {x.shape[1]}")
+                    f"layer {i}: dense expects {layer.n_in} features, got {x.shape[-1]}")
             record(("dense", i, x))
             x = x @ net.params[f"{i}.w"] + net.params[f"{i}.b"]
         elif isinstance(layer, Act):
@@ -173,13 +175,13 @@ def _run(net: Network, x: Array, cond, tape: list | None = None):
         else:  # Film
             if cond is None:
                 raise ShapeMismatch(f"layer {i}: film block needs a cond input")
-            if cond.shape != (x.shape[0], layer.cond_dim):
+            if cond.shape != (x.shape[-2], layer.cond_dim):
                 raise ShapeMismatch(
                     f"layer {i}: cond shape {cond.shape} does not match "
-                    f"({x.shape[0]}, {layer.cond_dim})")
-            if x.shape[1] != layer.features:
+                    f"({x.shape[-2]}, {layer.cond_dim})")
+            if x.shape[-1] != layer.features:
                 raise ShapeMismatch(
-                    f"layer {i}: film expects {layer.features} features, got {x.shape[1]}")
+                    f"layer {i}: film expects {layer.features} features, got {x.shape[-1]}")
             g = cond @ net.params[f"{i}.cw"] + net.params[f"{i}.cb"]
             scale, shift = g[:, :layer.features], g[:, layer.features:]
             record(("film", i, (x, scale, cond)))
@@ -188,16 +190,24 @@ def _run(net: Network, x: Array, cond, tape: list | None = None):
 
 
 def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
-    """Apply the network to a batch of inputs x (n, d).
+    """Apply the network to a batch of inputs x (n, d), or to a stack of
+    batches x (m, n, d) that share one cond.
 
     cond must be given exactly when the architecture contains film
     blocks; it is the per-row conditioning matrix (n, cond_dim). Pass an
     empty list as `tape` to record the walk for `backward`; without one
-    no per-layer cache outlives the call.
+    no per-layer cache outlives the call. A stack is one np.matmul per
+    dense layer and one cond map per film block, so out[j] has exactly
+    the bits of forward(net, x[j], cond); it cannot be recorded on a tape.
     """
     if tape:
         raise ValueError("tape already holds a forward walk")
-    x = _as_batch(x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 3 and tape is not None:
+        raise ValueError("a stack of batches cannot be recorded on a tape")
+    if x.ndim not in (2, 3):
+        raise ShapeMismatch(
+            f"expected an (n, d) batch or (m, n, d) stack, got shape {x.shape}")
     if any(isinstance(layer, Film) for layer in net.arch):
         if cond is None:
             raise ShapeMismatch("network has film blocks but no cond was given")

@@ -346,6 +346,7 @@ def _pretrain_phase(cfg: RunConfig) -> dict:
     model = _build_model(cfg)
     opt = adam_init(model.net, lr=cfg.pretrain.lr)
     rng = rngmod.stream(cfg.seed, rngmod.PHASE_PRETRAIN)
+    grad = np.empty((1, model.net.theta.size))
 
     loss_rows = []
     acc_rows = []
@@ -354,7 +355,7 @@ def _pretrain_phase(cfg: RunConfig) -> dict:
     steps_run = 0
     for step in range(1, cfg.pretrain.max_steps + 1):
         idx = rng.integers(0, split, cfg.pretrain.batch_size)
-        loss = ddpm_train_step(model, X[idx], y[idx], sched, rng, opt)
+        loss = ddpm_train_step(model, X[idx], y[idx], sched, rng, opt, grad)
         loss_rows.append((step, float(loss)))
         steps_run = step
         if step % cfg.pretrain.eval_every == 0 or step == cfg.pretrain.max_steps:

@@ -7,7 +7,8 @@ given, and averaged over rows. The terminal-reward estimator weights
 every step by the trajectory reward; the critic-guided estimator weights
 step t by the ratio times the advantage r - V(x_t, c, t). The baseline V
 is plain data: an (n, T) matrix whose column t-1 holds V(x_t, c, t), which
-the caller computes once per batch (critic.value_matrix) and passes in;
+the caller computes once per batch in stacked critic calls
+(critic.value_matrix) and passes in;
 None means no baseline. Subtracting the state-value baseline leaves the
 expectation unchanged (the baseline term has mean zero) while shrinking
 the variance, which baseline_term_estimate and gradient_variance measure

@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+from cgru import critic as critic_mod
 from cgru.cli import build_parser, main
 from cgru.config import RunConfig, apply_overrides, config_hash, save_config
 from cgru.critic import Critic
@@ -213,15 +214,21 @@ def test_diag_variance(diag_dir, capsys):
 
 
 def test_diag_unbiasedness(diag_dir, capsys, monkeypatch):
-    # every critic forward asks Critic.cond for its row count once
-    rows = []
-    cond = Critic.cond
+    # the critic pass is stacked: each forward takes a stack of trajectories
+    # whose states share the rows of one Critic.cond call
+    rows, stacks = [], []
+    cond, forward = Critic.cond, critic_mod.forward
 
     def counting_cond(self, ts, n):
         rows.append(n)
         return cond(self, ts, n)
 
+    def counting_forward(net, x, cond=None, tape=None):
+        stacks.append(x.shape[0] if x.ndim == 3 else 1)
+        return forward(net, x, cond, tape)
+
     monkeypatch.setattr(Critic, "cond", counting_cond)
+    monkeypatch.setattr(critic_mod, "forward", counting_forward)
     monkeypatch.setenv("CGRU_THREADS", "1")
     assert main(_args(diag_dir, "diag", "unbiasedness")) == 0
     capsys.readouterr()
@@ -230,7 +237,8 @@ def test_diag_unbiasedness(diag_dir, capsys, monkeypatch):
     assert lines[0] == "N,B_norm,grad_norm,ratio"
     assert [int(ln.split(",")[0]) for ln in lines[1:]] == [100, 1000, 10000]
     # one critic pass over the 10,000 rollouts' states, shared by the prefixes
-    assert sum(rows) == 10_000 * RunConfig().diffusion.T
+    assert len(rows) == 1
+    assert sum(stacks) * rows[0] == 10_000 * RunConfig().diffusion.T
     # the sharded walk reduces in shard order: two workers, the same bytes
     single = path.read_bytes()
     monkeypatch.setenv("CGRU_THREADS", "2")

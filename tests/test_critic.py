@@ -64,6 +64,26 @@ def test_value_matrix_matches_single_state_critic_values():
         critic_values(critic, rollouts.latents[0, :1], one_hot([0], 4), 11)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_value_matrix_has_the_bits_of_per_trajectory_calls(monkeypatch,
+                                                           threads):
+    # 300 trajectories span two rng shards, each cut into critic stacks
+    monkeypatch.setenv("CGRU_THREADS", threads)
+    T, K = 50, 8
+    critic = build_critic(2, K, T, rng=rngmod.stream(0, rngmod.PHASE_INIT, 1))
+    model = build_eps_net(2, K, hidden=16, t_embed_dim=8,
+                          rng=rngmod.stream(0, rngmod.PHASE_INIT), T=T)
+    rollouts = sample_trajectories(model, np.arange(300) % K,
+                                   make_schedule(T, 1e-4, 0.02), 4,
+                                   rngmod.PHASE_DIAG)
+    values = value_matrix(critic, rollouts)
+    ts = np.arange(T, 0, -1)
+    for i, c in enumerate(rollouts.class_ids):
+        want = critic_values(critic, rollouts.latents[i, :T],
+                             one_hot(np.full(T, c), K), ts)
+        assert np.array_equal(values[i, ts - 1], want), i
+
+
 def buffer_setup():
     model = build_eps_net(2, 4, hidden=16, t_embed_dim=8,
                           rng=rngmod.stream(0, rngmod.PHASE_INIT), T=10)

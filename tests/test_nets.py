@@ -193,6 +193,28 @@ def test_film_requires_cond_and_rejects_spurious_cond():
         forward(plain, x, np.zeros((1, 4)))
 
 
+def test_stack_has_the_bits_of_per_slice_calls():
+    # the critic's film+tanh net with its one-wide head, where a flat call
+    # over all m * n rows can change last bits, and a softmax head
+    r = rngmod.stream(7, rngmod.PHASE_DIAG, 12)
+    critic = build_critic(2, 8, 50, rng=rngmod.stream(7, rngmod.PHASE_INIT, 12))
+    smax = init_network([Dense(3, 16), Act("tanh"), Dense(16, 4),
+                         Act("softmax")], rngmod.stream(7, rngmod.PHASE_INIT, 13))
+    cond = r.standard_normal((50, 32))
+    for net, d, c in ((critic.net, 10, cond), (smax, 3, None)):
+        x = r.standard_normal((7, 50, d))
+        out = forward(net, x, c)
+        assert out.shape == (7, 50, net.n_out)
+        for j in range(7):
+            assert np.array_equal(out[j], forward(net, x[j], c)), j
+    with pytest.raises(ValueError, match="tape"):
+        forward(smax, x, tape=[])
+    with pytest.raises(ShapeMismatch):      # one cond row per stacked row
+        forward(critic.net, r.standard_normal((7, 50, 10)), cond[:49])
+    with pytest.raises(ShapeMismatch):
+        forward(smax, np.zeros((2, 2, 2, 3)))
+
+
 def test_adam_first_step_closed_form():
     # After one step m-hat = g and v-hat = g^2, so the update is exactly
     # lr * g / (|g| + eps) regardless of beta settings.
