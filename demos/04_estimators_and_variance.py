@@ -13,7 +13,8 @@ Run from the repository root:  python3 demos/04_estimators_and_variance.py
 import numpy as np
 
 from cgru.policy_grad import (EstimatorConfig, cgru_gradient, ddpo_gradient,
-                              gradient_variance, optimal_baseline_probe)
+                              gradient_variance, group_estimates,
+                              optimal_baseline_probe)
 from cgru.toy import (build_toy, sample_toy_trajectories,
                       toy_analytic_gradient, toy_mean_reward)
 
@@ -30,9 +31,8 @@ print("\n== convergence of both estimators ==")
 print(f"{'N':>6} {'terminal-reward':>18} {'advantage':>18}")
 for n in (100, 1_000, 10_000):
     trajs = sample_toy_trajectories(policy, sched, n, seed=0)
-    gd = ddpo_gradient(trajs, policy, sched, cfg).grad
-    gc = cgru_gradient(trajs, policy, np.full((n, sched.T), er), cfg,
-                       sched).grad
+    gd = ddpo_gradient(trajs, policy, sched, cfg)
+    gc = cgru_gradient(trajs, policy, np.full((n, sched.T), er), cfg, sched)
     print(f"{n:>6} {f'({gd[0]:+.3f}, {gd[1]:+.3f})':>18} "
           f"{f'({gc[0]:+.3f}, {gc[1]:+.3f})':>18}")
 
@@ -52,15 +52,16 @@ for k in range(50):
     ests["advantage"].append(
         cgru_gradient(batch, policy, np.full((16, sched.T), er), cfg, sched))
 for name, es in ests.items():
-    print(f"{name:>16}: {gradient_variance(es):.4f}")
+    print(f"{name:>16}: {gradient_variance(np.stack(es)):.4f}")
 
 print("\n== the clamp under stale samples ==")
 buffer = sample_toy_trajectories(policy, sched, 256, seed=3)
 for step in range(5):
-    est = cgru_gradient(buffer, policy, np.full((256, sched.T), er), cfg,
-                        sched)
+    _, (clip_count,) = group_estimates(buffer, policy,
+                                       np.full((256, sched.T), er), cfg,
+                                       sched, ["cgru"])
     print(f"bias shift {0.2 * step:+.1f}: clipped ratios on "
-          f"{est.clip_count} of {len(buffer) * sched.T} step weights")
+          f"{clip_count} of {len(buffer) * sched.T} step weights")
     policy.net.params["0.b"][0] += 0.2
 print("each shift moves the policy away from the one that filled the "
       "buffer, so more likelihood ratios hit the [0.8, 1.2] clamp")

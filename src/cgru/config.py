@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from .checkpoint import replacing
 from .errors import ConfigError
 from .policy_grad import EstimatorConfig
+from .rewards import REWARD_KINDS
 
 
 @dataclass
@@ -123,27 +124,16 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-_COUNT_FIELDS = {
-    "data.n_samples", "data.n_classes", "data.holdout",
-    "diffusion.T",
-    "eps_net.hidden", "eps_net.t_embed_dim",
-    "classifier.hidden", "classifier.steps", "classifier.batch_size",
-    "pretrain.max_steps", "pretrain.eval_every", "pretrain.batch_size",
-    "pretrain.eval_per_class",
-    "critic.hidden", "critic.t_embed_dim", "critic.n_traj", "critic.epochs",
-    "critic.batch_size",
-    "policy.n_traj", "policy.grad_accum", "policy.inner_epochs",
-    "policy.refresh_traj", "policy.refresh_epochs", "policy.eval_forget",
-    "policy.eval_per_class",
-    "eval.forget_samples", "eval.retain_per_class",
-}
+# every other int field is a count and must be >= 1
+_NOT_COUNTS = {"seed", "reward.target_class", "policy.iterations",
+               "policy.refresh_every"}
 
 
 def validate(cfg: RunConfig) -> RunConfig:
     flat = dict(_walk(cfg))
-    for key in _COUNT_FIELDS:
-        if flat[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {flat[key]}")
+    for key, val in flat.items():
+        if key not in _NOT_COUNTS and _leaf_type(key) is int and val < 1:
+            raise ConfigError(f"{key} must be >= 1, got {val}")
     if cfg.policy.iterations < 0:
         raise ConfigError("policy.iterations must be >= 0")
     if not 0 < cfg.diffusion.beta_start <= cfg.diffusion.beta_end < 1:
@@ -161,7 +151,7 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(
             f"reward.target_class {cfg.reward.target_class} out of range "
             f"for {cfg.data.n_classes} classes")
-    if cfg.reward.kind not in ("classifier_complement", "mode_distance"):
+    if cfg.reward.kind not in REWARD_KINDS:
         raise ConfigError(f"unknown reward.kind {cfg.reward.kind!r}")
     if cfg.reward.scale <= 0:
         raise ConfigError("reward.scale must be > 0")
@@ -198,9 +188,11 @@ def _walk(cfg: RunConfig):
             yield f.name, val
 
 
-def _render_value(v) -> str:
+def render_value(v) -> str:
+    """The text of one value in config lines and CSV cells: the repr of a
+    plain float (never np.float64(...)), str of anything else."""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
@@ -270,7 +262,7 @@ def render_config(cfg: RunConfig) -> str:
         if section != prev_section and lines:
             lines.append("")
         prev_section = section
-        lines.append(f"{key} = {_render_value(val)}")
+        lines.append(f"{key} = {render_value(val)}")
     return "\n".join(lines) + "\n"
 
 
@@ -288,9 +280,12 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path: str, overrides=()) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
-    cfg = apply_overrides(cfg, overrides)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    cfg = apply_overrides(parse_config(text), overrides)
     return validate(cfg)
 
 
@@ -302,7 +297,7 @@ def save_config(path: str, cfg: RunConfig) -> None:
 def config_lines(cfg: RunConfig, sections) -> list:
     """Sorted "key = value" lines of the leaf fields under `sections`, top-
     level field names such as "seed" or "diffusion"."""
-    return sorted(f"{k} = {_render_value(v)}" for k, v in _walk(cfg)
+    return sorted(f"{k} = {render_value(v)}" for k, v in _walk(cfg)
                   if k.split(".")[0] in sections)
 
 

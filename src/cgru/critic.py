@@ -152,7 +152,6 @@ def critic_train(critic: Critic, buffer: CriticBuffer, epochs: int,
     inputs[:, :d] = buffer.x
     one_hot(buffer.class_ids, critic.n_classes, out=inputs[:, d:])
     opt = adam_init(critic.net, lr=lr)
-    grad = np.empty((1, critic.net.theta.size))
     history = []
     for _ in range(epochs):
         perm = rng.permutation(n)
@@ -165,9 +164,8 @@ def critic_train(critic: Critic, buffer: CriticBuffer, epochs: int,
             err = pred - r[idx]
             total += float(err @ err)
             out_grad = (2.0 * err / len(idx))[:, None]
-            grad.fill(0.0)
             adam_step(opt, critic.net.theta,
-                      backward(critic.net, out_grad, tape, out=grad)[0])
+                      backward(critic.net, out_grad, tape)[0])
         history.append(total / n)
     return history
 

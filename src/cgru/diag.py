@@ -14,9 +14,8 @@ from .critic import ablation_compare, build_critic_buffer, value_matrix
 from .diffusion import sample_trajectories
 from .pipeline import (load, locked_run, mixture_class_ids, out_path,
                        reward_spec, schedule, write_csv)
-from .policy_grad import (GradientEstimate, clip_to_norm, gradient_variance,
-                          group_estimates, optimal_baseline_probe,
-                          per_sample_scores)
+from .policy_grad import (clip_to_norm, gradient_variance, group_estimates,
+                          optimal_baseline_probe, per_sample_scores)
 from .rewards import assign_rewards
 from .toy import (build_toy, sample_toy_trajectories, toy_analytic_gradient,
                   toy_mean_reward)
@@ -110,7 +109,9 @@ def diag_variance(cfg: RunConfig, n_batches: int = 20,
                           for name in ("classifier", "eps_base", "critic"))
     sched, spec = schedule(cfg), reward_spec(cfg)
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_CTX)
-    ests = {"cgru": [], "ddpo": []}
+    methods = ("cgru", "ddpo")
+    # ests[k, b]: method k's clipped estimate on batch b
+    ests = np.empty((len(methods), n_batches, model.net.theta.size))
     for b in range(n_batches):
         class_ids = mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
         rollouts = sample_trajectories(model, class_ids, sched, cfg.seed,
@@ -118,28 +119,24 @@ def diag_variance(cfg: RunConfig, n_batches: int = 20,
                                        first_index=_IDX_VARIANCE + b * 1000)
         assign_rewards(rollouts, spec, clf)
         # both estimators from one walk over the batch
-        means, (clip_count, _) = group_estimates(
+        means, _ = group_estimates(
             rollouts, model, value_matrix(critic, rollouts), cfg.estimator,
-            sched, ["cgru", "ddpo"])
-        max_norm = cfg.estimator.grad_max_norm
-        ests["cgru"].append(GradientEstimate(
-            clip_to_norm(means[0, 0], max_norm), clip_count))
-        ests["ddpo"].append(GradientEstimate(
-            clip_to_norm(means[1, 0], max_norm)))
-    var = {m: gradient_variance(e) for m, e in ests.items()}
+            sched, methods)
+        for k, mean in enumerate(means[:, 0]):
+            ests[k, b] = clip_to_norm(mean, cfg.estimator.grad_max_norm)
+    var = {m: gradient_variance(ests[k]) for k, m in enumerate(methods)}
 
     boot_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_BOOT)
     wins = 0
     for _ in range(n_bootstrap):
         idx = boot_rng.integers(0, n_batches, n_batches)
-        vc = gradient_variance([ests["cgru"][i] for i in idx])
-        vd = gradient_variance([ests["ddpo"][i] for i in idx])
+        vc, vd = (gradient_variance(e[idx]) for e in ests)
         wins += int(vc < vd)
 
     path = write_csv(out_path(cfg, "diag_variance.csv"),
                      ["estimator", "n_batches", "batch_size", "variance"],
                      [(m, n_batches, cfg.policy.n_traj, var[m])
-                      for m in ("cgru", "ddpo")])
+                      for m in methods])
     ratio = var["ddpo"] / var["cgru"]
     summary = ("== gradient variance ==\n"
                f"  cgru {var['cgru']:.3e}  ddpo {var['ddpo']:.3e}  "

@@ -324,10 +324,9 @@ def sample_dataset(n: int, rng: np.random.Generator, n_classes: int = 8,
 # denoiser training
 
 def ddpm_loss_and_grads(model, x0: Array, class_ids, ts, eps: Array,
-                        sched: NoiseSchedule, out: Array | None = None):
+                        sched: NoiseSchedule):
     """Denoising loss mean ||eps - eps_hat||^2 and its gradient, a vector
-    in the layout of model.net.theta: row 0 of `out`, a (1, P) buffer
-    overwritten here (None: a new one)."""
+    in the layout of model.net.theta."""
     n = len(x0)
     onehot = one_hot(class_ids, model.n_classes)
     xt = q_sample(x0, ts, eps, sched)
@@ -336,21 +335,16 @@ def ddpm_loss_and_grads(model, x0: Array, class_ids, ts, eps: Array,
     pred = forward(model.net, inputs, tape=tape)
     resid = pred - eps
     loss = float((resid * resid).sum(axis=1).mean())
-    if out is not None:
-        out.fill(0.0)
-    return loss, backward(model.net, 2.0 * resid / n, tape, out=out)[0]
+    return loss, backward(model.net, 2.0 * resid / n, tape)[0]
 
 
 def ddpm_train_step(model, x0: Array, class_ids, sched: NoiseSchedule,
-                    rng: np.random.Generator, opt,
-                    out: Array | None = None) -> float:
-    """One minimization step of the denoising objective on a batch; `out`
-    is the (1, P) gradient buffer a training loop reuses across steps."""
+                    rng: np.random.Generator, opt) -> float:
+    """One minimization step of the denoising objective on a batch."""
     n = len(x0)
     ts = rng.integers(1, sched.T + 1, size=n)
     eps = rng.standard_normal((n, model.d))
-    loss, grad = ddpm_loss_and_grads(model, x0, class_ids, ts, eps, sched,
-                                     out)
+    loss, grad = ddpm_loss_and_grads(model, x0, class_ids, ts, eps, sched)
     adam_step(opt, model.net.theta, grad)
     return loss
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .checkpoint import load_network, replacing, save_network
-from .config import RunConfig, config_hash, config_lines, validate
+from .config import (RunConfig, config_hash, config_lines, render_value,
+                     validate)
 from .critic import (Critic, build_critic, build_critic_buffer, critic_train,
                      value_matrix)
 from .diffusion import (build_eps_net, ddpm_train_step, dump_dataset_csv,
@@ -39,8 +40,8 @@ from .diffusion import (build_eps_net, ddpm_train_step, dump_dataset_csv,
 from .errors import Divergence, LockError, MissingArtifact, PhaseFailure
 from .metrics import EvalReport, feature_stats, frechet_distance
 from .nets import adam_init
-from .policy_grad import (GradientEstimate, clip_to_norm, gradient_variance,
-                          group_estimates, policy_update_epoch)
+from .policy_grad import (clip_to_norm, gradient_variance, group_estimates,
+                          policy_update_epoch)
 from .rewards import (RewardSpec, assign_rewards, build_classifier_net,
                       classifier_accuracy, classifier_predict,
                       train_classifier)
@@ -148,18 +149,11 @@ def _take_lock(lock_path: str) -> int:
     return fd
 
 
-def _fmt(v) -> str:
-    # plain-float repr: numpy scalars would render as np.float64(...)
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
 def write_csv(path: str, header: list, rows: list) -> str:
     with replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(render_value(v) for v in row) + "\n")
     return path
 
 
@@ -346,7 +340,6 @@ def _pretrain_phase(cfg: RunConfig) -> dict:
     model = _build_model(cfg)
     opt = adam_init(model.net, lr=cfg.pretrain.lr)
     rng = rngmod.stream(cfg.seed, rngmod.PHASE_PRETRAIN)
-    grad = np.empty((1, model.net.theta.size))
 
     loss_rows = []
     acc_rows = []
@@ -355,7 +348,7 @@ def _pretrain_phase(cfg: RunConfig) -> dict:
     steps_run = 0
     for step in range(1, cfg.pretrain.max_steps + 1):
         idx = rng.integers(0, split, cfg.pretrain.batch_size)
-        loss = ddpm_train_step(model, X[idx], y[idx], sched, rng, opt, grad)
+        loss = ddpm_train_step(model, X[idx], y[idx], sched, rng, opt)
         loss_rows.append((step, float(loss)))
         steps_run = step
         if step % cfg.pretrain.eval_every == 0 or step == cfg.pretrain.max_steps:
@@ -427,11 +420,10 @@ def _diag_gradients(rollouts, model, values, cfg, sched, method):
     means, _ = group_estimates(rollouts, model, values, cfg.estimator, sched,
                                [method], cuts)
     sizes = np.diff([0, *cuts, n])
-    full = clip_to_norm((means[0] * sizes[:, None]).sum(axis=0) / n,
-                        cfg.estimator.grad_max_norm)
-    estimates = [GradientEstimate(clip_to_norm(g, cfg.estimator.grad_max_norm))
-                 for g in means[0, :n_sub]]
-    var = gradient_variance(estimates) if len(estimates) >= 2 else float("nan")
+    max_norm = cfg.estimator.grad_max_norm
+    full = clip_to_norm((means[0] * sizes[:, None]).sum(axis=0) / n, max_norm)
+    subs = np.stack([clip_to_norm(g, max_norm) for g in means[0, :n_sub]])
+    var = gradient_variance(subs) if n_sub >= 2 else float("nan")
     return float(np.linalg.norm(full)), var
 
 

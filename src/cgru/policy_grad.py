@@ -21,9 +21,12 @@ runs the denoiser forward once and back once per term, and it returns
 every term's mean over every group. Rows are walked in fixed rng.SHARD
 chunks through rng.run_sharded, and the shard results are reduced in
 shard order, so the output does not depend on the worker count.
-group_estimates names the terms by estimator. cgru_gradient, ddpo_gradient
-and baseline_term_estimate are thin one-group wrappers over it, and
-per_sample_scores is one walk with a group per trajectory.
+group_estimates names the terms by estimator, and _TERMS is the one table
+of them. cgru_gradient, ddpo_gradient and baseline_term_estimate are thin
+one-group wrappers over it, and per_sample_scores is one walk with a group
+per trajectory. Every gradient and estimate is a plain (P,) array in
+theta's layout; cgru's count of clamped ratios is group_estimates' second
+result.
 """
 
 import bisect
@@ -53,12 +56,6 @@ class EstimatorConfig:
                 f"({self.clip_low}, {self.clip_high})")
         if not self.grad_max_norm > 0.0:
             raise ConfigError(f"grad_max_norm must be positive, got {self.grad_max_norm}")
-
-
-@dataclass
-class GradientEstimate:
-    grad: Array
-    clip_count: int = 0
 
 
 def _importance_weights(logp_new: Array, logp_old: Array, cfg: EstimatorConfig):
@@ -147,11 +144,13 @@ def _score_gradient(model, sched: NoiseSchedule, lat: Array, onehot: Array,
 
 
 # the coefficient term of each estimator, from the batch and its (n, T)
-# baseline matrix; only cgru weights by the clamped likelihood ratio
+# baseline matrix; only cgru weights by the clamped likelihood ratio, and
+# "score" is the unweighted score sum
 _TERMS = {
     "cgru": lambda r, v: (_reward_minus_values(r, v), r.logp),
     "ddpo": lambda r, v: (_reward_minus_values(r, None), None),
     "baseline": lambda r, v: (v, None),
+    "score": lambda r, v: (np.ones((len(r), r.T)), None),
 }
 
 
@@ -160,11 +159,11 @@ def group_estimates(rollouts: Rollouts, model, values: Array | None,
                     cuts=()):
     """Unclipped estimates of each kind, one per row group, from one walk.
 
-    kinds name estimators: "cgru" (ratio times r - V), "ddpo" (r) and
-    "baseline" (V, the term the advantage subtracts). cuts split the rows
-    into contiguous groups as in _score_gradient. Returns (estimates
-    (len(kinds), G, P), each kind's number of clamped ratios); entry
-    [k, g] is the mean of kind k over the rows of group g.
+    kinds name estimators: "cgru" (ratio times r - V), "ddpo" (r),
+    "baseline" (V, the term the advantage subtracts) and "score" (1). cuts
+    split the rows into contiguous groups as in _score_gradient. Returns
+    (estimates (len(kinds), G, P), each kind's number of clamped ratios);
+    entry [k, g] is the mean of kind k over the rows of group g.
     """
     return _score_gradient(model, sched, rollouts.latents,
                            one_hot(rollouts.class_ids, model.n_classes),
@@ -181,26 +180,24 @@ def clip_to_norm(vec: Array, max_norm: float) -> Array:
 
 
 def ddpo_gradient(rollouts: Rollouts, model, sched: NoiseSchedule,
-                  cfg: EstimatorConfig) -> GradientEstimate:
-    """On-policy terminal-reward estimator: mean_n sum_t grad log p * r_n."""
+                  cfg: EstimatorConfig) -> Array:
+    """On-policy terminal-reward estimator, mean_n sum_t grad log p * r_n,
+    clipped to cfg.grad_max_norm."""
     est, _ = group_estimates(rollouts, model, None, cfg, sched, ["ddpo"])
-    return GradientEstimate(grad=clip_to_norm(est[0, 0], cfg.grad_max_norm))
+    return clip_to_norm(est[0, 0], cfg.grad_max_norm)
 
 
 def cgru_gradient(rollouts: Rollouts, model, values: Array | None,
-                  cfg: EstimatorConfig,
-                  sched: NoiseSchedule) -> GradientEstimate:
-    """Importance-weighted advantage estimator.
+                  cfg: EstimatorConfig, sched: NoiseSchedule) -> Array:
+    """Importance-weighted advantage estimator, clipped to cfg.grad_max_norm.
 
     Weights step t of row i by the advantage r_i - values[i, t-1] times
     the clamped likelihood ratio against the stored behavior log-probs,
     and averages over trajectories while summing over steps, visiting
     timesteps T..1.
     """
-    est, (clip_count,) = group_estimates(rollouts, model, values, cfg, sched,
-                                         ["cgru"])
-    return GradientEstimate(grad=clip_to_norm(est[0, 0], cfg.grad_max_norm),
-                            clip_count=clip_count)
+    est, _ = group_estimates(rollouts, model, values, cfg, sched, ["cgru"])
+    return clip_to_norm(est[0, 0], cfg.grad_max_norm)
 
 
 def baseline_term_estimate(rollouts: Rollouts, model, values: Array,
@@ -217,25 +214,22 @@ def baseline_term_estimate(rollouts: Rollouts, model, values: Array,
     return est[0, 0]
 
 
-def gradient_variance(estimates: list) -> float:
-    """Mean over coordinates of the unbiased per-coordinate variance."""
-    if len(estimates) < 2:
-        raise ValueError("need at least two estimates")
-    mat = np.stack([e.grad for e in estimates])
-    if mat.ndim != 2:
-        raise ValueError("estimates have mismatched lengths")
-    return float(mat.var(axis=0, ddof=1).mean())
+def gradient_variance(estimates: Array) -> float:
+    """Mean over coordinates of the unbiased per-coordinate variance of
+    the rows of a (k, P) array of estimates, k >= 2."""
+    estimates = np.asarray(estimates)
+    if estimates.ndim != 2 or len(estimates) < 2:
+        raise ValueError(f"need a (k, P) array with k >= 2, got shape "
+                         f"{estimates.shape}")
+    return float(estimates.var(axis=0, ddof=1).mean())
 
 
 def per_sample_scores(rollouts: Rollouts, model,
                       sched: NoiseSchedule) -> Array:
     """Unweighted per-trajectory score vectors sum_t grad log p, stacked:
     one batched walk with one row group per trajectory."""
-    n, T = len(rollouts), rollouts.T
-    est, _ = _score_gradient(model, sched, rollouts.latents,
-                             one_hot(rollouts.class_ids, model.n_classes),
-                             range(T, 0, -1), [(np.ones((n, T)), None)],
-                             range(1, n))
+    est, _ = group_estimates(rollouts, model, None, None, sched, ["score"],
+                             range(1, len(rollouts)))
     return est[0]
 
 
@@ -275,7 +269,7 @@ def policy_update_epoch(model, rollouts: Rollouts, values: Array | None,
     """
     if grad_accum < 1:
         raise ValueError(f"grad_accum must be >= 1, got {grad_accum}")
-    adv = _reward_minus_values(rollouts, values)
+    term = _TERMS["cgru"](rollouts, values)
     n, T = len(rollouts), rollouts.T
     onehot = one_hot(rollouts.class_ids, model.n_classes)
 
@@ -285,7 +279,7 @@ def policy_update_epoch(model, rollouts: Rollouts, values: Array | None,
     for lo in range(0, T, grad_accum):
         grad, (nclip,) = _score_gradient(model, sched, rollouts.latents,
                                          onehot, order[lo:lo + grad_accum],
-                                         [(adv, rollouts.logp)], cfg=cfg)
+                                         [term], cfg=cfg)
         clip_count += nclip
         flat = clip_to_norm(grad[0, 0], cfg.grad_max_norm)
         grad_norms.append(float(np.linalg.norm(flat)))

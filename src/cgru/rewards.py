@@ -62,7 +62,6 @@ def train_classifier(X: Array, y, n_classes: int, rng: np.random.Generator,
     opt = adam_init(net, lr=lr)
     history = []
     n = len(X)
-    grad = np.empty((1, net.theta.size))
     for _ in range(steps):
         idx = rng.integers(0, n, size=min(batch, n))
         tape = []
@@ -71,8 +70,7 @@ def train_classifier(X: Array, y, n_classes: int, rng: np.random.Generator,
         loss = float(-np.log(np.maximum(p_true, 1e-300)).mean())
         out_grad = np.zeros_like(probs)
         out_grad[np.arange(len(idx)), y[idx]] = -1.0 / (p_true * len(idx))
-        grad.fill(0.0)
-        adam_step(opt, net.theta, backward(net, out_grad, tape, out=grad)[0])
+        adam_step(opt, net.theta, backward(net, out_grad, tape)[0])
         history.append(loss)
     return net, history
 

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from cgru import pipeline
 from cgru.config import RunConfig, apply_overrides
+from cgru.diag import diag_unbiasedness
 
 # Small budgets that still exercise every phase: the classifier separates
 # the (well-spread) modes easily, the pretrain gate is set low enough to
@@ -37,3 +40,28 @@ def tiny_run(tmp_path_factory):
     cfg = tiny_config(out)
     manifest = pipeline.run_full(cfg)
     return cfg, manifest
+
+
+@pytest.fixture(scope="session")
+def full_run(tmp_path_factory):
+    """One completed pipeline run at the default config, shared read-mostly;
+    its phase timings count toward the end-to-end budget of AC8."""
+    out = tmp_path_factory.mktemp("acceptance") / "run"
+    cfg = apply_overrides(RunConfig(), [f"out_dir={out}"])
+    manifest = pipeline.run_full(cfg)
+    return cfg, manifest
+
+
+@pytest.fixture(scope="session")
+def unbiasedness_sweep(full_run):
+    """diag unbiasedness on the default run at CGRU_THREADS=1, run once:
+    its info, the bytes of its CSV and its elapsed seconds."""
+    cfg, _ = full_run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CGRU_THREADS", "1")
+        start = time.monotonic()
+        res = diag_unbiasedness(cfg)
+        seconds = time.monotonic() - start
+    with open(res["paths"]["diag_unbiasedness"], "rb") as fh:
+        csv = fh.read()
+    return {"info": res["info"], "csv": csv, "seconds": seconds}

@@ -10,7 +10,7 @@ import pytest
 
 from cgru import critic as critic_mod
 from cgru.cli import build_parser, main
-from cgru.config import RunConfig, apply_overrides, config_hash, save_config
+from cgru.config import apply_overrides, config_hash, save_config
 from cgru.critic import Critic
 
 from conftest import TINY_OVERRIDES, tiny_config
@@ -148,6 +148,14 @@ def test_bad_override_exits_two(tmp_path, capsys):
     assert "policy.lr" in capsys.readouterr().err
     assert main(["full", "--set", "no.such.key=1", "--out", str(tmp_path)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+    # a config file that is missing or not UTF-8 text
+    not_utf8 = tmp_path / "bom.cfg"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for path in (tmp_path / "no" / "such.cfg", not_utf8):
+        assert main(["report", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err, err
+        assert "Traceback" not in err
 
 
 def test_invalid_config_value_exits_two(tmp_path, capsys):
@@ -213,7 +221,7 @@ def test_diag_variance(diag_dir, capsys):
     assert sorted(ln.split(",")[0] for ln in lines[1:]) == ["cgru", "ddpo"]
 
 
-def test_diag_unbiasedness(diag_dir, capsys, monkeypatch):
+def test_diag_unbiasedness(full_run, unbiasedness_sweep, capsys, monkeypatch):
     # the critic pass is stacked: each forward takes a stack of trajectories
     # whose states share the rows of one Critic.cond call
     rows, stacks = [], []
@@ -229,22 +237,21 @@ def test_diag_unbiasedness(diag_dir, capsys, monkeypatch):
 
     monkeypatch.setattr(Critic, "cond", counting_cond)
     monkeypatch.setattr(critic_mod, "forward", counting_forward)
-    monkeypatch.setenv("CGRU_THREADS", "1")
-    assert main(_args(diag_dir, "diag", "unbiasedness")) == 0
+    monkeypatch.setenv("CGRU_THREADS", "2")
+    cfg, _ = full_run
+    assert main(["diag", "unbiasedness", "--out", cfg.out_dir]) == 0
     capsys.readouterr()
-    path = diag_dir / "diag_unbiasedness.csv"
-    lines = open(path).read().splitlines()
+    with open(os.path.join(cfg.out_dir, "diag_unbiasedness.csv"), "rb") as fh:
+        data = fh.read()
+    lines = data.decode().splitlines()
     assert lines[0] == "N,B_norm,grad_norm,ratio"
     assert [int(ln.split(",")[0]) for ln in lines[1:]] == [100, 1000, 10000]
     # one critic pass over the 10,000 rollouts' states, shared by the prefixes
     assert len(rows) == 1
-    assert sum(stacks) * rows[0] == 10_000 * RunConfig().diffusion.T
-    # the sharded walk reduces in shard order: two workers, the same bytes
-    single = path.read_bytes()
-    monkeypatch.setenv("CGRU_THREADS", "2")
-    assert main(_args(diag_dir, "diag", "unbiasedness")) == 0
-    capsys.readouterr()
-    assert path.read_bytes() == single
+    assert sum(stacks) * rows[0] == 10_000 * cfg.diffusion.T
+    # the sharded walk reduces in shard order: two workers give the bytes
+    # of the fixture's one-worker sweep
+    assert data == unbiasedness_sweep["csv"]
 
 
 def test_diag_ablation(diag_dir, capsys):

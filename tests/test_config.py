@@ -1,6 +1,7 @@
 """Config round-trips, dotted-key overrides, validation, and hashing."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -15,6 +16,9 @@ def test_defaults_are_valid():
     assert cfg.diffusion.T == 50
     assert cfg.data.n_classes == 8
     assert cfg.reward.target_class == 0
+    # int fields that are not counts may be 0
+    validate(apply_overrides(cfg, ["policy.iterations=0",
+                                   "policy.refresh_every=0"]))
 
 
 def test_render_parse_roundtrip():
@@ -82,6 +86,28 @@ def test_validate_catches_bad_ranges():
     for overrides in bad:
         with pytest.raises(ConfigError):
             validate(apply_overrides(RunConfig(), overrides))
+
+
+COUNT_KEYS = [
+    "data.n_samples", "data.n_classes", "data.holdout", "diffusion.T",
+    "eps_net.hidden", "eps_net.t_embed_dim",
+    "classifier.hidden", "classifier.steps", "classifier.batch_size",
+    "pretrain.max_steps", "pretrain.eval_every", "pretrain.batch_size",
+    "pretrain.eval_per_class",
+    "critic.hidden", "critic.t_embed_dim", "critic.n_traj", "critic.epochs",
+    "critic.batch_size",
+    "policy.n_traj", "policy.grad_accum", "policy.inner_epochs",
+    "policy.refresh_traj", "policy.refresh_epochs", "policy.eval_forget",
+    "policy.eval_per_class",
+    "eval.forget_samples", "eval.retain_per_class",
+]
+
+
+@pytest.mark.parametrize("key", COUNT_KEYS)
+def test_every_count_must_be_positive(key):
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(key)} must be >= 1, got 0$"):
+        validate(apply_overrides(RunConfig(), [f"{key}=0"]))
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -10,8 +10,7 @@ from cgru import rng as rngmod
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
 from cgru.errors import ShapeMismatch
 from cgru.nets import adam_init, adam_step
-from cgru.policy_grad import (EstimatorConfig, GradientEstimate,
-                              _importance_weights,
+from cgru.policy_grad import (EstimatorConfig, _importance_weights,
                               baseline_term_estimate, cgru_gradient,
                               clip_to_norm, ddpo_gradient,
                               gradient_variance, group_estimates,
@@ -75,7 +74,7 @@ def test_terminal_reward_estimator_unbiased_on_probe():
     assert np.all(np.abs(mean - toy_analytic_gradient()) <= 3 * se)
     # the batched estimator agrees with the per-trajectory mean
     est = ddpo_gradient(trajs, policy, sched, RAW)
-    assert np.allclose(est.grad, mean, rtol=1e-10)
+    assert np.allclose(est, mean, rtol=1e-10)
 
 
 def test_advantage_estimator_unbiased_on_probe():
@@ -87,7 +86,7 @@ def test_advantage_estimator_unbiased_on_probe():
     scores = per_sample_scores(trajs, policy, sched)
     per_traj = scores * (trajs.rewards - baseline)[:, None]
     se = per_traj.std(axis=0, ddof=1) / math.sqrt(n)
-    assert np.all(np.abs(est.grad - toy_analytic_gradient()) <= 3 * se)
+    assert np.all(np.abs(est - toy_analytic_gradient()) <= 3 * se)
 
 
 def test_degeneracy_zero_critic_reduces_to_terminal_reward():
@@ -97,15 +96,15 @@ def test_degeneracy_zero_critic_reduces_to_terminal_reward():
     a = cgru_gradient(trajs, model, np.zeros((len(trajs), sched.T)), RAW,
                       sched)
     b = ddpo_gradient(trajs, model, sched, RAW)
-    denom = max(np.linalg.norm(b.grad), 1e-300)
-    assert np.linalg.norm(a.grad - b.grad) / denom < 1e-12
+    denom = max(np.linalg.norm(b), 1e-300)
+    assert np.linalg.norm(a - b) / denom < 1e-12
 
 
 def test_zero_rewards_give_zero_gradient():
     model, sched, trajs = desk_setup()
     trajs.rewards = np.zeros(len(trajs))
     est = ddpo_gradient(trajs, model, sched, RAW)
-    assert np.linalg.norm(est.grad) < 1e-12
+    assert np.linalg.norm(est) < 1e-12
 
 
 def test_advantage_estimator_is_terminal_reward_minus_baseline_term():
@@ -113,13 +112,13 @@ def test_advantage_estimator_is_terminal_reward_minus_baseline_term():
     # terminal-reward estimate minus the baseline term of V
     model, sched, trajs = desk_setup()
     values = 0.25 * np.arange(1, sched.T + 1) + trajs.class_ids[:, None]
-    got = cgru_gradient(trajs, model, values, RAW, sched).grad
-    want = ddpo_gradient(trajs, model, sched, RAW).grad \
+    got = cgru_gradient(trajs, model, values, RAW, sched)
+    want = ddpo_gradient(trajs, model, sched, RAW) \
         - baseline_term_estimate(trajs, model, values, sched)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
     # no baseline is the zero matrix
-    none = cgru_gradient(trajs, model, None, RAW, sched).grad
-    zero = cgru_gradient(trajs, model, np.zeros_like(values), RAW, sched).grad
+    none = cgru_gradient(trajs, model, None, RAW, sched)
+    zero = cgru_gradient(trajs, model, np.zeros_like(values), RAW, sched)
     assert np.array_equal(none, zero)
     with pytest.raises(ShapeMismatch):
         cgru_gradient(trajs, model, values[:, :1], RAW, sched)
@@ -152,12 +151,13 @@ def test_optimal_baseline_probe_orders_variance():
 
 
 def test_gradient_variance_oracle():
-    a = GradientEstimate(grad=np.array([1.0, 3.0]))
-    b = GradientEstimate(grad=np.array([3.0, 7.0]))
+    a = np.array([1.0, 3.0])
+    b = np.array([3.0, 7.0])
     # per-coordinate unbiased variances are 2 and 8; their mean is 5
-    assert math.isclose(gradient_variance([a, b]), 5.0, rel_tol=1e-12)
+    assert math.isclose(gradient_variance(np.stack([a, b])), 5.0,
+                        rel_tol=1e-12)
     with pytest.raises(ValueError):
-        gradient_variance([a])
+        gradient_variance(a[None])
 
 
 def test_policy_update_epoch_moves_params_deterministically():
@@ -192,9 +192,11 @@ def test_single_update_epoch_is_an_adam_step_on_cgru_gradient():
     values = 0.1 * np.arange(1, sched.T + 1) + trajs.class_ids[:, None]
     cfg = EstimatorConfig(clip_low=0.9, clip_high=1.1, grad_max_norm=1e18)
     est = cgru_gradient(trajs, model, values, cfg, sched)
-    assert est.clip_count > 0
+    _, (clip_count,) = group_estimates(trajs, model, values, cfg, sched,
+                                       ["cgru"])
+    assert clip_count > 0
     want = model.net.theta.copy()
-    adam_step(adam_init(model.net, lr=1e-3), want, -est.grad)
+    adam_step(adam_init(model.net, lr=1e-3), want, -est)
 
     stats = policy_update_epoch(model, trajs, values, cfg, sched,
                                 adam_init(model.net, lr=1e-3),
@@ -202,9 +204,9 @@ def test_single_update_epoch_is_an_adam_step_on_cgru_gradient():
                                 grad_accum=sched.T)
     assert stats["updates"] == 1
     # the epoch sums steps in shuffled order, cgru_gradient in T..1 order
-    assert math.isclose(stats["grad_norm_mean"], np.linalg.norm(est.grad),
+    assert math.isclose(stats["grad_norm_mean"], np.linalg.norm(est),
                         rel_tol=1e-12)
-    assert stats["clip_count"] == est.clip_count
+    assert stats["clip_count"] == clip_count
     assert np.allclose(model.net.theta, want, rtol=1e-12, atol=0)
 
 
@@ -235,7 +237,7 @@ def test_per_sample_scores_match_batched_estimator():
     scores = per_sample_scores(trajs, model, sched)
     manual = (scores * trajs.rewards[:, None]).mean(axis=0)
     est = ddpo_gradient(trajs, model, sched, RAW)
-    assert np.allclose(est.grad, manual, rtol=1e-10)
+    assert np.allclose(est, manual, rtol=1e-10)
 
 
 def _rel(a, b):
@@ -270,7 +272,7 @@ def test_grouped_walk_equals_separate_sub_batch_walks(n, cuts):
     sizes = np.diff(bounds)[:, None]
     assert _rel(baseline_term_estimate(trajs, model, values, sched),
                 (means[0] * sizes).sum(axis=0) / n) < 1e-12
-    assert _rel(ddpo_gradient(trajs, model, sched, RAW).grad,
+    assert _rel(ddpo_gradient(trajs, model, sched, RAW),
                 (means[2] * sizes).sum(axis=0) / n) < 1e-12
 
 
