@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -124,7 +125,8 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-# every other int field is a count and must be >= 1
+# every other int field is a count and must be >= 1; every float field
+# must be finite
 _NOT_COUNTS = {"seed", "reward.target_class", "policy.iterations",
                "policy.refresh_every"}
 
@@ -132,10 +134,22 @@ _NOT_COUNTS = {"seed", "reward.target_class", "policy.iterations",
 def validate(cfg: RunConfig) -> RunConfig:
     flat = dict(_walk(cfg))
     for key, val in flat.items():
-        if key not in _NOT_COUNTS and _leaf_type(key) is int and val < 1:
+        typ = _leaf_type(key)
+        if key not in _NOT_COUNTS and typ is int and val < 1:
             raise ConfigError(f"{key} must be >= 1, got {val}")
-    if cfg.policy.iterations < 0:
-        raise ConfigError("policy.iterations must be >= 0")
+        if typ is float and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite, got {val}")
+    for key in ("policy.iterations", "policy.refresh_every"):
+        if flat[key] < 0:
+            raise ConfigError(f"{key} must be >= 0")
+    for key in ("data.radius", "data.stddev", "reward.scale", "classifier.lr",
+                "pretrain.lr", "critic.lr", "policy.lr"):
+        if flat[key] <= 0:
+            raise ConfigError(f"{key} must be > 0")
+    for key in ("policy.lr_decay_frac", "policy.lr_end_frac",
+                "pretrain.target_acc", "classifier.target_acc"):
+        if not 0 < flat[key] <= 1:
+            raise ConfigError(f"{key} must lie in (0, 1]")
     if not 0 < cfg.diffusion.beta_start <= cfg.diffusion.beta_end < 1:
         raise ConfigError("need 0 < diffusion.beta_start <= beta_end < 1")
     if cfg.data.n_classes < 2:
@@ -153,27 +167,12 @@ def validate(cfg: RunConfig) -> RunConfig:
             f"for {cfg.data.n_classes} classes")
     if cfg.reward.kind not in REWARD_KINDS:
         raise ConfigError(f"unknown reward.kind {cfg.reward.kind!r}")
-    if cfg.reward.scale <= 0:
-        raise ConfigError("reward.scale must be > 0")
     if not 0.0 <= cfg.reward.forget_fraction <= 1.0:
         raise ConfigError("reward.forget_fraction must lie in [0, 1]")
     if cfg.data.holdout >= cfg.data.n_samples:
         raise ConfigError("data.holdout must be smaller than data.n_samples")
     if cfg.eps_net.t_embed_dim % 2 or cfg.critic.t_embed_dim % 2:
         raise ConfigError("timestep embedding dims must be even")
-    if not 0.0 < cfg.policy.lr_decay_frac <= 1.0:
-        raise ConfigError("policy.lr_decay_frac must lie in (0, 1]")
-    if not 0.0 < cfg.policy.lr_end_frac <= 1.0:
-        raise ConfigError("policy.lr_end_frac must lie in (0, 1]")
-    if cfg.policy.refresh_every < 0:
-        raise ConfigError("policy.refresh_every must be >= 0")
-    for key in ("classifier.lr", "pretrain.lr", "critic.lr", "policy.lr"):
-        if flat[key] <= 0:
-            raise ConfigError(f"{key} must be > 0")
-    if not 0.0 < cfg.pretrain.target_acc <= 1.0:
-        raise ConfigError("pretrain.target_acc must lie in (0, 1]")
-    if not 0.0 < cfg.classifier.target_acc <= 1.0:
-        raise ConfigError("classifier.target_acc must lie in (0, 1]")
     return cfg
 
 

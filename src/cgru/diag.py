@@ -29,6 +29,12 @@ _IDX_BASELINE = 100_000
 _IDX_DIAG_CTX = 999_999
 _IDX_DIAG_BOOT = 999_998
 
+_VARIANCE_BATCHES = 20
+_VARIANCE_BOOTSTRAP = 20
+_ABLATION_SEEDS = 5
+_ABLATION_TRAJ = 256
+_BASELINE_TRAJ = 10_000
+
 
 @locked_run
 def diag_unbiasedness(cfg: RunConfig) -> dict:
@@ -97,8 +103,7 @@ def diag_unbiasedness(cfg: RunConfig) -> dict:
 
 
 @locked_run
-def diag_variance(cfg: RunConfig, n_batches: int = 20,
-                  n_bootstrap: int = 20) -> dict:
+def diag_variance(cfg: RunConfig) -> dict:
     """Paired per-component variance of the two estimators.
 
     Each batch of trajectories is scored by both estimators, so the
@@ -111,8 +116,8 @@ def diag_variance(cfg: RunConfig, n_batches: int = 20,
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_CTX)
     methods = ("cgru", "ddpo")
     # ests[k, b]: method k's clipped estimate on batch b
-    ests = np.empty((len(methods), n_batches, model.net.theta.size))
-    for b in range(n_batches):
+    ests = np.empty((len(methods), _VARIANCE_BATCHES, model.net.theta.size))
+    for b in range(_VARIANCE_BATCHES):
         class_ids = mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
         rollouts = sample_trajectories(model, class_ids, sched, cfg.seed,
                                        rngmod.PHASE_DIAG,
@@ -128,28 +133,27 @@ def diag_variance(cfg: RunConfig, n_batches: int = 20,
 
     boot_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_BOOT)
     wins = 0
-    for _ in range(n_bootstrap):
-        idx = boot_rng.integers(0, n_batches, n_batches)
+    for _ in range(_VARIANCE_BOOTSTRAP):
+        idx = boot_rng.integers(0, _VARIANCE_BATCHES, _VARIANCE_BATCHES)
         vc, vd = (gradient_variance(e[idx]) for e in ests)
         wins += int(vc < vd)
 
     path = write_csv(out_path(cfg, "diag_variance.csv"),
                      ["estimator", "n_batches", "batch_size", "variance"],
-                     [(m, n_batches, cfg.policy.n_traj, var[m])
+                     [(m, _VARIANCE_BATCHES, cfg.policy.n_traj, var[m])
                       for m in methods])
     ratio = var["ddpo"] / var["cgru"]
     summary = ("== gradient variance ==\n"
                f"  cgru {var['cgru']:.3e}  ddpo {var['ddpo']:.3e}  "
                f"ratio ddpo/cgru {ratio:.2f}\n"
-               f"  bootstrap wins {wins}/{n_bootstrap}")
+               f"  bootstrap wins {wins}/{_VARIANCE_BOOTSTRAP}")
     return {"paths": {"diag_variance": path},
             "info": {"variance": var, "ratio": ratio, "wins": wins,
-                     "n_bootstrap": n_bootstrap, "summary": summary}}
+                     "n_bootstrap": _VARIANCE_BOOTSTRAP, "summary": summary}}
 
 
 @locked_run
-def diag_ablation(cfg: RunConfig, n_seeds: int = 5,
-                  buffer_traj: int = 256) -> dict:
+def diag_ablation(cfg: RunConfig) -> dict:
     """Timestep-aware vs timestep-blind critic fits on matched buffers.
 
     Uses the distance-to-mode reward on forget-class rollouts: its value
@@ -160,9 +164,9 @@ def diag_ablation(cfg: RunConfig, n_seeds: int = 5,
     K = cfg.data.n_classes
     target = cfg.reward.target_class
     spec = reward_spec(apply_overrides(cfg, ["reward.kind=mode_distance"]))
-    class_ids = np.full(buffer_traj, target)
+    class_ids = np.full(_ABLATION_TRAJ, target)
     rows = []
-    for s in range(n_seeds):
+    for s in range(_ABLATION_SEEDS):
         buffer = build_critic_buffer(model, class_ids, spec, None, sched,
                                      cfg.seed, phase=rngmod.PHASE_DIAG,
                                      first_index=_IDX_ABLATION + s * 1000)
@@ -176,19 +180,19 @@ def diag_ablation(cfg: RunConfig, n_seeds: int = 5,
     path = write_csv(out_path(cfg, "diag_ablation.csv"),
                      ["model_kind", "held_out_mse", "seed"], rows)
     aware_wins = sum(rows[2 * i][1] < rows[2 * i + 1][1]
-                     for i in range(n_seeds))
+                     for i in range(_ABLATION_SEEDS))
     lines = ["== critic timestep ablation =="]
-    for i in range(n_seeds):
+    for i in range(_ABLATION_SEEDS):
         lines.append(f"  seed {i}: aware {rows[2*i][1]:.4f}  "
                      f"blind {rows[2*i+1][1]:.4f}")
-    lines.append(f"  aware wins {aware_wins}/{n_seeds}")
+    lines.append(f"  aware wins {aware_wins}/{_ABLATION_SEEDS}")
     return {"paths": {"diag_ablation": path},
             "info": {"rows": rows, "aware_wins": aware_wins,
-                     "n_seeds": n_seeds, "summary": "\n".join(lines)}}
+                     "n_seeds": _ABLATION_SEEDS, "summary": "\n".join(lines)}}
 
 
 @locked_run
-def diag_baseline_optimum(cfg: RunConfig, n_traj: int = 10_000) -> dict:
+def diag_baseline_optimum(cfg: RunConfig) -> dict:
     """Estimator variance on the probe at baselines around E[r].
 
     The variance-minimizing constant baseline for the one-step probe is
@@ -196,7 +200,7 @@ def diag_baseline_optimum(cfg: RunConfig, n_traj: int = 10_000) -> dict:
     """
     bias = 0.5
     policy, sched = build_toy(bias)
-    rollouts = sample_toy_trajectories(policy, sched, n_traj, cfg.seed,
+    rollouts = sample_toy_trajectories(policy, sched, _BASELINE_TRAJ, cfg.seed,
                                        first_index=_IDX_BASELINE)
     er = toy_mean_reward(bias)
     pairs = optimal_baseline_probe(policy, sched, rollouts,

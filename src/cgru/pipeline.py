@@ -4,8 +4,8 @@ Phases run in dependency order: classifier -> pretrain -> critic ->
 unlearn (one run per method) -> eval. Every phase reads only declared
 checkpoint artifacts plus the config, re-derives its random streams from
 the master seed, and writes its outputs under cfg.out_dir, so reruns with
-an identical config are byte-identical. A lock file serializes runs that
-share an output directory.
+an identical config are byte-identical. A kernel lock on one file
+serializes runs that share an output directory.
 
 Networks are read and written only through `load` and `_save`, which
 record and check the config sections each network depends on.
@@ -21,7 +21,6 @@ import hashlib
 import json
 import os
 import platform
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -82,71 +81,30 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:     # alive, owned by another user
-        pass
-    return True
-
-
-def _lock_owner(lock_path: str) -> tuple | None:
-    """The (pid, host) a lock file names; None if it cannot be read."""
-    try:
-        with open(lock_path, encoding="utf-8") as fh:
-            pid, host = fh.read().split()
-        pid = int(pid)
-    except (OSError, ValueError):
-        return None
-    return (pid, host) if pid > 0 else None
-
-
 @contextmanager
 def _locked(out_dir: str):
-    """Hold out_dir's lock file, which names this process's pid and host.
-
-    A lock left by a process that no longer runs on this host is reclaimed
-    with a warning on stderr; any other existing lock raises LockError.
-    The check, the reclaim and the new lock's creation run under an
-    exclusive flock on out_dir, so two runs that find the same stale lock
-    cannot both take it (a new lock not yet written reads as live).
-    """
+    """Hold an exclusive flock on out_dir/.lock, whose text names this
+    process's pid and host meanwhile; LockError names another holder.
+    The kernel drops the lock when its holder exits, even when killed.
+    The file is never unlinked: two runs could then lock two inodes."""
     os.makedirs(out_dir, exist_ok=True)
     lock_path = os.path.join(out_dir, ".lock")
-    dir_fd = os.open(out_dir, os.O_RDONLY)
-    try:
-        fcntl.flock(dir_fd, fcntl.LOCK_EX)
-        fd = _take_lock(lock_path)
-    finally:
-        os.close(dir_fd)        # releases the flock
-    try:
-        os.write(fd, f"{os.getpid()} {platform.node()}\n".encode())
-        os.close(fd)
-        yield
-    finally:
-        os.unlink(lock_path)
-
-
-def _take_lock(lock_path: str) -> int:
-    """Create lock_path, reclaiming one whose owner ran on this host and is
-    gone (a live, foreign or unreadable owner raises LockError); its fd."""
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-    try:
-        fd = os.open(lock_path, flags)
-    except FileExistsError:
-        owner = _lock_owner(lock_path)
-        if owner is None or owner[1] != platform.node() or _pid_alive(owner[0]):
-            who = ("an unreadable owner" if owner is None
-                   else "pid {} on host {}".format(*owner))
-            raise LockError(f"lock file exists: {lock_path}, held by {who}; "
-                            "another run may be using this directory")
-        sys.stderr.write(f"warning: reclaiming stale lock {lock_path} of "
-                         f"pid {owner[0]}, which is no longer running\n")
-        os.unlink(lock_path)
-        fd = os.open(lock_path, flags)
-    return fd
+    # append mode: opening never truncates the name of a current holder
+    with open(lock_path, "a+", encoding="utf-8", errors="replace") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            fh.seek(0)
+            raise LockError(f"lock {lock_path} is held by "
+                            f"{fh.read().strip() or 'an unnamed holder'}; "
+                            "another run is using this directory") from None
+        fh.truncate(0)
+        fh.write(f"pid {os.getpid()} on host {platform.node()}\n")
+        fh.flush()
+        try:
+            yield
+        finally:
+            fh.truncate(0)      # closing the file releases the flock
 
 
 def write_csv(path: str, header: list, rows: list) -> str:

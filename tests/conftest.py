@@ -1,3 +1,5 @@
+import contextlib
+import fcntl
 import time
 
 import pytest
@@ -26,6 +28,16 @@ TINY_OVERRIDES = [
 def tiny_config(out_dir, extra=()):
     cfg = apply_overrides(RunConfig(), TINY_OVERRIDES + list(extra))
     return apply_overrides(cfg, [f"out_dir={out_dir}"])
+
+
+@contextlib.contextmanager
+def flock_held(path, content=""):
+    """Hold `path` by a flock of an open file that reads `content`."""
+    with open(path, "w") as fh:
+        fh.write(content)
+        fh.flush()
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield
 
 
 @pytest.fixture

@@ -173,7 +173,7 @@ def test_03_zero_critic_reduces_to_terminal_reward():
 def test_04_advantage_estimator_has_lower_variance(full_run):
     start = time.monotonic()
     cfg, _ = full_run
-    res = diag_variance(cfg, n_batches=20, n_bootstrap=20)
+    res = diag_variance(cfg)
     wins = res["info"]["wins"]
     elapsed = time.monotonic() - start
     print(f"AC4 variance: cgru wins {wins}/20 bootstrap comparisons "
@@ -186,7 +186,7 @@ def test_04_advantage_estimator_has_lower_variance(full_run):
 def test_05_variance_minimized_at_mean_reward(tmp_path):
     start = time.monotonic()
     cfg = apply_overrides(RunConfig(), [f"out_dir={tmp_path}"])
-    res = diag_baseline_optimum(cfg, n_traj=10_000)
+    res = diag_baseline_optimum(cfg)
     pairs = res["info"]["pairs"]
     mid = pairs[1][1]
     elapsed = time.monotonic() - start
@@ -234,7 +234,7 @@ def test_06_critic_tracks_monte_carlo_values(full_run):
 def test_07_timestep_conditioning_helps_critic(full_run):
     start = time.monotonic()
     cfg, _ = full_run
-    res = diag_ablation(cfg, n_seeds=5)
+    res = diag_ablation(cfg)
     wins = res["info"]["aware_wins"]
     elapsed = time.monotonic() - start
     print(f"AC7 critic ablation: timestep-aware beats timestep-blind on "

@@ -9,11 +9,12 @@ import warnings
 import pytest
 
 from cgru import critic as critic_mod
+from cgru import pipeline
 from cgru.cli import build_parser, main
 from cgru.config import apply_overrides, config_hash, save_config
 from cgru.critic import Critic
 
-from conftest import TINY_OVERRIDES, tiny_config
+from conftest import TINY_OVERRIDES, flock_held, tiny_config
 
 
 def _args(out_dir, *rest):
@@ -168,6 +169,7 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
          "eval.retain_per_class"),
         ("classifier", ["data.n_classes=2", "policy.eval_per_class=1"],
          "policy.eval_per_class"),
+        ("classifier", ["data.stddev=0"], "data.stddev"),
         # each fails as the override builds the estimator section
         ("unlearn", ["estimator.clip_low=2"], "clip_low"),
         ("unlearn", ["estimator.grad_max_norm=0"], "grad_max_norm"),
@@ -198,10 +200,10 @@ def test_method_choices_enforced(capsys):
 
 
 @pytest.fixture(scope="module")
-def diag_dir(tmp_path_factory):
+def diag_dir(tiny_run, tmp_path_factory):
+    # a copy of the session's tiny run: the diagnostics write into it
     out = tmp_path_factory.mktemp("cli_diag") / "run"
-    rc = main(_args(out, "full"))
-    assert rc == 0
+    shutil.copytree(tiny_run[0].out_dir, out)
     return out
 
 
@@ -266,18 +268,12 @@ def test_diag_ablation(diag_dir, capsys):
 
 def test_lock_reported_as_failure(diag_dir, capsys):
     lock = diag_dir / ".lock"
-    pid = os.getpid()
-    for owner, named in [
-            ("", "held by an unreadable owner"),
-            (f"{pid} {platform.node()}\n",
-             f"held by pid {pid} on host {platform.node()}"),
-            ("12345 another-host.invalid\n",
-             "held by pid 12345 on host another-host.invalid")]:
-        lock.write_text(owner)
-        try:
+    for holder, named in [
+            (pipeline._locked(str(diag_dir)),
+             f"pid {os.getpid()} on host {platform.node()}"),
+            (flock_held(lock), "an unnamed holder")]:
+        with holder:
             assert main(_args(diag_dir, "eval", "--method", "base")) == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: lock file exists: {lock}, {named}; ")
-            assert "delete" not in err
-        finally:
-            os.unlink(lock)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: lock {lock} is held by {named}; ")
+        assert "delete" not in err

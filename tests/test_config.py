@@ -82,6 +82,14 @@ def test_validate_catches_bad_ranges():
         ["policy.lr_decay_frac=0"],
         ["pretrain.target_acc=0"],
         ["eps_net.t_embed_dim=7"],
+        # every float key must be finite
+        ["policy.lr=nan"],
+        ["critic.lr=inf"],
+        ["classifier.lr=nan"],
+        ["reward.scale=inf"],
+        ["estimator.grad_max_norm=inf"],
+        ["data.stddev=0"],
+        ["data.radius=-1"],
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):

@@ -1,11 +1,13 @@
 """Phase orchestration: artifacts, gates, locking, and determinism."""
 
+import fcntl
 import hashlib
 import json
 import math
 import os
 import platform
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -25,7 +27,7 @@ from cgru.rewards import RewardSpec, assign_rewards
 from cgru.errors import CheckpointError, LockError, MissingArtifact, PhaseFailure
 from cgru.metrics import feature_stats, frechet_distance
 
-from conftest import tiny_config
+from conftest import flock_held, tiny_config
 
 
 def _digest(path):
@@ -44,7 +46,10 @@ def test_full_run_writes_manifest_and_artifacts(tiny_run):
         assert _digest(rec["path"]) == rec["sha256"], name
     on_disk = json.load(open(os.path.join(cfg.out_dir, "manifest.json")))
     assert on_disk["config_hash"] == manifest.config_hash
-    assert not os.path.exists(os.path.join(cfg.out_dir, ".lock"))
+    # the lock file stays, free and naming no one
+    with open(os.path.join(cfg.out_dir, ".lock"), "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert fh.read() == b""
 
 
 def test_full_run_is_byte_deterministic_across_dirs(tiny_run, tmp_path):
@@ -80,15 +85,18 @@ def test_zero_iterations_is_identity(tiny_run, tmp_path):
                     "clip_count,mean_reward"]
 
 
+def _named(pid):
+    return f"pid {pid} on host {platform.node()}"
+
+
 def test_lock_blocks_concurrent_use(tiny_run):
     cfg, _ = tiny_run
     lock = os.path.join(cfg.out_dir, ".lock")
-    open(lock, "w").close()
-    try:
-        with pytest.raises(LockError, match=".lock"):
+    # a second open of the lock file is refused, even in the holding process
+    with pipeline._locked(cfg.out_dir):
+        with pytest.raises(LockError, match=re.escape(
+                f"lock {lock} is held by {_named(os.getpid())}; ")):
             pipeline.run_eval(cfg, "base")
-    finally:
-        os.unlink(lock)
     # released lock lets the phase run again
     assert pipeline.run_eval(cfg, "base")["info"]["report"].ua >= 0.0
 
@@ -156,78 +164,111 @@ def _reaped_pid():
     return child.pid
 
 
+# takes the lock of directory argv[1], says so on stdout, then either
+# kills itself or holds the lock until its stdin closes
+_HOLDER = """
+import os, signal, sys
+from cgru import pipeline
+with pipeline._locked(sys.argv[1]):
+    print("held", flush=True)
+    if sys.argv[2] == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    sys.stdin.read()
+"""
+
+
+def _holder(out_dir, then):
+    """A child process that holds out_dir's lock, returned once it does;
+    `then` is "kill" or "hold"."""
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.Popen([sys.executable, "-c", _HOLDER, str(out_dir),
+                              then], stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, text=True, env=env)
+    assert child.stdout.readline() == "held\n"
+    return child
+
+
 def test_stale_lock_of_a_gone_process_is_reclaimed(tiny_run, capsys):
+    # a holder killed with SIGKILL leaves its name in the file, no lock
     cfg, _ = tiny_run
     lock = os.path.join(cfg.out_dir, ".lock")
-    pid = _reaped_pid()
-    with open(lock, "w") as fh:
-        fh.write(f"{pid} {platform.node()}\n")
+    child = _holder(cfg.out_dir, "kill")
+    child.communicate(timeout=30)
+    assert child.returncode == -signal.SIGKILL
+    assert open(lock).read() == _named(child.pid) + "\n"
     assert pipeline.run_eval(cfg, "base")["info"]["report"].ua >= 0.0
-    err = capsys.readouterr().err
-    assert "stale lock" in err and str(pid) in err
-    assert not os.path.exists(lock)
+    assert capsys.readouterr().err == ""
+    assert open(lock).read() == ""
 
 
 @pytest.mark.parametrize("content", [
-    "{live} {host}\n",                  # the owner still runs
-    "{gone} another-host.invalid\n",    # a pid on another host proves nothing
+    "{live} {host}\n",                  # the old format, naming this process
+    "{gone} another-host.invalid\n",    # the old format, another host
     "{host}\n",                         # no pid
 ])
-def test_lock_that_is_not_provably_stale_blocks(tiny_run, content):
-    cfg, _ = tiny_run
-    lock = os.path.join(cfg.out_dir, ".lock")
-    with open(lock, "w") as fh:
-        fh.write(content.format(live=os.getpid(), gone=_reaped_pid(),
-                                host=platform.node()))
-    try:
-        with pytest.raises(LockError, match=".lock"):
-            pipeline.run_eval(cfg, "base")
-    finally:
-        os.unlink(lock)
-
-
-def test_two_reclaimers_of_one_stale_lock_admit_one(tmp_path, monkeypatch):
-    # the first reclaimer starts a rival while it inspects the stale lock;
-    # the rival must wait for it, then find a live owner and stay out
-    out_dir = str(tmp_path / "race")
+def test_lock_that_is_not_provably_stale_blocks(tmp_path, capsys, content):
+    # while held, the lock blocks whatever its file says; once free, it is
+    # taken whatever its file says
+    out_dir = str(tmp_path / "run")
     os.makedirs(out_dir)
     lock = os.path.join(out_dir, ".lock")
-    with open(lock, "w") as fh:
+    text = content.format(live=os.getpid(), gone=_reaped_pid(),
+                          host=platform.node())
+    with flock_held(lock, text):
+        with pytest.raises(LockError, match=re.escape(
+                f"lock {lock} is held by {text.strip()}; ")):
+            with pipeline._locked(out_dir):
+                pass
+    assert open(lock).read() == text
+    with pipeline._locked(out_dir):
+        assert open(lock).read() == _named(os.getpid()) + "\n"
+    assert capsys.readouterr().err == ""
+
+
+def test_two_reclaimers_of_one_stale_lock_admit_one(tmp_path):
+    # two threads claim a free lock at once; the winner holds it until the
+    # loser has been refused
+    out_dir = str(tmp_path / "race")
+    os.makedirs(out_dir)
+    with open(os.path.join(out_dir, ".lock"), "w") as fh:
         fh.write(f"{_reaped_pid()} {platform.node()}\n")
+    start, refused = threading.Barrier(2), threading.Event()
     outcomes = []
 
     def claim():
+        start.wait()
         try:
             with pipeline._locked(out_dir):
                 outcomes.append("in")
+                refused.wait(30)
         except LockError:
             outcomes.append("blocked")
+            refused.set()
 
-    rival = threading.Thread(target=claim)
-    real = pipeline._lock_owner
-    looks = []
-
-    def lock_owner(path):
-        looks.append(path)
-        if len(looks) == 1:
-            rival.start()
-            rival.join(0.5)     # unguarded, the rival reclaims the lock here
-        return real(path)
-
-    monkeypatch.setattr(pipeline, "_lock_owner", lock_owner)
-    with pipeline._locked(out_dir):
-        rival.join(30)
-        assert open(lock).read() == f"{os.getpid()} {platform.node()}\n"
-    assert outcomes == ["blocked"]
-    assert not os.path.exists(lock)
+    claimants = [threading.Thread(target=claim) for _ in range(2)]
+    for t in claimants:
+        t.start()
+    for t in claimants:
+        t.join(60)
+    assert sorted(outcomes) == ["blocked", "in"]
 
 
 def test_lock_names_its_owner(tmp_path):
     # every run_* entry point and diagnostic is a locked_run
     read_lock = pipeline.locked_run(
         lambda cfg: open(os.path.join(cfg.out_dir, ".lock")).read())
-    seen = read_lock(tiny_config(tmp_path / "owner"))
-    assert seen == f"{os.getpid()} {platform.node()}\n"
+    cfg = tiny_config(tmp_path / "owner")
+    assert read_lock(cfg) == _named(os.getpid()) + "\n"
+    # a holder in another process is named by its own pid
+    child = _holder(cfg.out_dir, "hold")
+    try:
+        with pytest.raises(LockError, match=re.escape(
+                f"is held by {_named(child.pid)}; ")):
+            read_lock(cfg)
+    finally:
+        child.communicate(timeout=30)
+    assert read_lock(cfg) == _named(os.getpid()) + "\n"
 
 
 @pytest.mark.parametrize("method", ["cgru", "ddpo"])
