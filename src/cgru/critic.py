@@ -76,8 +76,10 @@ def critic_values(critic: Critic, x: Array, onehot: Array, ts) -> Array:
 # Trajectories per stacked critic call in value_matrix. Stacks split each
 # rng shard at fixed offsets, so the bits do not depend on the worker count.
 # On a 2-core Xeon, 16-64 time alike (about 0.35 s for 10,000 trajectories
-# at CGRU_THREADS=2); each worker holds a few (stack, T, hidden) arrays.
-_VALUE_STACK = 32
+# at CGRU_THREADS=2) and 8 is slower (0.49 s); each worker holds a few
+# (stack, T, hidden) arrays, so 16 peaks lowest of those: 6.9 MB against
+# 9.5 MB at 32, with the 4 MB result.
+_VALUE_STACK = 16
 
 
 def value_matrix(critic: Critic, rollouts: Rollouts) -> Array:

@@ -156,22 +156,30 @@ def _softmax(z: Array) -> Array:
 
 
 def _run(net: Network, x: Array, cond, tape: list | None = None):
-    """Forward walk; appends each layer's cache to `tape` if given."""
+    """Forward walk; appends each layer's cache to `tape` if given.
+
+    Each dense and film layer builds its output in one fresh array (the
+    bias or shift is added in place), and tanh overwrites its input when
+    that is such an output and no tape entry holds it."""
     record = (lambda entry: None) if tape is None else tape.append
+    owned = False       # x is this walk's own array and no tape entry holds it
     for i, layer in enumerate(net.arch):
         if isinstance(layer, Dense):
             if x.shape[-1] != layer.n_in:
                 raise ShapeMismatch(
                     f"layer {i}: dense expects {layer.n_in} features, got {x.shape[-1]}")
             record(("dense", i, x))
-            x = x @ net.params[f"{i}.w"] + net.params[f"{i}.b"]
+            x = x @ net.params[f"{i}.w"]
+            x += net.params[f"{i}.b"]
+            owned = True
         elif isinstance(layer, Act):
             if layer.kind == "tanh":
-                x = np.tanh(x)
+                x = np.tanh(x, out=x if owned else None)
                 record(("tanh", i, x))
             else:
                 x = _softmax(x)
                 record(("softmax", i, x))
+            owned = tape is None
         else:  # Film
             if cond is None:
                 raise ShapeMismatch(f"layer {i}: film block needs a cond input")
@@ -185,7 +193,9 @@ def _run(net: Network, x: Array, cond, tape: list | None = None):
             g = cond @ net.params[f"{i}.cw"] + net.params[f"{i}.cb"]
             scale, shift = g[:, :layer.features], g[:, layer.features:]
             record(("film", i, (x, scale, cond)))
-            x = scale * x + shift
+            x = scale * x
+            x += shift
+            owned = True
     return x
 
 
@@ -199,6 +209,12 @@ def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
     no per-layer cache outlives the call. A stack is one np.matmul per
     dense layer and one cond map per film block, so out[j] has exactly
     the bits of forward(net, x[j], cond); it cannot be recorded on a tape.
+
+    Each dense or film layer builds its output in one array, adding the
+    bias or shift in place, and tanh runs in place on such an output when
+    no tape entry holds it; x and every tape entry are never written. So
+    an untaped walk keeps two per-row arrays alive per layer, its input
+    and its output, with the bits of the out-of-place expressions.
     """
     if tape:
         raise ValueError("tape already holds a forward walk")

@@ -15,12 +15,16 @@ the variance, which baseline_term_estimate and gradient_variance measure
 directly.
 
 One walk serves several estimates. It takes a sequence of terms, each a
-coefficient matrix with or without behavior log-probs, and a grouping of
-the rows into contiguous blocks cut at sorted row indices. Per step it
-runs the denoiser forward once and back once per term, and it returns
-every term's mean over every group. Rows are walked in fixed rng.SHARD
-chunks through rng.run_sharded, and the shard results are reduced in
-shard order, so the output does not depend on the worker count.
+coefficient matrix, given as a function that builds any row span's block,
+with or without behavior log-probs, and a grouping of the rows into
+contiguous blocks cut at sorted row indices. Per step it runs the
+denoiser forward once and back once per term, and it returns every
+term's mean over every group. Rows are walked in fixed rng.SHARD chunks
+through rng.run_sharded; each shard builds only its own coefficient
+blocks, and its partial sums are folded into the total in shard order as
+they arrive. So the output does not depend on the worker count, and the
+walk holds O(workers) partials and no (n, T) coefficient matrix at any
+batch size.
 group_estimates names the terms by estimator, and _TERMS is the one table
 of them. cgru_gradient, ddpo_gradient and baseline_term_estimate are thin
 one-group wrappers over it, and per_sample_scores is one walk with a group
@@ -64,39 +68,52 @@ def _importance_weights(logp_new: Array, logp_old: Array, cfg: EstimatorConfig):
     return np.clip(w, cfg.clip_low, cfg.clip_high), int(clipped.sum())
 
 
-def _reward_minus_values(rollouts: Rollouts, values: Array | None) -> Array:
-    """The (n, T) advantage matrix r - V; values None means V = 0."""
+def _value_rows(rollouts: Rollouts, values: Array):
+    """V as a coefficient term: the rows lo:hi of the (n, T) baseline
+    matrix, whose shape is checked here, before any walk."""
+    shape = (len(rollouts), rollouts.T)
+    if np.shape(values) != shape:
+        raise ShapeMismatch(f"values shape {np.shape(values)} != {shape}")
+    return lambda lo, hi: values[lo:hi]
+
+
+def _advantages(rollouts: Rollouts, values: Array | None):
+    """r - V as a coefficient term: the (hi - lo, T) block of rows lo:hi;
+    values None means V = 0."""
     if rollouts.rewards is None:
         raise ValueError("rollouts have no rewards assigned")
-    shape = (len(rollouts), rollouts.T)
+    r, T = rollouts.rewards, rollouts.T
     if values is None:
-        return np.broadcast_to(rollouts.rewards[:, None], shape)
-    if values.shape != shape:
-        raise ShapeMismatch(f"values shape {values.shape} != {shape}")
-    return rollouts.rewards[:, None] - values
+        return lambda lo, hi: np.broadcast_to(r[lo:hi, None], (hi - lo, T))
+    v = _value_rows(rollouts, values)
+    return lambda lo, hi: r[lo:hi, None] - v(lo, hi)
 
 
-def _score_gradient(model, sched: NoiseSchedule, lat: Array, onehot: Array,
+def _score_gradient(model, sched: NoiseSchedule, lat: Array, class_ids: Array,
                     steps, terms, cuts=(), cfg: EstimatorConfig | None = None):
     """Per-term, per-group sums over `steps` of the group-mean weighted score.
 
-    terms is a sequence of (coef, logp_old): row i at step t is weighted by
-    coef[i, t-1] / (its group's size); when the behavior log-probs
-    logp_old (n, T) are given, the weight is first multiplied by the
-    likelihood ratio clamped to cfg's range. cuts are the sorted interior
-    row indices where a new group starts; none means one group. Returns
-    (gradients (len(terms), G, P) in theta's layout, each term's
-    number of clamped ratios). The per-step score of the Gaussian kernel
-    flows through mu only, since sigma_t is fixed by the schedule.
+    terms is a sequence of (coef, logp_old): coef(lo, hi) gives the
+    (hi - lo, T) coefficient block of rows lo:hi, and row i at step t is
+    weighted by its block's column t-1 / (its group's size); when the
+    behavior log-probs logp_old (n, T) are given, the weight is first
+    multiplied by the likelihood ratio clamped to cfg's range. cuts are
+    the sorted interior row indices where a new group starts; none means
+    one group. Returns (gradients (len(terms), G, P) in theta's layout,
+    each term's number of clamped ratios). The per-step score of the
+    Gaussian kernel flows through mu only, since sigma_t is fixed by the
+    schedule.
 
-    With one group and at most rng.SHARD rows the arithmetic is that of a
-    single batched walk: weights / n inside the output gradient, then
-    0 + g_1 + g_2 + ... over steps.
+    Each rng.SHARD-row shard builds its own one-hot rows, coefficient
+    blocks and (len(terms), groups it touches, P) partial. The partials
+    are added into the total in shard order as they arrive, so the walk
+    holds O(workers) partials however many rows it has. With at most
+    rng.SHARD rows the one shard's partial is the total: weights / n
+    inside the output gradient, then 0 + g_1 + g_2 + ... over steps.
     """
     n, T = lat.shape[0], lat.shape[1] - 1
-    for coef, _ in terms:
-        if coef.shape != (n, T):
-            raise ShapeMismatch(f"coef shape {coef.shape} != {(n, T)}")
+    if n == 0:
+        raise ValueError("cannot score an empty batch: no trajectories")
     bounds = [0, *(int(c) for c in cuts), n]
     if len(bounds) > 2 and any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"cuts must rise strictly inside (0, {n}): {cuts}")
@@ -109,18 +126,20 @@ def _score_gradient(model, sched: NoiseSchedule, lat: Array, onehot: Array,
         sizes = np.diff(bounds[g0:g1 + 1])
         size = float(sizes[0]) if len(sizes) == 1 \
             else np.repeat(sizes, np.diff(local)).astype(np.float64)
+        onehot = one_hot(class_ids[lo:hi], model.n_classes)
+        blocks = [coef(lo, hi) for coef, _ in terms]
         flat = np.zeros((len(terms), g1 - g0, model.net.theta.size))
         clips = [0] * len(terms)
         for t in steps:
             xt = lat[lo:hi, T - t]
             xprev = lat[lo:hi, T - t + 1]
             tape = []
-            mu = reverse_mean(model, xt, t, onehot[lo:hi], sched, tape)
+            mu = reverse_mean(model, xt, t, onehot, sched, tape)
             sig = sched.sigma(t)
             score = (score_coef(sched, t) / (sig * sig)) * (xprev - mu)
             logp_new = None
-            for k, (coef, logp_old) in enumerate(terms):
-                weights = coef[lo:hi, t - 1]
+            for k, (block, (_, logp_old)) in enumerate(zip(blocks, terms)):
+                weights = block[:, t - 1]
                 if logp_old is not None:
                     if logp_new is None:
                         logp_new = gaussian_logprob(xprev, mu, sig)
@@ -132,25 +151,30 @@ def _score_gradient(model, sched: NoiseSchedule, lat: Array, onehot: Array,
                          local, flat[k])
         return g0, flat, clips
 
-    parts = rngmod.run_sharded(shard, n)
-    if len(parts) == 1:
-        return parts[0][1], parts[0][2]
+    if n <= rngmod.SHARD:
+        (_, flat, clips), = rngmod.run_sharded(shard, n)
+        return flat, clips
     total = np.zeros((len(terms), len(bounds) - 1, model.net.theta.size))
     clip_counts = [0] * len(terms)
-    for g0, flat, clips in parts:
+
+    def fold(part):
+        g0, flat, clips = part
         total[:, g0:g0 + flat.shape[1]] += flat
-        clip_counts = [a + b for a, b in zip(clip_counts, clips)]
+        clip_counts[:] = [a + b for a, b in zip(clip_counts, clips)]
+
+    rngmod.run_sharded(shard, n, fold=fold)
     return total, clip_counts
 
 
 # the coefficient term of each estimator, from the batch and its (n, T)
-# baseline matrix; only cgru weights by the clamped likelihood ratio, and
-# "score" is the unweighted score sum
+# baseline matrix: a function of a row span giving that span's block, and
+# the behavior log-probs of the clamped ratio (only cgru has them); "score"
+# is the unweighted score sum
 _TERMS = {
-    "cgru": lambda r, v: (_reward_minus_values(r, v), r.logp),
-    "ddpo": lambda r, v: (_reward_minus_values(r, None), None),
-    "baseline": lambda r, v: (v, None),
-    "score": lambda r, v: (np.ones((len(r), r.T)), None),
+    "cgru": lambda r, v: (_advantages(r, v), r.logp),
+    "ddpo": lambda r, v: (_advantages(r, None), None),
+    "baseline": lambda r, v: (_value_rows(r, v), None),
+    "score": lambda r, v: (lambda lo, hi: np.ones((hi - lo, r.T)), None),
 }
 
 
@@ -166,7 +190,7 @@ def group_estimates(rollouts: Rollouts, model, values: Array | None,
     entry [k, g] is the mean of kind k over the rows of group g.
     """
     return _score_gradient(model, sched, rollouts.latents,
-                           one_hot(rollouts.class_ids, model.n_classes),
+                           rollouts.class_ids,
                            range(rollouts.T, 0, -1),
                            [_TERMS[kind](rollouts, values) for kind in kinds],
                            cuts, cfg)
@@ -271,14 +295,14 @@ def policy_update_epoch(model, rollouts: Rollouts, values: Array | None,
         raise ValueError(f"grad_accum must be >= 1, got {grad_accum}")
     term = _TERMS["cgru"](rollouts, values)
     n, T = len(rollouts), rollouts.T
-    onehot = one_hot(rollouts.class_ids, model.n_classes)
 
     order = rng.permutation(np.arange(1, T + 1)).tolist()
     clip_count = 0
     grad_norms = []
     for lo in range(0, T, grad_accum):
         grad, (nclip,) = _score_gradient(model, sched, rollouts.latents,
-                                         onehot, order[lo:lo + grad_accum],
+                                         rollouts.class_ids,
+                                         order[lo:lo + grad_accum],
                                          [term], cfg=cfg)
         clip_count += nclip
         flat = clip_to_norm(grad[0, 0], cfg.grad_max_norm)

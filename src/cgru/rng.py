@@ -7,7 +7,9 @@ so results never depend on how work is sharded across workers.
 
 import contextvars
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 
@@ -99,19 +101,41 @@ def shard_ranges(n: int, chunk: int = SHARD) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def run_sharded(fn, n: int, workers: int | None = None) -> list:
+def run_sharded(fn, n: int, workers: int | None = None, fold=None) -> list:
     """Run fn(lo, hi) over fixed-width shards of range(n), maybe in threads.
 
-    Results are returned in shard order and each shard's inputs do not
-    depend on the worker count, so the output is identical no matter how
-    many workers execute the shards.
+    Each shard's result goes to fold(result) on the calling thread, in
+    shard order; without a fold the results are returned as a list in
+    shard order (with one, the list is empty). Each shard's inputs do not
+    depend on the worker count, so neither does the output. At most
+    2 * workers shards run or wait ahead of the shard being folded, so a
+    fold that keeps only a running total holds O(workers) results, not
+    O(shards). Once a shard has raised, no further shard is submitted,
+    queued ones are cancelled, and its exception propagates unchanged.
     """
     if workers is None:
         workers = n_workers()
-    spans = shard_ranges(n)
-    if len(spans) <= 1 or workers <= 1:
-        return [fn(lo, hi) for lo, hi in spans]
+    spans = iter(shard_ranges(n))
+    results = []
+    if fold is None:
+        fold = results.append
+    if n <= SHARD or workers <= 1:
+        for lo, hi in spans:
+            fold(fn(lo, hi))
+        return results
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
-                   for lo, hi in spans]
-        return [f.result() for f in futures]
+        def submit(span):
+            return pool.submit(contextvars.copy_context().run, fn, *span)
+
+        ahead = deque(submit(span) for span in islice(spans, 2 * workers))
+        try:
+            while ahead:
+                result = ahead.popleft().result()
+                span = next(spans, None)
+                if span and not any(f.done() and f.exception() for f in ahead):
+                    ahead.append(submit(span))
+                fold(result)
+        finally:
+            for future in ahead:
+                future.cancel()
+    return results

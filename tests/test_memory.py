@@ -8,9 +8,15 @@ import tracemalloc
 
 import numpy as np
 
+import pytest
+
 from cgru import rng as rngmod
 from cgru.critic import CriticBuffer, build_critic, critic_train
-from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
+from cgru.diffusion import (Rollouts, build_eps_net, make_schedule,
+                            sample_trajectories)
+from cgru.nets import forward
+from cgru.policy_grad import EstimatorConfig, group_estimates
+from cgru.rewards import build_classifier_net
 
 
 def _peak_bytes(fn):
@@ -51,3 +57,37 @@ def test_sample_trajectories_writes_rollouts_in_place(monkeypatch):
         model, np.arange(n) % K, make_schedule(T, 1e-4, 0.02), 3,
         rngmod.PHASE_DIAG))
     assert peak < 1.5 * (ro.latents.nbytes + ro.logp.nbytes), peak
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_score_walk_peak_does_not_grow_with_rows(monkeypatch, threads):
+    # the walk of diag unbiasedness (baseline and cgru terms, the default
+    # denoiser) holds O(workers) shard partials and per-shard coefficient
+    # and one-hot blocks, so 16x the rows must not move its peak much
+    monkeypatch.setenv("CGRU_THREADS", threads)
+    T, K = 10, 8
+    model = build_eps_net(2, K, rng=rngmod.stream(0, rngmod.PHASE_INIT), T=T)
+    sched = make_schedule(T, 1e-4, 0.02)
+    peaks = []
+    for n in (2 * rngmod.SHARD, 32 * rngmod.SHARD):
+        r = rngmod.stream(1, rngmod.PHASE_DIAG, n)
+        rollouts = Rollouts(np.arange(n) % K, r.standard_normal((n, T + 1, 2)),
+                            r.standard_normal((n, T)))
+        rollouts.rewards = r.standard_normal(n)
+        values = r.standard_normal((n, T))
+        peak, _ = _peak_bytes(lambda: group_estimates(
+            rollouts, model, values, EstimatorConfig(), sched,
+            ["baseline", "cgru"]))
+        peaks.append(peak)
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_untaped_classifier_forward_keeps_two_hidden_arrays():
+    # each layer builds its output in one array and tanh runs in place, so
+    # a hidden layer holds its input and its output, not a third temporary
+    n, hidden = 10_000, 64
+    net = build_classifier_net(2, 8, hidden,
+                               rngmod.stream(0, rngmod.PHASE_INIT, 2))
+    x = rngmod.stream(0, rngmod.PHASE_DIAG, 3).standard_normal((n, 2))
+    peak, _ = _peak_bytes(lambda: forward(net, x))
+    assert peak < 2.5 * n * hidden * 8, peak

@@ -7,8 +7,7 @@ from cgru import nets
 from cgru import rng as rngmod
 from cgru.checkpoint import load_network, load_tensors, save_network, save_tensors
 from cgru.critic import CriticBuffer, build_critic, critic_train
-from cgru.diffusion import (build_eps_net, ddpm_loss_and_grads, make_schedule,
-                            one_hot)
+from cgru.diffusion import build_eps_net, ddpm_loss_and_grads, make_schedule
 from cgru.errors import CheckpointError, ShapeMismatch
 from cgru.nets import (Act, AdamState, Dense, Film, Network, adam_init,
                        adam_step, backward, embed_lookup, forward,
@@ -52,6 +51,55 @@ def test_activations_match_numpy():
 
     with pytest.raises(ValueError, match="relu"):
         Act("relu")
+
+
+def _reference_walk(net, x, cond):
+    """An out-of-place forward walk: the output and the tape entries that
+    forward must leave, built with no array written after it is made."""
+    tape = []
+    for i, layer in enumerate(net.arch):
+        if isinstance(layer, Dense):
+            tape.append(("dense", i, x))
+            x = x @ net.params[f"{i}.w"] + net.params[f"{i}.b"]
+        elif isinstance(layer, Film):
+            g = cond @ net.params[f"{i}.cw"] + net.params[f"{i}.cb"]
+            scale, shift = g[:, :layer.features], g[:, layer.features:]
+            tape.append(("film", i, (x, scale, cond)))
+            x = scale * x + shift
+        elif layer.kind == "tanh":
+            x = np.tanh(x)
+            tape.append(("tanh", i, x))
+        else:
+            x = nets._softmax(x)
+            tape.append(("softmax", i, x))
+    return x, tape
+
+
+def test_in_place_layers_leave_every_tape_entry_and_the_input_intact():
+    # tanh first (on the caller's x), twice in a row, and after dense and
+    # film outputs: each tape entry must still hold what an out-of-place
+    # walk recorded once forward has returned
+    arch = [Act("tanh"), Dense(3, 5), Act("tanh"), Act("tanh"), Dense(5, 5),
+            Film(5, 4), Act("tanh"), Dense(5, 3), Act("softmax")]
+    net = init_network(arch, rngmod.stream(7, rngmod.PHASE_INIT, 12))
+    rng = rngmod.stream(7, rngmod.PHASE_DIAG, 12)
+    x = rng.standard_normal((6, 3))
+    cond = rng.standard_normal((6, 4))
+    x_before = x.copy()
+    want, want_tape = _reference_walk(net, x_before.copy(), cond)
+    tape = []
+    out = forward(net, x, cond, tape)
+    assert np.array_equal(out, want)
+    assert len(tape) == len(want_tape)
+    for (kind, i, cache), (want_kind, want_i, want_cache) in zip(tape, want_tape):
+        assert (kind, i) == (want_kind, want_i)
+        pairs = zip(cache, want_cache) if kind == "film" else [(cache, want_cache)]
+        for got, expect in pairs:
+            assert np.array_equal(got, expect), (kind, i)
+    assert np.array_equal(x, x_before)
+    # untaped, the same bits, and the caller's x is still not written
+    assert np.array_equal(forward(net, x, cond), want)
+    assert np.array_equal(x, x_before)
 
 
 def _fd_param_check(net, x, cond, rtol=1e-6):
@@ -137,8 +185,8 @@ def test_one_forward_walk_per_gradient_step(monkeypatch):
     assert one_walk_of(critic.net)
 
     lat = rng.standard_normal((5, T + 1, 2))
-    grad, _ = _score_gradient(model, sched, lat, one_hot(ids, K), [3],
-                              [(np.ones((5, T)), None)])
+    grad, _ = _score_gradient(model, sched, lat, ids, [3],
+                              [(lambda lo, hi: np.ones((hi - lo, T)), None)])
     assert one_walk_of(model.net)
     assert grad.shape == (1, 1, model.net.theta.size)
 

@@ -295,6 +295,16 @@ def test_group_cuts_must_rise_inside_the_batch():
             group_estimates(trajs, model, None, RAW, sched, ["ddpo"], cuts)
 
 
+def test_an_empty_batch_is_an_error():
+    model, sched, trajs = desk_setup(n=4)
+    empty = trajs[:0]
+    values = np.zeros((0, sched.T))
+    with pytest.raises(ValueError, match="empty batch"):
+        group_estimates(empty, model, values, RAW, sched, ["cgru", "ddpo"])
+    with pytest.raises(ValueError, match="empty batch"):
+        per_sample_scores(empty, model, sched)
+
+
 def test_per_sample_scores_equal_the_per_row_loop():
     model, sched, trajs = desk_setup(n=7)
     scores = per_sample_scores(trajs, model, sched)

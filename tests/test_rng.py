@@ -1,11 +1,15 @@
 """Counter-based stream identities and worker-count invariance."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from cgru import rng as rngmod
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
-from cgru.errors import ConfigError
+from cgru.errors import ConfigError, Divergence
 
 
 def test_same_triple_reproduces_draws():
@@ -72,6 +76,54 @@ def test_run_sharded_threads_keep_callers_errstate():
     assert len(modes) == 3
     assert all(m["over"] == "ignore" and m["invalid"] == "ignore"
                for m in modes)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fold_takes_shards_in_order_and_bounds_the_ones_ahead(workers):
+    # a slow fold lets the workers run ahead; no shard may start more than
+    # 2 * workers shards past the last one folded
+    n = 40 * rngmod.SHARD
+    folded, lags = [], []
+    lock = threading.Lock()
+
+    def fn(lo, hi):
+        with lock:
+            lags.append(lo // rngmod.SHARD - len(folded))
+        return lo, hi
+
+    def fold(result):
+        time.sleep(0.001)
+        folded.append(result)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert rngmod.run_sharded(fn, n, workers, fold=fold) == []
+    finally:
+        sys.setswitchinterval(interval)
+    assert folded == rngmod.shard_ranges(n)
+    assert len(lags) == 40 and max(lags) <= 2 * workers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_failing_shard_stops_the_pass(workers):
+    err = Divergence("unlearn_cgru iteration 7: non-finite values")
+    started, folded = [], []
+    lock = threading.Lock()
+
+    def fn(lo, hi):
+        with lock:
+            started.append(lo)
+        if lo == rngmod.SHARD:
+            raise err
+        time.sleep(0.01)
+        return lo
+
+    with pytest.raises(Divergence) as info:
+        rngmod.run_sharded(fn, 40 * rngmod.SHARD, workers, fold=folded.append)
+    assert info.value is err
+    assert folded == [0]
+    assert len(started) <= 2 * workers + 1, started
 
 
 def test_n_workers_env(monkeypatch):
