@@ -41,15 +41,15 @@ print("\n== phases ==")
 for name, rec in manifest.phases.items():
     print(f"{name:>14}: {rec['status']} in {rec['seconds']:.1f}s")
 
-print("\n== reward per iteration ==")
+print("\n== reward at each monitored iteration ==")
 curves = {}
 for method in ("cgru", "ddpo"):
     with open(f"{OUT}/policy_diag_{method}.csv") as fh:
-        curves[method] = [float(row["mean_reward"])
-                          for row in csv.DictReader(fh)]
+        curves[method] = {int(row["iteration"]): float(row["mean_reward"])
+                          for row in csv.DictReader(fh)}
 print(f"{'iter':>5} {'cgru':>7} {'ddpo':>7}")
-for i in range(0, len(curves["cgru"]), 3):
-    print(f"{i + 1:>5} {curves['cgru'][i]:>7.2f} {curves['ddpo'][i]:>7.2f}")
+for it, reward in curves["cgru"].items():
+    print(f"{it:>5} {reward:>7.2f} {curves['ddpo'][it]:>7.2f}")
 
 result = run_report(cfg)
 print("\n== final evaluation ==")

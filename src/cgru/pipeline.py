@@ -50,6 +50,10 @@ from .rewards import (RewardSpec, assign_rewards, build_classifier_net,
 _EVAL_FINAL_INDEX = 500_000
 _POLICY_TRAJ_STRIDE = 10_000
 _REFRESH_TRAJ_STRIDE = 100_000
+# the unlearn loop's gradient diagnostics and eval run on every fifth
+# iteration and the last; a constant, not a config key, so that the cadence
+# moves neither run_id nor any training stream
+_MONITOR_EVERY = 5
 
 
 @dataclass
@@ -366,6 +370,23 @@ def _policy_lr(cfg: RunConfig, it: int) -> float:
     return cfg.policy.lr * (1.0 + (cfg.policy.lr_end_frac - 1.0) * frac)
 
 
+def _monitored_iterations(iterations: int) -> list:
+    """The 1-based unlearn iterations that run the diagnostics and eval:
+    every _MONITOR_EVERY-th one and the last."""
+    return [it for it in range(1, iterations + 1)
+            if it % _MONITOR_EVERY == 0 or it == iterations]
+
+
+@contextmanager
+def _clock(seconds: dict, key: str):
+    """Add the wall-clock seconds of the block to seconds[key]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[key] += time.perf_counter() - start
+
+
 def _diag_gradients(rollouts, model, values, cfg, sched, method):
     """Full-batch gradient norm plus sub-batch variance, both on-policy,
     from one walk grouped into four equal sub-batches. Remainder rows
@@ -400,6 +421,10 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     order_rng = rngmod.stream(cfg.seed, rngmod.PHASE_POLICY, 2)
     refresh_rng = rngmod.stream(cfg.seed, rngmod.PHASE_POLICY, 3)
 
+    # monitoring reads the model and draws only from the eval streams, so
+    # the cadence cannot change what training computes
+    monitored = _monitored_iterations(cfg.policy.iterations)
+    seconds = {"update_s": 0.0, "monitor_s": 0.0}
     diag_rows = []
     eval_rows = []
     epoch_stats = []    # every policy_update_epoch's, for the phase info
@@ -424,23 +449,33 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
             assign_rewards(rollouts, spec, clf)
             mean_reward = float(np.mean(rollouts.rewards))
             values = value_matrix(critic, rollouts) if method == "cgru" else None
-            grad_norm, grad_var = _diag_gradients(rollouts, model, values, cfg,
-                                                  sched, method)
+            monitor = it + 1 in monitored
+            if monitor:     # on-policy: the walk sees the pre-update model
+                with _clock(seconds, "monitor_s"):
+                    grad_norm, grad_var = _diag_gradients(
+                        rollouts, model, values, cfg, sched, method)
 
-            epochs = [policy_update_epoch(model, rollouts, values,
-                                          cfg.estimator, sched, opt, order_rng,
-                                          grad_accum=cfg.policy.grad_accum)
-                      for _ in range(cfg.policy.inner_epochs)]
+            with _clock(seconds, "update_s"):
+                epochs = [policy_update_epoch(model, rollouts, values,
+                                              cfg.estimator, sched, opt,
+                                              order_rng,
+                                              grad_accum=cfg.policy.grad_accum)
+                          for _ in range(cfg.policy.inner_epochs)]
             epoch_stats += epochs
 
-            report = _eval_model(cfg, model, clf, sched, cfg.policy.eval_forget,
-                                 cfg.policy.eval_per_class, first_index=0,
-                                 retain_reference=retain_ref)
-            diag_rows.append((it + 1, method, cfg.policy.n_traj, grad_norm,
-                              grad_var, sum(e["clip_count"] for e in epochs),
-                              mean_reward))
-            eval_rows.append((run_id, method, it + 1, report.ua, report.ira,
-                              report.fd))
+            if monitor:
+                with _clock(seconds, "monitor_s"):
+                    report = _eval_model(cfg, model, clf, sched,
+                                         cfg.policy.eval_forget,
+                                         cfg.policy.eval_per_class,
+                                         first_index=0,
+                                         retain_reference=retain_ref)
+                diag_rows.append((run_id, it + 1, method, cfg.policy.n_traj,
+                                  grad_norm, grad_var,
+                                  sum(e["clip_count"] for e in epochs),
+                                  mean_reward))
+                eval_rows.append((run_id, method, it + 1, report.ua,
+                                  report.ira, report.fd))
         except Divergence as exc:
             raise Divergence(f"unlearn {method}, iteration {it + 1}: {exc}") from exc
 
@@ -449,15 +484,18 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
                                          model.net),
         f"policy_diag_{method}": write_csv(
             out_path(cfg, f"policy_diag_{method}.csv"),
-            ["iteration", "estimator", "n_traj", "grad_norm",
+            ["run_id", "iteration", "estimator", "n_traj", "grad_norm",
              "grad_variance", "clip_count", "mean_reward"], diag_rows),
         f"eval_history_{method}": write_csv(
             out_path(cfg, f"eval_history_{method}.csv"),
             ["run_id", "method", "epoch", "ua", "ira", "fd"], eval_rows),
     }
+    # wall-clock figures go to the manifest only, never to a .ckpt or .csv
     info = {"iterations": cfg.policy.iterations,
             "stale_iterations": sum(e["stale_buffer"] for e in epoch_stats),
-            "updates": sum(e["updates"] for e in epoch_stats)}
+            "updates": sum(e["updates"] for e in epoch_stats),
+            "monitor_every": _MONITOR_EVERY,
+            **{k: round(v, 3) for k, v in seconds.items()}}
     if eval_rows:
         info.update(final_ua=report.ua, final_ira=report.ira,
                     final_fd=report.fd, final_mean_reward=diag_rows[-1][-1])
@@ -509,9 +547,11 @@ def _report_phase(cfg: RunConfig) -> dict:
     """Aggregate both methods' per-iteration CSVs into summary tables.
 
     report.csv holds one final-metrics row per method; report_curves.csv
-    holds the merged per-iteration curves for external plotting. Metric
-    values pass through as the source strings, so reruns are byte-stable.
-    A history whose run_id is not this config's raises PhaseFailure.
+    holds the merged curves of the monitored iterations for external
+    plotting. Metric values pass through as the source strings, so reruns
+    are byte-stable.
+    An eval history or policy diagnostics file whose run_id is not this
+    config's raises PhaseFailure.
     """
     run_id = config_hash(cfg)[:12]
     final_rows = []
@@ -524,11 +564,14 @@ def _report_phase(cfg: RunConfig) -> dict:
         if not hist or not diag:
             raise PhaseFailure(f"no logged iterations in {hist_path}; "
                                "the unlearn phase has not produced metrics")
-        other = sorted({h["run_id"] for h in hist} - {run_id})
-        if other:
-            raise PhaseFailure(f"{hist_path} holds run_id {', '.join(other)}, "
-                               f"not this config's {run_id}; rerun unlearn "
-                               f"--method {method} under this config")
+        for path, rows in ((hist_path, hist), (diag_path, diag)):
+            other = sorted({r.get("run_id") or "(none)" for r in rows}
+                           - {run_id})
+            if other:
+                raise PhaseFailure(f"{path} holds run_id {', '.join(other)}, "
+                                   f"not this config's {run_id}; rerun "
+                                   f"unlearn --method {method} under this "
+                                   "config")
         by_iter = {row["iteration"]: row for row in diag}
         for h in hist:
             d = by_iter.get(h["epoch"], {})

@@ -144,6 +144,31 @@ def test_report_refuses_histories_of_another_config(tiny_run, tmp_path,
     assert _digests(out) == before
 
 
+def test_report_refuses_policy_diagnostics_of_another_config(tiny_run,
+                                                             tmp_path, capsys):
+    cfg, _ = tiny_run
+    out = tmp_path / "copied"
+    shutil.copytree(cfg.out_dir, out)
+    # this config's eval history beside another config's diagnostics
+    seed7 = config_hash(apply_overrides(cfg, ["seed=7"]))[:12]
+    hist = out / "eval_history_cgru.csv"
+    hist.write_text(hist.read_text().replace(config_hash(cfg)[:12], seed7))
+    before = _digests(out)
+    assert main(_args(out, "report", "--set", "seed=7")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'policy_diag_cgru.csv'} holds "
+                          f"run_id {config_hash(cfg)[:12]}, not this "
+                          f"config's {seed7}")
+    assert _digests(out) == before
+    # a file written before the column existed is refused, not a traceback
+    diag = out / "policy_diag_cgru.csv"
+    diag.write_text("".join(ln.split(",", 1)[1] for ln in
+                            diag.read_text().splitlines(keepends=True)))
+    assert main(_args(out, "report", "--set", "seed=7")) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {diag} holds run_id (none), not this config's {seed7}")
+
+
 def test_bad_override_exits_two(tmp_path, capsys):
     assert main(["full", "--set", "policy.lr=banana", "--out", str(tmp_path)]) == 2
     assert "policy.lr" in capsys.readouterr().err

@@ -81,8 +81,8 @@ def test_zero_iterations_is_identity(tiny_run, tmp_path):
     assert all(np.array_equal(base[k], unlearned[k]) for k in base)
     # CSVs exist with headers only
     diag = (out / "policy_diag_cgru.csv").read_text().strip().splitlines()
-    assert diag == ["iteration,estimator,n_traj,grad_norm,grad_variance,"
-                    "clip_count,mean_reward"]
+    assert diag == ["run_id,iteration,estimator,n_traj,grad_norm,"
+                    "grad_variance,clip_count,mean_reward"]
 
 
 def _named(pid):
@@ -122,6 +122,9 @@ def test_full_run_manifest_keeps_phase_info(tiny_run):
         assert 0.0 < arm["grad_norm_mean"] <= cfg.estimator.grad_max_norm * (1 + 1e-12)
         for key in ("final_ua", "final_ira", "final_fd"):
             assert isinstance(arm[key], float), key
+        # monitoring's cost beside the update's; not compared at this size
+        assert arm["monitor_every"] == pipeline._MONITOR_EVERY
+        assert arm["update_s"] >= 0.0 and arm["monitor_s"] >= 0.0
         report = info[f"eval_{method}"]["report"]
         assert set(report) == {"ua", "ira", "fd", "per_class_acc"}
         assert "summary" not in info[f"eval_{method}"]
@@ -399,14 +402,17 @@ def test_policy_diag_csv_schema(tiny_run):
     cfg, _ = tiny_run
     path = os.path.join(cfg.out_dir, "policy_diag_ddpo.csv")
     lines = open(path).read().splitlines()
-    assert lines[0] == "iteration,estimator,n_traj,grad_norm,grad_variance,clip_count,mean_reward"
-    assert len(lines) == 1 + cfg.policy.iterations
+    assert lines[0] == ("run_id,iteration,estimator,n_traj,grad_norm,"
+                        "grad_variance,clip_count,mean_reward")
+    monitored = pipeline._monitored_iterations(cfg.policy.iterations)
+    assert len(lines) == 1 + len(monitored)
     first = lines[1].split(",")
-    assert first[0] == "1" and first[1] == "ddpo"
-    assert int(first[2]) == cfg.policy.n_traj
-    assert float(first[3]) > 0.0
-    assert int(first[5]) >= 0
-    np.isfinite(float(first[6]))
+    assert first[0] == config_hash(cfg)[:12]
+    assert int(first[1]) == monitored[0] and first[2] == "ddpo"
+    assert int(first[3]) == cfg.policy.n_traj
+    assert float(first[4]) > 0.0
+    assert int(first[6]) >= 0
+    assert np.isfinite(float(first[7]))
 
 
 def test_eval_history_rows_per_iteration(tiny_run):
@@ -415,9 +421,39 @@ def test_eval_history_rows_per_iteration(tiny_run):
         path = os.path.join(cfg.out_dir, f"eval_history_{method}.csv")
         lines = open(path).read().splitlines()
         assert lines[0] == "run_id,method,epoch,ua,ira,fd"
-        assert len(lines) == 1 + cfg.policy.iterations
         epochs = [int(ln.split(",")[2]) for ln in lines[1:]]
-        assert epochs == list(range(1, cfg.policy.iterations + 1))
+        assert epochs == pipeline._monitored_iterations(cfg.policy.iterations)
+
+
+def test_monitored_iterations_are_every_fifth_and_the_last():
+    assert pipeline._monitored_iterations(50) == list(range(5, 51, 5))
+    assert pipeline._monitored_iterations(12) == [5, 10, 12]
+    assert pipeline._monitored_iterations(3) == [3]
+    assert pipeline._monitored_iterations(0) == []
+
+
+def test_monitor_cadence_does_not_steer_training(tiny_run, tmp_path,
+                                                 monkeypatch):
+    cfg, _ = tiny_run
+    monitored = pipeline._monitored_iterations(cfg.policy.iterations)
+    monkeypatch.setattr(pipeline, "_MONITOR_EVERY", 1)
+    every = tiny_config(tmp_path / "every")
+    pipeline.run_full(every)
+    ckpts = sorted(n for n in os.listdir(cfg.out_dir) if n.endswith(".ckpt"))
+    assert len(ckpts) == len(pipeline._NETWORKS)
+    for name in ckpts + ["eval_cgru.csv", "eval_ddpo.csv"]:
+        assert (_digest(os.path.join(cfg.out_dir, name))
+                == _digest(os.path.join(every.out_dir, name))), name
+    # the sparse run's rows are the monitor-every-iteration run's, thinned
+    for method in ("cgru", "ddpo"):
+        for name, col in ((f"eval_history_{method}.csv", 2),
+                          (f"policy_diag_{method}.csv", 1)):
+            rows = open(os.path.join(cfg.out_dir, name)).read().splitlines()
+            all_rows = open(os.path.join(every.out_dir, name)).read().splitlines()
+            its = [int(r.split(",")[col]) for r in all_rows[1:]]
+            assert its == list(range(1, cfg.policy.iterations + 1)), name
+            assert rows == all_rows[:1] + [r for r, it in zip(all_rows[1:], its)
+                                           if it in monitored], name
 
 
 def test_report_aggregates_both_methods(tiny_run):
@@ -428,7 +464,8 @@ def test_report_aggregates_both_methods(tiny_run):
     assert [ln.split(",")[1] for ln in lines[1:]] == ["cgru", "ddpo"]
     curves = open(result["paths"]["report_curves"]).read().splitlines()
     assert curves[0] == "method,iteration,mean_reward,grad_norm,grad_variance,ua,ira,fd"
-    assert len(curves) == 1 + 2 * cfg.policy.iterations
+    monitored = pipeline._monitored_iterations(cfg.policy.iterations)
+    assert len(curves) == 1 + 2 * len(monitored)
     assert "cgru" in result["info"]["summary"]
 
 
