@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .checkpoint import replacing
 from .errors import ScheduleError, ShapeMismatch
 from .nets import (Act, Dense, Network, adam_step, backward, embed_lookup,
                    forward, init_network, sinusoidal_embed)
@@ -347,14 +346,3 @@ def ddpm_train_step(model, x0: Array, class_ids, sched: NoiseSchedule,
     loss, grad = ddpm_loss_and_grads(model, x0, class_ids, ts, eps, sched)
     adam_step(opt, model.net.theta, grad)
     return loss
-
-
-# ---------------------------------------------------------------------------
-# debug dumps
-
-def dump_dataset_csv(path, X: Array, y) -> None:
-    with replacing(path) as fh:
-        fh.write("x0,x1,class\n")
-        for (a, b), c in zip(X, y):
-            fh.write(f"{float(a)!r},{float(b)!r},{int(c)}\n")
-

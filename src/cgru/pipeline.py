@@ -22,6 +22,7 @@ import json
 import os
 import platform
 import time
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -33,10 +34,10 @@ from .config import (RunConfig, config_hash, config_lines, render_value,
                      validate)
 from .critic import (Critic, build_critic, build_critic_buffer, critic_train,
                      value_matrix)
-from .diffusion import (build_eps_net, ddpm_train_step, dump_dataset_csv,
-                        make_schedule, mode_centers, sample_dataset,
-                        sample_trajectories)
-from .errors import Divergence, LockError, MissingArtifact, PhaseFailure
+from .diffusion import (build_eps_net, ddpm_train_step, make_schedule,
+                        mode_centers, sample_dataset, sample_trajectories)
+from .errors import (ConfigError, Divergence, LockError, MissingArtifact,
+                     PhaseFailure)
 from .metrics import EvalReport, feature_stats, frechet_distance
 from .nets import adam_init
 from .policy_grad import (clip_to_norm, gradient_variance, group_estimates,
@@ -54,6 +55,10 @@ _REFRESH_TRAJ_STRIDE = 100_000
 # iteration and the last; a constant, not a config key, so that the cadence
 # moves neither run_id nor any training stream
 _MONITOR_EVERY = 5
+# one row per monitored unlearn iteration: gradient diagnostics, eval, reward
+_MONITOR_HEADER = ["run_id", "iteration", "estimator", "n_traj", "grad_norm",
+                   "grad_variance", "clip_count", "ua", "ira", "fd",
+                   "mean_reward"]
 
 
 @dataclass
@@ -90,11 +95,17 @@ def _locked(out_dir: str):
     """Hold an exclusive flock on out_dir/.lock, whose text names this
     process's pid and host meanwhile; LockError names another holder.
     The kernel drops the lock when its holder exits, even when killed.
-    The file is never unlinked: two runs could then lock two inodes."""
-    os.makedirs(out_dir, exist_ok=True)
+    The file is never unlinked: two runs could then lock two inodes.
+    A directory that cannot be made or hold the lock is a ConfigError."""
     lock_path = os.path.join(out_dir, ".lock")
-    # append mode: opening never truncates the name of a current holder
-    with open(lock_path, "a+", encoding="utf-8", errors="replace") as fh:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        # append mode: opening never truncates the name of a current holder
+        fh = open(lock_path, "a+", encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out_dir!r}: "
+                          f"{exc.strerror or exc}") from None
+    with fh:
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
@@ -111,7 +122,7 @@ def _locked(out_dir: str):
             fh.truncate(0)      # closing the file releases the flock
 
 
-def write_csv(path: str, header: list, rows: list) -> str:
+def write_csv(path: str, header: list, rows: Iterable) -> str:
     with replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -284,13 +295,15 @@ def _classifier_phase(cfg: RunConfig) -> dict:
             f"classifier holdout accuracy {acc:.4f} is below the "
             f"{cfg.classifier.target_acc} gate")
     paths = {
-        "dataset": out_path(cfg, "dataset.csv"),
         "classifier": _save(cfg, "classifier", net),
         "classifier_loss": write_csv(
             out_path(cfg, "classifier_loss.csv"), ["step", "loss"],
             [(i + 1, float(l)) for i, l in enumerate(history)]),
+        "dataset": write_csv(out_path(cfg, "dataset.csv"),
+                             ["x0", "x1", "class"],
+                             ((float(a), float(b), int(c))
+                              for (a, b), c in zip(X, y))),
     }
-    dump_dataset_csv(paths["dataset"], X, y)
     return {"paths": paths, "info": {"holdout_accuracy": acc}}
 
 
@@ -306,13 +319,10 @@ def _pretrain_phase(cfg: RunConfig) -> dict:
     loss_rows = []
     acc_rows = []
     accs = {}
-    met_gate = False
-    steps_run = 0
     for step in range(1, cfg.pretrain.max_steps + 1):
         idx = rng.integers(0, split, cfg.pretrain.batch_size)
         loss = ddpm_train_step(model, X[idx], y[idx], sched, rng, opt)
         loss_rows.append((step, float(loss)))
-        steps_run = step
         if step % cfg.pretrain.eval_every == 0 or step == cfg.pretrain.max_steps:
             class_ids = np.repeat(np.arange(cfg.data.n_classes),
                                   cfg.pretrain.eval_per_class)
@@ -321,9 +331,8 @@ def _pretrain_phase(cfg: RunConfig) -> dict:
             accs = _per_class_accuracy(class_ids, labels)
             acc_rows.append((step, *[accs[k] for k in sorted(accs)]))
             if min(accs.values()) >= cfg.pretrain.target_acc:
-                met_gate = True
                 break
-    if not met_gate:
+    else:
         detail = ", ".join(f"class {k}: {v:.3f}" for k, v in sorted(accs.items()))
         raise PhaseFailure(
             f"pretrain budget of {cfg.pretrain.max_steps} steps exhausted "
@@ -339,7 +348,7 @@ def _pretrain_phase(cfg: RunConfig) -> dict:
             acc_rows),
     }
     return {"paths": paths,
-            "info": {"steps": steps_run, "per_class_acc": accs}}
+            "info": {"steps": step, "per_class_acc": accs}}
 
 
 def _critic_phase(cfg: RunConfig) -> dict:
@@ -425,8 +434,7 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     # the cadence cannot change what training computes
     monitored = _monitored_iterations(cfg.policy.iterations)
     seconds = {"update_s": 0.0, "monitor_s": 0.0}
-    diag_rows = []
-    eval_rows = []
+    rows = []
     epoch_stats = []    # every policy_update_epoch's, for the phase info
     for it in range(cfg.policy.iterations):
         try:
@@ -470,12 +478,10 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
                                          cfg.policy.eval_per_class,
                                          first_index=0,
                                          retain_reference=retain_ref)
-                diag_rows.append((run_id, it + 1, method, cfg.policy.n_traj,
-                                  grad_norm, grad_var,
-                                  sum(e["clip_count"] for e in epochs),
-                                  mean_reward))
-                eval_rows.append((run_id, method, it + 1, report.ua,
-                                  report.ira, report.fd))
+                rows.append((run_id, it + 1, method, cfg.policy.n_traj,
+                             grad_norm, grad_var,
+                             sum(e["clip_count"] for e in epochs), report.ua,
+                             report.ira, report.fd, mean_reward))
         except Divergence as exc:
             raise Divergence(f"unlearn {method}, iteration {it + 1}: {exc}") from exc
 
@@ -483,12 +489,8 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
         f"eps_unlearned_{method}": _save(cfg, f"eps_unlearned_{method}",
                                          model.net),
         f"policy_diag_{method}": write_csv(
-            out_path(cfg, f"policy_diag_{method}.csv"),
-            ["run_id", "iteration", "estimator", "n_traj", "grad_norm",
-             "grad_variance", "clip_count", "mean_reward"], diag_rows),
-        f"eval_history_{method}": write_csv(
-            out_path(cfg, f"eval_history_{method}.csv"),
-            ["run_id", "method", "epoch", "ua", "ira", "fd"], eval_rows),
+            out_path(cfg, f"policy_diag_{method}.csv"), _MONITOR_HEADER,
+            rows),
     }
     # wall-clock figures go to the manifest only, never to a .ckpt or .csv
     info = {"iterations": cfg.policy.iterations,
@@ -496,9 +498,10 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
             "updates": sum(e["updates"] for e in epoch_stats),
             "monitor_every": _MONITOR_EVERY,
             **{k: round(v, 3) for k, v in seconds.items()}}
-    if eval_rows:
-        info.update(final_ua=report.ua, final_ira=report.ira,
-                    final_fd=report.fd, final_mean_reward=diag_rows[-1][-1])
+    if rows:
+        last = dict(zip(_MONITOR_HEADER, rows[-1]))
+        info.update({f"final_{k}": last[k]
+                     for k in ("ua", "ira", "fd", "mean_reward")})
         for key in ("clip_fraction", "grad_norm_mean"):     # run means
             info[key] = float(np.mean([e[key] for e in epoch_stats]))
     return {"paths": paths, "info": info}
@@ -538,60 +541,56 @@ def format_eval_report(method: str, report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def _read_csv_rows(path: str) -> list:
-    with open(_require(path), newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def _report_phase(cfg: RunConfig) -> dict:
-    """Aggregate both methods' per-iteration CSVs into summary tables.
+    """Aggregate both methods' monitoring logs into summary tables.
 
-    report.csv holds one final-metrics row per method; report_curves.csv
-    holds the merged curves of the monitored iterations for external
-    plotting. Metric values pass through as the source strings, so reruns
-    are byte-stable.
-    An eval history or policy diagnostics file whose run_id is not this
-    config's raises PhaseFailure.
+    report.csv holds each method's last logged row; report_curves.csv
+    holds every logged row for external plotting. Metric values pass
+    through as the source strings, so reruns are byte-stable.
+    A log whose header is not the current one, with a row that does not
+    fit that header, or whose run_id is not this config's, raises
+    PhaseFailure.
     """
     run_id = config_hash(cfg)[:12]
+    curve_cols = ["iteration", "mean_reward", "grad_norm", "grad_variance",
+                  "ua", "ira", "fd"]
     final_rows = []
     curve_rows = []
     for method in ("cgru", "ddpo"):
-        hist_path = out_path(cfg, f"eval_history_{method}.csv")
-        diag_path = out_path(cfg, f"policy_diag_{method}.csv")
-        hist = _read_csv_rows(hist_path)
-        diag = _read_csv_rows(diag_path)
-        if not hist or not diag:
-            raise PhaseFailure(f"no logged iterations in {hist_path}; "
+        path = out_path(cfg, f"policy_diag_{method}.csv")
+        with open(_require(path), newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        rerun = f"rerun unlearn --method {method} under this config"
+        if reader.fieldnames != _MONITOR_HEADER:
+            raise PhaseFailure(f"{path} has columns "
+                               f"{','.join(reader.fieldnames or [])}, not "
+                               f"{','.join(_MONITOR_HEADER)}; {rerun}")
+        # DictReader keys a short row's missing cells, and the extra cells
+        # of a long one, by None
+        ragged = [k for k, r in enumerate(rows, 1)
+                  if None in r or None in r.values()]
+        if ragged:
+            raise PhaseFailure(f"{path} row {ragged[0]} does not have the "
+                               f"{len(_MONITOR_HEADER)} cells of its header; "
+                               f"{rerun}")
+        if not rows:
+            raise PhaseFailure(f"no logged iterations in {path}; "
                                "the unlearn phase has not produced metrics")
-        for path, rows in ((hist_path, hist), (diag_path, diag)):
-            other = sorted({r.get("run_id") or "(none)" for r in rows}
-                           - {run_id})
-            if other:
-                raise PhaseFailure(f"{path} holds run_id {', '.join(other)}, "
-                                   f"not this config's {run_id}; rerun "
-                                   f"unlearn --method {method} under this "
-                                   "config")
-        by_iter = {row["iteration"]: row for row in diag}
-        for h in hist:
-            d = by_iter.get(h["epoch"], {})
-            curve_rows.append((method, h["epoch"], d.get("mean_reward", ""),
-                               d.get("grad_norm", ""),
-                               d.get("grad_variance", ""), h["ua"], h["ira"],
-                               h["fd"]))
-        last_h, last_d = hist[-1], diag[-1]
-        final_rows.append((run_id, method, last_h["epoch"],
-                           last_h["ua"], last_h["ira"], last_h["fd"],
-                           last_d["mean_reward"]))
+        other = sorted({r["run_id"] for r in rows} - {run_id})
+        if other:
+            raise PhaseFailure(f"{path} holds run_id {', '.join(other)}, "
+                               f"not this config's {run_id}; {rerun}")
+        curve_rows += [(method, *[r[k] for k in curve_cols]) for r in rows]
+        final_rows.append((run_id, method, *[rows[-1][k] for k in (
+            "iteration", "ua", "ira", "fd", "mean_reward")]))
 
     paths = {
         "report": write_csv(out_path(cfg, "report.csv"),
                             ["run_id", "method", "iterations", "ua", "ira",
                              "fd", "mean_reward"], final_rows),
-        "report_curves": write_csv(
-            out_path(cfg, "report_curves.csv"),
-            ["method", "iteration", "mean_reward", "grad_norm",
-             "grad_variance", "ua", "ira", "fd"], curve_rows),
+        "report_curves": write_csv(out_path(cfg, "report_curves.csv"),
+                                   ["method", *curve_cols], curve_rows),
     }
 
     lines = ["== final metrics ==",

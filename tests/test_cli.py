@@ -138,35 +138,61 @@ def test_report_refuses_histories_of_another_config(tiny_run, tmp_path,
     assert main(_args(out, "report", "--set", "seed=7")) == 1
     err = capsys.readouterr().err
     seed7 = config_hash(apply_overrides(cfg, ["seed=7"]))[:12]
-    assert err.startswith(f"error: {out / 'eval_history_cgru.csv'} holds "
-                          f"run_id {config_hash(cfg)[:12]}, not this "
-                          f"config's {seed7}")
+    diag = out / "policy_diag_cgru.csv"
+    assert err.startswith(f"error: {diag} holds run_id "
+                          f"{config_hash(cfg)[:12]}, not this config's {seed7}")
     assert _digests(out) == before
+    # a file written before the run_id column existed is refused, not a
+    # traceback
+    _rewrite(diag, lambda k, cells: cells[1:])
+    assert main(_args(out, "report", "--set", "seed=7")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {diag} has columns iteration,")
+    assert "Traceback" not in err
 
 
-def test_report_refuses_policy_diagnostics_of_another_config(tiny_run,
-                                                             tmp_path, capsys):
+def _rewrite(path, edit):
+    """Replace each line's comma-separated cells by edit(line_no, cells)."""
+    lines = path.read_text().splitlines()
+    path.write_text("".join(",".join(edit(k, ln.split(","))) + "\n"
+                            for k, ln in enumerate(lines)))
+
+
+@pytest.mark.parametrize("edit,error", [
+    # the layout whose ua, ira and fd lived in eval_history_*.csv: same
+    # config, same run_id, no eval columns
+    (lambda k, cells: cells[:7] + cells[10:], "has columns run_id,iteration,"
+     "estimator,n_traj,grad_norm,grad_variance,clip_count,mean_reward, not"),
+    # a log whose first row was cut short
+    (lambda k, cells: cells[:5] if k == 1 else cells,
+     "row 1 does not have the 11 cells of its header"),
+])
+def test_report_refuses_a_log_it_cannot_read(tiny_run, tmp_path, capsys, edit,
+                                             error):
     cfg, _ = tiny_run
     out = tmp_path / "copied"
     shutil.copytree(cfg.out_dir, out)
-    # this config's eval history beside another config's diagnostics
-    seed7 = config_hash(apply_overrides(cfg, ["seed=7"]))[:12]
-    hist = out / "eval_history_cgru.csv"
-    hist.write_text(hist.read_text().replace(config_hash(cfg)[:12], seed7))
+    diag = out / "policy_diag_ddpo.csv"
+    _rewrite(diag, edit)
     before = _digests(out)
-    assert main(_args(out, "report", "--set", "seed=7")) == 1
+    assert main(_args(out, "report")) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / 'policy_diag_cgru.csv'} holds "
-                          f"run_id {config_hash(cfg)[:12]}, not this "
-                          f"config's {seed7}")
+    assert err.startswith(f"error: {diag} {error}")
+    assert "rerun unlearn --method ddpo" in err and "Traceback" not in err
     assert _digests(out) == before
-    # a file written before the column existed is refused, not a traceback
-    diag = out / "policy_diag_cgru.csv"
-    diag.write_text("".join(ln.split(",", 1)[1] for ln in
-                            diag.read_text().splitlines(keepends=True)))
-    assert main(_args(out, "report", "--set", "seed=7")) == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: {diag} holds run_id (none), not this config's {seed7}")
+
+
+def test_unusable_output_directory_exits_two(tmp_path, capsys):
+    # a regular file where the directory should be, and an empty path
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("kept\n")
+    for args, named in ((["--out", str(not_a_dir)], str(not_a_dir)),
+                        (["--set", "out_dir="], "''")):
+        assert main(["classifier", *args]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot use output directory "), err
+        assert named in err and "Traceback" not in err
+    assert not_a_dir.read_text() == "kept\n"
 
 
 def test_bad_override_exits_two(tmp_path, capsys):

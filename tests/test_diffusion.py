@@ -7,11 +7,10 @@ import pytest
 import scipy.stats
 
 from cgru import rng as rngmod
-from cgru.diffusion import (build_eps_net, ddpm_train_step, dump_dataset_csv,
-                            gaussian_logprob, make_schedule, mode_centers,
-                            one_hot, q_sample, reverse_mean, rollout_from,
-                            sample_dataset, sample_trajectories,
-                            schedule_from_betas)
+from cgru.diffusion import (build_eps_net, ddpm_train_step, gaussian_logprob,
+                            make_schedule, mode_centers, one_hot, q_sample,
+                            reverse_mean, rollout_from, sample_dataset,
+                            sample_trajectories, schedule_from_betas)
 from cgru.errors import ScheduleError, ShapeMismatch
 from cgru.nets import adam_init
 
@@ -227,14 +226,3 @@ def test_ddpm_train_step_moves_loss_down():
     # sustained decrease is what training should show at this budget
     assert np.mean(losses[-50:]) < 0.85 * np.mean(losses[:50])
 
-
-def test_dump_dataset_csv_roundtrip(tmp_path):
-    X = np.array([[1.25, -0.5], [0.125, 3.0]])
-    y = np.array([0, 3])
-    path = tmp_path / "data.csv"
-    dump_dataset_csv(path, X, y)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x0,x1,class"
-    parsed = np.array([[float(v) for v in ln.split(",")[:2]] for ln in lines[1:]])
-    assert np.array_equal(parsed, X)
-    assert [ln.split(",")[2] for ln in lines[1:]] == ["0", "3"]

@@ -1,5 +1,6 @@
 """Phase orchestration: artifacts, gates, locking, and determinism."""
 
+import csv
 import fcntl
 import hashlib
 import json
@@ -20,8 +21,7 @@ from cgru import nets, pipeline
 from cgru import rng as rngmod
 from cgru.checkpoint import load_tensors, save_tensors
 from cgru.config import RunConfig, apply_overrides, config_hash
-from cgru.diffusion import (build_eps_net, dump_dataset_csv, make_schedule,
-                            sample_trajectories)
+from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
 from cgru.policy_grad import cgru_gradient, ddpo_gradient, gradient_variance
 from cgru.rewards import RewardSpec, assign_rewards
 from cgru.errors import CheckpointError, LockError, MissingArtifact, PhaseFailure
@@ -79,10 +79,10 @@ def test_zero_iterations_is_identity(tiny_run, tmp_path):
     _, unlearned = load_tensors(out / "eps_unlearned_cgru.ckpt")
     assert base.keys() == unlearned.keys()
     assert all(np.array_equal(base[k], unlearned[k]) for k in base)
-    # CSVs exist with headers only
+    # the log exists with its header only
     diag = (out / "policy_diag_cgru.csv").read_text().strip().splitlines()
     assert diag == ["run_id,iteration,estimator,n_traj,grad_norm,"
-                    "grad_variance,clip_count,mean_reward"]
+                    "grad_variance,clip_count,ua,ira,fd,mean_reward"]
 
 
 def _named(pid):
@@ -120,8 +120,13 @@ def test_full_run_manifest_keeps_phase_info(tiny_run):
                                   * math.ceil(cfg.diffusion.T / cfg.policy.grad_accum))
         assert 0.0 <= arm["clip_fraction"] <= 1.0
         assert 0.0 < arm["grad_norm_mean"] <= cfg.estimator.grad_max_norm * (1 + 1e-12)
-        for key in ("final_ua", "final_ira", "final_fd"):
-            assert isinstance(arm[key], float), key
+        # the final figures are the log's last row
+        with open(os.path.join(cfg.out_dir, f"policy_diag_{method}.csv"),
+                  newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        for key in ("ua", "ira", "fd", "mean_reward"):
+            assert isinstance(arm[f"final_{key}"], float), key
+            assert arm[f"final_{key}"] == float(last[key]), key
         # monitoring's cost beside the update's; not compared at this size
         assert arm["monitor_every"] == pipeline._MONITOR_EVERY
         assert arm["update_s"] >= 0.0 and arm["monitor_s"] >= 0.0
@@ -144,8 +149,6 @@ def test_failed_writes_leave_the_previous_file(tiny_cfg):
     writes = {
         "rows.csv": lambda p: pipeline.write_csv(
             p, ["step", "loss"], [(1, 0.5), (2, _Unprintable())]),
-        "dataset.csv": lambda p: dump_dataset_csv(
-            p, np.zeros((2, 2)), [0, "not a class"]),
         "net.ckpt": lambda p: save_tensors(
             p, {"w": np.ones(3), "b": "not a tensor"}),
         "manifest.json": lambda p: pipeline._write_manifest(tiny_cfg, manifest),
@@ -399,30 +402,39 @@ def test_eval_csv_schema_and_run_id(tiny_run):
 
 
 def test_policy_diag_csv_schema(tiny_run):
+    # one row per monitored iteration: diagnostics, eval and reward
     cfg, _ = tiny_run
-    path = os.path.join(cfg.out_dir, "policy_diag_ddpo.csv")
-    lines = open(path).read().splitlines()
-    assert lines[0] == ("run_id,iteration,estimator,n_traj,grad_norm,"
-                        "grad_variance,clip_count,mean_reward")
     monitored = pipeline._monitored_iterations(cfg.policy.iterations)
-    assert len(lines) == 1 + len(monitored)
-    first = lines[1].split(",")
-    assert first[0] == config_hash(cfg)[:12]
-    assert int(first[1]) == monitored[0] and first[2] == "ddpo"
-    assert int(first[3]) == cfg.policy.n_traj
-    assert float(first[4]) > 0.0
-    assert int(first[6]) >= 0
-    assert np.isfinite(float(first[7]))
-
-
-def test_eval_history_rows_per_iteration(tiny_run):
-    cfg, _ = tiny_run
     for method in ("cgru", "ddpo"):
-        path = os.path.join(cfg.out_dir, f"eval_history_{method}.csv")
+        path = os.path.join(cfg.out_dir, f"policy_diag_{method}.csv")
         lines = open(path).read().splitlines()
-        assert lines[0] == "run_id,method,epoch,ua,ira,fd"
-        epochs = [int(ln.split(",")[2]) for ln in lines[1:]]
-        assert epochs == pipeline._monitored_iterations(cfg.policy.iterations)
+        assert lines[0] == ("run_id,iteration,estimator,n_traj,grad_norm,"
+                            "grad_variance,clip_count,ua,ira,fd,mean_reward")
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [int(r[1]) for r in rows] == monitored
+        for row in rows:
+            assert row[0] == config_hash(cfg)[:12]
+            assert row[2] == method
+            assert int(row[3]) == cfg.policy.n_traj
+            assert float(row[4]) > 0.0
+            assert int(row[6]) >= 0
+            ua, ira, fd = (float(v) for v in row[7:10])
+            assert 0.0 <= ua <= 1.0 and 0.0 <= ira <= 1.0
+            assert fd >= 0.0
+            assert np.isfinite(float(row[10]))
+    assert not [n for n in os.listdir(cfg.out_dir)
+                if n.startswith("eval_history")]
+
+
+def test_dataset_csv_roundtrip(tiny_run):
+    cfg, _ = tiny_run
+    lines = open(os.path.join(cfg.out_dir, "dataset.csv")).read().splitlines()
+    assert lines[0] == "x0,x1,class"
+    cells = [ln.split(",") for ln in lines[1:]]
+    X, y = pipeline._dataset(cfg)
+    assert np.array_equal(np.array([[float(a), float(b)] for a, b, _ in cells]),
+                          X)
+    assert [c for _, _, c in cells] == [str(k) for k in y.tolist()]
 
 
 def test_monitored_iterations_are_every_fifth_and_the_last():
@@ -446,14 +458,13 @@ def test_monitor_cadence_does_not_steer_training(tiny_run, tmp_path,
                 == _digest(os.path.join(every.out_dir, name))), name
     # the sparse run's rows are the monitor-every-iteration run's, thinned
     for method in ("cgru", "ddpo"):
-        for name, col in ((f"eval_history_{method}.csv", 2),
-                          (f"policy_diag_{method}.csv", 1)):
-            rows = open(os.path.join(cfg.out_dir, name)).read().splitlines()
-            all_rows = open(os.path.join(every.out_dir, name)).read().splitlines()
-            its = [int(r.split(",")[col]) for r in all_rows[1:]]
-            assert its == list(range(1, cfg.policy.iterations + 1)), name
-            assert rows == all_rows[:1] + [r for r, it in zip(all_rows[1:], its)
-                                           if it in monitored], name
+        name = f"policy_diag_{method}.csv"
+        rows = open(os.path.join(cfg.out_dir, name)).read().splitlines()
+        all_rows = open(os.path.join(every.out_dir, name)).read().splitlines()
+        its = [int(r.split(",")[1]) for r in all_rows[1:]]
+        assert its == list(range(1, cfg.policy.iterations + 1)), name
+        assert rows == all_rows[:1] + [r for r, it in zip(all_rows[1:], its)
+                                       if it in monitored], name
 
 
 def test_report_aggregates_both_methods(tiny_run):
@@ -471,7 +482,7 @@ def test_report_aggregates_both_methods(tiny_run):
 
 def test_report_missing_history_names_file(tmp_path):
     cfg = tiny_config(tmp_path / "noreport")
-    with pytest.raises(MissingArtifact, match="eval_history_cgru.csv"):
+    with pytest.raises(MissingArtifact, match="policy_diag_cgru.csv"):
         pipeline.run_report(cfg)
 
 
