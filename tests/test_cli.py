@@ -142,6 +142,25 @@ def test_report_refuses_histories_of_another_config(tiny_run, tmp_path,
     assert err.startswith(f"error: {diag} holds run_id "
                           f"{config_hash(cfg)[:12]}, not this config's {seed7}")
     assert _digests(out) == before
+
+
+def test_report_refuses_policy_diagnostics_of_another_config(tiny_run,
+                                                             tmp_path, capsys):
+    cfg, _ = tiny_run
+    out = tmp_path / "copied"
+    shutil.copytree(cfg.out_dir, out)
+    # this config's cgru log beside another config's ddpo log: each arm's
+    # log is checked, not only the first one read
+    seed7 = config_hash(apply_overrides(cfg, ["seed=7"]))[:12]
+    cgru = out / "policy_diag_cgru.csv"
+    cgru.write_text(cgru.read_text().replace(config_hash(cfg)[:12], seed7))
+    before = _digests(out)
+    assert main(_args(out, "report", "--set", "seed=7")) == 1
+    err = capsys.readouterr().err
+    diag = out / "policy_diag_ddpo.csv"
+    assert err.startswith(f"error: {diag} holds run_id "
+                          f"{config_hash(cfg)[:12]}, not this config's {seed7}")
+    assert _digests(out) == before
     # a file written before the run_id column existed is refused, not a
     # traceback
     _rewrite(diag, lambda k, cells: cells[1:])

@@ -418,10 +418,23 @@ def test_policy_diag_csv_schema(tiny_run):
             assert int(row[3]) == cfg.policy.n_traj
             assert float(row[4]) > 0.0
             assert int(row[6]) >= 0
-            ua, ira, fd = (float(v) for v in row[7:10])
+            assert np.isfinite(float(row[10]))
+
+
+def test_eval_history_rows_per_iteration(tiny_run):
+    # the eval history is the log's ua, ira and fd columns, one row per
+    # monitored iteration; no separate eval_history_*.csv is written
+    cfg, _ = tiny_run
+    monitored = pipeline._monitored_iterations(cfg.policy.iterations)
+    for method in ("cgru", "ddpo"):
+        path = os.path.join(cfg.out_dir, f"policy_diag_{method}.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["iteration"]) for r in rows] == monitored
+        for row in rows:
+            ua, ira, fd = (float(row[k]) for k in ("ua", "ira", "fd"))
             assert 0.0 <= ua <= 1.0 and 0.0 <= ira <= 1.0
             assert fd >= 0.0
-            assert np.isfinite(float(row[10]))
     assert not [n for n in os.listdir(cfg.out_dir)
                 if n.startswith("eval_history")]
 
