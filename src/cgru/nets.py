@@ -16,7 +16,7 @@ it, in layer order.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -245,7 +245,9 @@ def backward(net: Network, out_grad, tape: list, bounds=None,
     the film conditioning weights do receive gradients. bounds are G + 1
     rising row boundaries from 0 to the row count (None: one group). The
     sum over rows bounds[k]:bounds[k+1] is added into row k of `out`, a
-    (G, P) array in theta's layout (None: zeros), which is returned.
+    (G, P) array in theta's layout (None: zeros), which is returned. With
+    no `out` and one group, each product is written straight into its
+    columns of a fresh row instead, with the same bits.
     """
     if not tape:
         raise ValueError("backward needs the tape of a forward call")
@@ -261,14 +263,23 @@ def backward(net: Network, out_grad, tape: list, bounds=None,
             or any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"bounds must rise strictly from 0 to {rows}")
     segments = list(enumerate(zip(bounds[:-1], bounds[1:])))
+    # the walk reaches every parameter once, so one group's row is filled
+    direct = out is None and len(segments) == 1
     if out is None:
-        out = np.zeros((len(segments), net.theta.size))
+        out = (np.empty if direct else np.zeros)((len(segments), net.theta.size))
     elif out.shape != (len(segments), net.theta.size):
         raise ShapeMismatch(
             f"out shape {out.shape} != {(len(segments), net.theta.size)}")
 
     def add(name, x, dy):           # x None: a bias, summed over rows
         cols = net._cols[name]
+        if direct:
+            view = out[0, cols].reshape(net.params[name].shape)
+            if x is None:
+                np.sum(dy, axis=0, out=view)
+            else:
+                np.matmul(x.T, dy, out=view)
+            return
         for k, (a, b) in segments:
             out[k, cols] += dy[a:b].sum(axis=0) if x is None \
                 else (x[a:b].T @ dy[a:b]).ravel()
@@ -329,6 +340,11 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
+    # adam_step's two temporaries, in m's shape
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def adam_init(net: Network, lr: float = 3e-4, beta1: float = 0.9,
@@ -344,8 +360,20 @@ def adam_step(state: AdamState, theta: Array, grad: Array) -> None:
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
+    a, b = state.scratch
+    # the operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    # theta -= lr (m / c1) / (sqrt(v / c2) + eps), in that order, in place
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
+    np.multiply(grad, 1.0 - state.beta1, out=a)
+    state.m += a
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (grad * grad)
-    theta -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    np.multiply(grad, grad, out=a)
+    a *= 1.0 - state.beta2
+    state.v += a
+    np.divide(state.m, c1, out=a)
+    a *= state.lr
+    np.divide(state.v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    theta -= a

@@ -1,11 +1,13 @@
 """End-to-end orchestration of the unlearning experiment.
 
 Phases run in dependency order: classifier -> pretrain -> critic ->
-unlearn (one run per method) -> eval. Every phase reads only declared
-checkpoint artifacts plus the config, re-derives its random streams from
-the master seed, and writes its outputs under cfg.out_dir, so reruns with
-an identical config are byte-identical. A kernel lock on one file
-serializes runs that share an output directory.
+unlearn (one run per method) -> eval; `run_full` fits the critic in a
+forked child while it runs the ddpo arm, which needs no critic. Every
+phase reads only declared checkpoint artifacts plus the config,
+re-derives its random streams from the master seed, and writes its
+outputs under cfg.out_dir, so reruns with an identical config are
+byte-identical. A kernel lock on one file serializes runs that share an
+output directory.
 
 Networks are read and written only through `load` and `_save`, which
 record and check the config sections each network depends on.
@@ -14,14 +16,19 @@ record and check the config sections each network depends on.
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import fcntl
 import functools
 import hashlib
 import json
 import os
+import pickle
 import platform
+import resource
+import signal
 import time
+import traceback
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -64,6 +71,7 @@ _MONITOR_HEADER = ["run_id", "iteration", "estimator", "n_traj", "grad_norm",
 @dataclass
 class RunManifest:
     config_hash: str
+    blas: dict = field(default_factory=dict)
     phases: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
 
@@ -602,11 +610,12 @@ def _report_phase(cfg: RunConfig) -> dict:
 
 
 def locked_run(fn):
-    """`fn(cfg, ...)` run on a validated cfg, holding cfg.out_dir's lock."""
+    """`fn(cfg, ...)` run on a validated cfg, holding cfg.out_dir's lock,
+    with BLAS pinned to one thread (`rng.blas_pinned`)."""
     @functools.wraps(fn)
     def run(cfg: RunConfig, *args, **kwargs):
         validate(cfg)
-        with _locked(cfg.out_dir):
+        with _locked(cfg.out_dir), rngmod.blas_pinned():
             return fn(cfg, *args, **kwargs)
     return run
 
@@ -619,36 +628,151 @@ run_eval = locked_run(_eval_phase)
 run_report = locked_run(_report_phase)
 
 
-_FULL_PHASES = (
-    ("classifier", _classifier_phase),
-    ("pretrain", _pretrain_phase),
-    ("critic", _critic_phase),
-    ("unlearn_cgru", lambda cfg: _unlearn_phase(cfg, "cgru")),
-    ("unlearn_ddpo", lambda cfg: _unlearn_phase(cfg, "ddpo")),
-    ("eval_cgru", lambda cfg: _eval_phase(cfg, "cgru")),
-    ("eval_ddpo", lambda cfg: _eval_phase(cfg, "ddpo")),
-)
+# run_full's phases, in the order it reports failures; each is looked up
+# when it runs, so a replaced phase function takes effect
+_FULL_PHASES = {
+    "classifier": lambda cfg: _classifier_phase(cfg),
+    "pretrain": lambda cfg: _pretrain_phase(cfg),
+    "critic": lambda cfg: _critic_phase(cfg),
+    "unlearn_cgru": lambda cfg: _unlearn_phase(cfg, "cgru"),
+    "unlearn_ddpo": lambda cfg: _unlearn_phase(cfg, "ddpo"),
+    "eval_cgru": lambda cfg: _eval_phase(cfg, "cgru"),
+    "eval_ddpo": lambda cfg: _eval_phase(cfg, "ddpo"),
+}
+
+
+_M_TOP_PAD = -2     # glibc's mallopt parameter number
+
+
+def _keep_heap_top() -> None:
+    """Have glibc malloc keep 64 MiB free at the top of the heap rather
+    than give it back, for the rest of the process; nothing on another C
+    library. The cgru arm's critic refreshes allocate and free thousands
+    of minibatch arrays of about 128 KiB, and with the default trim each
+    round trip faults its pages in again. The critic fit's large frees
+    used to raise glibc's trim threshold in this process; since the fit
+    runs in a child, that no longer happens here."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_TOP_PAD, 64 << 20)
+
+
+def _fork(fn, cfg: RunConfig) -> tuple:
+    """Start fn(cfg) in a forked child; returns (pid, read end of a pipe).
+
+    The child sends (result or exception, seconds, peak RSS in MB) down
+    the pipe as one pickle, then leaves by os._exit, so no finally block
+    or exit handler of the caller's frames runs in it: it keeps the
+    inherited lock fd until it exits and never truncates `.lock`.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        os.close(read_fd)
+        start = time.perf_counter()
+        try:
+            result = fn(cfg)
+        except Exception as exc:
+            result = exc
+        seconds = time.perf_counter() - start
+        peak_mb = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        blob = pickle.dumps((result, seconds, peak_mb))
+        with open(write_fd, "wb") as fh:
+            fh.write(blob)
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _join(pid: int, read_fd: int, started: float) -> tuple:
+    """The (result or exception, seconds, peak RSS) a _fork child sent,
+    once it has exited and been reaped. A child that ended without
+    sending one yields a PhaseFailure naming its exit status or signal,
+    the seconds since `started` and no peak."""
+    with open(read_fd, "rb") as fh:
+        blob = fh.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(blob)
+    except (EOFError, pickle.UnpicklingError):
+        pass
+    if os.WIFSIGNALED(status):
+        how = f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
+    else:
+        how = f"exited with status {os.waitstatus_to_exitcode(status)}"
+    return (PhaseFailure(f"the child process of this phase {how} "
+                         "before it sent a result"),
+            time.perf_counter() - started, None)
 
 
 @locked_run
 def run_full(cfg: RunConfig) -> RunManifest:
-    """All phases in order; the manifest records artifacts, timings, each
+    """All phases; the manifest records the BLAS, artifacts, timings, each
     finished phase's info (gates, steps, buffer sizes, final metrics) and
-    a failing phase's error as "<ExceptionType>: <message>"."""
-    manifest = RunManifest(config_hash=config_hash(cfg))
-    for name, phase in _FULL_PHASES:
+    a failing phase's error as "<ExceptionType>: <message>".
+
+    After pretrain the critic phase runs in a forked child while this
+    process runs the ddpo arm (unlearn, then eval), which does not need
+    the critic; then the cgru arm runs, if no phase has failed. A
+    critic failure leaves the ddpo arm running, and a ddpo failure still
+    waits for the critic. Every phase that ran is recorded, and the first
+    failure in _FULL_PHASES order is raised. The critic's info adds
+    `wait_s`, how long this process waited for the child after its ddpo
+    arm, and `peak_rss_mb`, the child's own peak.
+    """
+    with rngmod.blas_pinned() as blas:   # the record of locked_run's pin
+        manifest = RunManifest(config_hash=config_hash(cfg), blas=blas)
+    errors = {}
+
+    def record(name, result, seconds, info=None):
+        if isinstance(result, Exception):
+            errors[name] = result
+            manifest.record_phase(name, "failed", seconds,
+                                  f"{type(result).__name__}: {result}")
+            return False
+        manifest.record_phase(name, "ok", seconds, info={**result["info"],
+                                                         **(info or {})})
+        manifest.record_artifacts(result["paths"])
+        return True
+
+    def run(name):
         start = time.perf_counter()
         try:
-            result = phase(cfg)
+            result = _FULL_PHASES[name](cfg)
         except Exception as exc:
-            manifest.record_phase(name, "failed", time.perf_counter() - start,
-                                  f"{type(exc).__name__}: {exc}")
-            _write_manifest(cfg, manifest)
+            result = exc
+        return record(name, result, time.perf_counter() - start)
+
+    if run("classifier") and run("pretrain"):
+        _keep_heap_top()
+        started = time.perf_counter()
+        child = _fork(_FULL_PHASES["critic"], cfg)
+        try:
+            if run("unlearn_ddpo"):
+                run("eval_ddpo")
+        except BaseException:       # interrupted: stop the child too
+            os.kill(child[0], signal.SIGKILL)
+            _join(*child, started)
             raise
-        manifest.record_phase(name, "ok", time.perf_counter() - start,
-                              info=result["info"])
-        manifest.record_artifacts(result["paths"])
+        waited = time.perf_counter()
+        result, seconds, peak_mb = _join(*child, started)
+        record("critic", result, seconds,
+               {"wait_s": round(time.perf_counter() - waited, 3),
+                "peak_rss_mb": peak_mb})
+        if not errors and run("unlearn_cgru"):
+            run("eval_cgru")
     _write_manifest(cfg, manifest)
+    if errors:
+        raise errors[next(name for name in _FULL_PHASES if name in errors)]
     return manifest
 
 

@@ -2,13 +2,19 @@
 
 Every stochastic operation in the package draws from an explicit stream
 derived from (seed, phase, index) via the Philox counter-based generator,
-so results never depend on how work is sharded across workers.
+so results never depend on how work is sharded across workers. The
+module also owns the run's threads: shard workers (`run_sharded`) and
+the BLAS pin (`blas_pinned`).
 """
 
 import contextvars
+import ctypes
+import functools
+import glob
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from itertools import islice
 
 import numpy as np
@@ -74,9 +80,7 @@ def streams(seed: int, phase: int, indices):
 
 def n_workers() -> int:
     """Worker cap from the CGRU_THREADS environment variable (default 1).
-    BLAS threads are not capped: on 2 cores at the BLAS default, `diag
-    unbiasedness` took 12.5 s at 2 workers and 9.1 s at 1; with
-    OPENBLAS_NUM_THREADS=1, 7.2 s and 8.5 s."""
+    Each worker's BLAS calls run at one thread under `blas_pinned`."""
     raw = os.environ.get("CGRU_THREADS", "").strip()
     if not raw:
         return 1
@@ -85,6 +89,50 @@ def n_workers() -> int:
     except ValueError:
         raise ConfigError(f"CGRU_THREADS must be an integer, got {raw!r}")
     return max(1, n)
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS through ctypes, or None if numpy ships
+    another BLAS build."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
+@contextmanager
+def blas_pinned():
+    """Run the block with numpy's bundled OpenBLAS at one thread, and put
+    its old thread count back after; yields the BLAS's name, version,
+    thread count and whether it is pinned. BLAS kernels can differ in the
+    last bit between thread counts, so one thread makes a run's bytes
+    independent of the environment, and it keeps concurrent workers and
+    processes from each starting a thread per core. Without that library
+    the block runs unpinned, at a thread count it cannot read."""
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:       # numpy < 1.25 only prints its config
+        build = {}
+    lib = _openblas()
+    blas = {"name": build.get("name"), "version": build.get("version"),
+            "threads": None if lib is None else 1, "pinned": lib is not None}
+    if lib is None:
+        yield blas
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield blas
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
 
 
 # Shard width is a fixed constant of the algorithm, NOT derived from the

@@ -3,7 +3,8 @@
 perfbench patches functions by module and name and calls the phases and
 diagnostics by attribute, so a rename in src/ would break only the traced
 benchmark run. This checks that its spans install and come off cleanly,
-and that the output columns it reads by name exist.
+that the output columns it reads by name exist, and that the policy
+rollouts it counts run in the process that calls run_full.
 """
 
 import csv
@@ -11,6 +12,9 @@ import math
 import os
 
 from cgru import cli, pipeline
+from cgru import rng as rngmod
+
+from conftest import tiny_config
 
 PERFBENCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -47,3 +51,27 @@ def test_benchmark_columns_exist(tiny_run):
     for method in ("cgru", "ddpo"):
         last = row(f"policy_diag_{method}.csv", -1)
         assert math.isfinite(float(last["mean_reward"])), method
+
+
+def test_policy_rollouts_run_in_the_calling_process(tmp_path, monkeypatch):
+    # perfbench counts sample_trajectories(..., PHASE_POLICY) calls made in
+    # its own process during run_full and requires 2 x iterations; a policy
+    # arm moved to another process would fail that gate
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracer import Patch
+
+    calls = []
+
+    def stamp(original):
+        def wrapper(*args, **kwargs):
+            phase = args[4] if len(args) > 4 else kwargs.get("phase")
+            if phase == rngmod.PHASE_POLICY:
+                calls.append(phase)
+            return original(*args, **kwargs)
+        return wrapper
+
+    cfg = tiny_config(tmp_path / "run")
+    with Patch() as probe:
+        probe.replace("cgru.diffusion", "sample_trajectories", stamp)
+        pipeline.run_full(cfg)
+    assert len(calls) == 2 * cfg.policy.iterations

@@ -286,6 +286,47 @@ def test_adam_rejects_shape_mismatch():
         adam_step(opt, net.theta, np.zeros(7))
 
 
+def _old_adam_step(state, theta, grad):
+    """adam_step's out-of-place expressions: the reference for its bits."""
+    state.step += 1
+    c1 = 1.0 - state.beta1 ** state.step
+    c2 = 1.0 - state.beta2 ** state.step
+    state.m = state.m * state.beta1 + (1.0 - state.beta1) * grad
+    state.v = state.v * state.beta2 + (1.0 - state.beta2) * (grad * grad)
+    theta -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+
+
+@pytest.mark.parametrize("film", [True, False])
+def test_one_group_gradient_and_adam_keep_the_old_bits(film):
+    # backward's direct writes against the += row it fills for a caller's
+    # zeros, and in-place Adam against the old expressions, over 3 steps
+    if film:
+        net = small_net(film=True)
+    else:
+        net = build_eps_net(2, 4, hidden=16, t_embed_dim=8,
+                            rng=rngmod.stream(4, rngmod.PHASE_INIT)).net
+    ref = Network(net.arch)
+    ref.theta[...] = net.theta
+    opt, ref_opt = adam_init(net, lr=1e-2), adam_init(ref, lr=1e-2)
+    rng = rngmod.stream(4, rngmod.PHASE_DIAG, 12)
+    for _ in range(3):
+        x = rng.standard_normal((33, net.n_in))
+        cond = rng.standard_normal((33, 4)) if film else None
+        out_grad = rng.standard_normal((33, net.n_out))
+        tape, ref_tape = [], []
+        forward(net, x, cond, tape)
+        forward(ref, x, cond, ref_tape)
+        grad = backward(net, out_grad, tape)
+        want = backward(ref, out_grad, ref_tape,
+                        out=np.zeros((1, ref.theta.size)))
+        assert grad.tobytes() == want.tobytes()
+        adam_step(opt, net.theta, grad[0])
+        _old_adam_step(ref_opt, ref.theta, want[0])
+        for a, b in ((net.theta, ref.theta), (opt.m, ref_opt.m),
+                     (opt.v, ref_opt.v)):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_sinusoidal_embed_properties():
     emb = sinusoidal_embed(np.arange(50), 16, 50)
     assert emb.shape == (50, 16)

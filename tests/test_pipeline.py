@@ -27,7 +27,7 @@ from cgru.rewards import RewardSpec, assign_rewards
 from cgru.errors import CheckpointError, LockError, MissingArtifact, PhaseFailure
 from cgru.metrics import feature_stats, frechet_distance
 
-from conftest import flock_held, tiny_config
+from conftest import TINY_OVERRIDES, flock_held, tiny_config
 
 
 def _digest(path):
@@ -111,6 +111,13 @@ def test_full_run_manifest_keeps_phase_info(tiny_run):
         str(k) for k in range(cfg.data.n_classes)}
     assert info["critic"]["buffer_size"] == cfg.critic.n_traj * cfg.diffusion.T
     assert info["critic"]["final_loss"] > 0.0
+    # the forked critic's own peak, and how long the ddpo arm waited for it
+    assert info["critic"]["peak_rss_mb"] > 0.0
+    assert info["critic"]["wait_s"] >= 0.0
+    blas = json.load(open(os.path.join(cfg.out_dir, "manifest.json")))["blas"]
+    assert set(blas) == {"name", "version", "threads", "pinned"}
+    if blas["pinned"]:
+        assert blas["threads"] == 1
     for method in ("cgru", "ddpo"):
         arm = info[f"unlearn_{method}"]
         assert arm["iterations"] == cfg.policy.iterations
@@ -358,6 +365,163 @@ def test_failed_phase_error_is_in_the_manifest(tmp_path):
     assert phases["classifier"]["status"] == "failed"
     assert phases["classifier"]["error"].startswith("PhaseFailure: ")
     assert "accuracy" in phases["classifier"]["error"]
+
+
+def _artifact_digests(out_dir):
+    return {n: _digest(os.path.join(out_dir, n)) for n in os.listdir(out_dir)
+            if n.endswith((".ckpt", ".csv"))}
+
+
+def test_full_run_has_the_bytes_of_the_phases_run_one_by_one(tiny_run,
+                                                              tmp_path):
+    # the forked critic and the ddpo-first schedule leave what the seven
+    # standalone phases leave in the sequential order
+    cfg, manifest = tiny_run
+    one_by_one = tiny_config(tmp_path / "one_by_one")
+    pipeline.run_classifier(one_by_one)
+    pipeline.run_pretrain(one_by_one)
+    pipeline.run_critic(one_by_one)
+    for method in ("cgru", "ddpo"):
+        pipeline.run_unlearn(one_by_one, method)
+    for method in ("cgru", "ddpo"):
+        pipeline.run_eval(one_by_one, method)
+    want = _artifact_digests(one_by_one.out_dir)
+    assert len(want) == len(manifest.artifacts) == 14
+    got = _artifact_digests(cfg.out_dir)
+    assert {n: got.get(n) for n in want} == want
+
+
+_TINY_RUN = """
+import sys
+from cgru import pipeline
+from conftest import tiny_config
+pipeline.run_full(tiny_config(sys.argv[1]))
+"""
+
+
+def test_full_run_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the run pins BLAS to one thread itself; before it did, four files
+    # differed between these two environments
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src, tests])
+    digests = []
+    for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-c", _TINY_RUN, str(out)],
+                       env={**env, **extra}, check=True, timeout=300)
+        digests.append(_artifact_digests(out))
+    assert len(digests[0]) == 14
+    assert digests[0] == digests[1]
+
+
+def _watch_forks(monkeypatch):
+    """The pids of the children run_full forks, as it forks them."""
+    pids = []
+    fork = pipeline._fork
+
+    def recording_fork(*args):
+        child = fork(*args)
+        pids.append(child[0])
+        return child
+
+    monkeypatch.setattr(pipeline, "_fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+def _phases(cfg):
+    with open(os.path.join(cfg.out_dir, "manifest.json")) as fh:
+        return json.load(fh)["phases"]
+
+
+def test_critic_failure_leaves_the_ddpo_arm_running(tmp_path, monkeypatch,
+                                                    capsys):
+    from cgru.cli import main
+
+    def failing_critic(cfg):
+        raise PhaseFailure("critic fit failed")
+
+    # the forked child inherits the patched function
+    monkeypatch.setattr(pipeline, "_critic_phase", failing_critic)
+    pids = _watch_forks(monkeypatch)
+    out = tmp_path / "run"
+    sets = [a for kv in TINY_OVERRIDES for a in ("--set", kv)]
+    assert main(["full", *sets, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: critic fit failed\n"
+    phases = _phases(tiny_config(out))
+    assert set(phases) == {"classifier", "pretrain", "critic", "unlearn_ddpo",
+                           "eval_ddpo"}
+    assert phases["critic"]["status"] == "failed"
+    assert phases["critic"]["error"] == "PhaseFailure: critic fit failed"
+    for name in ("classifier", "pretrain", "unlearn_ddpo", "eval_ddpo"):
+        assert phases[name]["status"] == "ok", name
+    assert not os.path.exists(out / "eps_unlearned_cgru.ckpt")
+    assert len(pids) == 1
+    _assert_reaped(pids[0])
+
+
+def test_critic_child_killed_is_a_named_phase_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_critic_phase",
+                        lambda cfg: os.kill(os.getpid(), signal.SIGKILL))
+    pids = _watch_forks(monkeypatch)
+    cfg = tiny_config(tmp_path / "killed")
+    with pytest.raises(PhaseFailure, match="killed by SIGKILL"):
+        pipeline.run_full(cfg)
+    phases = _phases(cfg)
+    assert phases["critic"]["status"] == "failed"
+    assert "SIGKILL" in phases["critic"]["error"]
+    assert phases["eval_ddpo"]["status"] == "ok"
+    assert len(pids) == 1
+    _assert_reaped(pids[0])
+    # the lock is free, and the file names no one
+    with pipeline._locked(cfg.out_dir):
+        pass
+    assert open(os.path.join(cfg.out_dir, ".lock")).read() == ""
+
+
+@pytest.mark.parametrize("critic_fails", [False, True])
+def test_ddpo_failure_still_reaps_and_records_the_critic(tiny_run, tmp_path,
+                                                         monkeypatch,
+                                                         critic_fails):
+    unlearn = pipeline._unlearn_phase
+
+    def failing_ddpo(cfg, method="cgru"):
+        if method == "ddpo":
+            raise PhaseFailure("ddpo arm failed")
+        return unlearn(cfg, method)
+
+    def failing_critic(cfg):
+        raise PhaseFailure("critic fit failed")
+
+    monkeypatch.setattr(pipeline, "_unlearn_phase", failing_ddpo)
+    if critic_fails:
+        monkeypatch.setattr(pipeline, "_critic_phase", failing_critic)
+    pids = _watch_forks(monkeypatch)
+    cfg = tiny_config(tmp_path / "ddpo_fails")
+    # the first failure in phase order is raised: the critic before ddpo
+    with pytest.raises(PhaseFailure, match="critic fit failed" if critic_fails
+                       else "ddpo arm failed"):
+        pipeline.run_full(cfg)
+    phases = _phases(cfg)
+    assert set(phases) == {"classifier", "pretrain", "critic", "unlearn_ddpo"}
+    assert phases["unlearn_ddpo"]["error"] == "PhaseFailure: ddpo arm failed"
+    assert len(pids) == 1
+    _assert_reaped(pids[0])
+    if critic_fails:
+        assert phases["critic"]["status"] == "failed"
+    else:
+        assert phases["critic"]["status"] == "ok"
+        assert phases["critic"]["info"]["wait_s"] >= 0.0
+        name = "critic.ckpt"
+        assert _digest(os.path.join(cfg.out_dir, name)) == _digest(
+            os.path.join(tiny_run[0].out_dir, name))
 
 
 def test_corrupt_checkpoint_is_reported_with_filename(tiny_run, tmp_path):

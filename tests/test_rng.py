@@ -174,3 +174,23 @@ def test_trajectory_streams_keyed_by_absolute_index():
     other = sample_trajectories(model, class_ids[1:2], sched, 5,
                                 rngmod.PHASE_DIAG, first_index=102)
     assert not np.allclose(batch.latents[1], other.latents[0], atol=1e-3)
+
+
+def test_blas_pinned_sets_one_thread_and_restores_the_count(monkeypatch):
+    lib = rngmod._openblas()
+    if lib is None:
+        pytest.skip("numpy ships no scipy-openblas library here")
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        with rngmod.blas_pinned() as blas:
+            assert lib.scipy_openblas_get_num_threads64_() == 1
+            assert blas["pinned"] and blas["threads"] == 1
+            assert blas["name"] and blas["version"]
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    # another BLAS build: the block runs unpinned and the record says so
+    monkeypatch.setattr(rngmod, "_openblas", lambda: None)
+    with rngmod.blas_pinned() as blas:
+        assert not blas["pinned"] and blas["threads"] is None
