@@ -30,6 +30,23 @@ def tiny_config(out_dir, extra=()):
     return apply_overrides(cfg, [f"out_dir={out_dir}"])
 
 
+def default_config(out_dir):
+    return apply_overrides(RunConfig(), [f"out_dir={out_dir}"])
+
+
+def unbiasedness_at_one_thread(cfg):
+    """diag unbiasedness at CGRU_THREADS=1: its info, the bytes of its CSV
+    and its elapsed seconds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CGRU_THREADS", "1")
+        start = time.monotonic()
+        res = diag_unbiasedness(cfg)
+        seconds = time.monotonic() - start
+    with open(res["paths"]["diag_unbiasedness"], "rb") as fh:
+        csv = fh.read()
+    return {"info": res["info"], "csv": csv, "seconds": seconds}
+
+
 @contextlib.contextmanager
 def flock_held(path, content=""):
     """Hold `path` by a flock of an open file that reads `content`."""
@@ -58,22 +75,12 @@ def tiny_run(tmp_path_factory):
 def full_run(tmp_path_factory):
     """One completed pipeline run at the default config, shared read-mostly;
     its phase timings count toward the end-to-end budget of AC8."""
-    out = tmp_path_factory.mktemp("acceptance") / "run"
-    cfg = apply_overrides(RunConfig(), [f"out_dir={out}"])
+    cfg = default_config(tmp_path_factory.mktemp("acceptance") / "run")
     manifest = pipeline.run_full(cfg)
     return cfg, manifest
 
 
 @pytest.fixture(scope="session")
 def unbiasedness_sweep(full_run):
-    """diag unbiasedness on the default run at CGRU_THREADS=1, run once:
-    its info, the bytes of its CSV and its elapsed seconds."""
-    cfg, _ = full_run
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("CGRU_THREADS", "1")
-        start = time.monotonic()
-        res = diag_unbiasedness(cfg)
-        seconds = time.monotonic() - start
-    with open(res["paths"]["diag_unbiasedness"], "rb") as fh:
-        csv = fh.read()
-    return {"info": res["info"], "csv": csv, "seconds": seconds}
+    """diag unbiasedness on the default run, run once."""
+    return unbiasedness_at_one_thread(full_run[0])
