@@ -30,7 +30,7 @@ import signal
 import time
 import traceback
 from collections.abc import Iterable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -697,10 +697,17 @@ def _join(pid: int, read_fd: int, started: float) -> tuple:
     """The (result or exception, seconds, peak RSS) a _fork child sent,
     once it has exited and been reaped. A child that ended without
     sending one yields a PhaseFailure naming its exit status or signal,
-    the seconds since `started` and no peak."""
-    with open(read_fd, "rb") as fh:
-        blob = fh.read()
-    _, status = os.waitpid(pid, 0)
+    the seconds since `started` and no peak. Interrupted while it waits,
+    it kills and reaps the child before the interrupt propagates."""
+    try:
+        with open(read_fd, "rb") as fh:
+            blob = fh.read()
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        with suppress(ProcessLookupError, ChildProcessError):  # reaped
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
     try:
         return pickle.loads(blob)
     except (EOFError, pickle.UnpicklingError):

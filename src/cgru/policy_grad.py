@@ -1,36 +1,25 @@
 """Score-function policy gradients over denoising trajectories.
 
-Every estimator is one weighted score sum, _score_gradient: the score of
-reverse step t in row i is weighted by coef[i, t-1], times the clamped
-likelihood ratio against the stored behavior log-probs when those are
-given, and averaged over rows. The terminal-reward estimator weights
-every step by the trajectory reward; the critic-guided estimator weights
-step t by the ratio times the advantage r - V(x_t, c, t). The baseline V
-is plain data: an (n, T) matrix whose column t-1 holds V(x_t, c, t), which
-the caller computes once per batch in stacked critic calls
-(critic.value_matrix) and passes in;
-None means no baseline. Subtracting the state-value baseline leaves the
-expectation unchanged (the baseline term has mean zero) while shrinking
-the variance, which baseline_term_estimate and gradient_variance measure
+Every estimate is one walk, group_estimates: the score of reverse step t
+in row i is weighted by its estimator's coefficient, times the clamped
+likelihood ratio against the stored behavior log-probs where the
+estimator takes it, and averaged over rows. The terminal-reward
+estimator weights every step by the trajectory reward; the critic-guided
+estimator weights step t by the ratio times the advantage
+r - V(x_t, c, t). The baseline V is plain data: an (n, T) matrix whose
+column t-1 holds V(x_t, c, t), which the caller computes once per batch
+in stacked critic calls (critic.value_matrix) and passes in; None means
+no baseline. Subtracting the state-value baseline leaves the expectation
+unchanged (the baseline term has mean zero) while shrinking the
+variance, which baseline_term_estimate and gradient_variance measure
 directly.
 
-One walk serves several estimates. It takes a sequence of terms, each a
-coefficient matrix, given as a function that builds any row span's block,
-with or without behavior log-probs, and a grouping of the rows into
-contiguous blocks cut at sorted row indices. Per step it runs the
-denoiser forward once and back once per term, and it returns every
-term's mean over every group. Rows are walked in fixed rng.SHARD chunks
-through rng.run_sharded; each shard builds only its own coefficient
-blocks, and its partial sums are folded into the total in shard order as
-they arrive. So the output does not depend on the worker count, and the
-walk holds O(workers) partials and no (n, T) coefficient matrix at any
-batch size.
-group_estimates names the terms by estimator, and _TERMS is the one table
-of them. cgru_gradient, ddpo_gradient and baseline_term_estimate are thin
-one-group wrappers over it, and per_sample_scores is one walk with a group
-per trajectory. Every gradient and estimate is a plain (P,) array in
-theta's layout; cgru's count of clamped ratios is group_estimates' second
-result.
+_TERMS is the one table of estimator terms. Training and diagnostics
+share the walk: policy_update_epoch takes one cgru walk per group of
+shuffled steps; cgru_gradient, ddpo_gradient and baseline_term_estimate
+are thin one-group wrappers over it, and per_sample_scores is one walk
+with a group per trajectory. Every gradient and estimate is a plain (P,)
+array in theta's layout.
 """
 
 import bisect
@@ -68,55 +57,74 @@ def _importance_weights(logp_new: Array, logp_old: Array, cfg: EstimatorConfig):
     return np.clip(w, cfg.clip_low, cfg.clip_high), int(clipped.sum())
 
 
-def _value_rows(rollouts: Rollouts, values: Array):
-    """V as a coefficient term: the rows lo:hi of the (n, T) baseline
-    matrix, whose shape is checked here, before any walk."""
+def _values(rollouts: Rollouts, values: Array, lo: int, hi: int) -> Array:
+    """Rows lo:hi of the (n, T) baseline matrix, whose shape is checked."""
     shape = (len(rollouts), rollouts.T)
     if np.shape(values) != shape:
         raise ShapeMismatch(f"values shape {np.shape(values)} != {shape}")
-    return lambda lo, hi: values[lo:hi]
+    return values[lo:hi]
 
 
-def _advantages(rollouts: Rollouts, values: Array | None):
-    """r - V as a coefficient term: the (hi - lo, T) block of rows lo:hi;
-    values None means V = 0."""
+def _advantages(rollouts: Rollouts, values: Array | None, lo: int,
+                hi: int) -> Array:
+    """r - V over rows lo:hi; values None means V = 0."""
     if rollouts.rewards is None:
         raise ValueError("rollouts have no rewards assigned")
-    r, T = rollouts.rewards, rollouts.T
+    r = rollouts.rewards[lo:hi, None]
     if values is None:
-        return lambda lo, hi: np.broadcast_to(r[lo:hi, None], (hi - lo, T))
-    v = _value_rows(rollouts, values)
-    return lambda lo, hi: r[lo:hi, None] - v(lo, hi)
+        return np.broadcast_to(r, (hi - lo, rollouts.T))
+    return r - _values(rollouts, values, lo, hi)
 
 
-def _score_gradient(model, sched: NoiseSchedule, lat: Array, class_ids: Array,
-                    steps, terms, cuts=(), cfg: EstimatorConfig | None = None):
-    """Per-term, per-group sums over `steps` of the group-mean weighted score.
+# each estimator's term: weights(rollouts, values, lo, hi) gives the
+# (hi - lo, T) coefficient block of rows lo:hi from the batch and its
+# (n, T) baseline matrix, and the flag says whether the likelihood ratio
+# clamped to the estimator config multiplies it (only cgru's does);
+# "score" is the unweighted score sum
+_TERMS = {
+    "cgru": (_advantages, True),
+    "ddpo": (lambda r, v, lo, hi: _advantages(r, None, lo, hi), False),
+    "baseline": (_values, False),
+    "score": (lambda r, v, lo, hi: np.ones((hi - lo, r.T)), False),
+}
 
-    terms is a sequence of (coef, logp_old): coef(lo, hi) gives the
-    (hi - lo, T) coefficient block of rows lo:hi, and row i at step t is
-    weighted by its block's column t-1 / (its group's size); when the
-    behavior log-probs logp_old (n, T) are given, the weight is first
-    multiplied by the likelihood ratio clamped to cfg's range. cuts are
-    the sorted interior row indices where a new group starts; none means
-    one group. Returns (gradients (len(terms), G, P) in theta's layout,
-    each term's number of clamped ratios). The per-step score of the
-    Gaussian kernel flows through mu only, since sigma_t is fixed by the
-    schedule.
 
-    Each rng.SHARD-row shard builds its own one-hot rows, coefficient
-    blocks and (len(terms), groups it touches, P) partial. The partials
-    are added into the total in shard order as they arrive, so the walk
-    holds O(workers) partials however many rows it has. With at most
-    rng.SHARD rows the one shard's partial is the total: weights / n
-    inside the output gradient, then 0 + g_1 + g_2 + ... over steps.
+def group_estimates(rollouts: Rollouts, model, values: Array | None,
+                    cfg: EstimatorConfig, sched: NoiseSchedule, kinds,
+                    cuts=(), steps=None):
+    """Unclipped estimates of each kind, one per row group, from one walk.
+
+    kinds name rows of _TERMS: "cgru" (ratio times r - V), "ddpo" (r),
+    "baseline" (V, the term the advantage subtracts) and "score" (1).
+    cuts are the sorted interior row indices where a new group starts.
+    steps are the reverse steps summed over, in order; None means T..1.
+    Returns (estimates (len(kinds), G, P), each kind's number of clamped
+    ratios); entry [k, g] is the sum over steps of kind k's mean over the
+    rows of group g. Every input is checked before the first forward pass.
+    The per-step score of the Gaussian kernel flows through mu only, since
+    sigma_t is fixed by the schedule.
+
+    Rows are walked in fixed rng.SHARD chunks through rng.run_sharded.
+    Each shard builds only its own one-hot rows, coefficient blocks and
+    (len(kinds), groups it touches, P) partial, which is added into the
+    zeroed total in shard order as it arrives. So the output does not
+    depend on the worker count, and the walk holds O(workers) partials
+    and no (n, T) coefficient matrix at any batch size.
     """
-    n, T = lat.shape[0], lat.shape[1] - 1
+    unknown = [kind for kind in kinds if kind not in _TERMS]
+    if unknown:
+        raise ValueError(f"unknown estimator kinds {unknown}; known kinds "
+                         f"are {sorted(_TERMS)}")
+    terms = [_TERMS[kind] for kind in kinds]
+    n, T = len(rollouts), rollouts.T
     if n == 0:
         raise ValueError("cannot score an empty batch: no trajectories")
     bounds = [0, *(int(c) for c in cuts), n]
-    if len(bounds) > 2 and any(a >= b for a, b in zip(bounds, bounds[1:])):
+    if any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"cuts must rise strictly inside (0, {n}): {cuts}")
+    if steps is None:
+        steps = range(T, 0, -1)
+    lat = rollouts.latents
 
     def shard(lo, hi):
         g0 = bisect.bisect_right(bounds, lo) - 1
@@ -126,8 +134,9 @@ def _score_gradient(model, sched: NoiseSchedule, lat: Array, class_ids: Array,
         sizes = np.diff(bounds[g0:g1 + 1])
         size = float(sizes[0]) if len(sizes) == 1 \
             else np.repeat(sizes, np.diff(local)).astype(np.float64)
-        onehot = one_hot(class_ids[lo:hi], model.n_classes)
-        blocks = [coef(lo, hi) for coef, _ in terms]
+        onehot = one_hot(rollouts.class_ids[lo:hi], model.n_classes)
+        # building the blocks checks rewards and values, before any forward
+        blocks = [weights(rollouts, values, lo, hi) for weights, _ in terms]
         flat = np.zeros((len(terms), g1 - g0, model.net.theta.size))
         clips = [0] * len(terms)
         for t in steps:
@@ -138,22 +147,19 @@ def _score_gradient(model, sched: NoiseSchedule, lat: Array, class_ids: Array,
             sig = sched.sigma(t)
             score = (score_coef(sched, t) / (sig * sig)) * (xprev - mu)
             logp_new = None
-            for k, (block, (_, logp_old)) in enumerate(zip(blocks, terms)):
+            for k, (block, (_, ratio)) in enumerate(zip(blocks, terms)):
                 weights = block[:, t - 1]
-                if logp_old is not None:
+                if ratio:
                     if logp_new is None:
                         logp_new = gaussian_logprob(xprev, mu, sig)
                     w, nclip = _importance_weights(
-                        logp_new, logp_old[lo:hi, t - 1], cfg)
+                        logp_new, rollouts.logp[lo:hi, t - 1], cfg)
                     clips[k] += nclip
                     weights = w * weights
                 backward(model.net, score * (weights / size)[:, None], tape,
                          local, flat[k])
         return g0, flat, clips
 
-    if n <= rngmod.SHARD:
-        (_, flat, clips), = rngmod.run_sharded(shard, n)
-        return flat, clips
     total = np.zeros((len(terms), len(bounds) - 1, model.net.theta.size))
     clip_counts = [0] * len(terms)
 
@@ -164,36 +170,6 @@ def _score_gradient(model, sched: NoiseSchedule, lat: Array, class_ids: Array,
 
     rngmod.run_sharded(shard, n, fold=fold)
     return total, clip_counts
-
-
-# the coefficient term of each estimator, from the batch and its (n, T)
-# baseline matrix: a function of a row span giving that span's block, and
-# the behavior log-probs of the clamped ratio (only cgru has them); "score"
-# is the unweighted score sum
-_TERMS = {
-    "cgru": lambda r, v: (_advantages(r, v), r.logp),
-    "ddpo": lambda r, v: (_advantages(r, None), None),
-    "baseline": lambda r, v: (_value_rows(r, v), None),
-    "score": lambda r, v: (lambda lo, hi: np.ones((hi - lo, r.T)), None),
-}
-
-
-def group_estimates(rollouts: Rollouts, model, values: Array | None,
-                    cfg: EstimatorConfig, sched: NoiseSchedule, kinds,
-                    cuts=()):
-    """Unclipped estimates of each kind, one per row group, from one walk.
-
-    kinds name estimators: "cgru" (ratio times r - V), "ddpo" (r),
-    "baseline" (V, the term the advantage subtracts) and "score" (1). cuts
-    split the rows into contiguous groups as in _score_gradient. Returns
-    (estimates (len(kinds), G, P), each kind's number of clamped ratios);
-    entry [k, g] is the mean of kind k over the rows of group g.
-    """
-    return _score_gradient(model, sched, rollouts.latents,
-                           rollouts.class_ids,
-                           range(rollouts.T, 0, -1),
-                           [_TERMS[kind](rollouts, values) for kind in kinds],
-                           cuts, cfg)
 
 
 def clip_to_norm(vec: Array, max_norm: float) -> Array:
@@ -269,11 +245,8 @@ def optimal_baseline_probe(model, sched: NoiseSchedule, rollouts: Rollouts,
         raise ValueError("rollouts have no rewards assigned")
     S = per_sample_scores(rollouts, model, sched)
     r = rollouts.rewards
-    out = []
-    for b in baselines:
-        G = S * (r - float(b))[:, None]
-        out.append((float(b), float(G.var(axis=0, ddof=1).mean())))
-    return out
+    return [(float(b), gradient_variance(S * (r - float(b))[:, None]))
+            for b in baselines]
 
 
 def policy_update_epoch(model, rollouts: Rollouts, values: Array | None,
@@ -281,11 +254,12 @@ def policy_update_epoch(model, rollouts: Rollouts, values: Array | None,
                         rng: np.random.Generator, grad_accum: int = 1) -> dict:
     """One epoch of critic-guided updates over a trajectory buffer.
 
-    Timesteps are visited in an order shuffled from `rng`; each visit
-    accumulates the importance-weighted advantage gradient of its
-    timestep mini-batch, and Adam applies the accumulated (and clipped)
-    gradient every `grad_accum` visits. With grad_accum >= T one epoch
-    is a single update identical to applying cgru_gradient directly.
+    Timesteps are visited in an order shuffled from `rng`, in groups of
+    `grad_accum`; each group is one cgru walk of group_estimates over its
+    steps, whose importance-weighted advantage gradient Adam applies,
+    clipped. With grad_accum >= T one epoch is a single update on the
+    cgru estimate summed in the shuffled order: cgru_gradient sums the
+    same terms in T..1 order, so the two agree up to rounding.
 
     values is the (n, T) baseline matrix; values=None runs the same loop
     with raw terminal rewards in place of advantages, i.e. the
@@ -293,17 +267,15 @@ def policy_update_epoch(model, rollouts: Rollouts, values: Array | None,
     """
     if grad_accum < 1:
         raise ValueError(f"grad_accum must be >= 1, got {grad_accum}")
-    term = _TERMS["cgru"](rollouts, values)
     n, T = len(rollouts), rollouts.T
 
     order = rng.permutation(np.arange(1, T + 1)).tolist()
     clip_count = 0
     grad_norms = []
     for lo in range(0, T, grad_accum):
-        grad, (nclip,) = _score_gradient(model, sched, rollouts.latents,
-                                         rollouts.class_ids,
-                                         order[lo:lo + grad_accum],
-                                         [term], cfg=cfg)
+        grad, (nclip,) = group_estimates(rollouts, model, values, cfg, sched,
+                                         ["cgru"],
+                                         steps=order[lo:lo + grad_accum])
         clip_count += nclip
         flat = clip_to_norm(grad[0, 0], cfg.grad_max_norm)
         grad_norms.append(float(np.linalg.norm(flat)))

@@ -7,12 +7,13 @@ from cgru import nets
 from cgru import rng as rngmod
 from cgru.checkpoint import load_network, load_tensors, save_network, save_tensors
 from cgru.critic import CriticBuffer, build_critic, critic_train
-from cgru.diffusion import build_eps_net, ddpm_loss_and_grads, make_schedule
+from cgru.diffusion import (Rollouts, build_eps_net, ddpm_loss_and_grads,
+                            make_schedule)
 from cgru.errors import CheckpointError, ShapeMismatch
 from cgru.nets import (Act, AdamState, Dense, Film, Network, adam_init,
                        adam_step, backward, embed_lookup, forward,
                        init_network, sinusoidal_embed)
-from cgru.policy_grad import _score_gradient
+from cgru.policy_grad import group_estimates
 
 
 def small_net(rng=None, film=False):
@@ -184,9 +185,10 @@ def test_one_forward_walk_per_gradient_step(monkeypatch):
     critic_train(critic, buffer, epochs=1, batch_size=5, rng=rng)
     assert one_walk_of(critic.net)
 
-    lat = rng.standard_normal((5, T + 1, 2))
-    grad, _ = _score_gradient(model, sched, lat, ids, [3],
-                              [(lambda lo, hi: np.ones((hi - lo, T)), None)])
+    rollouts = Rollouts(ids, rng.standard_normal((5, T + 1, 2)),
+                        rng.standard_normal((5, T)))
+    grad, _ = group_estimates(rollouts, model, None, None, sched, ["score"],
+                              steps=[3])
     assert one_walk_of(model.net)
     assert grad.shape == (1, 1, model.net.theta.size)
 

@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -522,6 +523,44 @@ def test_ddpo_failure_still_reaps_and_records_the_critic(tiny_run, tmp_path,
         name = "critic.ckpt"
         assert _digest(os.path.join(cfg.out_dir, name)) == _digest(
             os.path.join(tiny_run[0].out_dir, name))
+
+
+def test_interrupt_while_waiting_for_the_critic_kills_and_reaps_it(
+        tmp_path, monkeypatch):
+    def stub(cfg, method=None):
+        return {"paths": {}, "info": {}}
+
+    def failing_ddpo(cfg, method):
+        raise PhaseFailure("ddpo arm failed")
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    for name in ("_classifier_phase", "_pretrain_phase"):
+        monkeypatch.setattr(pipeline, name, stub)
+    monkeypatch.setattr(pipeline, "_critic_phase", lambda cfg: time.sleep(30))
+    monkeypatch.setattr(pipeline, "_unlearn_phase", failing_ddpo)
+    join = pipeline._join
+
+    def interrupted_join(*child):
+        # the interrupt lands while run_full waits for the critic child
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        return join(*child)
+
+    monkeypatch.setattr(pipeline, "_join", interrupted_join)
+    pids = _watch_forks(monkeypatch)
+    cfg = tiny_config(tmp_path / "interrupted")
+    old = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.run_full(cfg)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert len(pids) == 1
+    _assert_reaped(pids[0])
+    with pipeline._locked(cfg.out_dir):
+        pass
 
 
 def test_corrupt_checkpoint_is_reported_with_filename(tiny_run, tmp_path):

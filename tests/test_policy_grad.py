@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cgru import nets
 from cgru import rng as rngmod
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
 from cgru.errors import ShapeMismatch
@@ -198,11 +199,21 @@ def test_single_update_epoch_is_an_adam_step_on_cgru_gradient():
     want = model.net.theta.copy()
     adam_step(adam_init(model.net, lr=1e-3), want, -est)
 
+    # the epoch's walk is group_estimates over the order the epoch draws
+    order = rngmod.stream(0, rngmod.PHASE_POLICY, 4).permutation(
+        np.arange(1, sched.T + 1)).tolist()
+    walk, _ = group_estimates(trajs, model, values, cfg, sched, ["cgru"],
+                              steps=order)
+    exact = model.net.theta.copy()
+    adam_step(adam_init(model.net, lr=1e-3), exact,
+              -clip_to_norm(walk[0, 0], cfg.grad_max_norm))
+
     stats = policy_update_epoch(model, trajs, values, cfg, sched,
                                 adam_init(model.net, lr=1e-3),
                                 rngmod.stream(0, rngmod.PHASE_POLICY, 4),
                                 grad_accum=sched.T)
     assert stats["updates"] == 1
+    assert np.array_equal(model.net.theta, exact)
     # the epoch sums steps in shuffled order, cgru_gradient in T..1 order
     assert math.isclose(stats["grad_norm_mean"], np.linalg.norm(est),
                         rel_tol=1e-12)
@@ -288,11 +299,30 @@ def test_grouped_walk_does_not_depend_on_worker_count(monkeypatch):
     assert out[0][1] == out[1][1]
 
 
-def test_group_cuts_must_rise_inside_the_batch():
+def test_group_cuts_must_rise_inside_the_batch(monkeypatch):
     model, sched, trajs = desk_setup(n=6)
+    runs = []
+    run = nets._run
+    monkeypatch.setattr(nets, "_run",
+                        lambda *args, **kw: runs.append(1) or run(*args, **kw))
     for cuts in ([0, 3], [3, 6], [4, 2], [3, 3]):
         with pytest.raises(ValueError, match="cuts"):
             group_estimates(trajs, model, None, RAW, sched, ["ddpo"], cuts)
+    # every other input is refused before the walk's first forward pass too
+    values = np.zeros((len(trajs), sched.T))
+    with pytest.raises(ValueError, match="known kinds are"):
+        group_estimates(trajs, model, values, RAW, sched, ["cgru", "rloo"])
+    for kind in ("cgru", "baseline"):
+        with pytest.raises(ShapeMismatch):
+            group_estimates(trajs, model, values[:, 1:], RAW, sched,
+                            ["score", kind])
+    with pytest.raises(ShapeMismatch):
+        group_estimates(trajs, model, None, RAW, sched, ["baseline"])
+    trajs.rewards = None
+    for kind in ("cgru", "ddpo"):
+        with pytest.raises(ValueError, match="no rewards"):
+            group_estimates(trajs, model, values, RAW, sched, ["score", kind])
+    assert runs == []
 
 
 def test_an_empty_batch_is_an_error():
