@@ -1,4 +1,4 @@
-"""Binary checkpoint files for named float64 tensors.
+"""Binary checkpoint files for named tensors, always stored as float64.
 
 Layout, all little-endian:
 
@@ -16,7 +16,9 @@ Layout, all little-endian:
         f64[]  row-major payload
 
 Writing the same tensors and provenance twice produces byte-identical
-files. Output files go through `replacing`, so a failed write leaves the
+files. A float32 tensor widens into the f64 payload exactly; loading into
+a network narrows each tensor back to its view's dtype and refuses one
+that does not survive that exactly. Output files go through `replacing`, so a failed write leaves the
 previous file as it was. There is no reader for version 1, which had no
 provenance: such a file is refused and must be written again.
 """
@@ -119,6 +121,10 @@ def load_network(path, net, provenance=()) -> None:
 
     The file must have been written under exactly `provenance`; otherwise
     CheckpointError names the file and each "key (stored -> expected)".
+    Every tensor must be exactly representable in its view's dtype (a
+    float64 file loaded into a float32 network is refused, not rounded);
+    otherwise CheckpointError names the file and the tensor, and the
+    network is left as it was.
     """
     stored, tensors = load_tensors(path)
     if stored != list(provenance):
@@ -134,8 +140,16 @@ def load_network(path, net, provenance=()) -> None:
         extra = sorted(set(tensors) - set(net.params))
         raise CheckpointError(
             f"{path}: param names do not match (missing {missing}, extra {extra})")
+    narrowed = {}
     for name, view in net.params.items():
         if tensors[name].shape != view.shape:
             raise CheckpointError(f"{path}: tensor {name} has shape "
                                   f"{tensors[name].shape}, expected {view.shape}")
-        view[...] = tensors[name]
+        with np.errstate(over="ignore"):    # an overflow fails the check
+            narrowed[name] = tensors[name].astype(view.dtype, copy=False)
+        if not np.array_equal(narrowed[name], tensors[name], equal_nan=True):
+            raise CheckpointError(
+                f"{path}: tensor {name} does not fit the network's "
+                f"{view.dtype} exactly; rerun the phase that writes it")
+    for name, view in net.params.items():
+        view[...] = narrowed[name]

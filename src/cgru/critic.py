@@ -4,6 +4,11 @@ The critic is a small MLP over (x_t, one-hot class) whose hidden features
 are modulated, twice, by film blocks conditioned on a sinusoidal embedding
 of the timestep. Targets are the terminal rewards of sampled trajectories,
 so the trained critic approximates E[r(x_0, c) | x_t, c, t].
+
+build_critic makes the value net float32, which halves the cost of its
+fits; the values it hands on are float64, like everything the
+policy gradient computes from them, and its checkpoint stores float64,
+which holds every float32 exactly.
 """
 
 from dataclasses import dataclass, replace
@@ -43,7 +48,9 @@ class Critic:
         self.T = T
         self.n_classes = n_classes
         self.t_embed_dim = t_embed_dim
-        self.t_table = sinusoidal_embed(np.arange(T + 1), t_embed_dim, T)
+        # in the net's dtype, so a film cond gathered from it is not cast
+        self.t_table = sinusoidal_embed(np.arange(T + 1), t_embed_dim,
+                                        T).astype(net.theta.dtype)
 
     def cond(self, ts, n: int) -> Array:
         return np.broadcast_to(embed_lookup(self.t_table, ts), (n, self.t_embed_dim))
@@ -62,15 +69,15 @@ def build_critic(d: int, n_classes: int, T: int, hidden: int = 64,
         Dense(hidden, hidden), Film(hidden, t_embed_dim), Act("tanh"),
         Dense(hidden, 1),
     ]
-    return Critic(init_network(arch, rng), T=T, n_classes=n_classes,
-                  t_embed_dim=t_embed_dim)
+    return Critic(init_network(arch, rng, np.float32), T=T,
+                  n_classes=n_classes, t_embed_dim=t_embed_dim)
 
 
 def critic_values(critic: Critic, x: Array, onehot: Array, ts) -> Array:
-    """Batched V(x_t, c, t) for states x (n, d); ts may be a scalar or one
-    step per row."""
+    """Batched V(x_t, c, t) for states x (n, d), as float64; ts may be a
+    scalar or one step per row."""
     out = forward(critic.net, critic.inputs(x, onehot), critic.cond(ts, len(x)))
-    return out[:, 0]
+    return out[:, 0].astype(np.float64)
 
 
 # Trajectories per stacked critic call in value_matrix. Stacks split each
@@ -97,7 +104,7 @@ def value_matrix(critic: Critic, rollouts: Rollouts) -> Array:
     def shard(lo, hi):
         for a in range(lo, hi, _VALUE_STACK):
             b = min(a + _VALUE_STACK, hi)
-            inputs = np.zeros((b - a, T, d + K))
+            inputs = np.zeros((b - a, T, d + K), critic.net.theta.dtype)
             inputs[..., :d] = rollouts.latents[a:b, :T]
             inputs[..., d:] = one_hot(rollouts.class_ids[a:b], K)[:, None]
             # row j of a trajectory's states is x_{T-j}: column T-1-j
@@ -144,13 +151,15 @@ def critic_train(critic: Critic, buffer: CriticBuffer, epochs: int,
         raise ValueError("empty critic buffer")
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
-    r, ts = buffer.r, buffer.ts
+    ts = buffer.ts
     if ts.min() < 0 or ts.max() > critic.T:
         raise ValueError(f"timestep out of [0, {critic.T}]")
     n, d = buffer.x.shape
+    dtype = critic.net.theta.dtype
+    r = buffer.r.astype(dtype)
     # x columns, then one-hot class columns; film rows are gathered from
     # the (T + 1)-row t_table per minibatch, never expanded to n rows
-    inputs = np.zeros((n, d + critic.n_classes))
+    inputs = np.zeros((n, d + critic.n_classes), dtype)
     inputs[:, :d] = buffer.x
     one_hot(buffer.class_ids, critic.n_classes, out=inputs[:, d:])
     opt = adam_init(critic.net, lr=lr)

@@ -1,4 +1,4 @@
-"""Minimal float64 feed-forward networks with exact hand-written gradients.
+"""Minimal feed-forward networks with exact hand-written gradients.
 
 Everything here operates on batches: inputs are (n, d) arrays, and
 forward also takes an (m, n, d) stack of batches that share one cond,
@@ -10,9 +10,11 @@ summed over rows, for every parameter (not the input), as rows of a
 uses the groups to get every coefficient term and row group from one
 forward pass per step, with rows chunked into rng.SHARD-wide shards by
 the caller. Architectures are small lists of layer descriptors. A
-network's P parameters live in one float64 vector, theta; net.params is
-a read-only mapping from "{layer_index}.{w|b|cw|cb}" to shaped views of
-it, in layer order.
+network's P parameters live in one vector, theta, float64 unless the
+network is built with another dtype; net.params is a read-only mapping
+from "{layer_index}.{w|b|cw|cb}" to shaped views of it, in layer order.
+Inputs, conds, output gradients, gradient rows and Adam's moments take
+the dtype of theta.
 """
 
 import math
@@ -68,15 +70,16 @@ def _layout(arch: list):
 
 class Network:
     """An architecture and its parameters, zero until written through theta
-    or in place through a view; rebinding a name in params raises TypeError."""
+    or in place through a view; rebinding a name in params raises TypeError.
+    The network computes in the dtype of theta."""
 
-    def __init__(self, arch: list):
+    def __init__(self, arch: list, dtype=np.float64):
         self.arch = list(arch)
         shapes = dict(_layout(self.arch))
         ends = [0, *accumulate(math.prod(shape) for shape in shapes.values())]
         # each name's columns: its slice of theta and of a gradient row
         self._cols = {name: slice(a, b) for name, a, b in zip(shapes, ends, ends[1:])}
-        self.theta = np.zeros(ends[-1])
+        self.theta = np.zeros(ends[-1], dtype=dtype)
         self.params = MappingProxyType({
             name: self.theta[self._cols[name]].reshape(shape)
             for name, shape in shapes.items()})
@@ -121,15 +124,17 @@ def _check_arch(arch: list) -> None:
             raise ValueError(f"layer {i}: unknown layer type {layer!r}")
 
 
-def init_network(arch: list, rng: np.random.Generator) -> Network:
+def init_network(arch: list, rng: np.random.Generator,
+                 dtype=np.float64) -> Network:
     """Build a network with scaled-uniform dense weights and zero biases.
 
-    Weights are drawn from U(-s, s) with s = sqrt(6 / (fan_in + fan_out)).
+    Weights are drawn from U(-s, s) with s = sqrt(6 / (fan_in + fan_out)),
+    always as float64 from rng, and rounded into theta's dtype.
     Film conditioning maps start at the identity modulation: the scale
     half of the bias is 1 so an untrained block passes features through.
     """
     _check_arch(arch)
-    net = Network(arch)
+    net = Network(arch, dtype)
     for i, layer in enumerate(arch):
         if isinstance(layer, Dense):
             s = math.sqrt(6.0 / (layer.n_in + layer.n_out))
@@ -142,8 +147,8 @@ def init_network(arch: list, rng: np.random.Generator) -> Network:
     return net
 
 
-def _as_batch(x) -> Array:
-    x = np.asarray(x, dtype=np.float64)
+def _as_batch(x, dtype) -> Array:
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 2:
         raise ShapeMismatch(f"expected a 2-D (n, d) batch, got shape {x.shape}")
     return x
@@ -218,7 +223,7 @@ def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
     """
     if tape:
         raise ValueError("tape already holds a forward walk")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=net.theta.dtype)
     if x.ndim == 3 and tape is not None:
         raise ValueError("a stack of batches cannot be recorded on a tape")
     if x.ndim not in (2, 3):
@@ -227,7 +232,7 @@ def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
     if any(isinstance(layer, Film) for layer in net.arch):
         if cond is None:
             raise ShapeMismatch("network has film blocks but no cond was given")
-        cond = _as_batch(cond)
+        cond = _as_batch(cond, net.theta.dtype)
     elif cond is not None:
         raise ShapeMismatch("network has no film blocks but cond was given")
     out = _run(net, x, cond, tape)
@@ -251,7 +256,7 @@ def backward(net: Network, out_grad, tape: list, bounds=None,
     """
     if not tape:
         raise ValueError("backward needs the tape of a forward call")
-    g = _as_batch(out_grad)
+    g = _as_batch(out_grad, net.theta.dtype)
     if g.shape[1] != net.n_out:
         raise ShapeMismatch(f"out_grad width {g.shape[1]} != output width {net.n_out}")
     kind, _, cache = tape[0]
@@ -266,7 +271,8 @@ def backward(net: Network, out_grad, tape: list, bounds=None,
     # the walk reaches every parameter once, so one group's row is filled
     direct = out is None and len(segments) == 1
     if out is None:
-        out = (np.empty if direct else np.zeros)((len(segments), net.theta.size))
+        out = (np.empty if direct else np.zeros)((len(segments), net.theta.size),
+                                                 net.theta.dtype)
     elif out.shape != (len(segments), net.theta.size):
         raise ShapeMismatch(
             f"out shape {out.shape} != {(len(segments), net.theta.size)}")

@@ -7,6 +7,7 @@ import pytest
 from cgru import pipeline
 from cgru.config import RunConfig, apply_overrides
 from cgru.diag import diag_unbiasedness
+from cgru.nets import Network
 
 # Small budgets that still exercise every phase: the classifier separates
 # the (well-spread) modes easily, the pretrain gate is set low enough to
@@ -45,6 +46,14 @@ def unbiasedness_at_one_thread(cfg):
     with open(res["paths"]["diag_unbiasedness"], "rb") as fh:
         csv = fh.read()
     return {"info": res["info"], "csv": csv, "seconds": seconds}
+
+
+def float64_twin(net):
+    """A float64 network with net's architecture and its weights, widened
+    exactly: the oracle for checks of a float32 network."""
+    twin = Network(net.arch)
+    twin.theta[:] = net.theta
+    return twin
 
 
 @contextlib.contextmanager

@@ -30,7 +30,7 @@ from cgru.rewards import (RewardSpec, assign_rewards, build_classifier_net,
 from cgru.toy import (build_toy, sample_toy_trajectories,
                       toy_analytic_gradient)
 
-from conftest import tiny_config
+from conftest import float64_twin, tiny_config
 
 RAW = EstimatorConfig(grad_max_norm=1e18)
 
@@ -90,16 +90,20 @@ def test_01_backward_matches_finite_differences():
         model.net, lambda: float((model.eps(x, 17, onehot) * v).sum()),
         grads, rng)
 
+    # the critic computes in float32; finite differences probe a float64
+    # twin of its weights, whose backward the float32 one is checked
+    # against in test_critic
     critic = pipeline._build_critic(cfg)
+    twin = float64_twin(critic.net)
     xc = rng.standard_normal((4, 2))
     ts = np.array([1, 10, 25, 50])
     w = rng.standard_normal((4, 1))
     inp, cond = critic.inputs(xc, onehot), critic.cond(ts, 4)
     tape = []
-    forward(critic.net, inp, cond, tape)
-    cgrads = backward(critic.net, w, tape)
+    forward(twin, inp, cond, tape)
+    cgrads = backward(twin, w, tape)
     worst["critic"] = _probe_net(
-        critic.net, lambda: float((forward(critic.net, inp, cond) * w).sum()),
+        twin, lambda: float((forward(twin, inp, cond) * w).sum()),
         cgrads, rng)
 
     clf = build_classifier_net(2, cfg.data.n_classes, cfg.classifier.hidden,

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from cgru import rng as rngmod
-from cgru.critic import (CriticBuffer, ablation_compare, build_critic,
+from cgru.critic import (Critic, CriticBuffer, ablation_compare, build_critic,
                          build_critic_buffer, critic_mse, critic_train,
                          critic_values, value_matrix)
 from cgru.diffusion import (build_eps_net, make_schedule, one_hot,
                             sample_trajectories)
+from cgru.nets import backward, forward
 from cgru.rewards import RewardSpec, assign_rewards
+
+from conftest import float64_twin
 
 
 def small_critic(T=10, K=4, idx=1):
@@ -46,15 +49,44 @@ def test_blind_critic_ignores_timestep():
     assert aware_reordered != aware
 
 
+def test_float32_critic_matches_its_float64_twin():
+    # the same weights and inputs through the float32 critic and through
+    # its float64 twin; float32 rounding (eps 1.2e-7) in three layers
+    # measured about 3e-7 of the largest entry, so 64 eps is the bound
+    critic = build_critic(2, 8, 50, rng=rngmod.stream(0, rngmod.PHASE_INIT, 1))
+    twin = float64_twin(critic.net)
+    assert critic.net.theta.dtype == np.float32
+    rng = rngmod.stream(0, rngmod.PHASE_DIAG, 40)
+    n = 256
+    inputs = critic.inputs(rng.standard_normal((n, 2)),
+                           one_hot(rng.integers(0, 8, n), 8))
+    cond = critic.cond(rng.integers(1, 51, n), n)
+    w = rng.standard_normal((n, 1))
+    tol = 64 * np.finfo(np.float32).eps
+    results = []
+    for net in (critic.net, twin):
+        tape = []
+        out = forward(net, inputs, cond, tape)
+        grads = backward(net, w, tape)
+        assert out.dtype == grads.dtype == net.theta.dtype
+        results.append((out, grads))
+    (out32, g32), (out64, g64) = results
+    assert np.abs(out32 - out64).max() <= tol * np.abs(out64).max()
+    assert np.abs(g32 - g64).max() <= tol * np.abs(g64).max()
+
+
 def test_value_matrix_matches_single_state_critic_values():
-    critic = small_critic()
+    # at float64, so that stacking is held to 1e-12 and not to float32's
+    # rounding; the float32 critic's stacks are compared bit for bit below
+    small = small_critic()
+    critic = Critic(float64_twin(small.net), T=10, n_classes=4, t_embed_dim=8)
     model = build_eps_net(2, 4, hidden=16, t_embed_dim=8,
                           rng=rngmod.stream(0, rngmod.PHASE_INIT), T=10)
     sched = make_schedule(10, 1e-4, 0.02)
     rollouts = sample_trajectories(model, [0, 1, 3], sched, 2,
                                    rngmod.PHASE_DIAG, first_index=31)
     values = value_matrix(critic, rollouts)
-    assert values.shape == (3, 10)
+    assert values.shape == (3, 10) and values.dtype == np.float64
     for i, k in enumerate((0, 1, 3)):
         for t in range(1, 11):
             x_t = rollouts.latents[i, 10 - t][None, :]
@@ -77,6 +109,7 @@ def test_value_matrix_has_the_bits_of_per_trajectory_calls(monkeypatch,
                                    make_schedule(T, 1e-4, 0.02), 4,
                                    rngmod.PHASE_DIAG)
     values = value_matrix(critic, rollouts)
+    assert critic.net.theta.dtype == np.float32 and values.dtype == np.float64
     ts = np.arange(T, 0, -1)
     for i, c in enumerate(rollouts.class_ids):
         want = critic_values(critic, rollouts.latents[i, :T],

@@ -457,6 +457,38 @@ def test_checkpoint_rejects_wrong_architecture(tmp_path):
         load_network(path, small_net(film=True))
 
 
+def test_float32_checkpoint_is_exact_and_float64_weights_are_refused(tmp_path):
+    critic = build_critic(2, 4, 10, hidden=16, t_embed_dim=8,
+                          rng=rngmod.stream(0, rngmod.PHASE_INIT, 1))
+    net = critic.net
+    assert net.theta.dtype == np.float32
+    twin = Network(net.arch)            # the same weights, widened
+    twin.theta[:] = net.theta
+    path, wide = tmp_path / "critic.ckpt", tmp_path / "twin.ckpt"
+    save_network(path, net)
+    save_network(wide, twin)
+    # the payload is <f8 and float32 widens into it exactly
+    assert path.read_bytes() == wide.read_bytes()
+    other = build_critic(2, 4, 10, hidden=16, t_embed_dim=8,
+                         rng=rngmod.stream(9, rngmod.PHASE_INIT, 1)).net
+    load_network(path, other)
+    assert other.theta.dtype == np.float32
+    assert other.theta.tobytes() == net.theta.tobytes()
+
+    # a float64 file, such as a critic written before the critic was
+    # float32, would be rounded by the narrowing: it is refused instead
+    twin.params["3.w"][0, 0] += 1e-12
+    save_network(wide, twin)
+    before = other.theta.copy()
+    with pytest.raises(CheckpointError, match=f"{wide}: tensor 3.w .*float32"):
+        load_network(wide, other)
+    assert np.array_equal(other.theta, before)
+    twin.params["3.w"][0, 0] = 1e300    # overflows float32
+    save_network(wide, twin)
+    with pytest.raises(CheckpointError, match="tensor 3.w"):
+        load_network(wide, other)
+
+
 def test_save_tensors_roundtrip_values(tmp_path):
     tensors = {
         "vec": np.array([3.5, -1.25]),
