@@ -57,6 +57,10 @@ from .rewards import (RewardSpec, assign_rewards, build_classifier_net,
 # at every logging point; training streams stay clear of these ranges
 _EVAL_FINAL_INDEX = 500_000
 _POLICY_TRAJ_STRIDE = 10_000
+# PHASE_CRITIC_BUFFER indices: the critic phase's buffer streams count up
+# from 0 and its class ids come from _CRITIC_CLASS_INDEX; the mid-run
+# refreshes' blocks of _REFRESH_TRAJ_STRIDE sit above both
+_CRITIC_CLASS_INDEX = 10**6
 _REFRESH_TRAJ_STRIDE = 100_000
 # the unlearn loop's gradient diagnostics and eval run on every fifth
 # iteration and the last; a constant, not a config key, so that the cadence
@@ -362,7 +366,8 @@ def _pretrain_phase(cfg: RunConfig) -> dict:
 def _critic_phase(cfg: RunConfig) -> dict:
     clf, model = load(cfg, "classifier"), load(cfg, "eps_base")
     sched = schedule(cfg)
-    ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_CRITIC_BUFFER, 10**6)
+    ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_CRITIC_BUFFER,
+                            _CRITIC_CLASS_INDEX)
     class_ids = mixture_class_ids(cfg, cfg.critic.n_traj, ctx_rng)
     buffer = build_critic_buffer(model, class_ids, reward_spec(cfg), clf,
                                  sched, cfg.seed)
@@ -453,7 +458,8 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
                                                 refresh_rng)
                 buf = build_critic_buffer(
                     model, refresh_ids, spec, clf, sched, cfg.seed,
-                    first_index=(it + 1) * _REFRESH_TRAJ_STRIDE)
+                    first_index=_CRITIC_CLASS_INDEX
+                    + (it + 1) * _REFRESH_TRAJ_STRIDE)
                 critic_train(critic, buf, epochs=cfg.policy.refresh_epochs,
                              batch_size=cfg.critic.batch_size, rng=refresh_rng,
                              lr=cfg.critic.lr)

@@ -3,11 +3,13 @@
 import csv
 import fcntl
 import hashlib
+import itertools
 import json
 import math
 import os
 import platform
 import re
+import shutil
 import signal
 import struct
 import subprocess
@@ -28,7 +30,7 @@ from cgru.rewards import RewardSpec, assign_rewards
 from cgru.errors import CheckpointError, LockError, MissingArtifact, PhaseFailure
 from cgru.metrics import feature_stats, frechet_distance
 
-from conftest import TINY_OVERRIDES, flock_held, tiny_config
+from conftest import TINY_OVERRIDES, default_config, flock_held, tiny_config
 
 
 def _digest(path):
@@ -325,6 +327,55 @@ def test_diag_gradients_walk_once_per_step(monkeypatch, method):
                                            for i in range(0, 16, 4)]))
     assert norm == pytest.approx(want_norm, rel=1e-12)
     assert var == pytest.approx(want_var, rel=1e-12)
+
+
+def test_critic_streams_are_disjoint_at_the_default_config(full_run, tmp_path,
+                                                          monkeypatch):
+    # the (phase, index) of every stream the critic phase opens and of
+    # every refresh buffer's trajectory and shuffle streams: no two share one
+    cfg = default_config(tmp_path)
+    for name in ("classifier", "eps_base"):
+        shutil.copy(pipeline.out_path(full_run[0], f"{name}.ckpt"), tmp_path)
+    keys, owner = {}, [None]
+    stream, streams = rngmod.stream, rngmod.streams
+
+    def record(phase, indices):
+        if owner[0] is not None:
+            keys.setdefault(owner[0], set()).update((phase, i) for i in indices)
+
+    def spy_stream(seed, phase, index=0):
+        record(phase, [index])
+        return stream(seed, phase, index)
+
+    def spy_streams(seed, phase, indices):
+        indices = list(indices)
+        record(phase, indices)
+        return streams(seed, phase, indices)
+
+    monkeypatch.setattr(rngmod, "stream", spy_stream)
+    monkeypatch.setattr(rngmod, "streams", spy_streams)
+    owner[0] = "critic phase"
+    pipeline._critic_phase(cfg)
+    owner[0] = None
+
+    build = pipeline.build_critic_buffer
+
+    def refresh_buffer(*args, first_index, **kwargs):
+        owner[0] = f"refresh at index {first_index}"
+        try:
+            return build(*args, first_index=first_index, **kwargs)
+        finally:
+            owner[0] = None
+
+    monkeypatch.setattr(pipeline, "build_critic_buffer", refresh_buffer)
+    # a refresh fit draws from refresh_rng, opened before the loop, and
+    # no stream of its own; skipping the fits saves most of the arm's time
+    monkeypatch.setattr(pipeline, "critic_train", lambda *args, **kw: [0.0])
+    pipeline._unlearn_phase(cfg, "cgru")
+    assert len(keys) == 1 + 16      # refreshes at iterations 3, 6, ..., 48
+    for a, b in itertools.combinations(sorted(keys), 2):
+        shared = keys[a] & keys[b]
+        assert not shared, (a, b, sorted(shared)[:3])
 
 
 def test_missing_artifacts_are_named(tmp_path):
