@@ -18,9 +18,10 @@ Layout, all little-endian:
 Writing the same tensors and provenance twice produces byte-identical
 files. A float32 tensor widens into the f64 payload exactly; loading into
 a network narrows each tensor back to its view's dtype and refuses one
-that does not survive that exactly. Output files go through `replacing`, so a failed write leaves the
-previous file as it was. There is no reader for version 1, which had no
-provenance: such a file is refused and must be written again.
+that does not survive that exactly. Output files go through `replacing`,
+so a failed write leaves the previous file as it was. There is no reader
+for version 1, which had no provenance: such a file is refused and must
+be written again.
 """
 
 import os

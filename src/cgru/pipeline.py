@@ -16,7 +16,6 @@ record and check the config sections each network depends on.
 from __future__ import annotations
 
 import csv
-import ctypes
 import dataclasses
 import fcntl
 import functools
@@ -647,24 +646,6 @@ _FULL_PHASES = {
 }
 
 
-_M_TOP_PAD = -2     # glibc's mallopt parameter number
-
-
-def _keep_heap_top() -> None:
-    """Have glibc malloc keep 64 MiB free at the top of the heap rather
-    than give it back, for the rest of the process; nothing on another C
-    library. The cgru arm's critic refreshes allocate and free thousands
-    of minibatch arrays of about 128 KiB, and with the default trim each
-    round trip faults its pages in again. The critic fit's large frees
-    used to raise glibc's trim threshold in this process; since the fit
-    runs in a child, that no longer happens here."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-        mallopt.restype = ctypes.c_int
-        mallopt(_M_TOP_PAD, 64 << 20)
-
-
 def _fork(fn, cfg: RunConfig) -> tuple:
     """Start fn(cfg) in a forked child; returns (pid, read end of a pipe).
 
@@ -766,7 +747,6 @@ def run_full(cfg: RunConfig) -> RunManifest:
         return record(name, result, time.perf_counter() - start)
 
     if run("classifier") and run("pretrain"):
-        _keep_heap_top()
         started = time.perf_counter()
         child = _fork(_FULL_PHASES["critic"], cfg)
         try:
