@@ -15,6 +15,8 @@ from cgru.nets import (Act, AdamState, Dense, Film, Network, adam_init,
                        init_network, sinusoidal_embed)
 from cgru.policy_grad import group_estimates
 
+from conftest import float64_twin
+
 
 def small_net(rng=None, film=False):
     if rng is None:
@@ -462,8 +464,7 @@ def test_float32_checkpoint_is_exact_and_float64_weights_are_refused(tmp_path):
                           rng=rngmod.stream(0, rngmod.PHASE_INIT, 1))
     net = critic.net
     assert net.theta.dtype == np.float32
-    twin = Network(net.arch)            # the same weights, widened
-    twin.theta[:] = net.theta
+    twin = float64_twin(net)
     path, wide = tmp_path / "critic.ckpt", tmp_path / "twin.ckpt"
     save_network(path, net)
     save_network(wide, twin)
