@@ -6,7 +6,8 @@ import pytest
 
 from cgru import pipeline
 from cgru.config import RunConfig, apply_overrides
-from cgru.diag import diag_unbiasedness
+from cgru.diag import (diag_ablation, diag_baseline_optimum,
+                       diag_unbiasedness, diag_variance)
 from cgru.nets import Network
 
 # Small budgets that still exercise every phase: the classifier separates
@@ -35,15 +36,21 @@ def default_config(out_dir):
     return apply_overrides(RunConfig(), [f"out_dir={out_dir}"])
 
 
-def unbiasedness_at_one_thread(cfg):
-    """diag unbiasedness at CGRU_THREADS=1: its info, the bytes of its CSV
-    and its elapsed seconds."""
+# the diag checks whose CSVs are pinned, by name: each writes
+# diag_<name>.csv into the run directory
+DIAGS = {"unbiasedness": diag_unbiasedness, "variance": diag_variance,
+         "baseline_optimum": diag_baseline_optimum, "ablation": diag_ablation}
+
+
+def diag_at_one_thread(name, cfg):
+    """diag `name` at CGRU_THREADS=1: its info, the bytes of its CSV and
+    its elapsed seconds."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("CGRU_THREADS", "1")
         start = time.monotonic()
-        res = diag_unbiasedness(cfg)
+        res = DIAGS[name](cfg)
         seconds = time.monotonic() - start
-    with open(res["paths"]["diag_unbiasedness"], "rb") as fh:
+    with open(res["paths"][f"diag_{name}"], "rb") as fh:
         csv = fh.read()
     return {"info": res["info"], "csv": csv, "seconds": seconds}
 
@@ -92,4 +99,11 @@ def full_run(tmp_path_factory):
 @pytest.fixture(scope="session")
 def unbiasedness_sweep(full_run):
     """diag unbiasedness on the default run, run once."""
-    return unbiasedness_at_one_thread(full_run[0])
+    return diag_at_one_thread("unbiasedness", full_run[0])
+
+
+@pytest.fixture(scope="session")
+def diag_runs(full_run):
+    """Every other diag check on the default run, each run once, by name."""
+    return {name: diag_at_one_thread(name, full_run[0])
+            for name in DIAGS if name != "unbiasedness"}

@@ -1,7 +1,7 @@
 """Write the byte pins that test_pins.py checks.
 
 Runs what the session fixtures run (the tiny and the default run_full,
-then diag unbiasedness on the default run) in a temporary directory, and
+then every diag check on the default run) in a temporary directory, and
 records the sha256 of every file under this machine's key in pins.json,
 keeping the other machines' keys. Run it from the repository root after
 a change that moves bits on purpose, and commit the diff it makes:
@@ -20,7 +20,7 @@ import numpy as np
 from cgru import pipeline
 from cgru import rng as rngmod
 
-from conftest import default_config, tiny_config, unbiasedness_at_one_thread
+from conftest import DIAGS, default_config, diag_at_one_thread, tiny_config
 
 PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pins.json")
 
@@ -37,11 +37,12 @@ def pins_key() -> str:
     return f"{np.__version__}/{core}"
 
 
-def run_digests(tiny, full, unbiasedness_csv: bytes) -> dict:
+def run_digests(tiny, full, diag_csvs: dict) -> dict:
     """The sha256 of each file, keyed "<run>/<file name>": the two runs'
-    from the manifests they returned, and the diag unbiasedness CSV's."""
-    digests = {"diag/diag_unbiasedness.csv":
-               hashlib.sha256(unbiasedness_csv).hexdigest()}
+    from the manifests they returned, and each diag check's CSV, given
+    as bytes by check name."""
+    digests = {f"diag/diag_{name}.csv": hashlib.sha256(csv).hexdigest()
+               for name, csv in diag_csvs.items()}
     for run, manifest in (("tiny", tiny), ("full", full)):
         for a in manifest.artifacts.values():
             digests[f"{run}/{os.path.basename(a['path'])}"] = a["sha256"]
@@ -53,13 +54,13 @@ def main():
         tiny = pipeline.run_full(tiny_config(os.path.join(tmp, "tiny")))
         cfg = default_config(os.path.join(tmp, "full"))
         full = pipeline.run_full(cfg)
-        csv = unbiasedness_at_one_thread(cfg)["csv"]
+        csvs = {name: diag_at_one_thread(name, cfg)["csv"] for name in DIAGS}
     pins = {}
     if os.path.exists(PINS):
         with open(PINS, encoding="utf-8") as fh:
             pins = json.load(fh)
     key = pins_key()
-    pins[key] = run_digests(tiny, full, csv)
+    pins[key] = run_digests(tiny, full, csvs)
     with open(PINS, "w", encoding="utf-8") as fh:
         json.dump(pins, fh, indent=2, sort_keys=True)
         fh.write("\n")
