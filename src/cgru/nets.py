@@ -4,21 +4,22 @@ Everything here operates on batches: inputs are (n, d) arrays, and
 forward also takes an (m, n, d) stack of batches that share one cond,
 with the bits of m separate calls. forward records each layer's cache on
 a tape (a list) when given one; backward walks that tape in reverse,
-without rerunning the network, for the gradient of <out_grad, forward(x)>
-summed over rows, for every parameter (not the input), as rows of a
-(G, P) array, one per contiguous row group: policy_grad's score walk
-uses the groups to get every coefficient term and row group from one
-forward pass per step, with rows chunked into rng.SHARD-wide shards by
-the caller. Architectures are small lists of layer descriptors. A
-network's P parameters live in one vector, theta, float64 unless the
-network is built with another dtype; net.params is a read-only mapping
-from "{layer_index}.{w|b|cw|cb}" to shaped views of it, in layer order.
-Inputs, conds, output gradients, gradient rows and Adam's moments take
-the dtype of theta.
+without rerunning the network, and writes the gradient of
+<out_grad, forward(x)> summed over rows, for every parameter (not the
+input), into rows of a (G, P) array, one per contiguous row group:
+policy_grad's score walk uses the groups to get every coefficient term
+and row group from one forward pass per step, with rows chunked into
+rng.SHARD-wide shards by the caller. Architectures are small sequences
+of layer descriptors, checked once when a Network is built, so forward
+checks only its caller's input and cond. A network's P parameters live
+in one vector, theta, float64 unless the network is built with another
+dtype; net.params is a read-only mapping from "{layer_index}.{w|b|cw|cb}"
+to shaped views of it, in layer order. Inputs, conds, output gradients,
+gradient rows and Adam's moments take the dtype of theta.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -57,7 +58,7 @@ class Film:
     cond_dim: int
 
 
-def _layout(arch: list):
+def _layout(arch):
     """(name, shape) of each parameter tensor, in theta's order."""
     for i, layer in enumerate(arch):
         if isinstance(layer, Dense):
@@ -68,13 +69,48 @@ def _layout(arch: list):
             yield f"{i}.cb", (2 * layer.features,)
 
 
+def _check_arch(arch) -> tuple:
+    """(n_in, n_out, cond_dim) of an architecture whose every dense and
+    film layer takes the width the layers before it give, and whose film
+    blocks share one cond width (cond_dim None: no film blocks)."""
+    if not arch:
+        raise ValueError("empty architecture")
+    n_in = width = cond_dim = None
+    for i, layer in enumerate(arch):
+        if isinstance(layer, Act):
+            continue
+        if isinstance(layer, Dense):
+            kind, takes, gives = "dense", layer.n_in, layer.n_out
+        elif isinstance(layer, Film):
+            kind, takes, gives = "film", layer.features, layer.features
+            if cond_dim not in (None, layer.cond_dim):
+                raise ShapeMismatch(f"layer {i}: film cond width {layer.cond_dim}, "
+                                    f"but an earlier film block's is {cond_dim}")
+            cond_dim = layer.cond_dim
+        else:
+            raise ValueError(f"layer {i}: unknown layer type {layer!r}")
+        if min(astuple(layer)) <= 0:
+            raise ShapeMismatch(f"layer {i}: non-positive {kind} dims {layer}")
+        if width is not None and width != takes:
+            raise ShapeMismatch(
+                f"layer {i}: {kind} expects {takes} features, got {width}")
+        n_in = takes if n_in is None else n_in
+        width = gives
+    if width is None:
+        raise ValueError("network has no dense or film layer")
+    return n_in, width, cond_dim
+
+
 class Network:
     """An architecture and its parameters, zero until written through theta
     or in place through a view; rebinding a name in params raises TypeError.
-    The network computes in the dtype of theta."""
+    The architecture is checked here, once, and kept as a tuple with its
+    n_in, n_out and cond_dim (None without film blocks). The network
+    computes in the dtype of theta."""
 
-    def __init__(self, arch: list, dtype=np.float64):
-        self.arch = list(arch)
+    def __init__(self, arch, dtype=np.float64):
+        self.arch = tuple(arch)
+        self.n_in, self.n_out, self.cond_dim = _check_arch(self.arch)
         shapes = dict(_layout(self.arch))
         ends = [0, *accumulate(math.prod(shape) for shape in shapes.values())]
         # each name's columns: its slice of theta and of a gradient row
@@ -84,47 +120,8 @@ class Network:
             name: self.theta[self._cols[name]].reshape(shape)
             for name, shape in shapes.items()})
 
-    @property
-    def n_in(self) -> int:
-        for layer in self.arch:
-            if isinstance(layer, Dense):
-                return layer.n_in
-        raise ValueError("network has no dense layer")
 
-    @property
-    def n_out(self) -> int:
-        for layer in reversed(self.arch):
-            if isinstance(layer, Dense):
-                return layer.n_out
-            if isinstance(layer, Film):
-                return layer.features
-        raise ValueError("network has no dense layer")
-
-
-def _check_arch(arch: list) -> None:
-    if not arch:
-        raise ValueError("empty architecture")
-    width = None
-    for i, layer in enumerate(arch):
-        if isinstance(layer, Dense):
-            if layer.n_in <= 0 or layer.n_out <= 0:
-                raise ShapeMismatch(f"layer {i}: non-positive dense dims {layer}")
-            if width is not None and width != layer.n_in:
-                raise ShapeMismatch(
-                    f"layer {i}: dense expects {layer.n_in} features, got {width}")
-            width = layer.n_out
-        elif isinstance(layer, Film):
-            if layer.features <= 0 or layer.cond_dim <= 0:
-                raise ShapeMismatch(f"layer {i}: non-positive film dims {layer}")
-            if width is not None and width != layer.features:
-                raise ShapeMismatch(
-                    f"layer {i}: film expects {layer.features} features, got {width}")
-            width = layer.features
-        elif not isinstance(layer, Act):
-            raise ValueError(f"layer {i}: unknown layer type {layer!r}")
-
-
-def init_network(arch: list, rng: np.random.Generator,
+def init_network(arch, rng: np.random.Generator,
                  dtype=np.float64) -> Network:
     """Build a network with scaled-uniform dense weights and zero biases.
 
@@ -133,9 +130,8 @@ def init_network(arch: list, rng: np.random.Generator,
     Film conditioning maps start at the identity modulation: the scale
     half of the bias is 1 so an untrained block passes features through.
     """
-    _check_arch(arch)
     net = Network(arch, dtype)
-    for i, layer in enumerate(arch):
+    for i, layer in enumerate(net.arch):
         if isinstance(layer, Dense):
             s = math.sqrt(6.0 / (layer.n_in + layer.n_out))
             net.params[f"{i}.w"][...] = rng.uniform(-s, s, (layer.n_in, layer.n_out))
@@ -147,13 +143,6 @@ def init_network(arch: list, rng: np.random.Generator,
     return net
 
 
-def _as_batch(x, dtype) -> Array:
-    x = np.asarray(x, dtype=dtype)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D (n, d) batch, got shape {x.shape}")
-    return x
-
-
 def _softmax(z: Array) -> Array:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -161,7 +150,8 @@ def _softmax(z: Array) -> Array:
 
 
 def _run(net: Network, x: Array, cond, tape: list | None = None):
-    """Forward walk; appends each layer's cache to `tape` if given.
+    """Forward walk over inputs and a cond that forward has checked;
+    appends each layer's cache to `tape` if given.
 
     Each dense and film layer builds its output in one fresh array (the
     bias or shift is added in place), and tanh overwrites its input when
@@ -170,9 +160,6 @@ def _run(net: Network, x: Array, cond, tape: list | None = None):
     owned = False       # x is this walk's own array and no tape entry holds it
     for i, layer in enumerate(net.arch):
         if isinstance(layer, Dense):
-            if x.shape[-1] != layer.n_in:
-                raise ShapeMismatch(
-                    f"layer {i}: dense expects {layer.n_in} features, got {x.shape[-1]}")
             record(("dense", i, x))
             x = x @ net.params[f"{i}.w"]
             x += net.params[f"{i}.b"]
@@ -186,15 +173,6 @@ def _run(net: Network, x: Array, cond, tape: list | None = None):
                 record(("softmax", i, x))
             owned = tape is None
         else:  # Film
-            if cond is None:
-                raise ShapeMismatch(f"layer {i}: film block needs a cond input")
-            if cond.shape != (x.shape[-2], layer.cond_dim):
-                raise ShapeMismatch(
-                    f"layer {i}: cond shape {cond.shape} does not match "
-                    f"({x.shape[-2]}, {layer.cond_dim})")
-            if x.shape[-1] != layer.features:
-                raise ShapeMismatch(
-                    f"layer {i}: film expects {layer.features} features, got {x.shape[-1]}")
             g = cond @ net.params[f"{i}.cw"] + net.params[f"{i}.cb"]
             scale, shift = g[:, :layer.features], g[:, layer.features:]
             record(("film", i, (x, scale, cond)))
@@ -226,15 +204,19 @@ def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
     x = np.asarray(x, dtype=net.theta.dtype)
     if x.ndim == 3 and tape is not None:
         raise ValueError("a stack of batches cannot be recorded on a tape")
-    if x.ndim not in (2, 3):
-        raise ShapeMismatch(
-            f"expected an (n, d) batch or (m, n, d) stack, got shape {x.shape}")
-    if any(isinstance(layer, Film) for layer in net.arch):
-        if cond is None:
-            raise ShapeMismatch("network has film blocks but no cond was given")
-        cond = _as_batch(cond, net.theta.dtype)
-    elif cond is not None:
-        raise ShapeMismatch("network has no film blocks but cond was given")
+    if x.ndim not in (2, 3) or x.shape[-1] != net.n_in:
+        raise ShapeMismatch(f"expected an (n, {net.n_in}) batch or "
+                            f"(m, n, {net.n_in}) stack, got shape {x.shape}")
+    if net.cond_dim is None:
+        if cond is not None:
+            raise ShapeMismatch("network has no film blocks but cond was given")
+    elif cond is None:
+        raise ShapeMismatch("network has film blocks but no cond was given")
+    else:
+        cond = np.asarray(cond, dtype=net.theta.dtype)
+        if cond.shape != (x.shape[-2], net.cond_dim):
+            raise ShapeMismatch(f"cond shape {cond.shape} does not match "
+                                f"({x.shape[-2]}, {net.cond_dim})")
     out = _run(net, x, cond, tape)
     if not np.isfinite(out).all():
         raise Divergence("non-finite values in network output")
@@ -249,51 +231,44 @@ def backward(net: Network, out_grad, tape: list, bounds=None,
     walk is not run again. cond is treated as data, not a parameter, but
     the film conditioning weights do receive gradients. bounds are G + 1
     rising row boundaries from 0 to the row count (None: one group). The
-    sum over rows bounds[k]:bounds[k+1] is added into row k of `out`, a
-    (G, P) array in theta's layout (None: zeros), which is returned. With
-    no `out` and one group, each product is written straight into its
-    columns of a fresh row instead, with the same bits.
+    sum over rows bounds[k]:bounds[k+1] is written into row k of `out`, a
+    C-contiguous (G, P) array of theta's dtype in theta's layout (None: a
+    new one), which is returned. The walk reaches every parameter once,
+    so every entry of `out` is written and none is read.
     """
     if not tape:
         raise ValueError("backward needs the tape of a forward call")
-    g = _as_batch(out_grad, net.theta.dtype)
-    if g.shape[1] != net.n_out:
-        raise ShapeMismatch(f"out_grad width {g.shape[1]} != output width {net.n_out}")
     kind, _, cache = tape[0]
     rows = (cache[0] if kind == "film" else cache).shape[0]
-    if g.shape[0] != rows:
-        raise ShapeMismatch(f"out_grad rows {g.shape[0]} != input rows {rows}")
+    g = np.asarray(out_grad, dtype=net.theta.dtype)
+    if g.shape != (rows, net.n_out):
+        raise ShapeMismatch(f"out_grad shape {g.shape} != {(rows, net.n_out)}")
     bounds = [0, rows] if bounds is None else [int(b) for b in bounds]
     if bounds[0] != 0 or bounds[-1] != rows \
             or any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"bounds must rise strictly from 0 to {rows}")
     segments = list(enumerate(zip(bounds[:-1], bounds[1:])))
-    # the walk reaches every parameter once, so one group's row is filled
-    direct = out is None and len(segments) == 1
+    shape = (len(segments), net.theta.size)
     if out is None:
-        out = (np.empty if direct else np.zeros)((len(segments), net.theta.size),
-                                                 net.theta.dtype)
-    elif out.shape != (len(segments), net.theta.size):
-        raise ShapeMismatch(
-            f"out shape {out.shape} != {(len(segments), net.theta.size)}")
+        out = np.empty(shape, net.theta.dtype)
+    elif out.shape != shape or out.dtype != net.theta.dtype \
+            or not out.flags.c_contiguous:
+        raise ShapeMismatch(f"out must be a C-contiguous {shape} array of "
+                            f"{net.theta.dtype}, got {out.shape} {out.dtype}")
 
-    def add(name, x, dy):           # x None: a bias, summed over rows
-        cols = net._cols[name]
-        if direct:
-            view = out[0, cols].reshape(net.params[name].shape)
-            if x is None:
-                np.sum(dy, axis=0, out=view)
-            else:
-                np.matmul(x.T, dy, out=view)
-            return
+    def write(name, x, dy):         # x None: a bias, summed over rows
+        cols, shape = net._cols[name], net.params[name].shape
         for k, (a, b) in segments:
-            out[k, cols] += dy[a:b].sum(axis=0) if x is None \
-                else (x[a:b].T @ dy[a:b]).ravel()
+            view = out[k, cols].reshape(shape)
+            if x is None:
+                np.sum(dy[a:b], axis=0, out=view)
+            else:
+                np.matmul(x[a:b].T, dy[a:b], out=view)
 
     for kind, i, cache in reversed(tape):
         if kind == "dense":
-            add(f"{i}.w", cache, g)
-            add(f"{i}.b", None, g)
+            write(f"{i}.w", cache, g)
+            write(f"{i}.b", None, g)
             if i:  # no layer reads the gradient of the network input
                 g = g @ net.params[f"{i}.w"].T
         elif kind == "tanh":
@@ -304,8 +279,8 @@ def backward(net: Network, out_grad, tape: list, bounds=None,
         else:  # film
             feat, scale, cond = cache
             dg = np.concatenate([g * feat, g], axis=1)
-            add(f"{i}.cw", cond, dg)
-            add(f"{i}.cb", None, dg)
+            write(f"{i}.cw", cond, dg)
+            write(f"{i}.cb", None, dg)
             g = g * scale
     return out
 

@@ -138,6 +138,7 @@ def group_estimates(rollouts: Rollouts, model, values: Array | None,
         # building the blocks checks rewards and values, before any forward
         blocks = [weights(rollouts, values, lo, hi) for weights, _ in terms]
         flat = np.zeros((len(terms), g1 - g0, model.net.theta.size))
+        scratch = np.empty(flat.shape[1:], model.net.theta.dtype)
         clips = [0] * len(terms)
         for t in steps:
             xt = lat[lo:hi, T - t]
@@ -156,8 +157,8 @@ def group_estimates(rollouts: Rollouts, model, values: Array | None,
                         logp_new, rollouts.logp[lo:hi, t - 1], cfg)
                     clips[k] += nclip
                     weights = w * weights
-                backward(model.net, score * (weights / size)[:, None], tape,
-                         local, flat[k])
+                flat[k] += backward(model.net, score * (weights / size)[:, None],
+                                    tape, local, scratch)
         return g0, flat, clips
 
     total = np.zeros((len(terms), len(bounds) - 1, model.net.theta.size))

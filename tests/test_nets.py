@@ -206,20 +206,50 @@ def test_grouped_backward_sums_each_row_group(bounds):
     tape = []
     forward(net, x, cond, tape)
     G = len(bounds) - 1
+    # every entry of the caller's out is overwritten, none is added to
     out = np.ones((G, net.theta.size))
     assert backward(net, out_grad, tape, bounds, out) is out
     for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         seg = []
         forward(net, x[a:b], cond[a:b], seg)
         want = backward(net, out_grad[a:b], seg)
-        assert np.allclose(out[k] - 1.0, want[0], rtol=1e-12, atol=1e-14), k
+        assert np.allclose(out[k], want[0], rtol=1e-12, atol=1e-14), k
     if G == 1:      # no bounds is the one-group call, bit for bit
-        assert np.array_equal(backward(net, out_grad, tape),
-                              backward(net, out_grad, tape, bounds))
+        assert np.array_equal(backward(net, out_grad, tape), out)
     with pytest.raises(ValueError, match="bounds"):
         backward(net, out_grad, tape, [0, 3, 3, rows], out)
-    with pytest.raises(ShapeMismatch):
-        backward(net, out_grad, tape, bounds, np.zeros((G + 1, net.theta.size)))
+    for bad in (np.zeros((G + 1, net.theta.size)),
+                np.zeros((G, net.theta.size), np.float32),
+                np.zeros((G, 2 * net.theta.size))[:, ::2]):
+        with pytest.raises(ShapeMismatch):
+            backward(net, out_grad, tape, bounds, bad)
+
+
+def test_an_inconsistent_architecture_is_refused_when_built():
+    # no forward call could run any of these
+    two_conds = [Dense(2, 4), Film(4, 3), Act("tanh"), Dense(4, 4), Film(4, 5)]
+    for arch, match in (([Dense(2, 3), Dense(4, 1)], "layer 1: dense expects 4"),
+                        ([Dense(2, 3), Film(4, 2)], "layer 1: film expects 4"),
+                        ([Dense(2, 0)], "non-positive"),
+                        ([Film(2, 0)], "non-positive"),
+                        (two_conds, "layer 4: film cond width 5.* is 3")):
+        with pytest.raises(ShapeMismatch, match=match):
+            Network(arch)
+    with pytest.raises(ShapeMismatch, match="cond width"):
+        init_network(two_conds, rngmod.stream(7, rngmod.PHASE_INIT, 14))
+    for arch in ([], [Act("tanh")]):
+        with pytest.raises(ValueError):
+            Network(arch)
+    net = Network([Act("tanh"), Dense(3, 5), Film(5, 4), Act("tanh"),
+                   Dense(5, 2), Film(2, 4)])
+    assert (net.n_in, net.n_out, net.cond_dim) == (3, 2, 4)
+    assert isinstance(net.arch, tuple)
+    assert small_net().cond_dim is None
+    # forward checks the caller's input against the built widths
+    with pytest.raises(ShapeMismatch, match="got shape"):
+        forward(net, np.zeros((2, 4)), np.zeros((2, 4)))
+    with pytest.raises(ShapeMismatch, match="cond shape"):
+        forward(net, np.zeros((2, 3)), np.zeros((2, 5)))
 
 
 def test_film_block_oracle():
@@ -300,10 +330,30 @@ def _old_adam_step(state, theta, grad):
     theta -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
 
 
+def _reference_gradient(net, tape, out_grad):
+    """backward's one-group row as out-of-place products over a tape of
+    _reference_walk, joined in theta's order."""
+    grads, g = {}, out_grad
+    for kind, i, cache in reversed(tape):
+        if kind == "dense":
+            grads[f"{i}.w"], grads[f"{i}.b"] = cache.T @ g, g.sum(axis=0)
+            g = g @ net.params[f"{i}.w"].T
+        elif kind == "tanh":
+            g = g * (1.0 - cache * cache)
+        elif kind == "softmax":
+            g = cache * (g - (g * cache).sum(axis=1, keepdims=True))
+        else:
+            feat, scale, cond = cache
+            dg = np.concatenate([g * feat, g], axis=1)
+            grads[f"{i}.cw"], grads[f"{i}.cb"] = cond.T @ dg, dg.sum(axis=0)
+            g = g * scale
+    return np.concatenate([grads[name].ravel() for name in net.params])
+
+
 @pytest.mark.parametrize("film", [True, False])
 def test_one_group_gradient_and_adam_keep_the_old_bits(film):
-    # backward's direct writes against the += row it fills for a caller's
-    # zeros, and in-place Adam against the old expressions, over 3 steps
+    # backward's writes against out-of-place products over the reference
+    # walk's tape, and in-place Adam against the old expressions, over 3 steps
     if film:
         net = small_net(film=True)
     else:
@@ -317,15 +367,15 @@ def test_one_group_gradient_and_adam_keep_the_old_bits(film):
         x = rng.standard_normal((33, net.n_in))
         cond = rng.standard_normal((33, 4)) if film else None
         out_grad = rng.standard_normal((33, net.n_out))
-        tape, ref_tape = [], []
+        tape = []
         forward(net, x, cond, tape)
-        forward(ref, x, cond, ref_tape)
         grad = backward(net, out_grad, tape)
-        want = backward(ref, out_grad, ref_tape,
-                        out=np.zeros((1, ref.theta.size)))
-        assert grad.tobytes() == want.tobytes()
+        want = _reference_gradient(ref, _reference_walk(ref, x, cond)[1],
+                                   out_grad)
+        assert grad.shape == (1, net.theta.size)
+        assert grad[0].tobytes() == want.tobytes()
         adam_step(opt, net.theta, grad[0])
-        _old_adam_step(ref_opt, ref.theta, want[0])
+        _old_adam_step(ref_opt, ref.theta, want)
         for a, b in ((net.theta, ref.theta), (opt.m, ref_opt.m),
                      (opt.v, ref_opt.v)):
             assert a.tobytes() == b.tobytes()
