@@ -8,7 +8,7 @@ Layout, all little-endian:
     bytes  utf-8 provenance: the sorted "key = value" config lines the
            tensors were produced under, joined by newlines
     u32    tensor count
-    per tensor:
+    per tensor, each name once:
         u32    name length in bytes
         bytes  utf-8 name
         u64    rank
@@ -24,6 +24,7 @@ for version 1, which had no provenance: such a file is refused and must
 be written again.
 """
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -103,9 +104,12 @@ def load_tensors(path) -> tuple:
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
         name = text(name_len, "tensor name")
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name} is listed twice")
         (rank,) = struct.unpack("<Q", take(8))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank)) if rank else ()
-        size = int(np.prod(dims)) if dims else 1
+        # a Python int: a header's dims cannot wrap to a small size
+        size = math.prod(dims)
         data = np.frombuffer(take(8 * size), dtype="<f8").reshape(dims)
         tensors[name] = data.astype(np.float64)
     if off != len(blob):

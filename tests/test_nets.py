@@ -1,11 +1,14 @@
 """Layer math, backprop-vs-finite-difference, Adam, and checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from cgru import nets
 from cgru import rng as rngmod
-from cgru.checkpoint import load_network, load_tensors, save_network, save_tensors
+from cgru.checkpoint import (MAGIC, VERSION, load_network, load_tensors,
+                             save_network, save_tensors)
 from cgru.critic import CriticBuffer, build_critic, critic_train
 from cgru.diffusion import (Rollouts, build_eps_net, ddpm_loss_and_grads,
                             make_schedule)
@@ -480,6 +483,31 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad_name.write_bytes(blob[:20] + b"\xff" + blob[21:])
     with pytest.raises(CheckpointError, match=f"{bad_name}.*utf-8"):
         load_tensors(bad_name)
+
+
+def _raw_checkpoint(path, tensors):
+    """A file with no provenance holding the (name, dims, payload) entries
+    as given, however its header reads."""
+    blob = MAGIC + struct.pack("<III", VERSION, 0, len(tensors))
+    for name, dims, payload in tensors:
+        blob += struct.pack("<I", len(name)) + name.encode()
+        blob += struct.pack(f"<Q{len(dims)}Q", len(dims), *dims)
+        blob += np.asarray(payload, "<f8").tobytes()
+    path.write_bytes(blob)
+    return path
+
+
+def test_checkpoint_refuses_a_header_it_cannot_hold(tmp_path):
+    ok = _raw_checkpoint(tmp_path / "ok.ckpt", [("0.w", (1, 2), [1.0, 2.0])])
+    assert np.array_equal(load_tensors(ok)[1]["0.w"], [[1.0, 2.0]])
+    # dims whose product wraps to 0 in int64
+    huge = _raw_checkpoint(tmp_path / "huge.ckpt", [("0.w", (2**32, 2**32), [])])
+    with pytest.raises(CheckpointError, match=f"{huge}: truncated"):
+        load_tensors(huge)
+    twice = _raw_checkpoint(tmp_path / "twice.ckpt", [
+        ("0.w", (1, 2), [1.0, 2.0]), ("0.w", (1, 2), [9.0, 2.0])])
+    with pytest.raises(CheckpointError, match=f"{twice}: tensor 0.w is listed twice"):
+        load_tensors(twice)
 
 
 def test_checkpoint_refuses_other_provenance(tmp_path):
