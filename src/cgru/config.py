@@ -18,7 +18,8 @@ import typing
 from dataclasses import dataclass, field
 
 from .checkpoint import replacing
-from .errors import ConfigError
+from .diffusion import make_schedule
+from .errors import ConfigError, ScheduleError
 from .policy_grad import EstimatorConfig
 from .rewards import REWARD_KINDS
 
@@ -150,8 +151,11 @@ def validate(cfg: RunConfig) -> RunConfig:
                 "pretrain.target_acc", "classifier.target_acc"):
         if not 0 < flat[key] <= 1:
             raise ConfigError(f"{key} must lie in (0, 1]")
-    if not 0 < cfg.diffusion.beta_start <= cfg.diffusion.beta_end < 1:
-        raise ConfigError("need 0 < diffusion.beta_start <= beta_end < 1")
+    try:
+        make_schedule(cfg.diffusion.T, cfg.diffusion.beta_start,
+                      cfg.diffusion.beta_end)
+    except ScheduleError as exc:
+        raise ConfigError(f"diffusion schedule: {exc}") from None
     if cfg.data.n_classes < 2:
         raise ConfigError("data.n_classes must be >= 2: one class is "
                           "forgotten and at least one retained")

@@ -54,6 +54,9 @@ class NoiseSchedule:
 
 
 def schedule_from_betas(betas) -> NoiseSchedule:
+    """The schedule of betas[k] = beta_{k+1}. Every reverse step divides by
+    sqrt(1 - alpha_bar_t), so a beta_1 so small that alpha_bar_1 rounds to
+    1 is refused here, before any step runs."""
     betas = np.asarray(betas, dtype=np.float64)
     if betas.ndim != 1 or len(betas) < 1:
         raise ScheduleError("betas must be a non-empty 1-D array")
@@ -61,6 +64,9 @@ def schedule_from_betas(betas) -> NoiseSchedule:
         raise ScheduleError("every beta must lie strictly inside (0, 1)")
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
+    if alpha_bars[0] >= 1.0:        # alpha_bar_t only falls with t
+        raise ScheduleError(f"degenerate schedule: beta_1 = {betas[0]!r} "
+                            "leaves alpha_bar_1 at 1")
     return NoiseSchedule(betas=betas, alphas=alphas, alpha_bars=alpha_bars,
                          sigmas=np.sqrt(betas))
 
@@ -208,11 +214,8 @@ def reverse_mean(model, x_t: Array, t: int, onehot: Array,
     """Posterior mean mu_theta(x_t, c, t) of the reverse Gaussian kernel.
 
     `tape` records the eps network's forward walk for nets.backward."""
-    one_minus = 1.0 - sched.alpha_bar(t)
-    if one_minus <= 1e-300:
-        raise ScheduleError(f"degenerate schedule at t={t}: alpha_bar is 1")
+    coef = sched.beta(t) / math.sqrt(1.0 - sched.alpha_bar(t))
     eps = model.eps(x_t, t, onehot, tape)
-    coef = sched.beta(t) / math.sqrt(one_minus)
     return (x_t - coef * eps) / math.sqrt(sched.alpha(t))
 
 

@@ -240,6 +240,9 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
         ("classifier", ["data.n_classes=2", "policy.eval_per_class=1"],
          "policy.eval_per_class"),
         ("classifier", ["data.stddev=0"], "data.stddev"),
+        # every alpha_bar rounds to 1: no reverse step could run
+        ("full", ["diffusion.beta_start=1e-300", "diffusion.beta_end=1e-300"],
+         "degenerate schedule"),
         # each fails as the override builds the estimator section
         ("unlearn", ["estimator.clip_low=2"], "clip_low"),
         ("unlearn", ["estimator.grad_max_norm=0"], "grad_max_norm"),

@@ -53,6 +53,8 @@ def test_schedule_rejects_degenerate():
         make_schedule(10, 1e-4, 1.0)
     with pytest.raises(ScheduleError):
         schedule_from_betas([])
+    with pytest.raises(ScheduleError, match="alpha_bar_1"):
+        make_schedule(10, 1e-300, 1e-300)
 
 
 def test_q_sample_matches_iterated_one_step_corruption():
