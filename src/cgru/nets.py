@@ -257,9 +257,9 @@ def backward(net: Network, out_grad, tape: list, bounds=None,
                             f"{net.theta.dtype}, got {out.shape} {out.dtype}")
 
     def write(name, x, dy):         # x None: a bias, summed over rows
-        cols, shape = net._cols[name], net.params[name].shape
+        cols = net._cols[name]
         for k, (a, b) in segments:
-            view = out[k, cols].reshape(shape)
+            view = out[k, cols].reshape(net.params[name].shape)
             if x is None:
                 np.sum(dy[a:b], axis=0, out=view)
             else:
