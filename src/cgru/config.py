@@ -213,26 +213,29 @@ def _parse_value(text: str, typ: type, key: str):
     raise ConfigError(f"unsupported field type {typ} for key {key}")
 
 
+def _leaf_types() -> tuple:
+    """The annotated type of every dotted leaf key, and the section names."""
+    types, sections = {}, set()
+    for name, typ in typing.get_type_hints(RunConfig).items():
+        if not dataclasses.is_dataclass(typ):
+            types[name] = typ
+            continue
+        sections.add(name)
+        for sub, sub_typ in typing.get_type_hints(typ).items():
+            types[f"{name}.{sub}"] = sub_typ
+    return types, sections
+
+
+_LEAF_TYPES, _SECTIONS = _leaf_types()
+
+
 def _leaf_type(key: str) -> type:
     """Resolve the annotated type of a dotted key, or raise ConfigError."""
-    parts = key.split(".")
-    hints = typing.get_type_hints(RunConfig)
-    if parts[0] not in hints:
+    if key in _SECTIONS:
+        raise ConfigError(f"{key!r} is a section, not a value")
+    if key not in _LEAF_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
-    if len(parts) == 1:
-        typ = hints[parts[0]]
-        if dataclasses.is_dataclass(typ):
-            raise ConfigError(f"{key!r} is a section, not a value")
-        return typ
-    if len(parts) != 2:
-        raise ConfigError(f"unknown config key {key!r}")
-    section = hints[parts[0]]
-    if not dataclasses.is_dataclass(section):
-        raise ConfigError(f"unknown config key {key!r}")
-    sub_hints = typing.get_type_hints(section)
-    if parts[1] not in sub_hints:
-        raise ConfigError(f"unknown config key {key!r}")
-    return sub_hints[parts[1]]
+    return _LEAF_TYPES[key]
 
 
 def _set_key(cfg: RunConfig, key: str, raw: str) -> RunConfig:

@@ -1,11 +1,12 @@
 """End-to-end orchestration of the unlearning experiment.
 
 Phases run in dependency order: classifier -> pretrain -> critic ->
-unlearn (one run per method) -> eval; `run_full` fits the critic in a
-forked child while it runs the ddpo arm, which needs no critic. Every
-phase reads only declared checkpoint artifacts plus the config,
-re-derives its random streams from the master seed, and writes its
-outputs under cfg.out_dir, so reruns with an identical config are
+unlearn (one run per method) -> eval. `run_full` fits the classifier in
+a forked child while it pretrains, up to pretrain's first gate check,
+and the critic in another while it runs the ddpo arm, which needs no
+critic. Every phase reads only declared checkpoint artifacts plus the
+config, re-derives its random streams from the master seed, and writes
+its outputs under cfg.out_dir, so reruns with an identical config are
 byte-identical. A kernel lock on one file serializes runs that share an
 output directory.
 
@@ -246,15 +247,6 @@ def mixture_class_ids(cfg: RunConfig, n: int,
     return out
 
 
-def _classify_samples(cfg: RunConfig, model, clf, sched, class_ids,
-                      first_index: int) -> tuple:
-    """Sample one trajectory per class id from the eval streams; returns
-    the terminal samples and the classifier's label for each."""
-    x0 = sample_trajectories(model, class_ids, sched, cfg.seed,
-                             rngmod.PHASE_EVAL, first_index=first_index).x0
-    return x0, classifier_predict(clf, x0)
-
-
 def _per_class_accuracy(class_ids: np.ndarray, labels: np.ndarray) -> dict:
     """For each class present, the fraction of its samples labeled as it."""
     return {int(k): float((labels[class_ids == k] == k).mean())
@@ -274,8 +266,9 @@ def _eval_model(cfg: RunConfig, model, clf, sched, n_forget: int,
     retain = [k for k in range(cfg.data.n_classes) if k != target]
     class_ids = np.concatenate([np.full(n_forget, target, dtype=np.int64),
                                 np.repeat(retain, n_retain_each)])
-    x0, labels = _classify_samples(cfg, model, clf, sched, class_ids,
-                                   first_index)
+    x0 = sample_trajectories(model, class_ids, sched, cfg.seed,
+                             rngmod.PHASE_EVAL, first_index=first_index).x0
+    labels = classifier_predict(clf, x0)
     per_class = _per_class_accuracy(class_ids[n_forget:], labels[n_forget:])
     fd = frechet_distance(feature_stats(retain_reference),
                           feature_stats(x0[n_forget:]))
@@ -318,8 +311,14 @@ def _classifier_phase(cfg: RunConfig) -> dict:
     return {"paths": paths, "info": {"holdout_accuracy": acc}}
 
 
-def _pretrain_phase(cfg: RunConfig) -> dict:
-    clf = load(cfg, "classifier")
+def _pretrain_phase(cfg: RunConfig, classifier=None) -> dict:
+    """Train the denoiser until every class passes the classifier's gate.
+
+    Without `classifier` the classifier is loaded before the first step;
+    `run_full` passes a callable that returns it instead, which is called
+    at the first gate check, once that check's samples are drawn.
+    """
+    clf = load(cfg, "classifier") if classifier is None else None
     X, y = _dataset(cfg)
     split = cfg.data.n_samples - cfg.data.holdout
     sched = schedule(cfg)
@@ -337,9 +336,12 @@ def _pretrain_phase(cfg: RunConfig) -> dict:
         if step % cfg.pretrain.eval_every == 0 or step == cfg.pretrain.max_steps:
             class_ids = np.repeat(np.arange(cfg.data.n_classes),
                                   cfg.pretrain.eval_per_class)
-            _, labels = _classify_samples(cfg, model, clf, sched, class_ids,
-                                          first_index=step * 10_000)
-            accs = _per_class_accuracy(class_ids, labels)
+            x0 = sample_trajectories(model, class_ids, sched, cfg.seed,
+                                     rngmod.PHASE_EVAL,
+                                     first_index=step * 10_000).x0
+            if clf is None:
+                clf = classifier()
+            accs = _per_class_accuracy(class_ids, classifier_predict(clf, x0))
             acc_rows.append((step, *[accs[k] for k in sorted(accs)]))
             if min(accs.values()) >= cfg.pretrain.target_acc:
                 break
@@ -637,7 +639,7 @@ run_report = locked_run(_report_phase)
 # when it runs, so a replaced phase function takes effect
 _FULL_PHASES = {
     "classifier": lambda cfg: _classifier_phase(cfg),
-    "pretrain": lambda cfg: _pretrain_phase(cfg),
+    "pretrain": lambda cfg, classifier: _pretrain_phase(cfg, classifier),
     "critic": lambda cfg: _critic_phase(cfg),
     "unlearn_cgru": lambda cfg: _unlearn_phase(cfg, "cgru"),
     "unlearn_ddpo": lambda cfg: _unlearn_phase(cfg, "ddpo"),
@@ -652,7 +654,9 @@ def _fork(fn, cfg: RunConfig) -> tuple:
     The child sends (result or exception, seconds, peak RSS in MB) down
     the pipe as one pickle, then leaves by os._exit, so no finally block
     or exit handler of the caller's frames runs in it: it keeps the
-    inherited lock fd until it exits and never truncates `.lock`.
+    inherited lock fd until it exits and never truncates `.lock`. An
+    interrupt ends it quietly with status 130; the parent, which gets
+    the same Ctrl-C, reports it.
     """
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -674,6 +678,8 @@ def _fork(fn, cfg: RunConfig) -> tuple:
         with open(write_fd, "wb") as fh:
             fh.write(blob)
         code = 0
+    except KeyboardInterrupt:
+        code = 128 + signal.SIGINT
     except BaseException:
         traceback.print_exc()
     finally:
@@ -708,20 +714,56 @@ def _join(pid: int, read_fd: int, started: float) -> tuple:
             time.perf_counter() - started, None)
 
 
+@contextmanager
+def _forked(fn, cfg: RunConfig):
+    """Run fn(cfg) in a `_fork` child beside the block, which gets `join`.
+
+    The first call of join() waits for the child and returns what it sent
+    (`_join`) plus the seconds it waited; later calls return the same.
+    The block must join before it ends; one left by an exception kills
+    and reaps a child it has not joined.
+    """
+    started = time.perf_counter()
+    pid, read_fd = _fork(fn, cfg)
+    sent = None
+
+    def join() -> tuple:
+        nonlocal sent
+        if sent is None:
+            sent = ()       # _join reaps the child even when it raises
+            waited = time.perf_counter()
+            sent = (*_join(pid, read_fd, started),
+                    round(time.perf_counter() - waited, 3))
+        return sent
+
+    try:
+        yield join
+    except BaseException:
+        if sent is None:
+            os.kill(pid, signal.SIGKILL)
+            join()
+        raise
+
+
 @locked_run
 def run_full(cfg: RunConfig) -> RunManifest:
     """All phases; the manifest records the BLAS, artifacts, timings, each
     finished phase's info (gates, steps, buffer sizes, final metrics) and
     a failing phase's error as "<ExceptionType>: <message>".
 
-    After pretrain the critic phase runs in a forked child while this
+    The classifier is fit in a forked child while this process pretrains,
+    which needs the classifier only at its first gate check; there it
+    waits for the child and loads its checkpoint. A failed classifier
+    stops pretraining there, and only the classifier is recorded. After
+    pretrain the critic phase runs in a second forked child while this
     process runs the ddpo arm (unlearn, then eval), which does not need
     the critic; then the cgru arm runs, if no phase has failed. A
     critic failure leaves the ddpo arm running, and a ddpo failure still
     waits for the critic. Every phase that ran is recorded, and the first
-    failure in _FULL_PHASES order is raised. The critic's info adds
-    `wait_s`, how long this process waited for the child after its ddpo
-    arm, and `peak_rss_mb`, the child's own peak.
+    failure in _FULL_PHASES order is raised. Each forked phase's info
+    adds `peak_rss_mb`, its child's own peak; the critic's and pretrain's
+    add `wait_s`, how long this process waited for the critic after its
+    ddpo arm and for the classifier.
     """
     with rngmod.blas_pinned() as blas:   # the record of locked_run's pin
         manifest = RunManifest(config_hash=config_hash(cfg), blas=blas)
@@ -738,29 +780,35 @@ def run_full(cfg: RunConfig) -> RunManifest:
         manifest.record_artifacts(result["paths"])
         return True
 
-    def run(name):
+    def timed(name, *args):
         start = time.perf_counter()
         try:
-            result = _FULL_PHASES[name](cfg)
+            result = _FULL_PHASES[name](cfg, *args)
         except Exception as exc:
             result = exc
-        return record(name, result, time.perf_counter() - start)
+        return result, time.perf_counter() - start
 
-    if run("classifier") and run("pretrain"):
-        started = time.perf_counter()
-        child = _fork(_FULL_PHASES["critic"], cfg)
-        try:
+    def run(name):
+        return record(name, *timed(name))
+
+    with _forked(_FULL_PHASES["classifier"], cfg) as join:
+        def classifier():
+            fitted = join()[0]
+            if isinstance(fitted, Exception):
+                raise fitted    # ends pretrain, which is then not recorded
+            return load(cfg, "classifier")
+
+        pretrained, pretrain_s = timed("pretrain", classifier)
+        fitted, seconds, peak_mb, wait_s = join()
+    if (record("classifier", fitted, seconds, {"peak_rss_mb": peak_mb})
+            and record("pretrain", pretrained, pretrain_s,
+                       {"wait_s": wait_s})):
+        with _forked(_FULL_PHASES["critic"], cfg) as join:
             if run("unlearn_ddpo"):
                 run("eval_ddpo")
-        except BaseException:       # interrupted: stop the child too
-            os.kill(child[0], signal.SIGKILL)
-            _join(*child, started)
-            raise
-        waited = time.perf_counter()
-        result, seconds, peak_mb = _join(*child, started)
-        record("critic", result, seconds,
-               {"wait_s": round(time.perf_counter() - waited, 3),
-                "peak_rss_mb": peak_mb})
+            fitted, seconds, peak_mb, wait_s = join()
+        record("critic", fitted, seconds,
+               {"wait_s": wait_s, "peak_rss_mb": peak_mb})
         if not errors and run("unlearn_cgru"):
             run("eval_cgru")
     _write_manifest(cfg, manifest)

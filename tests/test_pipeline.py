@@ -109,6 +109,9 @@ def test_full_run_manifest_keeps_phase_info(tiny_run):
     phases = json.load(open(os.path.join(cfg.out_dir, "manifest.json")))["phases"]
     info = {name: rec["info"] for name, rec in phases.items()}
     assert info["classifier"]["holdout_accuracy"] >= cfg.classifier.target_acc
+    # the forked classifier's own peak, and how long pretrain waited for it
+    assert info["classifier"]["peak_rss_mb"] > 0.0
+    assert info["pretrain"]["wait_s"] >= 0.0
     assert 0 < info["pretrain"]["steps"] <= cfg.pretrain.max_steps
     assert set(info["pretrain"]["per_class_acc"]) == {
         str(k) for k in range(cfg.data.n_classes)}
@@ -515,8 +518,9 @@ def test_critic_failure_leaves_the_ddpo_arm_running(tmp_path, monkeypatch,
     for name in ("classifier", "pretrain", "unlearn_ddpo", "eval_ddpo"):
         assert phases[name]["status"] == "ok", name
     assert not os.path.exists(out / "eps_unlearned_cgru.ckpt")
-    assert len(pids) == 1
-    _assert_reaped(pids[0])
+    assert len(pids) == 2       # the classifier's child, then the critic's
+    for pid in pids:
+        _assert_reaped(pid)
 
 
 def test_critic_child_killed_is_a_named_phase_failure(tmp_path, monkeypatch):
@@ -530,8 +534,9 @@ def test_critic_child_killed_is_a_named_phase_failure(tmp_path, monkeypatch):
     assert phases["critic"]["status"] == "failed"
     assert "SIGKILL" in phases["critic"]["error"]
     assert phases["eval_ddpo"]["status"] == "ok"
-    assert len(pids) == 1
-    _assert_reaped(pids[0])
+    assert len(pids) == 2       # the classifier's child, then the critic's
+    for pid in pids:
+        _assert_reaped(pid)
     # the lock is free, and the file names no one
     with pipeline._locked(cfg.out_dir):
         pass
@@ -564,8 +569,9 @@ def test_ddpo_failure_still_reaps_and_records_the_critic(tiny_run, tmp_path,
     phases = _phases(cfg)
     assert set(phases) == {"classifier", "pretrain", "critic", "unlearn_ddpo"}
     assert phases["unlearn_ddpo"]["error"] == "PhaseFailure: ddpo arm failed"
-    assert len(pids) == 1
-    _assert_reaped(pids[0])
+    assert len(pids) == 2       # the classifier's child, then the critic's
+    for pid in pids:
+        _assert_reaped(pid)
     if critic_fails:
         assert phases["critic"]["status"] == "failed"
     else:
@@ -594,8 +600,10 @@ def test_interrupt_while_waiting_for_the_critic_kills_and_reaps_it(
     join = pipeline._join
 
     def interrupted_join(*child):
-        # the interrupt lands while run_full waits for the critic child
-        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        # the interrupt lands while run_full waits for the critic child,
+        # the second one it forks
+        if len(pids) == 2:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
         return join(*child)
 
     monkeypatch.setattr(pipeline, "_join", interrupted_join)
@@ -608,10 +616,128 @@ def test_interrupt_while_waiting_for_the_critic_kills_and_reaps_it(
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+    assert len(pids) == 2       # the classifier's child, then the critic's
+    for pid in pids:
+        _assert_reaped(pid)
+    with pipeline._locked(cfg.out_dir):
+        pass
+
+
+def test_classifier_child_killed_is_a_named_phase_failure(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(pipeline, "_classifier_phase",
+                        lambda cfg: os.kill(os.getpid(), signal.SIGKILL))
+    pids = _watch_forks(monkeypatch)
+    cfg = tiny_config(tmp_path / "killed")
+    with pytest.raises(PhaseFailure, match="killed by SIGKILL"):
+        pipeline.run_full(cfg)
+    phases = _phases(cfg)
+    assert list(phases) == ["classifier"]
+    assert phases["classifier"]["status"] == "failed"
+    assert "SIGKILL" in phases["classifier"]["error"]
+    assert not os.path.exists(os.path.join(cfg.out_dir, "eps_base.ckpt"))
     assert len(pids) == 1
     _assert_reaped(pids[0])
     with pipeline._locked(cfg.out_dir):
         pass
+    assert (tmp_path / "killed" / ".lock").read_text() == ""
+
+
+def test_interrupt_while_pretrain_waits_kills_and_reaps_the_classifier(
+        tmp_path, monkeypatch):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "_classifier_phase",
+                        lambda cfg: time.sleep(30))
+    sample, join = pipeline.sample_trajectories, pipeline._join
+    samples, joins = [], []
+
+    def counted_sample(*args, **kwargs):
+        samples.append(args[4])
+        return sample(*args, **kwargs)
+
+    def interrupted_join(*child):
+        # pretrain asks for the classifier once it has drawn its first gate
+        # check's samples; the interrupt lands while it waits for the child
+        joins.append(list(samples))
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        return join(*child)
+
+    monkeypatch.setattr(pipeline, "sample_trajectories", counted_sample)
+    monkeypatch.setattr(pipeline, "_join", interrupted_join)
+    pids = _watch_forks(monkeypatch)
+    cfg = tiny_config(tmp_path / "interrupted")
+    old = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.run_full(cfg)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert time.monotonic() - start < 20    # the child was not waited out
+    assert joins == [[rngmod.PHASE_EVAL]]
+    assert len(pids) == 1
+    _assert_reaped(pids[0])
+    assert not os.path.exists(os.path.join(cfg.out_dir, "eps_base.ckpt"))
+    with pipeline._locked(cfg.out_dir):
+        pass
+
+
+_INTERRUPTED_RUN = """
+import os, signal, sys, time
+from cgru import pipeline
+from conftest import tiny_config
+
+# Ctrl-C as at a terminal: a background job starts with SIGINT ignored
+signal.signal(signal.SIGINT, signal.default_int_handler)
+
+def stub(cfg, *args):
+    return {"paths": {}, "info": {}}
+
+def critic(cfg):
+    with open(sys.argv[2] + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(sys.argv[2] + ".tmp", sys.argv[2])
+    time.sleep(60)
+
+pipeline._classifier_phase = pipeline._pretrain_phase = stub
+pipeline._unlearn_phase = pipeline._eval_phase = stub
+pipeline._critic_phase = critic
+pipeline.run_full(tiny_config(sys.argv[1]))
+"""
+
+
+def test_ctrl_c_prints_one_traceback_and_leaves_no_child(tmp_path):
+    # SIGINT to the process group reaches the parent and the critic child
+    # at once: the child ends quietly, the parent reports and reaps it
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
+    pid_file = tmp_path / "critic.pid"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTED_RUN, str(tmp_path / "run"),
+         str(pid_file)], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode != 0
+    assert err.count("Traceback (most recent call last)") == 1, err
+    assert err.rstrip().endswith("KeyboardInterrupt"), err
+    with pytest.raises(ProcessLookupError):
+        os.kill(child, 0)
 
 
 def test_corrupt_checkpoint_is_reported_with_filename(tiny_run, tmp_path):
