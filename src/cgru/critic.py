@@ -82,10 +82,11 @@ def critic_values(critic: Critic, x: Array, onehot: Array, ts) -> Array:
 
 # Trajectories per stacked critic call in value_matrix. Stacks split each
 # rng shard at fixed offsets, so the bits do not depend on the worker count.
-# On a 2-core Xeon, 16-64 time alike (about 0.35 s for 10,000 trajectories
-# at CGRU_THREADS=2) and 8 is slower (0.49 s); each worker holds a few
-# (stack, T, hidden) arrays, so 16 peaks lowest of those: 6.9 MB against
-# 9.5 MB at 32, with the 4 MB result.
+# On a 2-core Xeon at CGRU_THREADS=2 (two processes), 16 and 32 time alike
+# (0.13-0.14 s for 10,000 trajectories, best of three) and 8 and 64 are
+# slower (0.18-0.20 s); each worker holds a few (stack, T, hidden) arrays,
+# so 16 peaks lower: 6.9 MB against 9.5 MB at 32, with the 4 MB result,
+# when two threads shared one process.
 _VALUE_STACK = 16
 
 
@@ -95,11 +96,12 @@ def value_matrix(critic: Critic, rollouts: Rollouts) -> Array:
     Each critic call takes a stack of up to _VALUE_STACK trajectories, whose
     T states share the film conditioning of steps T..1; every trajectory's
     values have the bits of a call on its T states alone. Shards of
-    trajectories run through rng.run_sharded."""
+    trajectories run through rng.run_sharded and write their rows of the
+    result in place (rng.empty)."""
     T, K = rollouts.T, critic.n_classes
     d = rollouts.latents.shape[2]
     cond = critic.cond(np.arange(T, 0, -1), T)
-    values = np.empty((len(rollouts), T))
+    values = rngmod.empty((len(rollouts), T), len(rollouts))
 
     def shard(lo, hi):
         for a in range(lo, hi, _VALUE_STACK):

@@ -108,18 +108,22 @@ def diag_variance(cfg: RunConfig) -> dict:
 
     Each batch of trajectories is scored by both estimators, so the
     comparison is on identical data; bootstrap resampling over batches
-    counts how often the advantage estimator's variance is lower.
+    counts how often the advantage estimator's variance is lower. The
+    batches run as shards of one rng.run_sharded pass, one batch each.
     """
     clf, model, critic = (load(cfg, name)
                           for name in ("classifier", "eps_base", "critic"))
     sched, spec = schedule(cfg), reward_spec(cfg)
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_CTX)
+    # every batch's class ids, drawn in batch order before any batch runs
+    class_ids = [mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
+                 for _ in range(_VARIANCE_BATCHES)]
     methods = ("cgru", "ddpo")
     # ests[k, b]: method k's clipped estimate on batch b
     ests = np.empty((len(methods), _VARIANCE_BATCHES, model.net.theta.size))
-    for b in range(_VARIANCE_BATCHES):
-        class_ids = mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
-        rollouts = sample_trajectories(model, class_ids, sched, cfg.seed,
+
+    def batch(b, _):
+        rollouts = sample_trajectories(model, class_ids[b], sched, cfg.seed,
                                        rngmod.PHASE_DIAG,
                                        first_index=_IDX_VARIANCE + b * 1000)
         assign_rewards(rollouts, spec, clf)
@@ -127,8 +131,14 @@ def diag_variance(cfg: RunConfig) -> dict:
         means, _ = group_estimates(
             rollouts, model, value_matrix(critic, rollouts), cfg.estimator,
             sched, methods)
-        for k, mean in enumerate(means[:, 0]):
-            ests[k, b] = clip_to_norm(mean, cfg.estimator.grad_max_norm)
+        return b, [clip_to_norm(mean, cfg.estimator.grad_max_norm)
+                   for mean in means[:, 0]]
+
+    def fold(part):
+        b, clipped = part
+        ests[:, b] = clipped
+
+    rngmod.run_sharded(batch, _VARIANCE_BATCHES, fold=fold, chunk=1)
     var = {m: gradient_variance(ests[k]) for k, m in enumerate(methods)}
 
     boot_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_BOOT)

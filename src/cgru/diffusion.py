@@ -265,14 +265,14 @@ def sample_trajectories(model, class_ids, sched: NoiseSchedule, seed: int,
     so the result is independent of batching and of the worker count.
     Row 0 of a stream's draw is x_T; row k is the innovation for step
     t = T - k + 1. Each shard draws and walks its own slice of the
-    returned arrays.
+    returned arrays, which are shared with forked workers (rng.empty).
     """
     class_ids = np.asarray(class_ids, dtype=np.int64)
     onehot = one_hot(class_ids, model.n_classes)
     n = len(class_ids)
     T, d = sched.T, model.d
-    latents = np.empty((n, T + 1, d))
-    logp = np.empty((n, T))
+    latents = rngmod.empty((n, T + 1, d), n)
+    logp = rngmod.empty((n, T), n)
 
     def shard(lo, hi):
         _draw(latents[lo:hi], seed, phase, first_index + lo)

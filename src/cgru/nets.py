@@ -234,7 +234,10 @@ def backward(net: Network, out_grad, tape: list, bounds=None,
     sum over rows bounds[k]:bounds[k+1] is written into row k of `out`, a
     C-contiguous (G, P) array of theta's dtype in theta's layout (None: a
     new one), which is returned. The walk reaches every parameter once,
-    so every entry of `out` is written and none is read.
+    so every entry of `out` is written and none is read. When every group
+    holds one row, each block is written in one call as the rows' outer
+    products: the bits of the one-term sums, except that a zero product
+    may keep its sign where a sum gives +0.
     """
     if not tape:
         raise ValueError("backward needs the tape of a forward call")
@@ -258,6 +261,13 @@ def backward(net: Network, out_grad, tape: list, bounds=None,
 
     def write(name, x, dy):         # x None: a bias, summed over rows
         cols = net._cols[name]
+        if len(segments) == rows:   # one row per group: products, no sums
+            view = out[:, cols].reshape(rows, *net.params[name].shape)
+            if x is None:
+                np.copyto(view, dy)
+            else:
+                np.multiply(x[:, :, None], dy[:, None, :], out=view)
+            return
         for k, (a, b) in segments:
             view = out[k, cols].reshape(net.params[name].shape)
             if x is None:

@@ -23,14 +23,10 @@ import functools
 import hashlib
 import json
 import os
-import pickle
 import platform
-import resource
-import signal
 import time
-import traceback
 from collections.abc import Iterable
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +45,7 @@ from .metrics import EvalReport, feature_stats, frechet_distance
 from .nets import adam_init
 from .policy_grad import (clip_to_norm, gradient_variance, group_estimates,
                           policy_update_epoch)
+from .procs import _forked
 from .rewards import (RewardSpec, assign_rewards, build_classifier_net,
                       classifier_accuracy, classifier_predict,
                       train_classifier)
@@ -646,103 +643,6 @@ _FULL_PHASES = {
     "eval_cgru": lambda cfg: _eval_phase(cfg, "cgru"),
     "eval_ddpo": lambda cfg: _eval_phase(cfg, "ddpo"),
 }
-
-
-def _fork(fn, cfg: RunConfig) -> tuple:
-    """Start fn(cfg) in a forked child; returns (pid, read end of a pipe).
-
-    The child sends (result or exception, seconds, peak RSS in MB) down
-    the pipe as one pickle, then leaves by os._exit, so no finally block
-    or exit handler of the caller's frames runs in it: it keeps the
-    inherited lock fd until it exits and never truncates `.lock`. An
-    interrupt ends it quietly with status 130; the parent, which gets
-    the same Ctrl-C, reports it.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    code = 1
-    try:
-        os.close(read_fd)
-        start = time.perf_counter()
-        try:
-            result = fn(cfg)
-        except Exception as exc:
-            result = exc
-        seconds = time.perf_counter() - start
-        peak_mb = round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
-        blob = pickle.dumps((result, seconds, peak_mb))
-        with open(write_fd, "wb") as fh:
-            fh.write(blob)
-        code = 0
-    except KeyboardInterrupt:
-        code = 128 + signal.SIGINT
-    except BaseException:
-        traceback.print_exc()
-    finally:
-        os._exit(code)
-
-
-def _join(pid: int, read_fd: int, started: float) -> tuple:
-    """The (result or exception, seconds, peak RSS) a _fork child sent,
-    once it has exited and been reaped. A child that ended without
-    sending one yields a PhaseFailure naming its exit status or signal,
-    the seconds since `started` and no peak. Interrupted while it waits,
-    it kills and reaps the child before the interrupt propagates."""
-    try:
-        with open(read_fd, "rb") as fh:
-            blob = fh.read()
-        _, status = os.waitpid(pid, 0)
-    except BaseException:
-        with suppress(ProcessLookupError, ChildProcessError):  # reaped
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    try:
-        return pickle.loads(blob)
-    except (EOFError, pickle.UnpicklingError):
-        pass
-    if os.WIFSIGNALED(status):
-        how = f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
-    else:
-        how = f"exited with status {os.waitstatus_to_exitcode(status)}"
-    return (PhaseFailure(f"the child process of this phase {how} "
-                         "before it sent a result"),
-            time.perf_counter() - started, None)
-
-
-@contextmanager
-def _forked(fn, cfg: RunConfig):
-    """Run fn(cfg) in a `_fork` child beside the block, which gets `join`.
-
-    The first call of join() waits for the child and returns what it sent
-    (`_join`) plus the seconds it waited; later calls return the same.
-    The block must join before it ends; one left by an exception kills
-    and reaps a child it has not joined.
-    """
-    started = time.perf_counter()
-    pid, read_fd = _fork(fn, cfg)
-    sent = None
-
-    def join() -> tuple:
-        nonlocal sent
-        if sent is None:
-            sent = ()       # _join reaps the child even when it raises
-            waited = time.perf_counter()
-            sent = (*_join(pid, read_fd, started),
-                    round(time.perf_counter() - waited, 3))
-        return sent
-
-    try:
-        yield join
-    except BaseException:
-        if sent is None:
-            os.kill(pid, signal.SIGKILL)
-            join()
-        raise
 
 
 @locked_run

@@ -3,22 +3,21 @@
 Every stochastic operation in the package draws from an explicit stream
 derived from (seed, phase, index) via the Philox counter-based generator,
 so results never depend on how work is sharded across workers. The
-module also owns the run's threads: shard workers (`run_sharded`) and
-the BLAS pin (`blas_pinned`).
+module also owns the run's parallelism: shard passes over forked worker
+processes (`run_sharded`) and the BLAS pin (`blas_pinned`).
 """
 
-import contextvars
 import ctypes
 import functools
 import glob
+import math
+import mmap
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from itertools import islice
+from contextlib import closing, contextmanager
 
 import numpy as np
 
+from . import procs
 from .errors import ConfigError
 
 # Phase ids keep streams for different pipeline stages disjoint even when
@@ -80,6 +79,7 @@ def streams(seed: int, phase: int, indices):
 
 def n_workers() -> int:
     """Worker cap from the CGRU_THREADS environment variable (default 1).
+    The name is historical: it counts processes, the caller included.
     Each worker's BLAS calls run at one thread under `blas_pinned`."""
     raw = os.environ.get("CGRU_THREADS", "").strip()
     if not raw:
@@ -141,6 +141,10 @@ def blas_pinned():
 # boundaries. Workers only decide how many shards run concurrently.
 SHARD = 256
 
+# set while a pass runs over forked workers, and so in every worker: a
+# pass nested in a shard runs serially, never forking workers of its own
+_in_pass = False
+
 
 def shard_ranges(n: int, chunk: int = SHARD) -> list[tuple[int, int]]:
     """Split range(n) into contiguous [lo, hi) spans of width `chunk`."""
@@ -149,41 +153,62 @@ def shard_ranges(n: int, chunk: int = SHARD) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def run_sharded(fn, n: int, workers: int | None = None, fold=None) -> list:
-    """Run fn(lo, hi) over fixed-width shards of range(n), maybe in threads.
+def _width(shards: int, workers: int | None = None) -> int:
+    """The processes a pass of `shards` shards runs on: at most the worker
+    cap (default n_workers()), the shard count and the usable cores."""
+    if _in_pass:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return max(1, min(n_workers() if workers is None else workers, shards,
+                      cores))
 
-    Each shard's result goes to fold(result) on the calling thread, in
+
+def empty(shape, n: int, chunk: int = SHARD) -> np.ndarray:
+    """np.empty(shape) of float64, or the same in shared anonymous memory
+    when a run_sharded pass over n rows in chunk-wide shards will fork, so
+    that what forked shards write into it in place reaches the caller."""
+    if _width(len(range(0, n, chunk))) <= 1:
+        return np.empty(shape)
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * size), np.float64).reshape(shape)
+
+
+def run_sharded(fn, n: int, workers: int | None = None, fold=None,
+                chunk: int = SHARD) -> list:
+    """Run fn(lo, hi) over chunk-wide shards of range(n), maybe in forked
+    worker processes (`procs.sharded`).
+
+    Each shard's result goes to fold(result) in the calling process, in
     shard order; without a fold the results are returned as a list in
     shard order (with one, the list is empty). Each shard's inputs do not
-    depend on the worker count, so neither does the output. At most
-    2 * workers shards run or wait ahead of the shard being folded, so a
-    fold that keeps only a running total holds O(workers) results, not
-    O(shards). Once a shard has raised, no further shard is submitted,
-    queued ones are cancelled, and its exception propagates unchanged.
+    depend on the worker count, so neither does the output. The pass runs
+    on min(workers, shard count, usable cores) processes, the caller
+    included; workers defaults to n_workers(). At most 2 * that many
+    shards run or wait ahead of the shard being folded, so a fold that
+    keeps only a running total holds O(workers) results, not O(shards).
+
+    With more than one process, shard results cross a pipe and must be
+    picklable, and a shard may write in place only into arrays from
+    `empty`. Once a shard has raised, no further shard starts, every
+    worker is killed and reaped, and a copy of its exception (same type
+    and args) propagates; a worker killed by a signal is a PhaseFailure.
     """
-    if workers is None:
-        workers = n_workers()
-    spans = iter(shard_ranges(n))
+    global _in_pass
+    spans = shard_ranges(n, chunk)
     results = []
     if fold is None:
         fold = results.append
-    if n <= SHARD or workers <= 1:
+    width = _width(len(spans), workers)
+    if width <= 1:
         for lo, hi in spans:
             fold(fn(lo, hi))
         return results
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        def submit(span):
-            return pool.submit(contextvars.copy_context().run, fn, *span)
-
-        ahead = deque(submit(span) for span in islice(spans, 2 * workers))
-        try:
-            while ahead:
-                result = ahead.popleft().result()
-                span = next(spans, None)
-                if span and not any(f.done() and f.exception() for f in ahead):
-                    ahead.append(submit(span))
-                fold(result)
-        finally:
-            for future in ahead:
-                future.cancel()
+    _in_pass = True
+    try:
+        with closing(procs.sharded(fn, spans, width)) as parts:
+            for part in parts:
+                fold(part)
+    finally:
+        _in_pass = False
     return results

@@ -1,5 +1,6 @@
 import contextlib
 import fcntl
+import os
 import time
 
 import pytest
@@ -61,6 +62,46 @@ def float64_twin(net):
     twin = Network(net.arch)
     twin.theta[:] = net.theta
     return twin
+
+
+class ProcessLog:
+    """Rows of ints appended from any process to one file. Each row is one
+    O_APPEND write, which lands whole, so the rows of forked shard workers
+    reach the test beside the caller's."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def append(self, *fields) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, (" ".join(str(int(f)) for f in fields) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    def rows(self) -> list:
+        with open(self.path) as fh:
+            return [tuple(map(int, line.split())) for line in fh]
+
+
+def count_forks(monkeypatch):
+    """The pids of the children os.fork starts from now on, in order."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
 
 @contextlib.contextmanager

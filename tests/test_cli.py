@@ -14,7 +14,7 @@ from cgru.cli import build_parser, main
 from cgru.config import apply_overrides, config_hash, save_config
 from cgru.critic import Critic
 
-from conftest import TINY_OVERRIDES, flock_held, tiny_config
+from conftest import ProcessLog, TINY_OVERRIDES, flock_held, tiny_config
 
 
 def _args(out_dir, *rest):
@@ -296,10 +296,12 @@ def test_diag_variance(diag_dir, capsys):
     assert sorted(ln.split(",")[0] for ln in lines[1:]) == ["cgru", "ddpo"]
 
 
-def test_diag_unbiasedness(full_run, unbiasedness_sweep, capsys, monkeypatch):
+def test_diag_unbiasedness(full_run, unbiasedness_sweep, capsys, monkeypatch,
+                           tmp_path):
     # the critic pass is stacked: each forward takes a stack of trajectories
-    # whose states share the rows of one Critic.cond call
-    rows, stacks = [], []
+    # whose states share the rows of one Critic.cond call. The stacks run
+    # in the shard workers too, so they are counted through a file
+    rows, stacks = [], ProcessLog(tmp_path / "stacks")
     cond, forward = Critic.cond, critic_mod.forward
 
     def counting_cond(self, ts, n):
@@ -323,10 +325,23 @@ def test_diag_unbiasedness(full_run, unbiasedness_sweep, capsys, monkeypatch):
     assert [int(ln.split(",")[0]) for ln in lines[1:]] == [100, 1000, 10000]
     # one critic pass over the 10,000 rollouts' states, shared by the prefixes
     assert len(rows) == 1
-    assert sum(stacks) * rows[0] == 10_000 * cfg.diffusion.T
+    assert sum(n for n, in stacks.rows()) * rows[0] == 10_000 * cfg.diffusion.T
     # the sharded walk reduces in shard order: two workers give the bytes
     # of the fixture's one-worker sweep
     assert data == unbiasedness_sweep["csv"]
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_diag_variance_bytes_do_not_depend_on_the_worker_count(
+        full_run, diag_runs, monkeypatch, threads):
+    # its 20 batches run as shards of one pass, here over two or three
+    # processes; the fixture ran them at one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setenv("CGRU_THREADS", threads)
+    cfg, _ = full_run
+    assert main(["diag", "variance", "--out", cfg.out_dir]) == 0
+    with open(os.path.join(cfg.out_dir, "diag_variance.csv"), "rb") as fh:
+        assert fh.read() == diag_runs["variance"]["csv"]
 
 
 def test_diag_ablation(diag_dir, capsys):

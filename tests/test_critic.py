@@ -2,6 +2,7 @@
 timestep-ablation machinery."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -96,16 +97,18 @@ def test_value_matrix_matches_single_state_critic_values():
         critic_values(critic, rollouts.latents[0, :1], one_hot([0], 4), 11)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_value_matrix_has_the_bits_of_per_trajectory_calls(monkeypatch,
                                                            threads):
-    # 300 trajectories span two rng shards, each cut into critic stacks
+    # 600 trajectories span three rng shards, each cut into critic stacks;
+    # at two or three processes the shards write into shared memory
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setenv("CGRU_THREADS", threads)
     T, K = 50, 8
     critic = build_critic(2, K, T, rng=rngmod.stream(0, rngmod.PHASE_INIT, 1))
     model = build_eps_net(2, K, hidden=16, t_embed_dim=8,
                           rng=rngmod.stream(0, rngmod.PHASE_INIT), T=T)
-    rollouts = sample_trajectories(model, np.arange(300) % K,
+    rollouts = sample_trajectories(model, np.arange(600) % K,
                                    make_schedule(T, 1e-4, 0.02), 4,
                                    rngmod.PHASE_DIAG)
     values = value_matrix(critic, rollouts)

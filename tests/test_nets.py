@@ -354,6 +354,29 @@ def _reference_gradient(net, tape, out_grad):
 
 
 @pytest.mark.parametrize("film", [True, False])
+def test_one_row_groups_have_the_bits_of_one_row_sums(film):
+    # with every group one row, backward writes outer products in one call;
+    # each row must have the bits of the per-group matmuls and sums that a
+    # walk of the same tape with one two-row group still takes, up to the
+    # sign of a zero product, which the matmul's sum makes +0; that sign
+    # drops out where group_estimates adds the rows into zeroed totals
+    net = small_net(film=True) if film else build_eps_net(
+        2, 4, hidden=16, t_embed_dim=8, rng=rngmod.stream(4, rngmod.PHASE_INIT)).net
+    rng = rngmod.stream(4, rngmod.PHASE_DIAG, 13)
+    x = rng.standard_normal((9, net.n_in))
+    x[2] = 0.0      # signed zeros in the products
+    cond = rng.standard_normal((9, 4)) if film else None
+    out_grad = rng.standard_normal((9, net.n_out))
+    out_grad[3] = -0.0
+    tape = []
+    forward(net, x, cond, tape)
+    rows = backward(net, out_grad, tape, range(10))
+    summed = backward(net, out_grad, tape, [*range(8), 9])
+    assert (rows[:7] + 0.0).tobytes() == summed[:7].tobytes()
+    assert np.signbit(rows[2:4]).any()
+
+
+@pytest.mark.parametrize("film", [True, False])
 def test_one_group_gradient_and_adam_keep_the_old_bits(film):
     # backward's writes against out-of-place products over the reference
     # walk's tape, and in-place Adam against the old expressions, over 3 steps

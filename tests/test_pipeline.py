@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from cgru import nets, pipeline
+from cgru import nets, pipeline, procs
 from cgru import rng as rngmod
 from cgru.checkpoint import load_tensors, save_tensors
 from cgru.config import RunConfig, apply_overrides, config_hash
@@ -30,7 +30,8 @@ from cgru.rewards import RewardSpec, assign_rewards
 from cgru.errors import CheckpointError, LockError, MissingArtifact, PhaseFailure
 from cgru.metrics import feature_stats, frechet_distance
 
-from conftest import TINY_OVERRIDES, default_config, flock_held, tiny_config
+from conftest import (TINY_OVERRIDES, assert_reaped, count_forks,
+                      default_config, flock_held, tiny_config)
 
 
 def _digest(path):
@@ -472,25 +473,6 @@ def test_full_run_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert digests[0] == digests[1]
 
 
-def _watch_forks(monkeypatch):
-    """The pids of the children run_full forks, as it forks them."""
-    pids = []
-    fork = pipeline._fork
-
-    def recording_fork(*args):
-        child = fork(*args)
-        pids.append(child[0])
-        return child
-
-    monkeypatch.setattr(pipeline, "_fork", recording_fork)
-    return pids
-
-
-def _assert_reaped(pid):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pid, os.WNOHANG)
-
-
 def _phases(cfg):
     with open(os.path.join(cfg.out_dir, "manifest.json")) as fh:
         return json.load(fh)["phases"]
@@ -505,7 +487,7 @@ def test_critic_failure_leaves_the_ddpo_arm_running(tmp_path, monkeypatch,
 
     # the forked child inherits the patched function
     monkeypatch.setattr(pipeline, "_critic_phase", failing_critic)
-    pids = _watch_forks(monkeypatch)
+    pids = count_forks(monkeypatch)
     out = tmp_path / "run"
     sets = [a for kv in TINY_OVERRIDES for a in ("--set", kv)]
     assert main(["full", *sets, "--out", str(out)]) == 1
@@ -520,13 +502,13 @@ def test_critic_failure_leaves_the_ddpo_arm_running(tmp_path, monkeypatch,
     assert not os.path.exists(out / "eps_unlearned_cgru.ckpt")
     assert len(pids) == 2       # the classifier's child, then the critic's
     for pid in pids:
-        _assert_reaped(pid)
+        assert_reaped(pid)
 
 
 def test_critic_child_killed_is_a_named_phase_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "_critic_phase",
                         lambda cfg: os.kill(os.getpid(), signal.SIGKILL))
-    pids = _watch_forks(monkeypatch)
+    pids = count_forks(monkeypatch)
     cfg = tiny_config(tmp_path / "killed")
     with pytest.raises(PhaseFailure, match="killed by SIGKILL"):
         pipeline.run_full(cfg)
@@ -536,7 +518,7 @@ def test_critic_child_killed_is_a_named_phase_failure(tmp_path, monkeypatch):
     assert phases["eval_ddpo"]["status"] == "ok"
     assert len(pids) == 2       # the classifier's child, then the critic's
     for pid in pids:
-        _assert_reaped(pid)
+        assert_reaped(pid)
     # the lock is free, and the file names no one
     with pipeline._locked(cfg.out_dir):
         pass
@@ -560,7 +542,7 @@ def test_ddpo_failure_still_reaps_and_records_the_critic(tiny_run, tmp_path,
     monkeypatch.setattr(pipeline, "_unlearn_phase", failing_ddpo)
     if critic_fails:
         monkeypatch.setattr(pipeline, "_critic_phase", failing_critic)
-    pids = _watch_forks(monkeypatch)
+    pids = count_forks(monkeypatch)
     cfg = tiny_config(tmp_path / "ddpo_fails")
     # the first failure in phase order is raised: the critic before ddpo
     with pytest.raises(PhaseFailure, match="critic fit failed" if critic_fails
@@ -571,7 +553,7 @@ def test_ddpo_failure_still_reaps_and_records_the_critic(tiny_run, tmp_path,
     assert phases["unlearn_ddpo"]["error"] == "PhaseFailure: ddpo arm failed"
     assert len(pids) == 2       # the classifier's child, then the critic's
     for pid in pids:
-        _assert_reaped(pid)
+        assert_reaped(pid)
     if critic_fails:
         assert phases["critic"]["status"] == "failed"
     else:
@@ -597,7 +579,7 @@ def test_interrupt_while_waiting_for_the_critic_kills_and_reaps_it(
         monkeypatch.setattr(pipeline, name, stub)
     monkeypatch.setattr(pipeline, "_critic_phase", lambda cfg: time.sleep(30))
     monkeypatch.setattr(pipeline, "_unlearn_phase", failing_ddpo)
-    join = pipeline._join
+    join = procs._join
 
     def interrupted_join(*child):
         # the interrupt lands while run_full waits for the critic child,
@@ -606,8 +588,8 @@ def test_interrupt_while_waiting_for_the_critic_kills_and_reaps_it(
             signal.setitimer(signal.ITIMER_REAL, 0.2)
         return join(*child)
 
-    monkeypatch.setattr(pipeline, "_join", interrupted_join)
-    pids = _watch_forks(monkeypatch)
+    monkeypatch.setattr(procs, "_join", interrupted_join)
+    pids = count_forks(monkeypatch)
     cfg = tiny_config(tmp_path / "interrupted")
     old = signal.signal(signal.SIGALRM, interrupt)
     try:
@@ -618,7 +600,7 @@ def test_interrupt_while_waiting_for_the_critic_kills_and_reaps_it(
         signal.signal(signal.SIGALRM, old)
     assert len(pids) == 2       # the classifier's child, then the critic's
     for pid in pids:
-        _assert_reaped(pid)
+        assert_reaped(pid)
     with pipeline._locked(cfg.out_dir):
         pass
 
@@ -627,7 +609,7 @@ def test_classifier_child_killed_is_a_named_phase_failure(tmp_path,
                                                          monkeypatch):
     monkeypatch.setattr(pipeline, "_classifier_phase",
                         lambda cfg: os.kill(os.getpid(), signal.SIGKILL))
-    pids = _watch_forks(monkeypatch)
+    pids = count_forks(monkeypatch)
     cfg = tiny_config(tmp_path / "killed")
     with pytest.raises(PhaseFailure, match="killed by SIGKILL"):
         pipeline.run_full(cfg)
@@ -637,7 +619,7 @@ def test_classifier_child_killed_is_a_named_phase_failure(tmp_path,
     assert "SIGKILL" in phases["classifier"]["error"]
     assert not os.path.exists(os.path.join(cfg.out_dir, "eps_base.ckpt"))
     assert len(pids) == 1
-    _assert_reaped(pids[0])
+    assert_reaped(pids[0])
     with pipeline._locked(cfg.out_dir):
         pass
     assert (tmp_path / "killed" / ".lock").read_text() == ""
@@ -650,7 +632,7 @@ def test_interrupt_while_pretrain_waits_kills_and_reaps_the_classifier(
 
     monkeypatch.setattr(pipeline, "_classifier_phase",
                         lambda cfg: time.sleep(30))
-    sample, join = pipeline.sample_trajectories, pipeline._join
+    sample, join = pipeline.sample_trajectories, procs._join
     samples, joins = [], []
 
     def counted_sample(*args, **kwargs):
@@ -665,8 +647,8 @@ def test_interrupt_while_pretrain_waits_kills_and_reaps_the_classifier(
         return join(*child)
 
     monkeypatch.setattr(pipeline, "sample_trajectories", counted_sample)
-    monkeypatch.setattr(pipeline, "_join", interrupted_join)
-    pids = _watch_forks(monkeypatch)
+    monkeypatch.setattr(procs, "_join", interrupted_join)
+    pids = count_forks(monkeypatch)
     cfg = tiny_config(tmp_path / "interrupted")
     old = signal.signal(signal.SIGALRM, interrupt)
     start = time.monotonic()
@@ -679,7 +661,7 @@ def test_interrupt_while_pretrain_waits_kills_and_reaps_the_classifier(
     assert time.monotonic() - start < 20    # the child was not waited out
     assert joins == [[rngmod.PHASE_EVAL]]
     assert len(pids) == 1
-    _assert_reaped(pids[0])
+    assert_reaped(pids[0])
     assert not os.path.exists(os.path.join(cfg.out_dir, "eps_base.ckpt"))
     with pipeline._locked(cfg.out_dir):
         pass

@@ -2,6 +2,7 @@
 identity, importance weighting, baselines, and the update loop."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -288,15 +289,29 @@ def test_grouped_walk_equals_separate_sub_batch_walks(n, cuts):
 
 
 def test_grouped_walk_does_not_depend_on_worker_count(monkeypatch):
+    # three shards over one, two and three processes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     model, sched, trajs = desk_setup(n=600)
     values = 0.1 * np.arange(1, sched.T + 1) + trajs.class_ids[:, None]
     out = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "3"):
         monkeypatch.setenv("CGRU_THREADS", threads)
         out.append(group_estimates(trajs, model, values, EstimatorConfig(),
                                    sched, ["baseline", "cgru"], [100, 300]))
-    assert np.array_equal(out[0][0], out[1][0])
-    assert out[0][1] == out[1][1]
+    for est, clips in out[1:]:
+        assert est.tobytes() == out[0][0].tobytes()
+        assert clips == out[0][1]
+
+
+def test_per_sample_scores_do_not_depend_on_worker_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    policy, sched = build_toy(0.5)
+    trajs = sample_toy_trajectories(policy, sched, 1000, seed=3)
+    out = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("CGRU_THREADS", threads)
+        out.append(per_sample_scores(trajs, policy, sched).tobytes())
+    assert out[1] == out[0] and out[2] == out[0]
 
 
 def test_group_cuts_must_rise_inside_the_batch(monkeypatch):

@@ -1,7 +1,10 @@
 """Counter-based stream identities and worker-count invariance."""
 
+import mmap
+import os
+import signal
+import subprocess
 import sys
-import threading
 import time
 
 import numpy as np
@@ -9,7 +12,9 @@ import pytest
 
 from cgru import rng as rngmod
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
-from cgru.errors import ConfigError, Divergence
+from cgru.errors import CgruError, ConfigError, Divergence, PhaseFailure
+
+from conftest import ProcessLog, assert_reaped, count_forks
 
 
 def test_same_triple_reproduces_draws():
@@ -78,42 +83,50 @@ def test_run_sharded_threads_keep_callers_errstate():
                for m in modes)
 
 
+def _cores(monkeypatch, n):
+    """Let passes use n processes, whatever this machine's affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_fold_takes_shards_in_order_and_bounds_the_ones_ahead(workers):
+def test_fold_takes_shards_in_order_and_bounds_the_ones_ahead(
+        workers, tmp_path, monkeypatch):
     # a slow fold lets the workers run ahead; no shard may start more than
-    # 2 * workers shards past the last one folded
+    # 2 * workers shards past the last one folded. Shards run in forked
+    # workers, so each logs (pid, shard, shards folded) to a file, and the
+    # fold keeps its count in shared memory
+    _cores(monkeypatch, workers)
     n = 40 * rngmod.SHARD
-    folded, lags = [], []
-    lock = threading.Lock()
+    log = ProcessLog(tmp_path / "started")
+    count = np.frombuffer(mmap.mmap(-1, 8), np.int64)
+    folded = []
 
     def fn(lo, hi):
-        with lock:
-            lags.append(lo // rngmod.SHARD - len(folded))
+        log.append(os.getpid(), lo // rngmod.SHARD, count[0])
         return lo, hi
 
     def fold(result):
         time.sleep(0.001)
         folded.append(result)
+        count[0] = len(folded)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert rngmod.run_sharded(fn, n, workers, fold=fold) == []
-    finally:
-        sys.setswitchinterval(interval)
+    assert rngmod.run_sharded(fn, n, workers, fold=fold) == []
     assert folded == rngmod.shard_ranges(n)
-    assert len(lags) == 40 and max(lags) <= 2 * workers
+    started = log.rows()
+    assert sorted(shard for _, shard, _ in started) == list(range(40))
+    assert max(shard - done for _, shard, done in started) <= 2 * workers
+    assert len({pid for pid, _, _ in started}) == workers
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_a_failing_shard_stops_the_pass(workers):
+def test_a_failing_shard_stops_the_pass(workers, tmp_path, monkeypatch):
+    _cores(monkeypatch, workers)
     err = Divergence("unlearn_cgru iteration 7: non-finite values")
-    started, folded = [], []
-    lock = threading.Lock()
+    log = ProcessLog(tmp_path / "started")
+    folded = []
 
     def fn(lo, hi):
-        with lock:
-            started.append(lo)
+        log.append(os.getpid(), lo)
         if lo == rngmod.SHARD:
             raise err
         time.sleep(0.01)
@@ -121,9 +134,127 @@ def test_a_failing_shard_stops_the_pass(workers):
 
     with pytest.raises(Divergence) as info:
         rngmod.run_sharded(fn, 40 * rngmod.SHARD, workers, fold=folded.append)
-    assert info.value is err
+    # shard 1 ran in a worker at two or more: a copy crossed the pipe
+    assert type(info.value) is Divergence and info.value.args == err.args
     assert folded == [0]
+    started = log.rows()
     assert len(started) <= 2 * workers + 1, started
+    for pid in {pid for pid, _ in started} - {os.getpid()}:
+        assert_reaped(pid)
+
+
+@pytest.mark.parametrize("cores,forks", [(64, 2), (2, 1), (1, 0)])
+def test_a_pass_forks_no_more_workers_than_shards_or_cores(monkeypatch, cores,
+                                                           forks):
+    # CGRU_THREADS far above both caps: three shards fork at most two
+    # workers beside the caller, and the usable cores cap them too
+    monkeypatch.setenv("CGRU_THREADS", "1000")
+    _cores(monkeypatch, cores)
+    pids = count_forks(monkeypatch)
+    n = 3 * rngmod.SHARD
+    assert rngmod.run_sharded(lambda lo, hi: (lo, hi), n) == \
+        rngmod.shard_ranges(n)
+    assert len(pids) == forks
+    for pid in pids:
+        assert_reaped(pid)
+
+
+def test_a_pass_nested_in_a_shard_runs_serially(monkeypatch):
+    _cores(monkeypatch, 2)
+    monkeypatch.setenv("CGRU_THREADS", "2")
+
+    def outer(lo, hi):
+        inner = rngmod.run_sharded(lambda a, b: os.getpid(), 3 * rngmod.SHARD)
+        return os.getpid(), inner
+
+    runs = rngmod.run_sharded(outer, 2 * rngmod.SHARD)
+    assert len({pid for pid, _ in runs}) == 2
+    for pid, inner in runs:
+        assert inner == [pid] * 3
+
+
+def test_a_killed_worker_is_a_named_phase_failure(monkeypatch):
+    _cores(monkeypatch, 2)
+    caller = os.getpid()
+    pids = count_forks(monkeypatch)
+
+    def fn(lo, hi):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return lo
+
+    with pytest.raises(PhaseFailure, match="shard worker 1 was killed by "
+                                           "SIGKILL before it sent shard 1"):
+        rngmod.run_sharded(fn, 4 * rngmod.SHARD, 2)
+    assert len(pids) == 1
+    assert_reaped(pids[0])
+
+
+def test_an_exception_that_cannot_be_pickled_is_named(monkeypatch):
+    _cores(monkeypatch, 2)
+
+    class Local(Exception):     # a local class does not pickle
+        pass
+
+    def fn(lo, hi):
+        if lo:
+            raise Local("shard", lo)
+        return lo
+
+    with pytest.raises(CgruError) as info:
+        rngmod.run_sharded(fn, 2 * rngmod.SHARD, 2)
+    assert type(info.value) is CgruError
+    assert str(info.value) == ("a shard raised Local('shard', 256), which "
+                               "cannot be pickled")
+
+
+_INTERRUPTED_PASS = """
+import os, signal, sys, time
+from cgru import rng
+
+# Ctrl-C as at a terminal: a background job starts with SIGINT ignored
+signal.signal(signal.SIGINT, signal.default_int_handler)
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def shard(lo, hi):
+    if lo:
+        with open(sys.argv[1] + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+    time.sleep(60)
+
+rng.run_sharded(shard, 2 * rng.SHARD, 2)
+"""
+
+
+def test_ctrl_c_in_a_pass_prints_one_traceback_and_leaves_no_worker(tmp_path):
+    # SIGINT to the process group reaches the caller, busy with shard 0,
+    # and the worker, busy with shard 1: the worker ends quietly, the
+    # caller reaps it and reports
+    src = os.path.dirname(os.path.dirname(rngmod.__file__))
+    pid_file = tmp_path / "worker.pid"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTED_PASS, str(pid_file)],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        worker = int(pid_file.read_text())
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode != 0
+    assert err.count("Traceback (most recent call last)") == 1, err
+    assert err.rstrip().endswith("KeyboardInterrupt"), err
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker, 0)
 
 
 def test_n_workers_env(monkeypatch):
