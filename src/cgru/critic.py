@@ -82,11 +82,10 @@ def critic_values(critic: Critic, x: Array, onehot: Array, ts) -> Array:
 
 # Trajectories per stacked critic call in value_matrix. Stacks split each
 # rng shard at fixed offsets, so the bits do not depend on the worker count.
-# On a 2-core Xeon at CGRU_THREADS=2 (two processes), 16 and 32 time alike
-# (0.13-0.14 s for 10,000 trajectories, best of three) and 8 and 64 are
-# slower (0.18-0.20 s); each worker holds a few (stack, T, hidden) arrays,
-# so 16 peaks lower: 6.9 MB against 9.5 MB at 32, with the 4 MB result,
-# when two threads shared one process.
+# On a 2-core Xeon at CGRU_THREADS=2, 10,000 trajectories take 0.18-0.20 s
+# at 8 and 0.13-0.16 s at 16, 32 and 64 (best of eleven), while the peak of
+# a 256-trajectory shard grows with the stack: 0.6 MB at 16, 1.05 MB at 32
+# and 1.9 MB at 64 (tracemalloc). 16 is the smallest stack at full speed.
 _VALUE_STACK = 16
 
 
@@ -96,12 +95,12 @@ def value_matrix(critic: Critic, rollouts: Rollouts) -> Array:
     Each critic call takes a stack of up to _VALUE_STACK trajectories, whose
     T states share the film conditioning of steps T..1; every trajectory's
     values have the bits of a call on its T states alone. Shards of
-    trajectories run through rng.run_sharded and write their rows of the
-    result in place (rng.empty)."""
+    trajectories run through rng.run_sharded; each writes and returns its
+    rows of the result, which the fold puts back (sample_trajectories)."""
     T, K = rollouts.T, critic.n_classes
     d = rollouts.latents.shape[2]
     cond = critic.cond(np.arange(T, 0, -1), T)
-    values = rngmod.empty((len(rollouts), T), len(rollouts))
+    values = np.empty((len(rollouts), T))
 
     def shard(lo, hi):
         for a in range(lo, hi, _VALUE_STACK):
@@ -111,8 +110,13 @@ def value_matrix(critic: Critic, rollouts: Rollouts) -> Array:
             inputs[..., d:] = one_hot(rollouts.class_ids[a:b], K)[:, None]
             # row j of a trajectory's states is x_{T-j}: column T-1-j
             values[a:b, ::-1] = forward(critic.net, inputs, cond)[..., 0]
+        return lo, hi, values[lo:hi]
 
-    rngmod.run_sharded(shard, len(rollouts))
+    def fold(part):
+        lo, hi, rows = part
+        values[lo:hi] = rows
+
+    rngmod.run_sharded(shard, len(rollouts), fold=fold)
     return values
 
 

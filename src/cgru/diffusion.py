@@ -265,20 +265,27 @@ def sample_trajectories(model, class_ids, sched: NoiseSchedule, seed: int,
     so the result is independent of batching and of the worker count.
     Row 0 of a stream's draw is x_T; row k is the innovation for step
     t = T - k + 1. Each shard draws and walks its own slice of the
-    returned arrays, which are shared with forked workers (rng.empty).
+    returned arrays and returns it; the fold puts it back, which copies a
+    forked worker's rows and is a no-op for the calling process's own.
     """
     class_ids = np.asarray(class_ids, dtype=np.int64)
     onehot = one_hot(class_ids, model.n_classes)
     n = len(class_ids)
     T, d = sched.T, model.d
-    latents = rngmod.empty((n, T + 1, d), n)
-    logp = rngmod.empty((n, T), n)
+    latents = np.empty((n, T + 1, d))
+    logp = np.empty((n, T))
 
     def shard(lo, hi):
         _draw(latents[lo:hi], seed, phase, first_index + lo)
         _rollout(model, sched, onehot[lo:hi], latents[lo:hi], logp[lo:hi])
+        return lo, hi, latents[lo:hi], logp[lo:hi]
 
-    rngmod.run_sharded(shard, n)
+    def fold(part):
+        lo, hi, rows, rows_logp = part
+        latents[lo:hi] = rows
+        logp[lo:hi] = rows_logp
+
+    rngmod.run_sharded(shard, n, fold=fold)
     return Rollouts(class_ids, latents, logp)
 
 

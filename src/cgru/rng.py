@@ -10,8 +10,6 @@ processes (`run_sharded`) and the BLAS pin (`blas_pinned`).
 import ctypes
 import functools
 import glob
-import math
-import mmap
 import os
 from contextlib import closing, contextmanager
 
@@ -164,16 +162,6 @@ def _width(shards: int, workers: int | None = None) -> int:
                       cores))
 
 
-def empty(shape, n: int, chunk: int = SHARD) -> np.ndarray:
-    """np.empty(shape) of float64, or the same in shared anonymous memory
-    when a run_sharded pass over n rows in chunk-wide shards will fork, so
-    that what forked shards write into it in place reaches the caller."""
-    if _width(len(range(0, n, chunk))) <= 1:
-        return np.empty(shape)
-    size = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, 8 * size), np.float64).reshape(shape)
-
-
 def run_sharded(fn, n: int, workers: int | None = None, fold=None,
                 chunk: int = SHARD) -> list:
     """Run fn(lo, hi) over chunk-wide shards of range(n), maybe in forked
@@ -189,8 +177,9 @@ def run_sharded(fn, n: int, workers: int | None = None, fold=None,
     keeps only a running total holds O(workers) results, not O(shards).
 
     With more than one process, shard results cross a pipe and must be
-    picklable, and a shard may write in place only into arrays from
-    `empty`. Once a shard has raised, no further shard starts, every
+    picklable. A shard's result is its only channel to the caller: what a
+    shard run in a worker writes into the caller's arrays stays in the
+    worker. Once a shard has raised, no further shard starts, every
     worker is killed and reaped, and a copy of its exception (same type
     and args) propagates; a worker killed by a signal is a PhaseFailure.
     """

@@ -101,7 +101,7 @@ def test_value_matrix_matches_single_state_critic_values():
 def test_value_matrix_has_the_bits_of_per_trajectory_calls(monkeypatch,
                                                            threads):
     # 600 trajectories span three rng shards, each cut into critic stacks;
-    # at two or three processes the shards write into shared memory
+    # at two or three processes the workers' rows come back through the fold
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setenv("CGRU_THREADS", threads)
     T, K = 50, 8

@@ -1,6 +1,7 @@
 """Schedule math, forward/reverse process identities, dataset geometry."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -196,6 +197,22 @@ def test_trajectory_shapes_and_x0():
     assert np.array_equal(tail.rewards, [2.0, 3.0])
     with pytest.raises(ValueError):
         sample_trajectories(model, [4], sched, 1, rngmod.PHASE_DIAG)
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_rollouts_do_not_depend_on_worker_count(monkeypatch, threads):
+    # three shards; a forked worker's rows reach the caller only through
+    # the fold, so a lost row would leave np.empty's garbage behind
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    model = tiny_model()
+    sched = make_schedule(10, 1e-4, 0.02)
+    out = []
+    for n_workers in ("1", threads):
+        monkeypatch.setenv("CGRU_THREADS", n_workers)
+        rollouts = sample_trajectories(model, np.arange(600) % 4, sched, 5,
+                                       rngmod.PHASE_DIAG)
+        out.append((rollouts.latents.tobytes(), rollouts.logp.tobytes()))
+    assert out[1] == out[0]
 
 
 def test_rollout_from_is_deterministic_and_respects_start():
