@@ -8,7 +8,7 @@ critic. Every phase reads only declared checkpoint artifacts plus the
 config, re-derives its random streams from the master seed, and writes
 its outputs under cfg.out_dir, so reruns with an identical config are
 byte-identical. A kernel lock on one file serializes runs that share an
-output directory.
+output directory (`procs._locked`).
 
 Networks are read and written only through `load` and `_save`, which
 record and check the config sections each network depends on.
@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import fcntl
 import functools
 import hashlib
 import json
 import os
-import platform
 import time
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -31,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import procs
 from . import rng as rngmod
 from .checkpoint import load_network, replacing, save_network
 from .config import (RunConfig, config_hash, config_lines, render_value,
@@ -39,13 +38,11 @@ from .critic import (Critic, build_critic, build_critic_buffer, critic_train,
                      value_matrix)
 from .diffusion import (build_eps_net, ddpm_train_step, make_schedule,
                         mode_centers, sample_dataset, sample_trajectories)
-from .errors import (ConfigError, Divergence, LockError, MissingArtifact,
-                     PhaseFailure)
+from .errors import Divergence, MissingArtifact, PhaseFailure
 from .metrics import EvalReport, feature_stats, frechet_distance
 from .nets import adam_init
 from .policy_grad import (clip_to_norm, gradient_variance, group_estimates,
                           policy_update_epoch)
-from .procs import _forked
 from .rewards import (RewardSpec, assign_rewards, build_classifier_net,
                       classifier_accuracy, classifier_predict,
                       train_classifier)
@@ -97,38 +94,6 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-@contextmanager
-def _locked(out_dir: str):
-    """Hold an exclusive flock on out_dir/.lock, whose text names this
-    process's pid and host meanwhile; LockError names another holder.
-    The kernel drops the lock when its holder exits, even when killed.
-    The file is never unlinked: two runs could then lock two inodes.
-    A directory that cannot be made or hold the lock is a ConfigError."""
-    lock_path = os.path.join(out_dir, ".lock")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        # append mode: opening never truncates the name of a current holder
-        fh = open(lock_path, "a+", encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise ConfigError(f"cannot use output directory {out_dir!r}: "
-                          f"{exc.strerror or exc}") from None
-    with fh:
-        try:
-            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            fh.seek(0)
-            raise LockError(f"lock {lock_path} is held by "
-                            f"{fh.read().strip() or 'an unnamed holder'}; "
-                            "another run is using this directory") from None
-        fh.truncate(0)
-        fh.write(f"pid {os.getpid()} on host {platform.node()}\n")
-        fh.flush()
-        try:
-            yield
-        finally:
-            fh.truncate(0)      # closing the file releases the flock
 
 
 def write_csv(path: str, header: list, rows: Iterable) -> str:
@@ -614,12 +579,14 @@ def _report_phase(cfg: RunConfig) -> dict:
 
 
 def locked_run(fn):
-    """`fn(cfg, ...)` run on a validated cfg, holding cfg.out_dir's lock,
-    with BLAS pinned to one thread (`rng.blas_pinned`)."""
+    """`fn(cfg, ...)` run on a validated cfg and CGRU_THREADS, holding
+    cfg.out_dir's lock, with BLAS pinned to one thread
+    (`procs.blas_pinned`)."""
     @functools.wraps(fn)
     def run(cfg: RunConfig, *args, **kwargs):
         validate(cfg)
-        with _locked(cfg.out_dir), rngmod.blas_pinned():
+        procs.n_workers()       # before the output directory is made
+        with procs._locked(cfg.out_dir), procs.blas_pinned():
             return fn(cfg, *args, **kwargs)
     return run
 
@@ -665,7 +632,7 @@ def run_full(cfg: RunConfig) -> RunManifest:
     add `wait_s`, how long this process waited for the critic after its
     ddpo arm and for the classifier.
     """
-    with rngmod.blas_pinned() as blas:   # the record of locked_run's pin
+    with procs.blas_pinned() as blas:   # the record of locked_run's pin
         manifest = RunManifest(config_hash=config_hash(cfg), blas=blas)
     errors = {}
 
@@ -691,7 +658,7 @@ def run_full(cfg: RunConfig) -> RunManifest:
     def run(name):
         return record(name, *timed(name))
 
-    with _forked(_FULL_PHASES["classifier"], cfg) as join:
+    with procs._forked(_FULL_PHASES["classifier"], cfg) as join:
         def classifier():
             fitted = join()[0]
             if isinstance(fitted, Exception):
@@ -703,7 +670,7 @@ def run_full(cfg: RunConfig) -> RunManifest:
     if (record("classifier", fitted, seconds, {"peak_rss_mb": peak_mb})
             and record("pretrain", pretrained, pretrain_s,
                        {"wait_s": wait_s})):
-        with _forked(_FULL_PHASES["critic"], cfg) as join:
+        with procs._forked(_FULL_PHASES["critic"], cfg) as join:
             if run("unlearn_ddpo"):
                 run("eval_ddpo")
             fitted, seconds, peak_mb, wait_s = join()

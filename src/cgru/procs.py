@@ -1,33 +1,148 @@
-"""Forked child processes, all started through one primitive, `_fork`.
+"""Where each piece of work runs, and what every child inherits.
 
-A child pickles what it has to say down a pipe and leaves by os._exit.
-`run_full` runs whole phases in such children (`_forked`), and
-`rng.run_sharded` runs its shard workers in them (`sharded`).
+Every child is a forked worker (`_Child`) that runs a function over a
+list of spans and pickles each result down a pipe. `sharded` runs a
+shard pass over such workers, the caller included, at a width it picks
+itself; `_forked` runs one whole phase of `run_full` as a worker over one
+span. The module also holds the output directory's lock (`_locked`) and
+the one-thread BLAS pin (`blas_pinned`), which children inherit.
 """
 
 from __future__ import annotations
 
+import ctypes
+import fcntl
+import functools
+import glob
 import os
 import pickle
+import platform
 import resource
 import signal
 import time
 import traceback
 from contextlib import contextmanager, suppress
 
-from .errors import CgruError, PhaseFailure
+import numpy as np
+
+from .errors import CgruError, ConfigError, LockError, PhaseFailure
 
 
-def _fork(body) -> tuple:
-    """Start body(out) in a forked child, where out is the write end of a
-    pipe as a binary file; returns (pid, the read end's fd).
+@contextmanager
+def _locked(out_dir: str):
+    """Hold an exclusive flock on out_dir/.lock, whose text names this
+    process's pid and host meanwhile; LockError names another holder.
+    The kernel drops the lock when its holder exits, even when killed.
+    The file is never unlinked: two runs could then lock two inodes.
+    A directory that cannot be made or hold the lock is a ConfigError."""
+    lock_path = os.path.join(out_dir, ".lock")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        # append mode: opening never truncates the name of a current holder
+        fh = open(lock_path, "a+", encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out_dir!r}: "
+                          f"{exc.strerror or exc}") from None
+    with fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            fh.seek(0)
+            raise LockError(f"lock {lock_path} is held by "
+                            f"{fh.read().strip() or 'an unnamed holder'}; "
+                            "another run is using this directory") from None
+        fh.truncate(0)
+        fh.write(f"pid {os.getpid()} on host {platform.node()}\n")
+        fh.flush()
+        try:
+            yield
+        finally:
+            fh.truncate(0)      # closing the file releases the flock
 
-    The child leaves by os._exit when body returns, so no finally block
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS through ctypes, or None if numpy ships
+    another BLAS build."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
+@contextmanager
+def blas_pinned():
+    """Run the block with numpy's bundled OpenBLAS at one thread, and put
+    its old thread count back after; yields the BLAS's name, version,
+    thread count and whether it is pinned. BLAS kernels can differ in the
+    last bit between thread counts, so one thread makes a run's bytes
+    independent of the environment, and it keeps concurrent workers and
+    processes from each starting a thread per core. Without that library
+    the block runs unpinned, at a thread count it cannot read."""
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:       # numpy < 1.25 only prints its config
+        build = {}
+    lib = _openblas()
+    blas = {"name": build.get("name"), "version": build.get("version"),
+            "threads": None if lib is None else 1, "pinned": lib is not None}
+    if lib is None:
+        yield blas
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield blas
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+
+
+def n_workers() -> int:
+    """Worker cap from the CGRU_THREADS environment variable (default 1).
+    The name is historical: it counts processes, the caller included.
+    Each worker's BLAS calls run at one thread under `blas_pinned`."""
+    raw = os.environ.get("CGRU_THREADS", "").strip()
+    if not raw:
+        return 1
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ConfigError(f"CGRU_THREADS must be an integer, got {raw!r}")
+    return max(1, n)
+
+
+# set while a pass runs over forked workers, and so in every worker: a
+# pass nested in a shard runs serially, never forking workers of its own
+_in_pass = False
+
+
+def _width(shards: int) -> int:
+    """The processes a pass of `shards` shards runs on: at most the worker
+    cap, the shard count and the usable cores."""
+    if _in_pass:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return max(1, min(n_workers(), shards, cores))
+
+
+def _fork(fn, spans, credits: int) -> tuple:
+    """Start `_worker` over fn, spans and credits in a forked child, with
+    the write end of a pipe as its out; returns (pid, the read end's fd).
+
+    The child leaves by os._exit when the worker returns, so no finally block
     or exit handler of the caller's frames runs in it: it keeps the
     inherited lock fd until it exits and never truncates `.lock`. An
     interrupt ends it quietly with status 130; the parent, which gets
-    the same Ctrl-C, reports it. Anything else that escapes body prints
-    its traceback and ends the child with status 1.
+    the same Ctrl-C, reports it. Anything else that escapes the worker
+    prints its traceback and ends the child with status 1.
     """
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -38,7 +153,7 @@ def _fork(body) -> tuple:
     try:
         os.close(read_fd)
         with open(write_fd, "wb") as out:
-            body(out)
+            _worker(out, fn, spans, credits)
         code = 0
     except KeyboardInterrupt:
         code = 128 + signal.SIGINT
@@ -55,170 +170,169 @@ def _ended(status: int) -> str:
     return f"exited with status {os.waitstatus_to_exitcode(status)}"
 
 
-def _reap(pid: int) -> None:
-    """Kill the child pid, if it still runs, and wait for it."""
-    with suppress(ProcessLookupError, ChildProcessError):  # reaped
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+def _portable(exc: Exception, raiser: str) -> Exception:
+    """exc if a pickle round trip keeps it, else a CgruError naming it and
+    what raised it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return CgruError(f"{raiser} raised {exc!r}, which cannot be pickled")
 
 
-def _phase(fn, cfg):
-    """The `_fork` body of a phase child: it sends (fn(cfg) or the
-    exception it raised, seconds, peak RSS in MB) as one pickle."""
-    def body(out):
-        start = time.perf_counter()
+def _worker(out, fn, spans, credits: int) -> None:
+    """What every child runs: fn(lo, hi) over its spans in order, each
+    once it has read a credit byte, sending (True, result) or (False,
+    exception, noted with where it was raised) to out as one pickle per
+    span; it stops at the first exception, and when the caller's end of
+    the credit pipe is gone."""
+    for lo, hi in spans:
+        if not os.read(credits, 1):
+            return
         try:
-            result = fn(cfg)
+            sent = (True, fn(lo, hi))
+            blob = pickle.dumps(sent)
         except Exception as exc:
-            result = exc
-        seconds = time.perf_counter() - start
-        peak_mb = round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
-        out.write(pickle.dumps((result, seconds, peak_mb)))
-    return body
+            if hasattr(exc, "add_note"):        # Python 3.11+
+                exc.add_note("raised in a shard worker at:\n" + "".join(
+                    traceback.format_tb(exc.__traceback__)).rstrip())
+            sent = (False, _portable(exc, "a shard"))
+            blob = pickle.dumps(sent)
+        out.write(blob)
+        out.flush()
+        if not sent[0]:
+            return
 
 
-def _join(pid: int, read_fd: int, started: float) -> tuple:
-    """The (result or exception, seconds, peak RSS) a phase child sent,
-    once it has exited and been reaped. A child that ended without
-    sending one yields a PhaseFailure naming its exit status or signal,
-    the seconds since `started` and no peak. Interrupted while it waits,
-    it kills and reaps the child before the interrupt propagates."""
+# a worker may run or hold this many of its spans ahead of the caller
+_CREDITS = 2
+
+
+class _Child:
+    """A forked `_worker` over spans, named in its failures, that starts
+    with credits for its first two spans."""
+
+    def __init__(self, name: str, fn, spans: list):
+        self.name = name
+        read_credits, self.credits = os.pipe()
+        try:
+            self.pid, read_fd = _fork(fn, spans, read_credits)
+        except BaseException:
+            os.close(self.credits)
+            raise
+        finally:
+            os.close(read_credits)
+        self.results = open(read_fd, "rb")
+        os.write(self.credits, b"\0" * min(_CREDITS, len(spans)))
+
+    def grant(self) -> None:
+        """One more credit: the child may start its next span."""
+        with suppress(BrokenPipeError):     # the child stopped
+            os.write(self.credits, b"\0")
+
+    def receive(self, what: str):
+        """The child's next result. A sent exception is raised again; a
+        child that ends first is reaped, and is a PhaseFailure naming it,
+        how it ended and `what` it did not send."""
+        try:
+            ok, value = pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):
+            ok = None       # reaped below, outside this handler
+        if ok is None:
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            raise PhaseFailure(f"{self.name} {_ended(status)} before it "
+                               f"sent {what}")
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Kill the child, if it still runs, reap it and close its pipes."""
+        if self.pid is not None:
+            with suppress(ProcessLookupError, ChildProcessError):  # reaped
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+        self.results.close()
+        os.close(self.credits)
+
+
+def sharded(fn, spans: list, fold) -> None:
+    """fold(fn(lo, hi)) for each (lo, hi) of spans, in shard order, over
+    `_width` processes: shard j runs in forked worker j % width, where
+    worker 0 is the caller, which runs its shards as their turn comes.
+    At width 1 no worker is forked.
+
+    Worker w >= 1 starts a shard only with a credit: it holds two at the
+    start, and each of its results folded grants one for its shard
+    2 * width places on. So no shard starts more than 2 * width places
+    ahead of the last one folded. A shard's exception is raised again
+    here, a copy of the same type and args, in its turn; a worker that
+    dies first is a PhaseFailure naming its exit status or signal. Every
+    worker is killed and reaped when the pass ends, however it ends.
+    """
+    global _in_pass
+    width = _width(len(spans))
+    workers = []
+    outer, _in_pass = _in_pass, _in_pass or width > 1
     try:
-        with open(read_fd, "rb") as fh:
-            blob = fh.read()
-        _, status = os.waitpid(pid, 0)
-    except BaseException:
-        _reap(pid)
-        raise
-    try:
-        return pickle.loads(blob)
-    except (EOFError, pickle.UnpicklingError):
-        pass
-    return (PhaseFailure(f"the child process of this phase {_ended(status)} "
-                         "before it sent a result"),
-            time.perf_counter() - started, None)
+        for w in range(1, width):
+            workers.append(_Child(f"shard worker {w}", fn, spans[w::width]))
+        for j, (lo, hi) in enumerate(spans):
+            if j % width == 0:
+                fold(fn(lo, hi))
+                continue
+            worker = workers[j % width - 1]
+            fold(worker.receive(f"shard {j}"))
+            if j + _CREDITS * width < len(spans):
+                worker.grant()
+    finally:
+        _in_pass = outer
+        for worker in workers:
+            worker.close()
 
 
 @contextmanager
 def _forked(fn, cfg):
-    """Run fn(cfg) in a phase child beside the block, which gets `join`.
+    """Run fn(cfg) in a phase child beside the block, which gets `join`:
+    a `_Child` over one span, whose function returns (fn(cfg) or the
+    exception it raised, seconds, peak RSS in MB).
 
     The first call of join() waits for the child and returns what it sent
-    (`_join`) plus the seconds it waited; later calls return the same.
-    The block must join before it ends; one left by an exception kills
-    and reaps a child it has not joined.
+    plus the seconds it waited; later calls return the same. A child that
+    ended without sending it yields its PhaseFailure, the seconds since
+    the fork and no peak. The child is killed, if it still runs, and
+    reaped when the block ends, however it ends.
     """
+    name = "the child process of this phase"
+
+    def phase(lo, hi):
+        start = time.perf_counter()
+        try:
+            result = fn(cfg)
+        except Exception as exc:
+            result = _portable(exc, name)
+        seconds = time.perf_counter() - start
+        peak_mb = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        return result, seconds, peak_mb
+
     started = time.perf_counter()
-    pid, read_fd = _fork(_phase(fn, cfg))
+    child = _Child(name, phase, [(0, 1)])
     sent = None
 
     def join() -> tuple:
         nonlocal sent
         if sent is None:
-            sent = ()       # _join reaps the child even when it raises
             waited = time.perf_counter()
-            sent = (*_join(pid, read_fd, started),
-                    round(time.perf_counter() - waited, 3))
+            try:
+                result = child.receive("a result")
+            except Exception as exc:    # it died, or its result won't pickle
+                result = exc, time.perf_counter() - started, None
+            sent = (*result, round(time.perf_counter() - waited, 3))
         return sent
 
     try:
         yield join
-    except BaseException:
-        if sent is None:
-            os.kill(pid, signal.SIGKILL)
-            join()
-        raise
-
-
-def _portable(exc: Exception) -> Exception:
-    """exc if a pickle round trip keeps it, else a CgruError naming it."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return CgruError(f"a shard raised {exc!r}, which cannot be pickled")
-
-
-def _shard_worker(fn, spans, credits: int):
-    """The `_fork` body of a shard worker: fn(lo, hi) over its spans in
-    order, each once it has read a credit byte, sending (True, result) or
-    (False, exception, noted with where it was raised) as one pickle per
-    shard; it stops at the first exception, and when the caller's end of
-    the credit pipe is gone."""
-    def body(out):
-        for lo, hi in spans:
-            if not os.read(credits, 1):
-                return
-            try:
-                sent = (True, fn(lo, hi))
-                blob = pickle.dumps(sent)
-            except Exception as exc:
-                if hasattr(exc, "add_note"):        # Python 3.11+
-                    exc.add_note("raised in a shard worker at:\n" + "".join(
-                        traceback.format_tb(exc.__traceback__)).rstrip())
-                sent = (False, _portable(exc))
-                blob = pickle.dumps(sent)
-            out.write(blob)
-            out.flush()
-            if not sent[0]:
-                return
-    return body
-
-
-# a worker may run or hold this many of its shards ahead of the fold
-_CREDITS = 2
-
-
-def sharded(fn, spans: list, width: int):
-    """Yield fn(lo, hi) for each (lo, hi) of spans, in order, over `width`
-    processes: shard j runs in forked worker j % width, where worker 0 is
-    the caller, which runs its shards as their turn comes.
-
-    Worker w >= 1 starts a shard only with a credit: it holds two at the
-    start, and each of its results taken back after it was yielded, that
-    is folded, grants one for its shard 2 * width places on. So no shard
-    starts more than 2 * width places ahead of the last one folded.
-    A shard's exception is raised again here, a copy of the same type and
-    args, in its turn; a worker that dies first is a PhaseFailure naming
-    its exit status or signal. Every worker is killed and reaped when the
-    generator ends, however it ends, so close it (contextlib.closing).
-    """
-    workers = []        # [pid, results, credits]; pid None once reaped
-    try:
-        for w in range(1, width):
-            read_credits, credits = os.pipe()
-            try:
-                pid, read_fd = _fork(_shard_worker(fn, spans[w::width],
-                                                   read_credits))
-            except BaseException:
-                os.close(credits)
-                raise
-            finally:
-                os.close(read_credits)
-            workers.append([pid, open(read_fd, "rb"), credits])
-            os.write(credits, b"\0" * min(_CREDITS, len(spans[w::width])))
-        for j, (lo, hi) in enumerate(spans):
-            if j % width == 0:
-                yield fn(lo, hi)
-                continue
-            worker = workers[j % width - 1]
-            try:
-                ok, value = pickle.load(worker[1])
-            except (EOFError, pickle.UnpicklingError):
-                _, status = os.waitpid(worker[0], 0)
-                worker[0] = None
-                raise PhaseFailure(f"shard worker {j % width} {_ended(status)} "
-                                   f"before it sent shard {j}") from None
-            if not ok:
-                raise value
-            yield value
-            if j + _CREDITS * width < len(spans):
-                with suppress(BrokenPipeError):     # the worker stopped
-                    os.write(worker[2], b"\0")
     finally:
-        for pid, results, credits in workers:
-            if pid is not None:
-                _reap(pid)
-            results.close()
-            os.close(credits)
+        child.close()

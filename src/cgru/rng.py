@@ -3,20 +3,13 @@
 Every stochastic operation in the package draws from an explicit stream
 derived from (seed, phase, index) via the Philox counter-based generator,
 so results never depend on how work is sharded across workers. The
-module also owns the run's parallelism: shard passes over forked worker
-processes (`run_sharded`) and the BLAS pin (`blas_pinned`).
+module decides shard boundaries (`shard_ranges`) and streams; where each
+shard runs is `procs`'s to decide (`run_sharded`).
 """
-
-import ctypes
-import functools
-import glob
-import os
-from contextlib import closing, contextmanager
 
 import numpy as np
 
 from . import procs
-from .errors import ConfigError
 
 # Phase ids keep streams for different pipeline stages disjoint even when
 # they share a master seed and an index range.
@@ -75,73 +68,11 @@ def streams(seed: int, phase: int, indices):
         yield gen
 
 
-def n_workers() -> int:
-    """Worker cap from the CGRU_THREADS environment variable (default 1).
-    The name is historical: it counts processes, the caller included.
-    Each worker's BLAS calls run at one thread under `blas_pinned`."""
-    raw = os.environ.get("CGRU_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"CGRU_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-@functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS through ctypes, or None if numpy ships
-    another BLAS build."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            lib.scipy_openblas_get_num_threads64_.argtypes = []
-            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            lib.scipy_openblas_set_num_threads64_.restype = None
-            return lib
-    return None
-
-
-@contextmanager
-def blas_pinned():
-    """Run the block with numpy's bundled OpenBLAS at one thread, and put
-    its old thread count back after; yields the BLAS's name, version,
-    thread count and whether it is pinned. BLAS kernels can differ in the
-    last bit between thread counts, so one thread makes a run's bytes
-    independent of the environment, and it keeps concurrent workers and
-    processes from each starting a thread per core. Without that library
-    the block runs unpinned, at a thread count it cannot read."""
-    try:
-        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:       # numpy < 1.25 only prints its config
-        build = {}
-    lib = _openblas()
-    blas = {"name": build.get("name"), "version": build.get("version"),
-            "threads": None if lib is None else 1, "pinned": lib is not None}
-    if lib is None:
-        yield blas
-        return
-    old = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield blas
-    finally:
-        lib.scipy_openblas_set_num_threads64_(old)
-
-
 # Shard width is a fixed constant of the algorithm, NOT derived from the
 # worker count: BLAS kernels can differ at the last ulp between batch
 # shapes, so worker-independent results require worker-independent shard
 # boundaries. Workers only decide how many shards run concurrently.
 SHARD = 256
-
-# set while a pass runs over forked workers, and so in every worker: a
-# pass nested in a shard runs serially, never forking workers of its own
-_in_pass = False
 
 
 def shard_ranges(n: int, chunk: int = SHARD) -> list[tuple[int, int]]:
@@ -151,30 +82,17 @@ def shard_ranges(n: int, chunk: int = SHARD) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def _width(shards: int, workers: int | None = None) -> int:
-    """The processes a pass of `shards` shards runs on: at most the worker
-    cap (default n_workers()), the shard count and the usable cores."""
-    if _in_pass:
-        return 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    return max(1, min(n_workers() if workers is None else workers, shards,
-                      cores))
-
-
-def run_sharded(fn, n: int, workers: int | None = None, fold=None,
-                chunk: int = SHARD) -> list:
+def run_sharded(fn, n: int, fold=None, chunk: int = SHARD) -> list:
     """Run fn(lo, hi) over chunk-wide shards of range(n), maybe in forked
-    worker processes (`procs.sharded`).
+    worker processes (`procs.sharded`, which picks how many).
 
     Each shard's result goes to fold(result) in the calling process, in
     shard order; without a fold the results are returned as a list in
     shard order (with one, the list is empty). Each shard's inputs do not
-    depend on the worker count, so neither does the output. The pass runs
-    on min(workers, shard count, usable cores) processes, the caller
-    included; workers defaults to n_workers(). At most 2 * that many
-    shards run or wait ahead of the shard being folded, so a fold that
-    keeps only a running total holds O(workers) results, not O(shards).
+    depend on the worker count, so neither does the output. At most two
+    shards per process run or wait ahead of the shard being folded, so a
+    fold that keeps only a running total holds O(workers) results, not
+    O(shards).
 
     With more than one process, shard results cross a pipe and must be
     picklable. A shard's result is its only channel to the caller: what a
@@ -183,21 +101,7 @@ def run_sharded(fn, n: int, workers: int | None = None, fold=None,
     worker is killed and reaped, and a copy of its exception (same type
     and args) propagates; a worker killed by a signal is a PhaseFailure.
     """
-    global _in_pass
-    spans = shard_ranges(n, chunk)
     results = []
-    if fold is None:
-        fold = results.append
-    width = _width(len(spans), workers)
-    if width <= 1:
-        for lo, hi in spans:
-            fold(fn(lo, hi))
-        return results
-    _in_pass = True
-    try:
-        with closing(procs.sharded(fn, spans, width)) as parts:
-            for part in parts:
-                fold(part)
-    finally:
-        _in_pass = False
+    procs.sharded(fn, shard_ranges(n, chunk),
+                  results.append if fold is None else fold)
     return results

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from cgru import critic as critic_mod
-from cgru import pipeline
+from cgru import procs
 from cgru.cli import build_parser, main
 from cgru.config import apply_overrides, config_hash, save_config
 from cgru.critic import Critic
@@ -214,6 +214,18 @@ def test_unusable_output_directory_exits_two(tmp_path, capsys):
     assert not_a_dir.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", [["full"], ["diag", "variance"]])
+def test_malformed_worker_count_exits_two_before_any_work(tmp_path, capsys,
+                                                          monkeypatch,
+                                                          command):
+    monkeypatch.setenv("CGRU_THREADS", "lots")
+    out = tmp_path / "run"
+    assert main([*command, *_args(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: CGRU_THREADS must be an integer, got 'lots'\n"
+    assert not out.exists()
+
+
 def test_bad_override_exits_two(tmp_path, capsys):
     assert main(["full", "--set", "policy.lr=banana", "--out", str(tmp_path)]) == 2
     assert "policy.lr" in capsys.readouterr().err
@@ -357,7 +369,7 @@ def test_diag_ablation(diag_dir, capsys):
 def test_lock_reported_as_failure(diag_dir, capsys):
     lock = diag_dir / ".lock"
     for holder, named in [
-            (pipeline._locked(str(diag_dir)),
+            (procs._locked(str(diag_dir)),
              f"pid {os.getpid()} on host {platform.node()}"),
             (flock_held(lock), "an unnamed holder")]:
         with holder:

@@ -27,7 +27,8 @@ from cgru.config import RunConfig, apply_overrides, config_hash
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
 from cgru.policy_grad import cgru_gradient, ddpo_gradient, gradient_variance
 from cgru.rewards import RewardSpec, assign_rewards
-from cgru.errors import CheckpointError, LockError, MissingArtifact, PhaseFailure
+from cgru.errors import (CgruError, CheckpointError, LockError, MissingArtifact,
+                         PhaseFailure)
 from cgru.metrics import feature_stats, frechet_distance
 
 from conftest import (TINY_OVERRIDES, assert_reaped, count_forks,
@@ -97,7 +98,7 @@ def test_lock_blocks_concurrent_use(tiny_run):
     cfg, _ = tiny_run
     lock = os.path.join(cfg.out_dir, ".lock")
     # a second open of the lock file is refused, even in the holding process
-    with pipeline._locked(cfg.out_dir):
+    with procs._locked(cfg.out_dir):
         with pytest.raises(LockError, match=re.escape(
                 f"lock {lock} is held by {_named(os.getpid())}; ")):
             pipeline.run_eval(cfg, "base")
@@ -188,8 +189,8 @@ def _reaped_pid():
 # kills itself or holds the lock until its stdin closes
 _HOLDER = """
 import os, signal, sys
-from cgru import pipeline
-with pipeline._locked(sys.argv[1]):
+from cgru import procs
+with procs._locked(sys.argv[1]):
     print("held", flush=True)
     if sys.argv[2] == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
@@ -238,10 +239,10 @@ def test_lock_that_is_not_provably_stale_blocks(tmp_path, capsys, content):
     with flock_held(lock, text):
         with pytest.raises(LockError, match=re.escape(
                 f"lock {lock} is held by {text.strip()}; ")):
-            with pipeline._locked(out_dir):
+            with procs._locked(out_dir):
                 pass
     assert open(lock).read() == text
-    with pipeline._locked(out_dir):
+    with procs._locked(out_dir):
         assert open(lock).read() == _named(os.getpid()) + "\n"
     assert capsys.readouterr().err == ""
 
@@ -259,7 +260,7 @@ def test_two_reclaimers_of_one_stale_lock_admit_one(tmp_path):
     def claim():
         start.wait()
         try:
-            with pipeline._locked(out_dir):
+            with procs._locked(out_dir):
                 outcomes.append("in")
                 refused.wait(30)
         except LockError:
@@ -520,9 +521,30 @@ def test_critic_child_killed_is_a_named_phase_failure(tmp_path, monkeypatch):
     for pid in pids:
         assert_reaped(pid)
     # the lock is free, and the file names no one
-    with pipeline._locked(cfg.out_dir):
+    with procs._locked(cfg.out_dir):
         pass
     assert open(os.path.join(cfg.out_dir, ".lock")).read() == ""
+
+
+def test_a_phase_exception_that_cannot_be_pickled_keeps_its_message(
+        monkeypatch):
+    class Local(Exception):     # a local class does not pickle
+        pass
+
+    def phase(cfg):
+        raise Local("critic fit failed", cfg)
+
+    pids = count_forks(monkeypatch)
+    with procs._forked(phase, 7) as join:
+        failed, seconds, peak_mb, wait_s = join()
+    assert type(failed) is CgruError
+    assert str(failed) == ("the child process of this phase raised "
+                           "Local('critic fit failed', 7), which cannot be "
+                           "pickled")
+    assert seconds >= 0.0 and peak_mb > 0 and wait_s >= 0.0
+    assert join() == (failed, seconds, peak_mb, wait_s)
+    assert len(pids) == 1
+    assert_reaped(pids[0])
 
 
 @pytest.mark.parametrize("critic_fails", [False, True])
@@ -579,16 +601,16 @@ def test_interrupt_while_waiting_for_the_critic_kills_and_reaps_it(
         monkeypatch.setattr(pipeline, name, stub)
     monkeypatch.setattr(pipeline, "_critic_phase", lambda cfg: time.sleep(30))
     monkeypatch.setattr(pipeline, "_unlearn_phase", failing_ddpo)
-    join = procs._join
+    receive = procs._Child.receive
 
-    def interrupted_join(*child):
+    def interrupted_receive(child, what):
         # the interrupt lands while run_full waits for the critic child,
         # the second one it forks
         if len(pids) == 2:
             signal.setitimer(signal.ITIMER_REAL, 0.2)
-        return join(*child)
+        return receive(child, what)
 
-    monkeypatch.setattr(procs, "_join", interrupted_join)
+    monkeypatch.setattr(procs._Child, "receive", interrupted_receive)
     pids = count_forks(monkeypatch)
     cfg = tiny_config(tmp_path / "interrupted")
     old = signal.signal(signal.SIGALRM, interrupt)
@@ -601,7 +623,7 @@ def test_interrupt_while_waiting_for_the_critic_kills_and_reaps_it(
     assert len(pids) == 2       # the classifier's child, then the critic's
     for pid in pids:
         assert_reaped(pid)
-    with pipeline._locked(cfg.out_dir):
+    with procs._locked(cfg.out_dir):
         pass
 
 
@@ -620,7 +642,7 @@ def test_classifier_child_killed_is_a_named_phase_failure(tmp_path,
     assert not os.path.exists(os.path.join(cfg.out_dir, "eps_base.ckpt"))
     assert len(pids) == 1
     assert_reaped(pids[0])
-    with pipeline._locked(cfg.out_dir):
+    with procs._locked(cfg.out_dir):
         pass
     assert (tmp_path / "killed" / ".lock").read_text() == ""
 
@@ -632,22 +654,22 @@ def test_interrupt_while_pretrain_waits_kills_and_reaps_the_classifier(
 
     monkeypatch.setattr(pipeline, "_classifier_phase",
                         lambda cfg: time.sleep(30))
-    sample, join = pipeline.sample_trajectories, procs._join
+    sample, receive = pipeline.sample_trajectories, procs._Child.receive
     samples, joins = [], []
 
     def counted_sample(*args, **kwargs):
         samples.append(args[4])
         return sample(*args, **kwargs)
 
-    def interrupted_join(*child):
+    def interrupted_receive(child, what):
         # pretrain asks for the classifier once it has drawn its first gate
         # check's samples; the interrupt lands while it waits for the child
         joins.append(list(samples))
         signal.setitimer(signal.ITIMER_REAL, 0.2)
-        return join(*child)
+        return receive(child, what)
 
     monkeypatch.setattr(pipeline, "sample_trajectories", counted_sample)
-    monkeypatch.setattr(procs, "_join", interrupted_join)
+    monkeypatch.setattr(procs._Child, "receive", interrupted_receive)
     pids = count_forks(monkeypatch)
     cfg = tiny_config(tmp_path / "interrupted")
     old = signal.signal(signal.SIGALRM, interrupt)
@@ -663,7 +685,7 @@ def test_interrupt_while_pretrain_waits_kills_and_reaps_the_classifier(
     assert len(pids) == 1
     assert_reaped(pids[0])
     assert not os.path.exists(os.path.join(cfg.out_dir, "eps_base.ckpt"))
-    with pipeline._locked(cfg.out_dir):
+    with procs._locked(cfg.out_dir):
         pass
 
 

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from cgru import procs
 from cgru import rng as rngmod
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
 from cgru.errors import CgruError, ConfigError, Divergence, PhaseFailure
@@ -67,17 +68,20 @@ def test_shard_ranges_partition_exactly():
             assert all(hi - lo <= chunk for lo, hi in spans)
 
 
-def test_shard_ranges_do_not_depend_on_worker_count():
+def test_shard_ranges_do_not_depend_on_worker_count(monkeypatch):
     # the shard layout is a constant of the algorithm; only concurrency
     # may change with the worker count
-    out1 = rngmod.run_sharded(lambda lo, hi: (lo, hi), 600, workers=1)
-    out4 = rngmod.run_sharded(lambda lo, hi: (lo, hi), 600, workers=4)
+    monkeypatch.setenv("CGRU_THREADS", "1")
+    out1 = rngmod.run_sharded(lambda lo, hi: (lo, hi), 600)
+    monkeypatch.setenv("CGRU_THREADS", "4")
+    out4 = rngmod.run_sharded(lambda lo, hi: (lo, hi), 600)
     assert out1 == out4 == rngmod.shard_ranges(600)
 
 
-def test_run_sharded_threads_keep_callers_errstate():
+def test_run_sharded_threads_keep_callers_errstate(monkeypatch):
+    monkeypatch.setenv("CGRU_THREADS", "2")
     with np.errstate(over="ignore", invalid="ignore"):
-        modes = rngmod.run_sharded(lambda lo, hi: np.geterr(), 600, workers=2)
+        modes = rngmod.run_sharded(lambda lo, hi: np.geterr(), 600)
     assert len(modes) == 3
     assert all(m["over"] == "ignore" and m["invalid"] == "ignore"
                for m in modes)
@@ -88,6 +92,12 @@ def _cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def _workers(monkeypatch, n):
+    """Let passes use n processes: n cores and CGRU_THREADS=n."""
+    _cores(monkeypatch, n)
+    monkeypatch.setenv("CGRU_THREADS", str(n))
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_fold_takes_shards_in_order_and_bounds_the_ones_ahead(
         workers, tmp_path, monkeypatch):
@@ -95,7 +105,7 @@ def test_fold_takes_shards_in_order_and_bounds_the_ones_ahead(
     # 2 * workers shards past the last one folded. Shards run in forked
     # workers, so each logs (pid, shard, shards folded) to a file, and the
     # fold keeps its count in shared memory
-    _cores(monkeypatch, workers)
+    _workers(monkeypatch, workers)
     n = 40 * rngmod.SHARD
     log = ProcessLog(tmp_path / "started")
     count = np.frombuffer(mmap.mmap(-1, 8), np.int64)
@@ -110,7 +120,7 @@ def test_fold_takes_shards_in_order_and_bounds_the_ones_ahead(
         folded.append(result)
         count[0] = len(folded)
 
-    assert rngmod.run_sharded(fn, n, workers, fold=fold) == []
+    assert rngmod.run_sharded(fn, n, fold=fold) == []
     assert folded == rngmod.shard_ranges(n)
     started = log.rows()
     assert sorted(shard for _, shard, _ in started) == list(range(40))
@@ -120,7 +130,7 @@ def test_fold_takes_shards_in_order_and_bounds_the_ones_ahead(
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_failing_shard_stops_the_pass(workers, tmp_path, monkeypatch):
-    _cores(monkeypatch, workers)
+    _workers(monkeypatch, workers)
     err = Divergence("unlearn_cgru iteration 7: non-finite values")
     log = ProcessLog(tmp_path / "started")
     folded = []
@@ -133,7 +143,7 @@ def test_a_failing_shard_stops_the_pass(workers, tmp_path, monkeypatch):
         return lo
 
     with pytest.raises(Divergence) as info:
-        rngmod.run_sharded(fn, 40 * rngmod.SHARD, workers, fold=folded.append)
+        rngmod.run_sharded(fn, 40 * rngmod.SHARD, fold=folded.append)
     # shard 1 ran in a worker at two or more: a copy crossed the pipe
     assert type(info.value) is Divergence and info.value.args == err.args
     assert folded == [0]
@@ -160,8 +170,7 @@ def test_a_pass_forks_no_more_workers_than_shards_or_cores(monkeypatch, cores,
 
 
 def test_a_pass_nested_in_a_shard_runs_serially(monkeypatch):
-    _cores(monkeypatch, 2)
-    monkeypatch.setenv("CGRU_THREADS", "2")
+    _workers(monkeypatch, 2)
 
     def outer(lo, hi):
         inner = rngmod.run_sharded(lambda a, b: os.getpid(), 3 * rngmod.SHARD)
@@ -174,7 +183,7 @@ def test_a_pass_nested_in_a_shard_runs_serially(monkeypatch):
 
 
 def test_a_killed_worker_is_a_named_phase_failure(monkeypatch):
-    _cores(monkeypatch, 2)
+    _workers(monkeypatch, 2)
     caller = os.getpid()
     pids = count_forks(monkeypatch)
 
@@ -185,13 +194,13 @@ def test_a_killed_worker_is_a_named_phase_failure(monkeypatch):
 
     with pytest.raises(PhaseFailure, match="shard worker 1 was killed by "
                                            "SIGKILL before it sent shard 1"):
-        rngmod.run_sharded(fn, 4 * rngmod.SHARD, 2)
+        rngmod.run_sharded(fn, 4 * rngmod.SHARD)
     assert len(pids) == 1
     assert_reaped(pids[0])
 
 
 def test_an_exception_that_cannot_be_pickled_is_named(monkeypatch):
-    _cores(monkeypatch, 2)
+    _workers(monkeypatch, 2)
 
     class Local(Exception):     # a local class does not pickle
         pass
@@ -202,7 +211,7 @@ def test_an_exception_that_cannot_be_pickled_is_named(monkeypatch):
         return lo
 
     with pytest.raises(CgruError) as info:
-        rngmod.run_sharded(fn, 2 * rngmod.SHARD, 2)
+        rngmod.run_sharded(fn, 2 * rngmod.SHARD)
     assert type(info.value) is CgruError
     assert str(info.value) == ("a shard raised Local('shard', 256), which "
                                "cannot be pickled")
@@ -223,7 +232,7 @@ def shard(lo, hi):
         os.replace(sys.argv[1] + ".tmp", sys.argv[1])
     time.sleep(60)
 
-rng.run_sharded(shard, 2 * rng.SHARD, 2)
+rng.run_sharded(shard, 2 * rng.SHARD)
 """
 
 
@@ -235,8 +244,9 @@ def test_ctrl_c_in_a_pass_prints_one_traceback_and_leaves_no_worker(tmp_path):
     pid_file = tmp_path / "worker.pid"
     proc = subprocess.Popen(
         [sys.executable, "-c", _INTERRUPTED_PASS, str(pid_file)],
-        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, start_new_session=True)
+        env={**os.environ, "PYTHONPATH": src, "CGRU_THREADS": "2"},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
     try:
         deadline = time.monotonic() + 60
         while not pid_file.exists():
@@ -259,32 +269,14 @@ def test_ctrl_c_in_a_pass_prints_one_traceback_and_leaves_no_worker(tmp_path):
 
 def test_n_workers_env(monkeypatch):
     monkeypatch.delenv("CGRU_THREADS", raising=False)
-    assert rngmod.n_workers() == 1
+    assert procs.n_workers() == 1
     monkeypatch.setenv("CGRU_THREADS", "4")
-    assert rngmod.n_workers() == 4
+    assert procs.n_workers() == 4
     monkeypatch.setenv("CGRU_THREADS", "0")
-    assert rngmod.n_workers() == 1
+    assert procs.n_workers() == 1
     monkeypatch.setenv("CGRU_THREADS", "lots")
     with pytest.raises(ConfigError):
-        rngmod.n_workers()
-
-
-def test_trajectories_invariant_to_worker_count(monkeypatch):
-    model = build_eps_net(2, 4, hidden=16, t_embed_dim=8,
-                          rng=rngmod.stream(0, rngmod.PHASE_INIT), T=10)
-    sched = make_schedule(10, 1e-4, 0.02)
-    class_ids = np.arange(9) % 4
-
-    def rollouts():
-        return sample_trajectories(model, class_ids, sched, seed=5,
-                                   phase=rngmod.PHASE_DIAG, first_index=3)
-
-    monkeypatch.setenv("CGRU_THREADS", "1")
-    single = rollouts()
-    monkeypatch.setenv("CGRU_THREADS", "3")
-    pooled = rollouts()
-    assert np.array_equal(single.latents, pooled.latents)
-    assert np.array_equal(single.logp, pooled.logp)
+        procs.n_workers()
 
 
 def test_trajectory_streams_keyed_by_absolute_index():
@@ -308,13 +300,13 @@ def test_trajectory_streams_keyed_by_absolute_index():
 
 
 def test_blas_pinned_sets_one_thread_and_restores_the_count(monkeypatch):
-    lib = rngmod._openblas()
+    lib = procs._openblas()
     if lib is None:
         pytest.skip("numpy ships no scipy-openblas library here")
     before = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(2)
     try:
-        with rngmod.blas_pinned() as blas:
+        with procs.blas_pinned() as blas:
             assert lib.scipy_openblas_get_num_threads64_() == 1
             assert blas["pinned"] and blas["threads"] == 1
             assert blas["name"] and blas["version"]
@@ -322,6 +314,6 @@ def test_blas_pinned_sets_one_thread_and_restores_the_count(monkeypatch):
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
     # another BLAS build: the block runs unpinned and the record says so
-    monkeypatch.setattr(rngmod, "_openblas", lambda: None)
-    with rngmod.blas_pinned() as blas:
+    monkeypatch.setattr(procs, "_openblas", lambda: None)
+    with procs.blas_pinned() as blas:
         assert not blas["pinned"] and blas["threads"] is None

@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from cgru import pipeline
-from cgru import rng as rngmod
+from cgru import procs
 
 from conftest import DIAGS, default_config, diag_at_one_thread, tiny_config
 
@@ -28,7 +28,7 @@ PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pins.json")
 def pins_key() -> str:
     """numpy's version and its OpenBLAS core: BLAS kernels differ in the
     last bit across CPUs, so the pins hold per key."""
-    lib = rngmod._openblas()
+    lib = procs._openblas()
     core = "no-openblas"
     if lib is not None:
         corename = lib.scipy_openblas_get_corename64_
