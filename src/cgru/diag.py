@@ -34,6 +34,43 @@ _VARIANCE_BOOTSTRAP = 20
 _ABLATION_SEEDS = 5
 _ABLATION_TRAJ = 256
 _BASELINE_TRAJ = 10_000
+_SWEEP_SIZES = (100, 1000, 10_000)
+
+
+def norm_sweep(cfg: RunConfig, model, critic, clf,
+               sizes=_SWEEP_SIZES) -> list:
+    """(N, |B|, |g|, |B| / |g|) at each prefix size N of one streamed
+    batch of sizes[-1] forget-class rollouts of the trained model: B is
+    the baseline term's mean over the first N rollouts, g the clipped
+    cgru estimate's.
+
+    The batch is one walk of group_estimates grouped at the prefix sizes,
+    and each 256-row shard of it samples its own rollouts (stream index
+    _IDX_UNBIAS_SWEEP + row), assigns their rewards and runs their critic
+    pass. So only shard-sized arrays and the walk's (2, groups, P)
+    partials exist, at any sizes[-1]; a prefix's estimate is its
+    cumulative group sum over N.
+    """
+    sched, spec = schedule(cfg), reward_spec(cfg)
+
+    def rows(lo, hi):
+        rollouts = sample_trajectories(
+            model, np.full(hi - lo, cfg.reward.target_class), sched,
+            cfg.seed, rngmod.PHASE_DIAG, first_index=_IDX_UNBIAS_SWEEP + lo)
+        assign_rewards(rollouts, spec, clf)
+        return rollouts, value_matrix(critic, rollouts)
+
+    means, _ = group_estimates(sizes[-1], model, rows, cfg.estimator, sched,
+                               ["baseline", "cgru"], cuts=sizes[:-1])
+    counts = np.diff((0, *sizes))
+    prefix_sums = np.cumsum(means * counts[:, None], axis=1)
+    out = []
+    for j, n in enumerate(sizes):
+        b_norm = float(np.linalg.norm(prefix_sums[0, j] / n))
+        g_norm = float(np.linalg.norm(clip_to_norm(
+            prefix_sums[1, j] / n, cfg.estimator.grad_max_norm)))
+        out.append((n, b_norm, g_norm, b_norm / g_norm))
+    return out
 
 
 @locked_run
@@ -44,7 +81,9 @@ def diag_unbiasedness(cfg: RunConfig) -> dict:
     The probe has a closed-form gradient, so both estimators' batch means
     must land within 3 standard errors of it. On the trained model the
     advantage's baseline term has expectation zero; its norm relative to
-    the gradient estimate should shrink as trajectories accumulate.
+    the gradient estimate should shrink as trajectories accumulate. The
+    sweep (norm_sweep) streams its 10,000 rollouts through the walk: each
+    256-row shard samples, rewards and values its own rows.
     """
     policy, toy_sched = build_toy(0.5)
     n_toy = 20_000
@@ -67,25 +106,7 @@ def diag_unbiasedness(cfg: RunConfig) -> dict:
 
     clf, model, critic = (load(cfg, name)
                           for name in ("classifier", "eps_base", "critic"))
-    sched, spec = schedule(cfg), reward_spec(cfg)
-    sizes = (100, 1000, 10_000)
-    rollouts = sample_trajectories(
-        model, np.full(sizes[-1], cfg.reward.target_class), sched, cfg.seed,
-        rngmod.PHASE_DIAG, first_index=_IDX_UNBIAS_SWEEP)
-    assign_rewards(rollouts, spec, clf)
-    # one critic pass and one walk over the whole batch, grouped at the
-    # prefix sizes; a prefix's estimate is its cumulative group sum over N
-    values = value_matrix(critic, rollouts)
-    means, _ = group_estimates(rollouts, model, values, cfg.estimator, sched,
-                               ["baseline", "cgru"], cuts=sizes[:-1])
-    counts = np.diff((0,) + sizes)
-    prefix_sums = np.cumsum(means * counts[:, None], axis=1)
-    rows = []
-    for j, n in enumerate(sizes):
-        b_norm = float(np.linalg.norm(prefix_sums[0, j] / n))
-        g_norm = float(np.linalg.norm(clip_to_norm(
-            prefix_sums[1, j] / n, cfg.estimator.grad_max_norm)))
-        rows.append((n, b_norm, g_norm, b_norm / g_norm))
+    rows = norm_sweep(cfg, model, critic, clf)
 
     path = write_csv(out_path(cfg, "diag_unbiasedness.csv"),
                      ["N", "B_norm", "grad_norm", "ratio"], rows)

@@ -581,12 +581,14 @@ def _report_phase(cfg: RunConfig) -> dict:
 def locked_run(fn):
     """`fn(cfg, ...)` run on a validated cfg and CGRU_THREADS, holding
     cfg.out_dir's lock, with BLAS pinned to one thread
-    (`procs.blas_pinned`)."""
+    (`procs.blas_pinned`) and the process's heap top padded
+    (`procs.keep_heap_top`)."""
     @functools.wraps(fn)
     def run(cfg: RunConfig, *args, **kwargs):
         validate(cfg)
         procs.n_workers()       # before the output directory is made
         with procs._locked(cfg.out_dir), procs.blas_pinned():
+            procs.keep_heap_top()
             return fn(cfg, *args, **kwargs)
     return run
 

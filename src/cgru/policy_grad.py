@@ -7,9 +7,10 @@ estimator takes it, and averaged over rows. The terminal-reward
 estimator weights every step by the trajectory reward; the critic-guided
 estimator weights step t by the ratio times the advantage
 r - V(x_t, c, t). The baseline V is plain data: an (n, T) matrix whose
-column t-1 holds V(x_t, c, t), which the caller computes once per batch
-in stacked critic calls (critic.value_matrix) and passes in; None means
-no baseline. Subtracting the state-value baseline leaves the expectation
+column t-1 holds V(x_t, c, t), which the caller computes once per batch,
+or once per shard of rows it makes as the walk asks for them, in stacked
+critic calls (critic.value_matrix) and passes in; None means no
+baseline. Subtracting the state-value baseline leaves the expectation
 unchanged (the baseline term has mean zero) while shrinking the
 variance, which baseline_term_estimate and gradient_variance measure
 directly.
@@ -57,42 +58,56 @@ def _importance_weights(logp_new: Array, logp_old: Array, cfg: EstimatorConfig):
     return np.clip(w, cfg.clip_low, cfg.clip_high), int(clipped.sum())
 
 
-def _values(rollouts: Rollouts, values: Array, lo: int, hi: int) -> Array:
-    """Rows lo:hi of the (n, T) baseline matrix, whose shape is checked."""
+def _values(rollouts: Rollouts, values: Array) -> Array:
+    """The (n, T) baseline matrix of the rows, whose shape is checked."""
     shape = (len(rollouts), rollouts.T)
     if np.shape(values) != shape:
         raise ShapeMismatch(f"values shape {np.shape(values)} != {shape}")
-    return values[lo:hi]
+    return values
 
 
-def _advantages(rollouts: Rollouts, values: Array | None, lo: int,
-                hi: int) -> Array:
-    """r - V over rows lo:hi; values None means V = 0."""
+def _advantages(rollouts: Rollouts, values: Array | None) -> Array:
+    """r - V over the rows; values None means V = 0."""
     if rollouts.rewards is None:
         raise ValueError("rollouts have no rewards assigned")
-    r = rollouts.rewards[lo:hi, None]
+    r = rollouts.rewards[:, None]
     if values is None:
-        return np.broadcast_to(r, (hi - lo, rollouts.T))
-    return r - _values(rollouts, values, lo, hi)
+        return np.broadcast_to(r, (len(rollouts), rollouts.T))
+    return r - _values(rollouts, values)
 
 
-# each estimator's term: weights(rollouts, values, lo, hi) gives the
-# (hi - lo, T) coefficient block of rows lo:hi from the batch and its
-# (n, T) baseline matrix, and the flag says whether the likelihood ratio
-# clamped to the estimator config multiplies it (only cgru's does);
-# "score" is the unweighted score sum
+# each estimator's term: weights(rollouts, values) gives the (n, T)
+# coefficient block of a shard's rows from its rollouts and their (n, T)
+# baseline matrix, and the flag says whether the likelihood ratio clamped
+# to the estimator config multiplies it (only cgru's does); "score" is the
+# unweighted score sum
 _TERMS = {
     "cgru": (_advantages, True),
-    "ddpo": (lambda r, v, lo, hi: _advantages(r, None, lo, hi), False),
+    "ddpo": (lambda r, v: _advantages(r, None), False),
     "baseline": (_values, False),
-    "score": (lambda r, v, lo, hi: np.ones((hi - lo, r.T)), False),
+    "score": (lambda r, v: np.ones((len(r), r.T)), False),
 }
 
 
-def group_estimates(rollouts: Rollouts, model, values: Array | None,
-                    cfg: EstimatorConfig, sched: NoiseSchedule, kinds,
-                    cuts=(), steps=None):
+def _slices(rollouts: Rollouts, values: Array | None):
+    """rows(lo, hi) over a held batch: its rows lo:hi and theirs of the
+    (n, T) values, whose shape is checked here, once for every shard."""
+    if values is not None:
+        _values(rollouts, values)
+    return lambda lo, hi: (rollouts[lo:hi],
+                           None if values is None else values[lo:hi])
+
+
+def group_estimates(rollouts, model, values, cfg: EstimatorConfig,
+                    sched: NoiseSchedule, kinds, cuts=(), steps=None):
     """Unclipped estimates of each kind, one per row group, from one walk.
+
+    The rows come one shard at a time from a function rows(lo, hi) ->
+    (Rollouts of rows lo:hi, their (hi - lo, T) values or None). A caller
+    that holds a batch passes it as rollouts with its (n, T) baseline
+    matrix or None as values, and the walk slices them; a caller that
+    makes its rows passes their count n as rollouts and the function as
+    values, so no n-row array need exist.
 
     kinds name rows of _TERMS: "cgru" (ratio times r - V), "ddpo" (r),
     "baseline" (V, the term the advantage subtracts) and "score" (1).
@@ -100,14 +115,16 @@ def group_estimates(rollouts: Rollouts, model, values: Array | None,
     steps are the reverse steps summed over, in order; None means T..1.
     Returns (estimates (len(kinds), G, P), each kind's number of clamped
     ratios); entry [k, g] is the sum over steps of kind k's mean over the
-    rows of group g. Every input is checked before the first forward pass.
-    The per-step score of the Gaussian kernel flows through mu only, since
-    sigma_t is fixed by the schedule.
+    rows of group g. Kinds, cuts and a held batch's values are checked
+    before the first forward pass, and each shard's rewards and values
+    before its own. The per-step score of the Gaussian kernel flows
+    through mu only, since sigma_t is fixed by the schedule.
 
     Rows are walked in fixed rng.SHARD chunks through rng.run_sharded.
-    Each shard builds only its own one-hot rows, coefficient blocks and
-    (len(kinds), groups it touches, P) partial, which is added into the
-    zeroed total in shard order as it arrives. So the output does not
+    Each shard gets its rows, builds its one-hot rows, coefficient blocks
+    and (len(kinds), groups it touches, P) partial, which is added into
+    the zeroed total in shard order as it arrives. Each row is divided by
+    the size of its group in the global cuts. So the output does not
     depend on the worker count, and the walk holds O(workers) partials
     and no (n, T) coefficient matrix at any batch size.
     """
@@ -116,15 +133,15 @@ def group_estimates(rollouts: Rollouts, model, values: Array | None,
         raise ValueError(f"unknown estimator kinds {unknown}; known kinds "
                          f"are {sorted(_TERMS)}")
     terms = [_TERMS[kind] for kind in kinds]
-    n, T = len(rollouts), rollouts.T
+    if isinstance(rollouts, Rollouts):
+        n, rows = len(rollouts), _slices(rollouts, values)
+    else:
+        n, rows = int(rollouts), values
     if n == 0:
         raise ValueError("cannot score an empty batch: no trajectories")
     bounds = [0, *(int(c) for c in cuts), n]
     if any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"cuts must rise strictly inside (0, {n}): {cuts}")
-    if steps is None:
-        steps = range(T, 0, -1)
-    lat = rollouts.latents
 
     def shard(lo, hi):
         g0 = bisect.bisect_right(bounds, lo) - 1
@@ -134,15 +151,18 @@ def group_estimates(rollouts: Rollouts, model, values: Array | None,
         sizes = np.diff(bounds[g0:g1 + 1])
         size = float(sizes[0]) if len(sizes) == 1 \
             else np.repeat(sizes, np.diff(local)).astype(np.float64)
-        onehot = one_hot(rollouts.class_ids[lo:hi], model.n_classes)
+        shard_rollouts, shard_values = rows(lo, hi)
+        lat, T = shard_rollouts.latents, shard_rollouts.T
+        onehot = one_hot(shard_rollouts.class_ids, model.n_classes)
         # building the blocks checks rewards and values, before any forward
-        blocks = [weights(rollouts, values, lo, hi) for weights, _ in terms]
+        blocks = [weights(shard_rollouts, shard_values)
+                  for weights, _ in terms]
         flat = np.zeros((len(terms), g1 - g0, model.net.theta.size))
         scratch = np.empty(flat.shape[1:], model.net.theta.dtype)
         clips = [0] * len(terms)
-        for t in steps:
-            xt = lat[lo:hi, T - t]
-            xprev = lat[lo:hi, T - t + 1]
+        for t in range(T, 0, -1) if steps is None else steps:
+            xt = lat[:, T - t]
+            xprev = lat[:, T - t + 1]
             tape = []
             mu = reverse_mean(model, xt, t, onehot, sched, tape)
             sig = sched.sigma(t)
@@ -154,7 +174,7 @@ def group_estimates(rollouts: Rollouts, model, values: Array | None,
                     if logp_new is None:
                         logp_new = gaussian_logprob(xprev, mu, sig)
                     w, nclip = _importance_weights(
-                        logp_new, rollouts.logp[lo:hi, t - 1], cfg)
+                        logp_new, shard_rollouts.logp[:, t - 1], cfg)
                     clips[k] += nclip
                     weights = w * weights
                 flat[k] += backward(model.net, score * (weights / size)[:, None],

@@ -4,8 +4,9 @@ Every child is a forked worker (`_Child`) that runs a function over a
 list of spans and pickles each result down a pipe. `sharded` runs a
 shard pass over such workers, the caller included, at a width it picks
 itself; `_forked` runs one whole phase of `run_full` as a worker over one
-span. The module also holds the output directory's lock (`_locked`) and
-the one-thread BLAS pin (`blas_pinned`), which children inherit.
+span. The module also holds the output directory's lock (`_locked`), the
+one-thread BLAS pin (`blas_pinned`) and the heap pad (`keep_heap_top`),
+which children inherit.
 """
 
 from __future__ import annotations
@@ -104,6 +105,25 @@ def blas_pinned():
         lib.scipy_openblas_set_num_threads64_(old)
 
 
+_M_TOP_PAD = -2     # glibc's mallopt parameter number
+
+
+@functools.cache
+def keep_heap_top() -> None:
+    """Have glibc malloc keep 64 MiB free at the top of the heap rather
+    than give it back, for the rest of the process and the children it
+    forks; nothing on a C library without mallopt. The score walk
+    allocates and frees (256, hidden) float64 temporaries of 256 KiB at
+    every step of every shard, and with the default trim each round trip
+    faults their pages in again, unless some earlier free of several MB
+    happened to raise glibc's dynamic trim threshold."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_TOP_PAD, 64 << 20)
+
+
 def n_workers() -> int:
     """Worker cap from the CGRU_THREADS environment variable (default 1).
     The name is historical: it counts processes, the caller included.
@@ -133,9 +153,17 @@ def _width(shards: int) -> int:
     return max(1, min(n_workers(), shards, cores))
 
 
+# the caller's ends of every live child's pipes: its credits' write end
+# and its results' read end. A forked child closes all it inherits, so
+# no child holds a credit pipe open but its caller, and each sees EOF
+# there once its caller is gone, even when killed.
+_caller_fds = set()
+
+
 def _fork(fn, spans, credits: int) -> tuple:
     """Start `_worker` over fn, spans and credits in a forked child, with
     the write end of a pipe as its out; returns (pid, the read end's fd).
+    The child first closes every fd of `_caller_fds`.
 
     The child leaves by os._exit when the worker returns, so no finally block
     or exit handler of the caller's frames runs in it: it keeps the
@@ -152,6 +180,9 @@ def _fork(fn, spans, credits: int) -> tuple:
     code = 1
     try:
         os.close(read_fd)
+        for fd in _caller_fds:
+            os.close(fd)
+        _caller_fds.clear()
         with open(write_fd, "wb") as out:
             _worker(out, fn, spans, credits)
         code = 0
@@ -215,13 +246,16 @@ class _Child:
     def __init__(self, name: str, fn, spans: list):
         self.name = name
         read_credits, self.credits = os.pipe()
+        _caller_fds.add(self.credits)
         try:
             self.pid, read_fd = _fork(fn, spans, read_credits)
         except BaseException:
+            _caller_fds.discard(self.credits)
             os.close(self.credits)
             raise
         finally:
             os.close(read_credits)
+        _caller_fds.add(read_fd)
         self.results = open(read_fd, "rb")
         os.write(self.credits, b"\0" * min(_CREDITS, len(spans)))
 
@@ -253,6 +287,7 @@ class _Child:
             with suppress(ProcessLookupError, ChildProcessError):  # reaped
                 os.kill(self.pid, signal.SIGKILL)
                 os.waitpid(self.pid, 0)
+        _caller_fds.difference_update((self.results.fileno(), self.credits))
         self.results.close()
         os.close(self.credits)
 

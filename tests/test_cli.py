@@ -1,6 +1,7 @@
 """Command line interface: exit codes, artifact messages, diag outputs."""
 
 import hashlib
+import math
 import os
 import platform
 import shutil
@@ -10,6 +11,7 @@ import pytest
 
 from cgru import critic as critic_mod
 from cgru import procs
+from cgru import rng as rngmod
 from cgru.cli import build_parser, main
 from cgru.config import apply_overrides, config_hash, save_config
 from cgru.critic import Critic
@@ -310,10 +312,13 @@ def test_diag_variance(diag_dir, capsys):
 
 def test_diag_unbiasedness(full_run, unbiasedness_sweep, capsys, monkeypatch,
                            tmp_path):
-    # the critic pass is stacked: each forward takes a stack of trajectories
-    # whose states share the rows of one Critic.cond call. The stacks run
-    # in the shard workers too, so they are counted through a file
-    rows, stacks = [], ProcessLog(tmp_path / "stacks")
+    # the sweep is streamed: each 256-row shard of the walk samples its
+    # rollouts and runs its own critic pass, in which each forward takes a
+    # stack of trajectories whose states share the rows of the shard's one
+    # Critic.cond call. The shards run in the shard workers too, so calls
+    # and stacks are counted through files
+    rows = ProcessLog(tmp_path / "cond")
+    stacks = ProcessLog(tmp_path / "stacks")
     cond, forward = Critic.cond, critic_mod.forward
 
     def counting_cond(self, ts, n):
@@ -335,9 +340,12 @@ def test_diag_unbiasedness(full_run, unbiasedness_sweep, capsys, monkeypatch,
     lines = data.decode().splitlines()
     assert lines[0] == "N,B_norm,grad_norm,ratio"
     assert [int(ln.split(",")[0]) for ln in lines[1:]] == [100, 1000, 10000]
-    # one critic pass over the 10,000 rollouts' states, shared by the prefixes
-    assert len(rows) == 1
-    assert sum(n for n, in stacks.rows()) * rows[0] == 10_000 * cfg.diffusion.T
+    # one critic pass of T-row conditioning per shard; their stacks of
+    # T-state trajectories cover the 10,000 rollouts' states once, shared
+    # by the prefixes
+    T = cfg.diffusion.T
+    assert rows.rows() == [(T,)] * math.ceil(10_000 / rngmod.SHARD)
+    assert sum(n for n, in stacks.rows()) == 10_000
     # the sharded walk reduces in shard order: two workers give the bytes
     # of the fixture's one-worker sweep
     assert data == unbiasedness_sweep["csv"]

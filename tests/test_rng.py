@@ -267,6 +267,77 @@ def test_ctrl_c_in_a_pass_prints_one_traceback_and_leaves_no_worker(tmp_path):
         os.kill(worker, 0)
 
 
+_KILLED_CALLER = """
+import os, signal, sys, time
+from cgru import rng
+
+os.sched_getaffinity = lambda pid: {0, 1}
+caller = os.getpid()
+
+def pids():
+    with open(sys.argv[1]) as fh:
+        return fh.read().split()
+
+def sleeping(pid):
+    with open(f"/proc/{pid}/stat") as fh:
+        return fh.read().rsplit(")", 1)[1].split()[0] == "S"
+
+def shard(lo, hi):
+    if os.getpid() != caller:
+        with open(sys.argv[1], "a") as fh:
+            fh.write(f"{os.getpid()}\\n")
+    elif lo == 2:
+        # the worker has sent shards 1, 3 and 5 and waits for the credit
+        # of shard 7
+        while len(pids()) < 3 or not sleeping(pids()[0]):
+            time.sleep(0.01)
+        os.kill(caller, signal.SIGKILL)
+    return lo
+
+rng.run_sharded(shard, 20, fold=lambda part: None, chunk=1)
+"""
+
+
+def _gone(pid) -> bool:
+    """Whether pid has exited: no such process, or a zombie no one reaps."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_a_worker_whose_caller_is_killed_exits(tmp_path):
+    # the caller dies in its shard 2 while its worker waits for a credit:
+    # no other process holds the worker's credit pipe open, so the worker
+    # reads EOF there and exits. Its pid comes through a file, and its
+    # stderr goes to one, so an orphan holds no pipe of this test's
+    src = os.path.dirname(os.path.dirname(rngmod.__file__))
+    pid_file, err = tmp_path / "worker.pids", tmp_path / "stderr"
+    with open(err, "w") as fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_CALLER, str(pid_file)],
+            env={**os.environ, "PYTHONPATH": src, "CGRU_THREADS": "2"},
+            stderr=fh)
+    try:
+        assert proc.wait(timeout=60) == -signal.SIGKILL, err.read_text()
+        workers = set(pid_file.read_text().split())
+        assert len(workers) == 1
+        deadline = time.monotonic() + 5
+        while not all(map(_gone, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_gone, workers))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in set(pid_file.read_text().split()) if pid_file.exists() \
+                else ():
+            if not _gone(pid):
+                os.kill(int(pid), signal.SIGKILL)
+
+
 def test_n_workers_env(monkeypatch):
     monkeypatch.delenv("CGRU_THREADS", raising=False)
     assert procs.n_workers() == 1
