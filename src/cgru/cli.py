@@ -109,7 +109,7 @@ def _resolve_config(args) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # keep numpy warnings, shard threads' too, from burying Divergence
+        # keep numpy warnings, forked workers' too, from burying Divergence
         with np.errstate(over="ignore", invalid="ignore"):
             result = _COMMANDS[args.command][1](_resolve_config(args), args)
     except ConfigError as exc:

@@ -80,12 +80,12 @@ def critic_values(critic: Critic, x: Array, onehot: Array, ts) -> Array:
     return out[:, 0].astype(np.float64)
 
 
-# Trajectories per stacked critic call in value_matrix. Stacks split each
-# rng shard at fixed offsets, so the bits do not depend on the worker count.
-# On a 2-core Xeon at CGRU_THREADS=2, 10,000 trajectories take 0.18-0.20 s
-# at 8 and 0.13-0.16 s at 16, 32 and 64 (best of eleven), while the peak of
-# a 256-trajectory shard grows with the stack: 0.6 MB at 16, 1.05 MB at 32
-# and 1.9 MB at 64 (tracemalloc). 16 is the smallest stack at full speed.
+# Trajectories per stacked critic call in value_matrix. At one process on
+# a 2-core Xeon, 10,000 trajectories take 0.19-0.20 s at 8, 0.16-0.17 s at
+# 16, 0.15 s at 32 and 0.14-0.16 s at 64 (best of eleven, three runs),
+# while the pass's memory beyond its output grows with the stack: 0.27,
+# 0.48, 0.90 and 1.74 MB (tracemalloc). 16 is within about 10% of the
+# fastest, on half the memory of 32.
 _VALUE_STACK = 16
 
 
@@ -94,29 +94,20 @@ def value_matrix(critic: Critic, rollouts: Rollouts) -> Array:
 
     Each critic call takes a stack of up to _VALUE_STACK trajectories, whose
     T states share the film conditioning of steps T..1; every trajectory's
-    values have the bits of a call on its T states alone. Shards of
-    trajectories run through rng.run_sharded; each writes and returns its
-    rows of the result, which the fold puts back (sample_trajectories)."""
+    values have the bits of a call on its T states alone. The pass runs in
+    the calling process: its callers already run inside a shard or on one
+    batch of policy.n_traj rows."""
     T, K = rollouts.T, critic.n_classes
-    d = rollouts.latents.shape[2]
+    n, d = len(rollouts), rollouts.latents.shape[2]
     cond = critic.cond(np.arange(T, 0, -1), T)
-    values = np.empty((len(rollouts), T))
-
-    def shard(lo, hi):
-        for a in range(lo, hi, _VALUE_STACK):
-            b = min(a + _VALUE_STACK, hi)
-            inputs = np.zeros((b - a, T, d + K), critic.net.theta.dtype)
-            inputs[..., :d] = rollouts.latents[a:b, :T]
-            inputs[..., d:] = one_hot(rollouts.class_ids[a:b], K)[:, None]
-            # row j of a trajectory's states is x_{T-j}: column T-1-j
-            values[a:b, ::-1] = forward(critic.net, inputs, cond)[..., 0]
-        return lo, hi, values[lo:hi]
-
-    def fold(part):
-        lo, hi, rows = part
-        values[lo:hi] = rows
-
-    rngmod.run_sharded(shard, len(rollouts), fold=fold)
+    values = np.empty((n, T))
+    for a in range(0, n, _VALUE_STACK):
+        b = min(a + _VALUE_STACK, n)
+        inputs = np.zeros((b - a, T, d + K), critic.net.theta.dtype)
+        inputs[..., :d] = rollouts.latents[a:b, :T]
+        inputs[..., d:] = one_hot(rollouts.class_ids[a:b], K)[:, None]
+        # row j of a trajectory's states is x_{T-j}: column T-1-j
+        values[a:b, ::-1] = forward(critic.net, inputs, cond)[..., 0]
     return values
 
 

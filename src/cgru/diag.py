@@ -20,8 +20,11 @@ from .rewards import assign_rewards
 from .toy import (build_toy, sample_toy_trajectories, toy_analytic_gradient,
                   toy_mean_reward)
 
-# stream-index blocks inside PHASE_DIAG, so diagnostics never share noise
-# draws with each other or with training phases
+# stream-index blocks inside PHASE_DIAG, kept apart from each other and
+# from training phases. ablation_compare(seed=s) keys its streams as
+# (s, PHASE_DIAG, 0|1|2) outside every block: at cfg.seed = s these are
+# the noise streams of diag unbiasedness's toy trajectories 0-2, and they
+# do not vary with cfg.seed
 _IDX_UNBIAS_SWEEP = 1_000_000
 _IDX_VARIANCE = 2_000_000
 _IDX_ABLATION = 3_000_000

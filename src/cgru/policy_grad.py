@@ -148,9 +148,7 @@ def group_estimates(rollouts, model, values, cfg: EstimatorConfig,
         g1 = bisect.bisect_left(bounds, hi)
         local = [min(max(b, lo), hi) - lo for b in bounds[g0:g1 + 1]]
         # each row is divided by its group's size, so a group sums to its mean
-        sizes = np.diff(bounds[g0:g1 + 1])
-        size = float(sizes[0]) if len(sizes) == 1 \
-            else np.repeat(sizes, np.diff(local)).astype(np.float64)
+        size = np.repeat(np.diff(bounds[g0:g1 + 1]), np.diff(local))
         shard_rollouts, shard_values = rows(lo, hi)
         lat, T = shard_rollouts.latents, shard_rollouts.T
         onehot = one_hot(shard_rollouts.class_ids, model.n_classes)

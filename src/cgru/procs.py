@@ -160,40 +160,6 @@ def _width(shards: int) -> int:
 _caller_fds = set()
 
 
-def _fork(fn, spans, credits: int) -> tuple:
-    """Start `_worker` over fn, spans and credits in a forked child, with
-    the write end of a pipe as its out; returns (pid, the read end's fd).
-    The child first closes every fd of `_caller_fds`.
-
-    The child leaves by os._exit when the worker returns, so no finally block
-    or exit handler of the caller's frames runs in it: it keeps the
-    inherited lock fd until it exits and never truncates `.lock`. An
-    interrupt ends it quietly with status 130; the parent, which gets
-    the same Ctrl-C, reports it. Anything else that escapes the worker
-    prints its traceback and ends the child with status 1.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    code = 1
-    try:
-        os.close(read_fd)
-        for fd in _caller_fds:
-            os.close(fd)
-        _caller_fds.clear()
-        with open(write_fd, "wb") as out:
-            _worker(out, fn, spans, credits)
-        code = 0
-    except KeyboardInterrupt:
-        code = 128 + signal.SIGINT
-    except BaseException:
-        traceback.print_exc()
-    finally:
-        os._exit(code)
-
-
 def _ended(status: int) -> str:
     """How a child with this wait status ended, in words."""
     if os.WIFSIGNALED(status):
@@ -241,21 +207,49 @@ _CREDITS = 2
 
 class _Child:
     """A forked `_worker` over spans, named in its failures, that starts
-    with credits for its first two spans."""
+    with credits for its first two spans.
+
+    It makes its credit and result pipes and forks; if either pipe or the
+    fork fails, it closes every fd it opened and raises. The child closes
+    the caller's ends of its pipes and every fd of `_caller_fds`, and
+    leaves by os._exit when the worker returns, so no finally block or
+    exit handler of the caller's frames runs in it: it keeps the
+    inherited lock fd until it exits and never truncates `.lock`. An
+    interrupt ends it quietly with status 130; the parent, which gets the
+    same Ctrl-C, reports it. Anything else that escapes the worker prints
+    its traceback and ends the child with status 1.
+    """
 
     def __init__(self, name: str, fn, spans: list):
         self.name = name
-        read_credits, self.credits = os.pipe()
-        _caller_fds.add(self.credits)
+        fds = []
         try:
-            self.pid, read_fd = _fork(fn, spans, read_credits)
+            fds += os.pipe()        # credits: the child's end, then ours
+            fds += os.pipe()        # results: ours, then the child's end
+            self.pid = os.fork()
         except BaseException:
-            _caller_fds.discard(self.credits)
-            os.close(self.credits)
+            for fd in fds:
+                os.close(fd)
             raise
-        finally:
-            os.close(read_credits)
-        _caller_fds.add(read_fd)
+        read_credits, self.credits, read_fd, write_fd = fds
+        if not self.pid:
+            code = 1
+            try:
+                for fd in (self.credits, read_fd, *_caller_fds):
+                    os.close(fd)
+                _caller_fds.clear()
+                with open(write_fd, "wb") as out:
+                    _worker(out, fn, spans, read_credits)
+                code = 0
+            except KeyboardInterrupt:
+                code = 128 + signal.SIGINT
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+        os.close(read_credits)
+        os.close(write_fd)
+        _caller_fds.update((self.credits, read_fd))
         self.results = open(read_fd, "rb")
         os.write(self.credits, b"\0" * min(_CREDITS, len(spans)))
 

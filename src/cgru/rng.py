@@ -4,7 +4,7 @@ Every stochastic operation in the package draws from an explicit stream
 derived from (seed, phase, index) via the Philox counter-based generator,
 so results never depend on how work is sharded across workers. The
 module decides shard boundaries (`shard_ranges`) and streams; where each
-shard runs is `procs`'s to decide (`run_sharded`).
+shard runs is `procs`'s to decide (`procs.sharded`).
 """
 
 import numpy as np

@@ -100,8 +100,8 @@ def test_value_matrix_matches_single_state_critic_values():
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_value_matrix_has_the_bits_of_per_trajectory_calls(monkeypatch,
                                                            threads):
-    # 600 trajectories span three rng shards, each cut into critic stacks;
-    # at two or three processes the workers' rows come back through the fold
+    # 600 trajectories make 38 critic stacks, the last one short; at two or
+    # three processes the sampler forks, and the value pass runs in the caller
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setenv("CGRU_THREADS", threads)
     T, K = 50, 8

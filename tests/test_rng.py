@@ -1,5 +1,6 @@
 """Counter-based stream identities and worker-count invariance."""
 
+import errno
 import mmap
 import os
 import signal
@@ -215,6 +216,25 @@ def test_an_exception_that_cannot_be_pickled_is_named(monkeypatch):
     assert type(info.value) is CgruError
     assert str(info.value) == ("a shard raised Local('shard', 256), which "
                                "cannot be pickled")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
+def test_a_failed_fork_leaks_no_fd(monkeypatch):
+    # a fork refused for want of processes or memory raises as it came,
+    # and the worker's credit and result pipes are closed before it does
+    _workers(monkeypatch, 2)
+
+    def refused():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with pytest.raises(OSError) as info:
+            rngmod.run_sharded(lambda lo, hi: lo, 2 * rngmod.SHARD)
+        assert info.value.errno == errno.EAGAIN
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert not procs._caller_fds
 
 
 _INTERRUPTED_PASS = """
