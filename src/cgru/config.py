@@ -272,8 +272,8 @@ def render_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base if base is not None else RunConfig()
+def parse_config(text: str) -> RunConfig:
+    cfg = RunConfig()
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

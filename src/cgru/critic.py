@@ -184,10 +184,13 @@ def critic_mse(critic: Critic, buffer: CriticBuffer) -> float:
     return float(((pred - buffer.r) ** 2).mean())
 
 
+# the share of an ablation buffer held out for scoring
+_ABLATION_HOLDOUT = 0.2
+
+
 def ablation_compare(buffer: CriticBuffer, seed: int, T: int, n_classes: int,
                      hidden: int = 64, t_embed_dim: int = 32, epochs: int = 4,
-                     batch_size: int = 256, lr: float = 3e-3,
-                     holdout_frac: float = 0.2) -> tuple:
+                     batch_size: int = 256, lr: float = 3e-3) -> tuple:
     """Train matched critics with and without timestep conditioning.
 
     Both start from identical parameters and see identical batches; the
@@ -198,7 +201,7 @@ def ablation_compare(buffer: CriticBuffer, seed: int, T: int, n_classes: int,
     if len(np.unique(buffer.ts)) < 2:
         raise ValueError("ablation needs a buffer spanning several timesteps")
     d = buffer.x.shape[1]
-    n_hold = max(1, int(len(buffer) * holdout_frac))
+    n_hold = max(1, int(len(buffer) * _ABLATION_HOLDOUT))
     order = rngmod.stream(seed, rngmod.PHASE_DIAG, 0).permutation(len(buffer))
     hold, train = buffer[order[:n_hold]], buffer[order[n_hold:]]
     blind = [replace(b, ts=np.zeros_like(b.ts)) for b in (train, hold)]

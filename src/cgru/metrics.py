@@ -18,6 +18,9 @@ from .errors import ShapeMismatch
 
 Array = np.ndarray
 
+_FD_EPS = 1e-6      # added to both covariances' diagonals before the root
+_SYM_TOL = 1e-8     # largest asymmetry accepted, relative to the largest entry
+
 
 @dataclass
 class FeatureStats:
@@ -38,7 +41,7 @@ def feature_stats(X: Array) -> FeatureStats:
     return FeatureStats(mean=mean, cov=cov, n=len(X))
 
 
-def matrix_sqrt_psd(M: Array, sym_tol: float = 1e-8) -> Array:
+def matrix_sqrt_psd(M: Array) -> Array:
     """Symmetric PSD square root via eigendecomposition.
 
     Slightly negative eigenvalues from rounding are clamped to zero;
@@ -48,7 +51,7 @@ def matrix_sqrt_psd(M: Array, sym_tol: float = 1e-8) -> Array:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeMismatch(f"need a square matrix, got shape {M.shape}")
     scale = max(1.0, float(np.abs(M).max()))
-    if float(np.abs(M - M.T).max()) > sym_tol * scale:
+    if float(np.abs(M - M.T).max()) > _SYM_TOL * scale:
         raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
     vals = np.clip(vals, 0.0, None)
@@ -56,11 +59,10 @@ def matrix_sqrt_psd(M: Array, sym_tol: float = 1e-8) -> Array:
     return 0.5 * (root + root.T)
 
 
-def frechet_distance(real: FeatureStats, gen: FeatureStats,
-                     eps: float = 1e-6) -> float:
+def frechet_distance(real: FeatureStats, gen: FeatureStats) -> float:
     """Frechet distance between the two Gaussian fits.
 
-    eps * I is added to both covariances before the matrix square root;
+    _FD_EPS * I is added to both covariances before the matrix square root;
     the product root is evaluated symmetrically as
     (S_r^{1/2} S_g S_r^{1/2})^{1/2}, and the result is clamped at zero
     against negative rounding.
@@ -69,8 +71,8 @@ def frechet_distance(real: FeatureStats, gen: FeatureStats,
         raise ShapeMismatch(
             f"feature dims differ: {real.mean.shape} vs {gen.mean.shape}")
     d = len(real.mean)
-    cr = real.cov + eps * np.eye(d)
-    cg = gen.cov + eps * np.eye(d)
+    cr = real.cov + _FD_EPS * np.eye(d)
+    cg = gen.cov + _FD_EPS * np.eye(d)
     sr = matrix_sqrt_psd(cr)
     inner = sr @ cg @ sr
     tr_root = float(np.trace(matrix_sqrt_psd(0.5 * (inner + inner.T))))

@@ -154,31 +154,22 @@ def _run(net: Network, x: Array, cond, tape: list | None = None):
     appends each layer's cache to `tape` if given.
 
     Each dense and film layer builds its output in one fresh array (the
-    bias or shift is added in place), and tanh overwrites its input when
-    that is such an output and no tape entry holds it."""
+    bias or shift is added in place)."""
     record = (lambda entry: None) if tape is None else tape.append
-    owned = False       # x is this walk's own array and no tape entry holds it
     for i, layer in enumerate(net.arch):
         if isinstance(layer, Dense):
             record(("dense", i, x))
             x = x @ net.params[f"{i}.w"]
             x += net.params[f"{i}.b"]
-            owned = True
         elif isinstance(layer, Act):
-            if layer.kind == "tanh":
-                x = np.tanh(x, out=x if owned else None)
-                record(("tanh", i, x))
-            else:
-                x = _softmax(x)
-                record(("softmax", i, x))
-            owned = tape is None
+            x = np.tanh(x) if layer.kind == "tanh" else _softmax(x)
+            record((layer.kind, i, x))
         else:  # Film
             g = cond @ net.params[f"{i}.cw"] + net.params[f"{i}.cb"]
             scale, shift = g[:, :layer.features], g[:, layer.features:]
             record(("film", i, (x, scale, cond)))
             x = scale * x
             x += shift
-            owned = True
     return x
 
 
@@ -194,8 +185,7 @@ def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
     the bits of forward(net, x[j], cond); it cannot be recorded on a tape.
 
     Each dense or film layer builds its output in one array, adding the
-    bias or shift in place, and tanh runs in place on such an output when
-    no tape entry holds it; x and every tape entry are never written. So
+    bias or shift in place; x and every tape entry are never written. So
     an untaped walk keeps two per-row arrays alive per layer, its input
     and its output, with the bits of the out-of-place expressions.
     """
@@ -338,10 +328,8 @@ class AdamState:
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
-def adam_init(net: Network, lr: float = 3e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(np.zeros_like(net.theta), np.zeros_like(net.theta),
-                     lr, beta1, beta2, eps)
+def adam_init(net: Network, lr: float = 3e-4) -> AdamState:
+    return AdamState(np.zeros_like(net.theta), np.zeros_like(net.theta), lr)
 
 
 def adam_step(state: AdamState, theta: Array, grad: Array) -> None:

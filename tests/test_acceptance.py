@@ -237,8 +237,13 @@ def test_07_timestep_conditioning_helps_critic(diag_runs):
     res = diag_runs["ablation"]
     wins = res["info"]["aware_wins"]
     elapsed = res["seconds"]
+    mse = {kind: [m for k, m, _ in res["info"]["rows"] if k == kind]
+           for kind in ("timestep_aware", "timestep_blind")}
     print(f"AC7 critic ablation: timestep-aware beats timestep-blind on "
-          f"{wins}/5 seeds (need 5/5) ({elapsed:.1f}s)")
+          f"{wins}/5 seeds (need 5/5), held-out MSE aware "
+          f"{min(mse['timestep_aware']):.2f}-{max(mse['timestep_aware']):.2f} "
+          f"vs blind {min(mse['timestep_blind']):.2f}-"
+          f"{max(mse['timestep_blind']):.2f} ({elapsed:.1f}s)")
     assert wins == 5
     assert elapsed < 600.0
 

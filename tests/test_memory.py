@@ -116,8 +116,9 @@ def test_streamed_sweep_peak_does_not_grow_with_rows(monkeypatch, tmp_path,
 
 
 def test_untaped_classifier_forward_keeps_two_hidden_arrays():
-    # each layer builds its output in one array and tanh runs in place, so
-    # a hidden layer holds its input and its output, not a third temporary
+    # each dense layer builds its output in one array, adding its bias in
+    # place, so a hidden layer holds its input and its output, not a third
+    # temporary
     n, hidden = 10_000, 64
     net = build_classifier_net(2, 8, hidden,
                                rngmod.stream(0, rngmod.PHASE_INIT, 2))
