@@ -105,22 +105,26 @@ def blas_pinned():
         lib.scipy_openblas_set_num_threads64_(old)
 
 
-_M_TOP_PAD = -2     # glibc's mallopt parameter number
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3     # glibc's mallopt parameters
 
 
 @functools.cache
 def keep_heap_top() -> None:
-    """Have glibc malloc keep 64 MiB free at the top of the heap rather
-    than give it back, for the rest of the process and the children it
-    forks; nothing on a C library without mallopt. The score walk
-    allocates and frees (256, hidden) float64 temporaries of 256 KiB at
-    every step of every shard, and with the default trim each round trip
-    faults their pages in again, unless some earlier free of several MB
-    happened to raise glibc's dynamic trim threshold."""
+    """Have glibc malloc serve blocks under 1 MiB from the heap and keep
+    64 MiB free at its top rather than give it back, for the rest of the
+    process and the children it forks; nothing on a C library without
+    mallopt. The score walk allocates and frees (256, hidden) float64
+    temporaries of 256 KiB at every step of every shard, and each round
+    trip through a fresh mapping, or through a trimmed heap top, faults
+    their pages in again. Setting the pad stops glibc from raising its
+    mmap threshold (128 KiB at start) on later frees, so it is fixed here
+    too; left where the process's history had put it, the walk's blocks
+    were mapped afresh at every step in some processes and not others."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
         mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 1 << 20)
         mallopt(_M_TOP_PAD, 64 << 20)
 
 
