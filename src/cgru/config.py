@@ -88,7 +88,6 @@ class PolicyConfig:
     iterations: int = 50
     n_traj: int = 16
     grad_accum: int = 2
-    inner_epochs: int = 1
     lr: float = 3e-5
     # linear decay to lr*lr_end_frac over the first lr_decay_frac of the run;
     # freezing the step size once unlearning has converged is what keeps the

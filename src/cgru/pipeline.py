@@ -411,7 +411,7 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     monitored = _monitored_iterations(cfg.policy.iterations)
     seconds = {"update_s": 0.0, "monitor_s": 0.0}
     rows = []
-    epoch_stats = []    # every policy_update_epoch's, for the phase info
+    epoch_stats = []    # each iteration's policy_update_epoch, for the info
     for it in range(cfg.policy.iterations):
         try:
             opt.lr = _policy_lr(cfg, it)
@@ -441,12 +441,11 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
                         rollouts, model, values, cfg, sched, method)
 
             with _clock(seconds, "update_s"):
-                epochs = [policy_update_epoch(model, rollouts, values,
-                                              cfg.estimator, sched, opt,
-                                              order_rng,
-                                              grad_accum=cfg.policy.grad_accum)
-                          for _ in range(cfg.policy.inner_epochs)]
-            epoch_stats += epochs
+                stats = policy_update_epoch(model, rollouts, values,
+                                            cfg.estimator, sched, opt,
+                                            order_rng,
+                                            grad_accum=cfg.policy.grad_accum)
+            epoch_stats.append(stats)
 
             if monitor:
                 with _clock(seconds, "monitor_s"):
@@ -457,7 +456,7 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
                                          retain_reference=retain_ref)
                 rows.append((run_id, it + 1, method, cfg.policy.n_traj,
                              grad_norm, grad_var,
-                             sum(e["clip_count"] for e in epochs), report.ua,
+                             stats["clip_count"], report.ua,
                              report.ira, report.fd, mean_reward))
         except Divergence as exc:
             raise Divergence(f"unlearn {method}, iteration {it + 1}: {exc}") from exc

@@ -231,8 +231,10 @@ def test_malformed_worker_count_exits_two_before_any_work(tmp_path, capsys,
 def test_bad_override_exits_two(tmp_path, capsys):
     assert main(["full", "--set", "policy.lr=banana", "--out", str(tmp_path)]) == 2
     assert "policy.lr" in capsys.readouterr().err
-    assert main(["full", "--set", "no.such.key=1", "--out", str(tmp_path)]) == 2
-    assert "unknown config key" in capsys.readouterr().err
+    # a key that does not exist, or no longer does
+    for key in ("no.such.key", "policy.inner_epochs"):
+        assert main(["full", "--set", f"{key}=1", "--out", str(tmp_path)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
     # a config file that is missing or not UTF-8 text
     not_utf8 = tmp_path / "bom.cfg"
     not_utf8.write_bytes(b"\xff\xfe")

@@ -104,9 +104,8 @@ COUNT_KEYS = [
     "pretrain.eval_per_class",
     "critic.hidden", "critic.t_embed_dim", "critic.n_traj", "critic.epochs",
     "critic.batch_size",
-    "policy.n_traj", "policy.grad_accum", "policy.inner_epochs",
-    "policy.refresh_traj", "policy.refresh_epochs", "policy.eval_forget",
-    "policy.eval_per_class",
+    "policy.n_traj", "policy.grad_accum", "policy.refresh_traj",
+    "policy.refresh_epochs", "policy.eval_forget", "policy.eval_per_class",
     "eval.forget_samples", "eval.retain_per_class",
 ]
 
@@ -151,4 +150,4 @@ def test_default_config_hash_is_pinned():
     # compares those files byte for byte: a key or default change must
     # update this pin and declare the run_id move
     assert config_hash(RunConfig()) == (
-        "4f79b145d3f2acc11b51b34833b0c71df6599c26e21e7eb4977e13ec7d87ec4b")
+        "46752ddd4f39d714fd62655243077db73700b14259adcda52a7809ca7f85e413")

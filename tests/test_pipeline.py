@@ -131,7 +131,7 @@ def test_full_run_manifest_keeps_phase_info(tiny_run):
         assert arm["iterations"] == cfg.policy.iterations
         assert 0 <= arm["stale_iterations"] <= cfg.policy.iterations
         # update stats: total Adam steps, run means of the per-epoch figures
-        assert arm["updates"] == (cfg.policy.iterations * cfg.policy.inner_epochs
+        assert arm["updates"] == (cfg.policy.iterations
                                   * math.ceil(cfg.diffusion.T / cfg.policy.grad_accum))
         assert 0.0 <= arm["clip_fraction"] <= 1.0
         assert 0.0 < arm["grad_norm_mean"] <= cfg.estimator.grad_max_norm * (1 + 1e-12)
