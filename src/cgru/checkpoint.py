@@ -3,7 +3,7 @@
 Layout, all little-endian:
 
     magic  b"CGRU"
-    u32    format version (currently 2)
+    u32    format version (currently 3)
     u32    provenance length in bytes
     bytes  utf-8 provenance: the sorted "key = value" config lines the
            tensors were produced under, joined by newlines
@@ -14,16 +14,20 @@ Layout, all little-endian:
         u64    rank
         u64[]  dims
         f64[]  row-major payload
+    bytes  the 32-byte sha256 of every byte before it
 
 Writing the same tensors and provenance twice produces byte-identical
-files. A float32 tensor widens into the f64 payload exactly; loading into
+files. A reader checks the magic and the version, then the digest, and
+only then parses, so a file changed after it was written, by as little
+as one payload bit, is refused, naming the file. A float32 tensor widens into the f64 payload exactly; loading into
 a network narrows each tensor back to its view's dtype and refuses one
 that does not survive that exactly. Output files go through `replacing`,
 so a failed write leaves the previous file as it was. There is no reader
-for version 1, which had no provenance: such a file is refused and must
-be written again.
+for version 1, which had no provenance, or for version 2, which had no
+digest: such a file is refused and must be written again.
 """
 
+import hashlib
 import math
 import os
 import struct
@@ -34,7 +38,8 @@ import numpy as np
 from .errors import CheckpointError
 
 MAGIC = b"CGRU"
-VERSION = 2
+VERSION = 3
+_DIGEST = 32        # bytes of the trailing sha256
 
 
 @contextmanager
@@ -66,6 +71,7 @@ def save_tensors(path, tensors: dict, provenance=()) -> None:
         blob += struct.pack("<Q", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}Q", *arr.shape)
         blob += arr.tobytes(order="C")
+    blob += hashlib.sha256(blob).digest()
     with replacing(path, "wb") as fh:
         fh.write(bytes(blob))
 
@@ -76,11 +82,11 @@ def load_tensors(path) -> tuple:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
-    off = 4
+    off, end = 4, len(blob)
 
     def take(n):
         nonlocal off
-        if off + n > len(blob):
+        if off + n > end:
             raise CheckpointError(f"{path}: truncated at byte {off}")
         out = blob[off:off + n]
         off += n
@@ -97,6 +103,10 @@ def load_tensors(path) -> tuple:
         raise CheckpointError(
             f"{path}: unsupported format version {version} (expected "
             f"{VERSION}); rerun the phase that writes it")
+    end -= _DIGEST
+    if end < off or hashlib.sha256(blob[:end]).digest() != blob[end:]:
+        raise CheckpointError(f"{path}: contents do not match their sha256 "
+                              "digest; rerun the phase that writes it")
     (head_len,) = struct.unpack("<I", take(4))
     head = text(head_len, "provenance")
     (count,) = struct.unpack("<I", take(4))
@@ -112,8 +122,8 @@ def load_tensors(path) -> tuple:
         size = math.prod(dims)
         data = np.frombuffer(take(8 * size), dtype="<f8").reshape(dims)
         tensors[name] = data.astype(np.float64)
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
+    if off != end:
+        raise CheckpointError(f"{path}: {end - off} trailing bytes")
     return (head.split("\n") if head else []), tensors
 
 

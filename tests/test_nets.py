@@ -1,5 +1,6 @@
 """Layer math, backprop-vs-finite-difference, Adam, and checkpoints."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -501,22 +502,24 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_tensors(bad_magic)
 
     # the first tensor name starts after magic, version, the (empty)
-    # provenance's length, count and its own length
+    # provenance's length, count and its own length; the digest is
+    # recomputed, so the name is what the reader refuses
     bad_name = tmp_path / "name.ckpt"
-    bad_name.write_bytes(blob[:20] + b"\xff" + blob[21:])
+    body = blob[:20] + b"\xff" + blob[21:-32]
+    bad_name.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(CheckpointError, match=f"{bad_name}.*utf-8"):
         load_tensors(bad_name)
 
 
 def _raw_checkpoint(path, tensors):
     """A file with no provenance holding the (name, dims, payload) entries
-    as given, however its header reads."""
+    as given, however its header reads, and their true digest."""
     blob = MAGIC + struct.pack("<III", VERSION, 0, len(tensors))
     for name, dims, payload in tensors:
         blob += struct.pack("<I", len(name)) + name.encode()
         blob += struct.pack(f"<Q{len(dims)}Q", len(dims), *dims)
         blob += np.asarray(payload, "<f8").tobytes()
-    path.write_bytes(blob)
+    path.write_bytes(blob + hashlib.sha256(blob).digest())
     return path
 
 

@@ -761,15 +761,43 @@ def test_version_1_checkpoint_is_refused(tiny_run, tmp_path):
     cfg, _ = tiny_run
     out = tmp_path / "v1"
     out.mkdir()
-    # the version 1 layout: no provenance between the version and the count
+    # the version 1 layout: no provenance between the version and the
+    # count, and no trailing digest
     blob = open(os.path.join(cfg.out_dir, "classifier.ckpt"), "rb").read()
     (head_len,) = struct.unpack("<I", blob[8:12])
     (out / "classifier.ckpt").write_bytes(
-        b"CGRU" + struct.pack("<I", 1) + blob[12 + head_len:])
+        b"CGRU" + struct.pack("<I", 1) + blob[12 + head_len:-32])
     with pytest.raises(CheckpointError, match=re.escape(
             f"{out / 'classifier.ckpt'}: unsupported format version 1")) as exc:
         pipeline.run_pretrain(tiny_config(out))
     assert "rerun the phase that writes it" in str(exc.value)
+
+
+def test_a_flipped_payload_bit_is_refused(tiny_run, tmp_path):
+    cfg, _ = tiny_run
+    out = tmp_path / "flip"
+    out.mkdir()
+    path = out / "classifier.ckpt"
+    blob = open(os.path.join(cfg.out_dir, "classifier.ckpt"), "rb").read()
+    # the lowest mantissa bit of the payload's last float64
+    flipped = bytearray(blob)
+    flipped[-40] ^= 1
+    path.write_bytes(flipped)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: contents do not match their sha256 digest")):
+        pipeline.load(tiny_config(out), "classifier")
+    # with its digest recomputed the flip is a valid file of another
+    # network, which is what a reader without the digest loaded
+    body = bytes(flipped[:-32])
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    other = pipeline.load(tiny_config(out), "classifier")
+    assert not np.array_equal(other.theta,
+                              pipeline.load(cfg, "classifier").theta)
+    # version 2, the layout before the digest, is refused like version 1
+    path.write_bytes(b"CGRU" + struct.pack("<I", 2) + blob[8:-32])
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: unsupported format version 2")):
+        pipeline.load(tiny_config(out), "classifier")
 
 
 def test_eval_csv_schema_and_run_id(tiny_run):
