@@ -97,8 +97,8 @@ print("early states carry only partial information about where the chain "
       "outcome as t falls")
 
 print("\n== does the timestep input matter? ==")
-aware, blind = ablation_compare(buffer, seed=0, T=sched.T, n_classes=K,
-                                hidden=cfg.critic.hidden,
+aware, blind = ablation_compare(buffer, seed=0, first_index=0, T=sched.T,
+                                n_classes=K, hidden=cfg.critic.hidden,
                                 t_embed_dim=cfg.critic.t_embed_dim)
 print(f"held-out MSE with t conditioning:    {aware:.4f}")
 print(f"held-out MSE without t conditioning: {blind:.4f}")

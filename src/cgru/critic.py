@@ -188,28 +188,34 @@ def critic_mse(critic: Critic, buffer: CriticBuffer) -> float:
 _ABLATION_HOLDOUT = 0.2
 
 
-def ablation_compare(buffer: CriticBuffer, seed: int, T: int, n_classes: int,
-                     hidden: int = 64, t_embed_dim: int = 32, epochs: int = 4,
+def ablation_compare(buffer: CriticBuffer, seed: int, first_index: int,
+                     T: int, n_classes: int, hidden: int = 64,
+                     t_embed_dim: int = 32, epochs: int = 4,
                      batch_size: int = 256, lr: float = 3e-3) -> tuple:
     """Train matched critics with and without timestep conditioning.
 
     Both start from identical parameters and see identical batches; the
     blind critic's train and held-out rows have every timestep set to 0,
-    so its film conditioning is the t = 0 embedding throughout. Returns
+    so its film conditioning is the t = 0 embedding throughout. The
+    holdout split, the critics' init and their minibatch order draw from
+    streams (seed, PHASE_DIAG, first_index + 0|1|2). Returns
     (mse_timestep_aware, mse_timestep_blind) on the held-out split.
     """
     if len(np.unique(buffer.ts)) < 2:
         raise ValueError("ablation needs a buffer spanning several timesteps")
     d = buffer.x.shape[1]
+
+    def stream(k):
+        return rngmod.stream(seed, rngmod.PHASE_DIAG, first_index + k)
+
     n_hold = max(1, int(len(buffer) * _ABLATION_HOLDOUT))
-    order = rngmod.stream(seed, rngmod.PHASE_DIAG, 0).permutation(len(buffer))
+    order = stream(0).permutation(len(buffer))
     hold, train = buffer[order[:n_hold]], buffer[order[n_hold:]]
     blind = [replace(b, ts=np.zeros_like(b.ts)) for b in (train, hold)]
     results = []
     for fit, score in ((train, hold), blind):
         critic = build_critic(d, n_classes, T, hidden, t_embed_dim,
-                              rng=rngmod.stream(seed, rngmod.PHASE_DIAG, 1))
-        critic_train(critic, fit, epochs, batch_size,
-                     rng=rngmod.stream(seed, rngmod.PHASE_DIAG, 2), lr=lr)
+                              rng=stream(1))
+        critic_train(critic, fit, epochs, batch_size, rng=stream(2), lr=lr)
         results.append(critic_mse(critic, score))
     return results[0], results[1]

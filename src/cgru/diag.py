@@ -21,10 +21,9 @@ from .toy import (build_toy, sample_toy_trajectories, toy_analytic_gradient,
                   toy_mean_reward)
 
 # stream-index blocks inside PHASE_DIAG, kept apart from each other and
-# from training phases. ablation_compare(seed=s) keys its streams as
-# (s, PHASE_DIAG, 0|1|2) outside every block: at cfg.seed = s these are
-# the noise streams of diag unbiasedness's toy trajectories 0-2, and they
-# do not vary with cfg.seed
+# from training phases. Ablation seed s owns _IDX_ABLATION + s * 1000 on:
+# its buffer's trajectories from there, their shuffle after them, and
+# ablation_compare's three streams from + 500
 _IDX_UNBIAS_SWEEP = 1_000_000
 _IDX_VARIANCE = 2_000_000
 _IDX_ABLATION = 3_000_000
@@ -204,10 +203,10 @@ def diag_ablation(cfg: RunConfig) -> dict:
         buffer = build_critic_buffer(model, class_ids, spec, None, sched,
                                      cfg.seed, phase=rngmod.PHASE_DIAG,
                                      first_index=_IDX_ABLATION + s * 1000)
-        aware, blind = ablation_compare(buffer, seed=s, T=cfg.diffusion.T,
-                                        n_classes=K,
-                                        hidden=cfg.critic.hidden,
-                                        t_embed_dim=cfg.critic.t_embed_dim)
+        aware, blind = ablation_compare(
+            buffer, cfg.seed, _IDX_ABLATION + s * 1000 + 500,
+            T=cfg.diffusion.T, n_classes=K, hidden=cfg.critic.hidden,
+            t_embed_dim=cfg.critic.t_embed_dim)
         rows.append(("timestep_aware", aware, s))
         rows.append(("timestep_blind", blind, s))
 

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from cgru import diag, pipeline
 from cgru import rng as rngmod
 from cgru.critic import (Critic, CriticBuffer, ablation_compare, build_critic,
                          build_critic_buffer, critic_mse, critic_train,
@@ -16,7 +17,7 @@ from cgru.diffusion import (build_eps_net, make_schedule, one_hot,
 from cgru.nets import backward, forward
 from cgru.rewards import RewardSpec, assign_rewards
 
-from conftest import float64_twin
+from conftest import float64_twin, tiny_config
 
 
 def small_critic(T=10, K=4, idx=1):
@@ -43,7 +44,8 @@ def test_blind_critic_ignores_timestep():
     # buffer's timesteps moves the aware critic's error but not the blind one's
     buf = synthetic_buffer(lambda x, k, t: float(t), n=200)
     reordered = dataclasses.replace(buf, ts=buf.ts[::-1].copy())
-    kw = dict(seed=0, T=10, n_classes=4, hidden=16, t_embed_dim=8, epochs=2)
+    kw = dict(seed=0, first_index=0, T=10, n_classes=4, hidden=16,
+              t_embed_dim=8, epochs=2)
     aware, blind = ablation_compare(buf, **kw)
     aware_reordered, blind_reordered = ablation_compare(reordered, **kw)
     assert blind_reordered == blind
@@ -203,9 +205,10 @@ def test_ablation_timestep_signal_separates_models():
     # reward is a pure function of t, so the blind critic can only learn
     # the average while the aware one can match it exactly
     buf = synthetic_buffer(lambda x, k, t: float(t), n=1200, T=10)
-    aware_mse, blind_mse = ablation_compare(buf, seed=0, T=10, n_classes=4,
-                                            hidden=16, t_embed_dim=8,
-                                            epochs=30, batch_size=64, lr=3e-3)
+    aware_mse, blind_mse = ablation_compare(buf, seed=0, first_index=0,
+                                            T=10, n_classes=4, hidden=16,
+                                            t_embed_dim=8, epochs=30,
+                                            batch_size=64, lr=3e-3)
     assert aware_mse < blind_mse
     # the blind model's floor is the variance of t over the buffer,
     # around 8.25 for uniform t in 1..10
@@ -213,8 +216,37 @@ def test_ablation_timestep_signal_separates_models():
     assert aware_mse < 2.0
 
 
+def test_ablation_streams_lie_in_their_block_and_follow_the_seed(
+        tmp_path, monkeypatch):
+    # every stream diag ablation keys lies in its own index block, and a
+    # run at another seed draws other streams
+    real, keys = rngmod.stream, {}
+    block = range(diag._IDX_ABLATION,
+                  diag._IDX_ABLATION + diag._ABLATION_SEEDS * 1000)
+    for seed in (0, 1):
+        cfg = tiny_config(tmp_path / str(seed), [
+            f"seed={seed}", "diffusion.T=5", "eps_net.hidden=16",
+            "critic.hidden=16"])
+        model = pipeline._build_model(cfg)      # untrained: keys only
+        drawn = keys[seed] = []
+
+        def spy(*key):
+            drawn.append(key)
+            return real(*key)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(diag, "load", lambda cfg, name: model)
+            mp.setattr(rngmod, "stream", spy)
+            diag.diag_ablation(cfg)
+        assert drawn, seed
+        for key in drawn:
+            assert key[1] == rngmod.PHASE_DIAG and key[2] in block, key
+    assert not set(keys[0]) & set(keys[1])
+
+
 def test_ablation_needs_timestep_spread():
     buf = synthetic_buffer(lambda x, k, t: 1.0, n=50)
     single_t = buf[buf.ts == buf.ts[0]]
     with pytest.raises(ValueError):
-        ablation_compare(single_t, seed=0, T=10, n_classes=4)
+        ablation_compare(single_t, seed=0, first_index=0, T=10,
+                         n_classes=4)
