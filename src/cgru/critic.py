@@ -184,10 +184,6 @@ def critic_mse(critic: Critic, buffer: CriticBuffer) -> float:
     return float(((pred - buffer.r) ** 2).mean())
 
 
-# the share of an ablation buffer held out for scoring
-_ABLATION_HOLDOUT = 0.2
-
-
 def ablation_compare(buffer: CriticBuffer, seed: int, first_index: int,
                      T: int, n_classes: int, hidden: int = 64,
                      t_embed_dim: int = 32, epochs: int = 4,
@@ -196,10 +192,11 @@ def ablation_compare(buffer: CriticBuffer, seed: int, first_index: int,
 
     Both start from identical parameters and see identical batches; the
     blind critic's train and held-out rows have every timestep set to 0,
-    so its film conditioning is the t = 0 embedding throughout. The
-    holdout split, the critics' init and their minibatch order draw from
-    streams (seed, PHASE_DIAG, first_index + 0|1|2). Returns
-    (mse_timestep_aware, mse_timestep_blind) on the held-out split.
+    so its film conditioning is the t = 0 embedding throughout. A fifth
+    of the rows is held out. The split, the critics' init and their
+    minibatch order draw from streams (seed, PHASE_DIAG, first_index +
+    0|1|2). Returns (mse_timestep_aware, mse_timestep_blind) on the
+    held-out rows.
     """
     if len(np.unique(buffer.ts)) < 2:
         raise ValueError("ablation needs a buffer spanning several timesteps")
@@ -208,7 +205,7 @@ def ablation_compare(buffer: CriticBuffer, seed: int, first_index: int,
     def stream(k):
         return rngmod.stream(seed, rngmod.PHASE_DIAG, first_index + k)
 
-    n_hold = max(1, int(len(buffer) * _ABLATION_HOLDOUT))
+    n_hold = max(1, int(len(buffer) * 0.2))
     order = stream(0).permutation(len(buffer))
     hold, train = buffer[order[:n_hold]], buffer[order[n_hold:]]
     blind = [replace(b, ts=np.zeros_like(b.ts)) for b in (train, hold)]

@@ -114,12 +114,10 @@ def keep_heap_top() -> None:
     64 MiB free at its top rather than give it back, for the rest of the
     process and the children it forks; nothing on a C library without
     mallopt. The score walk allocates and frees (256, hidden) float64
-    temporaries of 256 KiB at every step of every shard, and each round
-    trip through a fresh mapping, or through a trimmed heap top, faults
-    their pages in again. Setting the pad stops glibc from raising its
-    mmap threshold (128 KiB at start) on later frees, so it is fixed here
-    too; left where the process's history had put it, the walk's blocks
-    were mapped afresh at every step in some processes and not others."""
+    temporaries of 256 KiB at every step of every shard, and each fresh
+    mapping or trimmed heap top faults their pages in again. Setting the
+    pad freezes glibc's mmap threshold wherever earlier frees left it, so
+    the threshold is set too."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
