@@ -19,12 +19,13 @@ Layout, all little-endian:
 Writing the same tensors and provenance twice produces byte-identical
 files. A reader checks the magic and the version, then the digest, and
 only then parses, so a file changed after it was written, by as little
-as one payload bit, is refused, naming the file. A float32 tensor widens into the f64 payload exactly; loading into
-a network narrows each tensor back to its view's dtype and refuses one
-that does not survive that exactly. Output files go through `replacing`,
-so a failed write leaves the previous file as it was. There is no reader
-for version 1, which had no provenance, or for version 2, which had no
-digest: such a file is refused and must be written again.
+as one payload bit, is refused, naming the file. A float32 tensor widens
+into the f64 payload exactly; loading into a network narrows each tensor
+back to its view's dtype and refuses one that does not survive that
+exactly. Output files go through `replacing`, so a failed write leaves
+the previous file as it was. There is no reader for version 1, which had
+no provenance, or for version 2, which had no digest: such a file is
+refused and must be written again.
 """
 
 import hashlib
