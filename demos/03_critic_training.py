@@ -1,18 +1,23 @@
 """Fit the per-timestep value head and watch it assign credit.
 
 The critic predicts the final reward from an intermediate state
-(x_t, class, t). Two stories here. First, the pipeline critic trained on
-the unlearning reward: under the pretrained sampler a forget-class
-prompt lands on the forget mode essentially every time, so the correct
-prediction is flat and near zero at every t. Second, a reward that
-genuinely varies per trajectory (proximity to the mode center): there
-the predictions for different rollouts start together near the mean and
+(x_t, class, t). A reward is a function of the terminal samples, so
+the buffer builder takes one callable, reward(x0) -> r. Two stories
+here. First, the pipeline critic trained on the unlearning reward
+(`pipeline.reward_fn`, the classifier complement): under the pretrained
+sampler a forget-class prompt lands on the forget mode essentially
+every time, so the correct prediction is flat and near zero at every t.
+Second, a reward that genuinely varies per trajectory (proximity to the
+mode center, `rewards.mode_distance_reward` bound to that center with
+functools.partial): there the predictions for different rollouts start together near the mean and
 separate toward their own outcomes as t approaches 0. A final section
 reruns the fit without timestep conditioning to show what the FiLM t
 input buys.
 
 Run from the repository root:  python3 demos/03_critic_training.py
 """
+
+import functools
 
 import numpy as np
 
@@ -21,9 +26,9 @@ from cgru.config import RunConfig, apply_overrides
 from cgru.critic import (ablation_compare, build_critic, build_critic_buffer,
                          critic_train, critic_values)
 from cgru.diffusion import mode_centers, one_hot, sample_trajectories
-from cgru.pipeline import (load, reward_spec, run_classifier, run_critic,
+from cgru.pipeline import (load, reward_fn, run_classifier, run_critic,
                            run_pretrain, schedule)
-from cgru.rewards import RewardSpec, assign_rewards
+from cgru.rewards import assign_rewards, mode_distance_reward
 
 OUT = "demo_runs/03_critic"
 
@@ -62,7 +67,7 @@ def value(critic, latents, t):
 print("\n== pipeline critic on a forget-class rollout ==")
 traj = sample_trajectories(model, [target], sched, cfg.seed,
                            rngmod.PHASE_DIAG, first_index=4242)
-assign_rewards(traj, reward_spec(cfg), clf)
+assign_rewards(traj, reward_fn(cfg, clf))
 vals = " ".join(f"{value(critic, traj.latents[0], t):+.2f}"
                 for t in (50, 30, 10, 1))
 print(f"V at t=50,30,10,1: {vals}; realized reward {traj.rewards[0]:.2f}")
@@ -71,9 +76,10 @@ print("flat and near zero is the right answer: the base sampler puts "
       "nothing for intermediate states to disambiguate")
 
 print("\n== credit assignment when outcomes vary ==")
-spec = RewardSpec("mode_distance", center=tuple(mode_centers(K, 4.0)[target]),
-                  scale=cfg.reward.scale)
-buffer = build_critic_buffer(model, np.full(256, target), spec, None, sched,
+proximity = functools.partial(mode_distance_reward,
+                              center=mode_centers(K, 4.0)[target],
+                              scale=cfg.reward.scale)
+buffer = build_critic_buffer(model, np.full(256, target), proximity, sched,
                              cfg.seed, phase=rngmod.PHASE_DIAG,
                              first_index=900_000)
 demo_critic = build_critic(2, K, sched.T, hidden=cfg.critic.hidden,
@@ -84,7 +90,7 @@ critic_train(demo_critic, buffer, epochs=6, batch_size=256,
 
 probes = sample_trajectories(model, np.full(64, target), sched, cfg.seed,
                              rngmod.PHASE_DIAG, first_index=902_000)
-assign_rewards(probes, spec)
+assign_rewards(probes, proximity)
 picks = probes[np.argsort(probes.rewards, kind="stable")[[0, 32, -1]]]
 print(f"{'t':>4} " + " ".join(f"{'traj ' + str(i):>8}" for i in "abc"))
 for t in (40, 20, 5, 1):

@@ -21,7 +21,6 @@ from .checkpoint import replacing
 from .diffusion import make_schedule
 from .errors import ConfigError, ScheduleError
 from .policy_grad import EstimatorConfig
-from .rewards import REWARD_KINDS
 
 
 @dataclass
@@ -67,7 +66,6 @@ class PretrainConfig:
 
 @dataclass
 class RewardConfig:
-    kind: str = "classifier_complement"
     target_class: int = 0
     scale: float = 10.0
     forget_fraction: float = 0.5
@@ -168,8 +166,6 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(
             f"reward.target_class {cfg.reward.target_class} out of range "
             f"for {cfg.data.n_classes} classes")
-    if cfg.reward.kind not in REWARD_KINDS:
-        raise ConfigError(f"unknown reward.kind {cfg.reward.kind!r}")
     if not 0.0 <= cfg.reward.forget_fraction <= 1.0:
         raise ConfigError("reward.forget_fraction must lie in [0, 1]")
     if cfg.data.holdout >= cfg.data.n_samples:

@@ -19,7 +19,7 @@ from . import rng as rngmod
 from .diffusion import NoiseSchedule, Rollouts, one_hot, sample_trajectories
 from .nets import (Act, Dense, Film, Network, adam_init, adam_step, backward,
                    embed_lookup, forward, init_network, sinusoidal_embed)
-from .rewards import RewardSpec, assign_rewards
+from .rewards import assign_rewards
 
 Array = np.ndarray
 
@@ -111,22 +111,22 @@ def value_matrix(critic: Critic, rollouts: Rollouts) -> Array:
     return values
 
 
-def build_critic_buffer(model, class_ids, spec: RewardSpec, clf,
-                        sched: NoiseSchedule, seed: int,
-                        phase: int = rngmod.PHASE_CRITIC_BUFFER,
+def build_critic_buffer(model, class_ids, reward, sched: NoiseSchedule,
+                        seed: int, phase: int = rngmod.PHASE_CRITIC_BUFFER,
                         first_index: int = 0) -> CriticBuffer:
     """Roll out one trajectory per class id and flatten to critic rows.
 
     Every state x_t with t in [1, T] becomes one row labeled with the
-    trajectory's terminal reward; x_0 itself is excluded because no value
-    estimate is ever queried there. Row k of the unshuffled flattening is
+    trajectory's terminal reward, reward(x_0) (a function of the (n, d)
+    terminal samples, as in `rewards`); x_0 itself is excluded because no
+    value estimate is ever queried there. Row k of the unshuffled flattening is
     (trajectory k // T, t = k % T + 1); the returned rows are shuffled.
     first_index offsets the per-trajectory noise streams so repeated buffer
     builds (e.g. mid-run critic refreshes) draw fresh randomness.
     """
     rollouts = sample_trajectories(model, class_ids, sched, seed, phase,
                                    first_index=first_index)
-    assign_rewards(rollouts, spec, clf)
+    assign_rewards(rollouts, reward)
     n, T = len(rollouts), sched.T
     shuffle = rngmod.stream(seed, phase, first_index + n)
     traj, step = np.divmod(shuffle.permutation(n * T), T)

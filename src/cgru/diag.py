@@ -6,17 +6,19 @@ Each writes one CSV into the run directory and holds its lock meanwhile.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import rng as rngmod
-from .config import RunConfig, apply_overrides
+from .config import RunConfig
 from .critic import ablation_compare, build_critic_buffer, value_matrix
-from .diffusion import sample_trajectories
+from .diffusion import mode_centers, sample_trajectories
 from .pipeline import (load, locked_run, mixture_class_ids, out_path,
-                       reward_spec, schedule, write_csv)
+                       reward_fn, schedule, write_csv)
 from .policy_grad import (clip_to_norm, gradient_variance, group_estimates,
                           optimal_baseline_probe, per_sample_scores)
-from .rewards import assign_rewards
+from .rewards import assign_rewards, mode_distance_reward
 from .toy import (build_toy, sample_toy_trajectories, toy_analytic_gradient,
                   toy_mean_reward)
 
@@ -53,13 +55,13 @@ def norm_sweep(cfg: RunConfig, model, critic, clf,
     partials exist, at any sizes[-1]; a prefix's estimate is its
     cumulative group sum over N.
     """
-    sched, spec = schedule(cfg), reward_spec(cfg)
+    sched, reward = schedule(cfg), reward_fn(cfg, clf)
 
     def rows(lo, hi):
         rollouts = sample_trajectories(
             model, np.full(hi - lo, cfg.reward.target_class), sched,
             cfg.seed, rngmod.PHASE_DIAG, first_index=_IDX_UNBIAS_SWEEP + lo)
-        assign_rewards(rollouts, spec, clf)
+        assign_rewards(rollouts, reward)
         return rollouts, value_matrix(critic, rollouts)
 
     means, _ = group_estimates(sizes[-1], model, rows, cfg.estimator, sched,
@@ -136,7 +138,7 @@ def diag_variance(cfg: RunConfig) -> dict:
     """
     clf, model, critic = (load(cfg, name)
                           for name in ("classifier", "eps_base", "critic"))
-    sched, spec = schedule(cfg), reward_spec(cfg)
+    sched, reward = schedule(cfg), reward_fn(cfg, clf)
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_CTX)
     # every batch's class ids, drawn in batch order before any batch runs
     class_ids = [mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
@@ -149,7 +151,7 @@ def diag_variance(cfg: RunConfig) -> dict:
         rollouts = sample_trajectories(model, class_ids[b], sched, cfg.seed,
                                        rngmod.PHASE_DIAG,
                                        first_index=_IDX_VARIANCE + b * 1000)
-        assign_rewards(rollouts, spec, clf)
+        assign_rewards(rollouts, reward)
         # both estimators from one walk over the batch
         means, _ = group_estimates(
             rollouts, model, value_matrix(critic, rollouts), cfg.estimator,
@@ -196,11 +198,13 @@ def diag_ablation(cfg: RunConfig) -> dict:
     model, sched = load(cfg, "eps_base"), schedule(cfg)
     K = cfg.data.n_classes
     target = cfg.reward.target_class
-    spec = reward_spec(apply_overrides(cfg, ["reward.kind=mode_distance"]))
+    reward = functools.partial(mode_distance_reward,
+                               center=mode_centers(K, cfg.data.radius)[target],
+                               scale=cfg.reward.scale)
     class_ids = np.full(_ABLATION_TRAJ, target)
     rows = []
     for s in range(_ABLATION_SEEDS):
-        buffer = build_critic_buffer(model, class_ids, spec, None, sched,
+        buffer = build_critic_buffer(model, class_ids, reward, sched,
                                      cfg.seed, phase=rngmod.PHASE_DIAG,
                                      first_index=_IDX_ABLATION + s * 1000)
         aware, blind = ablation_compare(

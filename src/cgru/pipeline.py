@@ -37,15 +37,15 @@ from .config import (RunConfig, config_hash, config_lines, render_value,
 from .critic import (Critic, build_critic, build_critic_buffer, critic_train,
                      value_matrix)
 from .diffusion import (build_eps_net, ddpm_train_step, make_schedule,
-                        mode_centers, sample_dataset, sample_trajectories)
+                        sample_dataset, sample_trajectories)
 from .errors import Divergence, MissingArtifact, PhaseFailure
 from .metrics import EvalReport, feature_stats, frechet_distance
 from .nets import adam_init
 from .policy_grad import (clip_to_norm, gradient_variance, group_estimates,
                           policy_update_epoch)
-from .rewards import (RewardSpec, assign_rewards, build_classifier_net,
+from .rewards import (assign_rewards, build_classifier_net,
                       classifier_accuracy, classifier_predict,
-                      train_classifier)
+                      classifier_reward, train_classifier)
 
 # eval rollouts draw from fixed stream indexes so the same noise is reused
 # at every logging point; training streams stay clear of these ranges
@@ -126,15 +126,11 @@ def schedule(cfg: RunConfig):
                          cfg.diffusion.beta_end)
 
 
-def reward_spec(cfg: RunConfig) -> RewardSpec:
-    if cfg.reward.kind == "mode_distance":
-        center = mode_centers(cfg.data.n_classes,
-                              cfg.data.radius)[cfg.reward.target_class]
-        return RewardSpec("mode_distance", center=tuple(center),
-                          scale=cfg.reward.scale)
-    return RewardSpec("classifier_complement",
-                      target_class=cfg.reward.target_class,
-                      scale=cfg.reward.scale)
+def reward_fn(cfg: RunConfig, clf):
+    """The run's reward, x0 -> scale * (1 - p(target | x0)) under clf."""
+    return functools.partial(classifier_reward, clf,
+                             target_class=cfg.reward.target_class,
+                             scale=cfg.reward.scale)
 
 
 def _build_classifier(cfg: RunConfig):
@@ -332,7 +328,7 @@ def _critic_phase(cfg: RunConfig) -> dict:
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_CRITIC_BUFFER,
                             _CRITIC_CLASS_INDEX)
     class_ids = mixture_class_ids(cfg, cfg.critic.n_traj, ctx_rng)
-    buffer = build_critic_buffer(model, class_ids, reward_spec(cfg), clf,
+    buffer = build_critic_buffer(model, class_ids, reward_fn(cfg, clf),
                                  sched, cfg.seed)
     critic = _build_critic(cfg)
     losses = critic_train(critic, buffer, epochs=cfg.critic.epochs,
@@ -396,7 +392,7 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
         raise ValueError(f"unknown method {method!r}")
     clf, model = load(cfg, "classifier"), load(cfg, "eps_base")
     critic = load(cfg, "critic") if method == "cgru" else None
-    sched, spec = schedule(cfg), reward_spec(cfg)
+    sched, reward = schedule(cfg), reward_fn(cfg, clf)
 
     X, y = _dataset(cfg)
     retain_ref = _retain_reference(cfg, X, y)
@@ -420,7 +416,7 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
                 refresh_ids = mixture_class_ids(cfg, cfg.policy.refresh_traj,
                                                 refresh_rng)
                 buf = build_critic_buffer(
-                    model, refresh_ids, spec, clf, sched, cfg.seed,
+                    model, refresh_ids, reward, sched, cfg.seed,
                     first_index=_CRITIC_CLASS_INDEX
                     + (it + 1) * _REFRESH_TRAJ_STRIDE)
                 critic_train(critic, buf, epochs=cfg.policy.refresh_epochs,
@@ -431,7 +427,7 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
             rollouts = sample_trajectories(
                 model, class_ids, sched, cfg.seed, rngmod.PHASE_POLICY,
                 first_index=(it + 1) * _POLICY_TRAJ_STRIDE)
-            assign_rewards(rollouts, spec, clf)
+            assign_rewards(rollouts, reward)
             mean_reward = float(np.mean(rollouts.rewards))
             values = value_matrix(critic, rollouts) if method == "cgru" else None
             monitor = it + 1 in monitored

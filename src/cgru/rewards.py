@@ -1,12 +1,13 @@
 """Terminal rewards for generated samples.
 
-The main reward for unlearning is the classifier complement: a frozen
-softmax classifier scores the terminal sample and the reward is
-scale * (1 - p(target | x0)), so samples that stop looking like the
-forget class earn more.
+A reward is a function of the terminal samples alone, reward(x0) -> r
+for x0 of shape (n, d); callers bind a reward function's other
+arguments with functools.partial. Unlearning uses the classifier
+complement: a frozen softmax classifier scores the terminal sample and
+the reward is scale * (1 - p(target | x0)), so samples that stop looking
+like the forget class earn more. The critic ablation uses the distance
+to the forget mode, whose value varies along a trajectory.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,26 +16,6 @@ from .nets import (Act, Dense, Network, adam_init, adam_step, backward,
                    forward, init_network)
 
 Array = np.ndarray
-
-REWARD_KINDS = ("classifier_complement", "mode_distance")
-
-
-@dataclass(frozen=True)
-class RewardSpec:
-    kind: str
-    target_class: int | None = None
-    scale: float = 10.0
-    center: tuple | None = None     # mode_distance only
-
-    def __post_init__(self):
-        if self.kind not in REWARD_KINDS:
-            raise ValueError(f"unknown reward kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError(f"reward scale must be positive, got {self.scale}")
-        if self.kind == "classifier_complement" and self.target_class is None:
-            raise ValueError("classifier_complement needs a target_class")
-        if self.kind == "mode_distance" and self.center is None:
-            raise ValueError("mode_distance needs a center")
 
 
 def build_classifier_net(d: int, n_classes: int, hidden: int,
@@ -86,6 +67,8 @@ def classifier_accuracy(net: Network, X, y) -> float:
 def classifier_reward(net: Network, x0: Array, target_class: int,
                       scale: float = 10.0) -> Array:
     """scale * (1 - p(target | x0)) for each row of x0 (n, d)."""
+    if scale <= 0:
+        raise ValueError(f"reward scale must be positive, got {scale}")
     probs = forward(net, x0)
     if not 0 <= target_class < probs.shape[1]:
         raise ValueError(f"target class {target_class} outside [0, {probs.shape[1]})")
@@ -95,6 +78,8 @@ def classifier_reward(net: Network, x0: Array, target_class: int,
 def mode_distance_reward(x0: Array, center, scale: float = 10.0) -> Array:
     """scale * exp(-||x0 - center||^2) for each row of x0 (n, d), a dense
     alternative reward."""
+    if scale <= 0:
+        raise ValueError(f"reward scale must be positive, got {scale}")
     center = np.asarray(center, dtype=np.float64)
     if x0.ndim != 2 or center.shape != (x0.shape[1],):
         raise ShapeMismatch(f"center shape {center.shape} does not match "
@@ -103,15 +88,7 @@ def mode_distance_reward(x0: Array, center, scale: float = 10.0) -> Array:
     return scale * np.exp(-d2)
 
 
-def reward_values(spec: RewardSpec, x0s: Array, clf: Network | None = None) -> Array:
-    if spec.kind == "classifier_complement":
-        if clf is None:
-            raise ValueError("classifier_complement reward needs a classifier")
-        return classifier_reward(clf, x0s, spec.target_class, spec.scale)
-    return mode_distance_reward(x0s, spec.center, spec.scale)
-
-
-def assign_rewards(rollouts, spec: RewardSpec, clf: Network | None = None):
-    """Fill rollouts.rewards from each terminal sample, in place."""
-    rollouts.rewards = reward_values(spec, rollouts.x0, clf)
+def assign_rewards(rollouts, reward):
+    """Fill rollouts.rewards with reward(rollouts.x0), in place."""
+    rollouts.rewards = reward(rollouts.x0)
     return rollouts

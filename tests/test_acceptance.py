@@ -10,6 +10,7 @@ in the unbiasedness_sweep and diag_runs fixtures, and each test charges
 its check's seconds to its own budget.
 """
 
+import functools
 import math
 import os
 import time
@@ -27,8 +28,8 @@ from cgru.metrics import FeatureStats, feature_stats, frechet_distance
 from cgru.nets import Network, backward, forward
 from cgru.policy_grad import (EstimatorConfig, cgru_gradient, ddpo_gradient,
                               per_sample_scores)
-from cgru.rewards import (RewardSpec, assign_rewards, build_classifier_net,
-                          reward_values)
+from cgru.rewards import (assign_rewards, build_classifier_net,
+                          mode_distance_reward)
 from cgru.toy import (build_toy, sample_toy_trajectories,
                       toy_analytic_gradient)
 
@@ -167,8 +168,9 @@ def test_03_zero_critic_reduces_to_terminal_reward():
     trajs = sample_trajectories(model, class_ids, sched, cfg.seed,
                                 rngmod.PHASE_DIAG, first_index=_IDX_DEGEN)
     center = mode_centers(cfg.data.n_classes, cfg.data.radius)[0]
-    assign_rewards(trajs, RewardSpec("mode_distance", center=tuple(center),
-                                     scale=cfg.reward.scale))
+    assign_rewards(trajs, functools.partial(mode_distance_reward,
+                                            center=center,
+                                            scale=cfg.reward.scale))
     g_c = cgru_gradient(trajs, model, np.zeros((16, sched.T)), RAW, sched)
     g_d = ddpo_gradient(trajs, model, sched, RAW)
     rel = float(np.linalg.norm(g_c - g_d) / np.linalg.norm(g_d))
@@ -205,7 +207,7 @@ def test_06_critic_tracks_monte_carlo_values(full_run):
     model = pipeline.load(cfg, "eps_base")
     critic = pipeline.load(cfg, "critic")
     clf = pipeline.load(cfg, "classifier")
-    spec = pipeline.reward_spec(cfg)
+    reward = pipeline.reward_fn(cfg, clf)
     sched = pipeline.schedule(cfg)
     ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_PROBE)
     n_probes = 50
@@ -221,7 +223,7 @@ def test_06_critic_tracks_monte_carlo_values(full_run):
         x0s = rollout_from(model, c, sched, x_t, t, cfg.seed,
                            rngmod.PHASE_DIAG, n=1000,
                            first_index=_IDX_PROBE_MC + i * 1000)
-        mc = float(reward_values(spec, x0s, clf).mean())
+        mc = float(reward(x0s).mean())
         errs.append(abs(v - mc))
     errs = np.array(errs)
     hits = int((errs <= 0.5).sum())

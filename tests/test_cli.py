@@ -232,7 +232,7 @@ def test_bad_override_exits_two(tmp_path, capsys):
     assert main(["full", "--set", "policy.lr=banana", "--out", str(tmp_path)]) == 2
     assert "policy.lr" in capsys.readouterr().err
     # a key that does not exist, or no longer does
-    for key in ("no.such.key", "policy.inner_epochs"):
+    for key in ("no.such.key", "policy.inner_epochs", "reward.kind"):
         assert main(["full", "--set", f"{key}=1", "--out", str(tmp_path)]) == 2
         assert "unknown config key" in capsys.readouterr().err
     # a config file that is missing or not UTF-8 text

@@ -23,7 +23,7 @@ def test_defaults_are_valid():
 
 def test_render_parse_roundtrip():
     cfg = apply_overrides(RunConfig(), ["policy.lr=0.0003", "seed=9",
-                                        "reward.kind=mode_distance"])
+                                        "out_dir=runs/elsewhere"])
     text = render_config(cfg)
     back = parse_config(text)
     assert back == cfg
@@ -41,13 +41,11 @@ def test_override_type_conversions():
     cfg = apply_overrides(RunConfig(), [
         "policy.iterations=7",
         "policy.lr=2.5e-4",
-        "reward.kind=mode_distance",
         "out_dir=/somewhere/else",
     ])
     assert cfg.policy.iterations == 7
     assert isinstance(cfg.policy.iterations, int)
     assert cfg.policy.lr == 2.5e-4
-    assert cfg.reward.kind == "mode_distance"
     assert cfg.out_dir == "/somewhere/else"
     # original untouched (dataclass replace semantics)
     assert RunConfig().policy.iterations == 50
@@ -76,7 +74,7 @@ def test_validate_catches_bad_ranges():
         ["diffusion.beta_end=1.5"],
         ["reward.target_class=8"],
         ["reward.forget_fraction=1.5"],
-        ["reward.kind=mode_distance", "reward.scale=-1"],
+        ["reward.scale=-1"],
         ["data.holdout=8000"],
         ["policy.lr=0"],
         ["policy.lr_decay_frac=0"],
@@ -150,4 +148,4 @@ def test_default_config_hash_is_pinned():
     # compares those files byte for byte: a key or default change must
     # update this pin and declare the run_id move
     assert config_hash(RunConfig()) == (
-        "46752ddd4f39d714fd62655243077db73700b14259adcda52a7809ca7f85e413")
+        "92c2752e9d53cd25741ea792c5e09925e4f6a5e8cfc835167ad8adefded5773f")

@@ -2,6 +2,7 @@
 timestep-ablation machinery."""
 
 import dataclasses
+import functools
 import os
 
 import numpy as np
@@ -15,7 +16,7 @@ from cgru.critic import (Critic, CriticBuffer, ablation_compare, build_critic,
 from cgru.diffusion import (build_eps_net, make_schedule, one_hot,
                             sample_trajectories)
 from cgru.nets import backward, forward
-from cgru.rewards import RewardSpec, assign_rewards
+from cgru.rewards import assign_rewards, mode_distance_reward
 
 from conftest import float64_twin, tiny_config
 
@@ -126,14 +127,15 @@ def buffer_setup():
     model = build_eps_net(2, 4, hidden=16, t_embed_dim=8,
                           rng=rngmod.stream(0, rngmod.PHASE_INIT), T=10)
     sched = make_schedule(10, 1e-4, 0.02)
-    spec = RewardSpec("mode_distance", center=(0.0, 0.0), scale=10.0)
-    return model, sched, spec
+    reward = functools.partial(mode_distance_reward, center=(0.0, 0.0),
+                               scale=10.0)
+    return model, sched, reward
 
 
 def test_build_critic_buffer_covers_every_timestep():
-    model, sched, spec = buffer_setup()
+    model, sched, reward = buffer_setup()
     class_ids = [0, 0, 2]
-    buf = build_critic_buffer(model, class_ids, spec, None, sched, seed=7)
+    buf = build_critic_buffer(model, class_ids, reward, sched, seed=7)
     assert len(buf) == len(class_ids) * 10
     # the buffer is shuffled, but grouping by the (continuous, hence
     # unique per trajectory) terminal reward recovers each rollout: every
@@ -146,10 +148,10 @@ def test_build_critic_buffer_covers_every_timestep():
         assert len(np.unique(buf.class_ids[group])) == 1
     assert sorted(buf.class_ids[buf.ts == 1]) == [0, 0, 2]
     # identical build is identically ordered, fresh first_index reshuffles
-    again = build_critic_buffer(model, class_ids, spec, None, sched, seed=7)
+    again = build_critic_buffer(model, class_ids, reward, sched, seed=7)
     assert np.array_equal(buf.ts, again.ts)
     assert np.array_equal(buf.x, again.x)
-    moved = build_critic_buffer(model, class_ids, spec, None, sched, seed=7,
+    moved = build_critic_buffer(model, class_ids, reward, sched, seed=7,
                                 first_index=50)
     assert not np.array_equal(buf.x, moved.x)
 
@@ -158,14 +160,14 @@ def test_build_critic_buffer_row_order():
     # row k holds x_t of trajectory i at step t, where (i, t - 1) is the
     # divmod by T of the k-th entry of the shuffle stream's permutation,
     # which sits just past the rollouts' own noise streams
-    model, sched, spec = buffer_setup()
+    model, sched, reward = buffer_setup()
     class_ids = np.array([1, 3, 0, 2])
     n, T = len(class_ids), sched.T
-    buf = build_critic_buffer(model, class_ids, spec, None, sched, seed=7,
+    buf = build_critic_buffer(model, class_ids, reward, sched, seed=7,
                               first_index=20)
     rollouts = sample_trajectories(model, class_ids, sched, 7,
                                    rngmod.PHASE_CRITIC_BUFFER, first_index=20)
-    assign_rewards(rollouts, spec)
+    assign_rewards(rollouts, reward)
     shuffle = rngmod.stream(7, rngmod.PHASE_CRITIC_BUFFER, 20 + n)
     perm = shuffle.permutation(n * T)
     for k, flat in enumerate(perm):

@@ -2,6 +2,7 @@
 
 import csv
 import fcntl
+import functools
 import hashlib
 import itertools
 import json
@@ -26,7 +27,7 @@ from cgru.checkpoint import load_tensors, save_tensors
 from cgru.config import RunConfig, apply_overrides, config_hash
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
 from cgru.policy_grad import cgru_gradient, ddpo_gradient, gradient_variance
-from cgru.rewards import RewardSpec, assign_rewards
+from cgru.rewards import assign_rewards, mode_distance_reward
 from cgru.errors import (CgruError, CheckpointError, LockError, MissingArtifact,
                          PhaseFailure)
 from cgru.metrics import feature_stats, frechet_distance
@@ -302,8 +303,8 @@ def test_diag_gradients_walk_once_per_step(monkeypatch, method):
     sched = make_schedule(T, 1e-4, 0.02)
     rollouts = sample_trajectories(model, np.arange(n) % K, sched, 2,
                                    rngmod.PHASE_DIAG, first_index=40)
-    assign_rewards(rollouts, RewardSpec("mode_distance", center=(0.0, 0.0),
-                                        scale=10.0))
+    assign_rewards(rollouts, functools.partial(
+        mode_distance_reward, center=(0.0, 0.0), scale=10.0))
     values = 0.3 * np.arange(1, T + 1) + rollouts.class_ids[:, None] \
         if method == "cgru" else None
     cfg = RunConfig()

@@ -1,6 +1,7 @@
 """Estimators: unbiasedness on the closed-form probe, the degeneracy
 identity, importance weighting, baselines, and the update loop."""
 
+import functools
 import math
 import os
 
@@ -18,7 +19,7 @@ from cgru.policy_grad import (EstimatorConfig, _importance_weights,
                               gradient_variance, group_estimates,
                               optimal_baseline_probe,
                               per_sample_scores, policy_update_epoch)
-from cgru.rewards import RewardSpec, assign_rewards
+from cgru.rewards import assign_rewards, mode_distance_reward
 from cgru.toy import (build_toy, sample_toy_trajectories,
                       toy_analytic_gradient, toy_mean_reward)
 
@@ -31,8 +32,8 @@ def desk_setup(T=8, K=4, n=6, seed=13):
     sched = make_schedule(T, 1e-4, 0.02)
     rollouts = sample_trajectories(model, np.arange(n) % K, sched, seed,
                                    rngmod.PHASE_DIAG, first_index=500)
-    spec = RewardSpec("mode_distance", center=(0.0, 0.0), scale=10.0)
-    assign_rewards(rollouts, spec)
+    assign_rewards(rollouts, functools.partial(
+        mode_distance_reward, center=(0.0, 0.0), scale=10.0))
     return model, sched, rollouts
 
 

@@ -1,5 +1,6 @@
 """Reward functions and the reward classifier."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,11 +10,11 @@ from cgru import rng as rngmod
 from cgru.diffusion import make_schedule, mode_centers, sample_dataset, sample_trajectories, build_eps_net
 from cgru.errors import ShapeMismatch
 from cgru.nets import Act, Dense, Network, forward
-from cgru.rewards import (RewardSpec, assign_rewards, build_classifier_net,
+from cgru.rewards import (assign_rewards, build_classifier_net,
                           classifier_accuracy, classifier_predict,
                           classifier_reward,
                           mode_distance_reward,
-                          reward_values, train_classifier)
+                          train_classifier)
 
 
 def uniform_classifier(K=8):
@@ -58,18 +59,14 @@ def test_mode_distance_reward_pinned():
         mode_distance_reward(np.zeros((1, 3)), center)
 
 
-def test_reward_spec_validation():
-    with pytest.raises(ValueError):
-        RewardSpec("nonsense")
-    with pytest.raises(ValueError):
-        RewardSpec("classifier_complement")          # needs target_class
-    with pytest.raises(ValueError):
-        RewardSpec("mode_distance")                  # needs center
-    with pytest.raises(ValueError):
-        RewardSpec("classifier_complement", target_class=0, scale=0.0)
-    with pytest.raises(ValueError):
-        reward_values(RewardSpec("classifier_complement", target_class=0),
-                      np.zeros((2, 2)), clf=None)
+def test_reward_functions_refuse_a_non_positive_scale():
+    x0 = np.zeros((2, 2))
+    for scale in (0.0, -1.0):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            classifier_reward(uniform_classifier(), x0, target_class=0,
+                              scale=scale)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            mode_distance_reward(x0, (0.0, 0.0), scale)
 
 
 def test_assign_rewards_fills_trajectories():
@@ -77,8 +74,8 @@ def test_assign_rewards_fills_trajectories():
                           rng=rngmod.stream(0, rngmod.PHASE_INIT), T=8)
     sched = make_schedule(8, 1e-4, 0.02)
     rollouts = sample_trajectories(model, [0, 2], sched, 3, rngmod.PHASE_DIAG)
-    spec = RewardSpec("mode_distance", center=(0.0, 0.0), scale=2.0)
-    assign_rewards(rollouts, spec)
+    assign_rewards(rollouts, functools.partial(
+        mode_distance_reward, center=(0.0, 0.0), scale=2.0))
     assert rollouts.rewards.shape == (2,)
     for x0, r in zip(rollouts.x0, rollouts.rewards):
         want = 2.0 * math.exp(-float(x0 @ x0))
