@@ -596,17 +596,9 @@ run_eval = locked_run(_eval_phase)
 run_report = locked_run(_report_phase)
 
 
-# run_full's phases, in the order it reports failures; each is looked up
-# when it runs, so a replaced phase function takes effect
-_FULL_PHASES = {
-    "classifier": lambda cfg: _classifier_phase(cfg),
-    "pretrain": lambda cfg, classifier: _pretrain_phase(cfg, classifier),
-    "critic": lambda cfg: _critic_phase(cfg),
-    "unlearn_cgru": lambda cfg: _unlearn_phase(cfg, "cgru"),
-    "unlearn_ddpo": lambda cfg: _unlearn_phase(cfg, "ddpo"),
-    "eval_cgru": lambda cfg: _eval_phase(cfg, "cgru"),
-    "eval_ddpo": lambda cfg: _eval_phase(cfg, "ddpo"),
-}
+# run_full's phases, in the order it reports failures
+_FULL_PHASES = ("classifier", "pretrain", "critic", "unlearn_cgru",
+                "unlearn_ddpo", "eval_cgru", "eval_ddpo")
 
 
 @locked_run
@@ -644,37 +636,31 @@ def run_full(cfg: RunConfig) -> RunManifest:
         manifest.record_artifacts(result["paths"])
         return True
 
-    def timed(name, *args):
-        start = time.perf_counter()
-        try:
-            result = _FULL_PHASES[name](cfg, *args)
-        except Exception as exc:
-            result = exc
-        return result, time.perf_counter() - start
+    def run(name, phase, *args):
+        return record(name, *procs.attempt(phase, cfg, *args))
 
-    def run(name):
-        return record(name, *timed(name))
-
-    with procs._forked(_FULL_PHASES["classifier"], cfg) as join:
+    # phase functions are looked up as they run: a replaced one takes effect
+    with procs._forked(_classifier_phase, cfg) as join:
         def classifier():
             fitted = join()[0]
             if isinstance(fitted, Exception):
                 raise fitted    # ends pretrain, which is then not recorded
             return load(cfg, "classifier")
 
-        pretrained, pretrain_s = timed("pretrain", classifier)
+        pretrained, pretrain_s = procs.attempt(_pretrain_phase, cfg,
+                                               classifier)
         fitted, seconds, peak_mb, wait_s = join()
     if (record("classifier", fitted, seconds, {"peak_rss_mb": peak_mb})
             and record("pretrain", pretrained, pretrain_s,
                        {"wait_s": wait_s})):
-        with procs._forked(_FULL_PHASES["critic"], cfg) as join:
-            if run("unlearn_ddpo"):
-                run("eval_ddpo")
+        with procs._forked(_critic_phase, cfg) as join:
+            if run("unlearn_ddpo", _unlearn_phase, "ddpo"):
+                run("eval_ddpo", _eval_phase, "ddpo")
             fitted, seconds, peak_mb, wait_s = join()
         record("critic", fitted, seconds,
                {"wait_s": wait_s, "peak_rss_mb": peak_mb})
-        if not errors and run("unlearn_cgru"):
-            run("eval_cgru")
+        if not errors and run("unlearn_cgru", _unlearn_phase, "cgru"):
+            run("eval_cgru", _eval_phase, "cgru")
     _write_manifest(cfg, manifest)
     if errors:
         raise errors[next(name for name in _FULL_PHASES if name in errors)]

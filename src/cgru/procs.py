@@ -323,6 +323,16 @@ def sharded(fn, spans: list, fold) -> None:
             worker.close()
 
 
+def attempt(fn, *args) -> tuple:
+    """(fn(*args), or the Exception it raised, and the seconds it took)."""
+    start = time.perf_counter()
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        result = exc
+    return result, time.perf_counter() - start
+
+
 @contextmanager
 def _forked(fn, cfg):
     """Run fn(cfg) in a phase child beside the block, which gets `join`:
@@ -338,12 +348,9 @@ def _forked(fn, cfg):
     name = "the child process of this phase"
 
     def phase(lo, hi):
-        start = time.perf_counter()
-        try:
-            result = fn(cfg)
-        except Exception as exc:
-            result = _portable(exc, name)
-        seconds = time.perf_counter() - start
+        result, seconds = attempt(fn, cfg)
+        if isinstance(result, Exception):
+            result = _portable(result, name)
         peak_mb = round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         return result, seconds, peak_mb
