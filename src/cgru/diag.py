@@ -15,7 +15,7 @@ from .config import RunConfig
 from .critic import ablation_compare, build_critic_buffer, value_matrix
 from .diffusion import mode_centers, sample_trajectories
 from .pipeline import (load, locked_run, mixture_class_ids, out_path,
-                       reward_fn, schedule, write_csv)
+                       reward_fn, schedule, within_block, write_csv)
 from .policy_grad import (clip_to_norm, gradient_variance, group_estimates,
                           optimal_baseline_probe, per_sample_scores)
 from .rewards import assign_rewards, mode_distance_reward
@@ -34,6 +34,7 @@ _IDX_DIAG_CTX = 999_999
 _IDX_DIAG_BOOT = 999_998
 
 _VARIANCE_BATCHES = 20
+_VARIANCE_BLOCK = 1000      # stream indices per batch, from _IDX_VARIANCE
 _VARIANCE_BOOTSTRAP = 20
 _ABLATION_SEEDS = 5
 _ABLATION_TRAJ = 256
@@ -136,6 +137,7 @@ def diag_variance(cfg: RunConfig) -> dict:
     counts how often the advantage estimator's variance is lower. The
     batches run as shards of one rng.run_sharded pass, one batch each.
     """
+    within_block("policy.n_traj", cfg.policy.n_traj, _VARIANCE_BLOCK)
     clf, model, critic = (load(cfg, name)
                           for name in ("classifier", "eps_base", "critic"))
     sched, reward = schedule(cfg), reward_fn(cfg, clf)
@@ -150,7 +152,8 @@ def diag_variance(cfg: RunConfig) -> dict:
     def batch(b, _):
         rollouts = sample_trajectories(model, class_ids[b], sched, cfg.seed,
                                        rngmod.PHASE_DIAG,
-                                       first_index=_IDX_VARIANCE + b * 1000)
+                                       first_index=_IDX_VARIANCE
+                                       + b * _VARIANCE_BLOCK)
         assign_rewards(rollouts, reward)
         # both estimators from one walk over the batch
         means, _ = group_estimates(

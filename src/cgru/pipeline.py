@@ -38,7 +38,7 @@ from .critic import (Critic, build_critic, build_critic_buffer, critic_train,
                      value_matrix)
 from .diffusion import (build_eps_net, ddpm_train_step, make_schedule,
                         sample_dataset, sample_trajectories)
-from .errors import Divergence, MissingArtifact, PhaseFailure
+from .errors import ConfigError, Divergence, MissingArtifact, PhaseFailure
 from .metrics import EvalReport, feature_stats, frechet_distance
 from .nets import adam_init
 from .policy_grad import (clip_to_norm, gradient_variance, group_estimates,
@@ -573,14 +573,24 @@ def _report_phase(cfg: RunConfig) -> dict:
     return {"paths": paths, "info": {"summary": "\n".join(lines)}}
 
 
+def within_block(key: str, rows: int, block: int) -> None:
+    """ConfigError if `rows` trajectories overrun a block of `block`
+    stream indices, where they would share the next block's noise."""
+    if rows > block:
+        raise ConfigError(f"{key} = {rows} is above {block}: its rows would "
+                          "share the next stream block's noise")
+
+
 def locked_run(fn):
     """`fn(cfg, ...)` run on a validated cfg and CGRU_THREADS, holding
     cfg.out_dir's lock, with BLAS pinned to one thread
     (`procs.blas_pinned`) and the process's heap top padded
-    (`procs.keep_heap_top`)."""
+    (`procs.keep_heap_top`). Every command refuses a policy.n_traj that
+    overruns the unlearn arms' per-iteration stream blocks."""
     @functools.wraps(fn)
     def run(cfg: RunConfig, *args, **kwargs):
         validate(cfg)
+        within_block("policy.n_traj", cfg.policy.n_traj, _POLICY_TRAJ_STRIDE)
         procs.n_workers()       # before the output directory is made
         with procs._locked(cfg.out_dir), procs.blas_pinned():
             procs.keep_heap_top()

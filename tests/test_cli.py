@@ -273,6 +273,29 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv, bound", [
+    # diag variance keys batch b at its block's start + b * 1000
+    (["diag", "variance"], 1000),
+    # the unlearn arms key iteration i at (i + 1) * 10,000; where the key
+    # is in bounds, full's classifier fails its gate at once
+    (["unlearn"], 10_000),
+    (["full", "--set", "classifier.steps=1", "--set", "pretrain.max_steps=1"],
+     10_000),
+], ids=["diag-variance", "unlearn", "full"])
+def test_overlapping_stream_blocks_exit_two(tmp_path, capsys, argv, bound):
+    out = tmp_path / "run"
+    args = [*argv, "--out", str(out), "--set"]
+    assert main(args + [f"policy.n_traj={bound + 1}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: policy.n_traj") and str(bound) in err, err
+    # refused before any artifact was read or written
+    assert not out.exists() or os.listdir(out) == [".lock"]
+    # a full block is allowed: the command goes on, and fails for want of
+    # artifacts or a classifier
+    assert main(args + [f"policy.n_traj={bound}"]) == 1
+    assert "policy.n_traj" not in capsys.readouterr().err
+
+
 def test_config_file_roundtrip(tmp_path):
     out = tmp_path / "fromfile"
     cfg = tiny_config(out)
