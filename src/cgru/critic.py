@@ -117,12 +117,12 @@ def build_critic_buffer(model, class_ids, reward, sched: NoiseSchedule,
     """Roll out one trajectory per class id and flatten to critic rows.
 
     Every state x_t with t in [1, T] becomes one row labeled with the
-    trajectory's terminal reward, reward(x_0) (a function of the (n, d)
-    terminal samples, as in `rewards`); x_0 itself is excluded because no
-    value estimate is ever queried there. Row k of the unshuffled flattening is
-    (trajectory k // T, t = k % T + 1); the returned rows are shuffled.
-    first_index offsets the per-trajectory noise streams so repeated buffer
-    builds (e.g. mid-run critic refreshes) draw fresh randomness.
+    trajectory's terminal reward, reward(x_0); x_0 itself is excluded
+    because no value estimate is ever queried there. Row k of the
+    unshuffled flattening is (trajectory k // T, t = k % T + 1); the
+    returned rows are shuffled. first_index offsets the per-trajectory
+    noise streams so repeated buffer builds (e.g. mid-run critic
+    refreshes) draw fresh randomness.
     """
     rollouts = sample_trajectories(model, class_ids, sched, seed, phase,
                                    first_index=first_index)
