@@ -2,17 +2,17 @@
 
 The critic predicts the final reward from an intermediate state
 (x_t, class, t). A reward is a function of the terminal samples, so
-the buffer builder takes one callable, reward(x0) -> r. Two stories
+`build_critic_buffer` takes one callable, reward(x0) -> r. Two stories
 here. First, the pipeline critic trained on the unlearning reward
 (`pipeline.reward_fn`, the classifier complement): under the pretrained
 sampler a forget-class prompt lands on the forget mode essentially
 every time, so the correct prediction is flat and near zero at every t.
 Second, a reward that genuinely varies per trajectory (proximity to the
 mode center, `rewards.mode_distance_reward` bound to that center with
-functools.partial): there the predictions for different rollouts start together near the mean and
-separate toward their own outcomes as t approaches 0. A final section
-reruns the fit without timestep conditioning to show what the FiLM t
-input buys.
+functools.partial): there the predictions for different rollouts start
+together near the mean and separate toward their own outcomes as t
+approaches 0. A final section reruns the fit without timestep
+conditioning to show what the FiLM t input buys.
 
 Run from the repository root:  python3 demos/03_critic_training.py
 """
