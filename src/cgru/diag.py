@@ -136,6 +136,13 @@ def diag_variance(cfg: RunConfig) -> dict:
     comparison is on identical data; bootstrap resampling over batches
     counts how often the advantage estimator's variance is lower. The
     batches run as shards of one rng.run_sharded pass, one batch each.
+
+    The (2, 20, P) table ests is the one P-sized array held. Both main
+    variances and every resample's are reduced from it in column blocks
+    by gradient_variance, a resample passing its batch index, so no
+    (20, P) copy or deviation array is built; a column's variance does
+    not depend on its block, so the bits are those of the whole-table
+    reduction.
     """
     within_block("policy.n_traj", cfg.policy.n_traj, _VARIANCE_BLOCK)
     clf, model, critic = (load(cfg, name)
@@ -173,7 +180,7 @@ def diag_variance(cfg: RunConfig) -> dict:
     wins = 0
     for _ in range(_VARIANCE_BOOTSTRAP):
         idx = boot_rng.integers(0, _VARIANCE_BATCHES, _VARIANCE_BATCHES)
-        vc, vd = (gradient_variance(e[idx]) for e in ests)
+        vc, vd = (gradient_variance(e, idx) for e in ests)
         wins += int(vc < vd)
 
     path = write_csv(out_path(cfg, "diag_variance.csv"),

@@ -36,6 +36,10 @@ from .nets import adam_step, backward
 
 Array = np.ndarray
 
+# gradient_variance's block width: a (20, 2048) float64 block is 320 KiB,
+# under the 1 MiB mmap threshold procs.keep_heap_top sets
+_VARIANCE_COLUMNS = 2048
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -233,14 +237,35 @@ def baseline_term_estimate(rollouts: Rollouts, model, values: Array,
     return est[0, 0]
 
 
-def gradient_variance(estimates: Array) -> float:
+def gradient_variance(estimates: Array, rows=None) -> float:
     """Mean over coordinates of the unbiased per-coordinate variance of
-    the rows of a (k, P) array of estimates, k >= 2."""
+    the rows of a (k, P) array of estimates, k >= 2; rows, if given, is
+    an index array that picks the k rows (repeats allowed), as a
+    bootstrap resample does.
+
+    The variances are taken in blocks of _VARIANCE_COLUMNS columns, each
+    block's rows picked from its columns alone, so no (k, P) copy or
+    deviation array is built. A column's variance is the same
+    elementwise arithmetic in any block of two or more columns, and the
+    mean still runs over the whole (P,) vector, so the result has the
+    bits of estimates[rows].var(axis=0, ddof=1).mean(). A lone last
+    column joins the block before it: numpy sums one column's rows
+    pairwise, not in row order.
+    """
     estimates = np.asarray(estimates)
-    if estimates.ndim != 2 or len(estimates) < 2:
+    if estimates.ndim != 2:
         raise ValueError(f"need a (k, P) array with k >= 2, got shape "
                          f"{estimates.shape}")
-    return float(estimates.var(axis=0, ddof=1).mean())
+    pick = slice(None) if rows is None else np.asarray(rows)
+    k = len(estimates) if rows is None else len(pick)
+    if k < 2:
+        raise ValueError(f"need k >= 2 rows, got {k} of shape "
+                         f"{estimates.shape}")
+    P = estimates.shape[1]
+    edges = [*range(0, max(P - 1, 1), _VARIANCE_COLUMNS), P]
+    return float(np.concatenate([
+        estimates[pick, lo:hi].var(axis=0, ddof=1)
+        for lo, hi in zip(edges, edges[1:])]).mean())
 
 
 def per_sample_scores(rollouts: Rollouts, model,

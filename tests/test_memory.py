@@ -10,6 +10,7 @@ the two-worker cases about five times slower.
 
 import ctypes
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -18,11 +19,11 @@ import numpy as np
 
 import pytest
 
-from cgru import procs
+from cgru import pipeline, procs
 from cgru import rng as rngmod
 from cgru.config import RunConfig, apply_overrides
 from cgru.critic import CriticBuffer, build_critic, critic_train
-from cgru.diag import norm_sweep
+from cgru.diag import diag_variance, norm_sweep
 from cgru.diffusion import (Rollouts, build_eps_net, make_schedule,
                             sample_trajectories)
 from cgru.nets import forward
@@ -113,6 +114,21 @@ def test_streamed_sweep_peak_does_not_grow_with_rows(monkeypatch, tmp_path,
                                                  (100, n)))
         peaks.append(peak)
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_diag_variance_holds_one_table_of_estimates(tiny_run, tmp_path,
+                                                    monkeypatch, threads):
+    # the (2, 20, P) table of clipped estimates is the one P-sized array
+    # diag variance keeps; its variances and bootstrap resamples are
+    # reduced from it in column blocks, with no (20, P) copy beside it
+    monkeypatch.setenv("CGRU_THREADS", threads)
+    shutil.copytree(tiny_run[0].out_dir, tmp_path / "run")
+    cfg = apply_overrides(tiny_run[0], [f"out_dir={tmp_path / 'run'}"])
+    P = pipeline.load(cfg, "eps_base").net.theta.size
+    table = 2 * 20 * P * 8
+    peak, _ = _peak_bytes(lambda: diag_variance(cfg))
+    assert peak < table + 1.5 * 2 ** 20, (peak, table)
 
 
 def test_untaped_classifier_forward_keeps_two_hidden_arrays():

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from cgru import nets
+from cgru import nets, policy_grad
 from cgru import rng as rngmod
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
 from cgru.errors import ShapeMismatch
@@ -161,6 +161,31 @@ def test_gradient_variance_oracle():
                         rel_tol=1e-12)
     with pytest.raises(ValueError):
         gradient_variance(a[None])
+    # an index that picks one row leaves no variance either
+    with pytest.raises(ValueError, match="k >= 2"):
+        gradient_variance(np.stack([a, b]), np.array([1]))
+
+
+_W = policy_grad._VARIANCE_COLUMNS
+
+
+# block - 1, block and 3 * block + 5 columns end in a short, a full and a
+# 5-column block; block + 1 would end in a lone column, whose rows numpy
+# sums pairwise rather than in row order, so it joins the block before it
+@pytest.mark.parametrize("P", [1, _W - 1, _W, _W + 1, 3 * _W + 5])
+@pytest.mark.parametrize("k", [2, 4, 20, 40])
+def test_blocked_gradient_variance_has_the_whole_array_bits(P, k):
+    r = rngmod.stream(5, rngmod.PHASE_DIAG, P + k)
+    # magnitudes spread over many octaves, so any reordered sum shows
+    est = r.standard_normal((k, P)) * np.exp(3.0 * r.standard_normal((k, P)))
+    # only the last column varies, so the mean carries its variance's bits
+    last = est.copy()
+    last[:, :-1] = 1.0
+    # no index, a bootstrap resample of k rows and a shorter repeating draw
+    for idx in (None, r.integers(0, k, k), np.repeat(r.integers(0, k, 2), 2)):
+        for e in (est, last):
+            want = (e if idx is None else e[idx]).var(axis=0, ddof=1).mean()
+            assert gradient_variance(e, idx) == want
 
 
 def test_policy_update_epoch_moves_params_deterministically():
