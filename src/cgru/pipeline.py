@@ -370,12 +370,12 @@ def _clock(seconds: dict, key: str):
 
 def _diag_gradients(rollouts, model, values, cfg, sched, method):
     """Full-batch gradient norm plus sub-batch variance, both on-policy,
-    from one walk grouped into four equal sub-batches. Remainder rows
-    count toward the full batch only; cgru weights by the batch's (n, T)
-    value matrix."""
+    from one walk grouped into four equal sub-batches of n // 4 rows (n
+    of one row when n < 4). Remainder rows count toward the full batch
+    only; cgru weights by the batch's (n, T) value matrix."""
     n = len(rollouts)
     size = max(1, n // 4)
-    n_sub = n // size
+    n_sub = min(4, n // size)
     cuts = [k * size for k in range(1, n_sub + 1) if k * size < n]
     means, _ = group_estimates(rollouts, model, values, cfg.estimator, sched,
                                [method], cuts)
