@@ -293,10 +293,12 @@ def test_lock_names_its_owner(tmp_path):
     assert read_lock(cfg) == _named(os.getpid()) + "\n"
 
 
-def _check_diag_gradients(monkeypatch, method, n):
-    """_diag_gradients on n rows walks once per step and gives the norm
-    of the full-batch estimate and the variance of four sub-batches of
-    n // 4 rows; the remainder rows count toward the full batch only."""
+@pytest.mark.parametrize("method", ["cgru", "ddpo"])
+@pytest.mark.parametrize("n", [16, 10, 6])
+def test_diag_gradients_walk_once_per_step(monkeypatch, method, n):
+    # four sub-batches of n // 4 rows: 16 rows split evenly, while 10 and
+    # 6 leave two remainder rows that count toward the full batch only,
+    # not a fifth or sixth sub-batch
     K, T = 4, 6
     model = build_eps_net(2, K, hidden=16, t_embed_dim=8,
                           rng=rngmod.stream(2, rngmod.PHASE_INIT), T=T)
@@ -334,21 +336,6 @@ def _check_diag_gradients(monkeypatch, method, n):
         [estimate(slice(i, i + size)) for i in range(0, 4 * size, size)]))
     assert norm == pytest.approx(want_norm, rel=1e-12)
     assert var == pytest.approx(want_var, rel=1e-12)
-
-
-@pytest.mark.parametrize("method", ["cgru", "ddpo"])
-def test_diag_gradients_walk_once_per_step(monkeypatch, method):
-    # 18 rows: four sub-batches of four, and two remainder rows that count
-    # toward the full batch only
-    _check_diag_gradients(monkeypatch, method, 18)
-
-
-@pytest.mark.parametrize("method", ["cgru", "ddpo"])
-@pytest.mark.parametrize("n", [16, 10, 6])
-def test_diag_gradients_use_four_sub_batches(monkeypatch, method, n):
-    # 16 rows split evenly; 10 and 6 rows leave two remainder rows past
-    # four sub-batches of two and of one, not a fifth or sixth sub-batch
-    _check_diag_gradients(monkeypatch, method, n)
 
 
 def test_critic_streams_are_disjoint_at_the_default_config(full_run, tmp_path,
