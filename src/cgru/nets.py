@@ -4,9 +4,9 @@ Everything here operates on batches: inputs are (n, d) arrays, and
 forward also takes an (m, n, d) stack of batches that share one cond,
 with the bits of m separate calls. forward records each layer's cache on
 a tape (a list) when given one; backward walks that tape in reverse,
-without rerunning the network, and writes the gradient of
+without rerunning the network, and returns the gradient of
 <out_grad, forward(x)> summed over rows, for every parameter (not the
-input), into rows of a (G, P) array, one per contiguous row group:
+input), as rows of a new (G, P) array, one per contiguous row group:
 policy_grad's score walk uses the groups to get every coefficient term
 and row group from one forward pass per step, with rows chunked into
 rng.SHARD-wide shards by the caller. Architectures are small sequences
@@ -19,7 +19,7 @@ gradient rows and Adam's moments take the dtype of theta.
 """
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -213,21 +213,18 @@ def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
     return out
 
 
-def backward(net: Network, out_grad, tape: list, bounds=None,
-             out: Array | None = None) -> Array:
+def backward(net: Network, out_grad, tape: list, bounds=None) -> Array:
     """Exact gradients of <out_grad, forward(x)> summed over row groups.
 
     `tape` is the list a forward call on the same network filled; the
     walk is not run again. cond is treated as data, not a parameter, but
     the film conditioning weights do receive gradients. bounds are G + 1
     rising row boundaries from 0 to the row count (None: one group). The
-    sum over rows bounds[k]:bounds[k+1] is written into row k of `out`, a
-    C-contiguous (G, P) array of theta's dtype in theta's layout (None: a
-    new one), which is returned. The walk reaches every parameter once,
-    so every entry of `out` is written and none is read. When every group
-    holds one row, each block is written in one call as the rows' outer
-    products: the bits of the one-term sums, except that a zero product
-    may keep its sign where a sum gives +0.
+    sum over rows bounds[k]:bounds[k+1] is row k of the returned (G, P)
+    array, new on each call, of theta's dtype in theta's layout. When
+    every group holds one row, each block is written in one call as the
+    rows' outer products: the bits of the one-term sums, except that a
+    zero product may keep its sign where a sum gives +0.
     """
     if not tape:
         raise ValueError("backward needs the tape of a forward call")
@@ -241,13 +238,8 @@ def backward(net: Network, out_grad, tape: list, bounds=None,
             or any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"bounds must rise strictly from 0 to {rows}")
     segments = list(enumerate(zip(bounds[:-1], bounds[1:])))
-    shape = (len(segments), net.theta.size)
-    if out is None:
-        out = np.empty(shape, net.theta.dtype)
-    elif out.shape != shape or out.dtype != net.theta.dtype \
-            or not out.flags.c_contiguous:
-        raise ShapeMismatch(f"out must be a C-contiguous {shape} array of "
-                            f"{net.theta.dtype}, got {out.shape} {out.dtype}")
+    # the walk reaches every parameter once: every entry is written
+    out = np.empty((len(segments), net.theta.size), net.theta.dtype)
 
     def write(name, x, dy):         # x None: a bias, summed over rows
         cols = net._cols[name]
@@ -321,11 +313,6 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    # adam_step's two temporaries, in m's shape
-    scratch: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def adam_init(net: Network, lr: float = 3e-4) -> AdamState:
@@ -333,26 +320,19 @@ def adam_init(net: Network, lr: float = 3e-4) -> AdamState:
 
 
 def adam_step(state: AdamState, theta: Array, grad: Array) -> None:
-    """One Adam update of theta, in place, from a gradient in its layout."""
+    """One Adam update of theta, in place, from a gradient in its layout.
+
+    m, v and theta are updated in place (a network's params are views of
+    its theta) by the operations of m = b1 m + (1 - b1) g, v = b2 v +
+    (1 - b2) g^2 and theta -= lr (m / c1) / (sqrt(v / c2) + eps), in that
+    order; the temporaries are numpy's own."""
     if grad.shape != theta.shape:
         raise ShapeMismatch(f"grad shape {grad.shape} != theta shape {theta.shape}")
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    a, b = state.scratch
-    # the operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-    # theta -= lr (m / c1) / (sqrt(v / c2) + eps), in that order, in place
     state.m *= state.beta1
-    np.multiply(grad, 1.0 - state.beta1, out=a)
-    state.m += a
+    state.m += (1.0 - state.beta1) * grad
     state.v *= state.beta2
-    np.multiply(grad, grad, out=a)
-    a *= 1.0 - state.beta2
-    state.v += a
-    np.divide(state.m, c1, out=a)
-    a *= state.lr
-    np.divide(state.v, c2, out=b)
-    np.sqrt(b, out=b)
-    b += state.eps
-    a /= b
-    theta -= a
+    state.v += (1.0 - state.beta2) * (grad * grad)
+    theta -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)

@@ -160,7 +160,6 @@ def group_estimates(rollouts, model, values, cfg: EstimatorConfig,
         blocks = [weights(shard_rollouts, shard_values)
                   for weights, _ in terms]
         flat = np.zeros((len(terms), g1 - g0, model.net.theta.size))
-        scratch = np.empty(flat.shape[1:], model.net.theta.dtype)
         clips = [0] * len(terms)
         for t in range(T, 0, -1) if steps is None else steps:
             xt = lat[:, T - t]
@@ -180,7 +179,7 @@ def group_estimates(rollouts, model, values, cfg: EstimatorConfig,
                     clips[k] += nclip
                     weights = w * weights
                 flat[k] += backward(model.net, score * (weights / size)[:, None],
-                                    tape, local, scratch)
+                                    tape, local)
         return g0, flat, clips
 
     total = np.zeros((len(terms), len(bounds) - 1, model.net.theta.size))
