@@ -295,8 +295,7 @@ def _pretrain_phase(cfg: RunConfig, classifier=None) -> dict:
             class_ids = np.repeat(np.arange(cfg.data.n_classes),
                                   cfg.pretrain.eval_per_class)
             x0 = sample_trajectories(model, class_ids, sched, cfg.seed,
-                                     rngmod.PHASE_EVAL,
-                                     first_index=step * 10_000).x0
+                                     rngmod.PHASE_EVAL).x0
             if clf is None:
                 clf = classifier()
             accs = _per_class_accuracy(class_ids, classifier_predict(clf, x0))

@@ -416,6 +416,29 @@ def test_unmet_gates_raise_phase_failure(tmp_path):
         pipeline.run_pretrain(cfg2)
 
 
+def test_pretrain_gate_draws_the_fixed_eval_streams(tmp_path, monkeypatch):
+    # a gate check at step 50 must not draw the final eval's streams
+    cfg = tiny_config(tmp_path / "gate", extra=["pretrain.max_steps=50",
+                                               "pretrain.eval_every=50"])
+    drawn = []
+
+    class Drawn(Exception):
+        pass
+
+    def spy(model, class_ids, sched, seed, phase, first_index=0):
+        drawn.append((phase, range(first_index, first_index + len(class_ids))))
+        raise Drawn
+
+    monkeypatch.setattr(pipeline, "sample_trajectories", spy)
+    with pytest.raises(Drawn):
+        pipeline._pretrain_phase(cfg, classifier=lambda: None)
+    final = range(pipeline._EVAL_FINAL_INDEX, pipeline._EVAL_FINAL_INDEX
+                  + cfg.eval.forget_samples
+                  + (cfg.data.n_classes - 1) * cfg.eval.retain_per_class)
+    assert [phase for phase, _ in drawn] == [rngmod.PHASE_EVAL]
+    assert not set(drawn[0][1]) & set(final)
+
+
 def test_failed_phase_error_is_in_the_manifest(tmp_path):
     cfg = tiny_config(tmp_path / "fails",
                       extra=["classifier.steps=5", "classifier.target_acc=0.99"])
