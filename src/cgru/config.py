@@ -92,8 +92,9 @@ class PolicyConfig:
     # retain classes intact through the full budget
     lr_end_frac: float = 0.1
     lr_decay_frac: float = 0.7
-    # periodic critic re-fit on trajectories from the current policy; 0 turns
-    # it off and keeps the phase-2 critic fixed throughout
+    # the cgru arm re-fits its critic on trajectories from the current policy
+    # every refresh_every iterations; one >= iterations keeps the phase-2
+    # critic fixed throughout
     refresh_every: int = 3
     refresh_traj: int = 256
     refresh_epochs: int = 4
@@ -125,8 +126,7 @@ class RunConfig:
 
 # every other int field is a count and must be >= 1; every float field
 # must be finite
-_NOT_COUNTS = {"seed", "reward.target_class", "policy.iterations",
-               "policy.refresh_every"}
+_NOT_COUNTS = {"seed", "reward.target_class", "policy.iterations"}
 
 
 def validate(cfg: RunConfig) -> RunConfig:
@@ -137,9 +137,8 @@ def validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"{key} must be >= 1, got {val}")
         if typ is float and not math.isfinite(val):
             raise ConfigError(f"{key} must be finite, got {val}")
-    for key in ("policy.iterations", "policy.refresh_every"):
-        if flat[key] < 0:
-            raise ConfigError(f"{key} must be >= 0")
+    if flat["policy.iterations"] < 0:
+        raise ConfigError("policy.iterations must be >= 0")
     for key in ("data.radius", "data.stddev", "reward.scale", "classifier.lr",
                 "pretrain.lr", "critic.lr", "policy.lr"):
         if flat[key] <= 0:

@@ -410,8 +410,7 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     for it in range(cfg.policy.iterations):
         try:
             opt.lr = _policy_lr(cfg, it)
-            if (method == "cgru" and cfg.policy.refresh_every > 0 and it > 0
-                    and it % cfg.policy.refresh_every == 0):
+            if method == "cgru" and it > 0 and it % cfg.policy.refresh_every == 0:
                 refresh_ids = mixture_class_ids(cfg, cfg.policy.refresh_traj,
                                                 refresh_rng)
                 buf = build_critic_buffer(

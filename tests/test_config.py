@@ -17,8 +17,7 @@ def test_defaults_are_valid():
     assert cfg.data.n_classes == 8
     assert cfg.reward.target_class == 0
     # int fields that are not counts may be 0
-    validate(apply_overrides(cfg, ["policy.iterations=0",
-                                   "policy.refresh_every=0"]))
+    validate(apply_overrides(cfg, ["policy.iterations=0"]))
 
 
 def test_render_parse_roundtrip():
@@ -102,7 +101,8 @@ COUNT_KEYS = [
     "pretrain.eval_per_class",
     "critic.hidden", "critic.t_embed_dim", "critic.n_traj", "critic.epochs",
     "critic.batch_size",
-    "policy.n_traj", "policy.grad_accum", "policy.refresh_traj",
+    "policy.n_traj", "policy.grad_accum", "policy.refresh_every",
+    "policy.refresh_traj",
     "policy.refresh_epochs", "policy.eval_forget", "policy.eval_per_class",
     "eval.forget_samples", "eval.retain_per_class",
 ]
