@@ -48,7 +48,8 @@ from .rewards import (assign_rewards, build_classifier_net,
                       classifier_reward, train_classifier)
 
 # eval rollouts draw from fixed stream indexes so the same noise is reused
-# at every logging point; training streams stay clear of these ranges
+# at every logging point: the pretrain gate and the unlearn monitor from 0,
+# the final eval from _EVAL_FINAL_INDEX; training streams stay clear of these
 _EVAL_FINAL_INDEX = 500_000
 _POLICY_TRAJ_STRIDE = 10_000
 # PHASE_CRITIC_BUFFER indices: the critic phase's buffer streams count up
@@ -583,12 +584,28 @@ def locked_run(fn):
     """`fn(cfg, ...)` run on a validated cfg and CGRU_THREADS, holding
     cfg.out_dir's lock, with BLAS pinned to one thread
     (`procs.blas_pinned`) and the process's heap top padded
-    (`procs.keep_heap_top`). Every command refuses a policy.n_traj that
-    overruns the unlearn arms' per-iteration stream blocks."""
+    (`procs.keep_heap_top`). Every command refuses rows that overrun
+    their stream block: the unlearn arms' per-iteration trajectories; the
+    critic phase's and a refresh's trajectories plus shuffle stream; and
+    the pretrain gate's and the unlearn monitor's eval rows, which start
+    at 0, below the final eval's block."""
     @functools.wraps(fn)
     def run(cfg: RunConfig, *args, **kwargs):
         validate(cfg)
-        within_block("policy.n_traj", cfg.policy.n_traj, _POLICY_TRAJ_STRIDE)
+        K, policy = cfg.data.n_classes, cfg.policy
+        for key, rows, block in (
+                ("policy.n_traj", policy.n_traj, _POLICY_TRAJ_STRIDE),
+                # a critic buffer's shuffle stream follows its trajectories
+                ("critic.n_traj", cfg.critic.n_traj, _CRITIC_CLASS_INDEX - 1),
+                ("policy.refresh_traj", policy.refresh_traj,
+                 _REFRESH_TRAJ_STRIDE - 1),
+                ("data.n_classes * pretrain.eval_per_class",
+                 K * cfg.pretrain.eval_per_class, _EVAL_FINAL_INDEX),
+                ("policy.eval_forget + (data.n_classes - 1) * "
+                 "policy.eval_per_class",
+                 policy.eval_forget + (K - 1) * policy.eval_per_class,
+                 _EVAL_FINAL_INDEX)):
+            within_block(key, rows, block)
         procs.n_workers()       # before the output directory is made
         with procs._locked(cfg.out_dir), procs.blas_pinned():
             procs.keep_heap_top()

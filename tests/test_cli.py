@@ -273,27 +273,40 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("argv, bound", [
+@pytest.mark.parametrize("argv, key, at, block", [
     # diag variance keys batch b at its block's start + b * 1000
-    (["diag", "variance"], 1000),
+    (["diag", "variance"], "policy.n_traj", 1000, 1000),
     # the unlearn arms key iteration i at (i + 1) * 10,000; where the key
     # is in bounds, full's classifier fails its gate at once
-    (["unlearn"], 10_000),
+    (["unlearn"], "policy.n_traj", 10_000, 10_000),
     (["full", "--set", "classifier.steps=1", "--set", "pretrain.max_steps=1"],
-     10_000),
-], ids=["diag-variance", "unlearn", "full"])
-def test_overlapping_stream_blocks_exit_two(tmp_path, capsys, argv, bound):
+     "policy.n_traj", 10_000, 10_000),
+    # a buffer's trajectories and then its shuffle stream: the critic
+    # phase's stay below its class ids at 10**6, and a refresh's fill one
+    # block of 100,000
+    (["critic"], "critic.n_traj", 999_999, 999_999),
+    (["unlearn"], "policy.refresh_traj", 99_999, 99_999),
+    # the gate's 8 classes and the monitor's 100 forget rows plus 7
+    # classes start at 0 and stay below the final eval's 500,000
+    (["pretrain"], "pretrain.eval_per_class", 62_500, 500_000),
+    (["unlearn"], "policy.eval_per_class", 71_414, 500_000),
+    (["unlearn"], "policy.eval_forget", 500_000 - 7 * 20, 500_000),
+], ids=["diag-variance", "unlearn", "full", "critic", "refresh", "gate",
+        "monitor-per-class", "monitor-forget"])
+def test_overlapping_stream_blocks_exit_two(tmp_path, capsys, argv, key, at,
+                                           block):
     out = tmp_path / "run"
     args = [*argv, "--out", str(out), "--set"]
-    assert main(args + [f"policy.n_traj={bound + 1}"]) == 2
+    assert main(args + [f"{key}={at + 1}"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: policy.n_traj") and str(bound) in err, err
+    assert err.startswith("error: ") and key in err, err
+    assert f"is above {block}:" in err, err
     # refused before any artifact was read or written
     assert not out.exists() or os.listdir(out) == [".lock"]
     # a full block is allowed: the command goes on, and fails for want of
     # artifacts or a classifier
-    assert main(args + [f"policy.n_traj={bound}"]) == 1
-    assert "policy.n_traj" not in capsys.readouterr().err
+    assert main(args + [f"{key}={at}"]) == 1
+    assert key not in capsys.readouterr().err
 
 
 def test_config_file_roundtrip(tmp_path):
