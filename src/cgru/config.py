@@ -301,12 +301,16 @@ def config_lines(cfg: RunConfig, sections) -> list:
                   if k.split(".")[0] in sections)
 
 
+# every top-level field but out_dir: the experiment, not where it ran
+EXPERIMENT = tuple(f.name for f in dataclasses.fields(RunConfig)
+                   if f.name != "out_dir")
+
+
 def config_hash(cfg: RunConfig) -> str:
-    """sha256 over the sorted leaf assignments, excluding out_dir.
+    """sha256 over config_lines(cfg, EXPERIMENT), joined by newlines.
 
     Sorting makes the hash independent of file layout; excluding out_dir
     makes it a hash of the experiment rather than of where it ran.
     """
-    sections = [f.name for f in dataclasses.fields(cfg) if f.name != "out_dir"]
-    return hashlib.sha256("\n".join(config_lines(cfg, sections))
+    return hashlib.sha256("\n".join(config_lines(cfg, EXPERIMENT))
                           .encode("utf-8")).hexdigest()

@@ -32,8 +32,8 @@ import numpy as np
 from . import procs
 from . import rng as rngmod
 from .checkpoint import load_network, replacing, save_network
-from .config import (RunConfig, config_hash, config_lines, render_value,
-                     validate)
+from .config import (EXPERIMENT, RunConfig, config_hash, config_lines,
+                     render_value, validate)
 from .critic import (Critic, build_critic, build_critic_buffer, critic_train,
                      value_matrix)
 from .diffusion import (build_eps_net, ddpm_train_step, make_schedule,
@@ -70,6 +70,7 @@ _MONITOR_HEADER = ["run_id", "iteration", "estimator", "n_traj", "grad_norm",
 @dataclass
 class RunManifest:
     config_hash: str
+    config: list = field(default_factory=list)     # the lines hashed
     blas: dict = field(default_factory=dict)
     phases: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
@@ -584,27 +585,23 @@ def locked_run(fn):
     """`fn(cfg, ...)` run on a validated cfg and CGRU_THREADS, holding
     cfg.out_dir's lock, with BLAS pinned to one thread
     (`procs.blas_pinned`) and the process's heap top padded
-    (`procs.keep_heap_top`). Every command refuses rows that overrun
-    their stream block: the unlearn arms' per-iteration trajectories; the
-    critic phase's and a refresh's trajectories plus shuffle stream; and
-    the pretrain gate's and the unlearn monitor's eval rows, which start
-    at 0, below the final eval's block."""
+    (`procs.keep_heap_top`). Every command first refuses the rows, listed
+    below, that would overrun their stream block."""
     @functools.wraps(fn)
     def run(cfg: RunConfig, *args, **kwargs):
         validate(cfg)
-        K, policy = cfg.data.n_classes, cfg.policy
+        K, p = cfg.data.n_classes, cfg.policy
         for key, rows, block in (
-                ("policy.n_traj", policy.n_traj, _POLICY_TRAJ_STRIDE),
+                ("policy.n_traj", p.n_traj, _POLICY_TRAJ_STRIDE),
                 # a critic buffer's shuffle stream follows its trajectories
                 ("critic.n_traj", cfg.critic.n_traj, _CRITIC_CLASS_INDEX - 1),
-                ("policy.refresh_traj", policy.refresh_traj,
-                 _REFRESH_TRAJ_STRIDE - 1),
+                ("policy.refresh_traj", p.refresh_traj, _REFRESH_TRAJ_STRIDE - 1),
+                # the gate's and the monitor's eval rows start at 0
                 ("data.n_classes * pretrain.eval_per_class",
                  K * cfg.pretrain.eval_per_class, _EVAL_FINAL_INDEX),
                 ("policy.eval_forget + (data.n_classes - 1) * "
                  "policy.eval_per_class",
-                 policy.eval_forget + (K - 1) * policy.eval_per_class,
-                 _EVAL_FINAL_INDEX)):
+                 p.eval_forget + (K - 1) * p.eval_per_class, _EVAL_FINAL_INDEX)):
             within_block(key, rows, block)
         procs.n_workers()       # before the output directory is made
         with procs._locked(cfg.out_dir), procs.blas_pinned():
@@ -628,9 +625,9 @@ _FULL_PHASES = ("classifier", "pretrain", "critic", "unlearn_cgru",
 
 @locked_run
 def run_full(cfg: RunConfig) -> RunManifest:
-    """All phases; the manifest records the BLAS, artifacts, timings, each
-    finished phase's info (gates, steps, buffer sizes, final metrics) and
-    a failing phase's error as "<ExceptionType>: <message>".
+    """All phases; the manifest records the config lines, BLAS, artifacts,
+    timings, each finished phase's info (gates, steps, buffer sizes, final
+    metrics) and a failing phase's error as "<ExceptionType>: <message>".
 
     The classifier is fit in a forked child while this process pretrains,
     which needs the classifier only at its first gate check; there it
@@ -647,7 +644,8 @@ def run_full(cfg: RunConfig) -> RunManifest:
     ddpo arm and for the classifier.
     """
     with procs.blas_pinned() as blas:   # the record of locked_run's pin
-        manifest = RunManifest(config_hash=config_hash(cfg), blas=blas)
+        manifest = RunManifest(config_hash=config_hash(cfg),
+                               config=config_lines(cfg, EXPERIMENT), blas=blas)
     errors = {}
 
     def record(name, result, seconds, info=None):

@@ -1,6 +1,7 @@
 """Phase orchestration: artifacts, gates, locking, and determinism."""
 
 import csv
+import dataclasses
 import fcntl
 import functools
 import hashlib
@@ -24,7 +25,8 @@ import pytest
 from cgru import nets, pipeline, procs
 from cgru import rng as rngmod
 from cgru.checkpoint import load_tensors, save_tensors
-from cgru.config import RunConfig, apply_overrides, config_hash
+from cgru.config import (RunConfig, apply_overrides, config_hash,
+                         parse_config)
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
 from cgru.policy_grad import cgru_gradient, ddpo_gradient, gradient_variance
 from cgru.rewards import assign_rewards, mode_distance_reward
@@ -56,6 +58,17 @@ def test_full_run_writes_manifest_and_artifacts(tiny_run):
     with open(os.path.join(cfg.out_dir, ".lock"), "rb") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         assert fh.read() == b""
+
+
+def test_manifest_names_the_config_that_made_it(tiny_run):
+    cfg, _ = tiny_run
+    with open(os.path.join(cfg.out_dir, "manifest.json")) as fh:
+        on_disk = json.load(fh)
+    lines = on_disk["config"]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
+        == on_disk["config_hash"]
+    back = parse_config("\n".join(lines))
+    assert dataclasses.replace(back, out_dir=cfg.out_dir) == cfg
 
 
 def test_full_run_is_byte_deterministic_across_dirs(tiny_run, tmp_path):
