@@ -299,7 +299,9 @@ def test_overlapping_stream_blocks_exit_two(tmp_path, capsys, argv, key, at,
     args = [*argv, "--out", str(out), "--set"]
     assert main(args + [f"{key}={at + 1}"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err, err
+    # the message names the rows, which hold the key, then their block
+    rows_named = err.split(" = ")[0]
+    assert rows_named.startswith("error: ") and key in rows_named, err
     assert f"is above {block}:" in err, err
     # refused before any artifact was read or written
     assert not out.exists() or os.listdir(out) == [".lock"]
