@@ -63,7 +63,7 @@ def build_critic(d: int, n_classes: int, T: int, hidden: int = 64,
                  t_embed_dim: int = 32,
                  rng: np.random.Generator | None = None) -> Critic:
     if rng is None:
-        rng = rngmod.stream(0, rngmod.PHASE_INIT, 1)
+        rng = rngmod.stream(0, *rngmod.key("critic init"))
     arch = [
         Dense(d + n_classes, hidden), Film(hidden, t_embed_dim), Act("tanh"),
         Dense(hidden, hidden), Film(hidden, t_embed_dim), Act("tanh"),

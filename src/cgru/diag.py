@@ -15,26 +15,15 @@ from .config import RunConfig
 from .critic import ablation_compare, build_critic_buffer, value_matrix
 from .diffusion import mode_centers, sample_trajectories
 from .pipeline import (load, locked_run, mixture_class_ids, out_path,
-                       reward_fn, schedule, within_block, write_csv)
+                       reward_fn, schedule, write_csv)
 from .policy_grad import (clip_to_norm, gradient_variance, group_estimates,
                           optimal_baseline_probe, per_sample_scores)
 from .rewards import assign_rewards, mode_distance_reward
 from .toy import (build_toy, sample_toy_trajectories, toy_analytic_gradient,
                   toy_mean_reward)
 
-# stream-index blocks inside PHASE_DIAG, kept apart from each other and
-# from training phases. Ablation seed s owns _IDX_ABLATION + s * 1000 on:
-# its buffer's trajectories from there, their shuffle after them, and
-# ablation_compare's three streams from + 500
-_IDX_UNBIAS_SWEEP = 1_000_000
-_IDX_VARIANCE = 2_000_000
-_IDX_ABLATION = 3_000_000
-_IDX_BASELINE = 100_000
-_IDX_DIAG_CTX = 999_999
-_IDX_DIAG_BOOT = 999_998
-
+# rng.BLOCKS declares the stream blocks these sizes fill: change both
 _VARIANCE_BATCHES = 20
-_VARIANCE_BLOCK = 1000      # stream indices per batch, from _IDX_VARIANCE
 _VARIANCE_BOOTSTRAP = 20
 _ABLATION_SEEDS = 5
 _ABLATION_TRAJ = 256
@@ -50,18 +39,19 @@ def norm_sweep(cfg: RunConfig, model, critic, clf,
     cgru estimate's.
 
     The batch is one walk of group_estimates grouped at the prefix sizes,
-    and each 256-row shard of it samples its own rollouts (stream index
-    _IDX_UNBIAS_SWEEP + row), assigns their rewards and runs their critic
+    and each 256-row shard of it samples its own rollouts (rows lo..hi-1
+    of stream block "sweep"), assigns their rewards and runs their critic
     pass. So only shard-sized arrays and the walk's (2, groups, P)
     partials exist, at any sizes[-1]; a prefix's estimate is its
     cumulative group sum over N.
     """
     sched, reward = schedule(cfg), reward_fn(cfg, clf)
+    phase, first = rngmod.key("sweep")
 
     def rows(lo, hi):
         rollouts = sample_trajectories(
             model, np.full(hi - lo, cfg.reward.target_class), sched,
-            cfg.seed, rngmod.PHASE_DIAG, first_index=_IDX_UNBIAS_SWEEP + lo)
+            cfg.seed, phase, first + lo)
         assign_rewards(rollouts, reward)
         return rollouts, value_matrix(critic, rollouts)
 
@@ -92,7 +82,8 @@ def diag_unbiasedness(cfg: RunConfig) -> dict:
     """
     policy, toy_sched = build_toy(0.5)
     n_toy = 20_000
-    toy = sample_toy_trajectories(policy, toy_sched, n_toy, cfg.seed)
+    toy = sample_toy_trajectories(policy, toy_sched, n_toy, cfg.seed,
+                                  rngmod.key("probe")[1])
     scores = per_sample_scores(toy, policy, toy_sched)
     r = toy.rewards
     truth = toy_analytic_gradient()
@@ -144,11 +135,10 @@ def diag_variance(cfg: RunConfig) -> dict:
     not depend on its block, so the bits are those of the whole-table
     reduction.
     """
-    within_block("policy.n_traj", cfg.policy.n_traj, _VARIANCE_BLOCK)
     clf, model, critic = (load(cfg, name)
                           for name in ("classifier", "eps_base", "critic"))
     sched, reward = schedule(cfg), reward_fn(cfg, clf)
-    ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_CTX)
+    ctx_rng = rngmod.stream(cfg.seed, *rngmod.key("variance class ids"))
     # every batch's class ids, drawn in batch order before any batch runs
     class_ids = [mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
                  for _ in range(_VARIANCE_BATCHES)]
@@ -158,9 +148,7 @@ def diag_variance(cfg: RunConfig) -> dict:
 
     def batch(b, _):
         rollouts = sample_trajectories(model, class_ids[b], sched, cfg.seed,
-                                       rngmod.PHASE_DIAG,
-                                       first_index=_IDX_VARIANCE
-                                       + b * _VARIANCE_BLOCK)
+                                       *rngmod.key("variance batch", b))
         assign_rewards(rollouts, reward)
         # both estimators from one walk over the batch
         means, _ = group_estimates(
@@ -176,7 +164,7 @@ def diag_variance(cfg: RunConfig) -> dict:
     rngmod.run_sharded(batch, _VARIANCE_BATCHES, fold=fold, chunk=1)
     var = {m: gradient_variance(ests[k]) for k, m in enumerate(methods)}
 
-    boot_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DIAG_BOOT)
+    boot_rng = rngmod.stream(cfg.seed, *rngmod.key("variance bootstrap"))
     wins = 0
     for _ in range(_VARIANCE_BOOTSTRAP):
         idx = boot_rng.integers(0, _VARIANCE_BATCHES, _VARIANCE_BATCHES)
@@ -215,10 +203,9 @@ def diag_ablation(cfg: RunConfig) -> dict:
     rows = []
     for s in range(_ABLATION_SEEDS):
         buffer = build_critic_buffer(model, class_ids, reward, sched,
-                                     cfg.seed, phase=rngmod.PHASE_DIAG,
-                                     first_index=_IDX_ABLATION + s * 1000)
+                                     cfg.seed, *rngmod.key("ablation buffer", s))
         aware, blind = ablation_compare(
-            buffer, cfg.seed, _IDX_ABLATION + s * 1000 + 500,
+            buffer, cfg.seed, rngmod.key("ablation fit", s)[1],
             T=cfg.diffusion.T, n_classes=K, hidden=cfg.critic.hidden,
             t_embed_dim=cfg.critic.t_embed_dim)
         rows.append(("timestep_aware", aware, s))
@@ -248,7 +235,7 @@ def diag_baseline_optimum(cfg: RunConfig) -> dict:
     bias = 0.5
     policy, sched = build_toy(bias)
     rollouts = sample_toy_trajectories(policy, sched, _BASELINE_TRAJ, cfg.seed,
-                                       first_index=_IDX_BASELINE)
+                                       rngmod.key("baseline probe")[1])
     er = toy_mean_reward(bias)
     pairs = optimal_baseline_probe(policy, sched, rollouts,
                                    [er - 1.0, er, er + 1.0])

@@ -199,7 +199,7 @@ def build_eps_net(d: int, n_classes: int, hidden: int = 128,
                   t_embed_dim: int = 32, rng: np.random.Generator | None = None,
                   T: int = 50) -> EpsModel:
     if rng is None:
-        rng = rngmod.stream(0, rngmod.PHASE_INIT)
+        rng = rngmod.stream(0, *rngmod.key("eps init"))
     arch = [
         Dense(d + t_embed_dim + n_classes, hidden), Act("tanh"),
         Dense(hidden, hidden), Act("tanh"),

@@ -38,7 +38,7 @@ from .critic import (Critic, build_critic, build_critic_buffer, critic_train,
                      value_matrix)
 from .diffusion import (build_eps_net, ddpm_train_step, make_schedule,
                         sample_dataset, sample_trajectories)
-from .errors import ConfigError, Divergence, MissingArtifact, PhaseFailure
+from .errors import Divergence, MissingArtifact, PhaseFailure
 from .metrics import EvalReport, feature_stats, frechet_distance
 from .nets import adam_init
 from .policy_grad import (clip_to_norm, gradient_variance, group_estimates,
@@ -47,16 +47,6 @@ from .rewards import (assign_rewards, build_classifier_net,
                       classifier_accuracy, classifier_predict,
                       classifier_reward, train_classifier)
 
-# eval rollouts draw from fixed stream indexes so the same noise is reused
-# at every logging point: the pretrain gate and the unlearn monitor from 0,
-# the final eval from _EVAL_FINAL_INDEX; training streams stay clear of these
-_EVAL_FINAL_INDEX = 500_000
-_POLICY_TRAJ_STRIDE = 10_000
-# PHASE_CRITIC_BUFFER indices: the critic phase's buffer streams count up
-# from 0 and its class ids come from _CRITIC_CLASS_INDEX; the mid-run
-# refreshes' blocks of _REFRESH_TRAJ_STRIDE sit above both
-_CRITIC_CLASS_INDEX = 10**6
-_REFRESH_TRAJ_STRIDE = 100_000
 # the unlearn loop's gradient diagnostics and eval run on every fifth
 # iteration and the last; a constant, not a config key, so that the cadence
 # moves neither run_id nor any training stream
@@ -117,7 +107,7 @@ def _require(path: str) -> str:
 
 
 def _dataset(cfg: RunConfig):
-    rng = rngmod.stream(cfg.seed, rngmod.PHASE_DATASET)
+    rng = rngmod.stream(cfg.seed, *rngmod.key("dataset"))
     return sample_dataset(cfg.data.n_samples, rng,
                           n_classes=cfg.data.n_classes,
                           radius=cfg.data.radius, stddev=cfg.data.stddev)
@@ -136,14 +126,15 @@ def reward_fn(cfg: RunConfig, clf):
 
 
 def _build_classifier(cfg: RunConfig):
-    return build_classifier_net(2, cfg.data.n_classes, cfg.classifier.hidden,
-                                rng=rngmod.stream(cfg.seed, rngmod.PHASE_INIT, 2))
+    return build_classifier_net(
+        2, cfg.data.n_classes, cfg.classifier.hidden,
+        rng=rngmod.stream(cfg.seed, *rngmod.key("classifier init")))
 
 
 def _build_model(cfg: RunConfig):
     return build_eps_net(2, cfg.data.n_classes, hidden=cfg.eps_net.hidden,
                          t_embed_dim=cfg.eps_net.t_embed_dim,
-                         rng=rngmod.stream(cfg.seed, rngmod.PHASE_INIT),
+                         rng=rngmod.stream(cfg.seed, *rngmod.key("eps init")),
                          T=cfg.diffusion.T)
 
 
@@ -151,7 +142,7 @@ def _build_critic(cfg: RunConfig) -> Critic:
     return build_critic(2, cfg.data.n_classes, cfg.diffusion.T,
                         hidden=cfg.critic.hidden,
                         t_embed_dim=cfg.critic.t_embed_dim,
-                        rng=rngmod.stream(cfg.seed, rngmod.PHASE_INIT, 1))
+                        rng=rngmod.stream(cfg.seed, *rngmod.key("critic init")))
 
 
 _CLASSIFIER = ("seed", "data", "classifier")
@@ -214,10 +205,10 @@ def _per_class_accuracy(class_ids: np.ndarray, labels: np.ndarray) -> dict:
 
 
 def _eval_model(cfg: RunConfig, model, clf, sched, n_forget: int,
-                n_retain_each: int, first_index: int,
+                n_retain_each: int, block: str,
                 retain_reference: np.ndarray) -> EvalReport:
     """Score n_forget forget-class samples and n_retain_each of each
-    retained class, all classified in one call.
+    retained class, all classified in one call, from stream block `block`.
 
     retain_reference holds real data points from the retained classes; the
     Frechet distance compares the generated retain samples against it.
@@ -227,7 +218,7 @@ def _eval_model(cfg: RunConfig, model, clf, sched, n_forget: int,
     class_ids = np.concatenate([np.full(n_forget, target, dtype=np.int64),
                                 np.repeat(retain, n_retain_each)])
     x0 = sample_trajectories(model, class_ids, sched, cfg.seed,
-                             rngmod.PHASE_EVAL, first_index=first_index).x0
+                             *rngmod.key(block)).x0
     labels = classifier_predict(clf, x0)
     per_class = _per_class_accuracy(class_ids[n_forget:], labels[n_forget:])
     fd = frechet_distance(feature_stats(retain_reference),
@@ -250,7 +241,7 @@ def _classifier_phase(cfg: RunConfig) -> dict:
     split = cfg.data.n_samples - cfg.data.holdout
     net, history = train_classifier(
         X[:split], y[:split], cfg.data.n_classes,
-        rngmod.stream(cfg.seed, rngmod.PHASE_CLASSIFIER),
+        rngmod.stream(cfg.seed, *rngmod.key("classifier fit")),
         hidden=cfg.classifier.hidden, steps=cfg.classifier.steps,
         batch=cfg.classifier.batch_size, lr=cfg.classifier.lr)
     acc = classifier_accuracy(net, X[split:], y[split:])
@@ -284,7 +275,7 @@ def _pretrain_phase(cfg: RunConfig, classifier=None) -> dict:
     sched = schedule(cfg)
     model = _build_model(cfg)
     opt = adam_init(model.net, lr=cfg.pretrain.lr)
-    rng = rngmod.stream(cfg.seed, rngmod.PHASE_PRETRAIN)
+    rng = rngmod.stream(cfg.seed, *rngmod.key("pretrain"))
 
     loss_rows = []
     acc_rows = []
@@ -297,7 +288,7 @@ def _pretrain_phase(cfg: RunConfig, classifier=None) -> dict:
             class_ids = np.repeat(np.arange(cfg.data.n_classes),
                                   cfg.pretrain.eval_per_class)
             x0 = sample_trajectories(model, class_ids, sched, cfg.seed,
-                                     rngmod.PHASE_EVAL).x0
+                                     *rngmod.key("monitor eval")).x0
             if clf is None:
                 clf = classifier()
             accs = _per_class_accuracy(class_ids, classifier_predict(clf, x0))
@@ -326,15 +317,14 @@ def _pretrain_phase(cfg: RunConfig, classifier=None) -> dict:
 def _critic_phase(cfg: RunConfig) -> dict:
     clf, model = load(cfg, "classifier"), load(cfg, "eps_base")
     sched = schedule(cfg)
-    ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_CRITIC_BUFFER,
-                            _CRITIC_CLASS_INDEX)
+    ctx_rng = rngmod.stream(cfg.seed, *rngmod.key("critic class ids"))
     class_ids = mixture_class_ids(cfg, cfg.critic.n_traj, ctx_rng)
     buffer = build_critic_buffer(model, class_ids, reward_fn(cfg, clf),
-                                 sched, cfg.seed)
+                                 sched, cfg.seed, *rngmod.key("critic buffer"))
     critic = _build_critic(cfg)
     losses = critic_train(critic, buffer, epochs=cfg.critic.epochs,
                           batch_size=cfg.critic.batch_size,
-                          rng=rngmod.stream(cfg.seed, rngmod.PHASE_CRITIC_TRAIN),
+                          rng=rngmod.stream(cfg.seed, *rngmod.key("critic fit")),
                           lr=cfg.critic.lr)
     paths = {
         "critic": _save(cfg, "critic", critic.net),
@@ -399,9 +389,9 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     retain_ref = _retain_reference(cfg, X, y)
     run_id = config_hash(cfg)[:12]
     opt = adam_init(model.net, lr=cfg.policy.lr)
-    ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_POLICY, 1)
-    order_rng = rngmod.stream(cfg.seed, rngmod.PHASE_POLICY, 2)
-    refresh_rng = rngmod.stream(cfg.seed, rngmod.PHASE_POLICY, 3)
+    ctx_rng, order_rng, refresh_rng = (
+        rngmod.stream(cfg.seed, *rngmod.key(name)) for name in (
+            "policy class ids", "policy order", "refresh class ids and fits"))
 
     # monitoring reads the model and draws only from the eval streams, so
     # the cadence cannot change what training computes
@@ -417,16 +407,15 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
                                                 refresh_rng)
                 buf = build_critic_buffer(
                     model, refresh_ids, reward, sched, cfg.seed,
-                    first_index=_CRITIC_CLASS_INDEX
-                    + (it + 1) * _REFRESH_TRAJ_STRIDE)
+                    *rngmod.key("refresh buffer", it))
                 critic_train(critic, buf, epochs=cfg.policy.refresh_epochs,
                              batch_size=cfg.critic.batch_size, rng=refresh_rng,
                              lr=cfg.critic.lr)
 
             class_ids = mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
             rollouts = sample_trajectories(
-                model, class_ids, sched, cfg.seed, rngmod.PHASE_POLICY,
-                first_index=(it + 1) * _POLICY_TRAJ_STRIDE)
+                model, class_ids, sched, cfg.seed,
+                *rngmod.key("policy rollouts", it))
             assign_rewards(rollouts, reward)
             mean_reward = float(np.mean(rollouts.rewards))
             values = value_matrix(critic, rollouts) if method == "cgru" else None
@@ -448,7 +437,7 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
                     report = _eval_model(cfg, model, clf, sched,
                                          cfg.policy.eval_forget,
                                          cfg.policy.eval_per_class,
-                                         first_index=0,
+                                         "monitor eval",
                                          retain_reference=retain_ref)
                 rows.append((run_id, it + 1, method, cfg.policy.n_traj,
                              grad_norm, grad_var,
@@ -490,7 +479,7 @@ def _eval_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     X, y = _dataset(cfg)
     report = _eval_model(cfg, model, clf, schedule(cfg),
                          cfg.eval.forget_samples, cfg.eval.retain_per_class,
-                         first_index=_EVAL_FINAL_INDEX,
+                         "final eval",
                          retain_reference=_retain_reference(cfg, X, y))
     run_id = config_hash(cfg)[:12]
     path = out_path(cfg, f"eval_{method}.csv")
@@ -573,36 +562,16 @@ def _report_phase(cfg: RunConfig) -> dict:
     return {"paths": paths, "info": {"summary": "\n".join(lines)}}
 
 
-def within_block(key: str, rows: int, block: int) -> None:
-    """ConfigError if `rows` trajectories overrun a block of `block`
-    stream indices, where they would share the next block's noise."""
-    if rows > block:
-        raise ConfigError(f"{key} = {rows} is above {block}: its rows would "
-                          "share the next stream block's noise")
-
-
 def locked_run(fn):
     """`fn(cfg, ...)` run on a validated cfg and CGRU_THREADS, holding
     cfg.out_dir's lock, with BLAS pinned to one thread
     (`procs.blas_pinned`) and the process's heap top padded
-    (`procs.keep_heap_top`). Every command first refuses the rows, listed
-    below, that would overrun their stream block."""
+    (`procs.keep_heap_top`). Every command first refuses a config under
+    which the stream blocks it checks would collide (`rng.check_blocks`)."""
     @functools.wraps(fn)
     def run(cfg: RunConfig, *args, **kwargs):
         validate(cfg)
-        K, p = cfg.data.n_classes, cfg.policy
-        for key, rows, block in (
-                ("policy.n_traj", p.n_traj, _POLICY_TRAJ_STRIDE),
-                # a critic buffer's shuffle stream follows its trajectories
-                ("critic.n_traj", cfg.critic.n_traj, _CRITIC_CLASS_INDEX - 1),
-                ("policy.refresh_traj", p.refresh_traj, _REFRESH_TRAJ_STRIDE - 1),
-                # the gate's and the monitor's eval rows start at 0
-                ("data.n_classes * pretrain.eval_per_class",
-                 K * cfg.pretrain.eval_per_class, _EVAL_FINAL_INDEX),
-                ("policy.eval_forget + (data.n_classes - 1) * "
-                 "policy.eval_per_class",
-                 p.eval_forget + (K - 1) * p.eval_per_class, _EVAL_FINAL_INDEX)):
-            within_block(key, rows, block)
+        rngmod.check_blocks(cfg, fn.__name__)
         procs.n_workers()       # before the output directory is made
         with procs._locked(cfg.out_dir), procs.blas_pinned():
             procs.keep_heap_top()

@@ -2,14 +2,20 @@
 
 Every stochastic operation in the package draws from an explicit stream
 derived from (seed, phase, index) via the Philox counter-based generator,
-so results never depend on how work is sharded across workers. The
-module decides shard boundaries (`shard_ranges`) and streams; where each
-shard runs is `procs`'s to decide (`procs.sharded`).
+so results never depend on how work is sharded across workers. Which
+(phase, index) keys each draw site owns is declared once, in `BLOCKS`.
+The module decides shard boundaries (`shard_ranges`) and streams; where
+each shard runs is `procs`'s to decide (`procs.sharded`).
 """
+
+import heapq
+import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from . import procs
+from .errors import ConfigError
 
 # Phase ids keep streams for different pipeline stages disjoint even when
 # they share a master seed and an index range.
@@ -22,6 +28,111 @@ PHASE_POLICY = 6
 PHASE_EVAL = 7
 PHASE_DIAG = 8
 PHASE_INIT = 9
+
+
+class Block(NamedTuple):
+    """Stream indices of one phase that one kind of draw owns: member m of
+    `members` starts at first + m * stride and holds `rows` streams, then
+    `extra` more (a critic buffer's shuffle); `rows` and `members` are
+    Python expressions over the config's sections. A block with a
+    `command` is drawn, and checked, only by the locked function of that
+    name; every command checks the others."""
+    phase: int
+    first: int
+    rows: str = "1"
+    extra: int = 0
+    stride: int = 0
+    members: str = "range(1)"
+    command: str | None = None
+
+
+_UNBIASED, _VARIANCE = "diag_unbiasedness", "diag_variance"
+BLOCKS = {
+    "dataset": Block(PHASE_DATASET, 0),
+    "classifier fit": Block(PHASE_CLASSIFIER, 0),
+    "pretrain": Block(PHASE_PRETRAIN, 0),
+    "eps init": Block(PHASE_INIT, 0),
+    "critic init": Block(PHASE_INIT, 1),
+    "classifier init": Block(PHASE_INIT, 2),
+    "critic fit": Block(PHASE_CRITIC_TRAIN, 0),
+    "critic buffer": Block(PHASE_CRITIC_BUFFER, 0, "critic.n_traj", 1),
+    "critic class ids": Block(PHASE_CRITIC_BUFFER, 1_000_000),
+    "refresh buffer": Block(  # one per refreshing unlearn iteration
+        PHASE_CRITIC_BUFFER, 1_100_000, "policy.refresh_traj", 1, 100_000,
+        "range(policy.refresh_every, policy.iterations, policy.refresh_every)"),
+    "policy class ids": Block(PHASE_POLICY, 1),
+    "policy order": Block(PHASE_POLICY, 2),
+    "refresh class ids and fits": Block(PHASE_POLICY, 3),
+    "policy rollouts": Block(PHASE_POLICY, 10_000, "policy.n_traj", 0, 10_000,
+                             "range(policy.iterations)"),
+    # the same noise at every pretrain gate check and unlearn monitor
+    "monitor eval": Block(PHASE_EVAL, 0, "max(data.n_classes * pretrain."
+                          "eval_per_class, policy.eval_forget + (data."
+                          "n_classes - 1) * policy.eval_per_class)"),
+    # the same noise for the base model and both arms
+    "final eval": Block(PHASE_EVAL, 500_000, "eval.forget_samples + "
+                        "(data.n_classes - 1) * eval.retain_per_class"),
+    "probe": Block(PHASE_DIAG, 0, "20_000", command=_UNBIASED),
+    "baseline probe": Block(PHASE_DIAG, 100_000, "10_000",
+                            command="diag_baseline_optimum"),
+    "variance bootstrap": Block(PHASE_DIAG, 999_998, command=_VARIANCE),
+    "variance class ids": Block(PHASE_DIAG, 999_999, command=_VARIANCE),
+    "sweep": Block(PHASE_DIAG, 1_000_000, "10_000", command=_UNBIASED),
+    "variance batch": Block(PHASE_DIAG, 2_000_000, "policy.n_traj", 0, 1000,
+                            "range(20)", _VARIANCE),
+    # per ablation seed, a buffer and then, from + 500, the fit's streams
+    "ablation buffer": Block(PHASE_DIAG, 3_000_000, "256", 1, 1000,
+                             "range(5)", "diag_ablation"),
+    "ablation fit": Block(PHASE_DIAG, 3_000_500, "3", 0, 1000, "range(5)",
+                          "diag_ablation"),
+}
+
+
+def key(name: str, member: int = 0) -> tuple:
+    """(phase, first index) of member `member` of block `name`."""
+    block = BLOCKS[name]
+    return block.phase, block.first + member * block.stride
+
+
+def _value(expr: str, cfg):
+    return eval(expr, {"__builtins__": {"max": max, "range": range}},
+                vars(cfg))
+
+
+def windows(cfg, names):
+    """(phase, lo, hi, name, member) of each member of the named blocks
+    under cfg, which owns indices lo..hi-1, in (phase, lo) order."""
+    def spans(name):
+        phase, first, rows, extra, stride, members, _ = BLOCKS[name]
+        size = _value(rows, cfg) + extra
+        for m in _value(members, cfg):
+            yield phase, first + m * stride, first + m * stride + size, name, m
+    return heapq.merge(*map(spans, names))
+
+
+def overlap(spans):
+    """The first two (phase, lo, hi, ...) spans, given in (phase, lo)
+    order, that share a key, or None."""
+    return next(((a, b) for a, b in itertools.pairwise(spans)
+                 if a[0] == b[0] and b[1] < a[2]), None)
+
+
+def check_blocks(cfg, command: str | None = None) -> None:
+    """ConfigError if under cfg a member of a block that every command, or
+    `command`, checks overruns its stride or shares a key with another
+    block. It names the rows and the block they would reach."""
+    names = [n for n, b in BLOCKS.items() if b.command in (None, command)]
+    rooms = [(n, BLOCKS[n].stride, f"the next {n} block")
+             for n in names if BLOCKS[n].stride]
+    if pair := overlap(windows(cfg, names)):
+        rooms.append((pair[0][3], pair[1][1] - pair[0][1],
+                      f"the {pair[1][3]} block"))
+    for name, room, reached in rooms:
+        rows, extra = BLOCKS[name].rows, BLOCKS[name].extra
+        if _value(rows, cfg) + extra > room:
+            raise ConfigError(f"{rows} = {_value(rows, cfg)} is above "
+                              f"{room - extra}: its rows would reach {reached}")
+
 
 _MASK64 = (1 << 64) - 1
 _MASK56 = (1 << 56) - 1

@@ -39,7 +39,7 @@ def score_labels(monkeypatch, overrides, labels, n_forget, n_retain_each):
     reference = rngmod.stream(0, rngmod.PHASE_DIAG, 91).standard_normal((8, 2))
     return pipeline._eval_model(cfg, pipeline._build_model(cfg), None,
                                 pipeline.schedule(cfg), n_forget,
-                                n_retain_each, first_index=0,
+                                n_retain_each, "monitor eval",
                                 retain_reference=reference)
 
 

@@ -1,11 +1,11 @@
 """Phase orchestration: artifacts, gates, locking, and determinism."""
 
+import bisect
 import csv
 import dataclasses
 import fcntl
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -22,7 +22,8 @@ import time
 import numpy as np
 import pytest
 
-from cgru import nets, pipeline, procs
+from cgru import critic as critic_mod
+from cgru import diag, diffusion, nets, pipeline, procs
 from cgru import rng as rngmod
 from cgru.checkpoint import load_tensors, save_tensors
 from cgru.config import (RunConfig, apply_overrides, config_hash,
@@ -34,7 +35,7 @@ from cgru.errors import (CgruError, CheckpointError, LockError, MissingArtifact,
                          PhaseFailure)
 from cgru.metrics import feature_stats, frechet_distance
 
-from conftest import (TINY_OVERRIDES, assert_reaped, count_forks,
+from conftest import (DIAGS, TINY_OVERRIDES, assert_reaped, count_forks,
                       default_config, flock_held, tiny_config)
 
 
@@ -351,53 +352,124 @@ def test_diag_gradients_walk_once_per_step(monkeypatch, method, n):
     assert var == pytest.approx(want_var, rel=1e-12)
 
 
-def test_critic_streams_are_disjoint_at_the_default_config(full_run, tmp_path,
-                                                          monkeypatch):
-    # the (phase, index) of every stream the critic phase opens and of
-    # every refresh buffer's trajectory and shuffle streams: no two share one
-    cfg = default_config(tmp_path)
-    for name in ("classifier", "eps_base"):
-        shutil.copy(pipeline.out_path(full_run[0], f"{name}.ckpt"), tmp_path)
-    keys, owner = {}, [None]
-    stream, streams = rngmod.stream, rngmod.streams
+def _spy_keys(monkeypatch):
+    """(phase, index, owner) of every stream rng.stream and rng.streams key
+    from now on in this process, where owner is the (block, member) of the
+    last rng.key call: the block the drawing site named."""
+    drawn, owner = [], [None]
+    key, stream, streams = rngmod.key, rngmod.stream, rngmod.streams
 
-    def record(phase, indices):
-        if owner[0] is not None:
-            keys.setdefault(owner[0], set()).update((phase, i) for i in indices)
+    def spy_key(name, member=0):
+        owner[0] = (name, member)
+        return key(name, member)
 
     def spy_stream(seed, phase, index=0):
-        record(phase, [index])
+        drawn.append((phase, index, owner[0]))
         return stream(seed, phase, index)
 
     def spy_streams(seed, phase, indices):
         indices = list(indices)
-        record(phase, indices)
+        drawn.extend((phase, i, owner[0]) for i in indices)
         return streams(seed, phase, indices)
 
+    monkeypatch.setattr(rngmod, "key", spy_key)
     monkeypatch.setattr(rngmod, "stream", spy_stream)
     monkeypatch.setattr(rngmod, "streams", spy_streams)
-    owner[0] = "critic phase"
+    return drawn
+
+
+def _tiny_phases(request, tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path)
+    drawn = _spy_keys(monkeypatch)
+    pipeline._classifier_phase(cfg)
+    pipeline._pretrain_phase(cfg)
     pipeline._critic_phase(cfg)
-    owner[0] = None
+    for method in ("ddpo", "cgru"):
+        pipeline._unlearn_phase(cfg, method)
+        pipeline._eval_phase(cfg, method)
+    pipeline._eval_phase(cfg, "base")
+    return cfg, None, drawn
 
-    build = pipeline.build_critic_buffer
 
-    def refresh_buffer(*args, first_index, **kwargs):
-        owner[0] = f"refresh at index {first_index}"
-        try:
-            return build(*args, first_index=first_index, **kwargs)
-        finally:
-            owner[0] = None
-
-    monkeypatch.setattr(pipeline, "build_critic_buffer", refresh_buffer)
-    # a refresh fit draws from refresh_rng, opened before the loop, and
-    # no stream of its own; skipping the fits saves most of the arm's time
+def _default_critic_and_cgru_arm(request, tmp_path, monkeypatch):
+    full_cfg, _ = request.getfixturevalue("full_run")
+    cfg = default_config(tmp_path)
+    for name in ("classifier", "eps_base"):
+        shutil.copy(pipeline.out_path(full_cfg, f"{name}.ckpt"), tmp_path)
+    # a fit or an update draws from a stream opened before it and none of
+    # its own, and the gradient diagnostics draw none; skipping them saves
+    # most of the time
     monkeypatch.setattr(pipeline, "critic_train", lambda *args, **kw: [0.0])
+    monkeypatch.setattr(pipeline, "_diag_gradients", lambda *args: (1.0, 1.0))
+    monkeypatch.setattr(pipeline, "policy_update_epoch", lambda *args, **kw: {
+        "clip_count": 0, "clip_fraction": 0.0, "stale_buffer": False,
+        "updates": 1, "grad_norm_mean": 1.0})
+    drawn = _spy_keys(monkeypatch)
+    pipeline._critic_phase(cfg)
     pipeline._unlearn_phase(cfg, "cgru")
-    assert len(keys) == 1 + 16      # refreshes at iterations 3, 6, ..., 48
-    for a, b in itertools.combinations(sorted(keys), 2):
-        shared = keys[a] & keys[b]
-        assert not shared, (a, b, sorted(shared)[:3])
+    # a refresh buffer at iterations 3, 6, ..., 48
+    refreshes = {owner for *_, owner in drawn
+                 if owner and owner[0] == "refresh buffer"}
+    assert sorted(m for _, m in refreshes) == list(range(3, 50, 3))
+    return cfg, None, drawn
+
+
+def _sweep_rows(n, model, rows, *args, cuts=()):
+    """The streamed sweep's walk without its score pass: each shard's rows
+    are made, and every estimate is ones."""
+    for lo, hi in rngmod.shard_ranges(n):
+        rows(lo, hi)
+    return np.ones((2, len(cuts) + 1, model.net.theta.size)), None
+
+
+def _diag_check(name, stubs=()):
+    """Diag check `name` on a copy of the tiny run's networks, with the
+    work that draws no stream replaced by `stubs`' (module, attribute,
+    stand-in)."""
+    def run(request, tmp_path, monkeypatch):
+        tiny_cfg, _ = request.getfixturevalue("tiny_run")
+        for net in ("classifier", "eps_base", "critic"):
+            shutil.copy(pipeline.out_path(tiny_cfg, f"{net}.ckpt"), tmp_path)
+        for module, attr, stand_in in stubs:
+            monkeypatch.setattr(module, attr, stand_in)
+        cfg = tiny_config(tmp_path)
+        drawn = _spy_keys(monkeypatch)
+        DIAGS[name](cfg)
+        return cfg, DIAGS[name].__name__, drawn
+    return run
+
+
+_SPY_CASES = {
+    "tiny-phases": _tiny_phases,
+    "default-critic-and-cgru-arm": _default_critic_and_cgru_arm,
+    "diag-unbiasedness": _diag_check("unbiasedness", [
+        (diag, "group_estimates", _sweep_rows),
+        (diag, "value_matrix", lambda critic, rollouts: None),
+        (diffusion, "_rollout", lambda *args: None)]),
+    "diag-variance": _diag_check("variance"),
+    "diag-ablation": _diag_check("ablation", [
+        (critic_mod, "critic_train", lambda *args, **kw: [0.0])]),
+    "diag-baseline-optimum": _diag_check("baseline_optimum"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SPY_CASES))
+def test_every_stream_key_lies_in_the_block_its_site_names(
+        case, request, tmp_path, monkeypatch):
+    # every key a case draws lies in exactly one declared block, which is
+    # the block its site named and one of every command or of the diag
+    # check that ran; so no key is drawn under two blocks
+    monkeypatch.setenv("CGRU_THREADS", "1")     # every shard in this process
+    cfg, command, drawn = _SPY_CASES[case](request, tmp_path, monkeypatch)
+    spans = list(rngmod.windows(cfg, rngmod.BLOCKS))
+    assert rngmod.overlap(spans) is None
+    starts = [span[:2] for span in spans]
+    assert drawn
+    for phase, index, owner in drawn:
+        span = spans[bisect.bisect_right(starts, (phase, index)) - 1]
+        assert (span[0] == phase and span[1] <= index < span[2]
+                and span[3:] == owner), (phase, index, owner, span)
+        assert rngmod.BLOCKS[owner[0]].command in (None, command), owner
 
 
 def test_missing_artifacts_are_named(tmp_path):
@@ -445,8 +517,8 @@ def test_pretrain_gate_draws_the_fixed_eval_streams(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "sample_trajectories", spy)
     with pytest.raises(Drawn):
         pipeline._pretrain_phase(cfg, classifier=lambda: None)
-    final = range(pipeline._EVAL_FINAL_INDEX, pipeline._EVAL_FINAL_INDEX
-                  + cfg.eval.forget_samples
+    _, first = rngmod.key("final eval")
+    final = range(first, first + cfg.eval.forget_samples
                   + (cfg.data.n_classes - 1) * cfg.eval.retain_per_class)
     assert [phase for phase, _ in drawn] == [rngmod.PHASE_EVAL]
     assert not set(drawn[0][1]) & set(final)
@@ -976,7 +1048,7 @@ def test_eval_scores_one_label_vector(monkeypatch):
     monkeypatch.setattr(pipeline, "classifier_predict", stub_predict)
     reference = rngmod.stream(0, rngmod.PHASE_DIAG, 90).standard_normal((20, 2))
     report = pipeline._eval_model(cfg, pipeline._build_model(cfg), None,
-                                  pipeline.schedule(cfg), 4, 2, first_index=0,
+                                  pipeline.schedule(cfg), 4, 2, "monitor eval",
                                   retain_reference=reference)
     assert [len(x0) for x0 in seen] == [10]
     assert report.ua == 1 / 4
