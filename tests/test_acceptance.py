@@ -37,11 +37,16 @@ from conftest import float64_twin, tiny_config
 
 RAW = EstimatorConfig(grad_max_norm=1e18)
 
-# PHASE_DIAG stream indices reserved for these checks; disjoint from the
-# blocks the diag subcommands use.
+# PHASE_DIAG stream indices reserved for these checks, each rollout batch
+# from its index on and its class ids from the stream just before it;
+# disjoint from each other and from rng.BLOCKS (the last test below)
+_IDX_FD = 6_000_000
 _IDX_DEGEN = 7_000_000
 _IDX_PROBE = 8_000_000
 _IDX_PROBE_MC = 8_100_000
+_N_DEGEN = 16
+_N_PROBES = 50
+_N_MC = 1000
 
 
 def _central_diff(fn, theta, j, h):
@@ -79,7 +84,7 @@ def _probe_net(net, loss_fn, grads, rng, n_probes=20):
 def test_01_backward_matches_finite_differences():
     start = time.monotonic()
     cfg = RunConfig()
-    rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, 6_000_000)
+    rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_FD)
     worst = {}
 
     model = pipeline._build_model(cfg)
@@ -163,15 +168,16 @@ def test_03_zero_critic_reduces_to_terminal_reward():
     cfg = RunConfig()
     model = pipeline._build_model(cfg)
     sched = pipeline.schedule(cfg)
-    ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DEGEN)
-    class_ids = pipeline.mixture_class_ids(cfg, 16, ctx_rng)
+    ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_DEGEN - 1)
+    class_ids = pipeline.mixture_class_ids(cfg, _N_DEGEN, ctx_rng)
     trajs = sample_trajectories(model, class_ids, sched, cfg.seed,
                                 rngmod.PHASE_DIAG, first_index=_IDX_DEGEN)
     center = mode_centers(cfg.data.n_classes, cfg.data.radius)[0]
     assign_rewards(trajs, functools.partial(mode_distance_reward,
                                             center=center,
                                             scale=cfg.reward.scale))
-    g_c = cgru_gradient(trajs, model, np.zeros((16, sched.T)), RAW, sched)
+    g_c = cgru_gradient(trajs, model, np.zeros((_N_DEGEN, sched.T)), RAW,
+                        sched)
     g_d = ddpo_gradient(trajs, model, sched, RAW)
     rel = float(np.linalg.norm(g_c - g_d) / np.linalg.norm(g_d))
     print(f"AC3 zero-critic degeneracy: relative gap {rel:.2e} (< 1e-12)")
@@ -209,9 +215,8 @@ def test_06_critic_tracks_monte_carlo_values(full_run):
     clf = pipeline.load(cfg, "classifier")
     reward = pipeline.reward_fn(cfg, clf)
     sched = pipeline.schedule(cfg)
-    ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_PROBE)
-    n_probes = 50
-    class_ids = pipeline.mixture_class_ids(cfg, n_probes, ctx_rng)
+    ctx_rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_PROBE - 1)
+    class_ids = pipeline.mixture_class_ids(cfg, _N_PROBES, ctx_rng)
     probes = sample_trajectories(model, class_ids, sched, cfg.seed,
                                  rngmod.PHASE_DIAG, first_index=_IDX_PROBE)
     errs = []
@@ -221,17 +226,17 @@ def test_06_critic_tracks_monte_carlo_values(full_run):
         (v,) = critic_values(critic, x_t[None], one_hot([c], critic.n_classes),
                              t)
         x0s = rollout_from(model, c, sched, x_t, t, cfg.seed,
-                           rngmod.PHASE_DIAG, n=1000,
-                           first_index=_IDX_PROBE_MC + i * 1000)
+                           rngmod.PHASE_DIAG, n=_N_MC,
+                           first_index=_IDX_PROBE_MC + i * _N_MC)
         mc = float(reward(x0s).mean())
         errs.append(abs(v - mc))
     errs = np.array(errs)
     hits = int((errs <= 0.5).sum())
     elapsed = time.monotonic() - start
-    print(f"AC6 critic accuracy: {hits}/{n_probes} probes within 0.5 of the "
-          f"1000-rollout value (>= 40), max err {errs.max():.3f} "
+    print(f"AC6 critic accuracy: {hits}/{_N_PROBES} probes within 0.5 of "
+          f"the {_N_MC}-rollout value (>= 40), max err {errs.max():.3f} "
           f"({elapsed:.1f}s)")
-    assert hits >= int(0.8 * n_probes)
+    assert hits >= int(0.8 * _N_PROBES)
     assert elapsed < 900.0
 
 
@@ -262,9 +267,14 @@ def test_08_unlearning_outperforms_terminal_reward_arm(full_run):
         last = open(path).read().splitlines()[-1].split(",")
         finals[method] = float(last[-1])
     total = sum(rec["seconds"] for rec in manifest.phases.values())
-    print(f"AC8 end to end: UA {ua:.3f} (>= 0.90), IRA {ira:.3f} (>= 0.70), "
-          f"final reward cgru {finals['cgru']:.2f} > ddpo "
-          f"{finals['ddpo']:.2f}, pipeline {total:.0f}s (< 1800)")
+    # print only: the cgru arm's worst retained class, and the ddpo arm's UA
+    cgru, ddpo = (manifest.phases[f"eval_{m}"]["info"]["report"]
+                  for m in ("cgru", "ddpo"))
+    worst = min(cgru.per_class_acc, key=cgru.per_class_acc.get)
+    print(f"AC8 end to end: UA {ua:.3f} (>= 0.90), IRA {ira:.3f} (>= 0.70; "
+          f"worst retained class {worst}: {cgru.per_class_acc[worst]:.3f}), "
+          f"ddpo UA {ddpo.ua:.3f}, final reward cgru {finals['cgru']:.2f} > "
+          f"ddpo {finals['ddpo']:.2f}, pipeline {total:.0f}s (< 1800)")
     assert ua >= 0.90
     assert ira >= 0.70
     assert finals["ddpo"] < finals["cgru"]
@@ -333,3 +343,19 @@ def test_10_repeat_runs_are_byte_identical(tmp_path):
     print(f"AC10 repeatability: {len(names)} checkpoints and CSV logs "
           f"byte-identical across two runs (diffs: {diffs})")
     assert not diffs
+
+
+def test_reserved_diag_streams_are_disjoint_from_the_declared_blocks():
+    # AC1's stream, AC3's and AC6's class ids and rollouts, and AC6's
+    # Monte-Carlo batches, against each other and every PHASE_DIAG block
+    diag = rngmod.PHASE_DIAG
+    reserved = [
+        (diag, _IDX_FD, _IDX_FD + 1, "AC1"),
+        (diag, _IDX_DEGEN - 1, _IDX_DEGEN + _N_DEGEN, "AC3"),
+        (diag, _IDX_PROBE - 1, _IDX_PROBE + _N_PROBES, "AC6 probes"),
+        *((diag, lo, lo + _N_MC, f"AC6 batch {i}") for i, lo in enumerate(
+            range(_IDX_PROBE_MC, _IDX_PROBE_MC + _N_PROBES * _N_MC, _N_MC)))]
+    declared = [span for span in rngmod.windows(RunConfig(), rngmod.BLOCKS)
+                if span[0] == diag]
+    assert declared
+    assert rngmod.overlap(sorted(reserved + declared)) is None
