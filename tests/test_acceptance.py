@@ -40,7 +40,7 @@ RAW = EstimatorConfig(grad_max_norm=1e18)
 # PHASE_DIAG stream indices reserved for these checks, each rollout batch
 # from its index on and its class ids from the stream just before it;
 # disjoint from each other and from rng.BLOCKS (the last test below)
-_IDX_FD = 6_000_000
+_IDX_FINITE_DIFF = 6_000_000
 _IDX_DEGEN = 7_000_000
 _IDX_PROBE = 8_000_000
 _IDX_PROBE_MC = 8_100_000
@@ -84,7 +84,7 @@ def _probe_net(net, loss_fn, grads, rng, n_probes=20):
 def test_01_backward_matches_finite_differences():
     start = time.monotonic()
     cfg = RunConfig()
-    rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_FD)
+    rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_FINITE_DIFF)
     worst = {}
 
     model = pipeline._build_model(cfg)
@@ -350,7 +350,7 @@ def test_reserved_diag_streams_are_disjoint_from_the_declared_blocks():
     # Monte-Carlo batches, against each other and every PHASE_DIAG block
     diag = rngmod.PHASE_DIAG
     reserved = [
-        (diag, _IDX_FD, _IDX_FD + 1, "AC1"),
+        (diag, _IDX_FINITE_DIFF, _IDX_FINITE_DIFF + 1, "AC1"),
         (diag, _IDX_DEGEN - 1, _IDX_DEGEN + _N_DEGEN, "AC3"),
         (diag, _IDX_PROBE - 1, _IDX_PROBE + _N_PROBES, "AC6 probes"),
         *((diag, lo, lo + _N_MC, f"AC6 batch {i}") for i, lo in enumerate(
