@@ -139,6 +139,9 @@ def validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"{key} must be finite, got {val}")
     if flat["policy.iterations"] < 0:
         raise ConfigError("policy.iterations must be >= 0")
+    # the stream key holds 64 bits of seed: any other seed would alias one
+    if not 0 <= cfg.seed < 1 << 64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {cfg.seed}")
     for key in ("data.radius", "data.stddev", "reward.scale", "classifier.lr",
                 "pretrain.lr", "critic.lr", "policy.lr"):
         if flat[key] <= 0:
@@ -267,7 +270,8 @@ def render_config(cfg: RunConfig) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig()
+    """The config a file's lines set, each key at most once."""
+    cfg, seen = RunConfig(), {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -275,7 +279,12 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
-        cfg = _set_key(cfg, key.strip(), raw)
+        key = key.strip()
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key} is already set on line "
+                              f"{seen[key]}")
+        seen[key] = lineno
+        cfg = _set_key(cfg, key, raw)
     return cfg
 
 

@@ -22,13 +22,9 @@ from .rewards import assign_rewards, mode_distance_reward
 from .toy import (build_toy, sample_toy_trajectories, toy_analytic_gradient,
                   toy_mean_reward)
 
-# rng.BLOCKS declares the stream blocks these sizes fill: change both
-_VARIANCE_BATCHES = 20
 _VARIANCE_BOOTSTRAP = 20
-_ABLATION_SEEDS = 5
 _ABLATION_TRAJ = 256
-_BASELINE_TRAJ = 10_000
-_SWEEP_SIZES = (100, 1000, 10_000)
+_SWEEP_SIZES = (100, 1000, rngmod.BLOCKS["sweep"].rows)
 
 
 def norm_sweep(cfg: RunConfig, model, critic, clf,
@@ -77,11 +73,11 @@ def diag_unbiasedness(cfg: RunConfig) -> dict:
     must land within 3 standard errors of it. On the trained model the
     advantage's baseline term has expectation zero; its norm relative to
     the gradient estimate should shrink as trajectories accumulate. The
-    sweep (norm_sweep) streams its 10,000 rollouts through the walk: each
+    sweep (norm_sweep) streams its rollouts through the walk: each
     256-row shard samples, rewards and values its own rows.
     """
     policy, toy_sched = build_toy(0.5)
-    n_toy = 20_000
+    n_toy = rngmod.BLOCKS["probe"].rows
     toy = sample_toy_trajectories(policy, toy_sched, n_toy, cfg.seed,
                                   rngmod.key("probe")[1])
     scores = per_sample_scores(toy, policy, toy_sched)
@@ -128,23 +124,24 @@ def diag_variance(cfg: RunConfig) -> dict:
     counts how often the advantage estimator's variance is lower. The
     batches run as shards of one rng.run_sharded pass, one batch each.
 
-    The (2, 20, P) table ests is the one P-sized array held. Both main
-    variances and every resample's are reduced from it in column blocks
-    by gradient_variance, a resample passing its batch index, so no
-    (20, P) copy or deviation array is built; a column's variance does
-    not depend on its block, so the bits are those of the whole-table
-    reduction.
+    The (2, batches, P) table ests is the one P-sized array held. Both
+    main variances and every resample's are reduced from it in column
+    blocks by gradient_variance, a resample passing its batch index, so
+    no (batches, P) copy or deviation array is built; a column's
+    variance does not depend on its block, so the bits are those of the
+    whole-table reduction.
     """
     clf, model, critic = (load(cfg, name)
                           for name in ("classifier", "eps_base", "critic"))
     sched, reward = schedule(cfg), reward_fn(cfg, clf)
+    n_batches = rngmod.BLOCKS["variance batch"].count
     ctx_rng = rngmod.stream(cfg.seed, *rngmod.key("variance class ids"))
     # every batch's class ids, drawn in batch order before any batch runs
     class_ids = [mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
-                 for _ in range(_VARIANCE_BATCHES)]
+                 for _ in range(n_batches)]
     methods = ("cgru", "ddpo")
     # ests[k, b]: method k's clipped estimate on batch b
-    ests = np.empty((len(methods), _VARIANCE_BATCHES, model.net.theta.size))
+    ests = np.empty((len(methods), n_batches, model.net.theta.size))
 
     def batch(b, _):
         rollouts = sample_trajectories(model, class_ids[b], sched, cfg.seed,
@@ -161,19 +158,19 @@ def diag_variance(cfg: RunConfig) -> dict:
         b, clipped = part
         ests[:, b] = clipped
 
-    rngmod.run_sharded(batch, _VARIANCE_BATCHES, fold=fold, chunk=1)
+    rngmod.run_sharded(batch, n_batches, fold=fold, chunk=1)
     var = {m: gradient_variance(ests[k]) for k, m in enumerate(methods)}
 
     boot_rng = rngmod.stream(cfg.seed, *rngmod.key("variance bootstrap"))
     wins = 0
     for _ in range(_VARIANCE_BOOTSTRAP):
-        idx = boot_rng.integers(0, _VARIANCE_BATCHES, _VARIANCE_BATCHES)
+        idx = boot_rng.integers(0, n_batches, n_batches)
         vc, vd = (gradient_variance(e, idx) for e in ests)
         wins += int(vc < vd)
 
     path = write_csv(out_path(cfg, "diag_variance.csv"),
                      ["estimator", "n_batches", "batch_size", "variance"],
-                     [(m, _VARIANCE_BATCHES, cfg.policy.n_traj, var[m])
+                     [(m, n_batches, cfg.policy.n_traj, var[m])
                       for m in methods])
     ratio = var["ddpo"] / var["cgru"]
     summary = ("== gradient variance ==\n"
@@ -200,12 +197,14 @@ def diag_ablation(cfg: RunConfig) -> dict:
                                center=mode_centers(K, cfg.data.radius)[target],
                                scale=cfg.reward.scale)
     class_ids = np.full(_ABLATION_TRAJ, target)
+    n_seeds = rngmod.BLOCKS["ablation"].count
     rows = []
-    for s in range(_ABLATION_SEEDS):
+    for s in range(n_seeds):
+        phase, start = rngmod.key("ablation", s)
         buffer = build_critic_buffer(model, class_ids, reward, sched,
-                                     cfg.seed, *rngmod.key("ablation buffer", s))
+                                     cfg.seed, phase, start)
         aware, blind = ablation_compare(
-            buffer, cfg.seed, rngmod.key("ablation fit", s)[1],
+            buffer, cfg.seed, start + 500,
             T=cfg.diffusion.T, n_classes=K, hidden=cfg.critic.hidden,
             t_embed_dim=cfg.critic.t_embed_dim)
         rows.append(("timestep_aware", aware, s))
@@ -214,15 +213,15 @@ def diag_ablation(cfg: RunConfig) -> dict:
     path = write_csv(out_path(cfg, "diag_ablation.csv"),
                      ["model_kind", "held_out_mse", "seed"], rows)
     aware_wins = sum(rows[2 * i][1] < rows[2 * i + 1][1]
-                     for i in range(_ABLATION_SEEDS))
+                     for i in range(n_seeds))
     lines = ["== critic timestep ablation =="]
-    for i in range(_ABLATION_SEEDS):
+    for i in range(n_seeds):
         lines.append(f"  seed {i}: aware {rows[2*i][1]:.4f}  "
                      f"blind {rows[2*i+1][1]:.4f}")
-    lines.append(f"  aware wins {aware_wins}/{_ABLATION_SEEDS}")
+    lines.append(f"  aware wins {aware_wins}/{n_seeds}")
     return {"paths": {"diag_ablation": path},
             "info": {"rows": rows, "aware_wins": aware_wins,
-                     "n_seeds": _ABLATION_SEEDS, "summary": "\n".join(lines)}}
+                     "n_seeds": n_seeds, "summary": "\n".join(lines)}}
 
 
 @locked_run
@@ -234,8 +233,9 @@ def diag_baseline_optimum(cfg: RunConfig) -> dict:
     """
     bias = 0.5
     policy, sched = build_toy(bias)
-    rollouts = sample_toy_trajectories(policy, sched, _BASELINE_TRAJ, cfg.seed,
-                                       rngmod.key("baseline probe")[1])
+    rollouts = sample_toy_trajectories(
+        policy, sched, rngmod.BLOCKS["baseline probe"].rows, cfg.seed,
+        rngmod.key("baseline probe")[1])
     er = toy_mean_reward(bias)
     pairs = optimal_baseline_probe(policy, sched, rollouts,
                                    [er - 1.0, er, er + 1.0])

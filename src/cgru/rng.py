@@ -3,12 +3,12 @@
 Every stochastic operation in the package draws from an explicit stream
 derived from (seed, phase, index) via the Philox counter-based generator,
 so results never depend on how work is sharded across workers. Which
-(phase, index) keys each draw site owns is declared once, in `BLOCKS`.
+(phase, index) keys each draw site owns is declared once, in `BLOCKS`,
+whose blocks are checked as one span each.
 The module decides shard boundaries (`shard_ranges`) and streams; where
 each shard runs is `procs`'s to decide (`procs.sharded`).
 """
 
-import heapq
 import itertools
 from typing import NamedTuple
 
@@ -31,18 +31,18 @@ PHASE_INIT = 9
 
 
 class Block(NamedTuple):
-    """Stream indices of one phase that one kind of draw owns: member m of
-    `members` starts at first + m * stride and holds `rows` streams, then
-    `extra` more (a critic buffer's shuffle); `rows` and `members` are
-    Python expressions over the config's sections. A block with a
-    `command` is drawn, and checked, only by the locked function of that
-    name; every command checks the others."""
+    """Stream indices of one phase that one kind of draw owns, as one span:
+    member m of `count` starts at first + m * stride and holds `rows`
+    streams, then `extra` more (a critic buffer's shuffle); `rows` and
+    `count` are ints or Python expressions over the config's sections. A
+    block with a `command` is drawn, and checked, only by the locked
+    function of that name; every command checks the others."""
     phase: int
     first: int
-    rows: str = "1"
+    rows: int | str = 1
     extra: int = 0
     stride: int = 0
-    members: str = "range(1)"
+    count: int | str = 1
     command: str | None = None
 
 
@@ -57,14 +57,14 @@ BLOCKS = {
     "critic fit": Block(PHASE_CRITIC_TRAIN, 0),
     "critic buffer": Block(PHASE_CRITIC_BUFFER, 0, "critic.n_traj", 1),
     "critic class ids": Block(PHASE_CRITIC_BUFFER, 1_000_000),
-    "refresh buffer": Block(  # one per refreshing unlearn iteration
-        PHASE_CRITIC_BUFFER, 1_100_000, "policy.refresh_traj", 1, 100_000,
-        "range(policy.refresh_every, policy.iterations, policy.refresh_every)"),
+    # member i is unlearn iteration i's, drawn if that iteration refreshes
+    "refresh buffer": Block(PHASE_CRITIC_BUFFER, 1_100_000, "policy."
+                            "refresh_traj", 1, 100_000, "policy.iterations"),
     "policy class ids": Block(PHASE_POLICY, 1),
     "policy order": Block(PHASE_POLICY, 2),
     "refresh class ids and fits": Block(PHASE_POLICY, 3),
     "policy rollouts": Block(PHASE_POLICY, 10_000, "policy.n_traj", 0, 10_000,
-                             "range(policy.iterations)"),
+                             "policy.iterations"),
     # the same noise at every pretrain gate check and unlearn monitor
     "monitor eval": Block(PHASE_EVAL, 0, "max(data.n_classes * pretrain."
                           "eval_per_class, policy.eval_forget + (data."
@@ -72,19 +72,16 @@ BLOCKS = {
     # the same noise for the base model and both arms
     "final eval": Block(PHASE_EVAL, 500_000, "eval.forget_samples + "
                         "(data.n_classes - 1) * eval.retain_per_class"),
-    "probe": Block(PHASE_DIAG, 0, "20_000", command=_UNBIASED),
-    "baseline probe": Block(PHASE_DIAG, 100_000, "10_000",
+    "probe": Block(PHASE_DIAG, 0, 20_000, command=_UNBIASED),
+    "baseline probe": Block(PHASE_DIAG, 100_000, 10_000,
                             command="diag_baseline_optimum"),
     "variance bootstrap": Block(PHASE_DIAG, 999_998, command=_VARIANCE),
     "variance class ids": Block(PHASE_DIAG, 999_999, command=_VARIANCE),
-    "sweep": Block(PHASE_DIAG, 1_000_000, "10_000", command=_UNBIASED),
+    "sweep": Block(PHASE_DIAG, 1_000_000, 10_000, command=_UNBIASED),
     "variance batch": Block(PHASE_DIAG, 2_000_000, "policy.n_traj", 0, 1000,
-                            "range(20)", _VARIANCE),
-    # per ablation seed, a buffer and then, from + 500, the fit's streams
-    "ablation buffer": Block(PHASE_DIAG, 3_000_000, "256", 1, 1000,
-                             "range(5)", "diag_ablation"),
-    "ablation fit": Block(PHASE_DIAG, 3_000_500, "3", 0, 1000, "range(5)",
-                          "diag_ablation"),
+                            20, _VARIANCE),
+    # per seed, a buffer's 257 streams and, from + 500, the fit's 3
+    "ablation": Block(PHASE_DIAG, 3_000_000, 503, 0, 1000, 5, "diag_ablation"),
 }
 
 
@@ -94,20 +91,23 @@ def key(name: str, member: int = 0) -> tuple:
     return block.phase, block.first + member * block.stride
 
 
-def _value(expr: str, cfg):
-    return eval(expr, {"__builtins__": {"max": max, "range": range}},
-                vars(cfg))
+def _value(expr, cfg) -> int:
+    return expr if isinstance(expr, int) else eval(
+        expr, {"__builtins__": {"max": max}}, vars(cfg))
 
 
-def windows(cfg, names):
-    """(phase, lo, hi, name, member) of each member of the named blocks
-    under cfg, which owns indices lo..hi-1, in (phase, lo) order."""
-    def spans(name):
-        phase, first, rows, extra, stride, members, _ = BLOCKS[name]
-        size = _value(rows, cfg) + extra
-        for m in _value(members, cfg):
-            yield phase, first + m * stride, first + m * stride + size, name, m
-    return heapq.merge(*map(spans, names))
+def _last(block: Block, cfg) -> int:
+    """The first index of the block's last member under cfg."""
+    return block.first + (_value(block.count, cfg) - 1) * block.stride
+
+
+def windows(cfg, names) -> list:
+    """(phase, lo, hi, name) of each named block with members under cfg,
+    whose members own indices lo..hi-1, in (phase, lo) order."""
+    blocks = {name: BLOCKS[name] for name in names}
+    return sorted((b.phase, b.first, _last(b, cfg) + _value(b.rows, cfg)
+                   + b.extra, name) for name, b in blocks.items()
+                  if _value(b.count, cfg) > 0)
 
 
 def overlap(spans):
@@ -120,13 +120,15 @@ def overlap(spans):
 def check_blocks(cfg, command: str | None = None) -> None:
     """ConfigError if under cfg a member of a block that every command, or
     `command`, checks overruns its stride or shares a key with another
-    block. It names the rows and the block they would reach."""
+    block. It names the rows, their room from the block's last member's
+    start, and the block they would reach."""
     names = [n for n, b in BLOCKS.items() if b.command in (None, command)]
     rooms = [(n, BLOCKS[n].stride, f"the next {n} block")
              for n in names if BLOCKS[n].stride]
     if pair := overlap(windows(cfg, names)):
-        rooms.append((pair[0][3], pair[1][1] - pair[0][1],
-                      f"the {pair[1][3]} block"))
+        (*_, name), (_, lo, _, reached) = pair
+        rooms.append((name, lo - _last(BLOCKS[name], cfg),
+                      f"the {reached} block"))
     for name, room, reached in rooms:
         rows, extra = BLOCKS[name].rows, BLOCKS[name].extra
         if _value(rows, cfg) + extra > room:
@@ -134,17 +136,14 @@ def check_blocks(cfg, command: str | None = None) -> None:
                               f"{room - extra}: its rows would reach {reached}")
 
 
-_MASK64 = (1 << 64) - 1
-_MASK56 = (1 << 56) - 1
-
-
 def _key(seed: int, phase: int, index: int) -> np.ndarray:
-    if phase < 0 or phase > 0xFF:
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    if not 0 <= phase <= 0xFF:
         raise ValueError(f"phase must fit in one byte, got {phase}")
-    if index < 0 or index > _MASK56:
+    if not 0 <= index < 1 << 56:
         raise ValueError(f"stream index out of range: {index}")
-    return np.array([seed & _MASK64, ((phase << 56) | index) & _MASK64],
-                    dtype=np.uint64)
+    return np.array([seed, phase << 56 | index], dtype=np.uint64)
 
 
 def stream(seed: int, phase: int, index: int = 0) -> np.random.Generator:

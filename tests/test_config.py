@@ -36,6 +36,16 @@ def test_parse_skips_blanks_and_comments():
     assert cfg.policy.lr == 1e-4
 
 
+def test_parse_refuses_a_key_set_twice():
+    with pytest.raises(ConfigError, match="line 3: policy.lr is already set "
+                                          "on line 1"):
+        parse_config("policy.lr = 1e-4\nseed = 2\n policy.lr = 3e-5\n")
+    # an override still replaces a value from the file
+    cfg = apply_overrides(parse_config("policy.lr = 1e-4\n"),
+                          ["policy.lr=3e-5"])
+    assert cfg.policy.lr == 3e-5
+
+
 def test_override_type_conversions():
     cfg = apply_overrides(RunConfig(), [
         "policy.iterations=7",
@@ -87,6 +97,10 @@ def test_validate_catches_bad_ranges():
         ["estimator.grad_max_norm=inf"],
         ["data.stddev=0"],
         ["data.radius=-1"],
+        # the stream key holds 64 bits of seed: these would alias seeds
+        # 0 and 2**64 - 1
+        ["seed=18446744073709551616"],
+        ["seed=-1"],
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):

@@ -227,8 +227,16 @@ def test_ablation_streams_lie_in_their_block_and_follow_the_seed(
         cfg = tiny_config(tmp_path / str(seed), [
             f"seed={seed}", "diffusion.T=5", "eps_net.hidden=16",
             "critic.hidden=16"])
-        block = [range(lo, hi) for _, lo, hi, *_ in rngmod.windows(
-            cfg, ["ablation buffer", "ablation fit"])]
+        # each seed's member holds a buffer's 257 streams and, from + 500,
+        # the fit's 3; the block's one span runs to the last fit's end
+        ablation = rngmod.BLOCKS["ablation"]
+        block = [range(lo + offset, lo + offset + n)
+                 for lo in range(ablation.first, ablation.first
+                                 + ablation.count * ablation.stride,
+                                 ablation.stride)
+                 for offset, n in ((0, 257), (500, 3))]
+        assert rngmod.windows(cfg, ["ablation"]) == [
+            (rngmod.PHASE_DIAG, ablation.first, block[-1].stop, "ablation")]
         model = pipeline._build_model(cfg)      # untrained: keys only
         drawn = keys[seed] = []
 

@@ -407,6 +407,11 @@ def _default_critic_and_cgru_arm(request, tmp_path, monkeypatch):
     drawn = _spy_keys(monkeypatch)
     pipeline._critic_phase(cfg)
     pipeline._unlearn_phase(cfg, "cgru")
+    # the unlearn monitor draws 240 of the monitor eval block's 800 rows;
+    # the pretrain gate, checked once after one step here, draws them all
+    gate_cfg = apply_overrides(cfg, ["pretrain.max_steps=1"])
+    with pytest.raises(PhaseFailure, match="gate"):
+        pipeline._pretrain_phase(gate_cfg)
     # a refresh buffer at iterations 3, 6, ..., 48
     refreshes = {owner for *_, owner in drawn
                  if owner and owner[0] == "refresh buffer"}
@@ -458,18 +463,32 @@ def test_every_stream_key_lies_in_the_block_its_site_names(
         case, request, tmp_path, monkeypatch):
     # every key a case draws lies in exactly one declared block, which is
     # the block its site named and one of every command or of the diag
-    # check that ran; so no key is drawn under two blocks
+    # check that ran, inside the member its site named; so no key is drawn
+    # under two blocks. Each member drawn reaches its last declared key,
+    # so no block is declared larger than its site draws.
     monkeypatch.setenv("CGRU_THREADS", "1")     # every shard in this process
     cfg, command, drawn = _SPY_CASES[case](request, tmp_path, monkeypatch)
-    spans = list(rngmod.windows(cfg, rngmod.BLOCKS))
+    spans = rngmod.windows(cfg, rngmod.BLOCKS)
     assert rngmod.overlap(spans) is None
     starts = [span[:2] for span in spans]
     assert drawn
+    top, last = {}, {}
     for phase, index, owner in drawn:
+        assert owner, (phase, index)
+        name, m = owner
+        block = rngmod.BLOCKS[name]
+        lo = block.first + m * block.stride
+        size = rngmod._value(block.rows, cfg) + block.extra
+        assert (block.phase == phase and lo <= index < lo + size
+                and 0 <= m < rngmod._value(block.count, cfg)), (
+            phase, index, owner)
         span = spans[bisect.bisect_right(starts, (phase, index)) - 1]
         assert (span[0] == phase and span[1] <= index < span[2]
-                and span[3:] == owner), (phase, index, owner, span)
-        assert rngmod.BLOCKS[owner[0]].command in (None, command), owner
+                and span[3] == name), (phase, index, owner, span)
+        assert block.command in (None, command), owner
+        top[owner] = max(top.get(owner, index), index)
+        last[owner] = lo + size - 1
+    assert top == last
 
 
 def test_missing_artifacts_are_named(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 from cgru import procs
 from cgru import rng as rngmod
+from cgru.config import RunConfig, apply_overrides
 from cgru.diffusion import build_eps_net, make_schedule, sample_trajectories
 from cgru.errors import CgruError, ConfigError, Divergence, PhaseFailure
 
@@ -41,6 +42,24 @@ def test_stream_rejects_out_of_range():
         rngmod.stream(0, rngmod.PHASE_POLICY, -1)
     with pytest.raises(ValueError):
         rngmod.stream(0, rngmod.PHASE_POLICY, 1 << 60)
+    # a seed outside 64 bits would alias one inside
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            rngmod.stream(seed, rngmod.PHASE_POLICY)
+        with pytest.raises(ValueError, match="seed"):
+            next(rngmod.streams(seed, rngmod.PHASE_POLICY, [0]))
+    rngmod.stream((1 << 64) - 1, rngmod.PHASE_POLICY)
+
+
+def test_block_check_does_not_grow_with_the_iteration_count():
+    # each block is one span, whatever its member count
+    cfg = apply_overrides(RunConfig(), [f"policy.iterations={10 ** 6}"])
+    spans = rngmod.windows(cfg, rngmod.BLOCKS)
+    assert len(spans) <= len(rngmod.BLOCKS)
+    assert rngmod.overlap(spans) is None
+    for command in (None, "diag_unbiasedness", "diag_variance",
+                    "diag_ablation", "diag_baseline_optimum"):
+        rngmod.check_blocks(cfg, command)
 
 
 def test_rekeyed_streams_draw_what_fresh_streams_draw():
