@@ -18,7 +18,7 @@ import numpy as np
 from . import rng as rngmod
 from .diffusion import NoiseSchedule, Rollouts, one_hot, sample_trajectories
 from .nets import (Act, Dense, Film, Network, adam_init, adam_step, backward,
-                   embed_lookup, forward, init_network, sinusoidal_embed)
+                   forward, init_network, sinusoidal_embed)
 from .rewards import assign_rewards
 
 Array = np.ndarray
@@ -48,12 +48,10 @@ class Critic:
         self.T = T
         self.n_classes = n_classes
         self.t_embed_dim = t_embed_dim
-        # in the net's dtype, so a film cond gathered from it is not cast
+        # the film blocks' cond table, row t for step t, in the net's
+        # dtype so that it is not cast; forward gathers its rows by step
         self.t_table = sinusoidal_embed(np.arange(T + 1), t_embed_dim,
                                         T).astype(net.theta.dtype)
-
-    def cond(self, ts, n: int) -> Array:
-        return np.broadcast_to(embed_lookup(self.t_table, ts), (n, self.t_embed_dim))
 
     def inputs(self, x: Array, onehot: Array) -> Array:
         return np.concatenate([x, onehot], axis=1)
@@ -76,7 +74,8 @@ def build_critic(d: int, n_classes: int, T: int, hidden: int = 64,
 def critic_values(critic: Critic, x: Array, onehot: Array, ts) -> Array:
     """Batched V(x_t, c, t) for states x (n, d), as float64; ts may be a
     scalar or one step per row."""
-    out = forward(critic.net, critic.inputs(x, onehot), critic.cond(ts, len(x)))
+    out = forward(critic.net, critic.inputs(x, onehot), critic.t_table,
+                  rows=np.broadcast_to(ts, len(x)))
     return out[:, 0].astype(np.float64)
 
 
@@ -93,13 +92,13 @@ def value_matrix(critic: Critic, rollouts: Rollouts) -> Array:
     """The (n, T) state-value baseline: column t-1 holds V(x_t, c, t).
 
     Each critic call takes a stack of up to _VALUE_STACK trajectories, whose
-    T states share the film conditioning of steps T..1; every trajectory's
+    T states share the film rows of steps T..1; every trajectory's
     values have the bits of a call on its T states alone. The pass runs in
     the calling process: its callers already run inside a shard or on one
     batch of policy.n_traj rows."""
     T, K = rollouts.T, critic.n_classes
     n, d = len(rollouts), rollouts.latents.shape[2]
-    cond = critic.cond(np.arange(T, 0, -1), T)
+    steps = np.arange(T, 0, -1)
     values = np.empty((n, T))
     for a in range(0, n, _VALUE_STACK):
         b = min(a + _VALUE_STACK, n)
@@ -107,7 +106,8 @@ def value_matrix(critic: Critic, rollouts: Rollouts) -> Array:
         inputs[..., :d] = rollouts.latents[a:b, :T]
         inputs[..., d:] = one_hot(rollouts.class_ids[a:b], K)[:, None]
         # row j of a trajectory's states is x_{T-j}: column T-1-j
-        values[a:b, ::-1] = forward(critic.net, inputs, cond)[..., 0]
+        values[a:b, ::-1] = forward(critic.net, inputs, critic.t_table,
+                                    rows=steps)[..., 0]
     return values
 
 
@@ -154,8 +154,8 @@ def critic_train(critic: Critic, buffer: CriticBuffer, epochs: int,
     n, d = buffer.x.shape
     dtype = critic.net.theta.dtype
     r = buffer.r.astype(dtype)
-    # x columns, then one-hot class columns; film rows are gathered from
-    # the (T + 1)-row t_table per minibatch, never expanded to n rows
+    # x columns, then one-hot class columns; each film block maps the
+    # (T + 1)-row t_table once per minibatch and gathers its rows by step
     inputs = np.zeros((n, d + critic.n_classes), dtype)
     inputs[:, :d] = buffer.x
     one_hot(buffer.class_ids, critic.n_classes, out=inputs[:, d:])
@@ -167,8 +167,8 @@ def critic_train(critic: Critic, buffer: CriticBuffer, epochs: int,
         for lo in range(0, n, batch_size):
             idx = perm[lo:lo + batch_size]
             tape = []
-            pred = forward(critic.net, inputs[idx], critic.t_table[ts[idx]],
-                           tape)[:, 0]
+            pred = forward(critic.net, inputs[idx], critic.t_table, tape,
+                           rows=ts[idx])[:, 0]
             err = pred - r[idx]
             total += float(err @ err)
             out_grad = (2.0 * err / len(idx))[:, None]

@@ -184,12 +184,19 @@ class EpsModel:
         self.t_table = sinusoidal_embed(np.arange(T + 1), t_embed_dim, T)
 
     def inputs(self, x: Array, t, onehot: Array) -> Array:
+        """The net's (n, d + t_embed_dim + n_classes) input rows: x, the
+        embedding of t (a scalar or one step per row), then onehot."""
         x = np.asarray(x, dtype=np.float64)
-        n = x.shape[0]
-        emb = np.broadcast_to(embed_lookup(self.t_table, t), (n, self.t_embed_dim))
+        if x.ndim != 2 or x.shape[1] != self.d:
+            raise ShapeMismatch(f"x shape {x.shape} is not (n, {self.d})")
+        n, d = x.shape
         if onehot.shape != (n, self.n_classes):
             raise ShapeMismatch(f"onehot shape {onehot.shape} != ({n}, {self.n_classes})")
-        return np.concatenate([x, emb, onehot], axis=1)
+        out = np.empty((n, self.net.n_in))
+        out[:, :d] = x
+        out[:, d:d + self.t_embed_dim] = embed_lookup(self.t_table, t)
+        out[:, d + self.t_embed_dim:] = onehot
+        return out
 
     def eps(self, x: Array, t, onehot: Array, tape: list | None = None) -> Array:
         return forward(self.net, self.inputs(x, t, onehot), tape=tape)

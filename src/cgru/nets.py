@@ -149,13 +149,17 @@ def _softmax(z: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _run(net: Network, x: Array, cond, tape: list | None = None):
+def _run(net: Network, x: Array, cond, tape: list | None = None,
+         rows: Array | None = None):
     """Forward walk over inputs and a cond that forward has checked;
-    appends each layer's cache to `tape` if given.
+    appends each layer's cache to `tape` if given. With `rows`, cond is a
+    table: each film block maps it once and gathers row rows[i] for input
+    row i, and the tape keeps the gathered cond[rows].
 
     Each dense and film layer builds its output in one fresh array (the
     bias or shift is added in place)."""
     record = (lambda entry: None) if tape is None else tape.append
+    taped_cond = cond if rows is None or tape is None else cond.take(rows, 0)
     for i, layer in enumerate(net.arch):
         if isinstance(layer, Dense):
             record(("dense", i, x))
@@ -166,21 +170,29 @@ def _run(net: Network, x: Array, cond, tape: list | None = None):
             record((layer.kind, i, x))
         else:  # Film
             g = cond @ net.params[f"{i}.cw"] + net.params[f"{i}.cb"]
+            if rows is not None:
+                g = g.take(rows, 0)
             scale, shift = g[:, :layer.features], g[:, layer.features:]
-            record(("film", i, (x, scale, cond)))
+            record(("film", i, (x, scale, taped_cond)))
             x = scale * x
             x += shift
     return x
 
 
-def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
+def forward(net: Network, x, cond=None, tape: list | None = None,
+            rows=None) -> Array:
     """Apply the network to a batch of inputs x (n, d), or to a stack of
     batches x (m, n, d) that share one cond.
 
     cond must be given exactly when the architecture contains film
-    blocks; it is the per-row conditioning matrix (n, cond_dim). Pass an
-    empty list as `tape` to record the walk for `backward`; without one
-    no per-layer cache outlives the call. A stack is one np.matmul per
+    blocks; it is the per-row conditioning matrix (n, cond_dim). With
+    `rows`, n integers, cond is instead a table (k, cond_dim) and row i
+    is conditioned on cond[rows[i]]: each film block maps the k table
+    rows once and gathers its n rows, with the bits of
+    forward(net, x, cond[rows]), because a BLAS gemm row does not depend
+    on the other rows. Pass an empty list as `tape` to record the walk
+    for `backward`; without one no per-layer cache outlives the call;
+    with rows, the tape holds cond[rows]. A stack is one np.matmul per
     dense layer and one cond map per film block, so out[j] has exactly
     the bits of forward(net, x[j], cond); it cannot be recorded on a tape.
 
@@ -197,17 +209,30 @@ def forward(net: Network, x, cond=None, tape: list | None = None) -> Array:
     if x.ndim not in (2, 3) or x.shape[-1] != net.n_in:
         raise ShapeMismatch(f"expected an (n, {net.n_in}) batch or "
                             f"(m, n, {net.n_in}) stack, got shape {x.shape}")
+    n = x.shape[-2]
     if net.cond_dim is None:
-        if cond is not None:
-            raise ShapeMismatch("network has no film blocks but cond was given")
+        if cond is not None or rows is not None:
+            raise ShapeMismatch("network has no film blocks but cond or rows "
+                                "was given")
     elif cond is None:
         raise ShapeMismatch("network has film blocks but no cond was given")
+    elif rows is None:
+        cond = np.asarray(cond, dtype=net.theta.dtype)
+        if cond.shape != (n, net.cond_dim):
+            raise ShapeMismatch(f"cond shape {cond.shape} does not match "
+                                f"({n}, {net.cond_dim})")
     else:
         cond = np.asarray(cond, dtype=net.theta.dtype)
-        if cond.shape != (x.shape[-2], net.cond_dim):
-            raise ShapeMismatch(f"cond shape {cond.shape} does not match "
-                                f"({x.shape[-2]}, {net.cond_dim})")
-    out = _run(net, x, cond, tape)
+        rows = np.asarray(rows)
+        if cond.ndim != 2 or cond.shape[1] != net.cond_dim:
+            raise ShapeMismatch(f"cond table shape {cond.shape} is not "
+                                f"(k, {net.cond_dim})")
+        if rows.shape != (n,) or rows.dtype.kind not in "iu":
+            raise ShapeMismatch(f"rows must be {n} integers, one per input "
+                                f"row, got {rows.dtype} shape {rows.shape}")
+        if n and (rows.min() < 0 or rows.max() >= len(cond)):
+            raise ValueError(f"rows outside the cond table's [0, {len(cond)})")
+    out = _run(net, x, cond, tape, rows)
     if not np.isfinite(out).all():
         raise Divergence("non-finite values in network output")
     return out
@@ -298,6 +323,10 @@ def sinusoidal_embed(t, dim: int, t_max: int) -> Array:
 def embed_lookup(table: Array, t) -> Array:
     """Rows of table = sinusoidal_embed(np.arange(t_max + 1), dim, t_max)
     for timestep t (a scalar or an array); t must lie in [0, t_max]."""
+    if isinstance(t, (int, np.integer)):    # the per-step call: no reductions
+        if not 0 <= t < len(table):
+            raise ValueError(f"timestep out of [0, {len(table) - 1}]")
+        return table[t]
     ts = np.asarray(t)
     if np.any(ts < 0) or np.any(ts >= len(table)):
         raise ValueError(f"timestep out of [0, {len(table) - 1}]")

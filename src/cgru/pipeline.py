@@ -4,7 +4,8 @@ Phases run in dependency order: classifier -> pretrain -> critic ->
 unlearn (one run per method) -> eval. `run_full` fits the classifier in
 a forked child while it pretrains, up to pretrain's first gate check,
 and the critic in another while it runs the ddpo arm, which needs no
-critic. Every phase reads only declared checkpoint artifacts plus the
+critic. Each unlearn arm monitors in forked children beside its
+training. Every phase reads only declared checkpoint artifacts plus the
 config, re-derives its random streams from the master seed, and writes
 its outputs under cfg.out_dir, so reruns with an identical config are
 byte-identical. A kernel lock on one file serializes runs that share an
@@ -378,7 +379,26 @@ def _diag_gradients(rollouts, model, values, cfg, sched, method):
     return float(np.linalg.norm(full)), var
 
 
+@contextmanager
+def _at_iteration(method: str, it: int):
+    """Name the arm and 1-based iteration in a Divergence of the block."""
+    try:
+        yield
+    except Divergence as exc:
+        raise Divergence(f"unlearn {method}, iteration {it}: {exc}") from exc
+
+
 def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
+    """One unlearn arm. A monitored iteration's diagnostics walk the
+    pre-update model on the iteration's rollouts and values, and its eval
+    samples the post-update model. Except at the last monitored
+    iteration, both run in a forked child beside the next iterations,
+    which keeps the pre-update theta; this process collects its row at
+    the next monitored iteration, or as soon as training fails, so a
+    monitor failure is raised before any later one, naming its own
+    iteration. The last monitored iteration runs them here. `monitor_s`
+    is this process's seconds on monitoring, `monitor_child_s` the
+    children's own."""
     if method not in ("cgru", "ddpo"):
         raise ValueError(f"unknown method {method!r}")
     clf, model = load(cfg, "classifier"), load(cfg, "eps_base")
@@ -396,55 +416,113 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     # monitoring reads the model and draws only from the eval streams, so
     # the cadence cannot change what training computes
     monitored = _monitored_iterations(cfg.policy.iterations)
-    seconds = {"update_s": 0.0, "monitor_s": 0.0}
+    seconds = {"update_s": 0.0, "monitor_s": 0.0, "monitor_child_s": 0.0}
     rows = []
     epoch_stats = []    # each iteration's policy_update_epoch, for the info
-    for it in range(cfg.policy.iterations):
+
+    def evaluate():
+        return _eval_model(cfg, model, clf, sched, cfg.policy.eval_forget,
+                           cfg.policy.eval_per_class, "monitor eval",
+                           retain_reference=retain_ref)
+
+    def log(it, grads, clip_count, report, mean_reward) -> None:
+        rows.append((run_id, it, method, cfg.policy.n_traj, *grads,
+                     clip_count, report.ua, report.ira, report.fd,
+                     mean_reward))
+
+    pending = None      # (iteration, its monitor child, clip count, reward)
+
+    def collect() -> None:
+        """Log the pending monitor row, or raise its child's failure."""
+        nonlocal pending
+        if pending is None:
+            return
+        it, child, clip_count, mean_reward = pending
+        pending = None
         try:
-            opt.lr = _policy_lr(cfg, it)
-            if method == "cgru" and it > 0 and it % cfg.policy.refresh_every == 0:
-                refresh_ids = mixture_class_ids(cfg, cfg.policy.refresh_traj,
-                                                refresh_rng)
-                buf = build_critic_buffer(
-                    model, refresh_ids, reward, sched, cfg.seed,
-                    *rngmod.key("refresh buffer", it))
-                critic_train(critic, buf, epochs=cfg.policy.refresh_epochs,
-                             batch_size=cfg.critic.batch_size, rng=refresh_rng,
-                             lr=cfg.critic.lr)
+            with _at_iteration(method, it), _clock(seconds, "monitor_s"):
+                grads, report, child_s = child.receive("its monitor row")
+        finally:
+            child.close()
+        seconds["monitor_child_s"] += child_s
+        log(it, grads, clip_count, report, mean_reward)
 
-            class_ids = mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
-            rollouts = sample_trajectories(
-                model, class_ids, sched, cfg.seed,
-                *rngmod.key("policy rollouts", it))
-            assign_rewards(rollouts, reward)
-            mean_reward = float(np.mean(rollouts.rewards))
-            values = value_matrix(critic, rollouts) if method == "cgru" else None
+    @contextmanager
+    def iteration(it: int):
+        """Iteration `it`'s own work. If it fails, the pending row is
+        collected first: a failure there, an earlier iteration's, wins."""
+        try:
+            with _at_iteration(method, it):
+                yield
+        except Exception:
+            collect()
+            raise
+
+    try:
+        for it in range(cfg.policy.iterations):
             monitor = it + 1 in monitored
-            if monitor:     # on-policy: the walk sees the pre-update model
-                with _clock(seconds, "monitor_s"):
-                    grad_norm, grad_var = _diag_gradients(
-                        rollouts, model, values, cfg, sched, method)
+            inline = monitor and it + 1 == monitored[-1]
+            with iteration(it + 1):
+                opt.lr = _policy_lr(cfg, it)
+                if (method == "cgru" and it > 0
+                        and it % cfg.policy.refresh_every == 0):
+                    refresh_ids = mixture_class_ids(
+                        cfg, cfg.policy.refresh_traj, refresh_rng)
+                    buf = build_critic_buffer(
+                        model, refresh_ids, reward, sched, cfg.seed,
+                        *rngmod.key("refresh buffer", it))
+                    critic_train(critic, buf,
+                                 epochs=cfg.policy.refresh_epochs,
+                                 batch_size=cfg.critic.batch_size,
+                                 rng=refresh_rng, lr=cfg.critic.lr)
 
-            with _clock(seconds, "update_s"):
-                stats = policy_update_epoch(model, rollouts, values,
-                                            cfg.estimator, sched, opt,
-                                            order_rng,
-                                            grad_accum=cfg.policy.grad_accum)
-            epoch_stats.append(stats)
-
-            if monitor:
+                class_ids = mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
+                rollouts = sample_trajectories(
+                    model, class_ids, sched, cfg.seed,
+                    *rngmod.key("policy rollouts", it))
+                assign_rewards(rollouts, reward)
+                mean_reward = float(np.mean(rollouts.rewards))
+                values = (value_matrix(critic, rollouts)
+                          if method == "cgru" else None)
+                # on-policy: the walk sees the pre-update model
                 with _clock(seconds, "monitor_s"):
-                    report = _eval_model(cfg, model, clf, sched,
-                                         cfg.policy.eval_forget,
-                                         cfg.policy.eval_per_class,
-                                         "monitor eval",
-                                         retain_reference=retain_ref)
-                rows.append((run_id, it + 1, method, cfg.policy.n_traj,
-                             grad_norm, grad_var,
-                             stats["clip_count"], report.ua,
-                             report.ira, report.fd, mean_reward))
-        except Divergence as exc:
-            raise Divergence(f"unlearn {method}, iteration {it + 1}: {exc}") from exc
+                    if inline:
+                        grads = _diag_gradients(rollouts, model, values, cfg,
+                                                sched, method)
+                    elif monitor:
+                        before = model.net.theta.copy()
+
+                with _clock(seconds, "update_s"):
+                    stats = policy_update_epoch(
+                        model, rollouts, values, cfg.estimator, sched, opt,
+                        order_rng, grad_accum=cfg.policy.grad_accum)
+                epoch_stats.append(stats)
+            if not monitor:
+                continue
+            collect()
+            if inline:
+                with iteration(it + 1), _clock(seconds, "monitor_s"):
+                    log(it + 1, grads, stats["clip_count"], evaluate(),
+                        mean_reward)
+                continue
+
+            def observe(lo, hi):    # in the child, on its copy of this frame
+                start = time.perf_counter()
+                report = evaluate()
+                model.net.theta[:] = before
+                grads = _diag_gradients(rollouts, model, values, cfg, sched,
+                                        method)
+                return grads, report, time.perf_counter() - start
+
+            with _clock(seconds, "monitor_s"):
+                pending = (it + 1, procs._Child(
+                    f"the monitor child of unlearn {method}, "
+                    f"iteration {it + 1}", observe, [(0, 1)]),
+                    stats["clip_count"], mean_reward)
+            del before      # the child holds its own copy now
+    finally:
+        if pending is not None:
+            pending[1].close()
 
     paths = {
         f"eps_unlearned_{method}": _save(cfg, f"eps_unlearned_{method}",

@@ -4,7 +4,8 @@ Every child is a forked worker (`_Child`) that runs a function over a
 list of spans and pickles each result down a pipe. `sharded` runs a
 shard pass over such workers, the caller included, at a width it picks
 itself; `_forked` runs one whole phase of `run_full` as a worker over one
-span. The module also holds the output directory's lock (`_locked`), the
+span, and an unlearn arm runs each monitored iteration's diagnostics and
+eval as one. The module also holds the output directory's lock (`_locked`), the
 one-thread BLAS pin (`blas_pinned`) and the heap pad (`keep_heap_top`),
 which children inherit.
 """

@@ -65,17 +65,23 @@ def float64_twin(net):
 
 
 class ProcessLog:
-    """Rows of ints appended from any process to one file. Each row is one
-    O_APPEND write, which lands whole, so the rows of forked shard workers
-    reach the test beside the caller's."""
+    """Rows of ints appended from any process to one file. The rows of one
+    call are one O_APPEND write, which lands whole, so the rows of forked
+    shard workers and phase or monitor children reach the test beside the
+    caller's."""
 
     def __init__(self, path):
         self.path = path
 
     def append(self, *fields) -> None:
+        self.extend([fields])
+
+    def extend(self, rows) -> None:
+        text = "".join(" ".join(str(int(f)) for f in fields) + "\n"
+                       for fields in rows)
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         try:
-            os.write(fd, (" ".join(str(int(f)) for f in fields) + "\n").encode())
+            os.write(fd, text.encode())
         finally:
             os.close(fd)
 

@@ -106,7 +106,7 @@ def test_01_backward_matches_finite_differences():
     xc = rng.standard_normal((4, 2))
     ts = np.array([1, 10, 25, 50])
     w = rng.standard_normal((4, 1))
-    inp, cond = critic.inputs(xc, onehot), critic.cond(ts, 4)
+    inp, cond = critic.inputs(xc, onehot), critic.t_table[ts]
     tape = []
     forward(twin, inp, cond, tape)
     cgrads = backward(twin, w, tape)

@@ -10,13 +10,15 @@ import warnings
 import pytest
 
 from cgru import critic as critic_mod
-from cgru import procs
+from cgru import diag as diag_mod
+from cgru import pipeline, procs
 from cgru import rng as rngmod
 from cgru.cli import build_parser, main
 from cgru.config import apply_overrides, config_hash, save_config
-from cgru.critic import Critic
+from cgru.errors import Divergence
 
-from conftest import ProcessLog, TINY_OVERRIDES, flock_held, tiny_config
+from conftest import (ProcessLog, TINY_OVERRIDES, assert_reaped, count_forks,
+                      flock_held, tiny_config)
 
 
 def _args(out_dir, *rest):
@@ -89,6 +91,38 @@ def test_diverging_run_exits_one(tiny_run, tmp_path, capsys, monkeypatch,
     # the policy step at lr=1e300 breaks the first iteration's next walk
     assert err.startswith("error: unlearn cgru, iteration 1: non-finite")
     assert "Traceback" not in err
+
+
+def test_a_monitor_child_divergence_names_its_own_iteration(
+        tiny_run, tmp_path, capsys, monkeypatch):
+    # iteration 5's diagnostics run in a forked child while training goes
+    # on; its Divergence is collected at iteration 7, the last monitored
+    # one, after that iteration's update, and still names iteration 5
+    cfg, _ = tiny_run
+    out = tmp_path / "monitor"
+    shutil.copytree(cfg.out_dir, out)
+    parent, diag_gradients = os.getpid(), pipeline._diag_gradients
+    update, updates = pipeline.policy_update_epoch, []
+
+    def diverging(*args):
+        if os.getpid() != parent:
+            raise Divergence("non-finite values in network output")
+        return diag_gradients(*args)
+
+    def counted(*args, **kwargs):
+        updates.append(len(updates) + 1)
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_diag_gradients", diverging)
+    monkeypatch.setattr(pipeline, "policy_update_epoch", counted)
+    pids = count_forks(monkeypatch)
+    assert main(_args(out, "unlearn") + ["--set", "policy.iterations=7"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unlearn cgru, iteration 5: non-finite values in network "
+        "output\n")
+    assert updates == list(range(1, 8))
+    assert len(pids) == 1
+    assert_reaped(pids[0])
 
 
 def _digests(out_dir):
@@ -354,22 +388,22 @@ def test_diag_unbiasedness(full_run, unbiasedness_sweep, capsys, monkeypatch,
                            tmp_path):
     # the sweep is streamed: each 256-row shard of the walk samples its
     # rollouts and runs its own critic pass, in which each forward takes a
-    # stack of trajectories whose states share the rows of the shard's one
-    # Critic.cond call. The shards run in the shard workers too, so calls
-    # and stacks are counted through files
-    rows = ProcessLog(tmp_path / "cond")
+    # stack of trajectories whose states share the film rows of steps
+    # T..1, gathered from the critic's t_table. The shards run in the
+    # shard workers too, so passes and stacks are counted through files
+    passes = ProcessLog(tmp_path / "passes")
     stacks = ProcessLog(tmp_path / "stacks")
-    cond, forward = Critic.cond, critic_mod.forward
+    values, forward = diag_mod.value_matrix, critic_mod.forward
 
-    def counting_cond(self, ts, n):
-        rows.append(n)
-        return cond(self, ts, n)
+    def counting_values(critic, rollouts):
+        passes.append(rollouts.T)
+        return values(critic, rollouts)
 
-    def counting_forward(net, x, cond=None, tape=None):
-        stacks.append(x.shape[0] if x.ndim == 3 else 1)
-        return forward(net, x, cond, tape)
+    def counting_forward(net, x, cond=None, tape=None, rows=None):
+        stacks.append(x.shape[0] if x.ndim == 3 else 1, len(cond), *rows)
+        return forward(net, x, cond, tape, rows)
 
-    monkeypatch.setattr(Critic, "cond", counting_cond)
+    monkeypatch.setattr(diag_mod, "value_matrix", counting_values)
     monkeypatch.setattr(critic_mod, "forward", counting_forward)
     monkeypatch.setenv("CGRU_THREADS", "2")
     cfg, _ = full_run
@@ -384,8 +418,10 @@ def test_diag_unbiasedness(full_run, unbiasedness_sweep, capsys, monkeypatch,
     # T-state trajectories cover the 10,000 rollouts' states once, shared
     # by the prefixes
     T = cfg.diffusion.T
-    assert rows.rows() == [(T,)] * math.ceil(10_000 / rngmod.SHARD)
-    assert sum(n for n, in stacks.rows()) == 10_000
+    assert passes.rows() == [(T,)] * math.ceil(10_000 / rngmod.SHARD)
+    assert sum(n for n, *_ in stacks.rows()) == 10_000
+    assert {tuple(rows) for _, *rows in stacks.rows()} == {
+        (T + 1, *range(T, 0, -1))}
     # the sharded walk reduces in shard order: two workers give the bytes
     # of the fixture's one-worker sweep
     assert data == unbiasedness_sweep["csv"]

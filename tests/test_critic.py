@@ -64,7 +64,7 @@ def test_float32_critic_matches_its_float64_twin():
     n = 256
     inputs = critic.inputs(rng.standard_normal((n, 2)),
                            one_hot(rng.integers(0, 8, n), 8))
-    cond = critic.cond(rng.integers(1, 51, n), n)
+    cond = critic.t_table[rng.integers(1, 51, n)]
     w = rng.standard_normal((n, 1))
     tol = 64 * np.finfo(np.float32).eps
     results = []

@@ -160,6 +160,27 @@ def test_one_hot():
         one_hot([-1], 4)
 
 
+def test_eps_inputs_are_x_then_the_step_embedding_then_the_class():
+    # the bits of the concatenation, for a scalar step of either integer
+    # type and for one step per row; an x of the wrong width is refused
+    model = tiny_model(T=6, K=3)
+    r = rngmod.stream(0, rngmod.PHASE_DIAG, 41)
+    x = r.standard_normal((4, 2))
+    onehot = one_hot([0, 2, 1, 0], 3)
+    for t in (3, np.int64(6), np.array([1, 6, 0, 2])):
+        emb = np.broadcast_to(model.t_table[t], (4, 8))
+        want = np.concatenate([x, emb, onehot], axis=1)
+        assert model.inputs(x, t, onehot).tobytes() == want.tobytes()
+    for bad in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(2)):
+        with pytest.raises(ShapeMismatch, match="x shape"):
+            model.inputs(bad, 3, onehot)
+    with pytest.raises(ShapeMismatch, match="onehot"):
+        model.inputs(x, 3, onehot[:3])
+    for bad_t in (7, -1, np.int64(7)):
+        with pytest.raises(ValueError, match="timestep"):
+            model.inputs(x, bad_t, onehot)
+
+
 def test_trajectory_logp_matches_manual_recomputation():
     # stored behavior log-probs must equal the Gaussian density of each
     # recorded transition under the recorded previous latent

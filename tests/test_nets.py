@@ -295,6 +295,46 @@ def test_stack_has_the_bits_of_per_slice_calls():
         forward(smax, np.zeros((2, 2, 2, 3)))
 
 
+def test_cond_rows_have_the_bits_of_the_gathered_cond():
+    # each film block maps the table once and gathers: the float32 critic
+    # and a float64 net, flat, stacked and taped, give the bits of a call
+    # on cond[rows], and a taped backward the bits of its gradients
+    r = rngmod.stream(7, rngmod.PHASE_DIAG, 14)
+    critic = build_critic(2, 8, 50, rng=rngmod.stream(7, rngmod.PHASE_INIT, 14))
+    filmy = init_network([Dense(3, 16), Film(16, 4), Act("tanh"),
+                          Dense(16, 16), Film(16, 4), Act("tanh"),
+                          Dense(16, 2)], rngmod.stream(7, rngmod.PHASE_INIT, 15))
+    for net, d in ((critic.net, 10), (filmy, 3)):
+        table = r.standard_normal((51, net.cond_dim)).astype(net.theta.dtype)
+        rows = r.integers(0, 51, 256)
+        x = r.standard_normal((256, d))
+        assert np.array_equal(forward(net, x, table, rows=rows),
+                              forward(net, x, table[rows]))
+        stack = r.standard_normal((5, 50, d))
+        steps = np.arange(50, 0, -1)
+        assert np.array_equal(forward(net, stack, table, rows=steps),
+                              forward(net, stack, table[steps]))
+        w = r.standard_normal((256, net.n_out))
+        grads = []
+        for cond, kw in ((table, {"rows": rows}), (table[rows], {})):
+            tape = []
+            out = forward(net, x, cond, tape, **kw)
+            grads.append((out, backward(net, w, tape),
+                          backward(net, w, tape, bounds=range(257))))
+        for got, want in zip(*grads):
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="rows outside"):
+        forward(filmy, x[:2], table, rows=[0, 51])
+    with pytest.raises(ValueError, match="rows outside"):
+        forward(filmy, x[:2], table, rows=[-1, 0])
+    with pytest.raises(ShapeMismatch, match="one per input row"):
+        forward(filmy, x[:2], table, rows=[0, 1, 2])
+    with pytest.raises(ShapeMismatch, match="one per input row"):
+        forward(filmy, stack, table, rows=steps[:49])
+    with pytest.raises(ShapeMismatch):
+        forward(small_net(), x[:2, :3], table, rows=[0, 1])
+
+
 def test_adam_first_step_closed_form():
     # After one step m-hat = g and v-hat = g^2, so the update is exactly
     # lr * g / (|g| + eps) regardless of beta settings.

@@ -35,8 +35,8 @@ from cgru.errors import (CgruError, CheckpointError, LockError, MissingArtifact,
                          PhaseFailure)
 from cgru.metrics import feature_stats, frechet_distance
 
-from conftest import (DIAGS, TINY_OVERRIDES, assert_reaped, count_forks,
-                      default_config, flock_held, tiny_config)
+from conftest import (DIAGS, TINY_OVERRIDES, ProcessLog, assert_reaped,
+                      count_forks, default_config, flock_held, tiny_config)
 
 
 def _digest(path):
@@ -160,6 +160,8 @@ def test_full_run_manifest_keeps_phase_info(tiny_run):
         # monitoring's cost beside the update's; not compared at this size
         assert arm["monitor_every"] == pipeline._MONITOR_EVERY
         assert arm["update_s"] >= 0.0 and arm["monitor_s"] >= 0.0
+        # a tiny arm monitors only its last iteration, here: no child
+        assert arm["monitor_child_s"] == 0.0
         report = info[f"eval_{method}"]["report"]
         assert set(report) == {"ua", "ira", "fd", "per_class_acc"}
         assert "summary" not in info[f"eval_{method}"]
@@ -352,25 +354,37 @@ def test_diag_gradients_walk_once_per_step(monkeypatch, method, n):
     assert var == pytest.approx(want_var, rel=1e-12)
 
 
-def _spy_keys(monkeypatch):
-    """(phase, index, owner) of every stream rng.stream and rng.streams key
-    from now on in this process, where owner is the (block, member) of the
-    last rng.key call: the block the drawing site named."""
-    drawn, owner = [], [None]
+def _spy_keys(monkeypatch, path):
+    """A function that lists (phase, index, owner) of every stream
+    rng.stream and rng.streams key from now on, in this process and the
+    children it forks (through a ProcessLog at `path`), where owner is the
+    (block, member) of the drawing process's last rng.key call: the block
+    the drawing site named."""
+    log, owner = ProcessLog(path), [None]
+    names = list(rngmod.BLOCKS)
     key, stream, streams = rngmod.key, rngmod.stream, rngmod.streams
+
+    def record(phase, indices):
+        name, member = owner[0] or (None, 0)
+        block = -1 if name is None else names.index(name)
+        log.extend((phase, i, block, member) for i in indices)
 
     def spy_key(name, member=0):
         owner[0] = (name, member)
         return key(name, member)
 
     def spy_stream(seed, phase, index=0):
-        drawn.append((phase, index, owner[0]))
+        record(phase, [index])
         return stream(seed, phase, index)
 
     def spy_streams(seed, phase, indices):
         indices = list(indices)
-        drawn.extend((phase, i, owner[0]) for i in indices)
+        record(phase, indices)
         return streams(seed, phase, indices)
+
+    def drawn():
+        return [(phase, index, None if block < 0 else (names[block], member))
+                for phase, index, block, member in log.rows()]
 
     monkeypatch.setattr(rngmod, "key", spy_key)
     monkeypatch.setattr(rngmod, "stream", spy_stream)
@@ -380,7 +394,7 @@ def _spy_keys(monkeypatch):
 
 def _tiny_phases(request, tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path)
-    drawn = _spy_keys(monkeypatch)
+    drawn = _spy_keys(monkeypatch, tmp_path / "keys")
     pipeline._classifier_phase(cfg)
     pipeline._pretrain_phase(cfg)
     pipeline._critic_phase(cfg)
@@ -388,7 +402,7 @@ def _tiny_phases(request, tmp_path, monkeypatch):
         pipeline._unlearn_phase(cfg, method)
         pipeline._eval_phase(cfg, method)
     pipeline._eval_phase(cfg, "base")
-    return cfg, None, drawn
+    return cfg, None, drawn()
 
 
 def _default_critic_and_cgru_arm(request, tmp_path, monkeypatch):
@@ -404,7 +418,8 @@ def _default_critic_and_cgru_arm(request, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "policy_update_epoch", lambda *args, **kw: {
         "clip_count": 0, "clip_fraction": 0.0, "stale_buffer": False,
         "updates": 1, "grad_norm_mean": 1.0})
-    drawn = _spy_keys(monkeypatch)
+    # the monitor evals of iterations 5, 10, ..., 45 draw in forked children
+    spied = _spy_keys(monkeypatch, tmp_path / "keys")
     pipeline._critic_phase(cfg)
     pipeline._unlearn_phase(cfg, "cgru")
     # the unlearn monitor draws 240 of the monitor eval block's 800 rows;
@@ -412,10 +427,17 @@ def _default_critic_and_cgru_arm(request, tmp_path, monkeypatch):
     gate_cfg = apply_overrides(cfg, ["pretrain.max_steps=1"])
     with pytest.raises(PhaseFailure, match="gate"):
         pipeline._pretrain_phase(gate_cfg)
+    drawn = spied()
     # a refresh buffer at iterations 3, 6, ..., 48
     refreshes = {owner for *_, owner in drawn
                  if owner and owner[0] == "refresh buffer"}
     assert sorted(m for _, m in refreshes) == list(range(3, 50, 3))
+    # the ten monitor evals, nine of them drawn in children, and the gate's
+    monitor_rows = (cfg.policy.eval_forget
+                    + (cfg.data.n_classes - 1) * cfg.policy.eval_per_class)
+    evals = [owner for *_, owner in drawn if owner == ("monitor eval", 0)]
+    assert len(evals) == 10 * monitor_rows + (
+        cfg.data.n_classes * cfg.pretrain.eval_per_class)
     return cfg, None, drawn
 
 
@@ -438,9 +460,9 @@ def _diag_check(name, stubs=()):
         for module, attr, stand_in in stubs:
             monkeypatch.setattr(module, attr, stand_in)
         cfg = tiny_config(tmp_path)
-        drawn = _spy_keys(monkeypatch)
+        drawn = _spy_keys(monkeypatch, tmp_path / "keys")
         DIAGS[name](cfg)
-        return cfg, DIAGS[name].__name__, drawn
+        return cfg, DIAGS[name].__name__, drawn()
     return run
 
 
@@ -657,6 +679,31 @@ def test_critic_child_killed_is_a_named_phase_failure(tmp_path, monkeypatch):
     assert open(os.path.join(cfg.out_dir, ".lock")).read() == ""
 
 
+def test_monitor_child_killed_is_a_named_phase_failure(tiny_run, tmp_path,
+                                                      monkeypatch):
+    # iteration 5's monitor child dies before it sends its row; the arm
+    # reports it when it collects the row, at iteration 6
+    out = tmp_path / "killed"
+    shutil.copytree(tiny_run[0].out_dir, out)
+    parent, eval_model = os.getpid(), pipeline._eval_model
+
+    def killed(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return eval_model(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_eval_model", killed)
+    pids = count_forks(monkeypatch)
+    with pytest.raises(PhaseFailure, match=re.escape(
+            "the monitor child of unlearn ddpo, iteration 5 was killed by "
+            "SIGKILL before it sent its monitor row")):
+        pipeline.run_unlearn(tiny_config(out, ["policy.iterations=6"]), "ddpo")
+    assert len(pids) == 1
+    assert_reaped(pids[0])
+    with procs._locked(str(out)):
+        pass
+
+
 def test_a_phase_exception_that_cannot_be_pickled_keeps_its_message(
         monkeypatch):
     class Local(Exception):     # a local class does not pickle
@@ -843,18 +890,48 @@ pipeline._critic_phase = critic
 pipeline.run_full(tiny_config(sys.argv[1]))
 """
 
+# the ddpo arm on a copy of a finished run: iteration 5's monitor child
+# sleeps while the arm trains on to iteration 10, where it writes the
+# child's pid and waits for its row
+_INTERRUPTED_ARM = """
+import os, signal, sys, time
+from cgru import pipeline, procs
+from conftest import tiny_config
 
-def test_ctrl_c_prints_one_traceback_and_leaves_no_child(tmp_path):
-    # SIGINT to the process group reaches the parent and the critic child
-    # at once: the child ends quietly, the parent reports and reaps it
+signal.signal(signal.SIGINT, signal.default_int_handler)
+parent, eval_model = os.getpid(), pipeline._eval_model
+receive = procs._Child.receive
+
+def monitor_eval(*args, **kwargs):
+    if os.getpid() != parent:
+        time.sleep(60)
+    return eval_model(*args, **kwargs)
+
+def waiting_receive(child, what):
+    with open(sys.argv[2] + ".tmp", "w") as fh:
+        fh.write(str(child.pid))
+    os.replace(sys.argv[2] + ".tmp", sys.argv[2])
+    return receive(child, what)
+
+pipeline._eval_model = monitor_eval
+procs._Child.receive = waiting_receive
+pipeline.run_unlearn(tiny_config(sys.argv[1], ["policy.iterations=10"]),
+                     "ddpo")
+"""
+
+
+def _interrupt_at_child(script, run_dir, pid_file):
+    """Run `script` on run_dir in a new session, wait until it has written
+    its child's pid to pid_file, then send SIGINT to the whole group, as a
+    terminal's Ctrl-C does: the child ends quietly, and the parent must
+    report one traceback and reap it."""
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
-    pid_file = tmp_path / "critic.pid"
     proc = subprocess.Popen(
-        [sys.executable, "-c", _INTERRUPTED_RUN, str(tmp_path / "run"),
-         str(pid_file)], env=env, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, start_new_session=True)
+        [sys.executable, "-c", script, str(run_dir), str(pid_file)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
     try:
         deadline = time.monotonic() + 60
         while not pid_file.exists():
@@ -873,6 +950,19 @@ def test_ctrl_c_prints_one_traceback_and_leaves_no_child(tmp_path):
     assert err.rstrip().endswith("KeyboardInterrupt"), err
     with pytest.raises(ProcessLookupError):
         os.kill(child, 0)
+
+
+def test_ctrl_c_prints_one_traceback_and_leaves_no_child(tmp_path):
+    # SIGINT to the process group reaches the parent and the critic child
+    # at once: the child ends quietly, the parent reports and reaps it
+    _interrupt_at_child(_INTERRUPTED_RUN, tmp_path / "run",
+                        tmp_path / "critic.pid")
+
+
+def test_ctrl_c_during_an_arm_leaves_no_monitor_child(tiny_run, tmp_path):
+    shutil.copytree(tiny_run[0].out_dir, tmp_path / "run")
+    _interrupt_at_child(_INTERRUPTED_ARM, tmp_path / "run",
+                        tmp_path / "monitor.pid")
 
 
 def test_corrupt_checkpoint_is_reported_with_filename(tiny_run, tmp_path):
