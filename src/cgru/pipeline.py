@@ -392,13 +392,13 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     """One unlearn arm. A monitored iteration's diagnostics walk the
     pre-update model on the iteration's rollouts and values, and its eval
     samples the post-update model. Except at the last monitored
-    iteration, both run in a forked child beside the next iterations,
-    which keeps the pre-update theta; this process collects its row at
-    the next monitored iteration, or as soon as training fails, so a
-    monitor failure is raised before any later one, naming its own
-    iteration. The last monitored iteration runs them here. `monitor_s`
-    is this process's seconds on monitoring, `monitor_child_s` the
-    children's own."""
+    iteration, both run beside the next iterations in a forked child,
+    which is handed a copy of the pre-update theta. This process
+    collects the row at the next monitored iteration, or as soon as
+    training fails, so a monitor failure is raised before any later one,
+    naming its own iteration. The last monitored iteration runs them
+    here. `monitor_s` is this process's seconds on monitoring,
+    `monitor_child_s` the children's own."""
     if method not in ("cgru", "ddpo"):
         raise ValueError(f"unknown method {method!r}")
     clf, model = load(cfg, "classifier"), load(cfg, "eps_base")
