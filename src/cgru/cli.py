@@ -112,6 +112,11 @@ def main(argv=None) -> int:
         # keep numpy warnings, forked workers' too, from burying Divergence
         with np.errstate(over="ignore", invalid="ignore"):
             result = _COMMANDS[args.command][1](_resolve_config(args), args)
+    except KeyboardInterrupt as exc:
+        # a Ctrl-C that lands while an exception is being handled would
+        # print that exception's traceback above its own
+        exc.__suppress_context__ = True
+        raise
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

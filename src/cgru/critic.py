@@ -5,10 +5,10 @@ are modulated, twice, by film blocks conditioned on a sinusoidal embedding
 of the timestep. Targets are the terminal rewards of sampled trajectories,
 so the trained critic approximates E[r(x_0, c) | x_t, c, t].
 
-build_critic makes the value net float32, which halves the cost of its
-fits; the values it hands on are float64, like everything the
-policy gradient computes from them, and its checkpoint stores float64,
-which holds every float32 exactly.
+build_critic makes the value net float32, as build_eps_net makes the
+denoiser, which halves the cost of its fits. The values it hands on are
+float64, like everything the policy gradient computes from them, and its
+checkpoint stores float64, which holds every float32 exactly.
 """
 
 from dataclasses import dataclass, replace

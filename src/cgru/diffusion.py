@@ -168,7 +168,9 @@ class EpsModel:
     """Conditional noise predictor: eps(x_t, t, c) from a plain MLP.
 
     The timestep enters through a sinusoidal embedding and the class
-    through a one-hot vector, both concatenated onto x_t.
+    through a one-hot vector, both concatenated onto x_t. The net's input
+    rows are built in its dtype and its output comes back as float64, so
+    latents, log-probs and scores stay float64 whatever the net computes in.
     """
 
     def __init__(self, net: Network, T: int, n_classes: int, t_embed_dim: int = 32):
@@ -181,30 +183,38 @@ class EpsModel:
             raise ShapeMismatch(
                 f"net input {net.n_in} too small for embed {t_embed_dim} + "
                 f"classes {n_classes}")
-        self.t_table = sinusoidal_embed(np.arange(T + 1), t_embed_dim, T)
+        # in the net's dtype, so that the input rows are built in it
+        self.t_table = sinusoidal_embed(np.arange(T + 1), t_embed_dim,
+                                        T).astype(net.theta.dtype)
 
     def inputs(self, x: Array, t, onehot: Array) -> Array:
-        """The net's (n, d + t_embed_dim + n_classes) input rows: x, the
-        embedding of t (a scalar or one step per row), then onehot."""
+        """The net's (n, d + t_embed_dim + n_classes) input rows in its
+        dtype: x, the embedding of t (a scalar or one step per row), then
+        onehot."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ShapeMismatch(f"x shape {x.shape} is not (n, {self.d})")
         n, d = x.shape
         if onehot.shape != (n, self.n_classes):
             raise ShapeMismatch(f"onehot shape {onehot.shape} != ({n}, {self.n_classes})")
-        out = np.empty((n, self.net.n_in))
+        out = np.empty((n, self.net.n_in), self.net.theta.dtype)
         out[:, :d] = x
         out[:, d:d + self.t_embed_dim] = embed_lookup(self.t_table, t)
         out[:, d + self.t_embed_dim:] = onehot
         return out
 
     def eps(self, x: Array, t, onehot: Array, tape: list | None = None) -> Array:
-        return forward(self.net, self.inputs(x, t, onehot), tape=tape)
+        """The predicted noise of the rows, as float64."""
+        return forward(self.net, self.inputs(x, t, onehot),
+                       tape=tape).astype(np.float64, copy=False)
 
 
 def build_eps_net(d: int, n_classes: int, hidden: int = 128,
                   t_embed_dim: int = 32, rng: np.random.Generator | None = None,
                   T: int = 50) -> EpsModel:
+    """The denoiser, computing in float32: half the cost of float64 in
+    every rollout, walk and DDPM step. Its checkpoint stores float64,
+    which holds every float32 exactly."""
     if rng is None:
         rng = rngmod.stream(0, *rngmod.key("eps init"))
     arch = [
@@ -212,8 +222,8 @@ def build_eps_net(d: int, n_classes: int, hidden: int = 128,
         Dense(hidden, hidden), Act("tanh"),
         Dense(hidden, d),
     ]
-    return EpsModel(init_network(arch, rng), T=T, n_classes=n_classes,
-                    t_embed_dim=t_embed_dim)
+    return EpsModel(init_network(arch, rng, np.float32), T=T,
+                    n_classes=n_classes, t_embed_dim=t_embed_dim)
 
 
 def reverse_mean(model, x_t: Array, t: int, onehot: Array,
@@ -346,10 +356,8 @@ def ddpm_loss_and_grads(model, x0: Array, class_ids, ts, eps: Array,
     n = len(x0)
     onehot = one_hot(class_ids, model.n_classes)
     xt = q_sample(x0, ts, eps, sched)
-    inputs = model.inputs(xt, ts, onehot)
     tape = []
-    pred = forward(model.net, inputs, tape=tape)
-    resid = pred - eps
+    resid = model.eps(xt, ts, onehot, tape) - eps
     loss = float((resid * resid).sum(axis=1).mean())
     return loss, backward(model.net, 2.0 * resid / n, tape)[0]
 

@@ -114,8 +114,8 @@ def keep_heap_top() -> None:
     """Have glibc malloc serve blocks under 1 MiB from the heap and keep
     64 MiB free at its top rather than give it back, for the rest of the
     process and the children it forks; nothing on a C library without
-    mallopt. The score walk allocates and frees (256, hidden) float64
-    temporaries of 256 KiB at every step of every shard, and each fresh
+    mallopt. The score walk allocates and frees (256, hidden) float32
+    temporaries of 128 KiB at every step of every shard, and each fresh
     mapping or trimmed heap top faults their pages in again. Setting the
     pad freezes glibc's mmap threshold wherever earlier frees left it, so
     the threshold is set too."""

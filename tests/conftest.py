@@ -9,6 +9,7 @@ from cgru import pipeline
 from cgru.config import RunConfig, apply_overrides
 from cgru.diag import (diag_ablation, diag_baseline_optimum,
                        diag_unbiasedness, diag_variance)
+from cgru.diffusion import EpsModel
 from cgru.nets import Network
 
 # Small budgets that still exercise every phase: the classifier separates
@@ -62,6 +63,14 @@ def float64_twin(net):
     twin = Network(net.arch)
     twin.theta[:] = net.theta
     return twin
+
+
+def float64_eps_twin(model):
+    """An EpsModel over the float64 twin of a float32 denoiser's net: the
+    oracle for checks of the float32 one, and the model of algebra checks
+    held to float64 rounding."""
+    return EpsModel(float64_twin(model.net), T=model.T,
+                    n_classes=model.n_classes, t_embed_dim=model.t_embed_dim)
 
 
 class ProcessLog:

@@ -33,7 +33,7 @@ from cgru.rewards import (assign_rewards, build_classifier_net,
 from cgru.toy import (build_toy, sample_toy_trajectories,
                       toy_analytic_gradient)
 
-from conftest import float64_twin, tiny_config
+from conftest import float64_eps_twin, float64_twin, tiny_config
 
 RAW = EstimatorConfig(grad_max_norm=1e18)
 
@@ -87,7 +87,10 @@ def test_01_backward_matches_finite_differences():
     rng = rngmod.stream(cfg.seed, rngmod.PHASE_DIAG, _IDX_FINITE_DIFF)
     worst = {}
 
-    model = pipeline._build_model(cfg)
+    # the denoiser and the critic compute in float32; finite differences
+    # probe float64 twins of their weights, whose forward and backward the
+    # float32 ones are checked against in test_diffusion and test_critic
+    model = float64_eps_twin(pipeline._build_model(cfg))
     x = rng.standard_normal((4, 2))
     onehot = np.eye(cfg.data.n_classes)[[0, 3, 5, 7]]
     v = rng.standard_normal((4, 2))
@@ -98,9 +101,6 @@ def test_01_backward_matches_finite_differences():
         model.net, lambda: float((model.eps(x, 17, onehot) * v).sum()),
         grads, rng)
 
-    # the critic computes in float32; finite differences probe a float64
-    # twin of its weights, whose backward the float32 one is checked
-    # against in test_critic
     critic = pipeline._build_critic(cfg)
     twin = float64_twin(critic.net)
     xc = rng.standard_normal((4, 2))

@@ -5,8 +5,11 @@ import math
 import os
 import platform
 import shutil
+import subprocess
+import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from cgru import critic as critic_mod
@@ -15,7 +18,8 @@ from cgru import pipeline, procs
 from cgru import rng as rngmod
 from cgru.cli import build_parser, main
 from cgru.config import apply_overrides, config_hash, save_config
-from cgru.errors import Divergence
+from cgru.errors import CheckpointError, Divergence
+from cgru.nets import init_network
 
 from conftest import (ProcessLog, TINY_OVERRIDES, assert_reaped, count_forks,
                       flock_held, tiny_config)
@@ -125,6 +129,34 @@ def test_a_monitor_child_divergence_names_its_own_iteration(
     assert_reaped(pids[0])
 
 
+_INTERRUPTED_COMMAND = """
+import sys
+from cgru import cli, pipeline
+
+def interrupted(cfg):
+    try:
+        {}["key"]
+    except KeyError:
+        raise KeyboardInterrupt     # a Ctrl-C inside the handler
+
+pipeline.run_classifier = interrupted
+sys.exit(cli.main(["classifier", "--out", sys.argv[1]]))
+"""
+
+
+def test_ctrl_c_while_handling_an_exception_prints_one_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _INTERRUPTED_COMMAND, str(tmp_path / "run")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode != 0
+    assert proc.stderr.count("Traceback (most recent call last)") == 1, \
+        proc.stderr
+    assert "KeyError" not in proc.stderr
+    assert proc.stderr.rstrip().endswith("KeyboardInterrupt"), proc.stderr
+
+
 def _digests(out_dir):
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in sorted(os.listdir(out_dir))}
@@ -163,6 +195,31 @@ def test_unlearned_checkpoint_of_another_policy_is_refused(tiny_run, tmp_path,
                           "written under another config: policy.lr (3e-05 "
                           "-> 0.0001)")
     assert _digests(out) == before
+
+
+def test_a_denoiser_checkpoint_of_the_float64_era_is_refused(tiny_run,
+                                                             tmp_path, capsys):
+    # a run directory from before the denoiser computed in float32: its
+    # eps_base.ckpt holds float64 weights that float32 cannot hold exactly,
+    # here the untrained ones a float64 denoiser drew
+    cfg, _ = tiny_run
+    out = tmp_path / "float64_era"
+    out.mkdir()
+    shutil.copy(os.path.join(cfg.out_dir, "classifier.ckpt"), out)
+    old_cfg = tiny_config(out)
+    old = init_network(pipeline._build_model(old_cfg).net.arch,
+                       rngmod.stream(old_cfg.seed, *rngmod.key("eps init")))
+    assert old.theta.dtype == np.float64
+    path = pipeline._save(old_cfg, "eps_base", old)
+    message = (f"{path}: tensor 0.w does not fit the network's float32 "
+               "exactly; rerun the phase that writes it")
+    with pytest.raises(CheckpointError) as exc:
+        pipeline.load(old_cfg, "eps_base")
+    assert str(exc.value) == message
+    assert main(_args(out, "critic")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(out)) == [".lock", "classifier.ckpt",
+                                       "eps_base.ckpt"]
 
 
 def test_report_refuses_histories_of_another_config(tiny_run, tmp_path,

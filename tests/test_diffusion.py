@@ -1,5 +1,6 @@
 """Schedule math, forward/reverse process identities, dataset geometry."""
 
+import functools
 import math
 import os
 
@@ -7,13 +8,18 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from cgru import policy_grad
 from cgru import rng as rngmod
 from cgru.diffusion import (build_eps_net, ddpm_train_step, gaussian_logprob,
                             make_schedule, mode_centers, one_hot, q_sample,
                             reverse_mean, rollout_from, sample_dataset,
                             sample_trajectories, schedule_from_betas)
 from cgru.errors import ScheduleError, ShapeMismatch
-from cgru.nets import adam_init
+from cgru.nets import adam_init, backward, forward
+from cgru.policy_grad import EstimatorConfig, group_estimates
+from cgru.rewards import assign_rewards, mode_distance_reward
+
+from conftest import float64_eps_twin
 
 
 def default_sched():
@@ -161,15 +167,17 @@ def test_one_hot():
 
 
 def test_eps_inputs_are_x_then_the_step_embedding_then_the_class():
-    # the bits of the concatenation, for a scalar step of either integer
-    # type and for one step per row; an x of the wrong width is refused
+    # the bits of the concatenation in the net's dtype, for a scalar step
+    # of either integer type and for one step per row; an x of the wrong
+    # width is refused
     model = tiny_model(T=6, K=3)
     r = rngmod.stream(0, rngmod.PHASE_DIAG, 41)
     x = r.standard_normal((4, 2))
     onehot = one_hot([0, 2, 1, 0], 3)
     for t in (3, np.int64(6), np.array([1, 6, 0, 2])):
         emb = np.broadcast_to(model.t_table[t], (4, 8))
-        want = np.concatenate([x, emb, onehot], axis=1)
+        want = np.concatenate([x, emb, onehot],
+                              axis=1).astype(model.net.theta.dtype)
         assert model.inputs(x, t, onehot).tobytes() == want.tobytes()
     for bad in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(2)):
         with pytest.raises(ShapeMismatch, match="x shape"):
@@ -179,6 +187,62 @@ def test_eps_inputs_are_x_then_the_step_embedding_then_the_class():
     for bad_t in (7, -1, np.int64(7)):
         with pytest.raises(ValueError, match="timestep"):
             model.inputs(x, bad_t, onehot)
+
+
+def test_float32_eps_net_matches_its_float64_twin(monkeypatch):
+    # the default-sized denoiser against its float64 twin, as test_critic
+    # holds the critic: float32 rounding in three layers measured 2 and 4
+    # float32 epsilons of the largest forward and backward entry, and 3 in
+    # the walk below, so 64 eps is the bound
+    model = build_eps_net(2, 8, rng=rngmod.stream(0, rngmod.PHASE_INIT), T=50)
+    twin = float64_eps_twin(model)
+    assert model.net.theta.dtype == np.float32
+    tol = 64 * np.finfo(np.float32).eps
+    rng = rngmod.stream(0, rngmod.PHASE_DIAG, 42)
+    n = 256
+    inputs = model.inputs(rng.standard_normal((n, 2)), rng.integers(1, 51, n),
+                          one_hot(rng.integers(0, 8, n), 8))
+    w = rng.standard_normal((n, 2))
+    results = []
+    for net in (model.net, twin.net):
+        tape = []
+        out = forward(net, inputs, tape=tape)
+        grads = backward(net, w, tape)
+        assert out.dtype == grads.dtype == net.theta.dtype
+        results.append((out, grads))
+    (out32, g32), (out64, g64) = results
+    assert np.abs(out32 - out64).max() <= tol * np.abs(out64).max()
+    assert np.abs(g32 - g64).max() <= tol * np.abs(g64).max()
+    assert model.eps(inputs[:, :2], 7, inputs[:, -8:]).dtype == np.float64
+
+    # one two-kind walk of a 16-row rollout of the float32 model, on it
+    # and on the twin; on the rollout's own rows the float32 walk's
+    # recomputed log-probs are the rollout's, bit for bit, so every
+    # likelihood ratio is exactly 1 (AC3's zero gap rests on this)
+    sched = default_sched()
+    rollouts = sample_trajectories(model, np.arange(16) % 8, sched, 0,
+                                   rngmod.PHASE_DIAG, first_index=43)
+    assign_rewards(rollouts, functools.partial(
+        mode_distance_reward, center=(0.0, 0.0), scale=10.0))
+    values = 0.1 * np.arange(1, 51) + rollouts.class_ids[:, None]
+    pairs = []
+    weigh = policy_grad._importance_weights
+
+    def recording(logp_new, logp_old, cfg):
+        pairs.append((logp_new, logp_old))
+        return weigh(logp_new, logp_old, cfg)
+
+    monkeypatch.setattr(policy_grad, "_importance_weights", recording)
+    walks = [group_estimates(rollouts, m, values, EstimatorConfig(), sched,
+                             ["cgru", "ddpo"]) for m in (model, twin)]
+    assert len(pairs) == 2 * 50
+    for logp_new, logp_old in pairs[:50]:
+        assert logp_new.tobytes() == logp_old.tobytes()
+    (est32, clips32), (est64, clips64) = walks
+    assert est32.dtype == np.float64 and clips32 == clips64 == [0, 0]
+    for k in range(2):
+        assert np.abs(est32[k] - est64[k]).max() \
+            <= tol * np.abs(est64[k]).max(), k
 
 
 def test_trajectory_logp_matches_manual_recomputation():

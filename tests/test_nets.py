@@ -420,14 +420,15 @@ def test_one_group_gradient_and_adam_keep_the_old_bits(film):
     else:
         net = build_eps_net(2, 4, hidden=16, t_embed_dim=8,
                             rng=rngmod.stream(4, rngmod.PHASE_INIT)).net
-    ref = Network(net.arch)
+    ref = Network(net.arch, net.theta.dtype)
     ref.theta[...] = net.theta
     opt, ref_opt = adam_init(net, lr=1e-2), adam_init(ref, lr=1e-2)
     rng = rngmod.stream(4, rngmod.PHASE_DIAG, 12)
+    dtype = net.theta.dtype     # the float32 denoiser's reference is float32
     for _ in range(3):
-        x = rng.standard_normal((33, net.n_in))
-        cond = rng.standard_normal((33, 4)) if film else None
-        out_grad = rng.standard_normal((33, net.n_out))
+        x = rng.standard_normal((33, net.n_in)).astype(dtype)
+        cond = rng.standard_normal((33, 4)).astype(dtype) if film else None
+        out_grad = rng.standard_normal((33, net.n_out)).astype(dtype)
         tape = []
         forward(net, x, cond, tape)
         grad = backward(net, out_grad, tape)

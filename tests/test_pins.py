@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from write_pins import PINS, pins_key, run_digests
+from write_pins import PINS, pin_changes, pins_key, run_digests
 
 
 def test_run_files_keep_their_pinned_bytes(tiny_run, full_run,
@@ -22,6 +22,14 @@ def test_run_files_keep_their_pinned_bytes(tiny_run, full_run,
     csvs = {name: res["csv"] for name, res in diag_runs.items()}
     csvs["unbiasedness"] = unbiasedness_sweep["csv"]
     got = run_digests(tiny_run[1], full_run[1], csvs)
-    moved = sorted(name for name in pins.keys() | got.keys()
-                   if pins.get(name) != got.get(name))
+    moved = pin_changes(pins, got)
     assert not moved, f"bytes differ from tests/pins.json ({key}): {moved}"
+
+
+def test_pin_changes_name_each_moved_file():
+    old = {"tiny/a.ckpt": "1", "tiny/b.csv": "2", "full/c.ckpt": "3"}
+    new = {"tiny/a.ckpt": "1", "tiny/b.csv": "9", "diag/d.csv": "4"}
+    assert pin_changes(old, new) == [("diag/d.csv", "appeared"),
+                                     ("full/c.ckpt", "disappeared"),
+                                     ("tiny/b.csv", "changed")]
+    assert pin_changes(new, new) == []

@@ -23,12 +23,19 @@ from cgru.rewards import assign_rewards, mode_distance_reward
 from cgru.toy import (build_toy, sample_toy_trajectories,
                       toy_analytic_gradient, toy_mean_reward)
 
+from conftest import float64_eps_twin
+
 RAW = EstimatorConfig(grad_max_norm=1e18)    # effectively unclipped
 
 
-def desk_setup(T=8, K=4, n=6, seed=13):
+def desk_setup(T=8, K=4, n=6, seed=13, float64=False):
+    """A small denoiser, its schedule and n rewarded rollouts of it; with
+    float64, the denoiser is its float64 twin, for checks of the walk's
+    algebra at float64 rounding."""
     model = build_eps_net(2, K, hidden=16, t_embed_dim=8,
                           rng=rngmod.stream(seed, rngmod.PHASE_INIT), T=T)
+    if float64:
+        model = float64_eps_twin(model)
     sched = make_schedule(T, 1e-4, 0.02)
     rollouts = sample_trajectories(model, np.arange(n) % K, sched, seed,
                                    rngmod.PHASE_DIAG, first_index=500)
@@ -113,7 +120,7 @@ def test_zero_rewards_give_zero_gradient():
 def test_advantage_estimator_is_terminal_reward_minus_baseline_term():
     # on-policy the ratios are 1, so weighting by r - V splits into the
     # terminal-reward estimate minus the baseline term of V
-    model, sched, trajs = desk_setup()
+    model, sched, trajs = desk_setup(float64=True)
     values = 0.25 * np.arange(1, sched.T + 1) + trajs.class_ids[:, None]
     got = cgru_gradient(trajs, model, values, RAW, sched)
     want = ddpo_gradient(trajs, model, sched, RAW) \
@@ -271,7 +278,7 @@ def test_policy_update_epoch_flags_stale_buffer():
 
 
 def test_per_sample_scores_match_batched_estimator():
-    model, sched, trajs = desk_setup(n=5)
+    model, sched, trajs = desk_setup(n=5, float64=True)
     scores = per_sample_scores(trajs, model, sched)
     manual = (scores * trajs.rewards[:, None]).mean(axis=0)
     est = ddpo_gradient(trajs, model, sched, RAW)
@@ -288,7 +295,7 @@ def _rel(a, b):
     (600, [100, 300]),        # groups that cross the 256-row shard bounds
 ])
 def test_grouped_walk_equals_separate_sub_batch_walks(n, cuts):
-    model, sched, trajs = desk_setup(n=n)
+    model, sched, trajs = desk_setup(n=n, float64=True)
     values = 0.1 * np.arange(1, sched.T + 1) + trajs.class_ids[:, None]
     noise = rngmod.stream(6, rngmod.PHASE_DIAG, 0)
     trajs.logp = trajs.logp + 0.05 * noise.standard_normal(trajs.logp.shape)
@@ -377,7 +384,7 @@ def test_an_empty_batch_is_an_error():
 
 
 def test_per_sample_scores_equal_the_per_row_loop():
-    model, sched, trajs = desk_setup(n=7)
+    model, sched, trajs = desk_setup(n=7, float64=True)
     scores = per_sample_scores(trajs, model, sched)
     ones = np.ones((1, sched.T))
     for i in range(len(trajs)):

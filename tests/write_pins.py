@@ -3,8 +3,9 @@
 Runs what the session fixtures run (the tiny and the default run_full,
 then every diag check on the default run) in a temporary directory, and
 records the sha256 of every file under this machine's key in pins.json,
-keeping the other machines' keys. Run it from the repository root after
-a change that moves bits on purpose, and commit the diff it makes:
+keeping the other machines' keys. It then prints each pin under that key
+that changed, appeared or disappeared. Run it from the repository root
+after a change that moves bits on purpose, and commit the diff it makes:
 
     PYTHONPATH=src python tests/write_pins.py
 """
@@ -49,6 +50,15 @@ def run_digests(tiny, full, diag_csvs: dict) -> dict:
     return digests
 
 
+def pin_changes(old: dict, new: dict) -> list:
+    """(file, "changed" | "appeared" | "disappeared") of each file whose
+    digest differs between two pin maps, in file order."""
+    return [(name, "appeared" if name not in old
+             else "disappeared" if name not in new else "changed")
+            for name in sorted(old.keys() | new.keys())
+            if old.get(name) != new.get(name)]
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         tiny = pipeline.run_full(tiny_config(os.path.join(tmp, "tiny")))
@@ -60,12 +70,15 @@ def main():
         with open(PINS, encoding="utf-8") as fh:
             pins = json.load(fh)
     key = pins_key()
-    pins[key] = run_digests(tiny, full, csvs)
+    old, pins[key] = pins.get(key, {}), run_digests(tiny, full, csvs)
     with open(PINS, "w", encoding="utf-8") as fh:
         json.dump(pins, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(pins[key])} digests under "
-          f"{key} to {PINS}")
+    changes = pin_changes(old, pins[key])
+    print(f"wrote {len(pins[key])} digests under {key} to {PINS}; "
+          f"{len(changes)} moved")
+    for name, what in changes:
+        print(f"  {what:11s} {name}")
 
 
 if __name__ == "__main__":
