@@ -4,7 +4,7 @@ Phases run in dependency order: classifier -> pretrain -> critic ->
 unlearn (one run per method) -> eval. `run_full` fits the classifier in
 a forked child while it pretrains, up to pretrain's first gate check,
 and the critic in another while it runs the ddpo arm, which needs no
-critic. Each unlearn arm monitors in forked children beside its
+critic. Each unlearn arm monitors in one forked worker beside its
 training. Every phase reads only declared checkpoint artifacts plus the
 config, re-derives its random streams from the master seed, and writes
 its outputs under cfg.out_dir, so reruns with an identical config are
@@ -391,14 +391,14 @@ def _at_iteration(method: str, it: int):
 def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     """One unlearn arm. A monitored iteration's diagnostics walk the
     pre-update model on the iteration's rollouts and values, and its eval
-    samples the post-update model. Except at the last monitored
-    iteration, both run beside the next iterations in a forked child,
-    which is handed a copy of the pre-update theta. This process
-    collects the row at the next monitored iteration, or as soon as
-    training fails, so a monitor failure is raised before any later one,
-    naming its own iteration. The last monitored iteration runs them
-    here. `monitor_s` is this process's seconds on monitoring,
-    `monitor_child_s` the children's own."""
+    samples the post-update model. Both run beside the next iterations in
+    the arm's monitor worker, forked when the arm starts, which is sent
+    the iteration's theta before and after its update with its rollouts
+    and values. This process collects the row at the next monitored
+    iteration, after the last one, or as soon as training fails, so a
+    monitor failure is raised before any later one, naming its own
+    iteration. `monitor_s` is this process's seconds on monitoring,
+    `monitor_child_s` the worker's own, summed over its rows."""
     if method not in ("cgru", "ddpo"):
         raise ValueError(f"unknown method {method!r}")
     clf, model = load(cfg, "classifier"), load(cfg, "eps_base")
@@ -420,32 +420,32 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     rows = []
     epoch_stats = []    # each iteration's policy_update_epoch, for the info
 
-    def evaluate():
-        return _eval_model(cfg, model, clf, sched, cfg.policy.eval_forget,
-                           cfg.policy.eval_per_class, "monitor eval",
-                           retain_reference=retain_ref)
+    def observe(before, after, rollouts, values):   # in the worker
+        start = time.perf_counter()
+        model.net.theta[:] = after
+        report = _eval_model(cfg, model, clf, sched, cfg.policy.eval_forget,
+                             cfg.policy.eval_per_class, "monitor eval",
+                             retain_reference=retain_ref)
+        model.net.theta[:] = before
+        grads = _diag_gradients(rollouts, model, values, cfg, sched, method)
+        return grads, report, time.perf_counter() - start
 
-    def log(it, grads, clip_count, report, mean_reward) -> None:
-        rows.append((run_id, it, method, cfg.policy.n_traj, *grads,
-                     clip_count, report.ua, report.ira, report.fd,
-                     mean_reward))
-
-    pending = None      # (iteration, its monitor child, clip count, reward)
+    pending = None      # (iteration, clip count, reward) of the owed row
 
     def collect() -> None:
-        """Log the pending monitor row, or raise its child's failure."""
+        """Log the pending monitor row, or raise the worker's failure."""
         nonlocal pending
         if pending is None:
             return
-        it, child, clip_count, mean_reward = pending
+        it, clip_count, mean_reward = pending
         pending = None
-        try:
-            with _at_iteration(method, it), _clock(seconds, "monitor_s"):
-                grads, report, child_s = child.receive("its monitor row")
-        finally:
-            child.close()
-        seconds["monitor_child_s"] += child_s
-        log(it, grads, clip_count, report, mean_reward)
+        with _at_iteration(method, it), _clock(seconds, "monitor_s"):
+            grads, report, worker_s = worker.receive(
+                f"its row of iteration {it}")
+        seconds["monitor_child_s"] += worker_s
+        rows.append((run_id, it, method, cfg.policy.n_traj, *grads,
+                     clip_count, report.ua, report.ira, report.fd,
+                     mean_reward))
 
     @contextmanager
     def iteration(it: int):
@@ -458,10 +458,10 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
             collect()
             raise
 
+    worker = procs._Child(f"the monitor worker of unlearn {method}", observe)
     try:
         for it in range(cfg.policy.iterations):
             monitor = it + 1 in monitored
-            inline = monitor and it + 1 == monitored[-1]
             with iteration(it + 1):
                 opt.lr = _policy_lr(cfg, it)
                 if (method == "cgru" and it > 0
@@ -484,12 +484,8 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
                 mean_reward = float(np.mean(rollouts.rewards))
                 values = (value_matrix(critic, rollouts)
                           if method == "cgru" else None)
-                # on-policy: the walk sees the pre-update model
-                with _clock(seconds, "monitor_s"):
-                    if inline:
-                        grads = _diag_gradients(rollouts, model, values, cfg,
-                                                sched, method)
-                    elif monitor:
+                if monitor:     # on-policy: the walk sees this model
+                    with _clock(seconds, "monitor_s"):
                         before = model.net.theta.copy()
 
                 with _clock(seconds, "update_s"):
@@ -497,32 +493,14 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
                         model, rollouts, values, cfg.estimator, sched, opt,
                         order_rng, grad_accum=cfg.policy.grad_accum)
                 epoch_stats.append(stats)
-            if not monitor:
-                continue
-            collect()
-            if inline:
-                with iteration(it + 1), _clock(seconds, "monitor_s"):
-                    log(it + 1, grads, stats["clip_count"], evaluate(),
-                        mean_reward)
-                continue
-
-            def observe(lo, hi):    # in the child, on its copy of this frame
-                start = time.perf_counter()
-                report = evaluate()
-                model.net.theta[:] = before
-                grads = _diag_gradients(rollouts, model, values, cfg, sched,
-                                        method)
-                return grads, report, time.perf_counter() - start
-
-            with _clock(seconds, "monitor_s"):
-                pending = (it + 1, procs._Child(
-                    f"the monitor child of unlearn {method}, "
-                    f"iteration {it + 1}", observe, [(0, 1)]),
-                    stats["clip_count"], mean_reward)
-            del before      # the child holds its own copy now
+            if monitor:
+                collect()
+                with _clock(seconds, "monitor_s"):
+                    worker.send(before, model.net.theta, rollouts, values)
+                pending = (it + 1, stats["clip_count"], mean_reward)
+        collect()
     finally:
-        if pending is not None:
-            pending[1].close()
+        worker.close()
 
     paths = {
         f"eps_unlearned_{method}": _save(cfg, f"eps_unlearned_{method}",

@@ -1,11 +1,12 @@
 """Where each piece of work runs, and what every child inherits.
 
-Every child is a forked worker (`_Child`) that runs a function over a
-list of spans and pickles each result down a pipe. `sharded` runs a
-shard pass over such workers, the caller included, at a width it picks
-itself; `_forked` runs one whole phase of `run_full` as a worker over one
-span, and an unlearn arm runs each monitored iteration's diagnostics and
-eval as one. The module also holds the output directory's lock (`_locked`), the
+Every child is a forked worker (`_Child`) that reads pickled argument
+tuples from one pipe and pickles each result down another. `sharded`
+runs a shard pass over such workers, the caller included, at a width it
+picks itself, sending each worker its shards; `_forked` runs one whole
+phase of `run_full` as a worker sent one request, and an unlearn arm
+sends its one monitor worker each monitored iteration's diagnostics and
+eval. The module also holds the output directory's lock (`_locked`), the
 one-thread BLAS pin (`blas_pinned`) and the heap pad (`keep_heap_top`),
 which children inherit.
 """
@@ -156,9 +157,9 @@ def _width(shards: int) -> int:
     return max(1, min(n_workers(), shards, cores))
 
 
-# the caller's ends of every live child's pipes: its credits' write end
+# the caller's ends of every live child's pipes: its requests' write end
 # and its results' read end. A forked child closes all it inherits, so
-# no child holds a credit pipe open but its caller, and each sees EOF
+# no child holds a request pipe open but its caller, and each sees EOF
 # there once its caller is gone, even when killed.
 _caller_fds = set()
 
@@ -180,39 +181,34 @@ def _portable(exc: Exception, raiser: str) -> Exception:
         return CgruError(f"{raiser} raised {exc!r}, which cannot be pickled")
 
 
-def _worker(out, fn, spans, credits: int) -> None:
-    """What every child runs: fn(lo, hi) over its spans in order, each
-    once it has read a credit byte, sending (True, result) or (False,
-    exception, noted with where it was raised) to out as one pickle per
-    span; it stops at the first exception, and when the caller's end of
-    the credit pipe is gone."""
-    for lo, hi in spans:
-        if not os.read(credits, 1):
+def _worker(name: str, requests, out, fn) -> None:
+    """What every child runs: for each pickled argument tuple read from
+    requests, until EOF, it sends (True, fn(*args)) to out as one pickle;
+    it stops at the first exception, which it sends as (False, exception,
+    noted with the child's name and where it was raised)."""
+    while True:
+        try:
+            args = pickle.load(requests)
+        except (EOFError, pickle.UnpicklingError):     # the caller is gone
             return
         try:
-            sent = (True, fn(lo, hi))
-            blob = pickle.dumps(sent)
+            blob = pickle.dumps((True, fn(*args)))
         except Exception as exc:
             if hasattr(exc, "add_note"):        # Python 3.11+
-                exc.add_note("raised in a shard worker at:\n" + "".join(
+                exc.add_note(f"raised in {name} at:\n" + "".join(
                     traceback.format_tb(exc.__traceback__)).rstrip())
-            sent = (False, _portable(exc, "a shard"))
-            blob = pickle.dumps(sent)
+            out.write(pickle.dumps((False, _portable(exc, name))))
+            return
         out.write(blob)
         out.flush()
-        if not sent[0]:
-            return
-
-
-# a worker may run or hold this many of its spans ahead of the caller
-_CREDITS = 2
 
 
 class _Child:
-    """A forked `_worker` over spans, named in its failures, that starts
-    with credits for its first two spans.
+    """A forked `_worker` of fn, named in its failures, that serves the
+    requests `send` pipes to it and returns each result to `receive`, in
+    order.
 
-    It makes its credit and result pipes and forks; if either pipe or the
+    It makes its request and result pipes and forks; if either pipe or the
     fork fails, it closes every fd it opened and raises. The child closes
     the caller's ends of its pipes and every fd of `_caller_fds`, and
     leaves by os._exit when the worker returns, so no finally block or
@@ -221,28 +217,33 @@ class _Child:
     interrupt ends it quietly with status 130; the parent, which gets the
     same Ctrl-C, reports it. Anything else that escapes the worker prints
     its traceback and ends the child with status 1.
+
+    A request blocks `send` until it fits in the pipe, and a result blocks
+    the child until it is received; a caller that sends a request larger
+    than a pipe's buffer first receives every result it is owed.
     """
 
-    def __init__(self, name: str, fn, spans: list):
+    def __init__(self, name: str, fn):
         self.name = name
         fds = []
         try:
-            fds += os.pipe()        # credits: the child's end, then ours
+            fds += os.pipe()        # requests: the child's end, then ours
             fds += os.pipe()        # results: ours, then the child's end
             self.pid = os.fork()
         except BaseException:
             for fd in fds:
                 os.close(fd)
             raise
-        read_credits, self.credits, read_fd, write_fd = fds
+        read_requests, self.requests, read_fd, write_fd = fds
         if not self.pid:
             code = 1
             try:
-                for fd in (self.credits, read_fd, *_caller_fds):
+                for fd in (self.requests, read_fd, *_caller_fds):
                     os.close(fd)
                 _caller_fds.clear()
-                with open(write_fd, "wb") as out:
-                    _worker(out, fn, spans, read_credits)
+                with open(read_requests, "rb") as requests, \
+                        open(write_fd, "wb") as out:
+                    _worker(name, requests, out, fn)
                 code = 0
             except KeyboardInterrupt:
                 code = 128 + signal.SIGINT
@@ -250,16 +251,18 @@ class _Child:
                 traceback.print_exc()
             finally:
                 os._exit(code)
-        os.close(read_credits)
+        os.close(read_requests)
         os.close(write_fd)
-        _caller_fds.update((self.credits, read_fd))
+        _caller_fds.update((self.requests, read_fd))
         self.results = open(read_fd, "rb")
-        os.write(self.credits, b"\0" * min(_CREDITS, len(spans)))
 
-    def grant(self) -> None:
-        """One more credit: the child may start its next span."""
-        with suppress(BrokenPipeError):     # the child stopped
-            os.write(self.credits, b"\0")
+    def send(self, *args) -> None:
+        """Ask the child for one more fn(*args). A child that has ended
+        takes none; `receive` names how it ended."""
+        blob = memoryview(pickle.dumps(args))
+        with suppress(BrokenPipeError):
+            while blob:
+                blob = blob[os.write(self.requests, blob):]
 
     def receive(self, what: str):
         """The child's next result. A sent exception is raised again; a
@@ -284,9 +287,13 @@ class _Child:
             with suppress(ProcessLookupError, ChildProcessError):  # reaped
                 os.kill(self.pid, signal.SIGKILL)
                 os.waitpid(self.pid, 0)
-        _caller_fds.difference_update((self.results.fileno(), self.credits))
+        _caller_fds.difference_update((self.results.fileno(), self.requests))
         self.results.close()
-        os.close(self.credits)
+        os.close(self.requests)
+
+
+# a worker may run or hold this many of its shards ahead of the caller
+_CREDITS = 2
 
 
 def sharded(fn, spans: list, fold) -> None:
@@ -295,29 +302,35 @@ def sharded(fn, spans: list, fold) -> None:
     worker 0 is the caller, which runs its shards as their turn comes.
     At width 1 no worker is forked.
 
-    Worker w >= 1 starts a shard only with a credit: it holds two at the
-    start, and each of its results folded grants one for its shard
-    2 * width places on. So no shard starts more than 2 * width places
-    ahead of the last one folded. A shard's exception is raised again
-    here, a copy of the same type and args, in its turn; a worker that
-    dies first is a PhaseFailure naming its exit status or signal. Every
-    worker is killed and reaped when the pass ends, however it ends.
+    Worker w >= 1 is sent its first two shards at the start, and each of
+    its results folded sends it its shard 2 * width places on. So no
+    shard starts more than 2 * width places ahead of the last one folded.
+    A shard's exception is raised again here, a copy of the same type and
+    args, in its turn; a worker that dies first is a PhaseFailure naming
+    its exit status or signal. Every worker is killed and reaped when the
+    pass ends, however it ends.
     """
     global _in_pass
     width = _width(len(spans))
     workers = []
+
+    def ahead(j: int) -> None:
+        """Send shard j, if there is one, to its worker, if not the caller."""
+        if j < len(spans) and j % width:
+            workers[j % width - 1].send(*spans[j])
+
     outer, _in_pass = _in_pass, _in_pass or width > 1
     try:
         for w in range(1, width):
-            workers.append(_Child(f"shard worker {w}", fn, spans[w::width]))
+            workers.append(_Child(f"shard worker {w}", fn))
+        for j in range(_CREDITS * width):
+            ahead(j)
         for j, (lo, hi) in enumerate(spans):
             if j % width == 0:
                 fold(fn(lo, hi))
                 continue
-            worker = workers[j % width - 1]
-            fold(worker.receive(f"shard {j}"))
-            if j + _CREDITS * width < len(spans):
-                worker.grant()
+            fold(workers[j % width - 1].receive(f"shard {j}"))
+            ahead(j + _CREDITS * width)
     finally:
         _in_pass = outer
         for worker in workers:
@@ -337,7 +350,7 @@ def attempt(fn, *args) -> tuple:
 @contextmanager
 def _forked(fn, cfg):
     """Run fn(cfg) in a phase child beside the block, which gets `join`:
-    a `_Child` over one span, whose function returns (fn(cfg) or the
+    a `_Child` sent one request, whose function returns (fn(cfg) or the
     exception it raised, seconds, peak RSS in MB).
 
     The first call of join() waits for the child and returns what it sent
@@ -348,7 +361,7 @@ def _forked(fn, cfg):
     """
     name = "the child process of this phase"
 
-    def phase(lo, hi):
+    def phase():
         result, seconds = attempt(fn, cfg)
         if isinstance(result, Exception):
             result = _portable(result, name)
@@ -357,7 +370,7 @@ def _forked(fn, cfg):
         return result, seconds, peak_mb
 
     started = time.perf_counter()
-    child = _Child(name, phase, [(0, 1)])
+    child = _Child(name, phase)
     sent = None
 
     def join() -> tuple:
@@ -372,6 +385,7 @@ def _forked(fn, cfg):
         return sent
 
     try:
+        child.send()
         yield join
     finally:
         child.close()

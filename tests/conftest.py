@@ -75,9 +75,9 @@ def float64_eps_twin(model):
 
 class ProcessLog:
     """Rows of ints appended from any process to one file. The rows of one
-    call are one O_APPEND write, which lands whole, so the rows of forked
-    shard workers and phase or monitor children reach the test beside the
-    caller's."""
+    call are one O_APPEND write, which lands whole, so the rows of every
+    forked child (a shard worker, a phase child or an arm's monitor
+    worker) reach the test beside the caller's."""
 
     def __init__(self, path):
         self.path = path

@@ -99,9 +99,10 @@ def test_diverging_run_exits_one(tiny_run, tmp_path, capsys, monkeypatch,
 
 def test_a_monitor_child_divergence_names_its_own_iteration(
         tiny_run, tmp_path, capsys, monkeypatch):
-    # iteration 5's diagnostics run in a forked child while training goes
-    # on; its Divergence is collected at iteration 7, the last monitored
-    # one, after that iteration's update, and still names iteration 5
+    # iteration 5's diagnostics run in the arm's monitor worker while
+    # training goes on; its Divergence is collected at iteration 7, the
+    # last monitored one, after that iteration's update, and still names
+    # iteration 5
     cfg, _ = tiny_run
     out = tmp_path / "monitor"
     shutil.copytree(cfg.out_dir, out)

@@ -161,8 +161,8 @@ def test_full_run_manifest_keeps_phase_info(tiny_run):
         # monitoring's cost beside the update's; not compared at this size
         assert arm["monitor_every"] == pipeline._MONITOR_EVERY
         assert arm["update_s"] >= 0.0 and arm["monitor_s"] >= 0.0
-        # a tiny arm monitors only its last iteration, here: no child
-        assert arm["monitor_child_s"] == 0.0
+        # a tiny arm monitors only its last iteration, in its worker
+        assert arm["monitor_child_s"] > 0.0
         report = info[f"eval_{method}"]["report"]
         assert set(report) == {"ua", "ira", "fd", "per_class_acc"}
         assert "summary" not in info[f"eval_{method}"]
@@ -659,7 +659,8 @@ def test_critic_failure_leaves_the_ddpo_arm_running(tmp_path, monkeypatch,
     for name in ("classifier", "pretrain", "unlearn_ddpo", "eval_ddpo"):
         assert phases[name]["status"] == "ok", name
     assert not os.path.exists(out / "eps_unlearned_cgru.ckpt")
-    assert len(pids) == 2       # the classifier's child, then the critic's
+    # the classifier's child, the critic's, then the ddpo arm's worker
+    assert len(pids) == 3
     for pid in pids:
         assert_reaped(pid)
 
@@ -675,7 +676,8 @@ def test_critic_child_killed_is_a_named_phase_failure(tmp_path, monkeypatch):
     assert phases["critic"]["status"] == "failed"
     assert "SIGKILL" in phases["critic"]["error"]
     assert phases["eval_ddpo"]["status"] == "ok"
-    assert len(pids) == 2       # the classifier's child, then the critic's
+    # the classifier's child, the critic's, then the ddpo arm's worker
+    assert len(pids) == 3
     for pid in pids:
         assert_reaped(pid)
     # the lock is free, and the file names no one
@@ -686,8 +688,8 @@ def test_critic_child_killed_is_a_named_phase_failure(tmp_path, monkeypatch):
 
 def test_monitor_child_killed_is_a_named_phase_failure(tiny_run, tmp_path,
                                                       monkeypatch):
-    # iteration 5's monitor child dies before it sends its row; the arm
-    # reports it when it collects the row, at iteration 6
+    # the arm's monitor worker dies in iteration 5's row; the arm reports
+    # it when it collects the row, at iteration 6
     out = tmp_path / "killed"
     shutil.copytree(tiny_run[0].out_dir, out)
     parent, eval_model = os.getpid(), pipeline._eval_model
@@ -700,8 +702,8 @@ def test_monitor_child_killed_is_a_named_phase_failure(tiny_run, tmp_path,
     monkeypatch.setattr(pipeline, "_eval_model", killed)
     pids = count_forks(monkeypatch)
     with pytest.raises(PhaseFailure, match=re.escape(
-            "the monitor child of unlearn ddpo, iteration 5 was killed by "
-            "SIGKILL before it sent its monitor row")):
+            "the monitor worker of unlearn ddpo was killed by SIGKILL "
+            "before it sent its row of iteration 5")):
         pipeline.run_unlearn(tiny_config(out, ["policy.iterations=6"]), "ddpo")
     assert len(pids) == 1
     assert_reaped(pids[0])
@@ -895,9 +897,9 @@ pipeline._critic_phase = critic
 pipeline.run_full(tiny_config(sys.argv[1]))
 """
 
-# the ddpo arm on a copy of a finished run: iteration 5's monitor child
-# sleeps while the arm trains on to iteration 10, where it writes the
-# child's pid and waits for its row
+# the ddpo arm on a copy of a finished run: its monitor worker sleeps in
+# iteration 5's row while the arm trains on to iteration 10, where it
+# writes the worker's pid and waits for that row
 _INTERRUPTED_ARM = """
 import os, signal, sys, time
 from cgru import pipeline, procs
@@ -913,6 +915,8 @@ def monitor_eval(*args, **kwargs):
     return eval_model(*args, **kwargs)
 
 def waiting_receive(child, what):
+    assert child.name == "the monitor worker of unlearn ddpo", child.name
+    assert what == "its row of iteration 5", what
     with open(sys.argv[2] + ".tmp", "w") as fh:
         fh.write(str(child.pid))
     os.replace(sys.argv[2] + ".tmp", sys.argv[2])
@@ -1101,7 +1105,13 @@ def test_monitor_cadence_does_not_steer_training(tiny_run, tmp_path,
     monitored = pipeline._monitored_iterations(cfg.policy.iterations)
     monkeypatch.setattr(pipeline, "_MONITOR_EVERY", 1)
     every = tiny_config(tmp_path / "every")
+    pids = count_forks(monkeypatch)
     pipeline.run_full(every)
+    # the classifier's child, the critic's and one worker per arm, however
+    # many iterations each arm monitors
+    assert len(pids) == 4
+    for pid in pids:
+        assert_reaped(pid)
     ckpts = sorted(n for n in os.listdir(cfg.out_dir) if n.endswith(".ckpt"))
     assert len(ckpts) == len(pipeline._NETWORKS)
     for name in ckpts + ["eval_cgru.csv", "eval_ddpo.csv"]:

@@ -1,5 +1,6 @@
 """Counter-based stream identities and worker-count invariance."""
 
+import contextlib
 import errno
 import mmap
 import os
@@ -233,14 +234,76 @@ def test_an_exception_that_cannot_be_pickled_is_named(monkeypatch):
     with pytest.raises(CgruError) as info:
         rngmod.run_sharded(fn, 2 * rngmod.SHARD)
     assert type(info.value) is CgruError
-    assert str(info.value) == ("a shard raised Local('shard', 256), which "
-                               "cannot be pickled")
+    assert str(info.value) == ("shard worker 1 raised Local('shard', 256), "
+                               "which cannot be pickled")
+
+
+@contextlib.contextmanager
+def _child(name, fn):
+    """A `_Child` of fn for the block, closed after it, which must end
+    within 60 s rather than hang on a pipe."""
+    def hung(signum, frame):
+        raise TimeoutError(f"{name} hung")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    child = procs._Child(name, fn)
+    try:
+        yield child
+    finally:
+        child.close()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_a_child_serves_requests_and_results_larger_than_a_pipe(
+        monkeypatch):
+    # each request and each result is larger than a pipe's buffer, and
+    # the child serves one request after another until it is closed
+    pids = count_forks(monkeypatch)
+    with _child("the echo child", lambda blob, k: blob * k) as child:
+        for k in (1, 2):
+            blob = os.urandom(1 << 20)
+            child.send(blob, k)
+            assert child.receive("its echo") == blob * k
+    assert len(pids) == 1
+    assert_reaped(pids[0])
+
+
+def test_a_child_names_itself_in_what_it_raises(monkeypatch):
+    pids = count_forks(monkeypatch)
+
+    def fn(x):
+        raise Divergence("non-finite values", x)
+
+    with _child("the raising child", fn) as child:
+        child.send(3)
+        with pytest.raises(Divergence) as info:
+            child.receive("its result")
+    assert info.value.args == ("non-finite values", 3)
+    if sys.version_info >= (3, 11):
+        assert info.value.__notes__[0].startswith(
+            "raised in the raising child at:\n")
+    assert_reaped(pids[0])
+
+
+def test_a_send_to_a_killed_child_is_its_named_phase_failure(monkeypatch):
+    pids = count_forks(monkeypatch)
+    with _child("the killed child", lambda blob: blob) as child:
+        os.kill(child.pid, signal.SIGKILL)
+        # it has ended, unreaped: its end of the request pipe is closed
+        os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+        child.send(os.urandom(1 << 20))
+        with pytest.raises(PhaseFailure, match="the killed child was killed "
+                           "by SIGKILL before it sent its echo"):
+            child.receive("its echo")
+    assert_reaped(pids[0])
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
 def test_a_failed_fork_leaks_no_fd(monkeypatch):
     # a fork refused for want of processes or memory raises as it came,
-    # and the worker's credit and result pipes are closed before it does
+    # and the worker's request and result pipes are closed before it does
     _workers(monkeypatch, 2)
 
     def refused():
@@ -326,8 +389,8 @@ def shard(lo, hi):
         with open(sys.argv[1], "a") as fh:
             fh.write(f"{os.getpid()}\\n")
     elif lo == 2:
-        # the worker has sent shards 1, 3 and 5 and waits for the credit
-        # of shard 7
+        # the worker has sent shards 1, 3 and 5 and waits for its request
+        # for shard 7
         while len(pids()) < 3 or not sleeping(pids()[0]):
             time.sleep(0.01)
         os.kill(caller, signal.SIGKILL)
@@ -348,8 +411,8 @@ def _gone(pid) -> bool:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_a_worker_whose_caller_is_killed_exits(tmp_path):
-    # the caller dies in its shard 2 while its worker waits for a credit:
-    # no other process holds the worker's credit pipe open, so the worker
+    # the caller dies in its shard 2 while its worker waits for a request:
+    # no other process holds the worker's request pipe open, so the worker
     # reads EOF there and exits. Its pid comes through a file, and its
     # stderr goes to one, so an orphan holds no pipe of this test's
     src = os.path.dirname(os.path.dirname(rngmod.__file__))
