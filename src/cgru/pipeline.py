@@ -409,9 +409,12 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
     retain_ref = _retain_reference(cfg, X, y)
     run_id = config_hash(cfg)[:12]
     opt = adam_init(model.net, lr=cfg.policy.lr)
-    ctx_rng, order_rng, refresh_rng = (
+    # a refresh's fit draws from its own stream, so the refresh epochs
+    # cannot move a later refresh's class ids
+    ctx_rng, order_rng, refresh_ids_rng, refresh_fit_rng = (
         rngmod.stream(cfg.seed, *rngmod.key(name)) for name in (
-            "policy class ids", "policy order", "refresh class ids and fits"))
+            "policy class ids", "policy order", "refresh class ids",
+            "refresh fits"))
 
     # monitoring reads the model and draws only from the eval streams, so
     # the cadence cannot change what training computes
@@ -467,14 +470,14 @@ def _unlearn_phase(cfg: RunConfig, method: str = "cgru") -> dict:
                 if (method == "cgru" and it > 0
                         and it % cfg.policy.refresh_every == 0):
                     refresh_ids = mixture_class_ids(
-                        cfg, cfg.policy.refresh_traj, refresh_rng)
+                        cfg, cfg.policy.refresh_traj, refresh_ids_rng)
                     buf = build_critic_buffer(
                         model, refresh_ids, reward, sched, cfg.seed,
                         *rngmod.key("refresh buffer", it))
                     critic_train(critic, buf,
                                  epochs=cfg.policy.refresh_epochs,
                                  batch_size=cfg.critic.batch_size,
-                                 rng=refresh_rng, lr=cfg.critic.lr)
+                                 rng=refresh_fit_rng, lr=cfg.critic.lr)
 
                 class_ids = mixture_class_ids(cfg, cfg.policy.n_traj, ctx_rng)
                 rollouts = sample_trajectories(

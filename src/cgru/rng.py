@@ -62,7 +62,8 @@ BLOCKS = {
                             "refresh_traj", 1, 100_000, "policy.iterations"),
     "policy class ids": Block(PHASE_POLICY, 1),
     "policy order": Block(PHASE_POLICY, 2),
-    "refresh class ids and fits": Block(PHASE_POLICY, 3),
+    "refresh class ids": Block(PHASE_POLICY, 3),
+    "refresh fits": Block(PHASE_POLICY, 4),
     "policy rollouts": Block(PHASE_POLICY, 10_000, "policy.n_traj", 0, 10_000,
                              "policy.iterations"),
     # the same noise at every pretrain gate check and unlearn monitor

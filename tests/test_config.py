@@ -162,4 +162,4 @@ def test_default_config_hash_is_pinned():
     # compares those files byte for byte: a key or default change must
     # update this pin and declare the run_id move
     assert config_hash(RunConfig()) == (
-        "92c2752e9d53cd25741ea792c5e09925e4f6a5e8cfc835167ad8adefded5773f")
+        "fb089e0c2d48a211b5a14f494b9a24705d95d25252f4f21159b1efa6c29979fa")

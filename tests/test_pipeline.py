@@ -1128,6 +1128,34 @@ def test_monitor_cadence_does_not_steer_training(tiny_run, tmp_path,
                                        if it in monitored], name
 
 
+def test_refresh_class_ids_do_not_depend_on_the_fit(tiny_run, tmp_path,
+                                                    monkeypatch):
+    # a refresh at every iteration but the first, so a later refresh's class
+    # ids are drawn after an earlier refresh's fit
+    tiny_cfg, _ = tiny_run
+    drawn = []      # per run, the class ids of each refresh
+    build = pipeline.build_critic_buffer
+
+    def spy(model, class_ids, *args):
+        drawn[-1].append(class_ids.copy())
+        return build(model, class_ids, *args)
+
+    monkeypatch.setattr(pipeline, "build_critic_buffer", spy)
+    for epochs in (1, 2):
+        cfg = tiny_config(tmp_path / str(epochs), extra=[
+            "policy.refresh_every=1", f"policy.refresh_epochs={epochs}"])
+        os.makedirs(cfg.out_dir)
+        for net in ("classifier", "eps_base", "critic"):
+            shutil.copy(pipeline.out_path(tiny_cfg, f"{net}.ckpt"),
+                        cfg.out_dir)
+        drawn.append([])
+        pipeline._unlearn_phase(cfg, "cgru")
+    ones, twos = drawn
+    assert len(ones) == len(twos) == cfg.policy.iterations - 1
+    for a, b in zip(ones, twos):
+        assert np.array_equal(a, b)
+
+
 def test_report_aggregates_both_methods(tiny_run):
     cfg, _ = tiny_run
     result = pipeline.run_report(cfg)
